@@ -4,11 +4,10 @@ crosswise) multipliers and a reconfigurable 2/4-point FFT datapath.
 The package builds hardware units as validated netlist DAGs, evaluates them
 bit-exactly, verifies them against arithmetic/DFT oracles, and compares
 delay/area across multiplier implementations under a unit-delay, gate-count
-model. A compiled evaluation kernel is used when available; set
-``VEDICFFT_BACKEND`` to ``python``, ``compiled``, or ``auto`` to override.
+model. One pure-Python kernel simulates them, many vectors per gate pass
+(see ``Netlist.evaluate_batch``).
 """
 
-from ._engine import BACKEND
 from .arith import (
     SignedProduct,
     UrdhvaTrace,
@@ -39,6 +38,7 @@ from .fft import (
     parse_samples_document,
     parse_twiddle_spec,
     run_fft,
+    run_fft_batch,
 )
 from .netio import NetlistFormatError, dump_netlist, parse_netlist
 from .netlist import (
@@ -67,13 +67,7 @@ from .verify import UnitResult, verify_all, verify_unit
 __version__ = "0.1.0"
 
 
-def backend() -> str:
-    """Name of the active evaluation kernel: 'python' or 'compiled'."""
-    return BACKEND
-
-
 __all__ = [
-    "BACKEND",
     "BitVector",
     "ComparisonError",
     "ComparisonTable",
@@ -97,7 +91,6 @@ __all__ = [
     "UnitResult",
     "UrdhvaTrace",
     "VariantSet",
-    "backend",
     "build_array4x4",
     "build_butterfly2",
     "build_fft4",
@@ -123,6 +116,7 @@ __all__ = [
     "render",
     "render_tables",
     "run_fft",
+    "run_fft_batch",
     "signed_multiply_4x4",
     "urdhva_decimal",
     "verify_all",

@@ -14,6 +14,11 @@ TWOS_COMPLEMENT = "twos-complement"
 _INTERPRETATIONS = (UNSIGNED, TWOS_COMPLEMENT)
 
 
+def to_signed(raw: int, width: int) -> int:
+    """Read the raw unsigned ``width``-bit pattern ``raw`` as two's complement."""
+    return raw - (1 << width) if raw >> (width - 1) else raw
+
+
 @dataclass(frozen=True)
 class BitVector:
     """An ordered sequence of bits with a declared signedness interpretation.
@@ -66,10 +71,7 @@ class BitVector:
     @property
     def sint(self) -> int:
         """The bit pattern read as two's complement."""
-        v = self.uint
-        if self.bits[-1]:
-            v -= 1 << self.width
-        return v
+        return to_signed(self.uint, self.width)
 
     @property
     def value(self) -> int:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .arith import build_signed_multiplier4, ripple_add
-from .bitvec import BitVector
+from .bitvec import BitVector, to_signed
 from .netlist import Netlist, NetlistBuilder, NetlistError
 
 # Quarter-turn rotations: value of W4^r for r = 0..3.
@@ -541,15 +541,11 @@ def _reconfigurable_cached(
     )
 
 
-def run_fft(
+def _coerce_samples(
     config: FftConfig, samples: Sequence[FixedComplex | Sequence[int]]
-) -> FftResult:
-    """Encode samples, evaluate the reconfigurable netlist, decode outputs.
-
-    Expects 4 samples; with select=2, two samples are also accepted (the
-    unused upper slots are zero-filled). Components must fit the configured
-    input width.
-    """
+) -> list[FixedComplex]:
+    """The 4 checked samples ``run_fft`` feeds the netlist (2 are zero-filled
+    with select=2)."""
     coerced = []
     for s in samples:
         if not isinstance(s, FixedComplex):
@@ -566,9 +562,26 @@ def run_fft(
         )
     for s in coerced:
         s.check_range(config.input_width)
-    net = _reconfigurable_cached(
+    return coerced
+
+
+def _net_for(config: FftConfig) -> Netlist:
+    return _reconfigurable_cached(
         config.input_width, config.twiddle_mode, config.fraction_bits
     )
+
+
+def run_fft(
+    config: FftConfig, samples: Sequence[FixedComplex | Sequence[int]]
+) -> FftResult:
+    """Encode samples, evaluate the reconfigurable netlist, decode outputs.
+
+    Expects 4 samples; with select=2, two samples are also accepted (the
+    unused upper slots are zero-filled). Components must fit the configured
+    input width.
+    """
+    coerced = _coerce_samples(config, samples)
+    net = _net_for(config)
     assignments = {"select": BitVector.from_unsigned(int(config.select == 4), 1)}
     for i, s in enumerate(coerced):
         assignments[f"x{i}_re"] = BitVector.from_signed(s.re, config.input_width)
@@ -580,6 +593,40 @@ def run_fft(
     return FftResult(
         spectrum, net.output_width("X0_re"), config.scale_log2, config.select
     )
+
+
+def run_fft_batch(
+    config: FftConfig, sample_lists: Sequence[Sequence[FixedComplex | Sequence[int]]]
+) -> list[FftResult]:
+    """``run_fft`` on every sample list, in one gate pass over the netlist.
+
+    Element i of the result equals ``run_fft(config, sample_lists[i])``;
+    every list is checked as ``run_fft`` checks it.
+    """
+    coerced = [_coerce_samples(config, samples) for samples in sample_lists]
+    if not coerced:
+        return []
+    net = _net_for(config)
+    in_mask = (1 << config.input_width) - 1
+    columns = {"select": [int(config.select == 4)] * len(coerced)}
+    for i in range(4):
+        columns[f"x{i}_re"] = [xs[i].re & in_mask for xs in coerced]
+        columns[f"x{i}_im"] = [xs[i].im & in_mask for xs in coerced]
+    outs = net.evaluate_batch(columns)
+    width = net.output_width("X0_re")
+    parts = [(outs[f"X{k}_re"], outs[f"X{k}_im"]) for k in range(4)]
+    return [
+        FftResult(
+            tuple(
+                FixedComplex(to_signed(re[v], width), to_signed(im[v], width))
+                for re, im in parts
+            ),
+            width,
+            config.scale_log2,
+            config.select,
+        )
+        for v in range(len(coerced))
+    ]
 
 
 # -- sample/spectrum documents ------------------------------------------------

@@ -22,6 +22,10 @@ from .netlist import Gate, Net, Netlist, NetlistError, as_gate_kind
 _NET_TOKEN_RE = re.compile(r"^(?:n(\d+)|([A-Za-z_][A-Za-z0-9_]*)\[(\d+)\])$")
 _NAME_TOKEN_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
+# Widest input bus the text format accepts. The widest catalog bus is 4
+# bits; the cap keeps one line from requesting an unbounded net allocation.
+MAX_BUS_WIDTH = 4096
+
 
 class NetlistFormatError(NetlistError):
     """Malformed netlist text."""
@@ -121,6 +125,8 @@ def parse_netlist(text: str) -> Netlist:
                 fail(lineno, f"bad width {fields[2]!r}")
             if width < 1:
                 fail(lineno, f"width must be >= 1, got {width}")
+            if width > MAX_BUS_WIDTH:
+                fail(lineno, f"width {width} exceeds the {MAX_BUS_WIDTH}-bit limit")
             inputs[bus] = tuple(new_net(f"{bus}[{k}]") for k in range(width))
         elif directive in ("const0", "const1"):
             if len(fields) != 2:

@@ -18,7 +18,6 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from . import _engine
 from .bitvec import BitVector
 
 
@@ -41,7 +40,7 @@ class GateKind(enum.Enum):
         return 1 if self is GateKind.NOT else 2
 
 
-# Opcode protocol shared with the evaluation kernels.
+# Opcodes of the gate kernel, ``Netlist._run``.
 _OPCODE = {
     GateKind.AND: 0,
     GateKind.OR: 1,
@@ -85,6 +84,19 @@ class GateCounts(NamedTuple):
     total: int
 
 
+class _Program(NamedTuple):
+    """A netlist compiled to slot indices for the gate kernel."""
+
+    ops: list[int]
+    in0: list[int]
+    in1: list[int]  # NOT: duplicates in0
+    outs: list[int]
+    size: int  # number of slots, one per net
+    const_slots: dict[int, int]  # constant bit value -> slot
+    in_slots: dict[str, list[int]]
+    out_slots: dict[str, list[int]]
+
+
 def _check_bus_name(name: str) -> str:
     if not _NAME_RE.match(name):
         raise NetlistError(f"invalid bus name {name!r}")
@@ -114,7 +126,6 @@ class Netlist:
         self.consts: dict[int, int] = dict(consts)  # constant bit value -> net id
         self._order = self._validate()
         self._program = self._compile()
-        self._buffers: dict[str, tuple] = {}
         self._depth: int | None = None
         self._counts: GateCounts | None = None
 
@@ -201,37 +212,57 @@ class Netlist:
 
     # -- evaluation ---------------------------------------------------------
 
-    def _compile(self):
+    def _compile(self) -> _Program:
         slot = {nid: i for i, nid in enumerate(sorted(self.nets))}
-        base = [0] * len(slot)
-        for value, nid in self.consts.items():
-            base[slot[nid]] = value
-        ops = [_OPCODE[g.kind] for g in self._order]
-        in0 = [slot[g.inputs[0]] for g in self._order]
-        in1 = [slot[g.inputs[-1]] for g in self._order]  # NOT: duplicate in0
-        outs = [slot[g.output] for g in self._order]
-        in_slots = {b: [slot[n] for n in nets] for b, nets in self.inputs.items()}
-        out_slots = {b: [slot[n] for n in nets] for b, nets in self.outputs.items()}
-        return ops, in0, in1, outs, base, in_slots, out_slots
+        return _Program(
+            ops=[_OPCODE[g.kind] for g in self._order],
+            in0=[slot[g.inputs[0]] for g in self._order],
+            in1=[slot[g.inputs[-1]] for g in self._order],
+            outs=[slot[g.output] for g in self._order],
+            size=len(slot),
+            const_slots={value: slot[nid] for value, nid in self.consts.items()},
+            in_slots={b: [slot[n] for n in nets] for b, nets in self.inputs.items()},
+            out_slots={b: [slot[n] for n in nets] for b, nets in self.outputs.items()},
+        )
 
-    def _backend_buffers(self, backend: str):
-        got = self._buffers.get(backend)
-        if got is None:
-            ops, in0, in1, outs, base, _, _ = self._program
-            if backend == "compiled":
-                import numpy as np
+    def _run(self, values: list[int], mask: int) -> None:
+        """The gate kernel: evaluate every gate in topological order.
 
-                got = (
-                    np.array(ops, dtype=np.int8),
-                    np.array(in0, dtype=np.int32),
-                    np.array(in1, dtype=np.int32),
-                    np.array(outs, dtype=np.int32),
-                    np.array(base, dtype=np.uint8),
-                )
+        Each slot holds one word whose bit i is the net's value in vector i;
+        ``mask`` has one set bit per vector, so a scalar run passes 1. One
+        pass therefore evaluates every vector at once (parallel-pattern
+        simulation). Constant slots must already hold 0 or ``mask``.
+        """
+        p = self._program
+        for op, a, b, out in zip(p.ops, p.in0, p.in1, p.outs):
+            if op == 0:
+                values[out] = values[a] & values[b]
+            elif op == 2:
+                values[out] = values[a] ^ values[b]
+            elif op == 1:
+                values[out] = values[a] | values[b]
+            elif op == 3:
+                values[out] = values[a] ^ mask
+            elif op == 4:
+                values[out] = (values[a] & values[b]) ^ mask
+            elif op == 5:
+                values[out] = (values[a] | values[b]) ^ mask
             else:
-                got = (ops, in0, in1, outs, base)
-            self._buffers[backend] = got
-        return got
+                values[out] = values[a] ^ values[b] ^ mask
+
+    def _fresh_values(self, mask: int) -> list[int]:
+        values = [0] * self._program.size
+        for value, s in self._program.const_slots.items():
+            values[s] = mask if value else 0
+        return values
+
+    def _check_buses(self, assignments: Mapping[str, object]) -> None:
+        missing = set(self.inputs) - set(assignments)
+        if missing:
+            raise NetlistError(f"missing input buses: {sorted(missing)}")
+        extra = set(assignments) - set(self.inputs)
+        if extra:
+            raise NetlistError(f"unknown input buses: {sorted(extra)}")
 
     def evaluate(self, assignments: Mapping[str, BitVector]) -> dict[str, BitVector]:
         """Compute all output buses for one input assignment.
@@ -239,28 +270,9 @@ class Netlist:
         Every input bus must be assigned a :class:`BitVector` of exactly its
         width. Deterministic and side-effect free.
         """
-        return self.evaluate_with(_engine.BACKEND, assignments)
-
-    def evaluate_with(self, backend: str, assignments: Mapping[str, BitVector]):
-        """Like :meth:`evaluate` but on a named kernel from ``_engine.KERNELS``.
-
-        Lets tests and benchmarks compare the pure-Python and compiled
-        kernels side by side regardless of which one import selected.
-        """
-        if backend not in _engine.KERNELS:
-            raise NetlistError(
-                f"unknown backend {backend!r}; available: {sorted(_engine.KERNELS)}"
-            )
-        in_slots = self._program[5]
-        out_slots = self._program[6]
-        missing = set(self.inputs) - set(assignments)
-        if missing:
-            raise NetlistError(f"missing input buses: {sorted(missing)}")
-        extra = set(assignments) - set(self.inputs)
-        if extra:
-            raise NetlistError(f"unknown input buses: {sorted(extra)}")
-        ops, in0, in1, outs, base = self._backend_buffers(backend)
-        values = base.copy()
+        self._check_buses(assignments)
+        in_slots, out_slots = self._program.in_slots, self._program.out_slots
+        values = self._fresh_values(1)
         for bus, bv in assignments.items():
             if not isinstance(bv, BitVector):
                 raise NetlistError(f"input {bus} must be a BitVector, got {type(bv).__name__}")
@@ -271,11 +283,58 @@ class Netlist:
                 )
             for s, bit in zip(slots, bv.bits):
                 values[s] = bit
-        _engine.KERNELS[backend](ops, in0, in1, outs, values)
+        self._run(values, 1)
         return {
-            bus: BitVector(tuple(int(values[s]) for s in slots))
+            bus: BitVector(tuple(values[s] for s in slots))
             for bus, slots in out_slots.items()
         }
+
+    def evaluate_batch(
+        self, columns: Mapping[str, Sequence[int]]
+    ) -> dict[str, list[int]]:
+        """Compute all output buses for n input vectors in one gate pass.
+
+        ``columns`` maps every input bus to a list of n raw unsigned values
+        (vector i is element i of every list); the result maps every output
+        bus to its n raw unsigned values in the same order. n must be at
+        least 1 and each value must fit its bus: ``0 <= v < 2**width``.
+        Element i of the result equals ``evaluate`` on vector i.
+        """
+        self._check_buses(columns)
+        in_slots, out_slots = self._program.in_slots, self._program.out_slots
+        lengths = {len(col) for col in columns.values()}
+        if len(lengths) != 1:
+            raise NetlistError(f"input columns differ in length: {sorted(lengths)}")
+        n = lengths.pop()
+        if n == 0:
+            raise NetlistError("input columns are empty")
+        mask = (1 << n) - 1
+        values = self._fresh_values(mask)
+        for bus, col in columns.items():
+            slots = in_slots[bus]
+            width = len(slots)
+            try:
+                bad = min(col) < 0 or max(col) >> width
+            except TypeError:
+                bad = True
+            if bad:
+                raise NetlistError(
+                    f"input {bus} values must be integers in [0, 2**{width})"
+                )
+            # Transpose: one bit string per vector, MSB first, last vector
+            # first; column k of those strings is then the lane word of bus
+            # bit width-1-k with vector i at bit i.
+            fmt = f"0{width}b"
+            rows = [format(v, fmt) for v in reversed(col)]
+            for s, lane in zip(reversed(slots), zip(*rows)):
+                values[s] = int("".join(lane), 2)
+        self._run(values, mask)
+        result = {}
+        for bus, slots in out_slots.items():
+            fmt = f"0{n}b"
+            lanes = [format(values[s], fmt) for s in reversed(slots)]
+            result[bus] = [int("".join(bits), 2) for bits in zip(*lanes)][::-1]
+        return result
 
     # -- static analysis ----------------------------------------------------
 

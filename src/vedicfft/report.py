@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .arith import build_array4x4, build_vedic4x4
-from .bitvec import BitVector
 from .fft import FftConfig, build_butterfly2, build_fft4, build_reconfigurable_fft
 from .netlist import Netlist
 
@@ -132,15 +131,8 @@ def multipliers_equivalent(a: Netlist, b: Netlist) -> bool:
     for net in (a, b):
         if net.input_width("a") != 4 or net.input_width("b") != 4:
             raise ComparisonError(f"{net.name} is not a 4x4 multiplier")
-    for x in range(16):
-        for y in range(16):
-            assignment = {
-                "a": BitVector.from_unsigned(x, 4),
-                "b": BitVector.from_unsigned(y, 4),
-            }
-            if a.evaluate(assignment)["p"] != b.evaluate(assignment)["p"]:
-                return False
-    return True
+    columns = {"a": [x for x in range(16) for _ in range(16)], "b": list(range(16)) * 16}
+    return a.evaluate_batch(columns)["p"] == b.evaluate_batch(columns)["p"]
 
 
 def compare(

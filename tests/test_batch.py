@@ -1,0 +1,159 @@
+"""The bit-parallel batch path agrees with scalar evaluation.
+
+``Netlist.evaluate`` is the reference: every batch result is compared with
+it vector by vector.
+"""
+
+import itertools
+import random
+
+import pytest
+
+from vedicfft import (
+    BitVector,
+    FftConfig,
+    NetlistBuilder,
+    NetlistError,
+    build_ripple_adder,
+    build_ripple_subtractor,
+    run_fft,
+    run_fft_batch,
+)
+from vedicfft import arith, fft
+
+EXHAUSTIVE_BITS = 12
+SAMPLED_VECTORS = 2000
+
+
+def catalog_units():
+    return [("arith", u) for u in arith.unit_names()] + [
+        ("fft", u) for u in fft.unit_names()
+    ]
+
+
+def build_catalog_unit(module, name):
+    return (arith if module == "arith" else fft).build_unit(name)
+
+
+def input_vectors(net, rng):
+    """Every input vector when there are at most 2^12, else seeded samples."""
+    buses = list(net.inputs)
+    widths = [net.input_width(bus) for bus in buses]
+    if sum(widths) <= EXHAUSTIVE_BITS:
+        return [
+            dict(zip(buses, values))
+            for values in itertools.product(*(range(1 << w) for w in widths))
+        ]
+    return [
+        {bus: rng.randrange(1 << w) for bus, w in zip(buses, widths)}
+        for _ in range(SAMPLED_VECTORS)
+    ]
+
+
+def assert_batch_matches_scalar(net, vectors):
+    columns = {bus: [v[bus] for v in vectors] for bus in net.inputs}
+    batch = net.evaluate_batch(columns)
+    assert set(batch) == set(net.outputs)
+    for i, vector in enumerate(vectors):
+        scalar = net.evaluate(
+            {
+                bus: BitVector.from_unsigned(value, net.input_width(bus))
+                for bus, value in vector.items()
+            }
+        )
+        assert {bus: bv.uint for bus, bv in scalar.items()} == {
+            bus: values[i] for bus, values in batch.items()
+        }, f"{net.name} vector {i}: {vector}"
+
+
+def every_kind_netlist():
+    """One gate of each kind plus both constants, on two 1-bit inputs."""
+    b = NetlistBuilder("kinds")
+    x = b.add_input("x", 1)[0]
+    y = b.add_input("y", 1)[0]
+    outs = [
+        b.add_gate(kind, [x, y]) for kind in ("AND", "OR", "XOR", "NAND", "NOR", "XNOR")
+    ]
+    outs.append(b.add_gate("NOT", [x]))
+    b.set_output("o", outs)
+    b.set_output("k", [b.const(0), b.const(1)])
+    return b.finalize()
+
+
+@pytest.mark.parametrize("module,name", catalog_units())
+def test_catalog_unit_agrees_with_scalar(module, name):
+    net = build_catalog_unit(module, name)
+    assert_batch_matches_scalar(net, input_vectors(net, random.Random(name)))
+
+
+@pytest.mark.parametrize("builder", [build_ripple_adder, build_ripple_subtractor])
+def test_16_bit_arithmetic_agrees_with_scalar(builder):
+    net = builder(16)
+    assert_batch_matches_scalar(net, input_vectors(net, random.Random(16)))
+
+
+def test_every_gate_kind_and_constant():
+    net = every_kind_netlist()
+    vectors = input_vectors(net, None)
+    assert len(vectors) == 4
+    assert_batch_matches_scalar(net, vectors)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 9, 13, 63, 65])
+def test_lane_counts(recon_q3, n):
+    # One lane, and lane counts that are not a multiple of 8.
+    vectors = input_vectors(recon_q3, random.Random(n))[:n]
+    assert len(vectors) == n
+    assert_batch_matches_scalar(recon_q3, vectors)
+
+
+class TestBatchRejections:
+    def test_missing_bus(self, vedic2x2):
+        with pytest.raises(NetlistError, match="missing"):
+            vedic2x2.evaluate_batch({"a": [1]})
+
+    def test_extra_bus(self, vedic2x2):
+        with pytest.raises(NetlistError, match="unknown"):
+            vedic2x2.evaluate_batch({"a": [1], "b": [1], "c": [0]})
+
+    def test_unequal_lengths(self, vedic2x2):
+        with pytest.raises(NetlistError, match="differ in length"):
+            vedic2x2.evaluate_batch({"a": [1, 2], "b": [1]})
+
+    def test_empty_columns(self, vedic2x2):
+        with pytest.raises(NetlistError, match="empty"):
+            vedic2x2.evaluate_batch({"a": [], "b": []})
+
+    @pytest.mark.parametrize("value", [-1, 4, 1 << 40, 1.0, "1", None])
+    def test_value_outside_bus(self, vedic2x2, value):
+        with pytest.raises(NetlistError, match=r"\[0, 2\*\*2\)"):
+            vedic2x2.evaluate_batch({"a": [0, value], "b": [1, 1]})
+
+
+FFT_CONFIGS = [
+    FftConfig.make(select, twiddle, 4) for twiddle in ("exact", "q3") for select in (4, 2)
+]
+
+
+@pytest.mark.parametrize("config", FFT_CONFIGS, ids=lambda c: f"{c.twiddle_mode}-{c.select}")
+def test_run_fft_batch_matches_run_fft(config):
+    rng = random.Random(config.select * 10 + (config.fraction_bits or 0))
+    sample_lists = [
+        [(rng.randint(-8, 7), rng.randint(-8, 7)) for _ in range(4)] for _ in range(300)
+    ]
+    if config.select == 2:
+        sample_lists += [samples[:2] for samples in sample_lists[:50]]
+    sample_lists.append([(1, 0), (2, 0), (3, 0), (4, 0)])
+    batch = run_fft_batch(config, sample_lists)
+    assert batch == [run_fft(config, samples) for samples in sample_lists]
+
+
+def test_run_fft_batch_checks_inputs_as_run_fft_does():
+    config = FftConfig.make(4, "exact", 4)
+    assert run_fft_batch(config, []) == []
+    for bad in ([(8, 0)] * 4, [(0, 0)] * 3, [(0, 0, 0)] * 4):
+        with pytest.raises(ValueError) as scalar:
+            run_fft(config, bad)
+        with pytest.raises(ValueError) as batch:
+            run_fft_batch(config, [[(0, 0)] * 4, bad])
+        assert str(batch.value) == str(scalar.value)

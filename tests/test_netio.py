@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -11,6 +12,7 @@ from vedicfft import (
     dump_netlist,
     parse_netlist,
 )
+from vedicfft.netio import MAX_BUS_WIDTH
 
 
 def _random_equivalent(a, b, cases=10, seed=11):
@@ -161,3 +163,22 @@ def test_cycle_rejected_after_parse():
     )
     with pytest.raises(NetlistError, match="cycle"):
         parse_netlist(text)
+
+
+def test_input_width_capped_before_allocation():
+    # Rejected on the width alone: no net of the bus is created.
+    tracemalloc.start()
+    try:
+        with pytest.raises(NetlistFormatError, match="limit"):
+            parse_netlist("netlist t v1\ninput a 100000000000\noutput o a[0]\n")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_input_width_cap_boundary():
+    widest = f"netlist t v1\ninput a {MAX_BUS_WIDTH}\noutput o a[{MAX_BUS_WIDTH - 1}]\n"
+    assert parse_netlist(widest).input_width("a") == MAX_BUS_WIDTH
+    with pytest.raises(NetlistFormatError, match="limit"):
+        parse_netlist(f"netlist t v1\ninput a {MAX_BUS_WIDTH + 1}\noutput o a[0]\n")
