@@ -12,7 +12,6 @@ whose weighted sum is the product.
 from __future__ import annotations
 
 import functools
-import re
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -323,32 +322,3 @@ def signed_multiply_4x4(a: int, b: int, impl: str = "vedic") -> SignedProduct:
     )
     return SignedProduct(out["p"].sint, bool(out["sat"].uint))
 
-
-# -- canonical unit catalog ---------------------------------------------------
-
-_SIZED_UNIT_RE = re.compile(r"^(adder|subtractor)(\d+)$")
-
-
-def unit_names() -> list[str]:
-    """Canonical exportable unit names handled by :func:`build_unit`."""
-    return ["vedic2x2", "vedic4x4", "array4x4", "adder4", "subtractor4"]
-
-
-def build_unit(name: str) -> Netlist:
-    """Build an arithmetic unit by canonical name: ``vedic2x2``,
-    ``vedic4x4``, ``array4x4``, ``adder<W>``, ``subtractor<W>``."""
-    simple = {
-        "vedic2x2": build_vedic2x2,
-        "vedic4x4": build_vedic4x4,
-        "array4x4": build_array4x4,
-    }
-    if name in simple:
-        return simple[name]()
-    m = _SIZED_UNIT_RE.match(name)
-    if m:
-        width = int(m.group(2))
-        if width < 1:
-            raise NetlistError(f"width must be >= 1 in unit {name!r}")
-        builder = build_ripple_adder if m.group(1) == "adder" else build_ripple_subtractor
-        return builder(width)
-    raise NetlistError(f"unknown unit {name!r}")

@@ -13,7 +13,6 @@ from pathlib import Path
 from . import arith, fft, report, verify
 from .bitvec import BitVector
 from .netio import dump_netlist
-from .netlist import NetlistError
 
 
 def _cmd_mul(args) -> int:
@@ -40,7 +39,7 @@ def _cmd_mul(args) -> int:
         return 0
     if not 0 <= args.a <= 15 or not 0 <= args.b <= 15:
         raise ValueError("operands must be in [0, 15] (4-bit unsigned)")
-    net = arith.build_unit(f"{args.impl}4x4")
+    net = fft.build_unit(f"{args.impl}4x4")
     product = net.evaluate(
         {
             "a": BitVector.from_unsigned(args.a, 4),
@@ -81,20 +80,8 @@ def _cmd_verify(args) -> int:
     return 0
 
 
-def _build_any_unit(name: str):
-    try:
-        return arith.build_unit(name)
-    except NetlistError:
-        pass
-    try:
-        return fft.build_unit(name)
-    except NetlistError:
-        known = ", ".join(arith.unit_names() + fft.unit_names())
-        raise NetlistError(f"unknown unit {name!r}; known units: {known}") from None
-
-
 def _cmd_dump(args) -> int:
-    text = dump_netlist(_build_any_unit(args.unit))
+    text = dump_netlist(fft.build_unit(args.unit))
     if args.out is not None:
         Path(args.out).write_text(text)
     else:
@@ -158,7 +145,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("dump", help="export a unit in the structural text format")
-    p.add_argument("--unit", required=True, help="canonical unit name")
+    p.add_argument(
+        "--unit",
+        required=True,
+        help="unit to export: "
+        + ", ".join(fft.unit_names())
+        + "; also adder<W>, subtractor<W>, fft4_q<F>, reconfigurable_q<F>",
+    )
     p.add_argument("--out", help="output path (default: standard output)")
     p.set_defaults(func=_cmd_dump)
 

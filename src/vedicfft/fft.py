@@ -24,7 +24,15 @@ import re
 from dataclasses import dataclass
 from typing import Sequence
 
-from .arith import build_signed_multiplier4, ripple_add
+from .arith import (
+    build_array4x4,
+    build_ripple_adder,
+    build_ripple_subtractor,
+    build_signed_multiplier4,
+    build_vedic2x2,
+    build_vedic4x4,
+    ripple_add,
+)
 from .bitvec import BitVector, to_signed
 from .netlist import Netlist, NetlistBuilder, NetlistError
 
@@ -352,43 +360,22 @@ def complex_multiply_unit(
     return b.finalize()
 
 
-def _parse_build_mode(twiddle_mode: str, fraction_bits: int | None):
-    if twiddle_mode in ("exact", "quantized"):
-        mode = twiddle_mode
-        f = fraction_bits
-    else:
-        mode, f = parse_twiddle_spec(twiddle_mode)
-        if fraction_bits is not None and fraction_bits != f:
-            raise NetlistError("conflicting fraction_bits")
-    if mode == "quantized" and (not isinstance(f, int) or f < 1):
-        raise NetlistError("quantized mode needs fraction_bits >= 1")
-    return mode, f
-
-
-def build_fft4(
-    width: int,
-    twiddle_mode: str = "exact",
-    fraction_bits: int | None = None,
-    multiplier: str = "vedic",
-) -> Netlist:
-    """4-point DFT netlist, decimation in time.
+def build_fft4(config: FftConfig, multiplier: str = "vedic") -> Netlist:
+    """4-point DFT netlist, decimation in time, for the twiddle mode and
+    input width of ``config`` (its select line plays no part).
 
     Buses x0_re .. x3_im (width) -> X0_re .. X3_im. Exact mode applies
     W4^1 = -j as a wire swap plus structural negation folded into the
     stage-2 adders/subtractors; outputs are width + 2 bits and equal the
-    DFT exactly. Quantized mode (``q<F>`` or twiddle_mode="quantized" with
-    fraction_bits=F) sends x1 and x3 through complex multiplier units and
-    carries everything scaled by 2^F; outputs share one uniform width.
+    DFT exactly. Quantized mode (Q1.F, F = ``config.fraction_bits``) sends
+    x1 and x3 through complex multiplier units built on the ``multiplier``
+    core and carries everything scaled by 2^F; outputs share one uniform
+    width.
     """
-    if width < 2:
-        raise NetlistError(f"width must be >= 2, got {width}")
-    mode, f = _parse_build_mode(twiddle_mode, fraction_bits)
-    if mode == "quantized":
-        if width != 4:
-            raise NetlistError("quantized mode requires width 4 (4x4 multiplier core)")
-        if f > 3:
-            raise NetlistError(f"Q1.{f} coefficient does not fit the 4-bit core")
-
+    if not isinstance(config, FftConfig):
+        raise NetlistError(f"expected FftConfig, got {type(config).__name__}")
+    width = config.input_width
+    mode, f = config.twiddle_mode, config.fraction_bits
     b = NetlistBuilder("fft4" if mode == "exact" else f"fft4_q{f}")
     x = [
         (b.add_input(f"x{i}_re", width), b.add_input(f"x{i}_im", width))
@@ -467,7 +454,7 @@ def build_reconfigurable_fft(config: FftConfig, multiplier: str = "vedic") -> Ne
         for i in range(4)
     ]
     four = b.instantiate(
-        build_fft4(width, config.twiddle_mode, config.fraction_bits, multiplier),
+        build_fft4(config, multiplier),
         {f"x{i}_{part}": x[i][j] for i in range(4) for j, part in enumerate(("re", "im"))},
     )
     two = b.instantiate(
@@ -673,27 +660,55 @@ def parse_inline_samples(text: str) -> list[FixedComplex]:
 
 # -- canonical unit catalog ---------------------------------------------------
 
-_FFT_UNIT_RE = re.compile(r"^(fft4|reconfigurable)_q(\d+)$")
+_FIXED_UNITS = {
+    "vedic2x2": build_vedic2x2,
+    "vedic4x4": build_vedic4x4,
+    "array4x4": build_array4x4,
+    "butterfly2": lambda: build_butterfly2(4),
+    "fft4": lambda: build_fft4(FftConfig()),
+    "reconfigurable": lambda: build_reconfigurable_fft(FftConfig()),
+}
+
+# The sized families adder<W>, subtractor<W>, fft4_q<F> and
+# reconfigurable_q<F>, with no leading zeros so that every name round-trips.
+_UNIT_FAMILY_RE = re.compile(
+    r"^(?:(adder|subtractor)([1-9][0-9]*)|(fft4|reconfigurable)_(q[1-9][0-9]*))$"
+)
 
 
 def unit_names() -> list[str]:
-    """Canonical exportable FFT unit names handled by :func:`build_unit`."""
-    return ["butterfly2", "fft4", "fft4_q3", "reconfigurable", "reconfigurable_q3"]
+    """Canonical exportable unit names, in catalog order."""
+    return [
+        "vedic2x2",
+        "vedic4x4",
+        "array4x4",
+        "adder4",
+        "subtractor4",
+        "butterfly2",
+        "fft4",
+        "fft4_q3",
+        "reconfigurable",
+        "reconfigurable_q3",
+    ]
 
 
 def build_unit(name: str) -> Netlist:
-    """Build an FFT unit by canonical name: ``butterfly2``, ``fft4``,
-    ``fft4_q<F>``, ``reconfigurable``, ``reconfigurable_q<F>``."""
-    if name == "butterfly2":
-        return build_butterfly2(4)
-    if name == "fft4":
-        return build_fft4(4)
-    if name == "reconfigurable":
-        return build_reconfigurable_fft(FftConfig())
-    m = _FFT_UNIT_RE.match(name)
-    if m:
-        f = int(m.group(2))
-        if m.group(1) == "fft4":
-            return build_fft4(4, "quantized", f)
-        return build_reconfigurable_fft(FftConfig(4, "quantized", f, 4))
-    raise NetlistError(f"unknown unit {name!r}")
+    """Build a unit by name: one of :func:`unit_names`, or ``adder<W>``,
+    ``subtractor<W>``, ``fft4_q<F>``, ``reconfigurable_q<F>``. The result
+    is named ``name``; a size its builder rejects raises that builder's
+    error."""
+    if name in _FIXED_UNITS:
+        return _FIXED_UNITS[name]()
+    m = _UNIT_FAMILY_RE.match(name)
+    if m is None:
+        known = ", ".join(unit_names())
+        raise NetlistError(f"unknown unit {name!r}; known units: {known}")
+    chain, width, datapath, twiddle = m.groups()
+    if chain == "adder":
+        return build_ripple_adder(int(width))
+    if chain == "subtractor":
+        return build_ripple_subtractor(int(width))
+    config = FftConfig.make(twiddle=twiddle)
+    if datapath == "fft4":
+        return build_fft4(config)
+    return build_reconfigurable_fft(config)

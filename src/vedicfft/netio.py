@@ -17,14 +17,10 @@ from __future__ import annotations
 
 import re
 
-from .netlist import Gate, Net, Netlist, NetlistError, as_gate_kind
+from .netlist import MAX_BUS_WIDTH, Gate, Net, Netlist, NetlistError, as_gate_kind
 
 _NET_TOKEN_RE = re.compile(r"^(?:n(\d+)|([A-Za-z_][A-Za-z0-9_]*)\[(\d+)\])$")
 _NAME_TOKEN_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
-
-# Widest input bus the text format accepts. The widest catalog bus is 4
-# bits; the cap keeps one line from requesting an unbounded net allocation.
-MAX_BUS_WIDTH = 4096
 
 
 class NetlistFormatError(NetlistError):
@@ -86,14 +82,18 @@ def parse_netlist(text: str) -> Netlist:
         m = _NET_TOKEN_RE.match(token)
         if not m:
             fail(lineno, f"bad net id {token!r}")
-        if m.group(1) is not None:
-            key = f"n{int(m.group(1))}"
+        internal, bus, bit = m.groups()
+        try:
+            k = int(bit if internal is None else internal)
+        except ValueError:  # more digits than int() converts
+            fail(lineno, f"bad net id {token!r}")
+        if internal is not None:
+            key = f"n{k}"
             if key not in by_token:
                 by_token[key] = new_net()
             return by_token[key]
         if internal_only:
             fail(lineno, f"expected internal net id, got input bit {token!r}")
-        bus, k = m.group(2), int(m.group(3))
         if bus not in inputs:
             fail(lineno, f"unknown input bus {bus!r}")
         if k >= len(inputs[bus]):

@@ -53,6 +53,10 @@ _OPCODE = {
 
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
+# Widest input bus a builder or the text format accepts. The widest catalog
+# bus is 4 bits; the cap keeps one request from an unbounded net allocation.
+MAX_BUS_WIDTH = 4096
+
 
 def as_gate_kind(kind: GateKind | str) -> GateKind:
     if isinstance(kind, GateKind):
@@ -406,6 +410,10 @@ class NetlistBuilder:
         _check_bus_name(name)
         if width < 1:
             raise NetlistError(f"input bus {name} must be at least 1 bit wide")
+        if width > MAX_BUS_WIDTH:
+            raise NetlistError(
+                f"input bus {name} width {width} exceeds the {MAX_BUS_WIDTH}-bit limit"
+            )
         if name in self._inputs or name in self._outputs:
             raise NetlistError(f"duplicate bus name {name}")
         nets = [self._new_net(f"{name}[{k}]") for k in range(width)]

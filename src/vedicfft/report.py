@@ -91,13 +91,8 @@ _PAIRS = (
     ("4pt", "conventional_4pt", "vedic_4pt"),
     ("reconfigurable", "conventional_reconfigurable", "vedic_reconfigurable"),
 )
-_ROW_ORDER = (
-    "conventional_2pt",
-    "vedic_2pt",
-    "conventional_4pt",
-    "vedic_4pt",
-    "conventional_reconfigurable",
-    "vedic_reconfigurable",
+_ROW_ORDER = tuple(
+    label for _, conventional, vedic in _PAIRS for label in (conventional, vedic)
 )
 
 
@@ -108,12 +103,8 @@ def build_variants(fraction_bits: int = 3, input_width: int = 4) -> VariantSet:
     datapaths = {
         "conventional_2pt": build_butterfly2(input_width),
         "vedic_2pt": build_butterfly2(input_width),
-        "conventional_4pt": build_fft4(
-            input_width, "quantized", fraction_bits, multiplier="array"
-        ),
-        "vedic_4pt": build_fft4(
-            input_width, "quantized", fraction_bits, multiplier="vedic"
-        ),
+        "conventional_4pt": build_fft4(config, "array"),
+        "vedic_4pt": build_fft4(config, "vedic"),
         "conventional_reconfigurable": build_reconfigurable_fft(config, "array"),
         "vedic_reconfigurable": build_reconfigurable_fft(config, "vedic"),
     }

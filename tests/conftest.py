@@ -33,12 +33,12 @@ def butterfly2():
 
 @pytest.fixture(scope="session")
 def fft4_exact():
-    return build_fft4(4)
+    return build_fft4(FftConfig())
 
 
 @pytest.fixture(scope="session")
 def fft4_q3():
-    return build_fft4(4, "quantized", 3)
+    return build_fft4(FftConfig(4, "quantized", 3, 4))
 
 
 @pytest.fixture(scope="session")

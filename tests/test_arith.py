@@ -13,7 +13,6 @@ from vedicfft import (
     signed_multiply_4x4,
     urdhva_decimal,
 )
-from vedicfft.arith import build_unit, unit_names
 
 
 class TestUrdhvaDecimal:
@@ -265,19 +264,3 @@ class TestSignedMultiply:
         with pytest.raises(NetlistError):
             build_signed_multiplier4("booth")
 
-
-class TestUnitCatalog:
-    def test_catalog_names_build(self):
-        for name in unit_names():
-            net = build_unit(name)
-            assert net.name == name
-
-    def test_sized_units(self):
-        assert build_unit("adder8").input_width("a") == 8
-        assert build_unit("subtractor16").output_width("diff") == 16
-
-    def test_unknown_unit(self):
-        with pytest.raises(NetlistError):
-            build_unit("nope")
-        with pytest.raises(NetlistError):
-            build_unit("adder0")

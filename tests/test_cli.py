@@ -208,9 +208,22 @@ class TestDump:
         assert out.startswith("netlist fft4_q3 v1")
 
     def test_unknown_unit(self, capsys):
-        code, _, err = run_cli(capsys, "dump", "--unit", "nope")
-        assert code == 2
-        assert "known units" in err
+        for unit in ("nope", "reconfigurable_q0", "fft4_q03", "adder04"):
+            code, out, err = run_cli(capsys, "dump", "--unit", unit)
+            assert (code, out) == (2, "")
+            assert "known units" in err
+
+    def test_rejected_size_reports_the_builder_error(self, capsys):
+        code, out, err = run_cli(capsys, "dump", "--unit", "fft4_q9")
+        assert (code, out) == (2, "")
+        assert "Q1.9 coefficient does not fit the 4-bit core" in err
+        for argv in (
+            ("dump", "--unit", "adder4097"),
+            ("fft", "--samples", "1,0;2,0;3,0;4,0", "--width", "4097"),
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (2, "")
+            assert "4096-bit limit" in err
 
 
 class TestReport:

@@ -9,7 +9,6 @@ from vedicfft import (
     FixedComplex,
     NetlistError,
     Twiddle,
-    build_fft4,
     complex_multiply_unit,
     dft_oracle,
     parse_inline_samples,
@@ -241,10 +240,6 @@ class TestFft4Exact:
             ref = dft_oracle([complex(r, i) for r, i in samples])
             assert res.values == ref
 
-    def test_width_validation(self):
-        with pytest.raises(NetlistError):
-            build_fft4(1)
-
 
 class TestFft4Quantized:
     def test_known_vector(self):
@@ -373,16 +368,44 @@ class TestResultDocuments:
 
 
 class TestUnitCatalog:
+    def test_catalog_order(self):
+        assert unit_names() == [
+            "vedic2x2",
+            "vedic4x4",
+            "array4x4",
+            "adder4",
+            "subtractor4",
+            "butterfly2",
+            "fft4",
+            "fft4_q3",
+            "reconfigurable",
+            "reconfigurable_q3",
+        ]
+
     def test_catalog_names_build(self):
         for name in unit_names():
             assert build_unit(name).name == name
 
+    def test_sized_units(self):
+        assert build_unit("adder8").input_width("a") == 8
+        assert build_unit("subtractor16").output_width("diff") == 16
+
     def test_sized_variants(self):
-        assert build_unit("fft4_q2").name == "fft4_q2"
+        for name in ("adder1", "subtractor16", "fft4_q2", "reconfigurable_q1"):
+            assert build_unit(name).name == name
         assert build_unit("reconfigurable_q3").name == "reconfigurable_q3"
 
     def test_unknown_unit(self):
-        with pytest.raises(NetlistError):
-            build_unit("zzz")
-        with pytest.raises(NetlistError):
-            build_unit("fft4_q0")
+        for name in ("zzz", "nope", "adder0", "fft4_q0", "reconfigurable_q0"):
+            with pytest.raises(NetlistError, match="known units: vedic2x2, "):
+                build_unit(name)
+        # Leading zeros would name a unit whose netlist has another name.
+        for name in ("adder04", "fft4_q03"):
+            with pytest.raises(NetlistError, match="known units"):
+                build_unit(name)
+
+    def test_rejected_size_raises_the_builder_error(self):
+        with pytest.raises(NetlistError, match="Q1.9 coefficient does not fit"):
+            build_unit("fft4_q9")
+        with pytest.raises(NetlistError, match="4096-bit limit"):
+            build_unit("subtractor4097")

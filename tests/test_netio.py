@@ -133,6 +133,17 @@ def test_forward_references_allowed():
         ("netlist t v1\ninput a 1\ngate 0 NOT a[0] -> a[0]\noutput o a[0]\n", "internal"),
         ("netlist t v1\ninput a 1\nwhatever a\noutput o a[0]\n", "directive"),
         ("netlist t v1\ninput a 1\n", "no output"),
+        # More digits than int() converts (the 4300-digit limit of 3.11).
+        pytest.param(
+            "netlist t v1\ninput a 1\ngate 0 NOT a[0] -> n" + "1" * 5000 + "\noutput o a[0]\n",
+            "net id",
+            id="internal-net-id-5000-digits",
+        ),
+        pytest.param(
+            "netlist t v1\ninput a 1\ngate 0 NOT a[" + "1" * 5000 + "] -> n0\noutput o n0\n",
+            "net id",
+            id="bit-index-5000-digits",
+        ),
     ],
 )
 def test_malformed_documents_rejected(text, match):
@@ -171,6 +182,17 @@ def test_input_width_capped_before_allocation():
     try:
         with pytest.raises(NetlistFormatError, match="limit"):
             parse_netlist("netlist t v1\ninput a 100000000000\noutput o a[0]\n")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_builder_input_width_capped_before_allocation():
+    tracemalloc.start()
+    try:
+        with pytest.raises(NetlistError, match="limit"):
+            build_ripple_adder(MAX_BUS_WIDTH + 1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
