@@ -13,6 +13,7 @@ from vedicfft import (
     signed_multiply_4x4,
     urdhva_decimal,
 )
+from vedicfft.fft import build_unit
 
 
 class TestUrdhvaDecimal:
@@ -264,3 +265,16 @@ class TestSignedMultiply:
         with pytest.raises(NetlistError):
             build_signed_multiplier4("booth")
 
+
+class TestUnitCatalog:
+    """The arithmetic units, reached through the one catalog in ``fft``."""
+
+    def test_catalog_names_build(self):
+        for name in ("vedic2x2", "vedic4x4", "array4x4", "adder4", "subtractor4",
+                     "adder1", "adder8", "subtractor16"):
+            assert build_unit(name).name == name
+
+    def test_unknown_unit(self):
+        for name in ("nope", "adder0", "subtractor0", "adder04", "vedic8x8"):
+            with pytest.raises(NetlistError):
+                build_unit(name)
