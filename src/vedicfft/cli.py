@@ -11,7 +11,6 @@ import sys
 from pathlib import Path
 
 from . import arith, fft, report, verify
-from .bitvec import BitVector
 from .netio import dump_netlist
 
 
@@ -40,12 +39,7 @@ def _cmd_mul(args) -> int:
     if not 0 <= args.a <= 15 or not 0 <= args.b <= 15:
         raise ValueError("operands must be in [0, 15] (4-bit unsigned)")
     net = fft.build_unit(f"{args.impl}4x4")
-    product = net.evaluate(
-        {
-            "a": BitVector.from_unsigned(args.a, 4),
-            "b": BitVector.from_unsigned(args.b, 4),
-        }
-    )["p"].uint
+    product = net.evaluate_batch({"a": [args.a], "b": [args.b]})["p"][0]
     if args.trace:
         print(arith.format_trace(arith.urdhva_decimal(args.a, args.b, base=2)))
     print(product)

@@ -192,7 +192,10 @@ def parse_twiddle_spec(spec: str) -> tuple[str, int | None]:
         return "exact", None
     m = _TWIDDLE_SPEC_RE.match(spec)
     if m:
-        f = int(m.group(1))
+        try:
+            f = int(m.group(1))
+        except ValueError:  # more digits than int() converts
+            raise ValueError(f"twiddle mode {spec!r} has too many digits") from None
         if f < 1:
             raise ValueError("fraction bits must be >= 1")
         return "quantized", f
@@ -561,34 +564,24 @@ def _net_for(config: FftConfig) -> Netlist:
 def run_fft(
     config: FftConfig, samples: Sequence[FixedComplex | Sequence[int]]
 ) -> FftResult:
-    """Encode samples, evaluate the reconfigurable netlist, decode outputs.
+    """Run one sample list through the reconfigurable netlist: a one-lane
+    :func:`run_fft_batch`.
 
     Expects 4 samples; with select=2, two samples are also accepted (the
     unused upper slots are zero-filled). Components must fit the configured
     input width.
     """
-    coerced = _coerce_samples(config, samples)
-    net = _net_for(config)
-    assignments = {"select": BitVector.from_unsigned(int(config.select == 4), 1)}
-    for i, s in enumerate(coerced):
-        assignments[f"x{i}_re"] = BitVector.from_signed(s.re, config.input_width)
-        assignments[f"x{i}_im"] = BitVector.from_signed(s.im, config.input_width)
-    outs = net.evaluate(assignments)
-    spectrum = tuple(
-        FixedComplex(outs[f"X{k}_re"].sint, outs[f"X{k}_im"].sint) for k in range(4)
-    )
-    return FftResult(
-        spectrum, net.output_width("X0_re"), config.scale_log2, config.select
-    )
+    return run_fft_batch(config, [samples])[0]
 
 
 def run_fft_batch(
     config: FftConfig, sample_lists: Sequence[Sequence[FixedComplex | Sequence[int]]]
 ) -> list[FftResult]:
-    """``run_fft`` on every sample list, in one gate pass over the netlist.
+    """Encode every sample list, evaluate the reconfigurable netlist on all
+    of them in one gate pass, and decode the outputs.
 
-    Element i of the result equals ``run_fft(config, sample_lists[i])``;
-    every list is checked as ``run_fft`` checks it.
+    Each list is checked as :func:`run_fft` documents; element i of the
+    result is the spectrum of ``sample_lists[i]``.
     """
     coerced = [_coerce_samples(config, samples) for samples in sample_lists]
     if not coerced:
@@ -672,7 +665,7 @@ _FIXED_UNITS = {
 # The sized families adder<W>, subtractor<W>, fft4_q<F> and
 # reconfigurable_q<F>, with no leading zeros so that every name round-trips.
 _UNIT_FAMILY_RE = re.compile(
-    r"^(?:(adder|subtractor)([1-9][0-9]*)|(fft4|reconfigurable)_(q[1-9][0-9]*))$"
+    r"^(?:(adder|subtractor)|(fft4|reconfigurable)_q)([1-9][0-9]*)$"
 )
 
 
@@ -703,12 +696,16 @@ def build_unit(name: str) -> Netlist:
     if m is None:
         known = ", ".join(unit_names())
         raise NetlistError(f"unknown unit {name!r}; known units: {known}")
-    chain, width, datapath, twiddle = m.groups()
+    chain, datapath, digits = m.groups()
+    try:
+        size = int(digits)
+    except ValueError:  # more digits than int() converts
+        raise NetlistError(f"unit {name!r} has too many digits in its size") from None
     if chain == "adder":
-        return build_ripple_adder(int(width))
+        return build_ripple_adder(size)
     if chain == "subtractor":
-        return build_ripple_subtractor(int(width))
-    config = FftConfig.make(twiddle=twiddle)
+        return build_ripple_subtractor(size)
+    config = FftConfig(4, "quantized", size)
     if datapath == "fft4":
         return build_fft4(config)
     return build_reconfigurable_fft(config)

@@ -233,7 +233,7 @@ class Netlist:
         """The gate kernel: evaluate every gate in topological order.
 
         Each slot holds one word whose bit i is the net's value in vector i;
-        ``mask`` has one set bit per vector, so a scalar run passes 1. One
+        ``mask`` has one set bit per vector, so a one-lane run passes 1. One
         pass therefore evaluates every vector at once (parallel-pattern
         simulation). Constant slots must already hold 0 or ``mask``.
         """
@@ -254,12 +254,6 @@ class Netlist:
             else:
                 values[out] = values[a] ^ values[b] ^ mask
 
-    def _fresh_values(self, mask: int) -> list[int]:
-        values = [0] * self._program.size
-        for value, s in self._program.const_slots.items():
-            values[s] = mask if value else 0
-        return values
-
     def _check_buses(self, assignments: Mapping[str, object]) -> None:
         missing = set(self.inputs) - set(assignments)
         if missing:
@@ -272,25 +266,21 @@ class Netlist:
         """Compute all output buses for one input assignment.
 
         Every input bus must be assigned a :class:`BitVector` of exactly its
-        width. Deterministic and side-effect free.
+        width; outputs are unsigned BitVectors. This is a one-lane
+        :meth:`evaluate_batch`. Deterministic and side-effect free.
         """
         self._check_buses(assignments)
-        in_slots, out_slots = self._program.in_slots, self._program.out_slots
-        values = self._fresh_values(1)
+        columns = {}
         for bus, bv in assignments.items():
             if not isinstance(bv, BitVector):
                 raise NetlistError(f"input {bus} must be a BitVector, got {type(bv).__name__}")
-            slots = in_slots[bus]
-            if bv.width != len(slots):
-                raise NetlistError(
-                    f"input {bus} is {len(slots)} bits wide, got {bv.width}"
-                )
-            for s, bit in zip(slots, bv.bits):
-                values[s] = bit
-        self._run(values, 1)
+            width = self.input_width(bus)
+            if bv.width != width:
+                raise NetlistError(f"input {bus} is {width} bits wide, got {bv.width}")
+            columns[bus] = [bv.uint]
         return {
-            bus: BitVector(tuple(values[s] for s in slots))
-            for bus, slots in out_slots.items()
+            bus: BitVector.from_unsigned(values[0], self.output_width(bus))
+            for bus, values in self.evaluate_batch(columns).items()
         }
 
     def evaluate_batch(
@@ -302,10 +292,11 @@ class Netlist:
         (vector i is element i of every list); the result maps every output
         bus to its n raw unsigned values in the same order. n must be at
         least 1 and each value must fit its bus: ``0 <= v < 2**width``.
-        Element i of the result equals ``evaluate`` on vector i.
+        This is the only code that packs vectors into lane words and runs
+        the gate kernel; :meth:`evaluate` is its n = 1 case.
         """
         self._check_buses(columns)
-        in_slots, out_slots = self._program.in_slots, self._program.out_slots
+        p = self._program
         lengths = {len(col) for col in columns.values()}
         if len(lengths) != 1:
             raise NetlistError(f"input columns differ in length: {sorted(lengths)}")
@@ -313,9 +304,11 @@ class Netlist:
         if n == 0:
             raise NetlistError("input columns are empty")
         mask = (1 << n) - 1
-        values = self._fresh_values(mask)
+        values = [0] * p.size
+        for value, s in p.const_slots.items():
+            values[s] = mask if value else 0
         for bus, col in columns.items():
-            slots = in_slots[bus]
+            slots = p.in_slots[bus]
             width = len(slots)
             try:
                 bad = min(col) < 0 or max(col) >> width
@@ -325,19 +318,22 @@ class Netlist:
                 raise NetlistError(
                     f"input {bus} values must be integers in [0, 2**{width})"
                 )
-            # Transpose: one bit string per vector, MSB first, last vector
-            # first; column k of those strings is then the lane word of bus
-            # bit width-1-k with vector i at bit i.
-            fmt = f"0{width}b"
-            rows = [format(v, fmt) for v in reversed(col)]
-            for s, lane in zip(reversed(slots), zip(*rows)):
-                values[s] = int("".join(lane), 2)
+            # Transpose by stride slices: one MSB-first string of every
+            # vector, last vector first, so every width-th character from
+            # width-1-k is the lane word of bus bit k with vector i at bit i.
+            bits = "".join([format(v, f"0{width}b") for v in reversed(col)])
+            for k, s in enumerate(slots):
+                values[s] = int(bits[width - 1 - k :: width], 2)
         self._run(values, mask)
         result = {}
-        for bus, slots in out_slots.items():
-            fmt = f"0{n}b"
-            lanes = [format(values[s], fmt) for s in reversed(slots)]
-            result[bus] = [int("".join(bits), 2) for bits in zip(*lanes)][::-1]
+        for bus, slots in p.out_slots.items():
+            # The inverse: the lane words side by side, MSB slot first, so
+            # every n-th character from n-1-i spells vector i MSB first.
+            word = 0
+            for s in reversed(slots):
+                word = (word << n) | values[s]
+            bits = format(word, f"0{len(slots) * n}b")
+            result[bus] = [int(bits[j::n], 2) for j in range(n - 1, -1, -1)]
         return result
 
     # -- static analysis ----------------------------------------------------

@@ -256,6 +256,11 @@ class TestSignedMultiply:
         assert signed_multiply_4x4(3, -5).product == -15
         assert signed_multiply_4x4(-3, -5).product == 15
 
+    @pytest.mark.parametrize("a", [8, -9])
+    def test_operand_outside_4_bits_rejected(self, a):
+        with pytest.raises(ValueError, match=f"{a} does not fit in 4 two's-complement bits"):
+            signed_multiply_4x4(a, 0)
+
     def test_netlist_exposes_sat_bus(self):
         net = build_signed_multiplier4("vedic")
         assert set(net.outputs) == {"p", "sat"}

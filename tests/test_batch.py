@@ -1,7 +1,9 @@
-"""The bit-parallel batch path agrees with scalar evaluation.
+"""n lanes of the bit-parallel batch path equal n one-lane runs.
 
-``Netlist.evaluate`` is the reference: every batch result is compared with
-it vector by vector.
+Scalar ``Netlist.evaluate`` and ``run_fft`` are one-lane batches, and the
+integer and DFT oracles of ``test_arith``, ``test_fft`` and ``verify`` check
+those. These tests check that packing many vectors into one pass changes no
+result: every n-lane batch is compared with one-lane runs vector by vector.
 """
 
 import itertools

@@ -1,3 +1,4 @@
+import hashlib
 import importlib.metadata
 import json
 import os
@@ -10,6 +11,7 @@ import pytest
 import vedicfft
 from vedicfft import parse_netlist
 from vedicfft.cli import entry, main
+from vedicfft.fft import unit_names
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 # The directory that holds the imported package: child processes put it first
@@ -224,6 +226,10 @@ class TestDump:
             code, out, err = run_cli(capsys, *argv)
             assert (code, out) == (2, "")
             assert "4096-bit limit" in err
+        for unit in ("adder" + "1" * 5000, "fft4_q" + "1" * 5000):
+            code, out, err = run_cli(capsys, "dump", "--unit", unit)
+            assert (code, out) == (2, "")
+            assert f"unit '{unit}' has too many digits" in err
 
 
 class TestReport:
@@ -252,6 +258,40 @@ class TestReport:
         with pytest.raises(SystemExit) as excinfo:
             main(["report", "--format", "yaml"])
         assert excinfo.value.code == 2
+
+
+# SHA-256 of the stdout of each command (ROADMAP aim 2: same behaviour). Only
+# a change of spec may change a digest, and CHANGES.md then says why.
+GOLDEN_STDOUT_SHA256 = {
+    ("dump", "--unit", "vedic2x2"): "1ef048942bd93053e252221094343afe8a947762b848b1789337674cc4cee303",
+    ("dump", "--unit", "vedic4x4"): "7035100cf253dc4cf6851839aa46def1ba12d0e5267525d66ba879a29ac94116",
+    ("dump", "--unit", "array4x4"): "9b43dd4cfe0e1a5b5ddb89663cd6c718523d1c90a38186aca2f3ccceea67bdf1",
+    ("dump", "--unit", "adder4"): "934f27504cef5c20ce931a2d90262dd3bc4ddee5aa006446b57ad04d7fcf2a4a",
+    ("dump", "--unit", "subtractor4"): "e09a783920a8208a4db9a6a1e95f57c07f75b7789610c62d183042ec3fb5d01d",
+    ("dump", "--unit", "butterfly2"): "77085034f3ade9b3cb05675bb835ff1cf32145e8c8953c5e44bcece4b0147a56",
+    ("dump", "--unit", "fft4"): "e74f1f3a910a8ff9ceeb666c8a350bb0953b207d8dc6f6424d7e5bd2289fa40b",
+    ("dump", "--unit", "fft4_q3"): "7f14976dc4e3a082ba480d0aea268f2c82eed020f5d0435c5ccbcda9bb339e46",
+    ("dump", "--unit", "reconfigurable"): "ce869406a8facdd706680fbbe4f5a02447bef1d444e9db034c7251e7283eab3f",
+    ("dump", "--unit", "reconfigurable_q3"): "60c852b337b2103abb9eb3bddd7ccde585eb1d3dc575a79a8d5fbebe5577fcab",
+    ("report", "--format", "text"): "0423de5d291925eb35cdbbaff8253881d1d7e34a739836810d3dc1bd46c05e17",
+    ("report", "--format", "csv"): "00735994563267d9f2d3d72d87bef5b92c29bcddcff548dc55fd37ec3b91a193",
+    ("report", "--format", "json"): "d197cce445af35c88dfd9d2ad7e4a5b816209c00c1df0c8398529b6547156f3c",
+    ("verify", "--unit", "all"): "80064c6506ce76b3928b70370840d8903d1f759908e827d5ba29a01e08422fd0",
+}
+
+
+def test_golden_stdout(capsys):
+    dumped = [argv[2] for argv in GOLDEN_STDOUT_SHA256 if argv[0] == "dump"]
+    assert dumped == unit_names()
+    changed = []
+    for argv, want in GOLDEN_STDOUT_SHA256.items():
+        code, out, _ = run_cli(capsys, *argv)
+        if code != 0 or hashlib.sha256(out.encode()).hexdigest() != want:
+            changed.append(f"vedicfft {' '.join(argv)} (exit {code})")
+    assert not changed, (
+        "stdout changed; diff it against the same command at the parent commit: "
+        + "; ".join(changed)
+    )
 
 
 class TestEntryPoints:

@@ -112,6 +112,9 @@ class TestFftConfig:
             FftConfig.make(3, "exact", 4)
         with pytest.raises(ValueError):
             FftConfig.make(4, "exact", 1)
+        spec = "q" + "1" * 5000
+        with pytest.raises(ValueError, match=f"twiddle mode '{spec}' has too many digits"):
+            FftConfig.make(4, spec, 4)
 
     def test_unbuildable_configs_fail_at_run(self):
         # Coefficients wider than the multiplier core are caught when the
@@ -409,3 +412,7 @@ class TestUnitCatalog:
             build_unit("fft4_q9")
         with pytest.raises(NetlistError, match="4096-bit limit"):
             build_unit("subtractor4097")
+        # More digits than int() converts by default (4300).
+        for name in ("adder" + "1" * 5000, "fft4_q" + "1" * 5000):
+            with pytest.raises(NetlistError, match=f"unit '{name}' has too many digits"):
+                build_unit(name)

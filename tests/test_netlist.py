@@ -152,6 +152,11 @@ class TestEvaluate:
         with pytest.raises(NetlistError, match="bits wide"):
             net.evaluate({"x": BitVector.from_unsigned(1, 2), "y": _bit(1)})
 
+    def test_non_bitvector_rejected(self):
+        net = _single_and()
+        with pytest.raises(NetlistError, match="x must be a BitVector, got int"):
+            net.evaluate({"x": 1, "y": _bit(1)})
+
     def test_determinism(self):
         net = build_ripple_adder(4)
         assignment = {
