@@ -23,7 +23,6 @@ from .arith import (
     signed_multiply_4x4,
     urdhva_decimal,
 )
-from .bitvec import TWOS_COMPLEMENT, UNSIGNED, BitVector
 from .fft import (
     FftConfig,
     FftResult,
@@ -45,7 +44,6 @@ from .netlist import (
     Gate,
     GateCounts,
     GateKind,
-    Net,
     Netlist,
     NetlistBuilder,
     NetlistError,
@@ -68,7 +66,6 @@ __version__ = "0.1.0"
 
 
 __all__ = [
-    "BitVector",
     "ComparisonError",
     "ComparisonTable",
     "CostReport",
@@ -79,15 +76,12 @@ __all__ = [
     "GateCounts",
     "GateKind",
     "MODEL_NOTE",
-    "Net",
     "Netlist",
     "NetlistBuilder",
     "NetlistError",
     "NetlistFormatError",
     "SignedProduct",
-    "TWOS_COMPLEMENT",
     "Twiddle",
-    "UNSIGNED",
     "UnitResult",
     "UrdhvaTrace",
     "VariantSet",

@@ -15,8 +15,7 @@ import functools
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from .bitvec import to_signed
-from .netlist import Netlist, NetlistBuilder, NetlistError
+from .netlist import Netlist, NetlistBuilder, NetlistError, to_signed
 
 _DIGIT_CHARS = "0123456789abcdefghijklmnopqrstuvwxyz"
 

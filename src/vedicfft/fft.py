@@ -33,8 +33,7 @@ from .arith import (
     build_vedic4x4,
     ripple_add,
 )
-from .bitvec import BitVector, to_signed
-from .netlist import Netlist, NetlistBuilder, NetlistError
+from .netlist import Netlist, NetlistBuilder, NetlistError, to_signed
 
 # Quarter-turn rotations: value of W4^r for r = 0..3.
 _QUARTER_TURNS = ((1, 0), (0, -1), (-1, 0), (0, 1))
@@ -291,6 +290,12 @@ def build_butterfly2(width: int) -> Netlist:
     return b.finalize()
 
 
+def _check_fits_core(fraction_bits: int) -> None:
+    """A Q1.F coefficient enters the signed 4x4 core, which holds Q1.3 at most."""
+    if fraction_bits > 3:
+        raise NetlistError(f"Q1.{fraction_bits} coefficient does not fit the 4-bit core")
+
+
 def complex_multiply_unit(
     width: int, twiddle: Twiddle, multiplier: str = "vedic"
 ) -> Netlist:
@@ -330,8 +335,7 @@ def complex_multiply_unit(
         return b.finalize()
 
     f = twiddle.fraction_bits
-    if f > 3:
-        raise NetlistError(f"Q1.{f} coefficient does not fit the 4-bit core")
+    _check_fits_core(f)
     if twiddle.re_q == 0 and twiddle.im_q == 0:
         raise NetlistError("quantized twiddle rounds to zero, product would vanish")
     b = NetlistBuilder(f"cmul_{multiplier}_q{f}")
@@ -340,7 +344,7 @@ def complex_multiply_unit(
     core = build_signed_multiplier4(multiplier)
 
     def const_bus(value: int) -> list[int]:
-        return [b.const(bit) for bit in BitVector.from_signed(value, 4).bits]
+        return [b.const((value >> k) & 1) for k in range(4)]
 
     c_re, c_im = const_bus(twiddle.re_q), const_bus(twiddle.im_q)
     parts = {}
@@ -379,6 +383,9 @@ def build_fft4(config: FftConfig, multiplier: str = "vedic") -> Netlist:
         raise NetlistError(f"expected FftConfig, got {type(config).__name__}")
     width = config.input_width
     mode, f = config.twiddle_mode, config.fraction_bits
+    if mode == "quantized":
+        # Before the twiddle is quantized: that allocates an int of F bits.
+        _check_fits_core(f)
     b = NetlistBuilder("fft4" if mode == "exact" else f"fft4_q{f}")
     x = [
         (b.add_input(f"x{i}_re", width), b.add_input(f"x{i}_im", width))

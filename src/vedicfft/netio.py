@@ -7,7 +7,7 @@
     gate <gateid> <KIND> <netid> [<netid>] -> <netid>
     output <busname> <netid> <netid> ...   # LSB first
 
-Net ids are ``<busname>[k]`` for input bits and ``n<int>`` for internal nets.
+Input bits are named ``<busname>[k]`` and internal nets ``n<int>``.
 ``#`` starts a comment. Dumps are canonical and deterministic: gates are
 emitted in ascending gate id and internal nets renumbered in emission order,
 so dumping a parsed dump reproduces it byte for byte.
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import re
 
-from .netlist import MAX_BUS_WIDTH, Gate, Net, Netlist, NetlistError, as_gate_kind
+from .netlist import MAX_BUS_WIDTH, Gate, Netlist, NetlistError, as_gate_kind
 
 _NET_TOKEN_RE = re.compile(r"^(?:n(\d+)|([A-Za-z_][A-Za-z0-9_]*)\[(\d+)\])$")
 _NAME_TOKEN_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
@@ -59,7 +59,6 @@ def dump_netlist(netlist: Netlist) -> str:
 
 def parse_netlist(text: str) -> Netlist:
     """Parse the structural format back into a validated Netlist."""
-    nets: dict[int, Net] = {}
     inputs: dict[str, tuple[int, ...]] = {}
     outputs: dict[str, tuple[int, ...]] = {}
     gates: list[Gate] = []
@@ -71,12 +70,10 @@ def parse_netlist(text: str) -> Netlist:
     def fail(lineno: int, message: str):
         raise NetlistFormatError(f"line {lineno}: {message}")
 
-    def new_net(label: str | None = None) -> int:
+    def fresh_net() -> int:
         nonlocal next_id
-        nid = next_id
         next_id += 1
-        nets[nid] = Net(nid, label)
-        return nid
+        return next_id - 1
 
     def resolve(token: str, lineno: int, internal_only: bool = False) -> int:
         m = _NET_TOKEN_RE.match(token)
@@ -90,7 +87,7 @@ def parse_netlist(text: str) -> Netlist:
         if internal is not None:
             key = f"n{k}"
             if key not in by_token:
-                by_token[key] = new_net()
+                by_token[key] = fresh_net()
             return by_token[key]
         if internal_only:
             fail(lineno, f"expected internal net id, got input bit {token!r}")
@@ -127,7 +124,7 @@ def parse_netlist(text: str) -> Netlist:
                 fail(lineno, f"width must be >= 1, got {width}")
             if width > MAX_BUS_WIDTH:
                 fail(lineno, f"width {width} exceeds the {MAX_BUS_WIDTH}-bit limit")
-            inputs[bus] = tuple(new_net(f"{bus}[{k}]") for k in range(width))
+            inputs[bus] = tuple(fresh_net() for _ in range(width))
         elif directive in ("const0", "const1"):
             if len(fields) != 2:
                 fail(lineno, f"expected '{directive} <netid>'")
@@ -169,4 +166,4 @@ def parse_netlist(text: str) -> Netlist:
         raise NetlistFormatError("empty netlist text")
     if not outputs:
         raise NetlistFormatError("netlist text declares no output buses")
-    return Netlist(name, nets, inputs, outputs, gates, consts)
+    return Netlist(name, inputs, outputs, gates, consts)

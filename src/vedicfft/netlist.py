@@ -1,10 +1,13 @@
 """Combinational gate-level netlists: construction, validation, evaluation,
 and static analysis.
 
-The model is a DAG of single-output boolean gates connected by nets. Buses
-are named, ordered lists of nets, LSB first. A finalized ``Netlist`` is
-immutable and safe to share across threads; ``evaluate`` is a pure function
-of its input assignment.
+The model is a DAG of single-output boolean gates connected by nets, each
+net an integer id with exactly one driver: an input bit, a constant or a
+gate. Buses are named, ordered lists of nets, LSB first. Bus values travel
+as raw unsigned ints (bit k of the int is net k of the bus);
+:func:`to_signed` reads one as two's complement. A finalized ``Netlist`` is
+immutable and safe to share across threads; ``evaluate_batch`` is a pure
+function of its input columns.
 
 Cost model: every gate costs one delay unit and one unit of area, wires are
 free. ``critical_path_depth`` and ``gate_counts`` report those two metrics.
@@ -17,8 +20,6 @@ import heapq
 import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Sequence
-
-from .bitvec import BitVector
 
 
 class NetlistError(ValueError):
@@ -58,6 +59,11 @@ _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 MAX_BUS_WIDTH = 4096
 
 
+def to_signed(raw: int, width: int) -> int:
+    """Read the raw unsigned ``width``-bit pattern ``raw`` as two's complement."""
+    return raw - (1 << width) if raw >> (width - 1) else raw
+
+
 def as_gate_kind(kind: GateKind | str) -> GateKind:
     if isinstance(kind, GateKind):
         return kind
@@ -65,14 +71,6 @@ def as_gate_kind(kind: GateKind | str) -> GateKind:
         return GateKind[str(kind).upper()]
     except KeyError:
         raise NetlistError(f"unknown gate kind {kind!r}") from None
-
-
-@dataclass(frozen=True)
-class Net:
-    """A single wire, driven by exactly one source."""
-
-    id: int
-    name: str | None = None
 
 
 @dataclass(frozen=True)
@@ -116,33 +114,31 @@ class Netlist:
     def __init__(
         self,
         name: str,
-        nets: Mapping[int, Net],
         inputs: Mapping[str, Sequence[int]],
         outputs: Mapping[str, Sequence[int]],
         gates: Iterable[Gate],
         consts: Mapping[int, int],
     ):
         self.name = name
-        self.nets: dict[int, Net] = dict(nets)
         self.inputs: dict[str, tuple[int, ...]] = {b: tuple(n) for b, n in inputs.items()}
         self.outputs: dict[str, tuple[int, ...]] = {b: tuple(n) for b, n in outputs.items()}
         self.gates: tuple[Gate, ...] = tuple(sorted(gates, key=lambda g: g.id))
         self.consts: dict[int, int] = dict(consts)  # constant bit value -> net id
-        self._order = self._validate()
+        self.nets, self._order = self._validate()
         self._program = self._compile()
         self._depth: int | None = None
         self._counts: GateCounts | None = None
 
     # -- validation ---------------------------------------------------------
 
-    def _validate(self) -> tuple[Gate, ...]:
+    def _validate(self) -> tuple[frozenset[int], tuple[Gate, ...]]:
+        """Check the structure; return the driven nets and the gates in
+        evaluation order."""
         if not _NAME_RE.match(self.name):
             raise NetlistError(f"invalid netlist name {self.name!r}")
         drivers: dict[int, str] = {}
 
         def claim(net: int, source: str):
-            if net not in self.nets:
-                raise NetlistError(f"{source} drives unknown net {net}")
             if net in drivers:
                 raise NetlistError(
                     f"net {net} has two drivers: {drivers[net]} and {source}"
@@ -171,9 +167,6 @@ class Netlist:
                     f"gate {gate.id} ({gate.kind.value}) takes {gate.kind.arity} "
                     f"inputs, got {len(gate.inputs)}"
                 )
-            for n in gate.inputs:
-                if n not in self.nets:
-                    raise NetlistError(f"gate {gate.id} reads unknown net {n}")
             claim(gate.output, f"gate {gate.id}")
 
         for gate in self.gates:
@@ -184,8 +177,6 @@ class Netlist:
             if not nets:
                 raise NetlistError(f"output bus {bus} has zero width")
             for k, n in enumerate(nets):
-                if n not in self.nets:
-                    raise NetlistError(f"output {bus}[{k}] is unknown net {n}")
                 if n not in drivers:
                     raise NetlistError(f"floating output bit {bus}[{k}] (net {n})")
 
@@ -212,7 +203,7 @@ class Netlist:
         if len(order) != len(self.gates):
             stuck = sorted(gid for gid, deg in pending.items() if deg > 0)
             raise NetlistError(f"combinational cycle through gates {stuck}")
-        return tuple(order)
+        return frozenset(drivers), tuple(order)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -262,27 +253,6 @@ class Netlist:
         if extra:
             raise NetlistError(f"unknown input buses: {sorted(extra)}")
 
-    def evaluate(self, assignments: Mapping[str, BitVector]) -> dict[str, BitVector]:
-        """Compute all output buses for one input assignment.
-
-        Every input bus must be assigned a :class:`BitVector` of exactly its
-        width; outputs are unsigned BitVectors. This is a one-lane
-        :meth:`evaluate_batch`. Deterministic and side-effect free.
-        """
-        self._check_buses(assignments)
-        columns = {}
-        for bus, bv in assignments.items():
-            if not isinstance(bv, BitVector):
-                raise NetlistError(f"input {bus} must be a BitVector, got {type(bv).__name__}")
-            width = self.input_width(bus)
-            if bv.width != width:
-                raise NetlistError(f"input {bus} is {width} bits wide, got {bv.width}")
-            columns[bus] = [bv.uint]
-        return {
-            bus: BitVector.from_unsigned(values[0], self.output_width(bus))
-            for bus, values in self.evaluate_batch(columns).items()
-        }
-
     def evaluate_batch(
         self, columns: Mapping[str, Sequence[int]]
     ) -> dict[str, list[int]]:
@@ -292,8 +262,9 @@ class Netlist:
         (vector i is element i of every list); the result maps every output
         bus to its n raw unsigned values in the same order. n must be at
         least 1 and each value must fit its bus: ``0 <= v < 2**width``.
-        This is the only code that packs vectors into lane words and runs
-        the gate kernel; :meth:`evaluate` is its n = 1 case.
+        This is the one simulation entry point: the only code that packs
+        vectors into lane words and runs the gate kernel. One vector is a
+        one-lane batch.
         """
         self._check_buses(columns)
         p = self._program
@@ -372,16 +343,22 @@ class Netlist:
 
 class NetlistBuilder:
     """Single-owner accumulator for a netlist. Not shareable across threads;
-    unusable after :meth:`finalize`."""
+    unusable after :meth:`finalize`.
+
+    A net is created together with its driver: :meth:`add_input` makes the
+    input bits, :meth:`const` the constant nets and :meth:`add_gate` a fresh
+    output net per gate. Every gate therefore reads nets that already exist,
+    and a built netlist has no floating nets, no second drivers and no
+    cycles. (The text format allows forward references; ``Netlist`` itself
+    validates what ``parse_netlist`` reads.)
+    """
 
     def __init__(self, name: str):
         self.name = name
-        self._nets: dict[int, Net] = {}
         self._inputs: dict[str, tuple[int, ...]] = {}
         self._outputs: dict[str, list[int]] = {}
         self._gates: list[Gate] = []
         self._consts: dict[int, int] = {}
-        self._driven: set[int] = set()
         self._next_net = 0
         self._done = False
 
@@ -389,17 +366,13 @@ class NetlistBuilder:
         if self._done:
             raise NetlistError("builder already finalized")
 
-    def _new_net(self, name: str | None = None) -> int:
+    def _fresh_net(self) -> int:
         nid = self._next_net
         self._next_net += 1
-        self._nets[nid] = Net(nid, name)
         return nid
 
-    def new_net(self, name: str | None = None) -> int:
-        """Create a floating net to be driven by a later gate (forward
-        reference). It must be driven before finalize."""
-        self._check_open()
-        return self._new_net(name)
+    def _is_net(self, n: int) -> bool:
+        return n in range(self._next_net)
 
     def add_input(self, name: str, width: int) -> list[int]:
         self._check_open()
@@ -412,33 +385,21 @@ class NetlistBuilder:
             )
         if name in self._inputs or name in self._outputs:
             raise NetlistError(f"duplicate bus name {name}")
-        nets = [self._new_net(f"{name}[{k}]") for k in range(width)]
-        self._driven.update(nets)
+        nets = [self._fresh_net() for _ in range(width)]
         self._inputs[name] = tuple(nets)
         return nets
 
     def const(self, value: int) -> int:
-        """Net tied to constant 0 or 1 (created on first use)."""
+        """The net tied to constant 0 or 1 (created on first use)."""
         self._check_open()
         if value not in (0, 1):
             raise NetlistError(f"constant must be 0 or 1, got {value}")
         if value not in self._consts:
-            nid = self._new_net(f"const{value}")
-            self._consts[value] = nid
-            self._driven.add(nid)
+            self._consts[value] = self._fresh_net()
         return self._consts[value]
 
-    def add_gate(
-        self,
-        kind: GateKind | str,
-        inputs: Sequence[int],
-        output: int | None = None,
-    ) -> int:
-        """Append a gate; returns its output net.
-
-        By default a fresh net is created for the output. Passing ``output``
-        ties the gate to a floating net from :meth:`new_net` instead.
-        """
+    def add_gate(self, kind: GateKind | str, inputs: Sequence[int]) -> int:
+        """Append a gate reading existing nets; returns its fresh output net."""
         self._check_open()
         kind = as_gate_kind(kind)
         inputs = tuple(inputs)
@@ -447,16 +408,9 @@ class NetlistBuilder:
                 f"{kind.value} takes {kind.arity} input(s), got {len(inputs)}"
             )
         for n in inputs:
-            if n not in self._nets:
+            if not self._is_net(n):
                 raise NetlistError(f"unknown input net {n}")
-        if output is None:
-            output = self._new_net()
-        else:
-            if output not in self._nets:
-                raise NetlistError(f"unknown output net {output}")
-            if output in self._driven:
-                raise NetlistError(f"net {output} already has a driver")
-        self._driven.add(output)
+        output = self._fresh_net()
         self._gates.append(Gate(len(self._gates), kind, inputs, output))
         return output
 
@@ -469,7 +423,7 @@ class NetlistBuilder:
         if not nets:
             raise NetlistError(f"output bus {name} must be at least 1 bit wide")
         for n in nets:
-            if n not in self._nets:
+            if not self._is_net(n):
                 raise NetlistError(f"unknown net {n} in output bus {name}")
         self._outputs[name] = nets
 
@@ -498,7 +452,7 @@ class NetlistBuilder:
                     f"sub input {bus} is {len(sub_nets)} bits, got {len(parent_nets)}"
                 )
             for n in parent_nets:
-                if n not in self._nets:
+                if not self._is_net(n):
                     raise NetlistError(f"unknown net {n} connected to sub input {bus}")
             mapping.update(zip(sub_nets, parent_nets))
         for value, nid in sub.consts.items():
@@ -514,19 +468,5 @@ class NetlistBuilder:
         self._check_open()
         if not self._outputs:
             raise NetlistError("netlist has no output buses")
-        # Drop nets that were reserved but never driven nor referenced.
-        referenced = set(self._driven)
-        for gate in self._gates:
-            referenced.update(gate.inputs)
-        for nets in self._outputs.values():
-            referenced.update(nets)
-        self._nets = {nid: net for nid, net in self._nets.items() if nid in referenced}
         self._done = True
-        return Netlist(
-            self.name,
-            self._nets,
-            self._inputs,
-            {b: tuple(n) for b, n in self._outputs.items()},
-            self._gates,
-            self._consts,
-        )
+        return Netlist(self.name, self._inputs, self._outputs, self._gates, self._consts)

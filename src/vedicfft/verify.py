@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import arith, fft
-from .bitvec import to_signed
+from .netlist import to_signed
 
 _RANDOM_VECTORS = 1000
 

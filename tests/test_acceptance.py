@@ -11,7 +11,6 @@ import random
 import time
 
 from vedicfft import (
-    BitVector,
     FftConfig,
     GateKind,
     NetlistBuilder,
@@ -22,6 +21,7 @@ from vedicfft import (
     urdhva_decimal,
 )
 from vedicfft.cli import main
+from vedicfft.netlist import to_signed
 from vedicfft.report import ComparisonError, compare, render, render_tables
 from vedicfft.verify import verify_all
 
@@ -67,19 +67,14 @@ def test_exhaustive_multiplier_correctness(acceptance_log, vedic2x2, vedic4x4, a
     failures = []
     for a in range(4):
         for b in range(4):
-            got = vedic2x2.evaluate(
-                {"a": BitVector.from_unsigned(a, 2), "b": BitVector.from_unsigned(b, 2)}
-            )["p"].uint
+            got = vedic2x2.evaluate_batch({"a": [a], "b": [b]})["p"][0]
             if got != a * b:
                 failures.append(f"vedic2x2 {a}*{b}={got}")
     for a in range(16):
         for b in range(16):
-            assignment = {
-                "a": BitVector.from_unsigned(a, 4),
-                "b": BitVector.from_unsigned(b, 4),
-            }
-            v = vedic4x4.evaluate(assignment)["p"].uint
-            w = array4x4.evaluate(assignment)["p"].uint
+            columns = {"a": [a], "b": [b]}
+            v = vedic4x4.evaluate_batch(columns)["p"][0]
+            w = array4x4.evaluate_batch(columns)["p"][0]
             if v != a * b:
                 failures.append(f"vedic4x4 {a}*{b}={v}")
             if w != a * b:
@@ -173,17 +168,18 @@ def test_fft_property_suite(acceptance_log, butterfly2, recon_exact):
     for _ in range(300):
         x = _rand_vec(rng, 2)
         res = run_fft(cfg2, x + [(0, 0), (0, 0)])
-        bf = butterfly2.evaluate(
+        bf = butterfly2.evaluate_batch(
             {
-                "x0_re": BitVector.from_signed(x[0][0], 4),
-                "x0_im": BitVector.from_signed(x[0][1], 4),
-                "x1_re": BitVector.from_signed(x[1][0], 4),
-                "x1_im": BitVector.from_signed(x[1][1], 4),
+                "x0_re": [x[0][0] & 15],
+                "x0_im": [x[0][1] & 15],
+                "x1_re": [x[1][0] & 15],
+                "x1_im": [x[1][1] & 15],
             }
         )
+        width = butterfly2.output_width("X0_re")
         want = [
-            complex(bf["X0_re"].sint, bf["X0_im"].sint),
-            complex(bf["X1_re"].sint, bf["X1_im"].sint),
+            complex(to_signed(bf["X0_re"][0], width), to_signed(bf["X0_im"][0], width)),
+            complex(to_signed(bf["X1_re"][0], width), to_signed(bf["X1_im"][0], width)),
             0j,
             0j,
         ]
@@ -194,13 +190,10 @@ def test_fft_property_suite(acceptance_log, butterfly2, recon_exact):
     clone = parse_netlist(dump_netlist(recon_exact))
     for _ in range(100):
         assignment = {
-            name: BitVector.from_unsigned(
-                rng.randrange(1 << recon_exact.input_width(name)),
-                recon_exact.input_width(name),
-            )
+            name: [rng.randrange(1 << recon_exact.input_width(name))]
             for name in recon_exact.inputs
         }
-        if recon_exact.evaluate(assignment) != clone.evaluate(assignment):
+        if recon_exact.evaluate_batch(assignment) != clone.evaluate_batch(assignment):
             failures.append(("roundtrip", assignment))
 
     ok = not failures

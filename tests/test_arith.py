@@ -3,7 +3,6 @@ import random
 import pytest
 
 from vedicfft import (
-    BitVector,
     NetlistError,
     build_ripple_adder,
     build_ripple_subtractor,
@@ -14,6 +13,12 @@ from vedicfft import (
     urdhva_decimal,
 )
 from vedicfft.fft import build_unit
+
+
+def _operand_pairs(width):
+    """Every (a, b) pair of ``width``-bit unsigned operands, and their columns."""
+    pairs = [(a, b) for a in range(1 << width) for b in range(1 << width)]
+    return pairs, {"a": [a for a, _ in pairs], "b": [b for _, b in pairs]}
 
 
 class TestUrdhvaDecimal:
@@ -79,15 +84,8 @@ class TestUrdhvaDecimal:
 
 class TestVedic2x2:
     def test_exhaustive(self, vedic2x2):
-        for a in range(4):
-            for b in range(4):
-                got = vedic2x2.evaluate(
-                    {
-                        "a": BitVector.from_unsigned(a, 2),
-                        "b": BitVector.from_unsigned(b, 2),
-                    }
-                )["p"].uint
-                assert got == a * b
+        pairs, columns = _operand_pairs(2)
+        assert vedic2x2.evaluate_batch(columns)["p"] == [a * b for a, b in pairs]
 
     def test_gate_census(self, vedic2x2):
         counts = vedic2x2.gate_counts()
@@ -102,27 +100,13 @@ class TestMultipliers4x4:
     @pytest.mark.parametrize("fixture", ["vedic4x4", "array4x4"])
     def test_exhaustive(self, fixture, request):
         net = request.getfixturevalue(fixture)
-        for a in range(16):
-            for b in range(16):
-                got = net.evaluate(
-                    {
-                        "a": BitVector.from_unsigned(a, 4),
-                        "b": BitVector.from_unsigned(b, 4),
-                    }
-                )["p"].uint
-                assert got == a * b, f"{a}*{b}"
+        pairs, columns = _operand_pairs(4)
+        for (a, b), got in zip(pairs, net.evaluate_batch(columns)["p"]):
+            assert got == a * b, f"{a}*{b}"
 
     def test_truth_tables_identical(self, vedic4x4, array4x4):
-        for a in range(16):
-            for b in range(16):
-                assignment = {
-                    "a": BitVector.from_unsigned(a, 4),
-                    "b": BitVector.from_unsigned(b, 4),
-                }
-                assert (
-                    vedic4x4.evaluate(assignment)["p"]
-                    == array4x4.evaluate(assignment)["p"]
-                )
+        _, columns = _operand_pairs(4)
+        assert vedic4x4.evaluate_batch(columns) == array4x4.evaluate_batch(columns)
 
     def test_composition_integrity(self, vedic2x2, vedic4x4):
         # Four 2x2 blocks plus one 4-bit and two 6-bit ripple adders,
@@ -131,35 +115,23 @@ class TestMultipliers4x4:
         assert vedic4x4.gate_counts().total == 4 * vedic2x2.gate_counts().total + combining
 
     def test_digit_serial_base2_matches_netlist(self, vedic4x4):
-        for a in range(16):
-            for b in range(16):
-                trace = urdhva_decimal(a, b, base=2)
-                padded = trace.final + (0,) * (8 - len(trace.final))
-                bits = vedic4x4.evaluate(
-                    {
-                        "a": BitVector.from_unsigned(a, 4),
-                        "b": BitVector.from_unsigned(b, 4),
-                    }
-                )["p"].bits
-                assert padded == bits
+        pairs, columns = _operand_pairs(4)
+        for (a, b), p in zip(pairs, vedic4x4.evaluate_batch(columns)["p"]):
+            trace = urdhva_decimal(a, b, base=2)
+            padded = trace.final + (0,) * (8 - len(trace.final))
+            assert padded == tuple((p >> k) & 1 for k in range(8))
 
 
 class TestAdder:
     def test_exhaustive_width4(self):
         net = build_ripple_adder(4)
-        for a in range(16):
-            for b in range(16):
-                for cin in (0, 1):
-                    out = net.evaluate(
-                        {
-                            "a": BitVector.from_unsigned(a, 4),
-                            "b": BitVector.from_unsigned(b, 4),
-                            "cin": BitVector.from_unsigned(cin, 1),
-                        }
-                    )
-                    total = a + b + cin
-                    assert out["sum"].uint == total % 16
-                    assert out["cout"].uint == total // 16
+        pairs, columns = _operand_pairs(4)
+        for cin in (0, 1):
+            out = net.evaluate_batch({**columns, "cin": [cin] * len(pairs)})
+            for i, (a, b) in enumerate(pairs):
+                total = a + b + cin
+                assert out["sum"][i] == total % 16
+                assert out["cout"][i] == total // 16
 
     @pytest.mark.parametrize("width", [8, 16])
     def test_random_wide(self, width):
@@ -169,16 +141,10 @@ class TestAdder:
         for _ in range(1000):
             a, b = rng.randrange(mask + 1), rng.randrange(mask + 1)
             cin = rng.randrange(2)
-            out = net.evaluate(
-                {
-                    "a": BitVector.from_unsigned(a, width),
-                    "b": BitVector.from_unsigned(b, width),
-                    "cin": BitVector.from_unsigned(cin, 1),
-                }
-            )
+            out = net.evaluate_batch({"a": [a], "b": [b], "cin": [cin]})
             total = a + b + cin
-            assert out["sum"].uint == (total & mask)
-            assert out["cout"].uint == total >> width
+            assert out["sum"] == [total & mask]
+            assert out["cout"] == [total >> width]
 
     def test_gate_budget(self):
         assert build_ripple_adder(4).gate_counts().total == 20
@@ -191,24 +157,17 @@ class TestAdder:
 class TestSubtractor:
     def test_exhaustive_width4(self):
         net = build_ripple_subtractor(4)
-        for a in range(16):
-            for b in range(16):
-                out = net.evaluate(
-                    {
-                        "a": BitVector.from_unsigned(a, 4),
-                        "b": BitVector.from_unsigned(b, 4),
-                    }
-                )
-                assert out["diff"].uint == (a - b) % 16
-                assert out["borrow"].uint == int(a < b)
+        pairs, columns = _operand_pairs(4)
+        out = net.evaluate_batch(columns)
+        for i, (a, b) in enumerate(pairs):
+            assert out["diff"][i] == (a - b) % 16
+            assert out["borrow"][i] == int(a < b)
 
     def test_wraparound_example(self):
         net = build_ripple_subtractor(4)
-        out = net.evaluate(
-            {"a": BitVector.from_unsigned(2, 4), "b": BitVector.from_unsigned(5, 4)}
-        )
-        assert out["diff"].uint == 13  # two's-complement -3
-        assert out["borrow"].uint == 1
+        out = net.evaluate_batch({"a": [2], "b": [5]})
+        assert out["diff"] == [13]  # two's-complement -3
+        assert out["borrow"] == [1]
 
     @pytest.mark.parametrize("width", [8, 16])
     def test_random_wide(self, width):
@@ -217,14 +176,9 @@ class TestSubtractor:
         mask = (1 << width) - 1
         for _ in range(1000):
             a, b = rng.randrange(mask + 1), rng.randrange(mask + 1)
-            out = net.evaluate(
-                {
-                    "a": BitVector.from_unsigned(a, width),
-                    "b": BitVector.from_unsigned(b, width),
-                }
-            )
-            assert out["diff"].uint == ((a - b) & mask)
-            assert out["borrow"].uint == int(a < b)
+            out = net.evaluate_batch({"a": [a], "b": [b]})
+            assert out["diff"] == [(a - b) & mask]
+            assert out["borrow"] == [int(a < b)]
 
     def test_invalid_width(self):
         with pytest.raises(NetlistError):

@@ -1,9 +1,12 @@
-"""n lanes of the bit-parallel batch path equal n one-lane runs.
+"""The bit-parallel batch path against an independent reference simulator.
 
-Scalar ``Netlist.evaluate`` and ``run_fft`` are one-lane batches, and the
-integer and DFT oracles of ``test_arith``, ``test_fft`` and ``verify`` check
-those. These tests check that packing many vectors into one pass changes no
-result: every n-lane batch is compared with one-lane runs vector by vector.
+``Netlist.evaluate_batch`` packs n vectors into lane words, runs the gate
+kernel once and unpacks the results. The reference below shares none of
+that code: it packs vector i into bit i of one int per net with plain
+shifts, evaluates ``net.gates`` with Python's bitwise operators in its own
+dependency order, and unpacks bit by bit. Every batch is compared with it
+vector by vector. The n-lane ``run_fft_batch`` is compared with one-lane
+``run_fft`` calls, which the DFT oracle of ``test_fft`` checks.
 """
 
 import itertools
@@ -12,8 +15,8 @@ import random
 import pytest
 
 from vedicfft import (
-    BitVector,
     FftConfig,
+    GateKind,
     NetlistBuilder,
     NetlistError,
     build_ripple_adder,
@@ -54,19 +57,54 @@ def input_vectors(net, rng):
     ]
 
 
-def assert_batch_matches_scalar(net, vectors):
+GATE_FUNCTIONS = {
+    GateKind.AND: lambda a, b: a & b,
+    GateKind.OR: lambda a, b: a | b,
+    GateKind.XOR: lambda a, b: a ^ b,
+    GateKind.NAND: lambda a, b: ~(a & b),
+    GateKind.NOR: lambda a, b: ~(a | b),
+    GateKind.XNOR: lambda a, b: ~(a ^ b),
+    GateKind.NOT: lambda a: ~a,
+}
+
+
+def reference_outputs(net, vectors):
+    """Every output bus of ``net`` for ``vectors``, one list of raw values per
+    bus: vector i is bit i of each net's word, and a gate's word is computed
+    from its input words on first use (memoized recursion)."""
+    mask = (1 << len(vectors)) - 1
+    words = {nid: mask if value else 0 for value, nid in net.consts.items()}
+    for bus, nets in net.inputs.items():
+        for k, nid in enumerate(nets):
+            words[nid] = 0
+            for i, vector in enumerate(vectors):
+                words[nid] |= ((vector[bus] >> k) & 1) << i
+    driver = {gate.output: gate for gate in net.gates}
+
+    def word(nid):
+        if nid not in words:
+            gate = driver[nid]
+            inputs = [word(n) for n in gate.inputs]
+            words[nid] = GATE_FUNCTIONS[gate.kind](*inputs) & mask
+        return words[nid]
+
+    return {
+        bus: [
+            sum(((word(nid) >> i) & 1) << k for k, nid in enumerate(nets))
+            for i in range(len(vectors))
+        ]
+        for bus, nets in net.outputs.items()
+    }
+
+
+def assert_batch_matches_reference(net, vectors):
     columns = {bus: [v[bus] for v in vectors] for bus in net.inputs}
     batch = net.evaluate_batch(columns)
+    reference = reference_outputs(net, vectors)
     assert set(batch) == set(net.outputs)
     for i, vector in enumerate(vectors):
-        scalar = net.evaluate(
-            {
-                bus: BitVector.from_unsigned(value, net.input_width(bus))
-                for bus, value in vector.items()
-            }
-        )
-        assert {bus: bv.uint for bus, bv in scalar.items()} == {
-            bus: values[i] for bus, values in batch.items()
+        assert {bus: values[i] for bus, values in batch.items()} == {
+            bus: values[i] for bus, values in reference.items()
         }, f"{net.name} vector {i}: {vector}"
 
 
@@ -87,20 +125,20 @@ def every_kind_netlist():
 @pytest.mark.parametrize("name", catalog_units())
 def test_catalog_unit_agrees_with_scalar(name):
     net = build_unit(name)
-    assert_batch_matches_scalar(net, input_vectors(net, random.Random(name)))
+    assert_batch_matches_reference(net, input_vectors(net, random.Random(name)))
 
 
 @pytest.mark.parametrize("builder", [build_ripple_adder, build_ripple_subtractor])
 def test_16_bit_arithmetic_agrees_with_scalar(builder):
     net = builder(16)
-    assert_batch_matches_scalar(net, input_vectors(net, random.Random(16)))
+    assert_batch_matches_reference(net, input_vectors(net, random.Random(16)))
 
 
 def test_every_gate_kind_and_constant():
     net = every_kind_netlist()
     vectors = input_vectors(net, None)
     assert len(vectors) == 4
-    assert_batch_matches_scalar(net, vectors)
+    assert_batch_matches_reference(net, vectors)
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 9, 13, 63, 65])
@@ -108,7 +146,7 @@ def test_lane_counts(recon_q3, n):
     # One lane, and lane counts that are not a multiple of 8.
     vectors = input_vectors(recon_q3, random.Random(n))[:n]
     assert len(vectors) == n
-    assert_batch_matches_scalar(recon_q3, vectors)
+    assert_batch_matches_reference(recon_q3, vectors)
 
 
 class TestBatchRejections:

@@ -230,6 +230,15 @@ class TestDump:
             code, out, err = run_cli(capsys, "dump", "--unit", unit)
             assert (code, out) == (2, "")
             assert f"unit '{unit}' has too many digits" in err
+        # As many digits as int() converts: rejected before 1 << F is taken.
+        f = "1" * 4300
+        for argv in (
+            ("dump", "--unit", "fft4_q" + f),
+            ("fft", "--samples", "1,0;2,0;3,0;4,0", "--twiddle", "q" + f),
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (2, "")
+            assert f"Q1.{f} coefficient does not fit the 4-bit core" in err
 
 
 class TestReport:

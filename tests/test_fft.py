@@ -1,14 +1,15 @@
 import cmath
 import random
+import tracemalloc
 
 import pytest
 
 from vedicfft import (
-    BitVector,
     FftConfig,
     FixedComplex,
     NetlistError,
     Twiddle,
+    build_fft4,
     complex_multiply_unit,
     dft_oracle,
     parse_inline_samples,
@@ -17,6 +18,7 @@ from vedicfft import (
     run_fft,
 )
 from vedicfft.fft import build_unit, unit_names
+from vedicfft.netlist import to_signed
 
 
 def brute_dft(samples):
@@ -25,6 +27,13 @@ def brute_dft(samples):
         sum(samples[m] * cmath.exp(-2j * cmath.pi * m * k / n) for m in range(n))
         for k in range(n)
     ]
+
+
+def signed_outputs(net, **values):
+    """One vector of 4-bit two's-complement inputs through ``net``, every
+    output read back as two's complement."""
+    out = net.evaluate_batch({bus: [v & 15] for bus, v in values.items()})
+    return {bus: to_signed(col[0], net.output_width(bus)) for bus, col in out.items()}
 
 
 class TestOracle:
@@ -127,16 +136,9 @@ class TestFftConfig:
 
 class TestButterfly2:
     def test_known_pair(self, butterfly2):
-        out = butterfly2.evaluate(
-            {
-                "x0_re": BitVector.from_signed(3, 4),
-                "x0_im": BitVector.from_signed(0, 4),
-                "x1_re": BitVector.from_signed(5, 4),
-                "x1_im": BitVector.from_signed(0, 4),
-            }
-        )
-        assert (out["X0_re"].sint, out["X0_im"].sint) == (8, 0)
-        assert (out["X1_re"].sint, out["X1_im"].sint) == (-2, 0)
+        out = signed_outputs(butterfly2, x0_re=3, x0_im=0, x1_re=5, x1_im=0)
+        assert (out["X0_re"], out["X0_im"]) == (8, 0)
+        assert (out["X1_re"], out["X1_im"]) == (-2, 0)
 
     def test_output_width_grows_one_bit(self, butterfly2):
         assert butterfly2.output_width("X0_re") == 5
@@ -146,31 +148,25 @@ class TestButterfly2:
         rng = random.Random(21)
         for _ in range(500):
             x = [complex(rng.randint(-8, 7), rng.randint(-8, 7)) for _ in range(2)]
-            out = butterfly2.evaluate(
-                {
-                    "x0_re": BitVector.from_signed(int(x[0].real), 4),
-                    "x0_im": BitVector.from_signed(int(x[0].imag), 4),
-                    "x1_re": BitVector.from_signed(int(x[1].real), 4),
-                    "x1_im": BitVector.from_signed(int(x[1].imag), 4),
-                }
+            out = signed_outputs(
+                butterfly2,
+                x0_re=int(x[0].real),
+                x0_im=int(x[0].imag),
+                x1_re=int(x[1].real),
+                x1_im=int(x[1].imag),
             )
             ref = dft_oracle(x)
-            assert complex(out["X0_re"].sint, out["X0_im"].sint) == ref[0]
-            assert complex(out["X1_re"].sint, out["X1_im"].sint) == ref[1]
+            assert complex(out["X0_re"], out["X0_im"]) == ref[0]
+            assert complex(out["X1_re"], out["X1_im"]) == ref[1]
 
 
 class TestComplexMultiplier:
     def test_exact_rotation(self):
         unit = complex_multiply_unit(4, Twiddle.exact(3, 4))
-        out = unit.evaluate(
-            {
-                "x_re": BitVector.from_signed(4, 4),
-                "x_im": BitVector.from_signed(-3, 4),
-            }
-        )
+        out = signed_outputs(unit, x_re=4, x_im=-3)
         # (4 - 3j) * j == 3 + 4j
-        assert (out["p_re"].sint, out["p_im"].sint) == (3, 4)
-        assert out["sat"].uint == 0
+        assert (out["p_re"], out["p_im"]) == (3, 4)
+        assert out["sat"] == 0
 
     def test_exact_rotation_needs_no_multiplier(self):
         # Rotating by 1 is pure wiring; by +-j only a sign flip.
@@ -190,25 +186,18 @@ class TestComplexMultiplier:
         unit = complex_multiply_unit(4, tw)
         for re in range(-8, 8):
             for im in range(-8, 8):
-                out = unit.evaluate(
-                    {
-                        "x_re": BitVector.from_signed(re, 4),
-                        "x_im": BitVector.from_signed(im, 4),
-                    }
-                )
+                out = signed_outputs(unit, x_re=re, x_im=im)
                 expected = complex(clamp(re), clamp(im)) * coeff
-                assert complex(out["p_re"].sint, out["p_im"].sint) == expected
+                assert complex(out["p_re"], out["p_im"]) == expected
 
     def test_saturation_flag(self):
         unit = complex_multiply_unit(4, Twiddle.quantized(1, 4, 3))
-        hot = unit.evaluate(
-            {"x_re": BitVector.from_signed(4, 4), "x_im": BitVector.from_signed(0, 4)}
+        hot = unit.evaluate_batch({"x_re": [4], "x_im": [0]})
+        assert hot["sat"] == [1]  # the -8 coefficient was clamped
+        cold = complex_multiply_unit(4, Twiddle.quantized(3, 4, 3)).evaluate_batch(
+            {"x_re": [4], "x_im": [0]}
         )
-        assert hot["sat"].uint == 1  # the -8 coefficient was clamped
-        cold = complex_multiply_unit(4, Twiddle.quantized(3, 4, 3)).evaluate(
-            {"x_re": BitVector.from_signed(4, 4), "x_im": BitVector.from_signed(0, 4)}
-        )
-        assert cold["sat"].uint == 0
+        assert cold["sat"] == [0]
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(NetlistError):
@@ -416,3 +405,16 @@ class TestUnitCatalog:
         for name in ("adder" + "1" * 5000, "fft4_q" + "1" * 5000):
             with pytest.raises(NetlistError, match=f"unit '{name}' has too many digits"):
                 build_unit(name)
+        # As many digits as int() converts: rejected before 1 << F is taken.
+        with pytest.raises(NetlistError, match="coefficient does not fit the 4-bit core"):
+            build_unit("fft4_q" + "1" * 4300)
+
+    def test_oversized_fraction_bits_rejected_before_allocation(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(NetlistError, match="Q1.10000000 coefficient does not fit"):
+                build_fft4(FftConfig(4, "quantized", 10**7))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20

@@ -4,7 +4,6 @@ import tracemalloc
 import pytest
 
 from vedicfft import (
-    BitVector,
     NetlistBuilder,
     NetlistError,
     NetlistFormatError,
@@ -17,14 +16,11 @@ from vedicfft.netio import MAX_BUS_WIDTH
 
 def _random_equivalent(a, b, cases=10, seed=11):
     rng = random.Random(seed)
-    for _ in range(cases):
-        assignment = {
-            bus: BitVector.from_unsigned(rng.randrange(1 << len(nets)), len(nets))
-            for bus, nets in a.inputs.items()
-        }
-        if a.evaluate(assignment) != b.evaluate(assignment):
-            return False
-    return True
+    columns = {
+        bus: [rng.randrange(1 << len(nets)) for _ in range(cases)]
+        for bus, nets in a.inputs.items()
+    }
+    return a.evaluate_batch(columns) == b.evaluate_batch(columns)
 
 
 def test_single_gate_layout():
@@ -66,11 +62,8 @@ def test_round_trip_exhaustive_small(vedic2x2):
     reparsed = parse_netlist(dump_netlist(vedic2x2))
     for a in range(4):
         for b in range(4):
-            assignment = {
-                "a": BitVector.from_unsigned(a, 2),
-                "b": BitVector.from_unsigned(b, 2),
-            }
-            assert vedic2x2.evaluate(assignment) == reparsed.evaluate(assignment)
+            columns = {"a": [a], "b": [b]}
+            assert vedic2x2.evaluate_batch(columns) == reparsed.evaluate_batch(columns)
 
 
 def test_dump_is_deterministic_and_idempotent(recon_q3):
@@ -104,7 +97,7 @@ def test_comments_and_blank_lines_ignored():
         "output o n0\n"
     )
     net = parse_netlist(text)
-    assert net.evaluate({"a": BitVector.from_unsigned(0, 1)})["o"].uint == 1
+    assert net.evaluate_batch({"a": [0]})["o"] == [1]
 
 
 def test_forward_references_allowed():
@@ -116,7 +109,7 @@ def test_forward_references_allowed():
         "output o n0\n"
     )
     net = parse_netlist(text)
-    assert net.evaluate({"a": BitVector.from_unsigned(1, 1)})["o"].uint == 0
+    assert net.evaluate_batch({"a": [1]})["o"] == [0]
 
 
 @pytest.mark.parametrize(
@@ -161,6 +154,29 @@ def test_validation_still_applies_after_parse():
         "output o n0\n"
     )
     with pytest.raises(NetlistError, match="driver"):
+        parse_netlist(text)
+
+
+def test_floating_output_rejected_after_parse():
+    # n3 is named by the output bus but driven by nothing.
+    text = (
+        "netlist t v1\n"
+        "input a 1\n"
+        "gate 0 NOT a[0] -> n0\n"
+        "output o n3\n"
+    )
+    with pytest.raises(NetlistError, match="floating"):
+        parse_netlist(text)
+
+
+def test_undriven_gate_input_rejected_after_parse():
+    text = (
+        "netlist t v1\n"
+        "input a 1\n"
+        "gate 0 AND n1 a[0] -> n0\n"
+        "output o n0\n"
+    )
+    with pytest.raises(NetlistError, match="undriven"):
         parse_netlist(text)
 
 
