@@ -293,7 +293,11 @@ def build_butterfly2(width: int) -> Netlist:
 def _check_fits_core(fraction_bits: int) -> None:
     """A Q1.F coefficient enters the signed 4x4 core, which holds Q1.3 at most."""
     if fraction_bits > 3:
-        raise NetlistError(f"Q1.{fraction_bits} coefficient does not fit the 4-bit core")
+        try:
+            f = str(fraction_bits)
+        except ValueError:  # more digits than Python converts to a string
+            f = "F"
+        raise NetlistError(f"Q1.{f} coefficient does not fit the 4-bit core")
 
 
 def complex_multiply_unit(

@@ -7,7 +7,9 @@ gate. Buses are named, ordered lists of nets, LSB first. Bus values travel
 as raw unsigned ints (bit k of the int is net k of the bus);
 :func:`to_signed` reads one as two's complement. A finalized ``Netlist`` is
 immutable and safe to share across threads; ``evaluate_batch`` is a pure
-function of its input columns.
+function of its input columns. The slot program it simulates is compiled
+on the first evaluation and cached. Threads that race on that first call
+each compile the same program, and the last assignment wins.
 
 Cost model: every gate costs one delay unit and one unit of area, wires are
 free. ``critical_path_depth`` and ``gate_counts`` report those two metrics.
@@ -19,6 +21,7 @@ import enum
 import heapq
 import re
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 
@@ -51,6 +54,10 @@ _OPCODE = {
     GateKind.NOR: 5,
     GateKind.XNOR: 6,
 }
+
+# Truth table per opcode: bit 2*a + b is the gate's output for input bits
+# a and b (NOT reads a only). The compiler folds gates by it.
+_TRUTH = (0b1000, 0b1110, 0b0110, 0b0011, 0b0111, 0b0001, 0b1001)
 
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
@@ -87,14 +94,14 @@ class GateCounts(NamedTuple):
 
 
 class _Program(NamedTuple):
-    """A netlist compiled to slot indices for the gate kernel."""
+    """A netlist compiled to slot indices for the gate kernel: the folded
+    gates in evaluation order and the slots of the buses."""
 
     ops: list[int]
     in0: list[int]
     in1: list[int]  # NOT: duplicates in0
     outs: list[int]
-    size: int  # number of slots, one per net
-    const_slots: dict[int, int]  # constant bit value -> slot
+    size: int  # number of slots: one per net, then constant 0, constant 1
     in_slots: dict[str, list[int]]
     out_slots: dict[str, list[int]]
 
@@ -125,7 +132,7 @@ class Netlist:
         self.gates: tuple[Gate, ...] = tuple(sorted(gates, key=lambda g: g.id))
         self.consts: dict[int, int] = dict(consts)  # constant bit value -> net id
         self.nets, self._order = self._validate()
-        self._program = self._compile()
+        self._program: _Program | None = None
         self._depth: int | None = None
         self._counts: GateCounts | None = None
 
@@ -208,16 +215,78 @@ class Netlist:
     # -- evaluation ---------------------------------------------------------
 
     def _compile(self) -> _Program:
+        """Compile to the slot program of the gate kernel, folded.
+
+        Slots are the nets in ascending id order, then one slot held at 0
+        and one at the all-lanes mask. One pass over ``_order`` maps every
+        net to a representative slot. A gate whose inputs are constant or
+        are one slot twice is read off its truth table: it becomes a
+        constant, a copy of its free input, or a NOT of it. Only gates
+        that depend on two distinct slots, and those NOTs, are emitted, and
+        readers and output buses read the representatives. A backward sweep
+        from the output slots then drops every gate that reaches no output.
+        The netlist itself keeps every gate for ``dump`` and the cost model.
+        """
         slot = {nid: i for i, nid in enumerate(sorted(self.nets))}
+        zero = len(slot)
+        const = (zero, zero + 1)  # the slot of constant 0, of constant 1
+        rep = [*slot.values(), *const]
+        for value, nid in self.consts.items():
+            rep[slot[nid]] = const[value]
+        ops: list[int] = []
+        in0: list[int] = []
+        in1: list[int] = []
+        outs: list[int] = []
+        for g in self._order:
+            op = _OPCODE[g.kind]
+            a, b = rep[slot[g.inputs[0]]], rep[slot[g.inputs[-1]]]
+            out = slot[g.output]
+            if a >= zero or b >= zero or a == b:
+                t = _TRUTH[op]
+                ka, kb = a - zero, b - zero  # the constant's value where >= 0
+                if ka >= 0 and kb >= 0:
+                    rep[out] = const[(t >> (2 * ka + kb)) & 1]
+                    continue
+                # The output as a function of the one free input x: bit v
+                # of u is the output when x is v.
+                if a == b:
+                    x, u = a, (t & 1) | ((t >> 2) & 2)
+                elif ka >= 0:
+                    x, u = b, (t >> (2 * ka)) & 3
+                else:
+                    x, u = a, ((t >> kb) & 1) | ((t >> (1 + kb)) & 2)
+                if u == 0b10:
+                    rep[out] = x
+                    continue
+                if u != 0b01:
+                    rep[out] = const[u & 1]
+                    continue
+                op, a, b = _OPCODE[GateKind.NOT], x, x
+            ops.append(op)
+            in0.append(a)
+            in1.append(b)
+            outs.append(out)
+        out_slots = {
+            bus: [rep[slot[n]] for n in nets] for bus, nets in self.outputs.items()
+        }
+        live = bytearray(zero + 2)
+        for slots in out_slots.values():
+            for s in slots:
+                live[s] = 1
+        # Every reader of a gate comes after it, so a gate's output is
+        # marked live, if at all, before the sweep reaches the gate.
+        for i in range(len(ops) - 1, -1, -1):
+            if live[outs[i]]:
+                live[in0[i]] = live[in1[i]] = 1
+        kept = bytes(map(live.__getitem__, outs))
         return _Program(
-            ops=[_OPCODE[g.kind] for g in self._order],
-            in0=[slot[g.inputs[0]] for g in self._order],
-            in1=[slot[g.inputs[-1]] for g in self._order],
-            outs=[slot[g.output] for g in self._order],
-            size=len(slot),
-            const_slots={value: slot[nid] for value, nid in self.consts.items()},
-            in_slots={b: [slot[n] for n in nets] for b, nets in self.inputs.items()},
-            out_slots={b: [slot[n] for n in nets] for b, nets in self.outputs.items()},
+            ops=list(compress(ops, kept)),
+            in0=list(compress(in0, kept)),
+            in1=list(compress(in1, kept)),
+            outs=list(compress(outs, kept)),
+            size=zero + 2,
+            in_slots={bus: [slot[n] for n in nets] for bus, nets in self.inputs.items()},
+            out_slots=out_slots,
         )
 
     def _run(self, values: list[int], mask: int) -> None:
@@ -268,6 +337,10 @@ class Netlist:
         """
         self._check_buses(columns)
         p = self._program
+        if p is None:
+            # Compiled on first use. Threads that race here each compile
+            # the same program, and the last assignment wins.
+            p = self._program = self._compile()
         lengths = {len(col) for col in columns.values()}
         if len(lengths) != 1:
             raise NetlistError(f"input columns differ in length: {sorted(lengths)}")
@@ -276,8 +349,7 @@ class Netlist:
             raise NetlistError("input columns are empty")
         mask = (1 << n) - 1
         values = [0] * p.size
-        for value, s in p.const_slots.items():
-            values[s] = mask if value else 0
+        values[-1] = mask  # the constant-1 slot
         for bus, col in columns.items():
             slots = p.in_slots[bus]
             width = len(slots)
@@ -457,10 +529,12 @@ class NetlistBuilder:
             mapping.update(zip(sub_nets, parent_nets))
         for value, nid in sub.consts.items():
             mapping[nid] = self.const(value)
+        # ``sub`` was validated when it was built and every mapped net exists
+        # here, so its gates are copied without ``add_gate``'s checks.
         for gate in sub._order:
-            mapping[gate.output] = self.add_gate(
-                gate.kind, tuple(mapping[n] for n in gate.inputs)
-            )
+            inputs = tuple([mapping[n] for n in gate.inputs])
+            output = mapping[gate.output] = self._fresh_net()
+            self._gates.append(Gate(len(self._gates), gate.kind, inputs, output))
         return {bus: [mapping[n] for n in nets] for bus, nets in sub.outputs.items()}
 
     def finalize(self) -> Netlist:

@@ -5,12 +5,16 @@ kernel once and unpacks the results. The reference below shares none of
 that code: it packs vector i into bit i of one int per net with plain
 shifts, evaluates ``net.gates`` with Python's bitwise operators in its own
 dependency order, and unpacks bit by bit. Every batch is compared with it
-vector by vector. The n-lane ``run_fft_batch`` is compared with one-lane
+vector by vector, among them small netlists that hit every rule by which
+the compiler folds constant, duplicated-input and dead gates out of the
+simulated program. The n-lane ``run_fft_batch`` is compared with one-lane
 ``run_fft`` calls, which the DFT oracle of ``test_fft`` checks.
 """
 
 import itertools
 import random
+import sys
+import threading
 
 import pytest
 
@@ -19,6 +23,7 @@ from vedicfft import (
     GateKind,
     NetlistBuilder,
     NetlistError,
+    build_reconfigurable_fft,
     build_ripple_adder,
     build_ripple_subtractor,
     run_fft,
@@ -108,18 +113,94 @@ def assert_batch_matches_reference(net, vectors):
         }, f"{net.name} vector {i}: {vector}"
 
 
+TWO_INPUT_KINDS = ("AND", "OR", "XOR", "NAND", "NOR", "XNOR")
+
+
 def every_kind_netlist():
     """One gate of each kind plus both constants, on two 1-bit inputs."""
     b = NetlistBuilder("kinds")
     x = b.add_input("x", 1)[0]
     y = b.add_input("y", 1)[0]
-    outs = [
-        b.add_gate(kind, [x, y]) for kind in ("AND", "OR", "XOR", "NAND", "NOR", "XNOR")
-    ]
+    outs = [b.add_gate(kind, [x, y]) for kind in TWO_INPUT_KINDS]
     outs.append(b.add_gate("NOT", [x]))
     b.set_output("o", outs)
     b.set_output("k", [b.const(0), b.const(1)])
     return b.finalize()
+
+
+def fold_rules_netlist():
+    """Gates the compiler folds, each on an output bit of its own: every
+    two-input kind with constant 0 and 1 on either side, with two constant
+    inputs and with one input twice, and NOT of each constant. Bus ``w``
+    is driven straight by an input bit, by both constants and by a gate
+    that folds away; bus ``r`` reads folded gates through live ones, on
+    either side. Two gates reach no output."""
+    b = NetlistBuilder("folds")
+    x = b.add_input("x", 1)[0]
+    y = b.add_input("y", 1)[0]
+    consts = (b.const(0), b.const(1))
+    outs = []
+    for kind in TWO_INPUT_KINDS:
+        for c in consts:
+            outs += [b.add_gate(kind, [x, c]), b.add_gate(kind, [c, x])]
+        outs += [b.add_gate(kind, [c, d]) for c in consts for d in consts]
+        outs.append(b.add_gate(kind, [x, x]))
+    outs += [b.add_gate("NOT", [c]) for c in consts]
+    b.set_output("o", outs)
+    copy = b.add_gate("OR", [x, consts[0]])
+    b.set_output("w", [x, consts[0], consts[1], copy])
+    inverted = b.add_gate("XOR", [y, consts[1]])
+    live = b.add_gate("AND", [x, y])
+    b.set_output(
+        "r",
+        [
+            b.add_gate("NAND", [copy, inverted]),
+            b.add_gate("XOR", [inverted, b.add_gate("NOT", [copy])]),
+            b.add_gate("OR", [y, live]),
+            b.add_gate("NOR", [live, b.add_gate("XNOR", [inverted, inverted])]),
+        ],
+    )
+    b.add_gate("XOR", [x, y])
+    b.add_gate("AND", [b.add_gate("NOR", [y, consts[0]]), x])
+    return b.finalize()
+
+
+@pytest.mark.parametrize("lanes", [1, 65])
+def test_fold_rules(lanes):
+    net = fold_rules_netlist()
+    vectors = input_vectors(net, None)
+    assert len(vectors) == 4
+    # Each start puts another vector in lane 0; 65 lanes hold all four.
+    for start in range(len(vectors)):
+        batch = [vectors[(start + i) % len(vectors)] for i in range(lanes)]
+        assert_batch_matches_reference(net, batch)
+
+
+def test_threads_compile_a_fresh_netlist_at_once():
+    net = build_reconfigurable_fft(FftConfig(4, "quantized", 3, 4))
+    assert net._program is None  # not compiled until the first evaluation
+    vectors = input_vectors(net, random.Random(4))[:200]
+    columns = {bus: [v[bus] for v in vectors] for bus in net.inputs}
+    want = reference_outputs(net, vectors)
+    results = [None] * 4
+    start = threading.Barrier(len(results))
+
+    def evaluate(i):
+        start.wait(timeout=30)
+        results[i] = net.evaluate_batch(columns)
+
+    threads = [threading.Thread(target=evaluate, args=(i,)) for i in range(len(results))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [want] * len(results)
 
 
 @pytest.mark.parametrize("name", catalog_units())

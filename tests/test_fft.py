@@ -408,6 +408,9 @@ class TestUnitCatalog:
         # As many digits as int() converts: rejected before 1 << F is taken.
         with pytest.raises(NetlistError, match="coefficient does not fit the 4-bit core"):
             build_unit("fft4_q" + "1" * 4300)
+        # More digits than str() converts: the message does not spell F out.
+        with pytest.raises(NetlistError, match="Q1.F coefficient does not fit the 4-bit core"):
+            build_fft4(FftConfig(4, "quantized", 10**5000))
 
     def test_oversized_fraction_bits_rejected_before_allocation(self):
         tracemalloc.start()
