@@ -92,6 +92,8 @@ class FixedComplex:
     im: int
 
     def __post_init__(self):
+        if type(self.re) is int and type(self.im) is int:
+            return
         for part in (self.re, self.im):
             if not isinstance(part, int) or isinstance(part, bool):
                 raise ValueError(f"components must be integers, got {part!r}")
@@ -592,14 +594,16 @@ def run_fft_batch(
     of them in one gate pass, and decode the outputs.
 
     Each list is checked as :func:`run_fft` documents; element i of the
-    result is the spectrum of ``sample_lists[i]``.
+    result is the spectrum of ``sample_lists[i]``. ``select`` is passed as
+    a scalar, so only the selected datapath is simulated: the netlist
+    caches one program per select value.
     """
     coerced = [_coerce_samples(config, samples) for samples in sample_lists]
     if not coerced:
         return []
     net = _net_for(config)
     in_mask = (1 << config.input_width) - 1
-    columns = {"select": [int(config.select == 4)] * len(coerced)}
+    columns: dict[str, int | list[int]] = {"select": int(config.select == 4)}
     for i in range(4):
         columns[f"x{i}_re"] = [xs[i].re & in_mask for xs in coerced]
         columns[f"x{i}_im"] = [xs[i].im & in_mask for xs in coerced]

@@ -7,9 +7,13 @@ gate. Buses are named, ordered lists of nets, LSB first. Bus values travel
 as raw unsigned ints (bit k of the int is net k of the bus);
 :func:`to_signed` reads one as two's complement. A finalized ``Netlist`` is
 immutable and safe to share across threads; ``evaluate_batch`` is a pure
-function of its input columns. The slot program it simulates is compiled
-on the first evaluation and cached. Threads that race on that first call
-each compile the same program, and the last assignment wins.
+function of its input columns. A column is a list of per-vector values or
+one int that the bus holds in every vector. The slot program it simulates
+is compiled with those scalar bits as constants, so the logic they make
+idle drops out; each distinct scalar assignment (none included) compiles
+one program on its first evaluation, cached per netlist. Threads that race
+on that first call each compile the same program, and the last assignment
+wins.
 
 Cost model: every gate costs one delay unit and one unit of area, wires are
 free. ``critical_path_depth`` and ``gate_counts`` report those two metrics.
@@ -20,9 +24,10 @@ from __future__ import annotations
 import enum
 import heapq
 import re
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from itertools import compress
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import NamedTuple
 
 
 class NetlistError(ValueError):
@@ -132,7 +137,9 @@ class Netlist:
         self.gates: tuple[Gate, ...] = tuple(sorted(gates, key=lambda g: g.id))
         self.consts: dict[int, int] = dict(consts)  # constant bit value -> net id
         self.nets, self._order = self._validate()
-        self._program: _Program | None = None
+        # One program per sorted tuple of (bus, value) scalars; () is the
+        # program with no input tied.
+        self._programs: dict[tuple[tuple[str, int], ...], _Program] = {}
         self._depth: int | None = None
         self._counts: GateCounts | None = None
 
@@ -214,18 +221,21 @@ class Netlist:
 
     # -- evaluation ---------------------------------------------------------
 
-    def _compile(self) -> _Program:
+    def _compile(self, tied: Mapping[str, int]) -> _Program:
         """Compile to the slot program of the gate kernel, folded.
 
         Slots are the nets in ascending id order, then one slot held at 0
-        and one at the all-lanes mask. One pass over ``_order`` maps every
-        net to a representative slot. A gate whose inputs are constant or
-        are one slot twice is read off its truth table: it becomes a
-        constant, a copy of its free input, or a NOT of it. Only gates
-        that depend on two distinct slots, and those NOTs, are emitted, and
-        readers and output buses read the representatives. A backward sweep
-        from the output slots then drops every gate that reaches no output.
-        The netlist itself keeps every gate for ``dump`` and the cost model.
+        and one at the all-lanes mask. The bits of every bus in ``tied``
+        start out as those constant slots (bit k of ``tied[bus]``), like the
+        netlist's own constants, and the bus has no input slots. One pass
+        over ``_order`` maps every net to a representative slot. A gate
+        whose inputs are constant or are one slot twice is read off its
+        truth table: it becomes a constant, a copy of its free input, or a
+        NOT of it. Only gates that depend on two distinct slots, and those
+        NOTs, are emitted, and readers and output buses read the
+        representatives. A backward sweep from the output slots then drops
+        every gate that reaches no output. The netlist itself keeps every
+        gate for ``dump`` and the cost model.
         """
         slot = {nid: i for i, nid in enumerate(sorted(self.nets))}
         zero = len(slot)
@@ -233,6 +243,9 @@ class Netlist:
         rep = [*slot.values(), *const]
         for value, nid in self.consts.items():
             rep[slot[nid]] = const[value]
+        for bus, value in tied.items():
+            for k, nid in enumerate(self.inputs[bus]):
+                rep[slot[nid]] = const[(value >> k) & 1]
         ops: list[int] = []
         in0: list[int] = []
         in1: list[int] = []
@@ -285,19 +298,22 @@ class Netlist:
             in1=list(compress(in1, kept)),
             outs=list(compress(outs, kept)),
             size=zero + 2,
-            in_slots={bus: [slot[n] for n in nets] for bus, nets in self.inputs.items()},
+            in_slots={
+                bus: [slot[n] for n in nets]
+                for bus, nets in self.inputs.items()
+                if bus not in tied
+            },
             out_slots=out_slots,
         )
 
-    def _run(self, values: list[int], mask: int) -> None:
-        """The gate kernel: evaluate every gate in topological order.
+    def _run(self, p: _Program, values: list[int], mask: int) -> None:
+        """The gate kernel: evaluate every gate of ``p`` in topological order.
 
         Each slot holds one word whose bit i is the net's value in vector i;
         ``mask`` has one set bit per vector, so a one-lane run passes 1. One
         pass therefore evaluates every vector at once (parallel-pattern
         simulation). Constant slots must already hold 0 or ``mask``.
         """
-        p = self._program
         for op, a, b, out in zip(p.ops, p.in0, p.in1, p.outs):
             if op == 0:
                 values[out] = values[a] & values[b]
@@ -323,25 +339,51 @@ class Netlist:
             raise NetlistError(f"unknown input buses: {sorted(extra)}")
 
     def evaluate_batch(
-        self, columns: Mapping[str, Sequence[int]]
+        self, columns: Mapping[str, int | Sequence[int]]
     ) -> dict[str, list[int]]:
         """Compute all output buses for n input vectors in one gate pass.
 
         ``columns`` maps every input bus to a list of n raw unsigned values
-        (vector i is element i of every list); the result maps every output
-        bus to its n raw unsigned values in the same order. n must be at
-        least 1 and each value must fit its bus: ``0 <= v < 2**width``.
-        This is the one simulation entry point: the only code that packs
-        vectors into lane words and runs the gate kernel. One vector is a
-        one-lane batch.
+        (vector i is element i of every list) or to one int, the bus's value
+        in every vector; at least one column must be a list. The result maps
+        every output bus to its n raw unsigned values in the same order. n
+        must be at least 1 and each value must fit its bus:
+        ``0 <= v < 2**width``. Scalars are meant for configuration buses:
+        each distinct assignment of them compiles and caches one program in
+        which their bits are constants, so the logic they idle is not
+        simulated. This is the one simulation entry point: the only code
+        that packs vectors into lane words and runs the gate kernel. One
+        vector is a one-lane batch.
         """
         self._check_buses(columns)
-        p = self._program
+        tied = {}
+        lists = {}
+        for bus, col in columns.items():
+            if isinstance(col, int):
+                width = len(self.inputs[bus])
+                if col < 0 or col >> width:
+                    raise NetlistError(
+                        f"input {bus} values must be integers in [0, 2**{width})"
+                    )
+                tied[bus] = col
+            elif isinstance(col, Sequence):
+                lists[bus] = col
+            else:
+                raise NetlistError(
+                    f"input {bus} column must be an int or a sequence, "
+                    f"got {type(col).__name__}"
+                )
+        if not lists:
+            raise NetlistError(
+                "every input column is a scalar: no list gives the lane count"
+            )
+        key = tuple(sorted(tied.items()))
+        p = self._programs.get(key)
         if p is None:
             # Compiled on first use. Threads that race here each compile
             # the same program, and the last assignment wins.
-            p = self._program = self._compile()
-        lengths = {len(col) for col in columns.values()}
+            p = self._programs[key] = self._compile(tied)
+        lengths = {len(col) for col in lists.values()}
         if len(lengths) != 1:
             raise NetlistError(f"input columns differ in length: {sorted(lengths)}")
         n = lengths.pop()
@@ -350,7 +392,7 @@ class Netlist:
         mask = (1 << n) - 1
         values = [0] * p.size
         values[-1] = mask  # the constant-1 slot
-        for bus, col in columns.items():
+        for bus, col in lists.items():
             slots = p.in_slots[bus]
             width = len(slots)
             try:
@@ -367,7 +409,7 @@ class Netlist:
             bits = "".join([format(v, f"0{width}b") for v in reversed(col)])
             for k, s in enumerate(slots):
                 values[s] = int(bits[width - 1 - k :: width], 2)
-        self._run(values, mask)
+        self._run(p, values, mask)
         result = {}
         for bus, slots in p.out_slots.items():
             # The inverse: the lane words side by side, MSB slot first, so

@@ -7,7 +7,8 @@ shifts, evaluates ``net.gates`` with Python's bitwise operators in its own
 dependency order, and unpacks bit by bit. Every batch is compared with it
 vector by vector, among them small netlists that hit every rule by which
 the compiler folds constant, duplicated-input and dead gates out of the
-simulated program. The n-lane ``run_fft_batch`` is compared with one-lane
+simulated program, and batches with scalar columns, whose bits the
+compiler folds as constants too. The n-lane ``run_fft_batch`` is compared with one-lane
 ``run_fft`` calls, which the DFT oracle of ``test_fft`` checks.
 """
 
@@ -177,19 +178,26 @@ def test_fold_rules(lanes):
 
 
 def test_threads_compile_a_fresh_netlist_at_once():
+    # Two threads per program race on the cache: select tied to 0, tied to
+    # 1, and select as a list column (the untied program).
     net = build_reconfigurable_fft(FftConfig(4, "quantized", 3, 4))
-    assert net._program is None  # not compiled until the first evaluation
+    assert net._programs == {}  # not compiled until the first evaluation
     vectors = input_vectors(net, random.Random(4))[:200]
-    columns = {bus: [v[bus] for v in vectors] for bus in net.inputs}
-    want = reference_outputs(net, vectors)
-    results = [None] * 4
-    start = threading.Barrier(len(results))
+    jobs = []
+    for select in (0, 1, None):
+        batch = vectors if select is None else [{**v, "select": select} for v in vectors]
+        columns = {bus: [v[bus] for v in batch] for bus in net.inputs}
+        if select is not None:
+            columns["select"] = select
+        jobs += [(columns, reference_outputs(net, batch))] * 2
+    results = [None] * len(jobs)
+    start = threading.Barrier(len(jobs))
 
     def evaluate(i):
         start.wait(timeout=30)
-        results[i] = net.evaluate_batch(columns)
+        results[i] = net.evaluate_batch(jobs[i][0])
 
-    threads = [threading.Thread(target=evaluate, args=(i,)) for i in range(len(results))]
+    threads = [threading.Thread(target=evaluate, args=(i,)) for i in range(len(jobs))]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -200,7 +208,71 @@ def test_threads_compile_a_fresh_netlist_at_once():
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    assert results == [want] * len(results)
+    assert results == [want for _, want in jobs]
+    assert set(net._programs) == {(), (("select", 0),), (("select", 1),)}
+
+
+RECONFIGURABLE_UNITS = ["reconfigurable", "reconfigurable_q3"]
+
+
+@pytest.mark.parametrize("n", [1, 500])
+@pytest.mark.parametrize("select", [0, 1])
+@pytest.mark.parametrize("name", RECONFIGURABLE_UNITS)
+def test_scalar_select_matches_list_and_reference(name, select, n):
+    net = build_unit(name)
+    vectors = [
+        {**v, "select": select}
+        for v in input_vectors(net, random.Random(f"{name}-{select}"))[:n]
+    ]
+    columns = {bus: [v[bus] for v in vectors] for bus in net.inputs}
+    tied = net.evaluate_batch({**columns, "select": select})
+    assert tied == net.evaluate_batch(columns)
+    assert tied == reference_outputs(net, vectors)
+
+
+def assert_each_bus_tied_matches_reference(net, lanes):
+    """Tie each input bus in turn to each of its values, the other buses
+    list columns over every vector with that value, and compare the batch
+    with the reference."""
+    vectors = input_vectors(net, None)
+    for bus in net.inputs:
+        for value in range(1 << net.input_width(bus)):
+            matching = [v for v in vectors if v[bus] == value]
+            batch = [matching[i % len(matching)] for i in range(lanes or len(matching))]
+            columns = {b: [v[b] for v in batch] for b in net.inputs}
+            columns[bus] = value
+            assert net.evaluate_batch(columns) == reference_outputs(net, batch), (
+                f"{net.name}: {bus}={value}"
+            )
+
+
+@pytest.mark.parametrize("lanes", [1, 65])
+def test_fold_rules_with_each_input_tied(lanes):
+    assert_each_bus_tied_matches_reference(fold_rules_netlist(), lanes)
+
+
+@pytest.mark.parametrize("name", sorted(ARITH_UNITS))
+def test_arith_unit_with_each_input_tied(name):
+    # Multi-bit buses: every bit of a tied value lands on its own net.
+    assert_each_bus_tied_matches_reference(build_unit(name), None)
+
+
+@pytest.mark.parametrize(
+    "name, datapath",
+    [
+        ("reconfigurable", ("butterfly2", "fft4")),
+        ("reconfigurable_q3", ("butterfly2", "fft4_q3")),
+    ],
+)
+def test_tied_select_simulates_only_the_selected_datapath(name, datapath):
+    # With select tied, the output multiplexers fold to wires or zeros and
+    # the idle datapath reaches no output: what is left is gate for gate
+    # the folded program of the selected unit alone.
+    net = build_unit(name)
+    wants = [len(build_unit(unit)._compile({}).ops) for unit in datapath]
+    for select, want in enumerate(wants):
+        assert len(net._compile({"select": select}).ops) == want, datapath[select]
+    assert len(net._compile({}).ops) > max(wants)
 
 
 @pytest.mark.parametrize("name", catalog_units())
@@ -251,6 +323,22 @@ class TestBatchRejections:
     def test_value_outside_bus(self, vedic2x2, value):
         with pytest.raises(NetlistError, match=r"\[0, 2\*\*2\)"):
             vedic2x2.evaluate_batch({"a": [0, value], "b": [1, 1]})
+
+    @pytest.mark.parametrize("value", [-1, 4, 1 << 40])
+    def test_scalar_outside_bus(self, vedic2x2, value):
+        with pytest.raises(NetlistError, match=r"\[0, 2\*\*2\)"):
+            vedic2x2.evaluate_batch({"a": value, "b": [1, 1]})
+
+    @pytest.mark.parametrize(
+        "column", [1.0, None, {1, 2}, iter([1])], ids=["float", "None", "set", "iterator"]
+    )
+    def test_column_neither_int_nor_sequence(self, vedic2x2, column):
+        with pytest.raises(NetlistError, match="int or a sequence"):
+            vedic2x2.evaluate_batch({"a": column, "b": [1]})
+
+    def test_every_column_scalar(self, vedic2x2):
+        with pytest.raises(NetlistError, match="lane count"):
+            vedic2x2.evaluate_batch({"a": 1, "b": 2})
 
 
 FFT_CONFIGS = [

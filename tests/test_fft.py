@@ -1,4 +1,5 @@
 import cmath
+import enum
 import random
 import tracemalloc
 
@@ -71,6 +72,17 @@ class TestFixedComplex:
 
     def test_to_complex(self):
         assert FixedComplex(-2, 5).to_complex() == complex(-2, 5)
+
+    @pytest.mark.parametrize("bad", [True, 1.0, "1"])
+    def test_rejects_non_integer_components(self, bad):
+        for pair in ((bad, 0), (0, bad)):
+            with pytest.raises(ValueError, match="must be integers"):
+                FixedComplex(*pair)
+
+    def test_accepts_int_subclasses(self):
+        Level = enum.IntEnum("Level", {"LOW": -2, "HIGH": 3})
+        assert FixedComplex(Level.LOW, Level.HIGH).to_complex() == complex(-2, 3)
+        assert FixedComplex(1, Level.HIGH).im == 3
 
 
 class TestTwiddle:
