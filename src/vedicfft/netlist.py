@@ -5,7 +5,12 @@ The model is a DAG of single-output boolean gates connected by nets, each
 net an integer id with exactly one driver: an input bit, a constant or a
 gate. Buses are named, ordered lists of nets, LSB first. Bus values travel
 as raw unsigned ints (bit k of the int is net k of the bus);
-:func:`to_signed` reads one as two's complement. A finalized ``Netlist`` is
+:func:`to_signed` reads one as two's complement. Construction validates
+the structure and fixes the evaluation order: Kahn's topological sort,
+smallest ready gate id first. Where every gate reads only nets driven
+before it in id order, as in every built netlist and the dump of one,
+that order is ascending id and validation is one linear pass; only text
+with forward references or cycles runs the sort. A finalized ``Netlist`` is
 immutable and safe to share across threads; ``evaluate_batch`` is a pure
 function of its input columns. A column is a list of per-vector values or
 one int that the bus holds in every vector. The slot program it simulates
@@ -111,6 +116,15 @@ class _Program(NamedTuple):
     out_slots: dict[str, list[int]]
 
 
+def _driver_name(driver: tuple[str, int] | int | Gate) -> str:
+    """Describe a driver as ``Netlist._validate`` records it."""
+    if isinstance(driver, Gate):
+        return f"gate {driver.id}"
+    if isinstance(driver, tuple):
+        return f"input {driver[0]}[{driver[1]}]"
+    return f"const{driver}"
+
+
 def _check_bus_name(name: str) -> str:
     if not _NAME_RE.match(name):
         raise NetlistError(f"invalid bus name {name!r}")
@@ -147,52 +161,74 @@ class Netlist:
 
     def _validate(self) -> tuple[frozenset[int], tuple[Gate, ...]]:
         """Check the structure; return the driven nets and the gates in
-        evaluation order."""
+        evaluation order.
+
+        The order is Kahn's, ready gates taken smallest id first. When every
+        gate reads only input bits, constants and outputs of lower-id gates,
+        as in every built netlist and the dump of one, that order is
+        ascending id: one pass over ``self.gates`` finds this, and the sort
+        runs only for text with forward references or cycles.
+        """
         if not _NAME_RE.match(self.name):
             raise NetlistError(f"invalid netlist name {self.name!r}")
-        drivers: dict[int, str] = {}
+        # Net -> its driver, as a value ``_driver_name`` formats only when a
+        # second driver turns up: (bus, bit), a constant value or a gate.
+        drivers: dict[int, tuple[str, int] | int | Gate] = {}
 
-        def claim(net: int, source: str):
+        def claim(net: int, source: tuple[str, int] | int | Gate):
             if net in drivers:
                 raise NetlistError(
-                    f"net {net} has two drivers: {drivers[net]} and {source}"
+                    f"net {net} has two drivers: {_driver_name(drivers[net])} "
+                    f"and {_driver_name(source)}"
                 )
             drivers[net] = source
 
         for bus in list(self.inputs) + list(self.outputs):
             _check_bus_name(bus)
+        for bus in self.outputs:
+            if bus in self.inputs:
+                raise NetlistError(f"duplicate bus name {bus}")
         for bus, nets in self.inputs.items():
             if not nets:
                 raise NetlistError(f"input bus {bus} has zero width")
             for k, n in enumerate(nets):
-                claim(n, f"input {bus}[{k}]")
+                claim(n, (bus, k))
         for value, n in self.consts.items():
             if value not in (0, 1):
                 raise NetlistError(f"constant value must be 0 or 1, got {value}")
-            claim(n, f"const{value}")
+            claim(n, value)
 
-        gate_ids = set()
-        for gate in self.gates:
-            if gate.id in gate_ids:
+        not_ = GateKind.NOT  # arity 1, every other kind 2; cheaper than .arity
+        id_ordered = True  # every gate reads only nets driven before it
+        last_id = None
+        for gate in self.gates:  # sorted by id, so duplicates are neighbours
+            if gate.id == last_id:
                 raise NetlistError(f"duplicate gate id {gate.id}")
-            gate_ids.add(gate.id)
-            if len(gate.inputs) != gate.kind.arity:
+            last_id = gate.id
+            if len(gate.inputs) != (1 if gate.kind is not_ else 2):
                 raise NetlistError(
                     f"gate {gate.id} ({gate.kind.value}) takes {gate.kind.arity} "
                     f"inputs, got {len(gate.inputs)}"
                 )
-            claim(gate.output, f"gate {gate.id}")
+            if id_ordered:
+                for n in gate.inputs:
+                    if n not in drivers:
+                        id_ordered = False
+            claim(gate.output, gate)
 
-        for gate in self.gates:
-            for n in gate.inputs:
-                if n not in drivers:
-                    raise NetlistError(f"gate {gate.id} reads undriven net {n}")
+        if not id_ordered:  # else every read was found driven above
+            for gate in self.gates:
+                for n in gate.inputs:
+                    if n not in drivers:
+                        raise NetlistError(f"gate {gate.id} reads undriven net {n}")
         for bus, nets in self.outputs.items():
             if not nets:
                 raise NetlistError(f"output bus {bus} has zero width")
             for k, n in enumerate(nets):
                 if n not in drivers:
                     raise NetlistError(f"floating output bit {bus}[{k}] (net {n})")
+        if id_ordered:
+            return frozenset(drivers), self.gates
 
         # Kahn's algorithm over gates; ready ties broken by ascending gate id
         # so evaluation order is reproducible.
@@ -463,8 +499,10 @@ class NetlistBuilder:
     input bits, :meth:`const` the constant nets and :meth:`add_gate` a fresh
     output net per gate. Every gate therefore reads nets that already exist,
     and a built netlist has no floating nets, no second drivers and no
-    cycles. (The text format allows forward references; ``Netlist`` itself
-    validates what ``parse_netlist`` reads.)
+    cycles; its gate ids are a topological order, so ``Netlist`` validates
+    it in one linear pass. (The text format allows forward references;
+    ``Netlist`` itself validates what ``parse_netlist`` reads, and sorts
+    such a netlist's gates with Kahn's algorithm.)
     """
 
     def __init__(self, name: str):

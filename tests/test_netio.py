@@ -192,6 +192,14 @@ def test_cycle_rejected_after_parse():
         parse_netlist(text)
 
 
+def test_bus_name_used_for_input_and_output_rejected():
+    # NetlistBuilder rejects this pair of buses with the same message.
+    text = "netlist t v1\ninput a 1\ngate 0 NOT a[0] -> n0\noutput a n0\n"
+    with pytest.raises(NetlistError) as caught:
+        parse_netlist(text)
+    assert str(caught.value) == "duplicate bus name a"
+
+
 def test_input_width_capped_before_allocation():
     # Rejected on the width alone: no net of the bus is created.
     tracemalloc.start()

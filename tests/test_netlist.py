@@ -1,12 +1,19 @@
+import heapq
+import random
+
 import pytest
 
 from vedicfft import (
+    Gate,
     GateKind,
     Netlist,
     NetlistBuilder,
     NetlistError,
     build_ripple_adder,
+    dump_netlist,
+    parse_netlist,
 )
+from vedicfft.fft import build_unit, unit_names
 from vedicfft.netlist import to_signed
 
 
@@ -221,6 +228,271 @@ class TestInstantiate:
         a = b.add_input("a", 2)
         with pytest.raises(NetlistError, match="unconnected"):
             b.instantiate(vedic2x2, {"a": a})
+
+
+def _direct(gates=(), inputs=None, outputs=None, consts=None, name="t"):
+    """A ``Netlist`` built directly; a gate is (id, kind, inputs, output)."""
+    return Netlist(
+        name,
+        {"a": [0], "b": [1]} if inputs is None else inputs,
+        {"o": [2]} if outputs is None else outputs,
+        [Gate(gid, GateKind[kind], tuple(ins), out) for gid, kind, ins, out in gates],
+        {} if consts is None else consts,
+    )
+
+
+class TestValidation:
+    """Every rejection of ``Netlist(...)``, with its full message, and the
+    order in which the checks run when a netlist breaks several rules."""
+
+    AND = (0, "AND", (0, 1), 2)  # the default output o = net 2
+
+    @pytest.mark.parametrize(
+        "kwargs,message",
+        [
+            pytest.param(
+                dict(gates=[AND], name="9t"), "invalid netlist name '9t'", id="netlist-name"
+            ),
+            pytest.param(
+                dict(gates=[AND], inputs={"a b": [0], "b": [1]}),
+                "invalid bus name 'a b'",
+                id="input-bus-name",
+            ),
+            pytest.param(
+                dict(gates=[AND], outputs={"o[0]": [2]}),
+                "invalid bus name 'o[0]'",
+                id="output-bus-name",
+            ),
+            pytest.param(
+                dict(gates=[AND], inputs={"a": [0], "b": [1], "c": []}),
+                "input bus c has zero width",
+                id="zero-width-input",
+            ),
+            pytest.param(
+                dict(gates=[AND], outputs={"o": [2], "p": []}),
+                "output bus p has zero width",
+                id="zero-width-output",
+            ),
+            pytest.param(
+                dict(gates=[AND], consts={2: 3}),
+                "constant value must be 0 or 1, got 2",
+                id="const-value",
+            ),
+            pytest.param(
+                dict(gates=[AND], inputs={"a": [0], "b": [0]}),
+                "net 0 has two drivers: input a[0] and input b[0]",
+                id="two-drivers-input-input",
+            ),
+            pytest.param(
+                dict(gates=[AND], consts={1: 1}),
+                "net 1 has two drivers: input b[0] and const1",
+                id="two-drivers-input-const",
+            ),
+            pytest.param(
+                dict(gates=[(0, "AND", (0, 1), 1)], outputs={"o": [1]}),
+                "net 1 has two drivers: input b[0] and gate 0",
+                id="two-drivers-input-gate",
+            ),
+            pytest.param(
+                dict(gates=[(5, "NOT", (0,), 3), AND], consts={0: 3}),
+                "net 3 has two drivers: const0 and gate 5",
+                id="two-drivers-const-gate",
+            ),
+            pytest.param(
+                dict(gates=[(7, "NOT", (0,), 2), AND]),
+                "net 2 has two drivers: gate 0 and gate 7",
+                id="two-drivers-gate-gate",
+            ),
+            pytest.param(
+                dict(gates=[AND, (1, "NOT", (2,), 3), (1, "NOT", (2,), 4)]),
+                "duplicate gate id 1",
+                id="duplicate-gate-id",
+            ),
+            pytest.param(
+                dict(gates=[(0, "NOT", (0, 1), 2)]),
+                "gate 0 (NOT) takes 1 inputs, got 2",
+                id="arity-not",
+            ),
+            pytest.param(
+                dict(gates=[(0, "AND", (0,), 2)]),
+                "gate 0 (AND) takes 2 inputs, got 1",
+                id="arity-and",
+            ),
+            pytest.param(
+                dict(gates=[(0, "AND", (0, 9), 2)]),
+                "gate 0 reads undriven net 9",
+                id="undriven-read",
+            ),
+            pytest.param(
+                dict(gates=[AND], outputs={"o": [2, 8]}),
+                "floating output bit o[1] (net 8)",
+                id="floating-output",
+            ),
+            pytest.param(
+                dict(gates=[(0, "AND", (0, 3), 2), (1, "NOT", (2,), 3)]),
+                "combinational cycle through gates [0, 1]",
+                id="cycle",
+            ),
+            pytest.param(
+                dict(gates=[(4, "AND", (0, 2), 2)]),
+                "combinational cycle through gates [4]",
+                id="gate-reads-own-output",
+            ),
+            pytest.param(
+                # The stuck set includes gates downstream of the cycle.
+                dict(
+                    gates=[(1, "NOT", (3,), 5), AND, (2, "NOR", (2, 4), 3), (3, "NOT", (3,), 4)],
+                    outputs={"o": [5]},
+                ),
+                "combinational cycle through gates [1, 2, 3]",
+                id="cycle-and-downstream",
+            ),
+        ],
+    )
+    def test_rejection_message(self, kwargs, message):
+        with pytest.raises(NetlistError) as caught:
+            _direct(**kwargs)
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize(
+        "kwargs,message",
+        [
+            pytest.param(
+                dict(gates=[AND], name="", inputs={"": [0]}),
+                "invalid netlist name ''",
+                id="name-before-bus-name",
+            ),
+            pytest.param(
+                dict(gates=[AND], inputs={"a": [], "b": [1]}, outputs={"?": [2]}),
+                "invalid bus name '?'",
+                id="bus-names-before-widths",
+            ),
+            pytest.param(
+                dict(gates=[AND], inputs={"a": [0], "b": [0], "c": []}),
+                "net 0 has two drivers: input a[0] and input b[0]",
+                id="earlier-bus-claims-first",
+            ),
+            pytest.param(
+                dict(gates=[AND], inputs={"c": [], "a": [0], "b": [0]}),
+                "input bus c has zero width",
+                id="earlier-bus-width-first",
+            ),
+            pytest.param(
+                dict(gates=[AND], inputs={"a": [0], "b": [1]}, consts={5: 0}),
+                "constant value must be 0 or 1, got 5",
+                id="const-value-before-claim",
+            ),
+            pytest.param(
+                dict(gates=[(3, "AND", (0,), 2), (1, "NOT", (0,), 3), (1, "OR", (0, 1), 4)]),
+                "duplicate gate id 1",
+                id="gates-checked-in-id-order",
+            ),
+            pytest.param(
+                dict(gates=[(0, "AND", (0, 9), 2), (1, "NOT", (0,), 2)]),
+                "net 2 has two drivers: gate 0 and gate 1",
+                id="drivers-before-reads",
+            ),
+            pytest.param(
+                dict(gates=[(0, "AND", (0, 9), 2), (1, "AND", (0,), 3)]),
+                "gate 1 (AND) takes 2 inputs, got 1",
+                id="arity-before-reads",
+            ),
+            pytest.param(
+                dict(gates=[(0, "NOT", (0,), 3), (1, "AND", (3, 9), 2)], outputs={"o": []}),
+                "gate 1 reads undriven net 9",
+                id="reads-before-outputs",
+            ),
+            pytest.param(
+                dict(gates=[(0, "AND", (0, 3), 2), (1, "NOT", (2,), 3)], outputs={"o": [8]}),
+                "floating output bit o[0] (net 8)",
+                id="outputs-before-cycle",
+            ),
+        ],
+    )
+    def test_precedence(self, kwargs, message):
+        with pytest.raises(NetlistError) as caught:
+            _direct(**kwargs)
+        assert str(caught.value) == message
+
+
+def _min_id_topological(gates):
+    """Reference order: Kahn's algorithm, the smallest ready gate id first."""
+    producer = {g.output: g.id for g in gates}
+    users = {g.id: [] for g in gates}
+    waiting = {}
+    for g in gates:
+        deps = {producer[n] for n in g.inputs if n in producer}
+        waiting[g.id] = len(deps)
+        for d in deps:
+            users[d].append(g.id)
+    ready = [gid for gid, k in waiting.items() if k == 0]
+    heapq.heapify(ready)
+    order = []
+    while ready:
+        gid = heapq.heappop(ready)
+        order.append(gid)
+        for u in users[gid]:
+            waiting[u] -= 1
+            if waiting[u] == 0:
+                heapq.heappush(ready, u)
+    return order
+
+
+def _random_dag(rng):
+    """A random netlist whose gate ids are shuffled against its dependency
+    order, so gates may read the outputs of higher-id gates."""
+    nets = rng.sample(range(1000), 40)
+    inputs = {"a": nets[:2], "b": nets[2:3]}
+    available = list(nets[:3])
+    consts = {}
+    if rng.random() < 0.5:
+        consts[rng.randrange(2)] = nets[3]
+        available.append(nets[3])
+    count = rng.randrange(1, 30)
+    ids = rng.sample(range(3 * count), count)
+    gates = []
+    for gid, out in zip(ids, nets[4:]):
+        kind = rng.choice(list(GateKind))
+        ins = tuple(rng.choice(available) for _ in range(kind.arity))
+        gates.append(Gate(gid, kind, ins, out))
+        available.append(out)
+    outputs = {"o": rng.sample(available, rng.randrange(1, 4))}
+    rng.shuffle(gates)
+    return Netlist("dag", inputs, outputs, gates, consts), gates
+
+
+class TestEvaluationOrder:
+    """``_order`` is the smallest-id-first topological order of the gates."""
+
+    @pytest.mark.parametrize("name", unit_names())
+    def test_catalog_units_evaluate_in_id_order(self, name):
+        net = build_unit(name)
+        assert net._order == net.gates
+        parsed = parse_netlist(dump_netlist(net))
+        assert parsed._order == parsed.gates
+
+    def test_forward_references_order(self):
+        # Gates 0 and 2 read the outputs of gates 1 and 3.
+        net = parse_netlist(
+            "netlist t v1\n"
+            "input a 1\n"
+            "gate 0 NOT n1 -> n0\n"
+            "gate 1 NOT a[0] -> n1\n"
+            "gate 2 NOT n3 -> n2\n"
+            "gate 3 NOT a[0] -> n3\n"
+            "output o n0 n2\n"
+        )
+        assert [g.id for g in net._order] == [1, 0, 3, 2]
+
+    def test_random_dags_match_reference(self):
+        rng = random.Random(20100)
+        forward = 0
+        for _ in range(200):
+            net, gates = _random_dag(rng)
+            want = _min_id_topological(gates)
+            assert [g.id for g in net._order] == want
+            forward += want != sorted(want)
+        assert forward > 100  # most cases need the sort
 
 
 def test_gate_kind_arity():
