@@ -185,6 +185,22 @@ def build_ripple_subtractor(width: int) -> Netlist:
     return b.finalize()
 
 
+def _vedic2x2(b: NetlistBuilder, x: Sequence[int], y: Sequence[int]) -> list[int]:
+    """Emit the 2x2 vertically-and-crosswise multiplier of ``x`` and ``y``;
+    returns the 4 product nets."""
+    a0, a1 = x
+    b0, b1 = y
+    p0 = b.add_gate("AND", [a0, b0])
+    cross_hi = b.add_gate("AND", [a1, b0])
+    cross_lo = b.add_gate("AND", [a0, b1])
+    p1 = b.add_gate("XOR", [cross_hi, cross_lo])
+    carry = b.add_gate("AND", [cross_hi, cross_lo])
+    hh = b.add_gate("AND", [a1, b1])
+    p2 = b.add_gate("XOR", [hh, carry])
+    p3 = b.add_gate("AND", [hh, carry])
+    return [p0, p1, p2, p3]
+
+
 def build_vedic2x2() -> Netlist:
     """2x2 vertically-and-crosswise multiplier: a, b (2) -> p (4).
 
@@ -192,18 +208,28 @@ def build_vedic2x2() -> Netlist:
     carry c (AND); p2 = a1.b1 XOR c; p3 = a1.b1 AND c. 6 AND + 2 XOR.
     """
     b = NetlistBuilder("vedic2x2")
-    a0, a1 = b.add_input("a", 2)
-    b0, b1 = b.add_input("b", 2)
-    p0 = b.add_gate("AND", [a0, b0])
-    cross_hi = b.add_gate("AND", [a1, b0])
-    cross_lo = b.add_gate("AND", [a0, b1])
-    p1 = b.add_gate("XOR", [cross_hi, cross_lo])
-    c = b.add_gate("AND", [cross_hi, cross_lo])
-    hh = b.add_gate("AND", [a1, b1])
-    p2 = b.add_gate("XOR", [hh, c])
-    p3 = b.add_gate("AND", [hh, c])
-    b.set_output("p", [p0, p1, p2, p3])
+    b.set_output("p", _vedic2x2(b, b.add_input("a", 2), b.add_input("b", 2)))
     return b.finalize()
+
+
+def _vedic4x4(b: NetlistBuilder, x: Sequence[int], y: Sequence[int]) -> list[int]:
+    """Emit the 4x4 vedic multiplier of ``x`` and ``y``; returns the 8
+    product nets."""
+    aL, aH = x[:2], x[2:]
+    bL, bH = y[:2], y[2:]
+    p0 = _vedic2x2(b, aL, bL)
+    p1 = _vedic2x2(b, aH, bL)
+    p2 = _vedic2x2(b, aL, bH)
+    p3 = _vedic2x2(b, aH, bH)
+    zero = b.const(0)
+    # mid = P1 + P2, at most 9 + 9 = 18: five bits.
+    mid_sum, mid_cout = ripple_add(b, p1, p2, zero)
+    mid = mid_sum + [mid_cout]
+    # high = P0[2:4] + mid, at most 3 + 18 = 21: fits 6 bits, carry dead.
+    high, _ = ripple_add(b, p0[2:] + [zero] * 4, mid + [zero], zero)
+    # p[2:8] = high + (P3 << 2); total is at most 225 so the carry is dead.
+    upper, _ = ripple_add(b, high, [zero, zero] + p3, zero)
+    return p0[:2] + upper
 
 
 def build_vedic4x4() -> Netlist:
@@ -215,25 +241,22 @@ def build_vedic4x4() -> Netlist:
     ripple adders fold in P0's high half and the shifted P3.
     """
     b = NetlistBuilder("vedic4x4")
-    a_bits = b.add_input("a", 4)
-    b_bits = b.add_input("b", 4)
-    unit = build_vedic2x2()
-    aL, aH = a_bits[:2], a_bits[2:]
-    bL, bH = b_bits[:2], b_bits[2:]
-    p0 = b.instantiate(unit, {"a": aL, "b": bL})["p"]
-    p1 = b.instantiate(unit, {"a": aH, "b": bL})["p"]
-    p2 = b.instantiate(unit, {"a": aL, "b": bH})["p"]
-    p3 = b.instantiate(unit, {"a": aH, "b": bH})["p"]
-    zero = b.const(0)
-    # mid = P1 + P2, at most 9 + 9 = 18: five bits.
-    mid_sum, mid_cout = ripple_add(b, p1, p2, zero)
-    mid = mid_sum + [mid_cout]
-    # high = P0[2:4] + mid, at most 3 + 18 = 21: fits 6 bits, carry dead.
-    high, _ = ripple_add(b, list(p0[2:]) + [zero] * 4, mid + [zero], zero)
-    # p[2:8] = high + (P3 << 2); total is at most 225 so the carry is dead.
-    upper, _ = ripple_add(b, high, [zero, zero] + list(p3), zero)
-    b.set_output("p", [p0[0], p0[1]] + upper)
+    b.set_output("p", _vedic4x4(b, b.add_input("a", 4), b.add_input("b", 4)))
     return b.finalize()
+
+
+def _array4x4(b: NetlistBuilder, x: Sequence[int], y: Sequence[int]) -> list[int]:
+    """Emit the 4x4 array multiplier of ``x`` and ``y``; returns the 8
+    product nets."""
+    rows = [[b.add_gate("AND", [xi, yj]) for xi in x] for yj in y]
+    zero = b.const(0)
+    product = [rows[0][0]]
+    acc = rows[0][1:] + [zero]
+    for row in rows[1:]:
+        sums, cout = ripple_add(b, acc, row, zero)
+        product.append(sums[0])
+        acc = sums[1:] + [cout]
+    return product + acc
 
 
 def build_array4x4() -> Netlist:
@@ -243,17 +266,7 @@ def build_array4x4() -> Netlist:
     ripple-carry adders (shift-and-add array).
     """
     b = NetlistBuilder("array4x4")
-    a_bits = b.add_input("a", 4)
-    b_bits = b.add_input("b", 4)
-    rows = [[b.add_gate("AND", [a, bb]) for a in a_bits] for bb in b_bits]
-    zero = b.const(0)
-    product = [rows[0][0]]
-    acc = rows[0][1:] + [zero]
-    for row in rows[1:]:
-        sums, cout = ripple_add(b, acc, row, zero)
-        product.append(sums[0])
-        acc = sums[1:] + [cout]
-    b.set_output("p", product + acc)
+    b.set_output("p", _array4x4(b, b.add_input("a", 4), b.add_input("b", 4)))
     return b.finalize()
 
 
@@ -267,19 +280,22 @@ def _conditional_negate(
     return sums
 
 
-def build_signed_multiplier4(impl: str = "vedic") -> Netlist:
-    """Signed 4x4 multiplier: a, b (4, two's complement) -> p (8), sat (1).
+# The unsigned 4x4 cores a signed multiplier can wrap, by impl name.
+_CORES = {"vedic": _vedic4x4, "array": _array4x4}
 
-    Sign-magnitude wrapper around an unsigned core (``vedic`` or ``array``):
-    magnitudes via conditional negation, |-8| saturated to 7 (sat flag set),
-    unsigned multiply, then conditional negation by sign(a) XOR sign(b).
-    """
-    cores = {"vedic": build_vedic4x4, "array": build_array4x4}
-    if impl not in cores:
+
+def check_impl(impl: str) -> None:
+    """Reject a multiplier impl name that names no unsigned 4x4 core."""
+    if impl not in _CORES:
         raise NetlistError(f"unknown multiplier impl {impl!r}")
-    b = NetlistBuilder(f"signed_{impl}4x4")
-    a_bits = b.add_input("a", 4)
-    b_bits = b.add_input("b", 4)
+
+
+def _signed_multiplier4(
+    b: NetlistBuilder, impl: str, x: Sequence[int], y: Sequence[int]
+) -> tuple[list[int], int]:
+    """Emit the signed 4x4 multiplier of ``x`` and ``y`` around the
+    ``impl`` core (checked by the caller); returns the 8 product nets and
+    the sat net."""
     zero = b.const(0)
 
     def magnitude(bits: Sequence[int]) -> tuple[list[int], int]:
@@ -290,14 +306,25 @@ def build_signed_multiplier4(impl: str = "vedic") -> Netlist:
         clamped = [b.add_gate("OR", [m, over]) for m in mag[:3]] + [zero]
         return clamped, over
 
-    mag_a, over_a = magnitude(a_bits)
-    mag_b, over_b = magnitude(b_bits)
+    mag_a, over_a = magnitude(x)
+    mag_b, over_b = magnitude(y)
     sat = b.add_gate("OR", [over_a, over_b])
-    core = cores[impl]()
-    product = b.instantiate(core, {"a": mag_a, "b": mag_b})["p"]
-    sign = b.add_gate("XOR", [a_bits[-1], b_bits[-1]])
-    signed = _conditional_negate(b, product, sign)
-    b.set_output("p", signed)
+    product = _CORES[impl](b, mag_a, mag_b)
+    sign = b.add_gate("XOR", [x[-1], y[-1]])
+    return _conditional_negate(b, product, sign), sat
+
+
+def build_signed_multiplier4(impl: str = "vedic") -> Netlist:
+    """Signed 4x4 multiplier: a, b (4, two's complement) -> p (8), sat (1).
+
+    Sign-magnitude wrapper around an unsigned core (``vedic`` or ``array``):
+    magnitudes via conditional negation, |-8| saturated to 7 (sat flag set),
+    unsigned multiply, then conditional negation by sign(a) XOR sign(b).
+    """
+    check_impl(impl)
+    b = NetlistBuilder(f"signed_{impl}4x4")
+    p, sat = _signed_multiplier4(b, impl, b.add_input("a", 4), b.add_input("b", 4))
+    b.set_output("p", p)
     b.set_output("sat", [sat])
     return b.finalize()
 

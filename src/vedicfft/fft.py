@@ -25,12 +25,13 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .arith import (
+    _signed_multiplier4,
     build_array4x4,
     build_ripple_adder,
     build_ripple_subtractor,
-    build_signed_multiplier4,
     build_vedic2x2,
     build_vedic4x4,
+    check_impl,
     ripple_add,
 )
 from .netlist import Netlist, NetlistBuilder, NetlistError, to_signed
@@ -272,6 +273,19 @@ def _shift_left(b: NetlistBuilder, bits: Sequence[int], count: int) -> list[int]
 
 # -- builders -----------------------------------------------------------------
 
+# A complex bus: the nets of its real part and of its imaginary part.
+_Complex = tuple[Sequence[int], Sequence[int]]
+
+
+def _butterfly2(b: NetlistBuilder, x0: _Complex, x1: _Complex) -> dict[str, list[int]]:
+    """Emit X0 = x0 + x1, X1 = x0 - x1; returns the output buses by name."""
+    return {
+        "X0_re": _add_signed(b, x0[0], x1[0]),
+        "X0_im": _add_signed(b, x0[1], x1[1]),
+        "X1_re": _sub_signed(b, x0[0], x1[0]),
+        "X1_im": _sub_signed(b, x0[1], x1[1]),
+    }
+
 
 def build_butterfly2(width: int) -> Netlist:
     """2-point butterfly: X0 = x0 + x1, X1 = x0 - x1 on complex inputs.
@@ -281,14 +295,10 @@ def build_butterfly2(width: int) -> Netlist:
     if width < 2:
         raise NetlistError(f"width must be >= 2, got {width}")
     b = NetlistBuilder("butterfly2")
-    x0r = b.add_input("x0_re", width)
-    x0i = b.add_input("x0_im", width)
-    x1r = b.add_input("x1_re", width)
-    x1i = b.add_input("x1_im", width)
-    b.set_output("X0_re", _add_signed(b, x0r, x1r))
-    b.set_output("X0_im", _add_signed(b, x0i, x1i))
-    b.set_output("X1_re", _sub_signed(b, x0r, x1r))
-    b.set_output("X1_im", _sub_signed(b, x0i, x1i))
+    x0 = (b.add_input("x0_re", width), b.add_input("x0_im", width))
+    x1 = (b.add_input("x1_re", width), b.add_input("x1_im", width))
+    for bus, bits in _butterfly2(b, x0, x1).items():
+        b.set_output(bus, bits)
     return b.finalize()
 
 
@@ -300,6 +310,48 @@ def _check_fits_core(fraction_bits: int) -> None:
         except ValueError:  # more digits than Python converts to a string
             f = "F"
         raise NetlistError(f"Q1.{f} coefficient does not fit the 4-bit core")
+
+
+def _check_core_width(width: int) -> None:
+    """A sample enters the complex multiplier, which is pinned to 4 bits."""
+    if width != 4:
+        raise NetlistError(
+            f"complex multiplier is pinned to the 4x4 core, got width {width}"
+        )
+
+
+def _cmul(
+    b: NetlistBuilder, twiddle: Twiddle, multiplier: str, x: _Complex
+) -> tuple[list[int], list[int], int]:
+    """Emit the product of ``x`` and the fixed ``twiddle``; returns the
+    p_re, p_im and sat nets (see :func:`complex_multiply_unit`)."""
+    xr, xi = x
+    if twiddle.mode == "exact":
+        w = len(xr) + 1
+        if twiddle.value == 1:
+            pr, pi = _sext(xr, w), _sext(xi, w)
+        elif twiddle.value == -1:
+            pr, pi = _neg_signed(b, xr), _neg_signed(b, xi)
+        elif twiddle.value == -1j:
+            pr, pi = _sext(xi, w), _neg_signed(b, xr)
+        else:  # j
+            pr, pi = _neg_signed(b, xi), _sext(xr, w)
+        return pr, pi, b.const(0)
+
+    def const_bus(value: int) -> list[int]:
+        return [b.const((value >> k) & 1) for k in range(4)]
+
+    c_re, c_im = const_bus(twiddle.re_q), const_bus(twiddle.im_q)
+    ac, sat_ac = _signed_multiplier4(b, multiplier, xr, c_re)
+    bd, sat_bd = _signed_multiplier4(b, multiplier, xi, c_im)
+    ad, sat_ad = _signed_multiplier4(b, multiplier, xr, c_im)
+    bc, sat_bc = _signed_multiplier4(b, multiplier, xi, c_re)
+    p_re = _sub_signed(b, ac, bd)
+    p_im = _add_signed(b, ad, bc)
+    sat = b.add_gate("OR", [sat_ac, sat_bd])
+    sat = b.add_gate("OR", [sat, sat_ad])
+    sat = b.add_gate("OR", [sat, sat_bc])
+    return p_re, p_im, sat
 
 
 def complex_multiply_unit(
@@ -316,87 +368,44 @@ def complex_multiply_unit(
     to wire swaps and structural negation; outputs grow by one bit.
 
     The unsigned core inside the signed multipliers is selected by
-    ``multiplier``: ``vedic`` or ``array``.
+    ``multiplier``: ``vedic`` or ``array``; any other name is rejected in
+    either mode.
     """
-    if width != 4:
-        raise NetlistError(
-            f"complex multiplier is pinned to the 4x4 core, got width {width}"
-        )
+    _check_core_width(width)
     if twiddle.mode == "exact":
-        b = NetlistBuilder("cmul_exact")
-        xr = b.add_input("x_re", width)
-        xi = b.add_input("x_im", width)
-        w = width + 1
-        if twiddle.value == 1:
-            pr, pi = _sext(xr, w), _sext(xi, w)
-        elif twiddle.value == -1:
-            pr, pi = _neg_signed(b, xr), _neg_signed(b, xi)
-        elif twiddle.value == -1j:
-            pr, pi = _sext(xi, w), _neg_signed(b, xr)
-        else:  # j
-            pr, pi = _neg_signed(b, xi), _sext(xr, w)
-        b.set_output("p_re", pr)
-        b.set_output("p_im", pi)
-        b.set_output("sat", [b.const(0)])
-        return b.finalize()
-
-    f = twiddle.fraction_bits
-    _check_fits_core(f)
-    if twiddle.re_q == 0 and twiddle.im_q == 0:
-        raise NetlistError("quantized twiddle rounds to zero, product would vanish")
-    b = NetlistBuilder(f"cmul_{multiplier}_q{f}")
-    xr = b.add_input("x_re", width)
-    xi = b.add_input("x_im", width)
-    core = build_signed_multiplier4(multiplier)
-
-    def const_bus(value: int) -> list[int]:
-        return [b.const((value >> k) & 1) for k in range(4)]
-
-    c_re, c_im = const_bus(twiddle.re_q), const_bus(twiddle.im_q)
-    parts = {}
-    sats = []
-    for label, x_bits, c_bits in (
-        ("ac", xr, c_re),
-        ("bd", xi, c_im),
-        ("ad", xr, c_im),
-        ("bc", xi, c_re),
-    ):
-        out = b.instantiate(core, {"a": x_bits, "b": c_bits})
-        parts[label] = out["p"]
-        sats.append(out["sat"][0])
-    b.set_output("p_re", _sub_signed(b, parts["ac"], parts["bd"]))
-    b.set_output("p_im", _add_signed(b, parts["ad"], parts["bc"]))
-    sat = b.add_gate("OR", [sats[0], sats[1]])
-    sat = b.add_gate("OR", [sat, sats[2]])
-    sat = b.add_gate("OR", [sat, sats[3]])
+        name = "cmul_exact"
+    else:
+        _check_fits_core(twiddle.fraction_bits)
+        if twiddle.re_q == 0 and twiddle.im_q == 0:
+            raise NetlistError("quantized twiddle rounds to zero, product would vanish")
+        name = f"cmul_{multiplier}_q{twiddle.fraction_bits}"
+    check_impl(multiplier)
+    b = NetlistBuilder(name)
+    x = (b.add_input("x_re", width), b.add_input("x_im", width))
+    p_re, p_im, sat = _cmul(b, twiddle, multiplier, x)
+    b.set_output("p_re", p_re)
+    b.set_output("p_im", p_im)
     b.set_output("sat", [sat])
     return b.finalize()
 
 
-def build_fft4(config: FftConfig, multiplier: str = "vedic") -> Netlist:
-    """4-point DFT netlist, decimation in time, for the twiddle mode and
-    input width of ``config`` (its select line plays no part).
-
-    Buses x0_re .. x3_im (width) -> X0_re .. X3_im. Exact mode applies
-    W4^1 = -j as a wire swap plus structural negation folded into the
-    stage-2 adders/subtractors; outputs are width + 2 bits and equal the
-    DFT exactly. Quantized mode (Q1.F, F = ``config.fraction_bits``) sends
-    x1 and x3 through complex multiplier units built on the ``multiplier``
-    core and carries everything scaled by 2^F; outputs share one uniform
-    width.
-    """
+def _check_datapath(config: FftConfig, multiplier: str) -> None:
+    """The rejections of :func:`build_fft4`, in order, before any gate."""
     if not isinstance(config, FftConfig):
         raise NetlistError(f"expected FftConfig, got {type(config).__name__}")
-    width = config.input_width
-    mode, f = config.twiddle_mode, config.fraction_bits
-    if mode == "quantized":
+    if config.twiddle_mode == "quantized":
         # Before the twiddle is quantized: that allocates an int of F bits.
-        _check_fits_core(f)
-    b = NetlistBuilder("fft4" if mode == "exact" else f"fft4_q{f}")
-    x = [
-        (b.add_input(f"x{i}_re", width), b.add_input(f"x{i}_im", width))
-        for i in range(4)
-    ]
+        _check_fits_core(config.fraction_bits)
+        _check_core_width(config.input_width)
+    check_impl(multiplier)
+
+
+def _fft4(
+    b: NetlistBuilder, config: FftConfig, multiplier: str, x: Sequence[_Complex]
+) -> dict[str, list[int]]:
+    """Emit the 4-point DFT of ``x``; returns the output buses by name, all
+    of one width (see :func:`build_fft4`)."""
+    f = config.fraction_bits
     # Stage 1: butterflies on the bit-reversed pairs (x0, x2) and (x1, x3).
     a0r = _add_signed(b, x[0][0], x[2][0])
     a0i = _add_signed(b, x[0][1], x[2][1])
@@ -405,7 +414,7 @@ def build_fft4(config: FftConfig, multiplier: str = "vedic") -> Netlist:
     b0r = _add_signed(b, x[1][0], x[3][0])
     b0i = _add_signed(b, x[1][1], x[3][1])
 
-    if mode == "exact":
+    if config.twiddle_mode == "exact":
         b1r = _sub_signed(b, x[1][0], x[3][0])
         b1i = _sub_signed(b, x[1][1], x[3][1])
         # Stage 2; -j(re, im) = (im, -re), negation folded into add/sub.
@@ -423,11 +432,11 @@ def build_fft4(config: FftConfig, multiplier: str = "vedic") -> Netlist:
         # Odd branch through the quantized multiplier. The unit is pinned to
         # 4-bit inputs, so rotate x1 and x3 separately before the butterfly
         # (c(x1 - x3) = c x1 - c x3) instead of rotating the 5-bit difference.
-        unit = complex_multiply_unit(width, Twiddle.quantized(1, 4, f), multiplier)
-        rot1 = b.instantiate(unit, {"x_re": x[1][0], "x_im": x[1][1]})
-        rot3 = b.instantiate(unit, {"x_re": x[3][0], "x_im": x[3][1]})
-        rr = _sub_signed(b, rot1["p_re"], rot3["p_re"])
-        ri = _sub_signed(b, rot1["p_im"], rot3["p_im"])
+        twiddle = Twiddle.quantized(1, 4, f)
+        rot1_re, rot1_im, _ = _cmul(b, twiddle, multiplier, x[1])
+        rot3_re, rot3_im, _ = _cmul(b, twiddle, multiplier, x[3])
+        rr = _sub_signed(b, rot1_re, rot3_re)
+        ri = _sub_signed(b, rot1_im, rot3_im)
         # Even branch carries no coefficient: scale by 2^F with wires.
         a1rs = _shift_left(b, a1r, f)
         a1is = _shift_left(b, a1i, f)
@@ -442,8 +451,35 @@ def build_fft4(config: FftConfig, multiplier: str = "vedic") -> Netlist:
             "X3_im": _sub_signed(b, a1is, ri),
         }
     out_w = max(len(bits) for bits in outs.values())
-    for bus in ("X0_re", "X0_im", "X1_re", "X1_im", "X2_re", "X2_im", "X3_re", "X3_im"):
-        b.set_output(bus, _sext(outs[bus], out_w))
+    return {bus: _sext(bits, out_w) for bus, bits in outs.items()}
+
+
+def _add_samples(b: NetlistBuilder, width: int) -> list[tuple[list[int], list[int]]]:
+    """The input buses x0_re, x0_im .. x3_im, as four complex samples."""
+    return [
+        (b.add_input(f"x{i}_re", width), b.add_input(f"x{i}_im", width))
+        for i in range(4)
+    ]
+
+
+def build_fft4(config: FftConfig, multiplier: str = "vedic") -> Netlist:
+    """4-point DFT netlist, decimation in time, for the twiddle mode and
+    input width of ``config`` (its select line plays no part).
+
+    Buses x0_re .. x3_im (width) -> X0_re .. X3_im. Exact mode applies
+    W4^1 = -j as a wire swap plus structural negation folded into the
+    stage-2 adders/subtractors; outputs are width + 2 bits and equal the
+    DFT exactly. Quantized mode (Q1.F, F = ``config.fraction_bits``) sends
+    x1 and x3 through complex multiplier units built on the ``multiplier``
+    core and carries everything scaled by 2^F; outputs share one uniform
+    width. An unknown ``multiplier`` is rejected in either mode.
+    """
+    _check_datapath(config, multiplier)
+    f = config.fraction_bits
+    b = NetlistBuilder("fft4" if config.twiddle_mode == "exact" else f"fft4_q{f}")
+    outs = _fft4(b, config, multiplier, _add_samples(b, config.input_width))
+    for bus, bits in outs.items():
+        b.set_output(bus, bits)
     return b.finalize()
 
 
@@ -454,29 +490,18 @@ def build_reconfigurable_fft(config: FftConfig, multiplier: str = "vedic") -> Ne
     forced to zero. select=1: the full 4-point transform of x0..x3. Output
     multiplexing is gate-level (AND/OR/NOT). In quantized mode the 2-point
     branch is shifted left by F wire positions so both paths share the
-    documented 2^-F output scale.
+    documented 2^-F output scale. The rejections are :func:`build_fft4`'s.
     """
-    if not isinstance(config, FftConfig):
-        raise NetlistError(f"expected FftConfig, got {type(config).__name__}")
-    width = config.input_width
+    _check_datapath(config, multiplier)
     f = config.fraction_bits if config.twiddle_mode == "quantized" else 0
     suffix = "" if config.twiddle_mode == "exact" else f"_q{f}"
     if multiplier != "vedic":
         suffix += f"_{multiplier}"
     b = NetlistBuilder(f"reconfigurable{suffix}")
     select = b.add_input("select", 1)[0]
-    x = [
-        (b.add_input(f"x{i}_re", width), b.add_input(f"x{i}_im", width))
-        for i in range(4)
-    ]
-    four = b.instantiate(
-        build_fft4(config, multiplier),
-        {f"x{i}_{part}": x[i][j] for i in range(4) for j, part in enumerate(("re", "im"))},
-    )
-    two = b.instantiate(
-        build_butterfly2(width),
-        {"x0_re": x[0][0], "x0_im": x[0][1], "x1_re": x[1][0], "x1_im": x[1][1]},
-    )
+    x = _add_samples(b, config.input_width)
+    four = _fft4(b, config, multiplier, x)
+    two = _butterfly2(b, x[0], x[1])
     out_w = len(four["X0_re"])
     not_sel = b.add_gate("NOT", [select])
 
@@ -493,10 +518,8 @@ def build_reconfigurable_fft(config: FftConfig, multiplier: str = "vedic") -> Ne
             for lo, hi in zip(padded, four_bits)
         ]
 
-    b.set_output("X0_re", mux(two["X0_re"], four["X0_re"]))
-    b.set_output("X0_im", mux(two["X0_im"], four["X0_im"]))
-    b.set_output("X1_re", mux(two["X1_re"], four["X1_re"]))
-    b.set_output("X1_im", mux(two["X1_im"], four["X1_im"]))
+    for bus in ("X0_re", "X0_im", "X1_re", "X1_im"):
+        b.set_output(bus, mux(two[bus], four[bus]))
     for bus in ("X2_re", "X2_im", "X3_re", "X3_im"):
         b.set_output(bus, [b.add_gate("AND", [n, select]) for n in four[bus]])
     return b.finalize()

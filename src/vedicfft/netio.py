@@ -17,7 +17,15 @@ from __future__ import annotations
 
 import re
 
-from .netlist import MAX_BUS_WIDTH, Gate, Netlist, NetlistError, as_gate_kind
+from .netlist import (
+    KIND_OF,
+    MAX_BUS_WIDTH,
+    Gate,
+    GateKind,
+    Netlist,
+    NetlistError,
+    as_gate_kind,
+)
 
 _NET_TOKEN_RE = re.compile(r"^(?:n(\d+)|([A-Za-z_][A-Za-z0-9_]*)\[(\d+)\])$")
 _NAME_TOKEN_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
@@ -44,13 +52,14 @@ def dump_netlist(netlist: Netlist) -> str:
         text_id[gate.output] = f"n{counter}"
         counter += 1
 
+    kind_name = {kind: kind.value for kind in GateKind}
     lines = [f"netlist {netlist.name} v1"]
     for bus, nets in netlist.inputs.items():
         lines.append(f"input {bus} {len(nets)}")
     lines.extend(const_lines)
     for seq, gate in enumerate(netlist.gates):
         ins = " ".join(text_id[n] for n in gate.inputs)
-        lines.append(f"gate {seq} {gate.kind.value} {ins} -> {text_id[gate.output]}")
+        lines.append(f"gate {seq} {kind_name[gate.kind]} {ins} -> {text_id[gate.output]}")
     for bus, nets in netlist.outputs.items():
         bits = " ".join(text_id[n] for n in nets)
         lines.append(f"output {bus} {bits}")
@@ -139,10 +148,12 @@ def parse_netlist(text: str) -> Netlist:
                 gid = int(fields[1])
             except ValueError:
                 fail(lineno, f"bad gate id {fields[1]!r}")
-            try:
-                kind = as_gate_kind(fields[2])
-            except NetlistError:
-                fail(lineno, f"unknown gate kind {fields[2]!r}")
+            kind = KIND_OF.get(fields[2])
+            if kind is None:
+                try:
+                    kind = as_gate_kind(fields[2])
+                except NetlistError:
+                    fail(lineno, f"unknown gate kind {fields[2]!r}")
             in_tokens = fields[3:-2]
             if len(in_tokens) != kind.arity:
                 fail(

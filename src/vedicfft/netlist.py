@@ -5,8 +5,10 @@ The model is a DAG of single-output boolean gates connected by nets, each
 net an integer id with exactly one driver: an input bit, a constant or a
 gate. Buses are named, ordered lists of nets, LSB first. Bus values travel
 as raw unsigned ints (bit k of the int is net k of the bus);
-:func:`to_signed` reads one as two's complement. Construction validates
-the structure and fixes the evaluation order: Kahn's topological sort,
+:func:`to_signed` reads one as two's complement. A unit is built in one
+:class:`NetlistBuilder`: composite blocks emit their gates straight into
+it, so every gate is constructed once. Construction validates the
+structure and fixes the evaluation order: Kahn's topological sort,
 smallest ready gate id first. Where every gate reads only nets driven
 before it in id order, as in every built netlist and the dump of one,
 that order is ascending id and validation is one linear pass; only text
@@ -29,8 +31,8 @@ from __future__ import annotations
 import enum
 import heapq
 import re
+from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass
 from itertools import compress
 from typing import NamedTuple
 
@@ -48,6 +50,11 @@ class GateKind(enum.Enum):
     NAND = "NAND"
     NOR = "NOR"
     XNOR = "XNOR"
+
+    # Members are singletons compared by identity, so the C identity hash
+    # agrees with ``==``; ``Enum``'s own hashes the name in Python, and kinds
+    # key the dicts that count, dump and compile gates.
+    __hash__ = object.__hash__
 
     @property
     def arity(self) -> int:
@@ -68,6 +75,13 @@ _OPCODE = {
 # Truth table per opcode: bit 2*a + b is the gate's output for input bits
 # a and b (NOT reads a only). The compiler folds gates by it.
 _TRUTH = (0b1000, 0b1110, 0b0110, 0b0011, 0b0111, 0b0001, 0b1001)
+
+# A kind, or its canonical name, to the kind: the one dict lookup that
+# ``add_gate`` and ``parse_netlist`` try before :func:`as_gate_kind`.
+KIND_OF: dict[GateKind | str, GateKind] = {
+    **{k.value: k for k in GateKind},
+    **{k: k for k in GateKind},
+}
 
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
@@ -90,8 +104,10 @@ def as_gate_kind(kind: GateKind | str) -> GateKind:
         raise NetlistError(f"unknown gate kind {kind!r}") from None
 
 
-@dataclass(frozen=True)
-class Gate:
+class Gate(NamedTuple):
+    """One gate: immutable, and as a tuple it equals ``(id, kind, inputs,
+    output)``."""
+
     id: int
     kind: GateKind
     inputs: tuple[int, ...]
@@ -472,9 +488,9 @@ class Netlist:
     def gate_counts(self) -> GateCounts:
         """Census of gates by kind; the total is the area metric."""
         if self._counts is None:
-            by_kind: dict[str, int] = {}
-            for gate in self.gates:
-                by_kind[gate.kind.value] = by_kind.get(gate.kind.value, 0) + 1
+            # Kinds keyed in order of first appearance.
+            counts = Counter([gate.kind for gate in self.gates])
+            by_kind = {kind.value: n for kind, n in counts.items()}
             self._counts = GateCounts(by_kind, len(self.gates))
         return self._counts
 
@@ -497,12 +513,18 @@ class NetlistBuilder:
 
     A net is created together with its driver: :meth:`add_input` makes the
     input bits, :meth:`const` the constant nets and :meth:`add_gate` a fresh
-    output net per gate. Every gate therefore reads nets that already exist,
-    and a built netlist has no floating nets, no second drivers and no
-    cycles; its gate ids are a topological order, so ``Netlist`` validates
-    it in one linear pass. (The text format allows forward references;
-    ``Netlist`` itself validates what ``parse_netlist`` reads, and sorts
-    such a netlist's gates with Kahn's algorithm.)
+    output net per gate. A net id is a plain ``int`` below the next fresh
+    id. Every gate therefore reads nets that already exist, and a built
+    netlist has no floating nets, no second drivers and no cycles; its gate
+    ids are a topological order, so ``Netlist`` validates it in one linear
+    pass. (The text format allows forward references; ``Netlist`` itself
+    validates what ``parse_netlist`` reads, and sorts such a netlist's gates
+    with Kahn's algorithm.)
+
+    Composite units do not nest netlists: each block is an emitter that
+    adds its gates to the builder it is handed and returns its output nets,
+    so a whole datapath is one builder, one ``add_gate`` per gate and one
+    validation.
     """
 
     def __init__(self, name: str):
@@ -522,9 +544,6 @@ class NetlistBuilder:
         nid = self._next_net
         self._next_net += 1
         return nid
-
-    def _is_net(self, n: int) -> bool:
-        return n in range(self._next_net)
 
     def add_input(self, name: str, width: int) -> list[int]:
         self._check_open()
@@ -553,16 +572,20 @@ class NetlistBuilder:
     def add_gate(self, kind: GateKind | str, inputs: Sequence[int]) -> int:
         """Append a gate reading existing nets; returns its fresh output net."""
         self._check_open()
-        kind = as_gate_kind(kind)
+        try:
+            kind = KIND_OF[kind]
+        except (KeyError, TypeError):
+            kind = as_gate_kind(kind)
         inputs = tuple(inputs)
-        if len(inputs) != kind.arity:
+        if len(inputs) != (1 if kind is GateKind.NOT else 2):
             raise NetlistError(
                 f"{kind.value} takes {kind.arity} input(s), got {len(inputs)}"
             )
+        output = self._next_net
         for n in inputs:
-            if not self._is_net(n):
+            if type(n) is not int or not 0 <= n < output:
                 raise NetlistError(f"unknown input net {n}")
-        output = self._fresh_net()
+        self._next_net = output + 1
         self._gates.append(Gate(len(self._gates), kind, inputs, output))
         return output
 
@@ -575,47 +598,9 @@ class NetlistBuilder:
         if not nets:
             raise NetlistError(f"output bus {name} must be at least 1 bit wide")
         for n in nets:
-            if not self._is_net(n):
+            if type(n) is not int or not 0 <= n < self._next_net:
                 raise NetlistError(f"unknown net {n} in output bus {name}")
         self._outputs[name] = nets
-
-    def instantiate(
-        self, sub: Netlist, connections: Mapping[str, Sequence[int]]
-    ) -> dict[str, list[int]]:
-        """Copy a finalized netlist into this builder as a sub-block.
-
-        ``connections`` maps each of ``sub``'s input buses to parent nets of
-        the same width. Returns the parent nets of ``sub``'s output buses.
-        Gates are copied one-for-one; constants are shared.
-        """
-        self._check_open()
-        missing = set(sub.inputs) - set(connections)
-        if missing:
-            raise NetlistError(f"unconnected sub-netlist inputs: {sorted(missing)}")
-        extra = set(connections) - set(sub.inputs)
-        if extra:
-            raise NetlistError(f"unknown sub-netlist inputs: {sorted(extra)}")
-        mapping: dict[int, int] = {}
-        for bus, parent_nets in connections.items():
-            sub_nets = sub.inputs[bus]
-            parent_nets = list(parent_nets)
-            if len(parent_nets) != len(sub_nets):
-                raise NetlistError(
-                    f"sub input {bus} is {len(sub_nets)} bits, got {len(parent_nets)}"
-                )
-            for n in parent_nets:
-                if not self._is_net(n):
-                    raise NetlistError(f"unknown net {n} connected to sub input {bus}")
-            mapping.update(zip(sub_nets, parent_nets))
-        for value, nid in sub.consts.items():
-            mapping[nid] = self.const(value)
-        # ``sub`` was validated when it was built and every mapped net exists
-        # here, so its gates are copied without ``add_gate``'s checks.
-        for gate in sub._order:
-            inputs = tuple([mapping[n] for n in gate.inputs])
-            output = mapping[gate.output] = self._fresh_net()
-            self._gates.append(Gate(len(self._gates), gate.kind, inputs, output))
-        return {bus: [mapping[n] for n in nets] for bus, nets in sub.outputs.items()}
 
     def finalize(self) -> Netlist:
         """Validate and freeze. The builder cannot be used afterwards."""

@@ -1,5 +1,6 @@
 import cmath
 import enum
+import hashlib
 import random
 import tracemalloc
 
@@ -8,10 +9,15 @@ import pytest
 from vedicfft import (
     FftConfig,
     FixedComplex,
+    Netlist,
     NetlistError,
     Twiddle,
+    build_butterfly2,
     build_fft4,
+    build_reconfigurable_fft,
+    build_signed_multiplier4,
     complex_multiply_unit,
+    dump_netlist,
     dft_oracle,
     parse_inline_samples,
     parse_samples_document,
@@ -420,9 +426,13 @@ class TestUnitCatalog:
         # As many digits as int() converts: rejected before 1 << F is taken.
         with pytest.raises(NetlistError, match="coefficient does not fit the 4-bit core"):
             build_unit("fft4_q" + "1" * 4300)
-        # More digits than str() converts: the message does not spell F out.
-        with pytest.raises(NetlistError, match="Q1.F coefficient does not fit the 4-bit core"):
-            build_fft4(FftConfig(4, "quantized", 10**5000))
+        # More digits than str() converts: the message does not spell F out,
+        # and the check runs before F is put in the netlist name.
+        for build in (build_fft4, build_reconfigurable_fft):
+            with pytest.raises(
+                NetlistError, match="Q1.F coefficient does not fit the 4-bit core"
+            ):
+                build(FftConfig(4, "quantized", 10**5000))
 
     def test_oversized_fraction_bits_rejected_before_allocation(self):
         tracemalloc.start()
@@ -433,3 +443,173 @@ class TestUnitCatalog:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+
+Q3 = FftConfig(4, "quantized", 3)
+ZERO_Q3 = Twiddle(mode="quantized", value=0j, re_q=0, im_q=0, fraction_bits=3)
+ZERO_Q9 = Twiddle(mode="quantized", value=0j, re_q=0, im_q=0, fraction_bits=9)
+PINNED = "complex multiplier is pinned to the 4x4 core, got width 5"
+BOGUS = "unknown multiplier impl 'bogus'"
+
+
+class TestCompositeBuilders:
+    """Every composite unit is one builder fed by the emitters of its
+    blocks: the dump bytes, the rejections and the one validation each."""
+
+    # SHA-256 of the dump of each composite that test_golden_stdout does not
+    # dump, as built when every block was a netlist of its own.
+    @pytest.mark.parametrize(
+        "build,digest",
+        [
+            pytest.param(
+                lambda: build_signed_multiplier4("vedic"),
+                "6ba48f907c77137ab7179bfb30ba46b81baea0eaf03de32aa670b4498a77eb24",
+                id="signed_vedic",
+            ),
+            pytest.param(
+                lambda: build_signed_multiplier4("array"),
+                "ca1f4e338d6860e192fb249fac5af02491e3ac5ecc001133d0d551e56f0c1807",
+                id="signed_array",
+            ),
+            pytest.param(
+                lambda: complex_multiply_unit(4, Twiddle.quantized(1, 4, 3)),
+                "51fec2e3c89399fddf94a24d8bed4d14958b93f2381e4a94d2dd2b00a30cb3f2",
+                id="cmul_q3_vedic",
+            ),
+            pytest.param(
+                lambda: complex_multiply_unit(4, Twiddle.quantized(1, 4, 3), "array"),
+                "ef383638b19ef2982d246c41b799e7e533941c1f9f889dee19ec93e81de4ef1e",
+                id="cmul_q3_array",
+            ),
+            pytest.param(
+                lambda: complex_multiply_unit(4, Twiddle.exact(1, 4)),
+                "b7f50d9e6210ce68400408dc69c1ed30fc79afb6064ecc21e7b3e1b78bea363e",
+                id="cmul_exact_minus_j",
+            ),
+            pytest.param(
+                lambda: build_fft4(Q3, "array"),
+                "9c05384dafec4a5ede0076d91ff6f7b8a9a48b78ca96b1bceb5bf1b179b7bd41",
+                id="fft4_q3_array",
+            ),
+            pytest.param(
+                lambda: build_reconfigurable_fft(Q3, "array"),
+                "6d81051cfa9adae27057d7ab16dc3cc9e7fd225afaa55131c284592ba429327d",
+                id="reconfigurable_q3_array",
+            ),
+        ],
+    )
+    def test_dump_bytes_pinned(self, build, digest):
+        text = dump_netlist(build())
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "build,message",
+        [
+            pytest.param(
+                lambda: complex_multiply_unit(5, Twiddle.quantized(1, 4, 9), "bogus"),
+                PINNED,
+                id="cmul-width-first",
+            ),
+            pytest.param(
+                lambda: complex_multiply_unit(5, Twiddle.exact(1, 4)),
+                PINNED,
+                id="cmul-width-exact",
+            ),
+            pytest.param(
+                lambda: complex_multiply_unit(4, ZERO_Q9, "bogus"),
+                "Q1.9 coefficient does not fit the 4-bit core",
+                id="cmul-fits-core-before-zero",
+            ),
+            pytest.param(
+                lambda: complex_multiply_unit(4, ZERO_Q3, "bogus"),
+                "quantized twiddle rounds to zero, product would vanish",
+                id="cmul-zero-before-impl",
+            ),
+            pytest.param(
+                lambda: complex_multiply_unit(4, Twiddle.quantized(1, 4, 3), "bogus"),
+                BOGUS,
+                id="cmul-impl",
+            ),
+            pytest.param(
+                lambda: build_signed_multiplier4("bogus"), BOGUS, id="signed-impl"
+            ),
+            pytest.param(
+                lambda: build_butterfly2(1), "width must be >= 2, got 1", id="butterfly"
+            ),
+            pytest.param(
+                lambda: build_fft4("q3", "bogus"),
+                "expected FftConfig, got str",
+                id="fft4-config-first",
+            ),
+            pytest.param(
+                lambda: build_fft4(FftConfig(4, "quantized", 4, 5), "bogus"),
+                "Q1.4 coefficient does not fit the 4-bit core",
+                id="fft4-fits-core-before-width",
+            ),
+            pytest.param(
+                lambda: build_fft4(FftConfig(4, "quantized", 3, 5), "bogus"),
+                PINNED,
+                id="fft4-width-before-impl",
+            ),
+            pytest.param(lambda: build_fft4(Q3, "bogus"), BOGUS, id="fft4-impl"),
+            pytest.param(
+                lambda: build_reconfigurable_fft("q3", "bogus"),
+                "expected FftConfig, got str",
+                id="reconfigurable-config-first",
+            ),
+            pytest.param(
+                lambda: build_reconfigurable_fft(FftConfig(4, "quantized", 4, 5), "bogus"),
+                "Q1.4 coefficient does not fit the 4-bit core",
+                id="reconfigurable-fits-core-before-width",
+            ),
+            pytest.param(
+                lambda: build_reconfigurable_fft(FftConfig(4, "quantized", 3, 5), "bogus"),
+                PINNED,
+                id="reconfigurable-width-before-impl",
+            ),
+            pytest.param(
+                lambda: build_reconfigurable_fft(Q3, "bogus"),
+                BOGUS,
+                id="reconfigurable-impl",
+            ),
+        ],
+    )
+    def test_rejection_message_and_precedence(self, build, message):
+        with pytest.raises(NetlistError) as excinfo:
+            build()
+        assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            pytest.param(lambda: build_fft4(FftConfig(), "bogus"), id="fft4"),
+            pytest.param(
+                lambda: build_fft4(FftConfig(input_width=5), "bogus"), id="fft4-width5"
+            ),
+            pytest.param(
+                lambda: build_reconfigurable_fft(FftConfig(), "bogus"),
+                id="reconfigurable",
+            ),
+            pytest.param(
+                lambda: complex_multiply_unit(4, Twiddle.exact(1, 4), "bogus"),
+                id="cmul",
+            ),
+        ],
+    )
+    def test_unknown_multiplier_rejected_in_exact_mode(self, build):
+        with pytest.raises(NetlistError) as excinfo:
+            build()
+        assert str(excinfo.value) == BOGUS
+
+    @pytest.mark.parametrize("name", unit_names())
+    def test_unit_is_validated_once(self, monkeypatch, name):
+        validated = []
+        validate = Netlist._validate
+
+        def counting(self):
+            validated.append(self.name)
+            return validate(self)
+
+        monkeypatch.setattr(Netlist, "_validate", counting)
+        build_unit(name)
+        assert validated == [name]

@@ -49,6 +49,36 @@ class TestBuilder:
         with pytest.raises(NetlistError):
             b.add_gate("NOT", [999])
 
+    @pytest.mark.parametrize("bad", [1.0, True, -1, 2, "0"])
+    def test_input_net_must_be_an_existing_int(self, bad):
+        b = NetlistBuilder("t")
+        x = b.add_input("x", 2)[0]
+        with pytest.raises(NetlistError) as excinfo:
+            b.add_gate("AND", [x, bad])
+        assert str(excinfo.value) == f"unknown input net {bad}"
+        assert b._gates == []
+
+    @pytest.mark.parametrize("bad", [0.0, False, -1, 3])
+    def test_output_net_must_be_an_existing_int(self, bad):
+        b = NetlistBuilder("t")
+        x = b.add_input("x", 2)[0]
+        o = b.add_gate("NOT", [x])
+        with pytest.raises(NetlistError) as excinfo:
+            b.set_output("o", [o, bad])
+        assert str(excinfo.value) == f"unknown net {bad} in output bus o"
+
+    def test_kind_by_name_or_member(self):
+        b = NetlistBuilder("t")
+        x = b.add_input("x", 1)[0]
+        b.add_gate("nand", [x, x])
+        b.add_gate(GateKind.XOR, [x, x])
+        b.add_gate("NOT", [x])
+        assert [g.kind for g in b._gates] == [GateKind.NAND, GateKind.XOR, GateKind.NOT]
+        for bad in ("MUX", ["AND"], 3):
+            with pytest.raises(NetlistError) as excinfo:
+                b.add_gate(bad, [x, x])
+            assert str(excinfo.value) == f"unknown gate kind {bad!r}"
+
     def test_xor_with_itself_is_zero(self):
         b = NetlistBuilder("t")
         x = b.add_input("x", 1)[0]
@@ -159,8 +189,8 @@ class TestAnalysis:
         b = NetlistBuilder("t")
         x = b.add_input("x", 1)[0]
         y = b.add_input("y", 1)[0]
-        out = b.instantiate(base, {"x": [x], "y": [y]})["o"]
-        b.set_output("o", [b.add_gate("NOT", out)])
+        out = b.add_gate("AND", [x, y])
+        b.set_output("o", [b.add_gate("NOT", [out])])
         extended = b.finalize()
         assert extended.critical_path_depth() >= base.critical_path_depth()
         assert extended.critical_path_depth() == 2
@@ -202,32 +232,6 @@ class TestAnalysis:
         input_bits = {n for nets in net.inputs.values() for n in nets}
         driven = input_bits | set(net.consts.values()) | {g.output for g in net.gates}
         assert net.nets == driven
-
-
-class TestInstantiate:
-    def test_composition_preserves_gates(self, vedic2x2):
-        b = NetlistBuilder("t")
-        a = b.add_input("a", 2)
-        c = b.add_input("b", 2)
-        out = b.instantiate(vedic2x2, {"a": a, "b": c})
-        b.set_output("p", out["p"])
-        net = b.finalize()
-        assert net.gate_counts() == vedic2x2.gate_counts()
-        pairs = [(x, y) for x in range(4) for y in range(4)]
-        got = net.evaluate_batch({"a": [x for x, _ in pairs], "b": [y for _, y in pairs]})
-        assert got["p"] == [x * y for x, y in pairs]
-
-    def test_width_mismatch_rejected(self, vedic2x2):
-        b = NetlistBuilder("t")
-        a = b.add_input("a", 3)
-        with pytest.raises(NetlistError):
-            b.instantiate(vedic2x2, {"a": a, "b": a})
-
-    def test_unconnected_input_rejected(self, vedic2x2):
-        b = NetlistBuilder("t")
-        a = b.add_input("a", 2)
-        with pytest.raises(NetlistError, match="unconnected"):
-            b.instantiate(vedic2x2, {"a": a})
 
 
 def _direct(gates=(), inputs=None, outputs=None, consts=None, name="t"):
