@@ -34,7 +34,7 @@ from .arith import (
     check_impl,
     ripple_add,
 )
-from .netlist import Netlist, NetlistBuilder, NetlistError, to_signed
+from .netlist import Netlist, NetlistBuilder, NetlistError
 
 # Quarter-turn rotations: value of W4^r for r = 0..3.
 _QUARTER_TURNS = ((1, 0), (0, -1), (-1, 0), (0, 1))
@@ -632,18 +632,14 @@ def run_fft_batch(
         columns[f"x{i}_im"] = [xs[i].im & in_mask for xs in coerced]
     outs = net.evaluate_batch(columns)
     width = net.output_width("X0_re")
-    parts = [(outs[f"X{k}_re"], outs[f"X{k}_im"]) for k in range(4)]
+    # Two's complement by column: flipping the sign bit and subtracting
+    # its weight maps [0, 2**width) onto [-h, h).
+    h = 1 << (width - 1)
+    signed = {bus: [(x ^ h) - h for x in col] for bus, col in outs.items()}
+    bins = [map(FixedComplex, signed[f"X{k}_re"], signed[f"X{k}_im"]) for k in range(4)]
     return [
-        FftResult(
-            tuple(
-                FixedComplex(to_signed(re[v], width), to_signed(im[v], width))
-                for re, im in parts
-            ),
-            width,
-            config.scale_log2,
-            config.select,
-        )
-        for v in range(len(coerced))
+        FftResult(spectrum, width, config.scale_log2, config.select)
+        for spectrum in zip(*bins)
     ]
 
 

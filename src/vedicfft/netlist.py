@@ -20,7 +20,10 @@ is compiled with those scalar bits as constants, so the logic they make
 idle drops out; each distinct scalar assignment (none included) compiles
 one program on its first evaluation, cached per netlist. Threads that race
 on that first call each compile the same program, and the last assignment
-wins.
+wins. Columns are transposed into lane words, and lane words back into
+values, through byte buffers of one item per vector: a bus costs a fixed
+number of buffer and big-int operations and each bus bit one stride
+slice, with no Python call per vector up to 64 bits.
 
 Cost model: every gate costs one delay unit and one unit of area, wires are
 free. ``critical_path_depth`` and ``gate_counts`` report those two metrics.
@@ -31,6 +34,8 @@ from __future__ import annotations
 import enum
 import heapq
 import re
+import sys
+from array import array
 from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
 from itertools import compress
@@ -139,6 +144,85 @@ def _driver_name(driver: tuple[str, int] | int | Gate) -> str:
     if isinstance(driver, tuple):
         return f"input {driver[0]}[{driver[1]}]"
     return f"const{driver}"
+
+
+# The C type code of each item size in bytes, for ``array``.
+_ITEM_CODE = {array(code).itemsize: code for code in "BHILQ"}
+_BIG_ENDIAN = sys.byteorder == "big"
+
+
+def _item_size(width: int) -> int:
+    """Bytes per vector when a ``width``-bit bus is laid out as a buffer:
+    1, 2, 4 or 8 up to 64 bits, so that the buffer is a C array; whole
+    bytes above."""
+    if width > 64:
+        return (width + 7) // 8
+    return 1 << max(0, (width - 1).bit_length() - 3)
+
+
+def _pack_lanes(col: Sequence[int], width: int) -> list[int]:
+    """Transpose a column of n values into the bus's lane words: word k
+    holds bit k of vector i at bit i.
+
+    The column becomes a buffer of one little-endian item per vector, read
+    as one int, so bit k of vector i is bit ``step * i + k`` with ``step``
+    the item's bit size. In the int's binary string, MSB first, every
+    step-th digit from ``step - 1 - k`` is then word k, last vector first.
+    ``evaluate_batch`` has checked the column's minimum and maximum
+    against ``[0, 2**width)``; a non-int value between them raises
+    TypeError here.
+    One lane needs no buffer: its word k is bit k of the value.
+    """
+    if len(col) == 1:
+        value = col[0]
+        return [(value >> k) & 1 for k in range(width)]
+    if type(col) is not list:
+        # ``bytes`` and ``array`` read a buffer's raw bytes, not its items.
+        col = list(col)
+    size = _item_size(width)
+    if size == 1:
+        items = bytes(col)
+    elif size <= 8:
+        items = array(_ITEM_CODE[size], col)
+        if _BIG_ENDIAN:
+            items.byteswap()
+    else:
+        items = b"".join([int.to_bytes(v, size, "little") for v in col])
+    step = 8 * size
+    digits = format(int.from_bytes(items, "little"), f"0{step * len(col)}b")
+    return [int(digits[step - 1 - k :: step], 2) for k in range(width)]
+
+
+def _unpack_lanes(words: list[int], n: int) -> list[int]:
+    """The inverse of :func:`_pack_lanes`: the n values of a bus whose bit k
+    has lane word ``words[k]``.
+
+    Each word's n digits go into the binary string of the buffer at the
+    same stride, the string is parsed once, and the buffer is read back as
+    C items (or per vector, above 64 bits). One lane needs none of it: its
+    bits, MSB first, are the value.
+    """
+    if n == 1:
+        value = 0
+        for word in reversed(words):
+            value = (value << 1) | word
+        return [value]
+    size = _item_size(len(words))
+    step = 8 * size
+    digits = bytearray(b"0") * (step * n)
+    spec = f"0{n}b"
+    for k, word in enumerate(words):
+        digits[step - 1 - k :: step] = format(word, spec).encode()
+    data = int(digits, 2).to_bytes(size * n, "little")
+    if size > 8:
+        return [
+            int.from_bytes(data[i : i + size], "little")
+            for i in range(0, len(data), size)
+        ]
+    items = array(_ITEM_CODE[size], data)
+    if _BIG_ENDIAN:
+        items.byteswap()
+    return items.tolist()
 
 
 def _check_bus_name(name: str) -> str:
@@ -405,7 +489,9 @@ class Netlist:
         which their bits are constants, so the logic they idle is not
         simulated. This is the one simulation entry point: the only code
         that packs vectors into lane words and runs the gate kernel. One
-        vector is a one-lane batch.
+        vector is a one-lane batch. The transposition is
+        :func:`_pack_lanes` on the way in and :func:`_unpack_lanes` on the
+        way out.
         """
         self._check_buses(columns)
         tied = {}
@@ -449,29 +535,21 @@ class Netlist:
             width = len(slots)
             try:
                 bad = min(col) < 0 or max(col) >> width
+                if not bad:
+                    lanes = _pack_lanes(col, width)
             except TypeError:
                 bad = True
             if bad:
                 raise NetlistError(
                     f"input {bus} values must be integers in [0, 2**{width})"
                 )
-            # Transpose by stride slices: one MSB-first string of every
-            # vector, last vector first, so every width-th character from
-            # width-1-k is the lane word of bus bit k with vector i at bit i.
-            bits = "".join([format(v, f"0{width}b") for v in reversed(col)])
-            for k, s in enumerate(slots):
-                values[s] = int(bits[width - 1 - k :: width], 2)
+            for s, word in zip(slots, lanes):
+                values[s] = word
         self._run(p, values, mask)
-        result = {}
-        for bus, slots in p.out_slots.items():
-            # The inverse: the lane words side by side, MSB slot first, so
-            # every n-th character from n-1-i spells vector i MSB first.
-            word = 0
-            for s in reversed(slots):
-                word = (word << n) | values[s]
-            bits = format(word, f"0{len(slots) * n}b")
-            result[bus] = [int(bits[j::n], 2) for j in range(n - 1, -1, -1)]
-        return result
+        return {
+            bus: _unpack_lanes([values[s] for s in slots], n)
+            for bus, slots in p.out_slots.items()
+        }
 
     # -- static analysis ----------------------------------------------------
 
@@ -480,7 +558,11 @@ class Netlist:
         if self._depth is None:
             depth = dict.fromkeys(self.nets, 0)
             for gate in self._order:
-                depth[gate.output] = 1 + max(depth[n] for n in gate.inputs)
+                # A NOT reads one net: inputs[-1] is inputs[0].
+                inputs = gate.inputs
+                a = depth[inputs[0]]
+                b = depth[inputs[-1]]
+                depth[gate.output] = a + 1 if a > b else b + 1
             out_nets = {n for nets in self.outputs.values() for n in nets}
             self._depth = max((depth[n] for n in out_nets), default=0)
         return self._depth

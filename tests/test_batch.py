@@ -16,6 +16,7 @@ import itertools
 import random
 import sys
 import threading
+from array import array
 
 import pytest
 
@@ -300,6 +301,95 @@ def test_lane_counts(recon_q3, n):
     vectors = input_vectors(recon_q3, random.Random(n))[:n]
     assert len(vectors) == n
     assert_batch_matches_reference(recon_q3, vectors)
+
+
+# Bus widths on either side of each item size a column is laid out in (1,
+# 2, 4 and 8 bytes) and above 64 bits, where items are whole bytes.
+BUS_WIDTHS = [1, 7, 8, 9, 16, 17, 32, 33, 64, 65, 100]
+
+
+@pytest.mark.parametrize("lanes", [1, 2, 8, 9, 1000])
+@pytest.mark.parametrize("width", BUS_WIDTHS)
+def test_bus_widths_and_lane_counts(width, lanes):
+    # Every bus of the adder is this wide except the 1-bit cin and cout.
+    net = build_ripple_adder(width)
+    rng = random.Random(width * 10000 + lanes)
+    zeros = dict.fromkeys(net.inputs, 0)
+    ones = {bus: (1 << net.input_width(bus)) - 1 for bus in net.inputs}
+    vectors = [zeros, ones] + [
+        {bus: rng.randrange(1 << net.input_width(bus)) for bus in net.inputs}
+        for _ in range(max(lanes - 2, 0))
+    ]
+    batches = [[zeros], [ones]] if lanes == 1 else [vectors]
+    for batch in batches:
+        columns = {bus: [v[bus] for v in batch] for bus in net.inputs}
+        want = reference_outputs(net, batch)
+        assert net.evaluate_batch(columns) == want
+        as_tuples = {bus: tuple(col) for bus, col in columns.items()}
+        assert net.evaluate_batch(as_tuples) == want
+    # A range column: the top `lanes` values of the bus, where they fit.
+    top = 1 << width
+    if lanes <= top:
+        b = range(top - lanes, top)
+        batch = [{**v, "b": value} for v, value in zip(vectors, b)]
+        columns = {bus: [v[bus] for v in batch] for bus in net.inputs}
+        assert net.evaluate_batch({**columns, "b": b}) == reference_outputs(net, batch)
+
+
+BUFFER_COLUMNS = {
+    "bytes": bytes,
+    "bytearray": bytearray,
+    "array-B": lambda values: array("B", values),
+    "array-H": lambda values: array("H", values),
+    "array-Q": lambda values: array("Q", values),
+    "memoryview-H": lambda values: memoryview(array("H", values)),
+}
+
+
+@pytest.mark.parametrize("kind", BUFFER_COLUMNS)
+@pytest.mark.parametrize("width", [8, 16, 64])
+def test_buffer_columns(width, kind):
+    # A column that exposes a buffer holds its items, whatever their size.
+    net = build_ripple_adder(width)
+    values = [0, 1, 200, 255, 7]
+    columns = {"a": values, "b": values[::-1], "cin": [0, 1, 0, 1, 1]}
+    want = net.evaluate_batch(columns)
+    assert net.evaluate_batch({**columns, "a": BUFFER_COLUMNS[kind](values)}) == want
+
+
+@pytest.mark.parametrize("width", [8, 64])
+def test_no_call_per_vector(width):
+    # Up to 64 bits a bus is packed and unpacked with a fixed number of
+    # calls, Python or C, whatever the lane count.
+    net = build_ripple_adder(width)
+
+    def calls(lanes):
+        rng = random.Random(lanes)
+        columns = {
+            bus: [rng.randrange(1 << net.input_width(bus)) for _ in range(lanes)]
+            for bus in net.inputs
+        }
+        net.evaluate_batch(columns)  # compiles the program
+        events = []
+        sys.setprofile(lambda frame, event, arg: events.append(event))
+        try:
+            net.evaluate_batch(columns)
+        finally:
+            sys.setprofile(None)
+        return sum(event in ("call", "c_call") for event in events)
+
+    assert calls(2) == calls(1000)
+
+
+@pytest.mark.parametrize("width", [2, 16, 65])
+@pytest.mark.parametrize("value", [0.5, 1.0])
+def test_non_int_between_column_bounds(width, value):
+    # The value is neither the column's minimum nor its maximum, so only
+    # packing the column meets it.
+    net = build_ripple_adder(width)
+    top = (1 << width) - 1
+    with pytest.raises(NetlistError, match=rf"\[0, 2\*\*{width}\)"):
+        net.evaluate_batch({"a": [0, value, top], "b": [0, 0, 0], "cin": [0, 0, 0]})
 
 
 class TestBatchRejections:
