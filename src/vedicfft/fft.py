@@ -20,6 +20,7 @@ import cmath
 import functools
 import json
 import math
+import operator
 import re
 from dataclasses import dataclass
 from typing import Sequence
@@ -47,10 +48,11 @@ def dft_oracle(x: Sequence[complex], n: int | None = None) -> list[complex]:
     """Direct evaluation of X(k) = sum_n x(n) W_N^(nk), W_N = e^(-2pi j/N).
 
     For N in {1, 2, 4} every twiddle is one of 1, -j, -1, j, so the sum is
-    computed by exact quarter-turn rotations: integer inputs give exact
-    Gaussian-integer results (floats hold integers exactly below 2**53).
-    Other lengths fall back to double precision; expect a few ulps of
-    rounding, well below 1e-9 for |x| <= 1e6 and N <= 4096.
+    computed by exact quarter-turn rotations (a one-lane
+    :func:`_dft_columns`): integer inputs give exact Gaussian-integer
+    results (floats hold integers exactly below 2**53). Other lengths fall
+    back to double precision; expect a few ulps of rounding, well below
+    1e-9 for |x| <= 1e6 and N <= 4096.
     """
     xs = [complex(v) for v in x]
     if n is None:
@@ -60,26 +62,49 @@ def dft_oracle(x: Sequence[complex], n: int | None = None) -> list[complex]:
     if len(xs) != n:
         raise ValueError(f"expected {n} samples, got {len(xs)}")
     if n in (1, 2, 4):
-        step = 4 // n
-        out = []
-        for k in range(n):
-            acc = complex(0, 0)
-            for idx, v in enumerate(xs):
-                r = (idx * k * step) % 4
-                if r == 0:
-                    acc += v
-                elif r == 1:
-                    acc += complex(v.imag, -v.real)
-                elif r == 2:
-                    acc -= v
-                else:
-                    acc += complex(-v.imag, v.real)
-            out.append(acc)
-        return out
+        out = _dft_columns([[part] for v in xs for part in (v.real, v.imag)], n)
+        return [complex(re[0], im[0]) for re, im in zip(out[::2], out[1::2])]
     return [
         sum(xs[m] * cmath.exp(-2j * math.pi * m * k / n) for m in range(n))
         for k in range(n)
     ]
+
+
+# W4^r (re + j im) for r = 0..3, that is 1, -j, -1, j: for the real and
+# then the imaginary part of the product, the part of the sample it is
+# (0 re, 1 im) and the operator that adds it to a bin.
+_ROTATION_TERMS = (
+    ((0, operator.add), (1, operator.add)),
+    ((1, operator.add), (0, operator.sub)),
+    ((0, operator.sub), (1, operator.sub)),
+    ((1, operator.sub), (0, operator.add)),
+)
+
+
+def _dft_columns(columns: Sequence[Sequence], n: int) -> list[list]:
+    """The DFT of N in {1, 2, 4} samples per lane, by column.
+
+    ``columns`` holds the re and im columns of samples 0..n-1 (x0_re,
+    x0_im, x1_re, ...), one lane per vector; the result holds the re and im
+    columns of bins 0..n-1 the same way. Every twiddle is a quarter turn,
+    so each output component starts at 0 and adds or subtracts one
+    component of each sample, in sample order: exact for ints, and for
+    floats the same operations, in the same order, as rotating and summing
+    complex values.
+    """
+    step = 4 // n
+    lanes = len(columns[0])
+    out = []
+    for k in range(n):
+        acc = [[0] * lanes, [0] * lanes]
+        for m in range(n):
+            terms = _ROTATION_TERMS[(m * k * step) % 4]
+            acc = [
+                list(map(op, a, columns[2 * m + part]))
+                for a, (part, op) in zip(acc, terms)
+            ]
+        out += acc
+    return out
 
 
 # -- domain types -------------------------------------------------------------
@@ -570,15 +595,16 @@ def _reconfigurable_cached(
 def _coerce_samples(
     config: FftConfig, samples: Sequence[FixedComplex | Sequence[int]]
 ) -> list[FixedComplex]:
-    """The 4 checked samples ``run_fft`` feeds the netlist (2 are zero-filled
-    with select=2)."""
+    """The 4 samples ``run_fft`` feeds the netlist (2 are zero-filled with
+    select=2); each pair is validated as :class:`FixedComplex` validates
+    its components."""
     coerced = []
     for s in samples:
         if not isinstance(s, FixedComplex):
             pair = tuple(s)
             if len(pair) != 2:
                 raise ValueError(f"sample must be a (re, im) pair, got {s!r}")
-            s = FixedComplex(int(pair[0]), int(pair[1]))
+            s = FixedComplex(*pair)
         coerced.append(s)
     if config.select == 2 and len(coerced) == 2:
         coerced += [FixedComplex(0, 0), FixedComplex(0, 0)]
@@ -586,8 +612,6 @@ def _coerce_samples(
         raise ValueError(
             f"expected 4 samples (or 2 with select=2), got {len(coerced)}"
         )
-    for s in coerced:
-        s.check_range(config.input_width)
     return coerced
 
 
@@ -597,6 +621,41 @@ def _net_for(config: FftConfig) -> Netlist:
     )
 
 
+_SAMPLE_BUSES = tuple(f"x{k}_{part}" for k in range(4) for part in ("re", "im"))
+_BIN_BUSES = tuple(f"X{k}_{part}" for k in range(4) for part in ("re", "im"))
+
+
+def _transform_columns(
+    config: FftConfig, columns: Sequence[Sequence[int]]
+) -> list[list[int]]:
+    """Simulate the reconfigurable netlist on n vectors given by column.
+
+    ``columns`` holds 8 columns of n signed components each: x0_re, x0_im,
+    .. x3_im. A component outside the input width raises the ValueError of
+    :meth:`FixedComplex.check_range` for the first one in vector order.
+    The result holds the 8 signed output columns X0_re, X0_im, .. X3_im:
+    raw values, scaled by 2^scale_log2. ``select`` is passed as a scalar,
+    so only the selected datapath is simulated: the netlist caches one
+    program per select value.
+    """
+    width = config.input_width
+    lo, hi = -(1 << (width - 1)), (1 << (width - 1)) - 1
+    if min(map(min, columns)) < lo or max(map(max, columns)) > hi:
+        for row in zip(*columns):
+            for re, im in zip(row[::2], row[1::2]):
+                FixedComplex(re, im).check_range(width)
+    net = _net_for(config)
+    mask = (1 << width) - 1
+    inputs: dict[str, int | list[int]] = {"select": int(config.select == 4)}
+    for bus, col in zip(_SAMPLE_BUSES, columns):
+        inputs[bus] = [v & mask for v in col]
+    outs = net.evaluate_batch(inputs)
+    # Two's complement by column: flipping the sign bit and subtracting
+    # its weight maps [0, 2**w) onto [-h, h).
+    h = 1 << (net.output_width("X0_re") - 1)
+    return [[(v ^ h) - h for v in outs[bus]] for bus in _BIN_BUSES]
+
+
 def run_fft(
     config: FftConfig, samples: Sequence[FixedComplex | Sequence[int]]
 ) -> FftResult:
@@ -604,8 +663,8 @@ def run_fft(
     :func:`run_fft_batch`.
 
     Expects 4 samples; with select=2, two samples are also accepted (the
-    unused upper slots are zero-filled). Components must fit the configured
-    input width.
+    unused upper slots are zero-filled). Components must be ints, as
+    :class:`FixedComplex` requires, and fit the configured input width.
     """
     return run_fft_batch(config, [samples])[0]
 
@@ -613,30 +672,19 @@ def run_fft(
 def run_fft_batch(
     config: FftConfig, sample_lists: Sequence[Sequence[FixedComplex | Sequence[int]]]
 ) -> list[FftResult]:
-    """Encode every sample list, evaluate the reconfigurable netlist on all
-    of them in one gate pass, and decode the outputs.
+    """Evaluate the reconfigurable netlist on every sample list in one gate
+    pass (:func:`_transform_columns`) and decode the outputs.
 
     Each list is checked as :func:`run_fft` documents; element i of the
-    result is the spectrum of ``sample_lists[i]``. ``select`` is passed as
-    a scalar, so only the selected datapath is simulated: the netlist
-    caches one program per select value.
+    result is the spectrum of ``sample_lists[i]``.
     """
     coerced = [_coerce_samples(config, samples) for samples in sample_lists]
     if not coerced:
         return []
-    net = _net_for(config)
-    in_mask = (1 << config.input_width) - 1
-    columns: dict[str, int | list[int]] = {"select": int(config.select == 4)}
-    for i in range(4):
-        columns[f"x{i}_re"] = [xs[i].re & in_mask for xs in coerced]
-        columns[f"x{i}_im"] = [xs[i].im & in_mask for xs in coerced]
-    outs = net.evaluate_batch(columns)
-    width = net.output_width("X0_re")
-    # Two's complement by column: flipping the sign bit and subtracting
-    # its weight maps [0, 2**width) onto [-h, h).
-    h = 1 << (width - 1)
-    signed = {bus: [(x ^ h) - h for x in col] for bus, col in outs.items()}
-    bins = [map(FixedComplex, signed[f"X{k}_re"], signed[f"X{k}_im"]) for k in range(4)]
+    rows = [[part for s in xs for part in (s.re, s.im)] for xs in coerced]
+    out = _transform_columns(config, list(zip(*rows)))
+    width = _net_for(config).output_width("X0_re")
+    bins = [map(FixedComplex, out[2 * k], out[2 * k + 1]) for k in range(4)]
     return [
         FftResult(spectrum, width, config.scale_log2, config.select)
         for spectrum in zip(*bins)

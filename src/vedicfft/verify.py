@@ -4,16 +4,29 @@ Each unit is checked against an independent oracle: Python integer
 arithmetic for the multipliers/adders and the direct DFT sum for the FFT
 datapaths. Exhaustive sweeps are used where the input space is small
 (every 4-bit operand pair); fixed-seed random sweeps elsewhere, so every
-run checks the same cases and results are reproducible. A suite builds its
-cases first and simulates them in one batch per netlist
-(``Netlist.evaluate_batch``), then checks them in order.
+run, on every supported Python, checks the same cases and results are
+reproducible. A suite builds its cases first and simulates them in one
+batch per netlist (``Netlist.evaluate_batch``), then checks them.
+
+The adder, subtractor and FFT suites work by column and build no object
+per case. Each random column comes from one ``Random.getrandbits`` call
+whose bytes are read as items: the FFT samples are its nibbles,
+sign-extended by ``bytes.translate`` (:func:`_draw`). The FFT suite
+simulates its columns with ``fft._transform_columns`` and takes the
+oracle from ``fft._dft_columns``, the column form of ``dft_oracle``. A
+check compares per-case rows (``zip(*columns)``) in one
+``_Tally.check_all`` call, which formats the detail of the first failing
+case only, naming its samples.
 """
 
 from __future__ import annotations
 
 import random
+import sys
+from array import array
 from dataclasses import dataclass
-from typing import Callable
+from operator import add, eq, mul, sub
+from typing import Callable, Sequence
 
 from . import arith, fft
 from .netlist import to_signed
@@ -55,6 +68,16 @@ class _Tally:
             self.failed += 1
             if not self.detail and detail is not None:
                 self.detail = detail()
+
+    def check_all(self, oks: list[bool], detail: Callable[[int], str]):
+        """One check per case i, failed where ``oks[i]`` is false;
+        ``detail(i)`` describes the first failing case."""
+        self.checked += len(oks)
+        failed = oks.count(False)
+        if failed:
+            self.failed += failed
+            if not self.detail:
+                self.detail = detail(oks.index(False))
 
     def result(self) -> UnitResult:
         return UnitResult(self.unit, self.checked, self.failed, self.detail)
@@ -102,55 +125,56 @@ def _verify_4x4(unit: str) -> UnitResult:
     return t.result()
 
 
+def _random_column(rng: random.Random, n: int, width: int) -> list[int]:
+    """n values uniform over [0, 2**width), width 1, 8 or 16, from one
+    ``getrandbits`` call: its little-endian bytes read as n items."""
+    bits = rng.getrandbits(width * n)
+    if width == 1:
+        return [(bits >> i) & 1 for i in range(n)]
+    items = array("B" if width == 8 else "H", bits.to_bytes(width * n // 8, "little"))
+    if sys.byteorder == "big":
+        items.byteswap()
+    return items.tolist()
+
+
 def _verify_adder() -> UnitResult:
     t = _Tally("adder")
     cases = [(a, b, cin) for a in range(16) for b in range(16) for cin in range(2)]
-    out = _batch(arith.build_ripple_adder(4), ("a", "b", "cin"), cases)
-    for (a, b, cin), got, cout in zip(cases, out["sum"], out["cout"]):
-        total = a + b + cin
-        t.check(
-            got == total % 16 and cout == total // 16,
-            lambda: f"{a}+{b}+{cin}: got {cout}:{got}",
-        )
+    sections = [(4, *map(list, zip(*cases)))]
     rng = random.Random(41)
     for width in (8, 16):
+        n = _RANDOM_VECTORS // 2
+        columns = [_random_column(rng, n, w) for w in (width, width, 1)]
+        sections.append((width, *columns))
+    for width, a, b, cin in sections:
+        out = arith.build_ripple_adder(width).evaluate_batch({"a": a, "b": b, "cin": cin})
         mask = (1 << width) - 1
-        cases = [
-            (rng.randrange(mask + 1), rng.randrange(mask + 1), rng.randrange(2))
-            for _ in range(_RANDOM_VECTORS // 2)
-        ]
-        out = _batch(arith.build_ripple_adder(width), ("a", "b", "cin"), cases)
-        for (a, b, cin), got, cout in zip(cases, out["sum"], out["cout"]):
-            total = a + b + cin
-            t.check(
-                got == (total & mask) and cout == total >> width,
-                lambda: f"w{width} {a}+{b}+{cin}",
-            )
+        want = [(s & mask, s >> width) for s in map(add, map(add, a, b), cin)]
+        got = list(zip(out["sum"], out["cout"]))
+        t.check_all(
+            list(map(eq, got, want)),
+            lambda i: f"w{width} {a[i]}+{b[i]}+{cin[i]}: got sum, cout {got[i]}, want {want[i]}",
+        )
     return t.result()
 
 
 def _verify_subtractor() -> UnitResult:
     t = _Tally("subtractor")
     cases = [(a, b) for a in range(16) for b in range(16)]
-    out = _batch(arith.build_ripple_subtractor(4), ("a", "b"), cases)
-    for (a, b), diff, borrow in zip(cases, out["diff"], out["borrow"]):
-        t.check(
-            diff == (a - b) % 16 and borrow == int(a < b),
-            lambda: f"{a}-{b}: got {diff} borrow {borrow}",
-        )
+    sections = [(4, *map(list, zip(*cases)))]
     rng = random.Random(43)
     for width in (8, 16):
+        n = _RANDOM_VECTORS // 2
+        sections.append((width, _random_column(rng, n, width), _random_column(rng, n, width)))
+    for width, a, b in sections:
+        out = arith.build_ripple_subtractor(width).evaluate_batch({"a": a, "b": b})
         mask = (1 << width) - 1
-        cases = [
-            (rng.randrange(mask + 1), rng.randrange(mask + 1))
-            for _ in range(_RANDOM_VECTORS // 2)
-        ]
-        out = _batch(arith.build_ripple_subtractor(width), ("a", "b"), cases)
-        for (a, b), diff, borrow in zip(cases, out["diff"], out["borrow"]):
-            t.check(
-                diff == ((a - b) & mask) and borrow == int(a < b),
-                lambda: f"w{width} {a}-{b}",
-            )
+        want = [(d & mask, int(d < 0)) for d in map(sub, a, b)]
+        got = list(zip(out["diff"], out["borrow"]))
+        t.check_all(
+            list(map(eq, got, want)),
+            lambda i: f"w{width} {a[i]}-{b[i]}: got diff, borrow {got[i]}, want {want[i]}",
+        )
     return t.result()
 
 
@@ -172,125 +196,161 @@ def _verify_signed4x4() -> UnitResult:
     return t.result()
 
 
-def _rand_vector(rng: random.Random, lo: int = -8, hi: int = 7):
-    return [
-        fft.FixedComplex(rng.randint(lo, hi), rng.randint(lo, hi)) for _ in range(4)
-    ]
+def _sign_table(bits: int, shift: int) -> bytes:
+    """Byte b to the two's-complement value of its ``bits``-bit field at
+    bit ``shift``, as a byte that ``array("b")`` reads back signed."""
+    h = 1 << (bits - 1)
+    return bytes(((((b >> shift) & (2 * h - 1)) ^ h) - h) & 0xFF for b in range(256))
+
+
+# Per component bit count: the tables of the re (low) and im (high) nibble.
+_SIGN_TABLES = {bits: (_sign_table(bits, 0), _sign_table(bits, 4)) for bits in (3, 4)}
+
+
+def _draw(rng: random.Random, n: int, bits: int = 4) -> list[array]:
+    """n random 4-sample vectors as the 8 columns x0_re, x0_im, .. x3_im,
+    every component uniform over [-2**(bits - 1), 2**(bits - 1)).
+
+    One ``getrandbits(32 * n)`` call: byte 4i + k of its little-endian
+    bytes is sample k of vector i, re in the low nibble and im in the high
+    one, sign-extended by one ``bytes.translate`` per part.
+    """
+    raw = rng.getrandbits(32 * n).to_bytes(4 * n, "little")
+    re, im = (array("b", raw.translate(table)) for table in _SIGN_TABLES[bits])
+    return [part[k::4] for k in range(4) for part in (re, im)]
+
+
+def _fft_sections() -> dict[str, list[array]]:
+    """The FFT suite's sample columns, section by section, drawn in this
+    order from one rng seeded 47."""
+    rng = random.Random(47)
+    # Basis vectors and DC, real and imaginary: vector k (k < 4) is 1 at
+    # sample k, vector 4 + k is j at sample k, vector 8 is 1 everywhere.
+    basis = [array("b", bytes(9)) for _ in range(8)]
+    for k in range(4):
+        basis[2 * k][k] = basis[2 * k][8] = 1
+        basis[2 * k + 1][4 + k] = 1
+    exact4 = [b + x for b, x in zip(basis, _draw(rng, _RANDOM_VECTORS))]
+    # select=2 reads x0 and x1 only.
+    exact2 = _draw(rng, 400)[:4] + [array("b", bytes(400))] * 4
+    # Linearity: x is the first 200 vectors and y the last 200; components
+    # in [-4, 3] keep x + y in range.
+    linearity = _draw(rng, 400, bits=3)
+    # Time reversal on real vectors.
+    time_reversal = _draw(rng, 200)
+    time_reversal[1::2] = [array("b", bytes(200))] * 4
+    quantized = _draw(rng, _RANDOM_VECTORS)
+    return {
+        "exact4": exact4,
+        "exact2": exact2,
+        "linearity": linearity,
+        "time_reversal": time_reversal,
+        "quantized": quantized,
+    }
+
+
+def _vector(columns: Sequence[Sequence[int]], i: int) -> list[tuple[int, int]]:
+    """Vector i of re/im column pairs, as (re, im) pairs."""
+    return [(re[i], im[i]) for re, im in zip(columns[::2], columns[1::2])]
+
+
+def _same_rows(got: Sequence[Sequence[int]], want: Sequence[Sequence[int]]) -> list[bool]:
+    """Per case i, whether row i of the columns ``got`` equals that of ``want``."""
+    return list(map(eq, zip(*got), zip(*want)))
+
+
+def _energy(columns: Sequence[Sequence[int]]) -> list[int]:
+    """Per case, the sum of the squares of its components."""
+    return [sum(map(mul, row, row)) for row in zip(*columns)]
+
+
+def _reversed_index(columns: list) -> list:
+    """Sample (or bin) columns in the order 0, 3, 2, 1: index -k mod 4."""
+    return columns[0:2] + columns[6:8] + columns[4:6] + columns[2:4]
 
 
 def _verify_fft() -> UnitResult:
-    # Each section draws its cases from the shared rng, checks them in one
-    # batch and drops them before the next section draws: the cases stay
-    # those of the original one-at-a-time order, and peak memory stays flat.
     t = _Tally("fft")
     exact4 = fft.FftConfig(select=4)
     exact2 = fft.FftConfig(select=2)
     quant4 = fft.FftConfig(4, "quantized", 3, 4)
+    run = fft._transform_columns
+    sections = _fft_sections()
+
+    xs = sections["exact4"]
+    got = run(exact4, xs)
+    want = fft._dft_columns(xs, 4)
+    t.check_all(
+        _same_rows(got, want),
+        lambda i: f"select=4 x={_vector(xs, i)}: "
+        f"got {_vector(got, i)}, want {_vector(want, i)}",
+    )
+    # Parseval: sum |X|^2 == 4 * sum |x|^2, exact in integers.
+    energy_in, energy_out = _energy(xs), _energy(got)
+    t.check_all(
+        [e_out == 4 * e_in for e_out, e_in in zip(energy_out, energy_in)],
+        lambda i: f"Parseval x={_vector(xs, i)}: {energy_out[i]} != 4*{energy_in[i]}",
+    )
+
+    xs = sections["exact2"]
+    got = run(exact2, xs)
+    want = fft._dft_columns(xs[:4], 2)
+    t.check_all(
+        _same_rows(got[:4], want),
+        lambda i: f"select=2 x={_vector(xs[:4], i)}: "
+        f"got {_vector(got[:4], i)}, want {_vector(want, i)}",
+    )
+    t.check_all(
+        [not any(row) for row in zip(*got[4:])],
+        lambda i: f"upper slots not zero for x={_vector(xs[:4], i)}: {_vector(got[4:], i)}",
+    )
     butterfly = fft.build_butterfly2(4)
-
-    def oracle_cases(config, vectors, n):
-        results = fft.run_fft_batch(config, vectors)
-        if n == 2:
-            bf = _batch(
-                butterfly,
-                ("x0_re", "x0_im", "x1_re", "x1_im"),
-                [(x[0].re & 15, x[0].im & 15, x[1].re & 15, x[1].im & 15) for x in vectors],
-            )
-            bf_width = butterfly.output_width("X0_re")
-        for i, (samples, result) in enumerate(zip(vectors, results)):
-            want = fft.dft_oracle([s.to_complex() for s in samples[:n]], n)
-            got = result.values[:n]
-            t.check(
-                got == want,
-                lambda: f"select={n} x={samples}: got {got}, want {want}",
-            )
-            if n == 4:
-                # Parseval: sum |X|^2 == 4 * sum |x|^2, exact in integers
-                # (avoid abs(), whose square root is not exact).
-                energy_in = sum(s.re**2 + s.im**2 for s in samples)
-                energy_out = sum(v.real**2 + v.imag**2 for v in result.values)
-                t.check(
-                    energy_out == 4 * energy_in,
-                    lambda: f"Parseval x={samples}: {energy_out} != 4*{energy_in}",
-                )
-            else:
-                upper = result.values[2:]
-                t.check(upper == [0j, 0j], lambda: f"upper slots not zero: {upper}")
-                standalone = [
-                    complex(
-                        to_signed(bf[f"X{k}_re"][i], bf_width),
-                        to_signed(bf[f"X{k}_im"][i], bf_width),
-                    )
-                    for k in range(2)
-                ]
-                t.check(
-                    got == standalone,
-                    lambda: f"select=2 disagrees with butterfly: {got} vs {standalone}",
-                )
-
-    def linearity(pairs):
-        sums = [
-            [fft.FixedComplex(a.re + b.re, a.im + b.im) for a, b in zip(x, y)]
-            for x, y in pairs
-        ]
-        results = fft.run_fft_batch(exact4, [v for x, y in pairs for v in (x, y)] + sums)
-        for i, (x, y) in enumerate(pairs):
-            fx = results[2 * i].values
-            fy = results[2 * i + 1].values
-            fs = results[2 * len(pairs) + i].values
-            t.check(
-                fs == [a + b for a, b in zip(fx, fy)],
-                lambda: f"linearity broken for x={x}, y={y}",
-            )
-
-    def time_reversal(vectors):
-        flipped = [[x[0], x[3], x[2], x[1]] for x in vectors]
-        results = fft.run_fft_batch(exact4, vectors + flipped)
-        for i, x in enumerate(vectors):
-            fx = results[i].values
-            frev = results[len(vectors) + i].values
-            t.check(
-                frev == [fx[0], fx[3], fx[2], fx[1]],
-                lambda: f"time reversal broken for x={x}",
-            )
-
-    def quantized(vectors):
-        # Error bound: per component, <= N * 2^-F * max|x|.
-        bound_scale = 4 * 2.0**-3
-        for x, result in zip(vectors, fft.run_fft_batch(quant4, vectors)):
-            want = fft.dft_oracle([s.to_complex() for s in x], 4)
-            peak = max(max(abs(s.re), abs(s.im)) for s in x)
-            bound = bound_scale * peak
-            worst = max(
-                max(abs(g.real - w.real), abs(g.imag - w.imag))
-                for g, w in zip(result.values, want)
-            )
-            t.check(
-                worst <= bound,
-                lambda: f"quantized error {worst} exceeds bound {bound} for x={x}",
-            )
-
-    # Basis vectors and DC, real and imaginary.
-    basis = [[fft.FixedComplex(0, 0)] * 4 for _ in range(9)]
-    for k in range(4):
-        basis[k][k] = fft.FixedComplex(1, 0)
-        basis[4 + k][k] = fft.FixedComplex(0, 1)
-    basis[8] = [fft.FixedComplex(1, 0)] * 4
-
-    rng = random.Random(47)
-    oracle_cases(exact4, basis + [_rand_vector(rng) for _ in range(_RANDOM_VECTORS)], 4)
-    oracle_cases(
-        exact2,
-        [_rand_vector(rng)[:2] + [fft.FixedComplex(0, 0)] * 2 for _ in range(400)],
-        2,
+    bf = butterfly.evaluate_batch(
+        {bus: [v & 15 for v in col] for bus, col in zip(fft._SAMPLE_BUSES, xs[:4])}
     )
-    # Linearity on vectors whose sum stays in range.
-    linearity([(_rand_vector(rng, -4, 3), _rand_vector(rng, -4, 3)) for _ in range(200)])
-    # Time reversal on real vectors: spectrum comes back in reversed order.
-    time_reversal(
-        [[fft.FixedComplex(rng.randint(-8, 7), 0) for _ in range(4)] for _ in range(200)]
+    bf_width = butterfly.output_width("X0_re")
+    standalone = [[to_signed(v, bf_width) for v in bf[bus]] for bus in fft._BIN_BUSES[:4]]
+    t.check_all(
+        _same_rows(got[:4], standalone),
+        lambda i: f"select=2 disagrees with butterfly for x={_vector(xs[:4], i)}: "
+        f"{_vector(got[:4], i)} vs {_vector(standalone, i)}",
     )
-    quantized([_rand_vector(rng) for _ in range(_RANDOM_VECTORS)])
+
+    # Linearity: one batch of x, y and x + y.
+    xs = sections["linearity"]
+    m = len(xs[0]) // 2
+    sums = [array("b", map(add, col[:m], col[m:])) for col in xs]
+    out = run(exact4, [col + s for col, s in zip(xs, sums)])
+    fx, fy, fs = ([col[j * m : (j + 1) * m] for col in out] for j in range(3))
+    t.check_all(
+        _same_rows(fs, [list(map(add, a, b)) for a, b in zip(fx, fy)]),
+        lambda i: f"linearity broken for x={_vector(xs, i)}, y={_vector(xs, m + i)}",
+    )
+
+    # Time reversal: the spectrum of x(-n mod 4) is X(-k mod 4).
+    xs = sections["time_reversal"]
+    m = len(xs[0])
+    out = run(exact4, [a + b for a, b in zip(xs, _reversed_index(xs))])
+    fx, frev = [col[:m] for col in out], [col[m:] for col in out]
+    t.check_all(
+        _same_rows(frev, _reversed_index(fx)),
+        lambda i: f"time reversal broken for x={_vector(xs, i)}",
+    )
+
+    # Error bound, per component: |raw - 2^F want| <= N * max|x|, that is
+    # an error of at most N * 2^-F * max|x|, exact in integers.
+    xs = sections["quantized"]
+    f = quant4.fraction_bits
+    got = run(quant4, xs)
+    want = fft._dft_columns(xs, 4)
+    errors = [[abs(g - (w << f)) for g, w in zip(*cols)] for cols in zip(got, want)]
+    worst = list(map(max, *errors))
+    peak = list(map(max, *([abs(v) for v in col] for col in xs)))
+    t.check_all(
+        [e <= 4 * p for e, p in zip(worst, peak)],
+        lambda i: f"quantized error {worst[i] / (1 << f)} exceeds bound "
+        f"{4 * peak[i] / (1 << f)} for x={_vector(xs, i)}",
+    )
     return t.result()
 
 

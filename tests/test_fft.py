@@ -23,8 +23,9 @@ from vedicfft import (
     parse_samples_document,
     parse_twiddle_spec,
     run_fft,
+    run_fft_batch,
 )
-from vedicfft.fft import build_unit, unit_names
+from vedicfft.fft import _dft_columns, build_unit, unit_names
 from vedicfft.netlist import to_signed
 
 
@@ -61,6 +62,23 @@ class TestOracle:
                 got = dft_oracle(x)
                 for g, ref in zip(got, brute_dft(x)):
                     assert abs(g - ref) < 1e-9
+
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    @pytest.mark.parametrize(
+        "draw", [random.Random.randint, random.Random.uniform], ids=["int", "float"]
+    )
+    def test_columns_match_brute_force(self, n, draw):
+        rng = random.Random(13 * n)
+        columns = [[draw(rng, -8, 7) for _ in range(50)] for _ in range(2 * n)]
+        out = _dft_columns(columns, n)
+        assert len(out) == 2 * n
+        for i in range(50):
+            x = [complex(re[i], im[i]) for re, im in zip(columns[::2], columns[1::2])]
+            got = [complex(re[i], im[i]) for re, im in zip(out[::2], out[1::2])]
+            for g, ref in zip(got, brute_dft(x)):
+                assert abs(g - ref) < 1e-9
+        if draw is random.Random.randint:  # exact Gaussian integers
+            assert all(type(v) is int for col in out for v in col)
 
     def test_quarter_turn_outputs_are_exact_integers(self):
         got = dft_oracle([complex(1, 1), complex(-2, 3), complex(0, -4), complex(5, 0)])
@@ -325,6 +343,17 @@ class TestReconfigurable:
         cfg = FftConfig.make(4, "exact", 4)
         with pytest.raises(ValueError):
             run_fft(cfg, [(9, 0), (0, 0), (0, 0), (0, 0)])
+
+    @pytest.mark.parametrize("bad", [1.9, "3", True])
+    def test_rejects_non_integer_components(self, bad):
+        # As FixedComplex does: no silent int() truncation or parsing.
+        cfg = FftConfig.make(4, "exact", 4)
+        for sample in ((bad, 0), (0, bad)):
+            samples = [sample, (0, 0), (0, 0), (0, 0)]
+            with pytest.raises(ValueError, match="must be integers"):
+                run_fft(cfg, samples)
+            with pytest.raises(ValueError, match="must be integers"):
+                run_fft_batch(cfg, [[(0, 0)] * 4, samples])
 
     def test_accepts_fixed_complex_objects(self):
         cfg = FftConfig.make(4, "exact", 4)
