@@ -96,17 +96,20 @@ _ROW_ORDER = tuple(
 )
 
 
-def build_variants(fraction_bits: int = 3, input_width: int = 4) -> VariantSet:
+# Q1.3 twiddles on 4-bit samples, the configuration MODEL_NOTE names.
+_CONFIG = FftConfig(4, "quantized", 3)
+
+
+def build_variants() -> VariantSet:
     """Build all six variants with identical configuration except the
     multiplier implementation."""
-    config = FftConfig(4, "quantized", fraction_bits, input_width)
     datapaths = {
-        "conventional_2pt": build_butterfly2(input_width),
-        "vedic_2pt": build_butterfly2(input_width),
-        "conventional_4pt": build_fft4(config, "array"),
-        "vedic_4pt": build_fft4(config, "vedic"),
-        "conventional_reconfigurable": build_reconfigurable_fft(config, "array"),
-        "vedic_reconfigurable": build_reconfigurable_fft(config, "vedic"),
+        "conventional_2pt": build_butterfly2(_CONFIG.input_width),
+        "vedic_2pt": build_butterfly2(_CONFIG.input_width),
+        "conventional_4pt": build_fft4(_CONFIG, "array"),
+        "vedic_4pt": build_fft4(_CONFIG, "vedic"),
+        "conventional_reconfigurable": build_reconfigurable_fft(_CONFIG, "array"),
+        "vedic_reconfigurable": build_reconfigurable_fft(_CONFIG, "vedic"),
     }
     return VariantSet((build_vedic4x4(), build_array4x4()), datapaths)
 
@@ -126,16 +129,14 @@ def multipliers_equivalent(a: Netlist, b: Netlist) -> bool:
     return a.evaluate_batch(columns)["p"] == b.evaluate_batch(columns)["p"]
 
 
-def compare(
-    variants: VariantSet | None = None, fraction_bits: int = 3
-) -> tuple[ComparisonTable, ComparisonTable]:
+def compare(variants: VariantSet | None = None) -> tuple[ComparisonTable, ComparisonTable]:
     """Produce the (delay, area) comparison tables.
 
     Refuses to compare when the two multiplier cores are not functionally
     identical or when paired variants differ in bus structure.
     """
     if variants is None:
-        variants = build_variants(fraction_bits)
+        variants = build_variants()
     if not variants.datapaths:
         raise ComparisonError("empty variant set")
     missing = [label for label in _ROW_ORDER if label not in variants.datapaths]

@@ -5,22 +5,29 @@ arithmetic for the multipliers/adders and the direct DFT sum for the FFT
 datapaths. Exhaustive sweeps are used where the input space is small
 (every 4-bit operand pair); fixed-seed random sweeps elsewhere, so every
 run, on every supported Python, checks the same cases and results are
-reproducible. A suite builds its cases first and simulates them in one
-batch per netlist (``Netlist.evaluate_batch``), then checks them.
+reproducible.
 
-The adder, subtractor and FFT suites work by column and build no object
-per case. Each random column comes from one ``Random.getrandbits`` call
+Every suite works by column. It enumerates its operands
+(:func:`_exhaustive`) or draws them as columns, simulates them in one
+batch per netlist (``Netlist.evaluate_batch``), computes the oracle as
+columns, and records each check with one ``_Tally.check_all`` call, which
+formats the detail of the first failing case only, naming its operands.
+The only per-case objects are the digit-serial traces that are the
+vedic4x4 oracle and the ``SignedProduct`` rows of
+``arith._signed_products``. Each random column comes from one ``Random.getrandbits`` call
 whose bytes are read as items: the FFT samples are its nibbles,
 sign-extended by ``bytes.translate`` (:func:`_draw`). The FFT suite
-simulates its columns with ``fft._transform_columns`` and takes the
-oracle from ``fft._dft_columns``, the column form of ``dft_oracle``. A
-check compares per-case rows (``zip(*columns)``) in one
-``_Tally.check_all`` call, which formats the detail of the first failing
-case only, naming its samples.
+simulates its columns with ``fft._transform_columns`` and takes the oracle
+from ``fft._dft_columns``, the column form of ``dft_oracle``.
+
+The netlists are catalog units built once per process (:func:`_unit`), so
+a second pass builds and compiles nothing.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import random
 import sys
 from array import array
@@ -32,6 +39,9 @@ from . import arith, fft
 from .netlist import to_signed
 
 _RANDOM_VECTORS = 1000
+
+# The catalog unit of a name, built on first use and shared by every pass.
+_unit = functools.cache(fft.build_unit)
 
 
 @dataclass(frozen=True)
@@ -62,13 +72,6 @@ class _Tally:
         self.failed = 0
         self.detail = ""
 
-    def check(self, ok: bool, detail: Callable[[], str] | None = None):
-        self.checked += 1
-        if not ok:
-            self.failed += 1
-            if not self.detail and detail is not None:
-                self.detail = detail()
-
     def check_all(self, oks: list[bool], detail: Callable[[int], str]):
         """One check per case i, failed where ``oks[i]`` is false;
         ``detail(i)`` describes the first failing case."""
@@ -83,45 +86,40 @@ class _Tally:
         return UnitResult(self.unit, self.checked, self.failed, self.detail)
 
 
-def _batch(net, buses, cases) -> dict[str, list[int]]:
-    """One gate pass of ``net`` over ``cases``: tuples of raw unsigned values,
-    one per bus of ``buses`` in that order."""
-    return net.evaluate_batch(
-        {bus: [case[k] for case in cases] for k, bus in enumerate(buses)}
-    )
+def _exhaustive(*ranges: range) -> list[list[int]]:
+    """Every combination of one value per range, the first range slowest,
+    as one column per range."""
+    return [list(col) for col in zip(*itertools.product(*ranges))]
 
 
 def _verify_vedic2x2() -> UnitResult:
     t = _Tally("vedic2x2")
-    cases = [(a, b) for a in range(4) for b in range(4)]
-    products = _batch(arith.build_vedic2x2(), ("a", "b"), cases)["p"]
-    for (a, b), got in zip(cases, products):
-        t.check(got == a * b, lambda: f"{a}*{b}: got {got}, want {a * b}")
+    a, b = _exhaustive(range(4), range(4))
+    got = _unit("vedic2x2").evaluate_batch({"a": a, "b": b})["p"]
+    want = list(map(mul, a, b))
+    t.check_all(
+        list(map(eq, got, want)), lambda i: f"{a[i]}*{b[i]}: got {got[i]}, want {want[i]}"
+    )
     return t.result()
 
 
 def _verify_4x4(unit: str) -> UnitResult:
     t = _Tally(unit)
-    net = fft.build_unit(unit)
-    cases = [(a, b) for a in range(16) for b in range(16)]
-    products = _batch(net, ("a", "b"), cases)["p"]
-    if unit == "array4x4":
-        reference = _batch(arith.build_vedic4x4(), ("a", "b"), cases)["p"]
-    width = net.output_width("p")
-    for k, ((a, b), got) in enumerate(zip(cases, products)):
-        if unit == "vedic4x4":
-            # The digit-serial base-2 run must match the netlist bit for bit.
-            trace = arith.urdhva_decimal(a, b, base=2)
-            bits = tuple((got >> i) & 1 for i in range(width))
-            cross = trace.final + (0,) * (width - len(trace.final)) == bits
-            label = "digit-serial"
-        else:
-            cross = reference[k] == got
-            label = "vedic cross-check"
-        t.check(
-            got == a * b and cross,
-            lambda: f"{a}*{b}: got {got}, want {a * b} ({label} {'ok' if cross else 'differs'})",
-        )
+    a, b = _exhaustive(range(16), range(16))
+    got = _unit(unit).evaluate_batch({"a": a, "b": b})["p"]
+    want = list(map(mul, a, b))
+    if unit == "vedic4x4":
+        # The digit-serial base-2 run must give the netlist's product.
+        cross = [arith.urdhva_decimal(x, y, base=2).product for x, y in zip(a, b)]
+        label = "digit-serial"
+    else:
+        cross = _unit("vedic4x4").evaluate_batch({"a": a, "b": b})["p"]
+        label = "vedic cross-check"
+    t.check_all(
+        [g == w == c for g, w, c in zip(got, want, cross)],
+        lambda i: f"{a[i]}*{b[i]}: got {got[i]}, want {want[i]} "
+        f"({label} {'ok' if cross[i] == got[i] else 'differs'})",
+    )
     return t.result()
 
 
@@ -139,15 +137,14 @@ def _random_column(rng: random.Random, n: int, width: int) -> list[int]:
 
 def _verify_adder() -> UnitResult:
     t = _Tally("adder")
-    cases = [(a, b, cin) for a in range(16) for b in range(16) for cin in range(2)]
-    sections = [(4, *map(list, zip(*cases)))]
+    sections = [(4, *_exhaustive(range(16), range(16), range(2)))]
     rng = random.Random(41)
     for width in (8, 16):
         n = _RANDOM_VECTORS // 2
         columns = [_random_column(rng, n, w) for w in (width, width, 1)]
         sections.append((width, *columns))
     for width, a, b, cin in sections:
-        out = arith.build_ripple_adder(width).evaluate_batch({"a": a, "b": b, "cin": cin})
+        out = _unit(f"adder{width}").evaluate_batch({"a": a, "b": b, "cin": cin})
         mask = (1 << width) - 1
         want = [(s & mask, s >> width) for s in map(add, map(add, a, b), cin)]
         got = list(zip(out["sum"], out["cout"]))
@@ -160,14 +157,13 @@ def _verify_adder() -> UnitResult:
 
 def _verify_subtractor() -> UnitResult:
     t = _Tally("subtractor")
-    cases = [(a, b) for a in range(16) for b in range(16)]
-    sections = [(4, *map(list, zip(*cases)))]
+    sections = [(4, *_exhaustive(range(16), range(16)))]
     rng = random.Random(43)
     for width in (8, 16):
         n = _RANDOM_VECTORS // 2
         sections.append((width, _random_column(rng, n, width), _random_column(rng, n, width)))
     for width, a, b in sections:
-        out = arith.build_ripple_subtractor(width).evaluate_batch({"a": a, "b": b})
+        out = _unit(f"subtractor{width}").evaluate_batch({"a": a, "b": b})
         mask = (1 << width) - 1
         want = [(d & mask, int(d < 0)) for d in map(sub, a, b)]
         got = list(zip(out["diff"], out["borrow"]))
@@ -180,19 +176,15 @@ def _verify_subtractor() -> UnitResult:
 
 def _verify_signed4x4() -> UnitResult:
     t = _Tally("signed4x4")
-    cases = [(a, b) for a in range(-8, 8) for b in range(-8, 8)]
+    a, b = _exhaustive(range(-8, 8), range(-8, 8))
+    # |-8| saturates to magnitude 7, flagged; every other input is exact.
+    want = [(max(x, -7) * max(y, -7), x == -8 or y == -8) for x, y in zip(a, b)]
     for impl in ("vedic", "array"):
-        products = arith._signed_products(impl, cases)
-        for (a, b), got in zip(cases, products):
-            # |-8| saturates to magnitude 7; every other input is exact.
-            ea = -7 if a == -8 else a
-            eb = -7 if b == -8 else b
-            want = ea * eb
-            want_sat = a == -8 or b == -8
-            t.check(
-                got.product == want and got.saturated == want_sat,
-                lambda: f"{impl} {a}*{b}: got {got}, want {want} sat={want_sat}",
-            )
+        got = arith._signed_products(impl, list(zip(a, b)))
+        t.check_all(
+            list(map(eq, got, want)),
+            lambda i: f"{impl} {a[i]}*{b[i]}: got {got[i]}, want {want[i][0]} sat={want[i][1]}",
+        )
     return t.result()
 
 
@@ -304,7 +296,7 @@ def _verify_fft() -> UnitResult:
         [not any(row) for row in zip(*got[4:])],
         lambda i: f"upper slots not zero for x={_vector(xs[:4], i)}: {_vector(got[4:], i)}",
     )
-    butterfly = fft.build_butterfly2(4)
+    butterfly = _unit("butterfly2")
     bf = butterfly.evaluate_batch(
         {bus: [v & 15 for v in col] for bus, col in zip(fft._SAMPLE_BUSES, xs[:4])}
     )
@@ -374,7 +366,7 @@ def verify_unit(unit: str) -> UnitResult:
     try:
         runner = _VERIFIERS[unit]
     except KeyError:
-        raise ValueError(f"unknown unit {unit!r}; choose from {', '.join(_VERIFIERS)} or all") from None
+        raise ValueError(f"unknown unit {unit!r}; choose from {', '.join(_VERIFIERS)}") from None
     return runner()
 
 

@@ -1,9 +1,11 @@
 """The verification suites themselves: their case counts, the seeded cases
-they draw, and that the FFT suite fails, naming the samples, when one gate
-of the datapath it checks computes the wrong function."""
+they draw, that a second pass builds no netlist, and that each suite fails,
+naming the operands or samples, when one gate of the unit it checks
+computes the wrong function."""
 
 import hashlib
 import random
+import re
 
 import pytest
 
@@ -18,10 +20,22 @@ FLIPPED = {
 }
 
 
+COUNTS = {
+    "vedic2x2": 16,
+    "vedic4x4": 256,
+    "array4x4": 256,
+    "adder": 1512,
+    "subtractor": 1256,
+    "signed4x4": 512,
+    "fft": 4618,
+}
+
+
 def test_case_counts():
     results = verify.verify_all()
     assert all(r.ok for r in results), [r.summary() for r in results]
-    assert {r.unit: r.checked for r in results}["fft"] == 4618
+    assert {r.unit: r.checked for r in results} == COUNTS
+    assert list(COUNTS) == list(verify.unit_names())
     assert sum(r.checked for r in results) == 8426
 
 
@@ -32,8 +46,31 @@ def test_column_suites_build_no_object_per_case(monkeypatch):
     monkeypatch.setattr(fft.FixedComplex, "__init__", forbidden)
     monkeypatch.setattr(fft.FftResult, "__init__", forbidden)
     monkeypatch.setattr(random.Random, "randrange", forbidden)
-    for unit in ("adder", "subtractor", "fft"):
+    for unit in verify.unit_names():
         assert verify.verify_unit(unit).ok, unit
+
+
+def test_second_pass_builds_no_netlist(monkeypatch):
+    verify.verify_all()
+    built = []
+    init = Netlist.__init__
+
+    def counting(self, name, *args):
+        built.append(name)
+        init(self, name, *args)
+
+    monkeypatch.setattr(Netlist, "__init__", counting)
+    assert all(r.ok for r in verify.verify_all())
+    assert built == []
+
+
+def test_unknown_unit_lists_only_accepted_names():
+    with pytest.raises(ValueError) as info:
+        verify.verify_unit("all")
+    assert str(info.value) == (
+        "unknown unit 'all'; choose from "
+        "vedic2x2, vedic4x4, array4x4, adder, subtractor, signed4x4, fft"
+    )
 
 
 # SHA-256 of each FFT section's sample columns, seed 47: every supported
@@ -135,3 +172,32 @@ def test_fft_suite_catches_a_flipped_gate(monkeypatch, config, gate_id, detail):
     assert result.checked == 4618
     assert detail in result.detail
     assert "x=[(" in result.detail
+
+
+# One gate per non-FFT suite, flipped in the catalog unit that verify looks
+# up, and the operands the suite's first failure must name.
+UNIT_MUTANTS = [
+    pytest.param("vedic4x4", "vedic4x4", 51, r"(\d+)\*(\d+): got ", id="vedic4x4"),
+    pytest.param("array4x4", "array4x4", 40, r"(\d+)\*(\d+): got ", id="array4x4"),
+    pytest.param("adder", "adder8", 22, r"w8 (\d+)\+(\d+)\+(\d): got sum, cout ", id="adder8"),
+    pytest.param(
+        "subtractor", "subtractor16", 58, r"w16 (\d+)-(\d+): got diff, borrow ", id="subtractor16"
+    ),
+]
+
+
+@pytest.mark.parametrize("suite, unit, gate_id, detail", UNIT_MUTANTS)
+def test_unit_suite_catches_a_flipped_gate(monkeypatch, suite, unit, gate_id, detail):
+    lookup = verify._unit
+    net = lookup(unit)
+    mutated = with_kind_flipped(net, gate_id)
+    monkeypatch.setattr(verify, "_unit", lambda name: mutated if name == unit else lookup(name))
+    result = verify.verify_unit(suite)
+    assert not result.ok
+    assert result.checked == COUNTS[suite]
+    named = re.match(detail, result.detail)
+    assert named, result.detail
+    # The operands named are a case on which the flipped gate shows.
+    case = {bus: [int(v)] for bus, v in zip(net.inputs, named.groups())}
+    assert len(case) == len(net.inputs)
+    assert mutated.evaluate_batch(case) != net.evaluate_batch(case)
