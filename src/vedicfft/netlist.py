@@ -39,6 +39,7 @@ from array import array
 from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
 from itertools import compress
+from operator import itemgetter
 from typing import NamedTuple
 
 
@@ -248,7 +249,7 @@ class Netlist:
         self.name = name
         self.inputs: dict[str, tuple[int, ...]] = {b: tuple(n) for b, n in inputs.items()}
         self.outputs: dict[str, tuple[int, ...]] = {b: tuple(n) for b, n in outputs.items()}
-        self.gates: tuple[Gate, ...] = tuple(sorted(gates, key=lambda g: g.id))
+        self.gates: tuple[Gate, ...] = tuple(sorted(gates, key=itemgetter(0)))
         self.consts: dict[int, int] = dict(consts)  # constant bit value -> net id
         self.nets, self._order = self._validate()
         # One program per sorted tuple of (bus, value) scalars; () is the

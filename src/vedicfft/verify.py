@@ -20,8 +20,9 @@ sign-extended by ``bytes.translate`` (:func:`_draw`). The FFT suite
 simulates its columns with ``fft._transform_columns`` and takes the oracle
 from ``fft._dft_columns``, the column form of ``dft_oracle``.
 
-The netlists are catalog units built once per process (:func:`_unit`), so
-a second pass builds and compiles nothing.
+The netlists are catalog units built once per process (:func:`_unit`), and
+so is the vedic4x4 oracle column (:func:`_digit_serial_products`), so a
+second pass builds and compiles nothing.
 """
 
 from __future__ import annotations
@@ -103,6 +104,14 @@ def _verify_vedic2x2() -> UnitResult:
     return t.result()
 
 
+@functools.cache
+def _digit_serial_products() -> tuple[int, ...]:
+    """The product of the digit-serial base-2 run for every pair of 4-bit
+    operands, in the order of ``_exhaustive(range(16), range(16))``."""
+    a, b = _exhaustive(range(16), range(16))
+    return tuple(arith.urdhva_decimal(x, y, base=2).product for x, y in zip(a, b))
+
+
 def _verify_4x4(unit: str) -> UnitResult:
     t = _Tally(unit)
     a, b = _exhaustive(range(16), range(16))
@@ -110,7 +119,7 @@ def _verify_4x4(unit: str) -> UnitResult:
     want = list(map(mul, a, b))
     if unit == "vedic4x4":
         # The digit-serial base-2 run must give the netlist's product.
-        cross = [arith.urdhva_decimal(x, y, base=2).product for x, y in zip(a, b)]
+        cross = _digit_serial_products()
         label = "digit-serial"
     else:
         cross = _unit("vedic4x4").evaluate_batch({"a": a, "b": b})["p"]

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import tracemalloc
 
@@ -11,6 +12,7 @@ from vedicfft import (
     dump_netlist,
     parse_netlist,
 )
+from vedicfft import fft
 from vedicfft.arith import ripple_add
 from vedicfft.netio import MAX_BUS_WIDTH
 
@@ -142,6 +144,184 @@ def test_forward_references_allowed():
 def test_malformed_documents_rejected(text, match):
     with pytest.raises(NetlistFormatError, match=match):
         parse_netlist(text)
+
+
+_HEAD = "netlist t v1\ninput a 1\n"
+_LONG_ID = "n" + "1" * 5000
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        pytest.param("", "empty netlist text", id="empty"),
+        pytest.param(
+            "netlist t v2\n", "line 1: expected header 'netlist <name> v1'", id="header-version"
+        ),
+        pytest.param(
+            "bogus t v1\n", "line 1: expected header 'netlist <name> v1'", id="header-keyword"
+        ),
+        pytest.param(
+            "netlist t v1\ninput a 0\noutput o a[0]\n",
+            "line 2: width must be >= 1, got 0",
+            id="zero-width",
+        ),
+        pytest.param(
+            _HEAD + "gate 0 FOO a[0] -> n0\noutput o n0\n",
+            "line 3: unknown gate kind 'FOO'",
+            id="unknown-kind",
+        ),
+        pytest.param(
+            _HEAD + "gate 0 AND a[0] -> n0\noutput o n0\n",
+            "line 3: AND takes 2 input(s), got 1",
+            id="arity",
+        ),
+        pytest.param(
+            _HEAD + "gate 0 NOT b[0] -> n0\noutput o n0\n",
+            "line 3: unknown input bus 'b'",
+            id="gate-input-unknown-bus",
+        ),
+        pytest.param(
+            _HEAD + "gate 0 NOT a[5] -> n0\noutput o n0\n",
+            "line 3: bit 5 out of range for 1-bit bus 'a'",
+            id="gate-input-bit-out-of-range",
+        ),
+        pytest.param(
+            _HEAD + "gate 0 NOT a[0] -> a[0]\noutput o a[0]\n",
+            "line 3: expected internal net id, got input bit 'a[0]'",
+            id="input-bit-as-gate-output",
+        ),
+        pytest.param(
+            _HEAD + "gate 0 AND n-1 a[0] -> x!\noutput o a[0]\n",
+            "line 3: bad net id 'n-1'",
+            id="bad-input-wins-over-bad-output",
+        ),
+        pytest.param(
+            _HEAD + "gate 0 AND n-1 a[0] -> a[0]\noutput o a[0]\n",
+            "line 3: bad net id 'n-1'",
+            id="bad-input-wins-over-input-bit-output",
+        ),
+        pytest.param(
+            _HEAD + "gate 0 NOT a[0] -> n²\noutput o a[0]\n",
+            "line 3: bad net id 'n²'",
+            id="non-decimal-digit",
+        ),
+        pytest.param(
+            "netlist t v1\ninput 9x 1\ngate 0 NOT 9x[0] -> n0\noutput o n0\n",
+            "line 3: bad net id '9x[0]'",
+            id="bit-of-badly-named-bus",
+        ),
+        pytest.param(
+            _HEAD + "const1 a[0]\noutput o a[0]\n",
+            "line 3: expected internal net id, got input bit 'a[0]'",
+            id="const1-input-bit",
+        ),
+        pytest.param(
+            _HEAD + "whatever a\noutput o a[0]\n",
+            "line 3: unknown directive 'whatever'",
+            id="directive",
+        ),
+        pytest.param(_HEAD, "netlist text declares no output buses", id="no-output"),
+        pytest.param(
+            _HEAD + "gate 0 NOT a[0] -> n0\noutput o n0 b[0]\n",
+            "line 4: unknown input bus 'b'",
+            id="output-unknown-bus",
+        ),
+        pytest.param(
+            _HEAD + "gate 0 NOT a[0] -> n0\noutput o a[1]\n",
+            "line 4: bit 1 out of range for 1-bit bus 'a'",
+            id="output-bit-out-of-range",
+        ),
+        # More digits than int() converts (the 4300-digit limit of 3.11).
+        pytest.param(
+            _HEAD + f"gate 0 NOT a[0] -> {_LONG_ID}\noutput o a[0]\n",
+            f"line 3: bad net id '{_LONG_ID}'",
+            id="gate-output-id-5000-digits",
+        ),
+        pytest.param(
+            _HEAD + f"gate 0 NOT a[0] -> n0\noutput o {_LONG_ID}\n",
+            f"line 4: bad net id '{_LONG_ID}'",
+            id="output-id-5000-digits",
+        ),
+        pytest.param(
+            _HEAD + "gate 0 NOT a[" + "1" * 5000 + "] -> n0\noutput o n0\n",
+            "line 3: bad net id 'a[" + "1" * 5000 + "]'",
+            id="bit-index-5000-digits",
+        ),
+    ],
+)
+def test_rejection_messages_in_full(text, message):
+    with pytest.raises(NetlistFormatError) as caught:
+        parse_netlist(text)
+    assert str(caught.value) == message
+
+
+_CANONICAL = (
+    "netlist t v1\n"
+    "input a 2\n"
+    "const1 n5\n"
+    "gate 0 NOT a[1] -> n7\n"
+    "gate 1 AND n7 a[0] -> n3\n"
+    "gate 2 XOR n3 n5 -> n4\n"
+    "output o n3 n4 n7\n"
+)
+
+
+@pytest.mark.parametrize(
+    "old,new",
+    [
+        pytest.param("-> n7\n", "-> n07\n", id="leading-zero-gate-output"),
+        pytest.param("o n3 n4 n7", "o n3 n4 n007", id="leading-zero-output-bit"),
+        pytest.param("NOT a[1]", "NOT a[01]", id="leading-zero-bit-index"),
+        pytest.param("-> n3\n", "-> n٣\n", id="arabic-indic-digit-gate-output"),
+        pytest.param("XOR n3 n5", "XOR n٣ n5", id="arabic-indic-digit-gate-input"),
+        pytest.param("-> n3\n", "-> n3  # carry\n", id="comment-after-gate"),
+        pytest.param("-> n4\n", "-> n4#sum\n", id="comment-touching-gate"),
+        pytest.param("gate 2 XOR n3 n5", "gate\t2\tXOR n3\t n5", id="tabs"),
+        pytest.param("-> n4\n", "-> n4 \t \n", id="trailing-blanks"),
+        pytest.param("\n", "\r\n", id="crlf"),
+    ],
+)
+def test_token_spellings_name_the_canonical_nets(old, new):
+    assert old in _CANONICAL
+    want = parse_netlist(_CANONICAL)
+    got = parse_netlist(_CANONICAL.replace(old, new))
+    assert (got.gates, got.inputs, got.outputs, got.consts) == (
+        want.gates,
+        want.inputs,
+        want.outputs,
+        want.consts,
+    )
+
+
+# SHA-256 of repr((inputs, outputs, consts, gates)) of each parsed dump: the
+# net ids the parser allocates, which order the compiled program's slots.
+_PARSED_DIGESTS = {
+    "vedic2x2": "aa49aa61679b4cce955e646a2fa1ddea96a4f7c4f4447f5c78c2cb462605fab5",
+    "vedic4x4": "f9972ae2bda4befbc5d192012f84f4ad1bb4b004d3b88a20ded91ac02121fbce",
+    "array4x4": "387fca746c1930c6d5c0efd6e533c7ee074e1e392b64ce361219134a22c166f8",
+    "adder4": "67dbfa498658b3ba05e514e6a9d5ec9305fff85109df2273c797316a0c1a99cd",
+    "subtractor4": "3d64e19a723a5798cbbb4d42a4a4b795404d41d93d29b61472409d9c92c43970",
+    "butterfly2": "9ca5a75f03f37f4f067def8e1a495d2a3d8629503f0a5736cbdf4f6dbafc7743",
+    "fft4": "63af8125a582fa1476d080fe45f92e72b0af269619f3e13556a1b6a46e911827",
+    "fft4_q3": "6869e7091f97c926addc741554fa95380916a2456770ec37f4624c74bef6ee3d",
+    "reconfigurable": "ef359c6ba3154b7b1a9ed1e1c6d69f6668409e9571391e3ec6f73cf5ba839b57",
+    "reconfigurable_q3": "da7cde443c6af45e0063f3fbe6ed6142cd0cb9694b220755f2f81729d4fb38cc",
+    "adder16": "52c0bb3dcb16a02436385671fd662a117e22459e889ed042c1378627b3f299cc",
+    "fft4_q1": "74884ab030ad692237fa38bb568fc875b9f87deff39e5f567fcb04bf0dbb23cd",
+}
+
+
+def test_digests_cover_the_catalog():
+    assert set(fft.unit_names()) <= set(_PARSED_DIGESTS)
+
+
+@pytest.mark.parametrize("unit", sorted(_PARSED_DIGESTS))
+def test_catalog_dump_parses_to_pinned_nets(unit):
+    text = dump_netlist(fft.build_unit(unit))
+    net = parse_netlist(text)
+    assert dump_netlist(net) == text
+    parsed = repr((net.inputs, net.outputs, net.consts, net.gates))
+    assert hashlib.sha256(parsed.encode()).hexdigest() == _PARSED_DIGESTS[unit]
 
 
 def test_validation_still_applies_after_parse():

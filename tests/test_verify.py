@@ -1,7 +1,7 @@
 """The verification suites themselves: their case counts, the seeded cases
-they draw, that a second pass builds no netlist, and that each suite fails,
-naming the operands or samples, when one gate of the unit it checks
-computes the wrong function."""
+they draw, that a second pass builds no netlist and reruns no oracle
+column, and that each suite fails, naming the operands or samples, when one
+gate of the unit it checks computes the wrong function."""
 
 import hashlib
 import random
@@ -62,6 +62,17 @@ def test_second_pass_builds_no_netlist(monkeypatch):
     monkeypatch.setattr(Netlist, "__init__", counting)
     assert all(r.ok for r in verify.verify_all())
     assert built == []
+
+
+def test_second_pass_reruns_no_digit_serial_oracle(monkeypatch):
+    verify.verify_unit("vedic4x4")
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the digit-serial oracle ran again")
+
+    monkeypatch.setattr(verify.arith, "urdhva_decimal", forbidden)
+    result = verify.verify_unit("vedic4x4")
+    assert result.ok and result.checked == 256
 
 
 def test_unknown_unit_lists_only_accepted_names():
