@@ -339,26 +339,13 @@ def _signed_unit(impl: str) -> Netlist:
     return build_signed_multiplier4(impl)
 
 
-def _signed_products(impl: str, pairs: Sequence[tuple[int, int]]) -> list[SignedProduct]:
-    """Every (a, b) pair of 4-bit two's-complement operands through the
-    gate-level signed multiplier, in one batch."""
-    net = _signed_unit(impl)
-    for pair in pairs:
-        for value in pair:
-            if not -8 <= value <= 7:
-                raise ValueError(f"{value} does not fit in 4 two's-complement bits")
-    out = net.evaluate_batch(
-        {"a": [a & 15 for a, _ in pairs], "b": [b & 15 for _, b in pairs]}
-    )
-    width = net.output_width("p")
-    return [
-        SignedProduct(to_signed(p, width), bool(sat))
-        for p, sat in zip(out["p"], out["sat"])
-    ]
-
-
 def signed_multiply_4x4(a: int, b: int, impl: str = "vedic") -> SignedProduct:
     """Multiply two 4-bit two's-complement values through the gate-level
     signed multiplier. |-8| saturates to 7 (flagged); all other inputs give
     the exact product."""
-    return _signed_products(impl, [(a, b)])[0]
+    net = _signed_unit(impl)
+    for value in (a, b):
+        if not -8 <= value <= 7:
+            raise ValueError(f"{value} does not fit in 4 two's-complement bits")
+    out = net.evaluate_batch({"a": [a & 15], "b": [b & 15]})
+    return SignedProduct(to_signed(out["p"][0], net.output_width("p")), bool(out["sat"][0]))

@@ -7,6 +7,7 @@ Results go to standard output, diagnostics to standard error. Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -89,6 +90,9 @@ def _cmd_report(args) -> int:
     return 0
 
 
+# Built on the first ``main`` call and reused by every later one: argparse
+# reads the terminal width and the output streams when it prints, not here.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vedicfft",

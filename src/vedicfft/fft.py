@@ -487,6 +487,15 @@ def _add_samples(b: NetlistBuilder, width: int) -> list[tuple[list[int], list[in
     ]
 
 
+def _datapath_name(base: str, config: FftConfig, multiplier: str) -> str:
+    """``base``, then ``_q<F>`` in quantized mode, then ``_<multiplier>``
+    for any core but vedic: the vedic build carries its catalog name, and
+    no other build shares it."""
+    if config.twiddle_mode == "quantized":
+        base += f"_q{config.fraction_bits}"
+    return base if multiplier == "vedic" else f"{base}_{multiplier}"
+
+
 def build_fft4(config: FftConfig, multiplier: str = "vedic") -> Netlist:
     """4-point DFT netlist, decimation in time, for the twiddle mode and
     input width of ``config`` (its select line plays no part).
@@ -500,8 +509,7 @@ def build_fft4(config: FftConfig, multiplier: str = "vedic") -> Netlist:
     width. An unknown ``multiplier`` is rejected in either mode.
     """
     _check_datapath(config, multiplier)
-    f = config.fraction_bits
-    b = NetlistBuilder("fft4" if config.twiddle_mode == "exact" else f"fft4_q{f}")
+    b = NetlistBuilder(_datapath_name("fft4", config, multiplier))
     outs = _fft4(b, config, multiplier, _add_samples(b, config.input_width))
     for bus, bits in outs.items():
         b.set_output(bus, bits)
@@ -519,10 +527,7 @@ def build_reconfigurable_fft(config: FftConfig, multiplier: str = "vedic") -> Ne
     """
     _check_datapath(config, multiplier)
     f = config.fraction_bits if config.twiddle_mode == "quantized" else 0
-    suffix = "" if config.twiddle_mode == "exact" else f"_q{f}"
-    if multiplier != "vedic":
-        suffix += f"_{multiplier}"
-    b = NetlistBuilder(f"reconfigurable{suffix}")
+    b = NetlistBuilder(_datapath_name("reconfigurable", config, multiplier))
     select = b.add_input("select", 1)[0]
     x = _add_samples(b, config.input_width)
     four = _fft4(b, config, multiplier, x)

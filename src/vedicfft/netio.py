@@ -25,6 +25,7 @@ import re
 from .netlist import (
     KIND_OF,
     MAX_BUS_WIDTH,
+    _NAME_RE,
     Gate,
     GateKind,
     Netlist,
@@ -33,7 +34,6 @@ from .netlist import (
 )
 
 _NET_TOKEN_RE = re.compile(r"^(?:n(\d+)|([A-Za-z_][A-Za-z0-9_]*)\[(\d+)\])$")
-_NAME_TOKEN_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
 
 class NetlistFormatError(NetlistError):
@@ -127,7 +127,7 @@ def parse_netlist(text: str) -> Netlist:
         if name is None:
             if len(fields) != 3 or fields[0] != "netlist" or fields[2] != "v1":
                 fail(lineno, "expected header 'netlist <name> v1'")
-            if not _NAME_TOKEN_RE.match(fields[1]):
+            if not _NAME_RE.match(fields[1]):
                 fail(lineno, f"bad netlist name {fields[1]!r}")
             name = fields[1]
             continue
@@ -193,7 +193,7 @@ def parse_netlist(text: str) -> Netlist:
                 fail(lineno, f"width {width} exceeds the {MAX_BUS_WIDTH}-bit limit")
             inputs[bus] = nets = tuple(range(next_id, next_id + width))
             next_id += width
-            if _NAME_TOKEN_RE.match(bus):  # else its bits are bad net ids
+            if _NAME_RE.match(bus):  # else its bits are bad net ids
                 for k, net in enumerate(nets):
                     by_token[f"{bus}[{k}]"] = net
         elif directive in ("const0", "const1"):

@@ -255,8 +255,6 @@ class Netlist:
         # One program per sorted tuple of (bus, value) scalars; () is the
         # program with no input tied.
         self._programs: dict[tuple[tuple[str, int], ...], _Program] = {}
-        self._depth: int | None = None
-        self._counts: GateCounts | None = None
 
     # -- validation ---------------------------------------------------------
 
@@ -556,26 +554,21 @@ class Netlist:
 
     def critical_path_depth(self) -> int:
         """Gate count along the longest input-to-output path (unit delays)."""
-        if self._depth is None:
-            depth = dict.fromkeys(self.nets, 0)
-            for gate in self._order:
-                # A NOT reads one net: inputs[-1] is inputs[0].
-                inputs = gate.inputs
-                a = depth[inputs[0]]
-                b = depth[inputs[-1]]
-                depth[gate.output] = a + 1 if a > b else b + 1
-            out_nets = {n for nets in self.outputs.values() for n in nets}
-            self._depth = max((depth[n] for n in out_nets), default=0)
-        return self._depth
+        depth = dict.fromkeys(self.nets, 0)
+        for gate in self._order:
+            # A NOT reads one net: inputs[-1] is inputs[0].
+            inputs = gate.inputs
+            a = depth[inputs[0]]
+            b = depth[inputs[-1]]
+            depth[gate.output] = a + 1 if a > b else b + 1
+        out_nets = {n for nets in self.outputs.values() for n in nets}
+        return max((depth[n] for n in out_nets), default=0)
 
     def gate_counts(self) -> GateCounts:
         """Census of gates by kind; the total is the area metric."""
-        if self._counts is None:
-            # Kinds keyed in order of first appearance.
-            counts = Counter([gate.kind for gate in self.gates])
-            by_kind = {kind.value: n for kind, n in counts.items()}
-            self._counts = GateCounts(by_kind, len(self.gates))
-        return self._counts
+        # Kinds keyed in order of first appearance.
+        counts = Counter([gate.kind for gate in self.gates])
+        return GateCounts({kind.value: n for kind, n in counts.items()}, len(self.gates))
 
     def input_width(self, bus: str) -> int:
         return len(self.inputs[bus])

@@ -103,9 +103,11 @@ _CONFIG = FftConfig(4, "quantized", 3)
 def build_variants() -> VariantSet:
     """Build all six variants with identical configuration except the
     multiplier implementation."""
+    # The 2-point datapath has no multiplier: both rows are one netlist.
+    butterfly = build_butterfly2(_CONFIG.input_width)
     datapaths = {
-        "conventional_2pt": build_butterfly2(_CONFIG.input_width),
-        "vedic_2pt": build_butterfly2(_CONFIG.input_width),
+        "conventional_2pt": butterfly,
+        "vedic_2pt": butterfly,
         "conventional_4pt": build_fft4(_CONFIG, "array"),
         "vedic_4pt": build_fft4(_CONFIG, "vedic"),
         "conventional_reconfigurable": build_reconfigurable_fft(_CONFIG, "array"),

@@ -13,16 +13,17 @@ batch per netlist (``Netlist.evaluate_batch``), computes the oracle as
 columns, and records each check with one ``_Tally.check_all`` call, which
 formats the detail of the first failing case only, naming its operands.
 The only per-case objects are the digit-serial traces that are the
-vedic4x4 oracle and the ``SignedProduct`` rows of
-``arith._signed_products``. Each random column comes from one ``Random.getrandbits`` call
-whose bytes are read as items: the FFT samples are its nibbles,
+vedic4x4 oracle. Each random column comes from one ``Random.getrandbits``
+call whose bytes are read as items: the FFT samples are its nibbles,
 sign-extended by ``bytes.translate`` (:func:`_draw`). The FFT suite
 simulates its columns with ``fft._transform_columns`` and takes the oracle
 from ``fft._dft_columns``, the column form of ``dft_oracle``.
 
-The netlists are catalog units built once per process (:func:`_unit`), and
-so is the vedic4x4 oracle column (:func:`_digit_serial_products`), so a
-second pass builds and compiles nothing.
+Every netlist is built once per process: the catalog units by
+:func:`_unit`, the signed multipliers by ``arith._signed_unit`` and the FFT
+datapaths by ``fft._reconfigurable_cached``. So is the vedic4x4 oracle
+column (:func:`_digit_serial_products`), so a second pass builds and
+compiles nothing.
 """
 
 from __future__ import annotations
@@ -188,11 +189,17 @@ def _verify_signed4x4() -> UnitResult:
     a, b = _exhaustive(range(-8, 8), range(-8, 8))
     # |-8| saturates to magnitude 7, flagged; every other input is exact.
     want = [(max(x, -7) * max(y, -7), x == -8 or y == -8) for x, y in zip(a, b)]
+    columns = {"a": [x & 15 for x in a], "b": [y & 15 for y in b]}
     for impl in ("vedic", "array"):
-        got = arith._signed_products(impl, list(zip(a, b)))
+        net = arith._signed_unit(impl)
+        out = net.evaluate_batch(columns)
+        width = net.output_width("p")
+        got = list(zip([to_signed(p, width) for p in out["p"]], out["sat"]))
         t.check_all(
             list(map(eq, got, want)),
-            lambda i: f"{impl} {a[i]}*{b[i]}: got {got[i]}, want {want[i][0]} sat={want[i][1]}",
+            lambda i: f"{impl} {a[i]}*{b[i]}: "
+            f"got {arith.SignedProduct(got[i][0], bool(got[i][1]))}, "
+            f"want {want[i][0]} sat={want[i][1]}",
         )
     return t.result()
 

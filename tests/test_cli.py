@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import importlib.metadata
 import json
@@ -301,6 +302,25 @@ def test_golden_stdout(capsys):
         "stdout changed; diff it against the same command at the parent commit: "
         + "; ".join(changed)
     )
+
+
+def test_second_main_call_builds_no_parser(capsys, monkeypatch):
+    run_cli(capsys, "mul", "--a", "13", "--b", "11")
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    assert run_cli(capsys, "mul", "--a", "13", "--b", "11") == (0, "143\n", "")
+    # The reused parser prints help to the standard output of this call.
+    with pytest.raises(SystemExit) as excinfo:
+        main(["--help"])
+    assert excinfo.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: vedicfft ")
+    assert built == []
 
 
 class TestEntryPoints:

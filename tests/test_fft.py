@@ -517,7 +517,7 @@ class TestCompositeBuilders:
             ),
             pytest.param(
                 lambda: build_fft4(Q3, "array"),
-                "9c05384dafec4a5ede0076d91ff6f7b8a9a48b78ca96b1bceb5bf1b179b7bd41",
+                "3810ee896f80a608354b5afce360e78a09c538a6056605419b52affee9a819a2",
                 id="fft4_q3_array",
             ),
             pytest.param(
@@ -530,6 +530,13 @@ class TestCompositeBuilders:
     def test_dump_bytes_pinned(self, build, digest):
         text = dump_netlist(build())
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("config", [FftConfig(), Q3], ids=["exact", "q3"])
+    @pytest.mark.parametrize("build", [build_fft4, build_reconfigurable_fft])
+    def test_array_build_is_named_apart_from_the_vedic_unit(self, build, config):
+        vedic = build(config, "vedic").name
+        assert build(config, "array").name == vedic + "_array"
+        assert build_unit(vedic).name == vedic
 
     @pytest.mark.parametrize(
         "build,message",

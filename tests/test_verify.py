@@ -9,7 +9,7 @@ import re
 
 import pytest
 
-from vedicfft import fft, verify
+from vedicfft import arith, fft, verify
 from vedicfft.netlist import GateKind, Netlist
 
 FLIPPED = {
@@ -45,6 +45,7 @@ def test_column_suites_build_no_object_per_case(monkeypatch):
 
     monkeypatch.setattr(fft.FixedComplex, "__init__", forbidden)
     monkeypatch.setattr(fft.FftResult, "__init__", forbidden)
+    monkeypatch.setattr(arith.SignedProduct, "__init__", forbidden)
     monkeypatch.setattr(random.Random, "randrange", forbidden)
     for unit in verify.unit_names():
         assert verify.verify_unit(unit).ok, unit
@@ -185,30 +186,50 @@ def test_fft_suite_catches_a_flipped_gate(monkeypatch, config, gate_id, detail):
     assert "x=[(" in result.detail
 
 
-# One gate per non-FFT suite, flipped in the catalog unit that verify looks
-# up, and the operands the suite's first failure must name.
+# One gate per non-FFT suite, flipped in the netlist that verify looks up by
+# key (a catalog unit, or the signed multiplier of an impl), and the
+# operands the suite's first failure must name.
+SIGNED_DETAIL = (
+    r"vedic (-?\d+)\*(-?\d+): got SignedProduct\(product=-?\d+, "
+    r"saturated=(?:True|False)\), want -?\d+ sat=(?:True|False)$"
+)
 UNIT_MUTANTS = [
-    pytest.param("vedic4x4", "vedic4x4", 51, r"(\d+)\*(\d+): got ", id="vedic4x4"),
-    pytest.param("array4x4", "array4x4", 40, r"(\d+)\*(\d+): got ", id="array4x4"),
-    pytest.param("adder", "adder8", 22, r"w8 (\d+)\+(\d+)\+(\d): got sum, cout ", id="adder8"),
+    pytest.param("vedic4x4", verify, "_unit", "vedic4x4", 51, r"(\d+)\*(\d+): got ", id="vedic4x4"),
+    pytest.param("array4x4", verify, "_unit", "array4x4", 40, r"(\d+)\*(\d+): got ", id="array4x4"),
     pytest.param(
-        "subtractor", "subtractor16", 58, r"w16 (\d+)-(\d+): got diff, borrow ", id="subtractor16"
+        "adder", verify, "_unit", "adder8", 22, r"w8 (\d+)\+(\d+)\+(\d): got sum, cout ", id="adder8"
     ),
+    pytest.param(
+        "subtractor",
+        verify,
+        "_unit",
+        "subtractor16",
+        58,
+        r"w16 (\d+)-(\d+): got diff, borrow ",
+        id="subtractor16",
+    ),
+    pytest.param("signed4x4", arith, "_signed_unit", "vedic", 125, SIGNED_DETAIL, id="signed4x4"),
 ]
 
 
-@pytest.mark.parametrize("suite, unit, gate_id, detail", UNIT_MUTANTS)
-def test_unit_suite_catches_a_flipped_gate(monkeypatch, suite, unit, gate_id, detail):
-    lookup = verify._unit
-    net = lookup(unit)
+@pytest.mark.parametrize("suite, owner, lookup_name, key, gate_id, detail", UNIT_MUTANTS)
+def test_unit_suite_catches_a_flipped_gate(
+    monkeypatch, suite, owner, lookup_name, key, gate_id, detail
+):
+    lookup = getattr(owner, lookup_name)
+    net = lookup(key)
     mutated = with_kind_flipped(net, gate_id)
-    monkeypatch.setattr(verify, "_unit", lambda name: mutated if name == unit else lookup(name))
+    monkeypatch.setattr(owner, lookup_name, lambda k: mutated if k == key else lookup(k))
     result = verify.verify_unit(suite)
     assert not result.ok
     assert result.checked == COUNTS[suite]
     named = re.match(detail, result.detail)
     assert named, result.detail
-    # The operands named are a case on which the flipped gate shows.
-    case = {bus: [int(v)] for bus, v in zip(net.inputs, named.groups())}
+    # The operands named are a case on which the flipped gate shows; a
+    # negative operand is fed as its two's-complement bit pattern.
+    case = {
+        bus: [int(v) % (1 << len(nets))]
+        for (bus, nets), v in zip(net.inputs.items(), named.groups())
+    }
     assert len(case) == len(net.inputs)
     assert mutated.evaluate_batch(case) != net.evaluate_batch(case)
