@@ -9,7 +9,6 @@ model. One pure-Python kernel simulates them, many vectors per gate pass
 """
 
 from .arith import (
-    SignedProduct,
     UrdhvaTrace,
     build_array4x4,
     build_ripple_adder,
@@ -80,7 +79,6 @@ __all__ = [
     "NetlistBuilder",
     "NetlistError",
     "NetlistFormatError",
-    "SignedProduct",
     "Twiddle",
     "UnitResult",
     "UrdhvaTrace",

@@ -1,7 +1,8 @@
 """Arithmetic units built as netlists: Urdhva Tiryakbhyam (vertically and
 crosswise) multipliers at 2x2 and 4x4 bits, a conventional array multiplier
 baseline, ripple-carry adder/subtractor chains, and a sign-magnitude wrapper
-that makes the unsigned 4x4 cores usable on two's-complement operands.
+that makes the unsigned 4x4 cores exact on every pair of 4-bit
+two's-complement operands, -8 included.
 
 Also provides ``urdhva_decimal``, the digit-serial form of the sutra in any
 base: position i of the product collects every cross product a[j]*b[k] with
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .netlist import Netlist, NetlistBuilder, NetlistError, to_signed
 
@@ -292,46 +293,28 @@ def check_impl(impl: str) -> None:
 
 def _signed_multiplier4(
     b: NetlistBuilder, impl: str, x: Sequence[int], y: Sequence[int]
-) -> tuple[list[int], int]:
+) -> list[int]:
     """Emit the signed 4x4 multiplier of ``x`` and ``y`` around the
-    ``impl`` core (checked by the caller); returns the 8 product nets and
-    the sat net."""
-    zero = b.const(0)
-
-    def magnitude(bits: Sequence[int]) -> tuple[list[int], int]:
-        sign = bits[-1]
-        mag = _conditional_negate(b, bits, sign)
-        # Only -8 yields magnitude 8 (bit 3 set); clamp it to 7.
-        over = mag[3]
-        clamped = [b.add_gate("OR", [m, over]) for m in mag[:3]] + [zero]
-        return clamped, over
-
-    mag_a, over_a = magnitude(x)
-    mag_b, over_b = magnitude(y)
-    sat = b.add_gate("OR", [over_a, over_b])
+    ``impl`` core (checked by the caller); returns the 8 product nets."""
+    mag_a = _conditional_negate(b, x, x[-1])
+    mag_b = _conditional_negate(b, y, y[-1])
     product = _CORES[impl](b, mag_a, mag_b)
     sign = b.add_gate("XOR", [x[-1], y[-1]])
-    return _conditional_negate(b, product, sign), sat
+    return _conditional_negate(b, product, sign)
 
 
 def build_signed_multiplier4(impl: str = "vedic") -> Netlist:
-    """Signed 4x4 multiplier: a, b (4, two's complement) -> p (8), sat (1).
+    """Signed 4x4 multiplier: a, b (4, two's complement) -> p (8).
 
     Sign-magnitude wrapper around an unsigned core (``vedic`` or ``array``):
-    magnitudes via conditional negation, |-8| saturated to 7 (sat flag set),
-    unsigned multiply, then conditional negation by sign(a) XOR sign(b).
+    magnitudes via conditional negation, unsigned multiply, then
+    conditional negation by sign(a) XOR sign(b). Every pair is exact: |-8|
+    is 1000b, which the core holds, and 8 * 8 = 64 fits the 8-bit product.
     """
     check_impl(impl)
     b = NetlistBuilder(f"signed_{impl}4x4")
-    p, sat = _signed_multiplier4(b, impl, b.add_input("a", 4), b.add_input("b", 4))
-    b.set_output("p", p)
-    b.set_output("sat", [sat])
+    b.set_output("p", _signed_multiplier4(b, impl, b.add_input("a", 4), b.add_input("b", 4)))
     return b.finalize()
-
-
-class SignedProduct(NamedTuple):
-    product: int
-    saturated: bool
 
 
 @functools.lru_cache(maxsize=None)
@@ -339,13 +322,15 @@ def _signed_unit(impl: str) -> Netlist:
     return build_signed_multiplier4(impl)
 
 
-def signed_multiply_4x4(a: int, b: int, impl: str = "vedic") -> SignedProduct:
-    """Multiply two 4-bit two's-complement values through the gate-level
-    signed multiplier. |-8| saturates to 7 (flagged); all other inputs give
-    the exact product."""
+def signed_multiply_4x4(a: int, b: int, impl: str = "vedic") -> int:
+    """Multiply two 4-bit two's-complement ints through the gate-level
+    signed multiplier; returns the exact product. A non-``int`` operand
+    (``bool`` included) or one outside [-8, 7] raises ValueError."""
     net = _signed_unit(impl)
     for value in (a, b):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValueError(f"operands must be integers, got {value!r}")
         if not -8 <= value <= 7:
             raise ValueError(f"{value} does not fit in 4 two's-complement bits")
     out = net.evaluate_batch({"a": [a & 15], "b": [b & 15]})
-    return SignedProduct(to_signed(out["p"][0], net.output_width("p")), bool(out["sat"][0]))
+    return to_signed(out["p"][0], net.output_width("p"))

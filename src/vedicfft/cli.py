@@ -32,10 +32,7 @@ def _cmd_mul(args) -> int:
             raise ValueError("--trace needs unsigned operands (use it without --signed)")
         if not -8 <= args.a <= 7 or not -8 <= args.b <= 7:
             raise ValueError("signed operands must be in [-8, 7]")
-        result = arith.signed_multiply_4x4(args.a, args.b, args.impl)
-        if result.saturated:
-            print("note: |-8| saturated to 7", file=sys.stderr)
-        print(result.product)
+        print(arith.signed_multiply_4x4(args.a, args.b, args.impl))
         return 0
     if not 0 <= args.a <= 15 or not 0 <= args.b <= 15:
         raise ValueError("operands must be in [0, 15] (4-bit unsigned)")

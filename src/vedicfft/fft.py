@@ -8,10 +8,11 @@ is internal. Every add/subtract grows the word by one bit and nothing is
 truncated, so exact mode equals the oracle bit for bit.
 
 In quantized mode the odd branch goes through a complex multiplier whose
-coefficient is -j rounded to Q1.F. The datapath then carries all values
-scaled by 2^F (the even branch is shifted left by F wire positions) and the
-result metadata reports scale_log2 = -F; no rounding happens inside the
-netlist. Dividing the integer outputs by 2^F recovers the spectrum estimate.
+coefficient is -j in Q1.F, (0, -2^F), which Q1.F holds exactly. The
+datapath then carries all values scaled by 2^F (the even branch is shifted
+left by F wire positions) and the result metadata reports scale_log2 = -F;
+no rounding happens inside the netlist, so the integer outputs are exactly
+2^F times the DFT.
 """
 
 from __future__ import annotations
@@ -347,9 +348,9 @@ def _check_core_width(width: int) -> None:
 
 def _cmul(
     b: NetlistBuilder, twiddle: Twiddle, multiplier: str, x: _Complex
-) -> tuple[list[int], list[int], int]:
+) -> tuple[list[int], list[int]]:
     """Emit the product of ``x`` and the fixed ``twiddle``; returns the
-    p_re, p_im and sat nets (see :func:`complex_multiply_unit`)."""
+    p_re and p_im nets (see :func:`complex_multiply_unit`)."""
     xr, xi = x
     if twiddle.mode == "exact":
         w = len(xr) + 1
@@ -361,22 +362,17 @@ def _cmul(
             pr, pi = _sext(xi, w), _neg_signed(b, xr)
         else:  # j
             pr, pi = _neg_signed(b, xi), _sext(xr, w)
-        return pr, pi, b.const(0)
+        return pr, pi
 
     def const_bus(value: int) -> list[int]:
         return [b.const((value >> k) & 1) for k in range(4)]
 
     c_re, c_im = const_bus(twiddle.re_q), const_bus(twiddle.im_q)
-    ac, sat_ac = _signed_multiplier4(b, multiplier, xr, c_re)
-    bd, sat_bd = _signed_multiplier4(b, multiplier, xi, c_im)
-    ad, sat_ad = _signed_multiplier4(b, multiplier, xr, c_im)
-    bc, sat_bc = _signed_multiplier4(b, multiplier, xi, c_re)
-    p_re = _sub_signed(b, ac, bd)
-    p_im = _add_signed(b, ad, bc)
-    sat = b.add_gate("OR", [sat_ac, sat_bd])
-    sat = b.add_gate("OR", [sat, sat_ad])
-    sat = b.add_gate("OR", [sat, sat_bc])
-    return p_re, p_im, sat
+    ac = _signed_multiplier4(b, multiplier, xr, c_re)
+    bd = _signed_multiplier4(b, multiplier, xi, c_im)
+    ad = _signed_multiplier4(b, multiplier, xr, c_im)
+    bc = _signed_multiplier4(b, multiplier, xi, c_re)
+    return _sub_signed(b, ac, bd), _add_signed(b, ad, bc)
 
 
 def complex_multiply_unit(
@@ -387,10 +383,10 @@ def complex_multiply_unit(
     Quantized twiddles use the full product form (a+jb)(c+jd) =
     (ac - bd) + j(ad + bc): four signed 4x4 multiplier instances with the
     coefficient bits tied to constant nets, one subtractor, one adder.
-    Outputs p_re, p_im carry the raw integer product, i.e. the true product
-    scaled by 2^F; sat flags magnitude saturation (|-8| -> 7) in any
-    instance. Exact twiddles (1, -1, j, -j) need no multiplier and compile
-    to wire swaps and structural negation; outputs grow by one bit.
+    Outputs p_re, p_im carry the raw integer product x * (re_q + j im_q)
+    exactly: the product with ``Twiddle.effective``, scaled by 2^F. Exact
+    twiddles (1, -1, j, -j) need no multiplier and compile to wire swaps
+    and structural negation; outputs grow by one bit.
 
     The unsigned core inside the signed multipliers is selected by
     ``multiplier``: ``vedic`` or ``array``; any other name is rejected in
@@ -407,10 +403,9 @@ def complex_multiply_unit(
     check_impl(multiplier)
     b = NetlistBuilder(name)
     x = (b.add_input("x_re", width), b.add_input("x_im", width))
-    p_re, p_im, sat = _cmul(b, twiddle, multiplier, x)
+    p_re, p_im = _cmul(b, twiddle, multiplier, x)
     b.set_output("p_re", p_re)
     b.set_output("p_im", p_im)
-    b.set_output("sat", [sat])
     return b.finalize()
 
 
@@ -458,8 +453,8 @@ def _fft4(
         # 4-bit inputs, so rotate x1 and x3 separately before the butterfly
         # (c(x1 - x3) = c x1 - c x3) instead of rotating the 5-bit difference.
         twiddle = Twiddle.quantized(1, 4, f)
-        rot1_re, rot1_im, _ = _cmul(b, twiddle, multiplier, x[1])
-        rot3_re, rot3_im, _ = _cmul(b, twiddle, multiplier, x[3])
+        rot1_re, rot1_im = _cmul(b, twiddle, multiplier, x[1])
+        rot3_re, rot3_im = _cmul(b, twiddle, multiplier, x[3])
         rr = _sub_signed(b, rot1_re, rot3_re)
         ri = _sub_signed(b, rot1_im, rot3_im)
         # Even branch carries no coefficient: scale by 2^F with wires.

@@ -1,11 +1,13 @@
 """Exhaustive and randomized verification suites.
 
 Each unit is checked against an independent oracle: Python integer
-arithmetic for the multipliers/adders and the direct DFT sum for the FFT
-datapaths. Exhaustive sweeps are used where the input space is small
-(every 4-bit operand pair); fixed-seed random sweeps elsewhere, so every
-run, on every supported Python, checks the same cases and results are
-reproducible.
+arithmetic for the multipliers/adders (the signed multipliers must give
+a*b on every pair, -8 included) and the direct DFT sum for the FFT
+datapaths (the Q1.F datapath must give exactly 2^F times it: Q1.F holds
+its twiddle -j exactly). Exhaustive sweeps are used where the input space
+is small (every 4-bit operand pair); fixed-seed random sweeps elsewhere, so
+every run, on every supported Python, checks the same cases and results
+are reproducible.
 
 Every suite works by column. It enumerates its operands
 (:func:`_exhaustive`) or draws them as columns, simulates them in one
@@ -187,19 +189,15 @@ def _verify_subtractor() -> UnitResult:
 def _verify_signed4x4() -> UnitResult:
     t = _Tally("signed4x4")
     a, b = _exhaustive(range(-8, 8), range(-8, 8))
-    # |-8| saturates to magnitude 7, flagged; every other input is exact.
-    want = [(max(x, -7) * max(y, -7), x == -8 or y == -8) for x, y in zip(a, b)]
+    want = list(map(mul, a, b))
     columns = {"a": [x & 15 for x in a], "b": [y & 15 for y in b]}
     for impl in ("vedic", "array"):
         net = arith._signed_unit(impl)
-        out = net.evaluate_batch(columns)
         width = net.output_width("p")
-        got = list(zip([to_signed(p, width) for p in out["p"]], out["sat"]))
+        got = [to_signed(p, width) for p in net.evaluate_batch(columns)["p"]]
         t.check_all(
             list(map(eq, got, want)),
-            lambda i: f"{impl} {a[i]}*{b[i]}: "
-            f"got {arith.SignedProduct(got[i][0], bool(got[i][1]))}, "
-            f"want {want[i][0]} sat={want[i][1]}",
+            lambda i: f"{impl} {a[i]}*{b[i]}: got {got[i]}, want {want[i]}",
         )
     return t.result()
 
@@ -345,19 +343,14 @@ def _verify_fft() -> UnitResult:
         lambda i: f"time reversal broken for x={_vector(xs, i)}",
     )
 
-    # Error bound, per component: |raw - 2^F want| <= N * max|x|, that is
-    # an error of at most N * 2^-F * max|x|, exact in integers.
+    # Q1.F holds -j exactly, so the raw outputs are 2^F times the DFT.
     xs = sections["quantized"]
     f = quant4.fraction_bits
     got = run(quant4, xs)
-    want = fft._dft_columns(xs, 4)
-    errors = [[abs(g - (w << f)) for g, w in zip(*cols)] for cols in zip(got, want)]
-    worst = list(map(max, *errors))
-    peak = list(map(max, *([abs(v) for v in col] for col in xs)))
+    want = [[w << f for w in col] for col in fft._dft_columns(xs, 4)]
     t.check_all(
-        [e <= 4 * p for e, p in zip(worst, peak)],
-        lambda i: f"quantized error {worst[i] / (1 << f)} exceeds bound "
-        f"{4 * peak[i] / (1 << f)} for x={_vector(xs, i)}",
+        _same_rows(got, want),
+        lambda i: f"q{f} x={_vector(xs, i)}: got {_vector(got, i)}, want {_vector(want, i)}",
     )
     return t.result()
 

@@ -188,37 +188,33 @@ class TestSubtractor:
 class TestSignedMultiply:
     @pytest.mark.parametrize("impl", ["vedic", "array"])
     def test_exhaustive_without_saturation(self, impl):
-        for a in range(-7, 8):
-            for b in range(-7, 8):
-                got = signed_multiply_4x4(a, b, impl)
-                assert got.product == a * b
-                assert not got.saturated
-
-    def test_saturation_rule(self):
-        got = signed_multiply_4x4(-8, 1)
-        assert got.product == -7
-        assert got.saturated
-        got = signed_multiply_4x4(0, -8)
-        assert got.product == 0
-        assert got.saturated
-        got = signed_multiply_4x4(-8, -8)
-        assert got.product == 49
-        assert got.saturated
+        # Every pair of 4-bit operands gives the exact product: magnitude
+        # 8 = 1000b of a -8 fits the unsigned core, and 64 the 8-bit product.
+        for a in range(-8, 8):
+            for b in range(-8, 8):
+                assert signed_multiply_4x4(a, b, impl) == a * b
 
     def test_sign_grid(self):
-        assert signed_multiply_4x4(-3, 5).product == -15
-        assert signed_multiply_4x4(3, -5).product == -15
-        assert signed_multiply_4x4(-3, -5).product == 15
+        assert signed_multiply_4x4(-3, 5) == -15
+        assert signed_multiply_4x4(3, -5) == -15
+        assert signed_multiply_4x4(-3, -5) == 15
+
+    @pytest.mark.parametrize("a,b", [(1.5, 2), (2, 2.0), (True, 3)])
+    def test_non_int_operand_rejected(self, a, b):
+        bad = a if type(a) is not int else b
+        with pytest.raises(ValueError, match=rf"^operands must be integers, got {bad!r}$"):
+            signed_multiply_4x4(a, b)
 
     @pytest.mark.parametrize("a", [8, -9])
     def test_operand_outside_4_bits_rejected(self, a):
         with pytest.raises(ValueError, match=f"{a} does not fit in 4 two's-complement bits"):
             signed_multiply_4x4(a, 0)
 
-    def test_netlist_exposes_sat_bus(self):
+    def test_netlist_has_no_sat_bus(self):
         net = build_signed_multiplier4("vedic")
-        assert set(net.outputs) == {"p", "sat"}
+        assert set(net.outputs) == {"p"}
         assert net.input_width("a") == 4
+        assert net.output_width("p") == 8
 
     def test_unknown_impl_rejected(self):
         with pytest.raises(NetlistError):

@@ -76,10 +76,10 @@ class TestMul:
         assert (code, out, err) == (0, "-15\n", "")
 
     def test_signed_saturation_note(self, capsys):
-        code, out, err = run_cli(capsys, "mul", "--a", "-8", "--b", "1", "--signed")
-        assert code == 0
-        assert out == "-7\n"
-        assert "saturated" in err
+        # -8 is exact, so nothing saturates and no note goes to stderr.
+        for a, b, product in (("-8", "1", "-8"), ("-8", "-8", "64")):
+            code, out, err = run_cli(capsys, "mul", "--a", a, "--b", b, "--signed")
+            assert (code, out, err) == (0, product + "\n", "")
 
     @pytest.mark.parametrize(
         "argv",
@@ -280,12 +280,12 @@ GOLDEN_STDOUT_SHA256 = {
     ("dump", "--unit", "subtractor4"): "e09a783920a8208a4db9a6a1e95f57c07f75b7789610c62d183042ec3fb5d01d",
     ("dump", "--unit", "butterfly2"): "77085034f3ade9b3cb05675bb835ff1cf32145e8c8953c5e44bcece4b0147a56",
     ("dump", "--unit", "fft4"): "e74f1f3a910a8ff9ceeb666c8a350bb0953b207d8dc6f6424d7e5bd2289fa40b",
-    ("dump", "--unit", "fft4_q3"): "7f14976dc4e3a082ba480d0aea268f2c82eed020f5d0435c5ccbcda9bb339e46",
+    ("dump", "--unit", "fft4_q3"): "1f598678cf7d6893a8c69fb888522609c738ffffe91c2b9d15ef7c3c0d8b5a66",
     ("dump", "--unit", "reconfigurable"): "ce869406a8facdd706680fbbe4f5a02447bef1d444e9db034c7251e7283eab3f",
-    ("dump", "--unit", "reconfigurable_q3"): "60c852b337b2103abb9eb3bddd7ccde585eb1d3dc575a79a8d5fbebe5577fcab",
-    ("report", "--format", "text"): "0423de5d291925eb35cdbbaff8253881d1d7e34a739836810d3dc1bd46c05e17",
-    ("report", "--format", "csv"): "00735994563267d9f2d3d72d87bef5b92c29bcddcff548dc55fd37ec3b91a193",
-    ("report", "--format", "json"): "d197cce445af35c88dfd9d2ad7e4a5b816209c00c1df0c8398529b6547156f3c",
+    ("dump", "--unit", "reconfigurable_q3"): "8c909f470cfc13558e23898a36312d66d6c22199e7f0aaf7162883bfb1fd7781",
+    ("report", "--format", "text"): "424e4e7b0b024086980088f722df36824474cf8e391164518351771ffb7bc6e3",
+    ("report", "--format", "csv"): "b576b8708433fb8d79446df956cc53f52746c0e4a59e76963a8de5e29938d954",
+    ("report", "--format", "json"): "eea05b6533f884f728a67255e6539c6d94ce967ee83947548610b748677d5c67",
     ("verify", "--unit", "all"): "80064c6506ce76b3928b70370840d8903d1f759908e827d5ba29a01e08422fd0",
 }
 

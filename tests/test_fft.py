@@ -161,6 +161,59 @@ class TestFftConfig:
         with pytest.raises(ValueError, match=f"twiddle mode '{spec}' has too many digits"):
             FftConfig.make(4, spec, 4)
 
+    @pytest.mark.parametrize(
+        "make,message",
+        [
+            pytest.param(
+                lambda: FftConfig(4, "bogus"),
+                "twiddle_mode must be exact or quantized, got 'bogus'",
+                id="config-mode",
+            ),
+            pytest.param(
+                lambda: FftConfig(4, "quantized"),
+                "quantized mode needs fraction_bits >= 1",
+                id="config-no-fraction-bits",
+            ),
+            pytest.param(
+                lambda: FftConfig(4, "quantized", 0),
+                "quantized mode needs fraction_bits >= 1",
+                id="config-zero-fraction-bits",
+            ),
+            pytest.param(
+                lambda: FftConfig(4, "exact", 3),
+                "fraction_bits only applies to quantized mode",
+                id="config-exact-fraction-bits",
+            ),
+            pytest.param(
+                lambda: parse_twiddle_spec("q0"), "fraction bits must be >= 1", id="spec-q0"
+            ),
+            pytest.param(
+                lambda: Twiddle("exact", 2),
+                "exact twiddle must be one of 1, -1, j, -j, got 2",
+                id="twiddle-exact-value",
+            ),
+            pytest.param(
+                lambda: Twiddle("quantized", 1, 1, 0, 0),
+                "quantized twiddle needs fraction_bits >= 1",
+                id="twiddle-fraction-bits",
+            ),
+            pytest.param(
+                lambda: Twiddle("quantized", 1, 8, 0, 3),
+                "coefficient 8 not a Q1.3 integer",
+                id="twiddle-coefficient-range",
+            ),
+            pytest.param(
+                lambda: Twiddle("bogus", 1),
+                "twiddle mode must be exact or quantized, got 'bogus'",
+                id="twiddle-mode",
+            ),
+        ],
+    )
+    def test_rejection_messages_in_full(self, make, message):
+        with pytest.raises(ValueError) as caught:
+            make()
+        assert str(caught.value) == message
+
     def test_unbuildable_configs_fail_at_run(self):
         # Coefficients wider than the multiplier core are caught when the
         # datapath is assembled, not when the config object is created.
@@ -196,13 +249,33 @@ class TestButterfly2:
             assert complex(out["X1_re"], out["X1_im"]) == ref[1]
 
 
+# Every 4-bit complex sample, as an x_re and an x_im column.
+ALL_RE, ALL_IM = zip(*[(re, im) for re in range(-8, 8) for im in range(-8, 8)])
+
+
+def all_products(unit):
+    """The complex product a multiplier unit computes for every sample."""
+    out = unit.evaluate_batch(
+        {"x_re": [v & 15 for v in ALL_RE], "x_im": [v & 15 for v in ALL_IM]}
+    )
+    re_w, im_w = unit.output_width("p_re"), unit.output_width("p_im")
+    return [
+        complex(to_signed(re, re_w), to_signed(im, im_w))
+        for re, im in zip(out["p_re"], out["p_im"])
+    ]
+
+
 class TestComplexMultiplier:
     def test_exact_rotation(self):
         unit = complex_multiply_unit(4, Twiddle.exact(3, 4))
         out = signed_outputs(unit, x_re=4, x_im=-3)
         # (4 - 3j) * j == 3 + 4j
-        assert (out["p_re"], out["p_im"]) == (3, 4)
-        assert out["sat"] == 0
+        assert out == {"p_re": 3, "p_im": 4}
+        # Every W^k, W^2 = -1 included, on every sample.
+        for k in range(4):
+            unit = complex_multiply_unit(4, Twiddle.exact(k, 4))
+            want = [complex(re, im) * (-1j) ** k for re, im in zip(ALL_RE, ALL_IM)]
+            assert all_products(unit) == want
 
     def test_exact_rotation_needs_no_multiplier(self):
         # Rotating by 1 is pure wiring; by +-j only a sign flip.
@@ -213,27 +286,20 @@ class TestComplexMultiplier:
 
     @pytest.mark.parametrize("k", [0, 1, 2, 3])
     def test_quantized_matches_integer_model(self, k):
-        tw = Twiddle.quantized(k, 4, 3)
-
-        def clamp(v):
-            return -7 if v == -8 else v
-
-        coeff = complex(clamp(tw.re_q), clamp(tw.im_q))
-        unit = complex_multiply_unit(4, tw)
-        for re in range(-8, 8):
-            for im in range(-8, 8):
-                out = signed_outputs(unit, x_re=re, x_im=im)
-                expected = complex(clamp(re), clamp(im)) * coeff
-                assert complex(out["p_re"], out["p_im"]) == expected
+        # The gates apply exactly the coefficient Twiddle.effective reports.
+        for f in (1, 2, 3):
+            tw = Twiddle.quantized(k, 4, f)
+            coeff = complex(tw.re_q, tw.im_q)
+            assert coeff == tw.effective * (1 << f)
+            want = [complex(re, im) * coeff for re, im in zip(ALL_RE, ALL_IM)]
+            assert all_products(complex_multiply_unit(4, tw)) == want
 
     def test_saturation_flag(self):
+        # Nothing saturates, so the unit has no sat bus: the -8 coefficient
+        # of -j and a -8 sample both enter the core exactly.
         unit = complex_multiply_unit(4, Twiddle.quantized(1, 4, 3))
-        hot = unit.evaluate_batch({"x_re": [4], "x_im": [0]})
-        assert hot["sat"] == [1]  # the -8 coefficient was clamped
-        cold = complex_multiply_unit(4, Twiddle.quantized(3, 4, 3)).evaluate_batch(
-            {"x_re": [4], "x_im": [0]}
-        )
-        assert cold["sat"] == [0]
+        assert set(unit.outputs) == {"p_re", "p_im"}
+        assert signed_outputs(unit, x_re=-8, x_im=0) == {"p_re": 0, "p_im": 64}
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(NetlistError):
@@ -272,9 +338,8 @@ class TestFft4Exact:
 class TestFft4Quantized:
     def test_known_vector(self):
         res = run_fft(FftConfig.make(4, "q3", 4), [(1, 0), (2, 0), (3, 0), (4, 0)])
-        # True spectrum scaled by 8 is [80, -16+16j, -16, -16-16j]; the
-        # Q1.3 twiddle costs 2 counts of error on the odd bins.
-        assert spectrum_of(res) == [(80, 0), (-16, 14), (-16, 0), (-16, -14)]
+        # The true spectrum scaled by 8: Q1.3 holds the twiddle -j exactly.
+        assert spectrum_of(res) == [(80, 0), (-16, 16), (-16, 0), (-16, -16)]
         assert res.output_width == 11
         assert res.scale_log2 == -3
 
@@ -284,17 +349,13 @@ class TestFft4Quantized:
         assert res.values == [16, 0, 0, 0]
 
     def test_error_bound_random(self):
+        # The error bound is 0: Q1.3 holds -j exactly and nothing rounds.
         cfg = FftConfig.make(4, "q3", 4)
         rng = random.Random(41)
         for _ in range(300):
             samples = [(rng.randint(-8, 7), rng.randint(-8, 7)) for _ in range(4)]
             res = run_fft(cfg, samples)
-            ref = dft_oracle([complex(r, i) for r, i in samples])
-            peak = max(max(abs(r), abs(i)) for r, i in samples)
-            bound = 4 * 2**-3 * max(peak, 1)
-            for got, want in zip(res.values, ref):
-                assert abs(got.real - want.real) <= bound
-                assert abs(got.imag - want.imag) <= bound
+            assert res.values == dft_oracle([complex(r, i) for r, i in samples])
 
 
 class TestReconfigurable:
@@ -366,7 +427,7 @@ class TestResultDocuments:
         res = run_fft(FftConfig.make(4, "q3", 4), [(1, 0), (2, 0), (3, 0), (4, 0)])
         doc = res.to_document()
         assert doc == {
-            "spectrum": [[80, 0], [-16, 14], [-16, 0], [-16, -14]],
+            "spectrum": [[80, 0], [-16, 16], [-16, 0], [-16, -16]],
             "output_width": 11,
             "scale_log2": -3,
             "select": 4,
@@ -492,37 +553,37 @@ class TestCompositeBuilders:
         [
             pytest.param(
                 lambda: build_signed_multiplier4("vedic"),
-                "6ba48f907c77137ab7179bfb30ba46b81baea0eaf03de32aa670b4498a77eb24",
+                "713fe3b95d760b2a4bca9c302dce1e35bf6015c96e66e558a62a18ca861298af",
                 id="signed_vedic",
             ),
             pytest.param(
                 lambda: build_signed_multiplier4("array"),
-                "ca1f4e338d6860e192fb249fac5af02491e3ac5ecc001133d0d551e56f0c1807",
+                "824da20626262cc1dbac6b9f85c6aa69eb24bbd18781648e39dfe3a53af79fcc",
                 id="signed_array",
             ),
             pytest.param(
                 lambda: complex_multiply_unit(4, Twiddle.quantized(1, 4, 3)),
-                "51fec2e3c89399fddf94a24d8bed4d14958b93f2381e4a94d2dd2b00a30cb3f2",
+                "cf157839c75054559c23c51cfc73c99bf996d81461346fe5aac23d385d91471c",
                 id="cmul_q3_vedic",
             ),
             pytest.param(
                 lambda: complex_multiply_unit(4, Twiddle.quantized(1, 4, 3), "array"),
-                "ef383638b19ef2982d246c41b799e7e533941c1f9f889dee19ec93e81de4ef1e",
+                "db3e07279dda5d37c5d1325268b911828c576acee7a2bcc07ec1a7db2891b217",
                 id="cmul_q3_array",
             ),
             pytest.param(
                 lambda: complex_multiply_unit(4, Twiddle.exact(1, 4)),
-                "b7f50d9e6210ce68400408dc69c1ed30fc79afb6064ecc21e7b3e1b78bea363e",
+                "9ecb6ca37eba2df78532d416f5e44e17b9486fb4b881434ebc4693826e388481",
                 id="cmul_exact_minus_j",
             ),
             pytest.param(
                 lambda: build_fft4(Q3, "array"),
-                "3810ee896f80a608354b5afce360e78a09c538a6056605419b52affee9a819a2",
+                "216bb4364c3f58d4b6f1c31f3c5f24b286d49dac75a50108a4b5a61b0214c82c",
                 id="fft4_q3_array",
             ),
             pytest.param(
                 lambda: build_reconfigurable_fft(Q3, "array"),
-                "6d81051cfa9adae27057d7ab16dc3cc9e7fd225afaa55131c284592ba429327d",
+                "8e9afbc01363e76c171c9c378a55afc4f48a60027baa4c5d691db4c1b747d023",
                 id="reconfigurable_q3_array",
             ),
         ],

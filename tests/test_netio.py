@@ -231,6 +231,50 @@ _LONG_ID = "n" + "1" * 5000
             "line 4: bit 1 out of range for 1-bit bus 'a'",
             id="output-bit-out-of-range",
         ),
+        pytest.param("netlist 9t v1\n", "line 1: bad netlist name '9t'", id="bad-name"),
+        pytest.param(
+            _HEAD + "gate 0 NOT a[0] n0\noutput o a[0]\n",
+            "line 3: expected 'gate <id> <KIND> <in>... -> <out>'",
+            id="gate-without-arrow",
+        ),
+        pytest.param(
+            _HEAD + "gate x NOT a[0] -> n0\noutput o n0\n",
+            "line 3: bad gate id 'x'",
+            id="bad-gate-id",
+        ),
+        pytest.param(
+            "netlist t v1\ninput a\noutput o a[0]\n",
+            "line 2: expected 'input <busname> <width>'",
+            id="input-without-width",
+        ),
+        pytest.param(
+            _HEAD + "input a 1\noutput o a[0]\n",
+            "line 3: duplicate input bus 'a'",
+            id="duplicate-input",
+        ),
+        pytest.param(
+            "netlist t v1\ninput a w\noutput o a[0]\n", "line 2: bad width 'w'", id="bad-width"
+        ),
+        pytest.param(
+            _HEAD + "const0\noutput o a[0]\n",
+            "line 3: expected 'const0 <netid>'",
+            id="const0-without-net",
+        ),
+        pytest.param(
+            _HEAD + "const0 n0\nconst0 n1\noutput o a[0]\n",
+            "line 4: duplicate const0 declaration",
+            id="duplicate-const0",
+        ),
+        pytest.param(
+            _HEAD + "output o\n",
+            "line 3: expected 'output <busname> <netid>...'",
+            id="output-without-nets",
+        ),
+        pytest.param(
+            _HEAD + "output o a[0]\noutput o a[0]\n",
+            "line 4: duplicate output bus 'o'",
+            id="duplicate-output",
+        ),
         # More digits than int() converts (the 4300-digit limit of 3.11).
         pytest.param(
             _HEAD + f"gate 0 NOT a[0] -> {_LONG_ID}\noutput o a[0]\n",
@@ -303,11 +347,11 @@ _PARSED_DIGESTS = {
     "subtractor4": "3d64e19a723a5798cbbb4d42a4a4b795404d41d93d29b61472409d9c92c43970",
     "butterfly2": "9ca5a75f03f37f4f067def8e1a495d2a3d8629503f0a5736cbdf4f6dbafc7743",
     "fft4": "63af8125a582fa1476d080fe45f92e72b0af269619f3e13556a1b6a46e911827",
-    "fft4_q3": "6869e7091f97c926addc741554fa95380916a2456770ec37f4624c74bef6ee3d",
+    "fft4_q3": "cde76ba109d47fa364a53c9947d1990adc529f181e553ed6f84989beae73fa50",
     "reconfigurable": "ef359c6ba3154b7b1a9ed1e1c6d69f6668409e9571391e3ec6f73cf5ba839b57",
-    "reconfigurable_q3": "da7cde443c6af45e0063f3fbe6ed6142cd0cb9694b220755f2f81729d4fb38cc",
+    "reconfigurable_q3": "b337a0b7133f11a89b41caa51440a7176a189ebaac08a07952af6bbf3f69f957",
     "adder16": "52c0bb3dcb16a02436385671fd662a117e22459e889ed042c1378627b3f299cc",
-    "fft4_q1": "74884ab030ad692237fa38bb568fc875b9f87deff39e5f567fcb04bf0dbb23cd",
+    "fft4_q1": "99a99974cab50dfe3811282927956e0b135a53123365b6ff5942ef64d22286ab",
 }
 
 

@@ -45,7 +45,6 @@ def test_column_suites_build_no_object_per_case(monkeypatch):
 
     monkeypatch.setattr(fft.FixedComplex, "__init__", forbidden)
     monkeypatch.setattr(fft.FftResult, "__init__", forbidden)
-    monkeypatch.setattr(arith.SignedProduct, "__init__", forbidden)
     monkeypatch.setattr(random.Random, "randrange", forbidden)
     for unit in verify.unit_names():
         assert verify.verify_unit(unit).ok, unit
@@ -157,7 +156,7 @@ MUTANTS = [
     pytest.param(fft.FftConfig(select=4), 239, "select=4 x=[(", id="select4-exact"),
     pytest.param(fft.FftConfig(select=2), 531, "select=2 x=[(", id="select2"),
     pytest.param(
-        fft.FftConfig(4, "quantized", 3, 4), 1349, "quantized error", id="q3-multiplier"
+        fft.FftConfig(4, "quantized", 3, 4), 367, "q3 x=[(", id="q3-multiplier"
     ),
 ]
 
@@ -189,10 +188,7 @@ def test_fft_suite_catches_a_flipped_gate(monkeypatch, config, gate_id, detail):
 # One gate per non-FFT suite, flipped in the netlist that verify looks up by
 # key (a catalog unit, or the signed multiplier of an impl), and the
 # operands the suite's first failure must name.
-SIGNED_DETAIL = (
-    r"vedic (-?\d+)\*(-?\d+): got SignedProduct\(product=-?\d+, "
-    r"saturated=(?:True|False)\), want -?\d+ sat=(?:True|False)$"
-)
+SIGNED_DETAIL = r"vedic (-?\d+)\*(-?\d+): got -?\d+, want -?\d+$"
 UNIT_MUTANTS = [
     pytest.param("vedic4x4", verify, "_unit", "vedic4x4", 51, r"(\d+)\*(\d+): got ", id="vedic4x4"),
     pytest.param("array4x4", verify, "_unit", "array4x4", 40, r"(\d+)\*(\d+): got ", id="array4x4"),
