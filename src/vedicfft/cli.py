@@ -30,8 +30,6 @@ def _cmd_mul(args) -> int:
     if args.signed:
         if args.trace:
             raise ValueError("--trace needs unsigned operands (use it without --signed)")
-        if not -8 <= args.a <= 7 or not -8 <= args.b <= 7:
-            raise ValueError("signed operands must be in [-8, 7]")
         print(arith.signed_multiply_4x4(args.a, args.b, args.impl))
         return 0
     if not 0 <= args.a <= 15 or not 0 <= args.b <= 15:

@@ -7,12 +7,16 @@ gate. Buses are named, ordered lists of nets, LSB first. Bus values travel
 as raw unsigned ints (bit k of the int is net k of the bus);
 :func:`to_signed` reads one as two's complement. A unit is built in one
 :class:`NetlistBuilder`: composite blocks emit their gates straight into
-it, so every gate is constructed once. Construction validates the
-structure and fixes the evaluation order: Kahn's topological sort,
-smallest ready gate id first. Where every gate reads only nets driven
-before it in id order, as in every built netlist and the dump of one,
-that order is ascending id and validation is one linear pass; only text
-with forward references or cycles runs the sort. A finalized ``Netlist`` is
+it, so every gate is constructed once. The builder checks each net, gate
+and bus as it is added, so its ``finalize`` checks only the netlist name
+and does not validate again: the gate ids are the evaluation order and the
+nets are every id it handed out. ``Netlist(...)``, and so
+:func:`vedicfft.netio.parse_netlist`, validates the structure and fixes
+the evaluation order: Kahn's topological sort, smallest ready gate id
+first. Where every gate reads only nets driven before it in id order, as
+in the dump of a built netlist, that order is ascending id and validation
+is one linear pass; only text with forward references or cycles runs the
+sort. A finalized ``Netlist`` is
 immutable and safe to share across threads; ``evaluate_batch`` is a pure
 function of its input columns. A column is a list of per-vector values or
 one int that the bus holds in every vector. The slot program it simulates
@@ -90,6 +94,11 @@ KIND_OF: dict[GateKind | str, GateKind] = {
 }
 
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+
+# ``add_gate`` reads these once per gate: a module global is cheaper than
+# the enum class attribute, and ``tuple.__new__`` than the namedtuple's own.
+_NOT = GateKind.NOT
+_new_tuple = tuple.__new__
 
 # Widest input bus a builder or the text format accepts. The widest catalog
 # bus is 4 bits; the cap keeps one request from an unbounded net allocation.
@@ -255,6 +264,31 @@ class Netlist:
         # One program per sorted tuple of (bus, value) scalars; () is the
         # program with no input tied.
         self._programs: dict[tuple[tuple[str, int], ...], _Program] = {}
+
+    @classmethod
+    def _trusted(
+        cls,
+        name: str,
+        inputs: dict[str, tuple[int, ...]],
+        outputs: dict[str, tuple[int, ...]],
+        gates: tuple[Gate, ...],
+        consts: dict[int, int],
+        nets: frozenset[int],
+    ) -> Netlist:
+        """A netlist whose structure its caller guarantees, without
+        :meth:`_validate`: ``gates`` sorted by id and already in evaluation
+        order, ``nets`` exactly the driven nets. Only
+        :meth:`NetlistBuilder.finalize` calls it."""
+        self = object.__new__(cls)
+        self.name = name
+        self.inputs = inputs
+        self.outputs = outputs
+        self.gates = gates
+        self.consts = consts
+        self.nets = nets
+        self._order = gates
+        self._programs = {}
+        return self
 
     # -- validation ---------------------------------------------------------
 
@@ -591,16 +625,17 @@ class NetlistBuilder:
     input bits, :meth:`const` the constant nets and :meth:`add_gate` a fresh
     output net per gate. A net id is a plain ``int`` below the next fresh
     id. Every gate therefore reads nets that already exist, and a built
-    netlist has no floating nets, no second drivers and no cycles; its gate
-    ids are a topological order, so ``Netlist`` validates it in one linear
-    pass. (The text format allows forward references; ``Netlist`` itself
-    validates what ``parse_netlist`` reads, and sorts such a netlist's gates
-    with Kahn's algorithm.)
+    netlist has no floating nets, no second drivers and no cycles, and its
+    gate ids are a topological order. :meth:`finalize` therefore trusts
+    these checks: it checks the netlist name and hands the gates over as
+    they are, without ``Netlist._validate``. (The text format allows
+    forward references; ``Netlist(...)`` validates what ``parse_netlist``
+    reads, and sorts such a netlist's gates with Kahn's algorithm.)
 
     Composite units do not nest netlists: each block is an emitter that
     adds its gates to the builder it is handed and returns its output nets,
     so a whole datapath is one builder, one ``add_gate`` per gate and one
-    validation.
+    ``Netlist``.
     """
 
     def __init__(self, name: str):
@@ -647,13 +682,14 @@ class NetlistBuilder:
 
     def add_gate(self, kind: GateKind | str, inputs: Sequence[int]) -> int:
         """Append a gate reading existing nets; returns its fresh output net."""
-        self._check_open()
+        if self._done:
+            raise NetlistError("builder already finalized")
         try:
             kind = KIND_OF[kind]
         except (KeyError, TypeError):
             kind = as_gate_kind(kind)
         inputs = tuple(inputs)
-        if len(inputs) != (1 if kind is GateKind.NOT else 2):
+        if len(inputs) != (1 if kind is _NOT else 2):
             raise NetlistError(
                 f"{kind.value} takes {kind.arity} input(s), got {len(inputs)}"
             )
@@ -662,7 +698,8 @@ class NetlistBuilder:
             if type(n) is not int or not 0 <= n < output:
                 raise NetlistError(f"unknown input net {n}")
         self._next_net = output + 1
-        self._gates.append(Gate(len(self._gates), kind, inputs, output))
+        gates = self._gates
+        gates.append(_new_tuple(Gate, (len(gates), kind, inputs, output)))
         return output
 
     def set_output(self, name: str, nets: Sequence[int]):
@@ -679,9 +716,20 @@ class NetlistBuilder:
         self._outputs[name] = nets
 
     def finalize(self) -> Netlist:
-        """Validate and freeze. The builder cannot be used afterwards."""
+        """Check the netlist name and freeze. The builder cannot be used
+        afterwards, even when the name is rejected."""
         self._check_open()
         if not self._outputs:
             raise NetlistError("netlist has no output buses")
         self._done = True
-        return Netlist(self.name, self._inputs, self._outputs, self._gates, self._consts)
+        if not _NAME_RE.match(self.name):
+            raise NetlistError(f"invalid netlist name {self.name!r}")
+        # Every id below ``_next_net`` was made with its driver.
+        return Netlist._trusted(
+            self.name,
+            self._inputs,
+            {bus: tuple(nets) for bus, nets in self._outputs.items()},
+            tuple(self._gates),
+            self._consts,
+            frozenset(range(self._next_net)),
+        )

@@ -98,6 +98,12 @@ class TestMul:
         assert out == ""
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("a, b, bad", [("8", "1", 8), ("-3", "-9", -9)])
+    def test_signed_range_error_is_the_multipliers(self, capsys, a, b, bad):
+        code, out, err = run_cli(capsys, "mul", "--a", a, "--b", b, "--signed")
+        assert (code, out) == (2, "")
+        assert err == f"error: {bad} does not fit in 4 two's-complement bits\n"
+
 
 class TestFft:
     def test_inline_exact(self, capsys):

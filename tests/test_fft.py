@@ -20,6 +20,7 @@ from vedicfft import (
     dump_netlist,
     dft_oracle,
     parse_inline_samples,
+    parse_netlist,
     parse_samples_document,
     parse_twiddle_spec,
     run_fft,
@@ -699,14 +700,29 @@ class TestCompositeBuilders:
         assert str(excinfo.value) == BOGUS
 
     @pytest.mark.parametrize("name", unit_names())
-    def test_unit_is_validated_once(self, monkeypatch, name):
-        validated = []
+    def test_unit_is_one_netlist(self, monkeypatch, name):
+        # A unit is built as one Netlist, which trusts its builder and is
+        # not validated; the text of it is validated once when parsed.
+        made, validated = [], []
+        init, trusted = Netlist.__init__, Netlist._trusted.__func__
         validate = Netlist._validate
 
-        def counting(self):
+        def counting_init(self, net_name, *args):
+            made.append(net_name)
+            init(self, net_name, *args)
+
+        def counting_trusted(cls, net_name, *args):
+            made.append(net_name)
+            return trusted(cls, net_name, *args)
+
+        def counting_validate(self):
             validated.append(self.name)
             return validate(self)
 
-        monkeypatch.setattr(Netlist, "_validate", counting)
-        build_unit(name)
-        assert validated == [name]
+        monkeypatch.setattr(Netlist, "__init__", counting_init)
+        monkeypatch.setattr(Netlist, "_trusted", classmethod(counting_trusted))
+        monkeypatch.setattr(Netlist, "_validate", counting_validate)
+        text = dump_netlist(build_unit(name))
+        assert (made, validated) == ([name], [])
+        parse_netlist(text)
+        assert (made, validated) == ([name, name], [name])

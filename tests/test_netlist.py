@@ -96,6 +96,17 @@ class TestBuilder:
         with pytest.raises(NetlistError):
             b.finalize()
 
+    def test_bad_name_rejected_at_finalize(self):
+        b = NetlistBuilder("9t")
+        x = b.add_input("x", 1)[0]
+        b.set_output("o", [b.add_gate("NOT", [x])])
+        with pytest.raises(NetlistError) as excinfo:
+            b.finalize()
+        assert str(excinfo.value) == "invalid netlist name '9t'"
+        with pytest.raises(NetlistError) as excinfo:
+            b.finalize()
+        assert str(excinfo.value) == "builder already finalized"
+
     def test_no_outputs_rejected(self):
         b = NetlistBuilder("t")
         b.add_input("x", 1)
@@ -497,6 +508,61 @@ class TestEvaluationOrder:
             assert [g.id for g in net._order] == want
             forward += want != sorted(want)
         assert forward > 100  # most cases need the sort
+
+
+def _random_program(rng):
+    """A random builder program: input buses, constants and gates of every
+    kind interleaved, and output buses that may read any of their nets."""
+    b = NetlistBuilder("prog")
+    nets = b.add_input("in0", rng.randrange(1, 5))
+    for _ in range(rng.randrange(40)):
+        r = rng.random()
+        if r < 0.1:
+            nets.append(b.const(rng.randrange(2)))
+        elif r < 0.15:
+            nets += b.add_input(f"in{len(b._inputs)}", rng.randrange(1, 5))
+        else:
+            kind = rng.choice(list(GateKind))
+            ins = rng.choices(nets, k=kind.arity)
+            nets.append(b.add_gate(rng.choice((kind, kind.value)), ins))
+    for i in range(rng.randrange(1, 4)):
+        b.set_output(f"out{i}", rng.choices(nets, k=rng.randrange(1, 5)))
+    return b.finalize()
+
+
+def _trusted_cases():
+    names = [*unit_names(), "adder1", "adder16", "subtractor8"]
+    names += ["fft4_q1", "fft4_q2", "reconfigurable_q1", "reconfigurable_q2"]
+    for name in names:
+        yield build_unit(name)
+    rng = random.Random(20101)
+    for _ in range(200):
+        yield _random_program(rng)
+
+
+class TestTrustedFinalize:
+    """``NetlistBuilder.finalize`` skips ``_validate``; the netlist it makes
+    equals the one ``Netlist(...)`` validates from the same parts."""
+
+    def test_equals_validated_construction(self):
+        rng = random.Random(20102)
+        direct_reads = {"input": 0, "const": 0}
+        for net in _trusted_cases():
+            ref = Netlist(net.name, net.inputs, net.outputs, net.gates, net.consts)
+            for attr in ("name", "inputs", "outputs", "consts", "gates", "nets", "_order"):
+                assert getattr(net, attr) == getattr(ref, attr), (net.name, attr)
+            assert all(type(g) is Gate for g in net.gates)
+            columns = {
+                bus: [rng.randrange(1 << len(bits)) for _ in range(16)]
+                for bus, bits in net.inputs.items()
+            }
+            assert net.evaluate_batch(columns) == ref.evaluate_batch(columns)
+            read = {n for bits in net.outputs.values() for n in bits}
+            direct_reads["input"] += any(
+                n in read for bits in net.inputs.values() for n in bits
+            )
+            direct_reads["const"] += any(n in read for n in net.consts.values())
+        assert min(direct_reads.values()) > 10
 
 
 def test_gate_kind_arity():
