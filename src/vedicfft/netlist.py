@@ -22,8 +22,15 @@ function of its input columns. A column is a list of per-vector values or
 one int that the bus holds in every vector. The slot program it simulates
 is compiled with those scalar bits as constants, so the logic they make
 idle drops out; each distinct scalar assignment (none included) compiles
-one program on its first evaluation, cached per netlist. Threads that race
-on that first call each compile the same program, and the last assignment
+one program on its first evaluation, cached per netlist. That first
+evaluation interprets the program with the gate loop ``_run``. The second
+generates a Python function that runs the program's gates as straight-line
+code, one statement per gate (compiled-code simulation), and caches it
+beside the program; it and every later evaluation run that function,
+several times faster than the loop. Generating costs as much as many
+interpreted runs (about a hundred under CPython 3.11), so a program that
+runs once, as in every CLI command, never pays it. Threads that race on a first or second call each
+compile or generate the same program or function, and the last assignment
 wins. Columns are transposed into lane words, and lane words back into
 values, through byte buffers of one item per vector: a bus costs a fixed
 number of buffer and big-int operations and each bus bit one stride
@@ -41,7 +48,7 @@ import re
 import sys
 from array import array
 from collections import Counter
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from itertools import compress
 from operator import itemgetter
 from typing import NamedTuple
@@ -71,7 +78,7 @@ class GateKind(enum.Enum):
         return 1 if self is GateKind.NOT else 2
 
 
-# Opcodes of the gate kernel, ``Netlist._run``.
+# Opcodes of the interpreted gate kernel, ``Netlist._run``.
 _OPCODE = {
     GateKind.AND: 0,
     GateKind.OR: 1,
@@ -85,6 +92,18 @@ _OPCODE = {
 # Truth table per opcode: bit 2*a + b is the gate's output for input bits
 # a and b (NOT reads a only). The compiler folds gates by it.
 _TRUTH = (0b1000, 0b1110, 0b0110, 0b0011, 0b0111, 0b0001, 0b1001)
+
+# Python expression per opcode, for :func:`_generate_kernel`: ``{a}`` and
+# ``{b}`` are input slots, ``m`` the lane mask (``&`` binds before ``^``).
+_EXPR = (
+    "{a} & {b}",
+    "{a} | {b}",
+    "{a} ^ {b}",
+    "{a} ^ m",
+    "{a} & {b} ^ m",
+    "({a} | {b}) ^ m",
+    "{a} ^ {b} ^ m",
+)
 
 # A kind, or its canonical name, to the kind: the one dict lookup that
 # ``add_gate`` and ``parse_netlist`` try before :func:`as_gate_kind`.
@@ -235,6 +254,37 @@ def _unpack_lanes(words: list[int], n: int) -> list[int]:
     return items.tolist()
 
 
+def _generate_kernel(p: _Program) -> Callable[..., tuple[list[int], ...]]:
+    """Compile ``p`` to a Python function that runs its gates as
+    straight-line code, one assignment per folded gate in program order.
+
+    The function is ``kernel(m, i0, i1, ...)``: the lane mask, then the
+    lane words of each untied input bus in ``p.in_slots`` order; it returns
+    one list of lane words per output bus in ``p.out_slots`` order. Slot s
+    is the local ``s<s>``. Every name in the source is made from the
+    program's integers, never from a bus name, so no netlist text reaches
+    it. The source is dropped once compiled.
+    """
+    zero = p.size - 2
+    params = [f"i{k}" for k in range(len(p.in_slots))]
+    lines = [
+        f"def kernel({', '.join(['m', *params])}):",
+        f" s{zero} = 0",
+        f" s{zero + 1} = m",
+    ]
+    for param, slots in zip(params, p.in_slots.values()):
+        lines.append(f" {''.join(f's{s}, ' for s in slots)}= {param}")
+    for op, a, b, out in zip(p.ops, p.in0, p.in1, p.outs):
+        lines.append(f" s{out} = " + _EXPR[op].format(a=f"s{a}", b=f"s{b}"))
+    buses = "".join(
+        f"[{', '.join(f's{s}' for s in slots)}], " for slots in p.out_slots.values()
+    )
+    lines.append(f" return {buses}")
+    namespace: dict[str, object] = {}
+    exec(compile("\n".join(lines), "<kernel>", "exec"), namespace)
+    return namespace["kernel"]
+
+
 def _check_bus_name(name: str) -> str:
     if not _NAME_RE.match(name):
         raise NetlistError(f"invalid bus name {name!r}")
@@ -262,8 +312,10 @@ class Netlist:
         self.consts: dict[int, int] = dict(consts)  # constant bit value -> net id
         self.nets, self._order = self._validate()
         # One program per sorted tuple of (bus, value) scalars; () is the
-        # program with no input tied.
+        # program with no input tied. A program evaluated a second time
+        # also has its generated kernel, under the same key.
         self._programs: dict[tuple[tuple[str, int], ...], _Program] = {}
+        self._kernels: dict[tuple[tuple[str, int], ...], Callable[..., tuple]] = {}
 
     @classmethod
     def _trusted(
@@ -288,6 +340,7 @@ class Netlist:
         self.nets = nets
         self._order = gates
         self._programs = {}
+        self._kernels = {}
         return self
 
     # -- validation ---------------------------------------------------------
@@ -476,12 +529,16 @@ class Netlist:
         )
 
     def _run(self, p: _Program, values: list[int], mask: int) -> None:
-        """The gate kernel: evaluate every gate of ``p`` in topological order.
+        """The interpreted gate kernel: evaluate every gate of ``p`` in
+        topological order.
 
         Each slot holds one word whose bit i is the net's value in vector i;
         ``mask`` has one set bit per vector, so a one-lane run passes 1. One
         pass therefore evaluates every vector at once (parallel-pattern
         simulation). Constant slots must already hold 0 or ``mask``.
+        ``evaluate_batch`` runs it on a program's first evaluation only, and
+        the kernel of :func:`_generate_kernel` after that: generating one
+        costs many runs of this loop. The tests compare the two.
         """
         for op, a, b, out in zip(p.ops, p.in0, p.in1, p.outs):
             if op == 0:
@@ -524,7 +581,12 @@ class Netlist:
         that packs vectors into lane words and runs the gate kernel. One
         vector is a one-lane batch. The transposition is
         :func:`_pack_lanes` on the way in and :func:`_unpack_lanes` on the
-        way out.
+        way out. A program's first evaluation runs it through ``_run``;
+        the second generates its straight-line kernel
+        (:func:`_generate_kernel`), which that and every later evaluation
+        run. A program that runs once, as in a CLI command, so never pays
+        the generation, which costs many interpreted runs. A call whose
+        columns are rejected compiles nothing.
         """
         self._check_buses(columns)
         tied = {}
@@ -548,12 +610,6 @@ class Netlist:
             raise NetlistError(
                 "every input column is a scalar: no list gives the lane count"
             )
-        key = tuple(sorted(tied.items()))
-        p = self._programs.get(key)
-        if p is None:
-            # Compiled on first use. Threads that race here each compile
-            # the same program, and the last assignment wins.
-            p = self._programs[key] = self._compile(tied)
         lengths = {len(col) for col in lists.values()}
         if len(lengths) != 1:
             raise NetlistError(f"input columns differ in length: {sorted(lengths)}")
@@ -561,28 +617,39 @@ class Netlist:
         if n == 0:
             raise NetlistError("input columns are empty")
         mask = (1 << n) - 1
-        values = [0] * p.size
-        values[-1] = mask  # the constant-1 slot
+        lanes = {}  # bus -> its lane words
         for bus, col in lists.items():
-            slots = p.in_slots[bus]
-            width = len(slots)
+            width = len(self.inputs[bus])
             try:
                 bad = min(col) < 0 or max(col) >> width
                 if not bad:
-                    lanes = _pack_lanes(col, width)
+                    lanes[bus] = _pack_lanes(col, width)
             except TypeError:
                 bad = True
             if bad:
                 raise NetlistError(
                     f"input {bus} values must be integers in [0, 2**{width})"
                 )
-            for s, word in zip(slots, lanes):
-                values[s] = word
-        self._run(p, values, mask)
-        return {
-            bus: _unpack_lanes([values[s] for s in slots], n)
-            for bus, slots in p.out_slots.items()
-        }
+        key = tuple(sorted(tied.items()))
+        p = self._programs.get(key)
+        if p is None:
+            # Compiled and interpreted on first use. Threads that race here
+            # each compile the same program, and the last assignment wins.
+            p = self._programs[key] = self._compile(tied)
+            values = [0] * p.size
+            values[-1] = mask  # the constant-1 slot
+            for bus, slots in p.in_slots.items():
+                for s, word in zip(slots, lanes[bus]):
+                    values[s] = word
+            self._run(p, values, mask)
+            words = [[values[s] for s in slots] for slots in p.out_slots.values()]
+        else:
+            kernel = self._kernels.get(key)
+            if kernel is None:
+                # Generated on the second evaluation, raced as above.
+                kernel = self._kernels[key] = _generate_kernel(p)
+            words = kernel(mask, *[lanes[bus] for bus in p.in_slots])
+        return {bus: _unpack_lanes(w, n) for bus, w in zip(p.out_slots, words)}
 
     # -- static analysis ----------------------------------------------------
 

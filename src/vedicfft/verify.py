@@ -24,8 +24,11 @@ from ``fft._dft_columns``, the column form of ``dft_oracle``.
 Every netlist is built once per process: the catalog units by
 :func:`_unit`, the signed multipliers by ``arith._signed_unit`` and the FFT
 datapaths by ``fft._reconfigurable_cached``. So is the vedic4x4 oracle
-column (:func:`_digit_serial_products`), so a second pass builds and
-compiles nothing.
+column (:func:`_digit_serial_products`), so a second pass builds nothing
+and compiles no slot program. The first pass interprets each slot program
+it simulates; the second generates their straight-line kernels
+(``netlist._generate_kernel``) and runs them, and a later pass only runs
+them.
 """
 
 from __future__ import annotations

@@ -32,6 +32,8 @@ from vedicfft import (
     run_fft_batch,
 )
 from vedicfft.fft import build_unit, unit_names
+from vedicfft.netio import parse_netlist
+from test_netlist import _random_program
 
 EXHAUSTIVE_BITS = 12
 SAMPLED_VECTORS = 2000
@@ -357,6 +359,176 @@ def test_buffer_columns(width, kind):
     assert net.evaluate_batch({**columns, "a": BUFFER_COLUMNS[kind](values)}) == want
 
 
+# A program is interpreted by ``Netlist._run`` on its first evaluation and
+# runs as a generated kernel from its second on. Each case below runs on a
+# netlist that has not evaluated it yet: interpreted, generating, generated.
+LANE_COUNTS = [1, 2, 64, 65, 1000]
+
+
+def assert_interpreted_and_generated_match(net, vectors, tied=None):
+    """Evaluate ``vectors`` three times on the fresh ``net``, the buses in
+    ``tied`` as scalars: each result must equal the reference, and only the
+    second evaluation generates a kernel."""
+    tied = tied or {}
+    assert net._programs == {} and net._kernels == {}
+    vectors = [{**v, **tied} for v in vectors]
+    columns = {bus: [v[bus] for v in vectors] for bus in net.inputs}
+    columns.update(tied)
+    key = tuple(sorted(tied.items()))
+    want = reference_outputs(net, vectors)
+    assert net.evaluate_batch(columns) == want, "interpreted"
+    assert list(net._programs) == [key] and net._kernels == {}
+    assert net.evaluate_batch(columns) == want, "generating"
+    assert list(net._kernels) == [key]
+    kernel = net._kernels[key]
+    assert net.evaluate_batch(columns) == want, "generated"
+    assert net._kernels == {key: kernel}
+
+
+def sample_lanes(net, lanes, seed):
+    rng = random.Random(seed)
+    return rng.choices(input_vectors(net, rng), k=lanes)
+
+
+@pytest.mark.parametrize("lanes", LANE_COUNTS)
+@pytest.mark.parametrize("name", catalog_units())
+def test_generated_kernel_catalog_unit(name, lanes):
+    net = build_unit(name)
+    assert_interpreted_and_generated_match(net, sample_lanes(net, lanes, f"{name}-{lanes}"))
+
+
+@pytest.mark.parametrize("lanes", LANE_COUNTS)
+@pytest.mark.parametrize("select", [0, 1])
+@pytest.mark.parametrize("name", RECONFIGURABLE_UNITS)
+def test_generated_kernel_tied_select(name, select, lanes):
+    net = build_unit(name)
+    vectors = sample_lanes(net, lanes, f"{name}-{select}-{lanes}")
+    assert_interpreted_and_generated_match(net, vectors, {"select": select})
+
+
+def test_generated_kernel_random_programs():
+    # The random builder programs of ``TestTrustedFinalize``, each at a
+    # lane count of its own.
+    rng = random.Random(20101)
+    lane_rng = random.Random(20103)
+    for i in range(200):
+        net = _random_program(rng)
+        vectors = [
+            {bus: lane_rng.randrange(1 << len(bits)) for bus, bits in net.inputs.items()}
+            for _ in range(LANE_COUNTS[i % len(LANE_COUNTS)])
+        ]
+        assert_interpreted_and_generated_match(net, vectors)
+
+
+def folded_away_netlist():
+    """Every gate folds away: outputs read an input bit twice, both
+    constants, a copy of an input bit and a constant gate. Bus ``idle``
+    is read by nothing."""
+    b = NetlistBuilder("folded_away")
+    x = b.add_input("x", 2)
+    b.add_input("idle", 3)
+    zero, one = b.const(0), b.const(1)
+    copy = b.add_gate("OR", [x[1], zero])
+    b.set_output("o", [b.add_gate("AND", [x[0], zero]), copy, x[0], one, x[0]])
+    b.set_output("k", [zero])
+    return b.finalize()
+
+
+def edge_netlist():
+    """Live gates, with output buses that also read an input bit, each
+    constant and one net twice, and an input bus that no gate reads."""
+    b = NetlistBuilder("edges")
+    x = b.add_input("x", 2)
+    y = b.add_input("y", 1)
+    b.add_input("idle", 2)
+    g = b.add_gate("XOR", [x[0], y[0]])
+    h = b.add_gate("NAND", [g, x[1]])
+    b.set_output("o", [h, g, h, x[1], b.const(0)])
+    b.set_output("p", [b.const(1), y[0], y[0]])
+    return b.finalize()
+
+
+@pytest.mark.parametrize("lanes", [1, 65])
+@pytest.mark.parametrize("build", [folded_away_netlist, edge_netlist])
+def test_generated_kernel_edges(build, lanes):
+    net = build()
+    want_ops = 0 if build is folded_away_netlist else 2
+    assert len(net._compile({}).ops) == want_ops
+    assert_interpreted_and_generated_match(net, sample_lanes(net, lanes, lanes))
+
+
+def test_rejected_evaluation_compiles_nothing():
+    # A call whose columns are rejected does not count as a first
+    # evaluation: the next accepted call is, and it is interpreted.
+    net = build_unit("vedic2x2")
+    with pytest.raises(NetlistError):
+        net.evaluate_batch({"a": [0, 4], "b": [1, 1]})
+    assert net._programs == {}
+    assert_interpreted_and_generated_match(net, sample_lanes(net, 2, 0))
+
+
+# Bus names that are Python keywords or spell the kernel's own names: none
+# of them may reach the generated source.
+KEYWORD_NAMES_TEXT = """\
+netlist names v1
+input def 2
+input return 1
+input m 2
+input i0 1
+const1 n0
+gate 0 AND def[0] m[1] -> n1
+gate 1 XOR n1 return[0] -> n2
+gate 2 NOR def[1] i0[0] -> n3
+gate 3 NOT m[0] -> n4
+output s1 n2 n3 n4 def[1]
+output c0 n0 n3 m[0]
+"""
+
+
+@pytest.mark.parametrize("lanes", [1, 64])
+def test_generated_kernel_bus_names(lanes):
+    net = parse_netlist(KEYWORD_NAMES_TEXT)
+    assert list(net.inputs) == ["def", "return", "m", "i0"]
+    assert list(net.outputs) == ["s1", "c0"]
+    assert_interpreted_and_generated_match(net, sample_lanes(net, lanes, lanes))
+
+
+def test_threads_generate_a_kernel_at_once():
+    # Each program has run once; two threads per program then race to
+    # generate its kernel.
+    net = build_unit("reconfigurable_q3")
+    vectors = input_vectors(net, random.Random(5))[:100]
+    jobs = []
+    for select in (0, 1, None):
+        batch = vectors if select is None else [{**v, "select": select} for v in vectors]
+        columns = {bus: [v[bus] for v in batch] for bus in net.inputs}
+        if select is not None:
+            columns["select"] = select
+        net.evaluate_batch(columns)
+        jobs += [(columns, reference_outputs(net, batch))] * 2
+    assert net._kernels == {}
+    results = [None] * len(jobs)
+    start = threading.Barrier(len(jobs))
+
+    def evaluate(i):
+        start.wait(timeout=30)
+        results[i] = net.evaluate_batch(jobs[i][0])
+
+    threads = [threading.Thread(target=evaluate, args=(i,)) for i in range(len(jobs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [want for _, want in jobs]
+    assert set(net._kernels) == {(), (("select", 0),), (("select", 1),)}
+
+
 @pytest.mark.parametrize("width", [8, 64])
 def test_no_call_per_vector(width):
     # Up to 64 bits a bus is packed and unpacked with a fixed number of
@@ -370,6 +542,7 @@ def test_no_call_per_vector(width):
             for bus in net.inputs
         }
         net.evaluate_batch(columns)  # compiles the program
+        net.evaluate_batch(columns)  # generates its kernel
         events = []
         sys.setprofile(lambda frame, event, arg: events.append(event))
         try:
