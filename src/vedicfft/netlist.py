@@ -16,25 +16,26 @@ the evaluation order: Kahn's topological sort, smallest ready gate id
 first. Where every gate reads only nets driven before it in id order, as
 in the dump of a built netlist, that order is ascending id and validation
 is one linear pass; only text with forward references or cycles runs the
-sort. A finalized ``Netlist`` is
-immutable and safe to share across threads; ``evaluate_batch`` is a pure
-function of its input columns. A column is a list of per-vector values or
-one int that the bus holds in every vector. The slot program it simulates
-is compiled with those scalar bits as constants, so the logic they make
-idle drops out; each distinct scalar assignment (none included) compiles
-one program on its first evaluation, cached per netlist. That first
-evaluation interprets the program with the gate loop ``_run``. The second
-generates a Python function that runs the program's gates as straight-line
-code, one statement per gate (compiled-code simulation), and caches it
-beside the program; it and every later evaluation run that function,
-several times faster than the loop. Generating costs as much as many
-interpreted runs (about a hundred under CPython 3.11), so a program that
-runs once, as in every CLI command, never pays it. Threads that race on a first or second call each
-compile or generate the same program or function, and the last assignment
-wins. Columns are transposed into lane words, and lane words back into
-values, through byte buffers of one item per vector: a bus costs a fixed
-number of buffer and big-int operations and each bus bit one stride
-slice, with no Python call per vector up to 64 bits.
+sort. A finalized ``Netlist`` is immutable and safe to share across
+threads; ``evaluate_batch`` is a pure function of its input columns. A
+column is a list of per-vector values or one int that the bus holds in
+every vector. The slot program it simulates is compiled with those scalar
+bits as constants, so the logic they make idle drops out; each distinct
+scalar assignment (none included) compiles one program on its first
+evaluation, cached per netlist. The gate loop ``_run`` interprets it for
+its first 99 evaluations. The 100th generates a Python function that runs
+the program's gates as straight-line code, one statement per gate
+(compiled-code simulation), and caches it beside the program; it and every
+later evaluation run that function, 2.5 to 4 times faster than the loop.
+Generating costs about as much as those 99 runs would save, so a program
+that runs a few times, as in every CLI command (``verify --unit all`` runs
+none more than three times), never pays it. Threads that race on an
+evaluation may each compile the same program or generate the same
+function, and the last assignment wins; a run count that a race loses only
+delays generation. Columns are transposed into lane words, and lane words
+back into values, through byte buffers of one item per vector: a bus costs
+a fixed number of buffer and big-int operations and each bus bit one
+stride slice, with no Python call per vector up to 64 bits.
 
 Cost model: every gate costs one delay unit and one unit of area, wires are
 free. ``critical_path_depth`` and ``gate_counts`` report those two metrics.
@@ -104,6 +105,13 @@ _EXPR = (
     "({a} | {b}) ^ m",
     "{a} ^ {b} ^ m",
 )
+
+# The evaluation of a program that generates its kernel. Generating one
+# costs what 55 to 170 runs of the kernel save over ``_run`` (CPython 3.11,
+# the programs of ``verify --unit all`` and ``fft_stream``, 1 to 1009
+# lanes). So a program run fewer times never pays for generation, and one
+# run more pays 0.6 to 1.8 generations' worth for its interpreted runs.
+_GENERATE_AT = 100
 
 # A kind, or its canonical name, to the kind: the one dict lookup that
 # ``add_gate`` and ``parse_netlist`` try before :func:`as_gate_kind`.
@@ -279,7 +287,7 @@ def _generate_kernel(p: _Program) -> Callable[..., tuple[list[int], ...]]:
     buses = "".join(
         f"[{', '.join(f's{s}' for s in slots)}], " for slots in p.out_slots.values()
     )
-    lines.append(f" return {buses}")
+    lines.append(f" return ({buses})")
     namespace: dict[str, object] = {}
     exec(compile("\n".join(lines), "<kernel>", "exec"), namespace)
     return namespace["kernel"]
@@ -312,9 +320,10 @@ class Netlist:
         self.consts: dict[int, int] = dict(consts)  # constant bit value -> net id
         self.nets, self._order = self._validate()
         # One program per sorted tuple of (bus, value) scalars; () is the
-        # program with no input tied. A program evaluated a second time
-        # also has its generated kernel, under the same key.
+        # program with no input tied. Under the same key: its evaluations,
+        # counted until one generates its kernel, and then that kernel.
         self._programs: dict[tuple[tuple[str, int], ...], _Program] = {}
+        self._runs: dict[tuple[tuple[str, int], ...], int] = {}
         self._kernels: dict[tuple[tuple[str, int], ...], Callable[..., tuple]] = {}
 
     @classmethod
@@ -340,6 +349,7 @@ class Netlist:
         self.nets = nets
         self._order = gates
         self._programs = {}
+        self._runs = {}
         self._kernels = {}
         return self
 
@@ -536,9 +546,9 @@ class Netlist:
         ``mask`` has one set bit per vector, so a one-lane run passes 1. One
         pass therefore evaluates every vector at once (parallel-pattern
         simulation). Constant slots must already hold 0 or ``mask``.
-        ``evaluate_batch`` runs it on a program's first evaluation only, and
-        the kernel of :func:`_generate_kernel` after that: generating one
-        costs many runs of this loop. The tests compare the two.
+        ``evaluate_batch`` runs it for a program's first ``_GENERATE_AT - 1``
+        evaluations and the kernel of :func:`_generate_kernel` after that,
+        since generating one costs about as much as those runs save.
         """
         for op, a, b, out in zip(p.ops, p.in0, p.in1, p.outs):
             if op == 0:
@@ -581,12 +591,12 @@ class Netlist:
         that packs vectors into lane words and runs the gate kernel. One
         vector is a one-lane batch. The transposition is
         :func:`_pack_lanes` on the way in and :func:`_unpack_lanes` on the
-        way out. A program's first evaluation runs it through ``_run``;
-        the second generates its straight-line kernel
+        way out. A program's first ``_GENERATE_AT - 1`` evaluations run it
+        through ``_run``; the next generates its straight-line kernel
         (:func:`_generate_kernel`), which that and every later evaluation
-        run. A program that runs once, as in a CLI command, so never pays
-        the generation, which costs many interpreted runs. A call whose
-        columns are rejected compiles nothing.
+        run. A program run fewer times, as in every CLI command, never pays
+        the generation, which costs about what those interpreted runs save.
+        A call whose columns are rejected compiles and counts nothing.
         """
         self._check_buses(columns)
         tied = {}
@@ -633,9 +643,16 @@ class Netlist:
         key = tuple(sorted(tied.items()))
         p = self._programs.get(key)
         if p is None:
-            # Compiled and interpreted on first use. Threads that race here
-            # each compile the same program, and the last assignment wins.
             p = self._programs[key] = self._compile(tied)
+        kernel = self._kernels.get(key)
+        if kernel is None:
+            # Threads that race here may each compile or generate, and the
+            # last assignment wins; a count that a race loses only delays
+            # generation.
+            runs = self._runs[key] = self._runs.get(key, 0) + 1
+            if runs >= _GENERATE_AT:
+                kernel = self._kernels[key] = _generate_kernel(p)
+        if kernel is None:
             values = [0] * p.size
             values[-1] = mask  # the constant-1 slot
             for bus, slots in p.in_slots.items():
@@ -644,10 +661,6 @@ class Netlist:
             self._run(p, values, mask)
             words = [[values[s] for s in slots] for slots in p.out_slots.values()]
         else:
-            kernel = self._kernels.get(key)
-            if kernel is None:
-                # Generated on the second evaluation, raced as above.
-                kernel = self._kernels[key] = _generate_kernel(p)
             words = kernel(mask, *[lanes[bus] for bus in p.in_slots])
         return {bus: _unpack_lanes(w, n) for bus, w in zip(p.out_slots, words)}
 

@@ -22,13 +22,15 @@ simulates its columns with ``fft._transform_columns`` and takes the oracle
 from ``fft._dft_columns``, the column form of ``dft_oracle``.
 
 Every netlist is built once per process: the catalog units by
-:func:`_unit`, the signed multipliers by ``arith._signed_unit`` and the FFT
-datapaths by ``fft._reconfigurable_cached``. So is the vedic4x4 oracle
+:func:`_unit`, the signed multipliers by ``arith._signed_unit`` and the
+FFT datapaths by ``fft._reconfigurable_cached``. So is the vedic4x4 oracle
 column (:func:`_digit_serial_products`), so a second pass builds nothing
-and compiles no slot program. The first pass interprets each slot program
-it simulates; the second generates their straight-line kernels
-(``netlist._generate_kernel``) and runs them, and a later pass only runs
-them.
+and compiles no slot program. A pass evaluates the exact 4-point program
+three times, vedic4x4's twice and every other program once. Each program
+is interpreted until its 100th evaluation generates its straight-line
+kernel (``netlist._generate_kernel``), so ``verify --unit all``, one
+pass, generates none, and a process that repeats the passes runs every
+program as generated code from the 100th on.
 """
 
 from __future__ import annotations

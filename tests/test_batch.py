@@ -33,6 +33,7 @@ from vedicfft import (
 )
 from vedicfft.fft import build_unit, unit_names
 from vedicfft.netio import parse_netlist
+from vedicfft.netlist import _GENERATE_AT, Gate, Netlist
 from test_netlist import _random_program
 
 EXHAUSTIVE_BITS = 12
@@ -359,16 +360,18 @@ def test_buffer_columns(width, kind):
     assert net.evaluate_batch({**columns, "a": BUFFER_COLUMNS[kind](values)}) == want
 
 
-# A program is interpreted by ``Netlist._run`` on its first evaluation and
-# runs as a generated kernel from its second on. Each case below runs on a
-# netlist that has not evaluated it yet: interpreted, generating, generated.
+# A program is interpreted by ``Netlist._run`` for its first
+# ``_GENERATE_AT - 1`` evaluations and runs as a generated kernel from the
+# next on. Each case below runs on a netlist that has not evaluated it yet:
+# interpreted, generating, generated.
 LANE_COUNTS = [1, 2, 64, 65, 1000]
 
 
 def assert_interpreted_and_generated_match(net, vectors, tied=None):
-    """Evaluate ``vectors`` three times on the fresh ``net``, the buses in
-    ``tied`` as scalars: each result must equal the reference, and only the
-    second evaluation generates a kernel."""
+    """Evaluate ``vectors`` on the fresh ``net`` until its program has run
+    as a generated kernel, the buses in ``tied`` as scalars: each result
+    must equal the reference, and only evaluation ``_GENERATE_AT``
+    generates a kernel."""
     tied = tied or {}
     assert net._programs == {} and net._kernels == {}
     vectors = [{**v, **tied} for v in vectors]
@@ -376,13 +379,17 @@ def assert_interpreted_and_generated_match(net, vectors, tied=None):
     columns.update(tied)
     key = tuple(sorted(tied.items()))
     want = reference_outputs(net, vectors)
-    assert net.evaluate_batch(columns) == want, "interpreted"
-    assert list(net._programs) == [key] and net._kernels == {}
+    for run in range(1, _GENERATE_AT):
+        assert net.evaluate_batch(columns) == want, f"interpreted run {run}"
+        assert net._kernels == {}
+    assert list(net._programs) == [key]
+    assert net._runs == {key: _GENERATE_AT - 1}
     assert net.evaluate_batch(columns) == want, "generating"
     assert list(net._kernels) == [key]
     kernel = net._kernels[key]
     assert net.evaluate_batch(columns) == want, "generated"
     assert net._kernels == {key: kernel}
+    assert net._runs == {key: _GENERATE_AT}
 
 
 def sample_lanes(net, lanes, seed):
@@ -448,22 +455,31 @@ def edge_netlist():
     return b.finalize()
 
 
+def no_output_netlist():
+    """No output bus, which only ``Netlist(...)`` accepts: the builder and
+    the parser reject it. Every evaluation returns an empty dict."""
+    gates = [Gate(0, GateKind.AND, (0, 1), 2)]
+    return Netlist("no_outputs", {"x": [0, 1]}, {}, gates, {})
+
+
 @pytest.mark.parametrize("lanes", [1, 65])
-@pytest.mark.parametrize("build", [folded_away_netlist, edge_netlist])
-def test_generated_kernel_edges(build, lanes):
+@pytest.mark.parametrize(
+    "build, want_ops",
+    [(folded_away_netlist, 0), (edge_netlist, 2), (no_output_netlist, 0)],
+)
+def test_generated_kernel_edges(build, want_ops, lanes):
     net = build()
-    want_ops = 0 if build is folded_away_netlist else 2
     assert len(net._compile({}).ops) == want_ops
     assert_interpreted_and_generated_match(net, sample_lanes(net, lanes, lanes))
 
 
 def test_rejected_evaluation_compiles_nothing():
-    # A call whose columns are rejected does not count as a first
-    # evaluation: the next accepted call is, and it is interpreted.
+    # A call whose columns are rejected neither compiles nor counts as an
+    # evaluation: the next accepted call is the first, and it is interpreted.
     net = build_unit("vedic2x2")
     with pytest.raises(NetlistError):
         net.evaluate_batch({"a": [0, 4], "b": [1, 1]})
-    assert net._programs == {}
+    assert net._programs == {} and net._runs == {}
     assert_interpreted_and_generated_match(net, sample_lanes(net, 2, 0))
 
 
@@ -494,8 +510,8 @@ def test_generated_kernel_bus_names(lanes):
 
 
 def test_threads_generate_a_kernel_at_once():
-    # Each program has run once; two threads per program then race to
-    # generate its kernel.
+    # Each program has run one evaluation short of generating its kernel;
+    # two threads per program then race to generate it.
     net = build_unit("reconfigurable_q3")
     vectors = input_vectors(net, random.Random(5))[:100]
     jobs = []
@@ -504,7 +520,8 @@ def test_threads_generate_a_kernel_at_once():
         columns = {bus: [v[bus] for v in batch] for bus in net.inputs}
         if select is not None:
             columns["select"] = select
-        net.evaluate_batch(columns)
+        for _ in range(_GENERATE_AT - 1):
+            net.evaluate_batch(columns)
         jobs += [(columns, reference_outputs(net, batch))] * 2
     assert net._kernels == {}
     results = [None] * len(jobs)
@@ -541,8 +558,8 @@ def test_no_call_per_vector(width):
             bus: [rng.randrange(1 << net.input_width(bus)) for _ in range(lanes)]
             for bus in net.inputs
         }
-        net.evaluate_batch(columns)  # compiles the program
-        net.evaluate_batch(columns)  # generates its kernel
+        for _ in range(_GENERATE_AT):  # the last call generates its kernel
+            net.evaluate_batch(columns)
         events = []
         sys.setprofile(lambda frame, event, arg: events.append(event))
         try:
