@@ -409,10 +409,15 @@ def complex_multiply_unit(
     return b.finalize()
 
 
-def _check_datapath(config: FftConfig, multiplier: str) -> None:
-    """The rejections of :func:`build_fft4`, in order, before any gate."""
+def _check_config(config: FftConfig) -> None:
+    """Reject a config that is not an :class:`FftConfig` before it is read."""
     if not isinstance(config, FftConfig):
         raise NetlistError(f"expected FftConfig, got {type(config).__name__}")
+
+
+def _check_datapath(config: FftConfig, multiplier: str) -> None:
+    """The rejections of :func:`build_fft4`, in order, before any gate."""
+    _check_config(config)
     if config.twiddle_mode == "quantized":
         # Before the twiddle is quantized: that allocates an int of F bits.
         _check_fits_core(config.fraction_bits)
@@ -594,25 +599,37 @@ def _reconfigurable_cached(
 
 def _coerce_samples(
     config: FftConfig, samples: Sequence[FixedComplex | Sequence[int]]
-) -> list[FixedComplex]:
-    """The 4 samples ``run_fft`` feeds the netlist (2 are zero-filled with
-    select=2); each pair is validated as :class:`FixedComplex` validates
-    its components."""
-    coerced = []
+) -> list[int]:
+    """The 8 components x0_re, x0_im .. x3_im that ``run_fft`` feeds the
+    netlist (2 samples are zero-filled with select=2).
+
+    A sample is a :class:`FixedComplex` or a sequence of two components;
+    anything else, a dict or a set among them, is rejected. A component
+    that is not exactly an ``int`` goes to :class:`FixedComplex`, which
+    raises its message unless it is an ``int`` subclass other than
+    ``bool``. The range is left to :func:`_transform_columns`.
+    """
+    row: list[int] = []
     for s in samples:
-        if not isinstance(s, FixedComplex):
-            pair = tuple(s)
-            if len(pair) != 2:
+        kind = type(s)
+        if kind is not tuple and kind is not list:
+            if isinstance(s, FixedComplex):
+                s = (s.re, s.im)
+            elif not isinstance(s, Sequence):
                 raise ValueError(f"sample must be a (re, im) pair, got {s!r}")
-            s = FixedComplex(*pair)
-        coerced.append(s)
-    if config.select == 2 and len(coerced) == 2:
-        coerced += [FixedComplex(0, 0), FixedComplex(0, 0)]
-    if len(coerced) != 4:
+        if len(s) != 2:
+            raise ValueError(f"sample must be a (re, im) pair, got {s!r}")
+        re, im = s
+        if type(re) is not int or type(im) is not int:
+            FixedComplex(re, im)
+        row += (re, im)
+    if config.select == 2 and len(row) == 4:
+        row += (0, 0, 0, 0)
+    if len(row) != 8:
         raise ValueError(
-            f"expected 4 samples (or 2 with select=2), got {len(coerced)}"
+            f"expected 4 samples (or 2 with select=2), got {len(row) // 2}"
         )
-    return coerced
+    return row
 
 
 def _net_for(config: FftConfig) -> Netlist:
@@ -627,16 +644,18 @@ _BIN_BUSES = tuple(f"X{k}_{part}" for k in range(4) for part in ("re", "im"))
 
 def _transform_columns(
     config: FftConfig, columns: Sequence[Sequence[int]]
-) -> list[list[int]]:
+) -> tuple[int, list[list[int]]]:
     """Simulate the reconfigurable netlist on n vectors given by column.
 
-    ``columns`` holds 8 columns of n signed components each: x0_re, x0_im,
-    .. x3_im. A component outside the input width raises the ValueError of
-    :meth:`FixedComplex.check_range` for the first one in vector order.
-    The result holds the 8 signed output columns X0_re, X0_im, .. X3_im:
-    raw values, scaled by 2^scale_log2. ``select`` is passed as a scalar,
-    so only the selected datapath is simulated: the netlist caches one
-    program per select value.
+    ``columns`` holds 8 columns of n signed int components each: x0_re,
+    x0_im, .. x3_im. A component outside the input width raises the
+    ValueError of :meth:`FixedComplex.check_range` for the first one in
+    vector order; this is the one range check of the ``run_fft`` path. The
+    result is the output width and the 8 signed output columns X0_re,
+    X0_im, .. X3_im: raw values, scaled by 2^scale_log2. ``select`` is
+    passed as a scalar, so only the selected datapath is simulated: the
+    netlist caches one program per select value. A one-lane call costs a
+    fixed number of operations per bus around the netlist's kernel.
     """
     width = config.input_width
     lo, hi = -(1 << (width - 1)), (1 << (width - 1)) - 1
@@ -652,8 +671,9 @@ def _transform_columns(
     outs = net.evaluate_batch(inputs)
     # Two's complement by column: flipping the sign bit and subtracting
     # its weight maps [0, 2**w) onto [-h, h).
-    h = 1 << (net.output_width("X0_re") - 1)
-    return [[(v ^ h) - h for v in outs[bus]] for bus in _BIN_BUSES]
+    out_width = net.output_width("X0_re")
+    h = 1 << (out_width - 1)
+    return out_width, [[(v ^ h) - h for v in outs[bus]] for bus in _BIN_BUSES]
 
 
 def run_fft(
@@ -675,15 +695,17 @@ def run_fft_batch(
     """Evaluate the reconfigurable netlist on every sample list in one gate
     pass (:func:`_transform_columns`) and decode the outputs.
 
-    Each list is checked as :func:`run_fft` documents; element i of the
-    result is the spectrum of ``sample_lists[i]``.
+    ``config`` must be an :class:`FftConfig`, checked before any sample is
+    read. Each list is checked as :func:`run_fft` documents: every list's
+    samples and count first, in order, then the range of every component
+    in vector order. Element i of the result is the spectrum of
+    ``sample_lists[i]``.
     """
-    coerced = [_coerce_samples(config, samples) for samples in sample_lists]
-    if not coerced:
+    _check_config(config)
+    rows = [_coerce_samples(config, samples) for samples in sample_lists]
+    if not rows:
         return []
-    rows = [[part for s in xs for part in (s.re, s.im)] for xs in coerced]
-    out = _transform_columns(config, list(zip(*rows)))
-    width = _net_for(config).output_width("X0_re")
+    width, out = _transform_columns(config, list(zip(*rows)))
     bins = [map(FixedComplex, out[2 * k], out[2 * k + 1]) for k in range(4)]
     return [
         FftResult(spectrum, width, config.scale_log2, config.select)

@@ -32,10 +32,14 @@ that runs a few times, as in every CLI command (``verify --unit all`` runs
 none more than three times), never pays it. Threads that race on an
 evaluation may each compile the same program or generate the same
 function, and the last assignment wins; a run count that a race loses only
-delays generation. Columns are transposed into lane words, and lane words
-back into values, through byte buffers of one item per vector: a bus costs
-a fixed number of buffer and big-int operations and each bus bit one
-stride slice, with no Python call per vector up to 64 bits.
+delays generation. For the loop, and for the function at two or more
+lanes, columns are transposed into lane words, and lane words back into
+values, through byte buffers of one item per vector: a bus costs a fixed
+number of buffer and big-int operations and each bus bit one stride slice,
+with no Python call per vector up to 64 bits. At one lane the function
+takes and returns the bus values themselves, splitting and joining their
+bits in its own straight-line code, so a one-lane evaluation costs its
+gates plus a fixed handful of checks per bus.
 
 Cost model: every gate costs one delay unit and one unit of area, wires are
 free. ``critical_path_depth`` and ``gate_counts`` report those two metrics.
@@ -262,32 +266,50 @@ def _unpack_lanes(words: list[int], n: int) -> list[int]:
     return items.tolist()
 
 
-def _generate_kernel(p: _Program) -> Callable[..., tuple[list[int], ...]]:
+def _generate_kernel(p: _Program) -> Callable[..., tuple]:
     """Compile ``p`` to a Python function that runs its gates as
     straight-line code, one assignment per folded gate in program order.
 
-    The function is ``kernel(m, i0, i1, ...)``: the lane mask, then the
-    lane words of each untied input bus in ``p.in_slots`` order; it returns
-    one list of lane words per output bus in ``p.out_slots`` order. Slot s
-    is the local ``s<s>``. Every name in the source is made from the
-    program's integers, never from a bus name, so no netlist text reaches
-    it. The source is dropped once compiled.
+    The function is ``kernel(m, i0, i1, ...)``: the lane mask, then one
+    argument per untied input bus in ``p.in_slots`` order; it returns one
+    item per output bus in ``p.out_slots`` order. It has two forms, chosen
+    by the lane count the mask shows. With more than one lane, each
+    argument is the bus's list of lane words, unpacked into its slots, and
+    each item the list of the bus's lane words. With one lane (``m == 1``)
+    each argument is the bus's value, its bits extracted inline
+    (``s3 = i0 >> 1 & 1``), and each item the value of the bus, one
+    ``s40 | s41 << 1 | ...`` expression: no lane word is packed or
+    unpacked. Slot s is the local ``s<s>``. Every name in the source is
+    made from the program's integers, never from a bus name, so no netlist
+    text reaches it. The source is dropped once compiled.
     """
     zero = p.size - 2
     params = [f"i{k}" for k in range(len(p.in_slots))]
+    buses = list(zip(params, p.in_slots.values()))
     lines = [
         f"def kernel({', '.join(['m', *params])}):",
         f" s{zero} = 0",
         f" s{zero + 1} = m",
+        " if m == 1:",
     ]
-    for param, slots in zip(params, p.in_slots.values()):
-        lines.append(f" {''.join(f's{s}, ' for s in slots)}= {param}")
+    for param, slots in buses:
+        lines += [
+            f"  s{s} = {param} >> {k} & 1" if k else f"  s{s} = {param} & 1"
+            for k, s in enumerate(slots)
+        ]
+    lines.append(" else:")
+    for param, slots in buses:
+        lines.append(f"  {''.join(f's{s}, ' for s in slots)}= {param}")
     for op, a, b, out in zip(p.ops, p.in0, p.in1, p.outs):
         lines.append(f" s{out} = " + _EXPR[op].format(a=f"s{a}", b=f"s{b}"))
-    buses = "".join(
+    values = "".join(
+        " | ".join(f"s{s} << {k}" if k else f"s{s}" for k, s in enumerate(slots)) + ", "
+        for slots in p.out_slots.values()
+    )
+    words = "".join(
         f"[{', '.join(f's{s}' for s in slots)}], " for slots in p.out_slots.values()
     )
-    lines.append(f" return ({buses})")
+    lines += [" if m == 1:", f"  return ({values})", f" return ({words})"]
     namespace: dict[str, object] = {}
     exec(compile("\n".join(lines), "<kernel>", "exec"), namespace)
     return namespace["kernel"]
@@ -566,14 +588,6 @@ class Netlist:
             else:
                 values[out] = values[a] ^ values[b] ^ mask
 
-    def _check_buses(self, assignments: Mapping[str, object]) -> None:
-        missing = set(self.inputs) - set(assignments)
-        if missing:
-            raise NetlistError(f"missing input buses: {sorted(missing)}")
-        extra = set(assignments) - set(self.inputs)
-        if extra:
-            raise NetlistError(f"unknown input buses: {sorted(extra)}")
-
     def evaluate_batch(
         self, columns: Mapping[str, int | Sequence[int]]
     ) -> dict[str, list[int]]:
@@ -588,22 +602,40 @@ class Netlist:
         each distinct assignment of them compiles and caches one program in
         which their bits are constants, so the logic they idle is not
         simulated. This is the one simulation entry point: the only code
-        that packs vectors into lane words and runs the gate kernel. One
-        vector is a one-lane batch. The transposition is
-        :func:`_pack_lanes` on the way in and :func:`_unpack_lanes` on the
-        way out. A program's first ``_GENERATE_AT - 1`` evaluations run it
-        through ``_run``; the next generates its straight-line kernel
-        (:func:`_generate_kernel`), which that and every later evaluation
-        run. A program run fewer times, as in every CLI command, never pays
-        the generation, which costs about what those interpreted runs save.
-        A call whose columns are rejected compiles and counts nothing.
+        that packs vectors into lane words and runs the gate kernel.
+
+        The checks cost a fixed number of operations per bus: one
+        comparison of the bus sets (the missing and unknown names are only
+        worked out for the message), each column classified by its exact
+        type before the ``Sequence`` check, and one pass over the lists for
+        their lengths and ranges. A call whose columns are rejected
+        compiles and counts nothing.
+
+        A program's first ``_GENERATE_AT - 1`` evaluations run it through
+        ``_run``, with :func:`_pack_lanes` on the way in and
+        :func:`_unpack_lanes` on the way out; the next generates its
+        straight-line kernel (:func:`_generate_kernel`), which that and
+        every later evaluation run. A program run fewer times, as in every
+        CLI command, never pays the generation, which costs about what
+        those interpreted runs save. One vector is a one-lane batch; once
+        its program has a kernel it runs the kernel's one-lane form, which
+        takes and returns bus values, so nothing is packed or unpacked.
         """
-        self._check_buses(columns)
+        inputs = self.inputs
+        if columns.keys() != inputs.keys():
+            missing = inputs.keys() - columns.keys()
+            if missing:
+                raise NetlistError(f"missing input buses: {sorted(missing)}")
+            extra = columns.keys() - inputs.keys()
+            raise NetlistError(f"unknown input buses: {sorted(extra)}")
         tied = {}
         lists = {}
         for bus, col in columns.items():
-            if isinstance(col, int):
-                width = len(self.inputs[bus])
+            kind = type(col)
+            if kind is list or kind is tuple:
+                lists[bus] = col
+            elif isinstance(col, int):
+                width = len(inputs[bus])
                 if col < 0 or col >> width:
                     raise NetlistError(
                         f"input {bus} values must be integers in [0, 2**{width})"
@@ -614,37 +646,42 @@ class Netlist:
             else:
                 raise NetlistError(
                     f"input {bus} column must be an int or a sequence, "
-                    f"got {type(col).__name__}"
+                    f"got {kind.__name__}"
                 )
         if not lists:
             raise NetlistError(
                 "every input column is a scalar: no list gives the lane count"
             )
-        lengths = {len(col) for col in lists.values()}
-        if len(lengths) != 1:
-            raise NetlistError(f"input columns differ in length: {sorted(lengths)}")
-        n = lengths.pop()
-        if n == 0:
-            raise NetlistError("input columns are empty")
-        mask = (1 << n) - 1
-        lanes = {}  # bus -> its lane words
-        for bus, col in lists.items():
-            width = len(self.inputs[bus])
-            try:
-                bad = min(col) < 0 or max(col) >> width
-                if not bad:
-                    lanes[bus] = _pack_lanes(col, width)
-            except TypeError:
-                bad = True
-            if bad:
-                raise NetlistError(
-                    f"input {bus} values must be integers in [0, 2**{width})"
-                )
         key = tuple(sorted(tied.items()))
+        kernel = self._kernels.get(key)
+        n = len(next(iter(lists.values())))
+        # One lane on a kernel reads the values themselves; anything else
+        # needs the lane words of every list.
+        pack = n != 1 or kernel is None
+        lanes = {}  # bus -> its lane words
+        bad = None  # the first list, in mapping order, outside its bus
+        for bus, col in lists.items():
+            if len(col) != n:
+                lengths = {len(c) for c in lists.values()}
+                raise NetlistError(f"input columns differ in length: {sorted(lengths)}")
+            if bad is None and n:
+                width = len(inputs[bus])
+                try:
+                    if min(col) < 0 or max(col) >> width:
+                        bad = bus
+                    elif pack:
+                        lanes[bus] = _pack_lanes(col, width)
+                except TypeError:  # a non-int value, at either bound or between
+                    bad = bus
+        if not n:
+            raise NetlistError("input columns are empty")
+        if bad is not None:
+            raise NetlistError(
+                f"input {bad} values must be integers in [0, 2**{len(inputs[bad])})"
+            )
         p = self._programs.get(key)
         if p is None:
             p = self._programs[key] = self._compile(tied)
-        kernel = self._kernels.get(key)
         if kernel is None:
             # Threads that race here may each compile or generate, and the
             # last assignment wins; a count that a race loses only delays
@@ -653,6 +690,7 @@ class Netlist:
             if runs >= _GENERATE_AT:
                 kernel = self._kernels[key] = _generate_kernel(p)
         if kernel is None:
+            mask = (1 << n) - 1
             values = [0] * p.size
             values[-1] = mask  # the constant-1 slot
             for bus, slots in p.in_slots.items():
@@ -660,8 +698,11 @@ class Netlist:
                     values[s] = word
             self._run(p, values, mask)
             words = [[values[s] for s in slots] for slots in p.out_slots.values()]
+        elif n == 1:
+            out = kernel(1, *[lists[bus][0] for bus in p.in_slots])
+            return {bus: [value] for bus, value in zip(p.out_slots, out)}
         else:
-            words = kernel(mask, *[lanes[bus] for bus in p.in_slots])
+            words = kernel((1 << n) - 1, *[lanes[bus] for bus in p.in_slots])
         return {bus: _unpack_lanes(w, n) for bus, w in zip(p.out_slots, words)}
 
     # -- static analysis ----------------------------------------------------

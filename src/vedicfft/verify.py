@@ -289,7 +289,7 @@ def _verify_fft() -> UnitResult:
     sections = _fft_sections()
 
     xs = sections["exact4"]
-    got = run(exact4, xs)
+    _, got = run(exact4, xs)
     want = fft._dft_columns(xs, 4)
     t.check_all(
         _same_rows(got, want),
@@ -304,7 +304,7 @@ def _verify_fft() -> UnitResult:
     )
 
     xs = sections["exact2"]
-    got = run(exact2, xs)
+    _, got = run(exact2, xs)
     want = fft._dft_columns(xs[:4], 2)
     t.check_all(
         _same_rows(got[:4], want),
@@ -331,7 +331,7 @@ def _verify_fft() -> UnitResult:
     xs = sections["linearity"]
     m = len(xs[0]) // 2
     sums = [array("b", map(add, col[:m], col[m:])) for col in xs]
-    out = run(exact4, [col + s for col, s in zip(xs, sums)])
+    _, out = run(exact4, [col + s for col, s in zip(xs, sums)])
     fx, fy, fs = ([col[j * m : (j + 1) * m] for col in out] for j in range(3))
     t.check_all(
         _same_rows(fs, [list(map(add, a, b)) for a, b in zip(fx, fy)]),
@@ -341,7 +341,7 @@ def _verify_fft() -> UnitResult:
     # Time reversal: the spectrum of x(-n mod 4) is X(-k mod 4).
     xs = sections["time_reversal"]
     m = len(xs[0])
-    out = run(exact4, [a + b for a, b in zip(xs, _reversed_index(xs))])
+    _, out = run(exact4, [a + b for a, b in zip(xs, _reversed_index(xs))])
     fx, frev = [col[:m] for col in out], [col[m:] for col in out]
     t.check_all(
         _same_rows(frev, _reversed_index(fx)),
@@ -351,7 +351,7 @@ def _verify_fft() -> UnitResult:
     # Q1.F holds -j exactly, so the raw outputs are 2^F times the DFT.
     xs = sections["quantized"]
     f = quant4.fraction_bits
-    got = run(quant4, xs)
+    _, got = run(quant4, xs)
     want = [[w << f for w in col] for col in fft._dft_columns(xs, 4)]
     t.check_all(
         _same_rows(got, want),

@@ -31,6 +31,7 @@ from vedicfft import (
     run_fft,
     run_fft_batch,
 )
+from vedicfft import fft
 from vedicfft.fft import build_unit, unit_names
 from vedicfft.netio import parse_netlist
 from vedicfft.netlist import _GENERATE_AT, Gate, Netlist
@@ -371,7 +372,9 @@ def assert_interpreted_and_generated_match(net, vectors, tied=None):
     """Evaluate ``vectors`` on the fresh ``net`` until its program has run
     as a generated kernel, the buses in ``tied`` as scalars: each result
     must equal the reference, and only evaluation ``_GENERATE_AT``
-    generates a kernel."""
+    generates a kernel. Past generation, every bus at 0, every bus at
+    2^w - 1 and up to 65 of the vectors then each run alone, through the
+    kernel's one-lane form, and give the reference's plain ints."""
     tied = tied or {}
     assert net._programs == {} and net._kernels == {}
     vectors = [{**v, **tied} for v in vectors]
@@ -388,6 +391,16 @@ def assert_interpreted_and_generated_match(net, vectors, tied=None):
     assert list(net._kernels) == [key]
     kernel = net._kernels[key]
     assert net.evaluate_batch(columns) == want, "generated"
+    extremes = [
+        {bus: value * ((1 << len(nets)) - 1) for bus, nets in net.inputs.items()}
+        for value in (0, 1)
+    ]
+    alone = [{**v, **tied} for v in extremes + vectors[:65]]
+    want = reference_outputs(net, alone)
+    for i, vector in enumerate(alone):
+        got = net.evaluate_batch({**{bus: [vector[bus]] for bus in net.inputs}, **tied})
+        assert got == {bus: [values[i]] for bus, values in want.items()}, f"one lane {vector}"
+        assert all(type(v) is int for values in got.values() for v in values)
     assert net._kernels == {key: kernel}
     assert net._runs == {key: _GENERATE_AT}
 
@@ -471,6 +484,32 @@ def test_generated_kernel_edges(build, want_ops, lanes):
     net = build()
     assert len(net._compile({}).ops) == want_ops
     assert_interpreted_and_generated_match(net, sample_lanes(net, lanes, lanes))
+
+
+@pytest.mark.parametrize("first, later", [(65, 1), (1, 65)], ids=["many-then-one", "one-then-many"])
+def test_generated_kernel_lane_count_changes(first, later):
+    # The first 99 calls run at one lane count and the rest at the other,
+    # so the kernel is generated by, and runs in, the form the other calls
+    # did not use; both forms then keep running.
+    net = build_unit("reconfigurable")
+    vectors = sample_lanes(net, 65, "lanes")
+    want = reference_outputs(net, vectors)
+
+    def check(lanes, start):
+        picked = [(start + j) % len(vectors) for j in range(lanes)]
+        columns = {bus: [vectors[i][bus] for i in picked] for bus in net.inputs}
+        assert net.evaluate_batch(columns) == {
+            bus: [values[i] for i in picked] for bus, values in want.items()
+        }, (lanes, start)
+
+    for run in range(_GENERATE_AT - 1):
+        check(first, run)
+    assert net._kernels == {}
+    for run in range(len(vectors)):
+        check(later, run)
+    assert list(net._kernels) == [()]
+    check(first, 0)
+    check(later, 0)
 
 
 def test_rejected_evaluation_compiles_nothing():
@@ -571,6 +610,38 @@ def test_no_call_per_vector(width):
     assert calls(2) == calls(1000)
 
 
+FFT_CONFIGS = [
+    FftConfig.make(select, twiddle, 4) for twiddle in ("exact", "q3") for select in (4, 2)
+]
+
+
+# Python-level calls ("call" events) and C calls of one one-lane
+# ``run_fft`` once its program has a generated kernel, measured on CPython
+# 3.10 to 3.13: 41 Python-level calls on 3.10 and 3.11 (19 on 3.12 and 3.13,
+# which inline comprehensions) and 56 C calls, profiler switch-off
+# included, 55 with select 2. Before the one-lane kernel form they were 86
+# and 93.
+ONE_LANE_RUN_FFT_CALLS = 41
+ONE_LANE_RUN_FFT_C_CALLS = 56
+
+
+@pytest.mark.parametrize("config", FFT_CONFIGS, ids=lambda c: f"{c.twiddle_mode}-{c.select}")
+def test_one_lane_run_fft_call_count(config):
+    samples = [(1, -2), (3, 4), (-8, 7), (0, 5)][: config.select]
+    for _ in range(_GENERATE_AT):
+        run_fft(config, samples)
+    assert len(fft._net_for(config)._kernels) >= 1
+    events = []
+    sys.setprofile(lambda frame, event, arg: events.append(event))
+    try:
+        result = run_fft(config, samples)
+    finally:
+        sys.setprofile(None)
+    assert result == run_fft_batch(config, [samples, samples])[1]
+    assert events.count("call") <= ONE_LANE_RUN_FFT_CALLS
+    assert events.count("c_call") <= ONE_LANE_RUN_FFT_C_CALLS
+
+
 @pytest.mark.parametrize("width", [2, 16, 65])
 @pytest.mark.parametrize("value", [0.5, 1.0])
 def test_non_int_between_column_bounds(width, value):
@@ -582,48 +653,129 @@ def test_non_int_between_column_bounds(width, value):
         net.evaluate_batch({"a": [0, value, top], "b": [0, 0, 0], "cin": [0, 0, 0]})
 
 
+def assert_rejects(case):
+    """``case(n)`` gives the columns of an n-lane vedic2x2 call and the
+    message it must be rejected with, in full. Each call is made at 1 and at
+    3 lanes on a fresh netlist, and on one whose untied program has
+    generated its kernel (so the one-lane kernel form sits behind the
+    checks too); none compiles or counts anything."""
+    generated = build_unit("vedic2x2")
+    for _ in range(_GENERATE_AT):
+        generated.evaluate_batch({"a": [1], "b": [2]})
+    assert list(generated._kernels) == [()]
+    for net in (build_unit("vedic2x2"), generated):
+        before = (dict(net._programs), dict(net._runs))
+        for lanes in (1, 3):
+            columns, message = case(lanes)
+            with pytest.raises(NetlistError) as info:
+                net.evaluate_batch(columns)
+            assert str(info.value) == message, (lanes, columns)
+            assert (net._programs, net._runs) == before
+        assert net.evaluate_batch({"a": [3], "b": [3]}) == {"p": [9]}
+
+
+OUTSIDE_A = "input a values must be integers in [0, 2**2)"
+OUTSIDE_B = "input b values must be integers in [0, 2**2)"
+
+
 class TestBatchRejections:
-    def test_missing_bus(self, vedic2x2):
-        with pytest.raises(NetlistError, match="missing"):
-            vedic2x2.evaluate_batch({"a": [1]})
+    # Each message in full, and which of two faults a call reports: the
+    # bus set first, then each column in mapping order as int or sequence
+    # (a scalar's range with it), then lengths, emptiness and list ranges,
+    # the first list in mapping order named.
 
-    def test_extra_bus(self, vedic2x2):
-        with pytest.raises(NetlistError, match="unknown"):
-            vedic2x2.evaluate_batch({"a": [1], "b": [1], "c": [0]})
+    def test_missing_bus(self):
+        assert_rejects(lambda n: ({"a": [1] * n}, "missing input buses: ['b']"))
+        # Missing before unknown.
+        assert_rejects(
+            lambda n: ({"c": [0] * n, "a": [9] * n}, "missing input buses: ['b']")
+        )
+        assert_rejects(lambda n: ({"c": 9}, "missing input buses: ['a', 'b']"))
 
-    def test_unequal_lengths(self, vedic2x2):
-        with pytest.raises(NetlistError, match="differ in length"):
-            vedic2x2.evaluate_batch({"a": [1, 2], "b": [1]})
+    def test_extra_bus(self):
+        assert_rejects(
+            lambda n: ({"a": [1] * n, "b": [1] * n, "c": [0]}, "unknown input buses: ['c']")
+        )
+        assert_rejects(
+            lambda n: (
+                {"z": None, "a": [9] * n, "b": [1] * (n + 1), "c": 1},
+                "unknown input buses: ['c', 'z']",
+            )
+        )
 
-    def test_empty_columns(self, vedic2x2):
-        with pytest.raises(NetlistError, match="empty"):
-            vedic2x2.evaluate_batch({"a": [], "b": []})
+    def test_unequal_lengths(self):
+        assert_rejects(
+            lambda n: (
+                {"a": [1] * n, "b": [1] * (n + 1)},
+                f"input columns differ in length: [{n}, {n + 1}]",
+            )
+        )
+        # Before an empty column and before a list value outside its bus.
+        assert_rejects(
+            lambda n: ({"a": [9] * (n + 2), "b": []}, f"input columns differ in length: [0, {n + 2}]")
+        )
+
+    def test_empty_columns(self):
+        assert_rejects(lambda n: ({"a": [], "b": []}, "input columns are empty"))
+        assert_rejects(lambda n: ({"a": [], "b": 3}, "input columns are empty"))
+        # A scalar outside its bus is met while the columns are classified.
+        assert_rejects(lambda n: ({"a": [], "b": 4}, OUTSIDE_B))
 
     @pytest.mark.parametrize("value", [-1, 4, 1 << 40, 1.0, "1", None])
-    def test_value_outside_bus(self, vedic2x2, value):
-        with pytest.raises(NetlistError, match=r"\[0, 2\*\*2\)"):
-            vedic2x2.evaluate_batch({"a": [0, value], "b": [1, 1]})
+    def test_value_outside_bus(self, value):
+        assert_rejects(lambda n: ({"a": [0] * (n - 1) + [value], "b": [1] * n}, OUTSIDE_A))
+        # The first bad list in mapping order is named, whatever its lane.
+        assert_rejects(
+            lambda n: ({"b": [value] + [0] * (n - 1), "a": [value] * n}, OUTSIDE_B)
+        )
+        assert_rejects(
+            lambda n: ({"a": [3] * n, "b": [0] * (n - 1) + [value]}, OUTSIDE_B)
+        )
 
     @pytest.mark.parametrize("value", [-1, 4, 1 << 40])
-    def test_scalar_outside_bus(self, vedic2x2, value):
-        with pytest.raises(NetlistError, match=r"\[0, 2\*\*2\)"):
-            vedic2x2.evaluate_batch({"a": value, "b": [1, 1]})
+    def test_scalar_outside_bus(self, value):
+        assert_rejects(lambda n: ({"a": value, "b": [1] * n}, OUTSIDE_A))
+        # Before a list outside its bus, unequal lengths and an all-scalar call.
+        assert_rejects(lambda n: ({"b": [9] * n, "a": value}, OUTSIDE_A))
+        assert_rejects(lambda n: ({"b": [1] * n, "a": value, "c": []}, "unknown input buses: ['c']"))
+        assert_rejects(lambda n: ({"a": 1, "b": value}, OUTSIDE_B))
 
     @pytest.mark.parametrize(
         "column", [1.0, None, {1, 2}, iter([1])], ids=["float", "None", "set", "iterator"]
     )
-    def test_column_neither_int_nor_sequence(self, vedic2x2, column):
-        with pytest.raises(NetlistError, match="int or a sequence"):
-            vedic2x2.evaluate_batch({"a": column, "b": [1]})
+    def test_column_neither_int_nor_sequence(self, column):
+        name = type(column).__name__
+        message = f"input a column must be an int or a sequence, got {name}"
+        assert_rejects(lambda n: ({"a": column, "b": [1] * n}, message))
+        assert_rejects(lambda n: ({"b": [1] * (n + 1), "a": column}, message))
+        # Columns are classified in mapping order.
+        assert_rejects(lambda n: ({"b": 4, "a": column}, OUTSIDE_B))
+        assert_rejects(
+            lambda n: (
+                {"a": column, "b": 4},
+                f"input a column must be an int or a sequence, got {name}",
+            )
+        )
 
-    def test_every_column_scalar(self, vedic2x2):
-        with pytest.raises(NetlistError, match="lane count"):
-            vedic2x2.evaluate_batch({"a": 1, "b": 2})
+    def test_every_column_scalar(self):
+        message = "every input column is a scalar: no list gives the lane count"
+        assert_rejects(lambda n: ({"a": 1, "b": 2}, message))
+        assert_rejects(lambda n: ({"a": 1, "b": True}, message))
 
-
-FFT_CONFIGS = [
-    FftConfig.make(select, twiddle, 4) for twiddle in ("exact", "q3") for select in (4, 2)
-]
+    @pytest.mark.parametrize("lanes", [1, 3])
+    def test_bool_values_read_as_ints(self, lanes):
+        # ``bool`` is an int: True and False are 1 and 0, in a list or as a
+        # scalar, and every output value is a plain int, kernel or not.
+        net = build_unit("vedic2x2")
+        flags = [True, False, True][:lanes]
+        want = net.evaluate_batch({"a": [int(f) for f in flags], "b": [3] * lanes})
+        for run in range(_GENERATE_AT + 1):
+            got = net.evaluate_batch({"a": flags, "b": [3] * lanes})
+            assert got == want and all(type(v) is int for v in got["p"]), run
+            got = net.evaluate_batch({"a": flags, "b": True})
+            assert got == net.evaluate_batch({"a": flags, "b": 1})
+            assert all(type(v) is int for v in got["p"]), run
+        assert set(net._kernels) == {(), (("b", 1),)}
 
 
 @pytest.mark.parametrize("config", FFT_CONFIGS, ids=lambda c: f"{c.twiddle_mode}-{c.select}")
@@ -642,9 +794,41 @@ def test_run_fft_batch_matches_run_fft(config):
 def test_run_fft_batch_checks_inputs_as_run_fft_does():
     config = FftConfig.make(4, "exact", 4)
     assert run_fft_batch(config, []) == []
-    for bad in ([(8, 0)] * 4, [(0, 0)] * 3, [(0, 0, 0)] * 4):
+    for bad in (
+        [(8, 0)] * 4,
+        [(0, 0)] * 3,
+        [(0, 0, 0)] * 4,
+        [{1: 2, 3: 4}] * 4,
+        [(0, 0), {1, 2}, (0, 0), (0, 0)],
+    ):
         with pytest.raises(ValueError) as scalar:
             run_fft(config, bad)
         with pytest.raises(ValueError) as batch:
             run_fft_batch(config, [[(0, 0)] * 4, bad])
         assert str(batch.value) == str(scalar.value)
+    for bad_config in (None, "exact"):
+        with pytest.raises(NetlistError) as scalar:
+            run_fft(bad_config, [(0, 0)] * 4)
+        with pytest.raises(NetlistError) as batch:
+            run_fft_batch(bad_config, [[(0, 0)] * 4, [{1: 2, 3: 4}] * 4])
+        assert str(batch.value) == str(scalar.value)
+        assert str(batch.value) == f"expected FftConfig, got {type(bad_config).__name__}"
+
+
+@pytest.mark.parametrize(
+    "sample_lists, message",
+    [
+        # A list's type and count faults come before any range fault, in
+        # an earlier list or not; ranges are then read in vector order.
+        ([[(9, 0)] * 4, [(0, 1.5)] * 4], "components must be integers, got 1.5"),
+        ([[(9, 0)] * 4, [(0, 0)] * 3], "expected 4 samples (or 2 with select=2), got 3"),
+        ([[(9, 0)] * 4, [(0, 0), {1: 2}]], "sample must be a (re, im) pair, got {1: 2}"),
+        ([[(0, 0)] * 3, [(1.5, 0)] * 4], "expected 4 samples (or 2 with select=2), got 3"),
+        ([[(0, 0)] * 3 + [(0, 10)], [(11, 0)] * 4], "component 10 outside [-8, 7] for width 4"),
+        ([[(0, 0)] * 4, [(0, -9), (11, 0)] * 2], "component -9 outside [-8, 7] for width 4"),
+    ],
+)
+def test_run_fft_batch_rejection_precedence(sample_lists, message):
+    with pytest.raises(ValueError) as info:
+        run_fft_batch(FftConfig.make(4, "exact", 4), sample_lists)
+    assert str(info.value) == message

@@ -6,6 +6,7 @@ import tracemalloc
 
 import pytest
 
+from vedicfft import fft
 from vedicfft import (
     FftConfig,
     FixedComplex,
@@ -27,7 +28,7 @@ from vedicfft import (
     run_fft_batch,
 )
 from vedicfft.fft import _dft_columns, build_unit, unit_names
-from vedicfft.netlist import to_signed
+from vedicfft.netlist import _GENERATE_AT, to_signed
 
 
 def brute_dft(samples):
@@ -43,6 +44,29 @@ def signed_outputs(net, **values):
     output read back as two's complement."""
     out = net.evaluate_batch({bus: [v & 15] for bus, v in values.items()})
     return {bus: to_signed(col[0], net.output_width(bus)) for bus, col in out.items()}
+
+
+def assert_run_fft_rejects(config, bad, message):
+    """The sample list ``bad`` is rejected with ``ValueError(message)``, the
+    message in full: through ``run_fft``, as a one-lane ``run_fft_batch``
+    and as the second of three sample lists; first with the config's
+    netlist built afresh, then with its program's kernel generated."""
+    fft._reconfigurable_cached.cache_clear()
+    good = [(1, -2), FixedComplex(3, 4), [0, 5], (7, -8)][: config.select]
+    for generated in (False, True):
+        if generated:
+            for _ in range(_GENERATE_AT):
+                run_fft(config, good)
+            assert fft._net_for(config)._kernels
+        for call in (
+            lambda: run_fft(config, bad),
+            lambda: run_fft_batch(config, [bad]),
+            lambda: run_fft_batch(config, [good, bad, good]),
+        ):
+            with pytest.raises(ValueError) as info:
+                call()
+            assert type(info.value) is ValueError
+            assert str(info.value) == message
 
 
 class TestOracle:
@@ -393,29 +417,110 @@ class TestReconfigurable:
             assert recon_q3.output_width(bus) == 11
 
     def test_sample_count_validation(self):
-        cfg4 = FftConfig.make(4, "exact", 4)
-        with pytest.raises(ValueError):
-            run_fft(cfg4, [(1, 0), (2, 0)])
-        with pytest.raises(ValueError):
-            run_fft(cfg4, [(1, 0)] * 5)
-        with pytest.raises(ValueError):
-            run_fft(FftConfig.make(2, "exact", 4), [(1, 0)])
+        for select, count in ((4, 2), (4, 5), (4, 0), (4, 3), (2, 1), (2, 3)):
+            assert_run_fft_rejects(
+                FftConfig.make(select, "exact", 4),
+                [(1, 0)] * count,
+                f"expected 4 samples (or 2 with select=2), got {count}",
+            )
+        # Every sample of a list is checked before its count, and its count
+        # before the range of any component.
+        cfg4 = FftConfig.make(4, "q3", 4)
+        assert_run_fft_rejects(
+            cfg4, [(0, 0), (1, 2, 3)], "sample must be a (re, im) pair, got (1, 2, 3)"
+        )
+        assert_run_fft_rejects(cfg4, [(1.5, 0)] * 3, "components must be integers, got 1.5")
+        assert_run_fft_rejects(
+            cfg4, [(9, 0)] * 3, "expected 4 samples (or 2 with select=2), got 3"
+        )
 
     def test_sample_range_validation(self):
-        cfg = FftConfig.make(4, "exact", 4)
-        with pytest.raises(ValueError):
-            run_fft(cfg, [(9, 0), (0, 0), (0, 0), (0, 0)])
+        # The first component outside the width in vector order, re before
+        # im: the message names its value.
+        cases = [
+            ("exact", [(9, 0), (0, 0), (0, 0), (0, 0)], 9),
+            ("exact", [(0, 0), (0, 9), (-9, 0), (0, 0)], 9),
+            ("q3", [(0, -10), (12, 0), (0, 0), (0, 0)], -10),
+            ("q3", [(0, 0), (0, 0), (0, 0), (10, 11)], 10),
+            ("exact", [(0, 0), FixedComplex(-9, 0), [8, 0], (0, 0)], -9),
+            ("exact", [(0, 0), (0, 9)], 9),
+            ("q3", [(0, -10), (12, 0)], -10),
+        ]
+        for twiddle, bad, value in cases:
+            assert_run_fft_rejects(
+                FftConfig.make(len(bad), twiddle, 4),
+                bad,
+                f"component {value} outside [-8, 7] for width 4",
+            )
+        assert_run_fft_rejects(
+            FftConfig.make(4, "exact", 5),
+            [(0, 0), (0, 16), (0, -17), (0, 0)],
+            "component 16 outside [-16, 15] for width 5",
+        )
+        # A component that is not an int is reported before any range.
+        assert_run_fft_rejects(
+            FftConfig.make(4, "exact", 4),
+            [(9, 0), (0, 1.5), (0, 0), (0, 0)],
+            "components must be integers, got 1.5",
+        )
 
-    @pytest.mark.parametrize("bad", [1.9, "3", True])
+    @pytest.mark.parametrize("bad", [1.9, "3", True, None])
     def test_rejects_non_integer_components(self, bad):
         # As FixedComplex does: no silent int() truncation or parsing.
         cfg = FftConfig.make(4, "exact", 4)
-        for sample in ((bad, 0), (0, bad)):
+        for sample in ((bad, 0), (0, bad), (bad, 1.5)):
             samples = [sample, (0, 0), (0, 0), (0, 0)]
-            with pytest.raises(ValueError, match="must be integers"):
-                run_fft(cfg, samples)
-            with pytest.raises(ValueError, match="must be integers"):
-                run_fft_batch(cfg, [[(0, 0)] * 4, samples])
+            assert_run_fft_rejects(cfg, samples, f"components must be integers, got {bad!r}")
+
+    @pytest.mark.parametrize(
+        "sample",
+        [(1, 2, 3), [1], (), 5, None, "123", {1: 2, 3: 4}, {1, 2}, {"re": 1, "im": 2}],
+        ids=repr,
+    )
+    def test_rejects_non_pair_samples(self, sample):
+        # Only a FixedComplex or a sequence of two components is a sample;
+        # a dict or set is not read in iteration order.
+        for select in (4, 2):
+            samples = [(0, 0), sample, (0, 0), (0, 0)][:select]
+            assert_run_fft_rejects(
+                FftConfig.make(select, "q3", 4),
+                samples,
+                f"sample must be a (re, im) pair, got {sample!r}",
+            )
+
+    def test_rejects_iterators_and_strings_as_samples(self):
+        cfg = FftConfig.make(4, "exact", 4)
+        with pytest.raises(ValueError, match=r"^sample must be a \(re, im\) pair, got <generator"):
+            run_fft(cfg, [(0, 0), (v for v in (1, 2)), (0, 0), (0, 0)])
+        # A two-character string is a sequence of two non-int components.
+        assert_run_fft_rejects(
+            cfg, [(0, 0), "12", (0, 0), (0, 0)], "components must be integers, got '1'"
+        )
+
+    @pytest.mark.parametrize(
+        "config", [None, "exact", 4, FftConfig.make], ids=["None", "str", "int", "method"]
+    )
+    def test_rejects_a_config_that_is_not_fft_config(self, config):
+        # Before any sample is read, and for an empty batch too.
+        message = f"expected FftConfig, got {type(config).__name__}"
+        for call in (
+            lambda: run_fft(config, [(0, 0)] * 4),
+            lambda: run_fft(config, [(9, 0), {1: 2}]),
+            lambda: run_fft_batch(config, []),
+            lambda: run_fft_batch(config, [[(0, 0)] * 4] * 2),
+        ):
+            with pytest.raises(NetlistError) as info:
+                call()
+            assert str(info.value) == message
+        assert run_fft_batch(FftConfig(), []) == []
+
+    def test_accepts_int_subclass_components(self):
+        Level = enum.IntEnum("Level", {"LOW": -2, "HIGH": 3, "MAX": 7})
+        for config in (FftConfig.make(4, "exact", 4), FftConfig.make(2, "q3", 4)):
+            got = run_fft(config, [(Level.LOW, Level.HIGH), (1, Level.MAX)] * (config.select // 2))
+            want = run_fft(config, [(-2, 3), (1, 7)] * (config.select // 2))
+            assert got == want
+            assert all(type(v) is int for c in got.spectrum for v in (c.re, c.im))
 
     def test_accepts_fixed_complex_objects(self):
         cfg = FftConfig.make(4, "exact", 4)
