@@ -122,7 +122,7 @@ class FixedComplex:
         if type(self.re) is int and type(self.im) is int:
             return
         for part in (self.re, self.im):
-            if not isinstance(part, int) or isinstance(part, bool):
+            if not _is_int(part):
                 raise ValueError(f"components must be integers, got {part!r}")
 
     def check_range(self, width: int) -> "FixedComplex":
@@ -136,6 +136,12 @@ class FixedComplex:
 
     def to_complex(self) -> complex:
         return complex(self.re, self.im)
+
+
+def _is_int(value: object) -> bool:
+    """An ``int`` that is not a ``bool``: what every count and component
+    must be."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _quantize_component(value: float, fraction_bits: int) -> int:
@@ -168,7 +174,7 @@ class Twiddle:
                 )
         elif self.mode == "quantized":
             f = self.fraction_bits
-            if not isinstance(f, int) or f < 1:
+            if not _is_int(f) or f < 1:
                 raise ValueError("quantized twiddle needs fraction_bits >= 1")
             for q in (self.re_q, self.im_q):
                 if not isinstance(q, int) or not -(1 << f) <= q <= (1 << f) - 1:
@@ -187,7 +193,7 @@ class Twiddle:
     def quantized(cls, k: int, n: int, fraction_bits: int) -> "Twiddle":
         if n < 1:
             raise ValueError(f"N must be >= 1, got {n}")
-        if fraction_bits < 1:
+        if not _is_int(fraction_bits) or fraction_bits < 1:
             raise ValueError("quantized twiddle needs fraction_bits >= 1")
         if n in (1, 2, 4):
             re, im = _QUARTER_TURNS[(k * (4 // n)) % 4]
@@ -240,19 +246,19 @@ class FftConfig:
     input_width: int = 4
 
     def __post_init__(self):
-        if self.select not in (2, 4):
-            raise ValueError(f"select must be 2 or 4, got {self.select}")
+        if not _is_int(self.select) or self.select not in (2, 4):
+            raise ValueError(f"select must be 2 or 4, got {self.select!r}")
         if self.twiddle_mode not in ("exact", "quantized"):
             raise ValueError(
                 f"twiddle_mode must be exact or quantized, got {self.twiddle_mode!r}"
             )
         if self.twiddle_mode == "quantized":
-            if not isinstance(self.fraction_bits, int) or self.fraction_bits < 1:
+            if not _is_int(self.fraction_bits) or self.fraction_bits < 1:
                 raise ValueError("quantized mode needs fraction_bits >= 1")
         elif self.fraction_bits is not None:
             raise ValueError("fraction_bits only applies to quantized mode")
-        if self.input_width < 2:
-            raise ValueError(f"input_width must be >= 2, got {self.input_width}")
+        if not _is_int(self.input_width) or self.input_width < 2:
+            raise ValueError(f"input_width must be >= 2, got {self.input_width!r}")
 
     @classmethod
     def make(cls, select: int = 4, twiddle: str = "exact", input_width: int = 4):

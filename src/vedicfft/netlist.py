@@ -22,24 +22,19 @@ column is a list of per-vector values or one int that the bus holds in
 every vector. The slot program it simulates is compiled with those scalar
 bits as constants, so the logic they make idle drops out; each distinct
 scalar assignment (none included) compiles one program on its first
-evaluation, cached per netlist. The gate loop ``_run`` interprets it for
-its first 99 evaluations. The 100th generates a Python function that runs
-the program's gates as straight-line code, one statement per gate
-(compiled-code simulation), and caches it beside the program; it and every
-later evaluation run that function, 2.5 to 4 times faster than the loop.
-Generating costs about as much as those 99 runs would save, so a program
-that runs a few times, as in every CLI command (``verify --unit all`` runs
-none more than three times), never pays it. Threads that race on an
-evaluation may each compile the same program or generate the same
-function, and the last assignment wins; a run count that a race loses only
-delays generation. For the loop, and for the function at two or more
-lanes, columns are transposed into lane words, and lane words back into
-values, through byte buffers of one item per vector: a bus costs a fixed
-number of buffer and big-int operations and each bus bit one stride slice,
-with no Python call per vector up to 64 bits. At one lane the function
-takes and returns the bus values themselves, splitting and joining their
-bits in its own straight-line code, so a one-lane evaluation costs its
-gates plus a fixed handful of checks per bus.
+evaluation, cached per netlist. The gate loop ``_run`` interprets it,
+every vector of a batch at once in lane words: columns are transposed into
+lane words, and lane words back into values, through byte buffers of one
+item per vector, so a bus costs a fixed number of buffer and big-int
+operations and each bus bit one stride slice, with no Python call per
+vector up to 64 bits. Every batch of two or more vectors runs the loop. A
+program's 100th one-lane evaluation generates a Python function that runs
+one vector through its gates as straight-line code, one statement per gate
+(compiled-code simulation), on the bus values themselves; it and every
+later one-lane evaluation of the program run that function; no CLI command
+evaluates a program that often. Threads that race on an evaluation may
+each compile the same program or generate the same function, and the last
+assignment wins; a run count that a race loses only delays generation.
 
 Cost model: every gate costs one delay unit and one unit of area, wires are
 free. ``critical_path_depth`` and ``gate_counts`` report those two metrics.
@@ -99,22 +94,22 @@ _OPCODE = {
 _TRUTH = (0b1000, 0b1110, 0b0110, 0b0011, 0b0111, 0b0001, 0b1001)
 
 # Python expression per opcode, for :func:`_generate_kernel`: ``{a}`` and
-# ``{b}`` are input slots, ``m`` the lane mask (``&`` binds before ``^``).
+# ``{b}`` are input bits (``&`` binds before ``^``).
 _EXPR = (
     "{a} & {b}",
     "{a} | {b}",
     "{a} ^ {b}",
-    "{a} ^ m",
-    "{a} & {b} ^ m",
-    "({a} | {b}) ^ m",
-    "{a} ^ {b} ^ m",
+    "{a} ^ 1",
+    "{a} & {b} ^ 1",
+    "({a} | {b}) ^ 1",
+    "{a} ^ {b} ^ 1",
 )
 
-# The evaluation of a program that generates its kernel. Generating one
-# costs what 55 to 170 runs of the kernel save over ``_run`` (CPython 3.11,
-# the programs of ``verify --unit all`` and ``fft_stream``, 1 to 1009
-# lanes). So a program run fewer times never pays for generation, and one
-# run more pays 0.6 to 1.8 generations' worth for its interpreted runs.
+# The one-lane evaluation of a program that generates its kernel. Generating
+# one costs what 29 to 114 one-lane runs of the kernel save over ``_run``
+# (CPython 3.11, the four one-lane programs of ``fft_stream``, medians 33 to
+# 71), and no CLI command or benchmark ``prepare`` evaluates a program this
+# often at one lane, so they never pay for generation.
 _GENERATE_AT = 100
 
 # A kind, or its canonical name, to the kind: the one dict lookup that
@@ -267,49 +262,33 @@ def _unpack_lanes(words: list[int], n: int) -> list[int]:
 
 
 def _generate_kernel(p: _Program) -> Callable[..., tuple]:
-    """Compile ``p`` to a Python function that runs its gates as
-    straight-line code, one assignment per folded gate in program order.
+    """Compile ``p`` to a Python function that runs one vector through its
+    gates as straight-line code, one assignment per folded gate in program
+    order.
 
-    The function is ``kernel(m, i0, i1, ...)``: the lane mask, then one
-    argument per untied input bus in ``p.in_slots`` order; it returns one
-    item per output bus in ``p.out_slots`` order. It has two forms, chosen
-    by the lane count the mask shows. With more than one lane, each
-    argument is the bus's list of lane words, unpacked into its slots, and
-    each item the list of the bus's lane words. With one lane (``m == 1``)
-    each argument is the bus's value, its bits extracted inline
-    (``s3 = i0 >> 1 & 1``), and each item the value of the bus, one
-    ``s40 | s41 << 1 | ...`` expression: no lane word is packed or
-    unpacked. Slot s is the local ``s<s>``. Every name in the source is
+    The function is ``kernel(i0, i1, ...)``, one argument per untied input
+    bus in ``p.in_slots`` order, each the bus's value; its bits are
+    extracted inline (``s3 = i0 >> 1 & 1``). It returns the value of each
+    output bus in ``p.out_slots`` order, one ``s40 | s41 << 1 | ...``
+    expression. Slot s is the local ``s<s>``. Every name in the source is
     made from the program's integers, never from a bus name, so no netlist
     text reaches it. The source is dropped once compiled.
     """
     zero = p.size - 2
     params = [f"i{k}" for k in range(len(p.in_slots))]
-    buses = list(zip(params, p.in_slots.values()))
-    lines = [
-        f"def kernel({', '.join(['m', *params])}):",
-        f" s{zero} = 0",
-        f" s{zero + 1} = m",
-        " if m == 1:",
-    ]
-    for param, slots in buses:
+    lines = [f"def kernel({', '.join(params)}):", f" s{zero} = 0", f" s{zero + 1} = 1"]
+    for param, slots in zip(params, p.in_slots.values()):
         lines += [
-            f"  s{s} = {param} >> {k} & 1" if k else f"  s{s} = {param} & 1"
+            f" s{s} = {param} >> {k} & 1" if k else f" s{s} = {param} & 1"
             for k, s in enumerate(slots)
         ]
-    lines.append(" else:")
-    for param, slots in buses:
-        lines.append(f"  {''.join(f's{s}, ' for s in slots)}= {param}")
     for op, a, b, out in zip(p.ops, p.in0, p.in1, p.outs):
         lines.append(f" s{out} = " + _EXPR[op].format(a=f"s{a}", b=f"s{b}"))
     values = "".join(
         " | ".join(f"s{s} << {k}" if k else f"s{s}" for k, s in enumerate(slots)) + ", "
         for slots in p.out_slots.values()
     )
-    words = "".join(
-        f"[{', '.join(f's{s}' for s in slots)}], " for slots in p.out_slots.values()
-    )
-    lines += [" if m == 1:", f"  return ({values})", f" return ({words})"]
+    lines.append(f" return ({values})")
     namespace: dict[str, object] = {}
     exec(compile("\n".join(lines), "<kernel>", "exec"), namespace)
     return namespace["kernel"]
@@ -342,8 +321,9 @@ class Netlist:
         self.consts: dict[int, int] = dict(consts)  # constant bit value -> net id
         self.nets, self._order = self._validate()
         # One program per sorted tuple of (bus, value) scalars; () is the
-        # program with no input tied. Under the same key: its evaluations,
-        # counted until one generates its kernel, and then that kernel.
+        # program with no input tied. Under the same key: its one-lane
+        # evaluations, counted until one generates its kernel, and then that
+        # kernel.
         self._programs: dict[tuple[tuple[str, int], ...], _Program] = {}
         self._runs: dict[tuple[tuple[str, int], ...], int] = {}
         self._kernels: dict[tuple[tuple[str, int], ...], Callable[..., tuple]] = {}
@@ -568,9 +548,9 @@ class Netlist:
         ``mask`` has one set bit per vector, so a one-lane run passes 1. One
         pass therefore evaluates every vector at once (parallel-pattern
         simulation). Constant slots must already hold 0 or ``mask``.
-        ``evaluate_batch`` runs it for a program's first ``_GENERATE_AT - 1``
-        evaluations and the kernel of :func:`_generate_kernel` after that,
-        since generating one costs about as much as those runs save.
+        ``evaluate_batch`` runs it for every batch of two or more vectors,
+        and for one vector until the program has generated its one-lane
+        kernel (:func:`_generate_kernel`).
         """
         for op, a, b, out in zip(p.ops, p.in0, p.in1, p.outs):
             if op == 0:
@@ -611,15 +591,13 @@ class Netlist:
         their lengths and ranges. A call whose columns are rejected
         compiles and counts nothing.
 
-        A program's first ``_GENERATE_AT - 1`` evaluations run it through
-        ``_run``, with :func:`_pack_lanes` on the way in and
-        :func:`_unpack_lanes` on the way out; the next generates its
-        straight-line kernel (:func:`_generate_kernel`), which that and
-        every later evaluation run. A program run fewer times, as in every
-        CLI command, never pays the generation, which costs about what
-        those interpreted runs save. One vector is a one-lane batch; once
-        its program has a kernel it runs the kernel's one-lane form, which
-        takes and returns bus values, so nothing is packed or unpacked.
+        Two or more vectors are packed into lane words
+        (:func:`_pack_lanes`), run through the gate loop ``_run`` and
+        unpacked (:func:`_unpack_lanes`). So is one vector, until its
+        program's ``_GENERATE_AT``-th one-lane evaluation generates the
+        straight-line kernel (:func:`_generate_kernel`) that this and every
+        later one-lane evaluation of it run, on the bus values themselves.
+        Only one-lane evaluations count toward generation.
         """
         inputs = self.inputs
         if columns.keys() != inputs.keys():
@@ -653,11 +631,10 @@ class Netlist:
                 "every input column is a scalar: no list gives the lane count"
             )
         key = tuple(sorted(tied.items()))
-        kernel = self._kernels.get(key)
         n = len(next(iter(lists.values())))
         # One lane on a kernel reads the values themselves; anything else
         # needs the lane words of every list.
-        pack = n != 1 or kernel is None
+        kernel = self._kernels.get(key) if n == 1 else None
         lanes = {}  # bus -> its lane words
         bad = None  # the first list, in mapping order, outside its bus
         for bus, col in lists.items():
@@ -669,7 +646,7 @@ class Netlist:
                 try:
                     if min(col) < 0 or max(col) >> width:
                         bad = bus
-                    elif pack:
+                    elif kernel is None:
                         lanes[bus] = _pack_lanes(col, width)
                 except TypeError:  # a non-int value, at either bound or between
                     bad = bus
@@ -682,28 +659,27 @@ class Netlist:
         p = self._programs.get(key)
         if p is None:
             p = self._programs[key] = self._compile(tied)
-        if kernel is None:
+        if n == 1 and kernel is None:
             # Threads that race here may each compile or generate, and the
             # last assignment wins; a count that a race loses only delays
             # generation.
             runs = self._runs[key] = self._runs.get(key, 0) + 1
             if runs >= _GENERATE_AT:
                 kernel = self._kernels[key] = _generate_kernel(p)
-        if kernel is None:
-            mask = (1 << n) - 1
-            values = [0] * p.size
-            values[-1] = mask  # the constant-1 slot
-            for bus, slots in p.in_slots.items():
-                for s, word in zip(slots, lanes[bus]):
-                    values[s] = word
-            self._run(p, values, mask)
-            words = [[values[s] for s in slots] for slots in p.out_slots.values()]
-        elif n == 1:
-            out = kernel(1, *[lists[bus][0] for bus in p.in_slots])
+        if kernel is not None:
+            out = kernel(*[lists[bus][0] for bus in p.in_slots])
             return {bus: [value] for bus, value in zip(p.out_slots, out)}
-        else:
-            words = kernel((1 << n) - 1, *[lanes[bus] for bus in p.in_slots])
-        return {bus: _unpack_lanes(w, n) for bus, w in zip(p.out_slots, words)}
+        mask = (1 << n) - 1
+        values = [0] * p.size
+        values[-1] = mask  # the constant-1 slot
+        for bus, slots in p.in_slots.items():
+            for s, word in zip(slots, lanes[bus]):
+                values[s] = word
+        self._run(p, values, mask)
+        return {
+            bus: _unpack_lanes([values[s] for s in slots], n)
+            for bus, slots in p.out_slots.items()
+        }
 
     # -- static analysis ----------------------------------------------------
 

@@ -26,11 +26,9 @@ Every netlist is built once per process: the catalog units by
 FFT datapaths by ``fft._reconfigurable_cached``. So is the vedic4x4 oracle
 column (:func:`_digit_serial_products`), so a second pass builds nothing
 and compiles no slot program. A pass evaluates the exact 4-point program
-three times, vedic4x4's twice and every other program once. Each program
-is interpreted until its 100th evaluation generates its straight-line
-kernel (``netlist._generate_kernel``), so ``verify --unit all``, one
-pass, generates none, and a process that repeats the passes runs every
-program as generated code from the 100th on.
+three times, vedic4x4's twice and every other program once, each as a
+batch, so the gate loop ``Netlist._run`` interprets every one of them,
+however many passes a process makes.
 """
 
 from __future__ import annotations

@@ -361,20 +361,23 @@ def test_buffer_columns(width, kind):
     assert net.evaluate_batch({**columns, "a": BUFFER_COLUMNS[kind](values)}) == want
 
 
-# A program is interpreted by ``Netlist._run`` for its first
-# ``_GENERATE_AT - 1`` evaluations and runs as a generated kernel from the
-# next on. Each case below runs on a netlist that has not evaluated it yet:
-# interpreted, generating, generated.
+# A program runs in the gate loop ``Netlist._run`` for every batch of two
+# or more vectors, however often, and for one vector until its
+# ``_GENERATE_AT``-th one-lane evaluation generates its straight-line
+# kernel; only one-lane evaluations count toward that. Each case below runs
+# on a netlist that has not evaluated it yet.
 LANE_COUNTS = [1, 2, 64, 65, 1000]
 
 
-def assert_interpreted_and_generated_match(net, vectors, tied=None):
-    """Evaluate ``vectors`` on the fresh ``net`` until its program has run
-    as a generated kernel, the buses in ``tied`` as scalars: each result
-    must equal the reference, and only evaluation ``_GENERATE_AT``
-    generates a kernel. Past generation, every bus at 0, every bus at
-    2^w - 1 and up to 65 of the vectors then each run alone, through the
-    kernel's one-lane form, and give the reference's plain ints."""
+def assert_batches_interpreted_one_lane_generated(net, vectors, tied=None):
+    """Evaluate ``vectors`` on the fresh ``net`` as one batch, the buses in
+    ``tied`` as scalars, and one vector at a time until their program has
+    generated its kernel; each result must equal the reference. Every bus
+    at 0, every bus at 2^w - 1 and up to 65 of the vectors run alone, and
+    give plain ints: exactly the ``_GENERATE_AT``-th of those one-lane
+    evaluations generates the kernel. A batch of two or more vectors runs
+    first and after each one-lane evaluation, ``_GENERATE_AT`` times before
+    generation: none of them counts or generates."""
     tied = tied or {}
     assert net._programs == {} and net._kernels == {}
     vectors = [{**v, **tied} for v in vectors]
@@ -382,25 +385,37 @@ def assert_interpreted_and_generated_match(net, vectors, tied=None):
     columns.update(tied)
     key = tuple(sorted(tied.items()))
     want = reference_outputs(net, vectors)
-    for run in range(1, _GENERATE_AT):
-        assert net.evaluate_batch(columns) == want, f"interpreted run {run}"
-        assert net._kernels == {}
-    assert list(net._programs) == [key]
-    assert net._runs == {key: _GENERATE_AT - 1}
-    assert net.evaluate_batch(columns) == want, "generating"
-    assert list(net._kernels) == [key]
-    kernel = net._kernels[key]
-    assert net.evaluate_batch(columns) == want, "generated"
     extremes = [
         {bus: value * ((1 << len(nets)) - 1) for bus, nets in net.inputs.items()}
         for value in (0, 1)
     ]
     alone = [{**v, **tied} for v in extremes + vectors[:65]]
-    want = reference_outputs(net, alone)
-    for i, vector in enumerate(alone):
-        got = net.evaluate_batch({**{bus: [vector[bus]] for bus in net.inputs}, **tied})
-        assert got == {bus: [values[i]] for bus, values in want.items()}, f"one lane {vector}"
+    want_alone = reference_outputs(net, alone)
+
+    def batch(run):
+        if len(vectors) > 1:
+            assert net.evaluate_batch(columns) == want, f"batch after one-lane run {run}"
+
+    def one_lane(run):
+        i = run % len(alone)
+        got = net.evaluate_batch({**{bus: [alone[i][bus]] for bus in net.inputs}, **tied})
+        assert got == {bus: [values[i]] for bus, values in want_alone.items()}, (
+            f"one-lane run {run}: {alone[i]}"
+        )
         assert all(type(v) is int for values in got.values() for v in values)
+
+    batch(0)
+    for run in range(1, _GENERATE_AT):
+        one_lane(run)
+        batch(run)
+        assert net._runs == {key: run} and net._kernels == {}
+    assert list(net._programs) == [key]
+    one_lane(_GENERATE_AT)
+    assert list(net._kernels) == [key]
+    kernel = net._kernels[key]
+    for run in range(_GENERATE_AT + 1, _GENERATE_AT + 1 + len(alone)):
+        one_lane(run)
+    batch(_GENERATE_AT + len(alone))
     assert net._kernels == {key: kernel}
     assert net._runs == {key: _GENERATE_AT}
 
@@ -414,7 +429,8 @@ def sample_lanes(net, lanes, seed):
 @pytest.mark.parametrize("name", catalog_units())
 def test_generated_kernel_catalog_unit(name, lanes):
     net = build_unit(name)
-    assert_interpreted_and_generated_match(net, sample_lanes(net, lanes, f"{name}-{lanes}"))
+    vectors = sample_lanes(net, lanes, f"{name}-{lanes}")
+    assert_batches_interpreted_one_lane_generated(net, vectors)
 
 
 @pytest.mark.parametrize("lanes", LANE_COUNTS)
@@ -423,7 +439,7 @@ def test_generated_kernel_catalog_unit(name, lanes):
 def test_generated_kernel_tied_select(name, select, lanes):
     net = build_unit(name)
     vectors = sample_lanes(net, lanes, f"{name}-{select}-{lanes}")
-    assert_interpreted_and_generated_match(net, vectors, {"select": select})
+    assert_batches_interpreted_one_lane_generated(net, vectors, {"select": select})
 
 
 def test_generated_kernel_random_programs():
@@ -437,7 +453,7 @@ def test_generated_kernel_random_programs():
             {bus: lane_rng.randrange(1 << len(bits)) for bus, bits in net.inputs.items()}
             for _ in range(LANE_COUNTS[i % len(LANE_COUNTS)])
         ]
-        assert_interpreted_and_generated_match(net, vectors)
+        assert_batches_interpreted_one_lane_generated(net, vectors)
 
 
 def folded_away_netlist():
@@ -483,14 +499,15 @@ def no_output_netlist():
 def test_generated_kernel_edges(build, want_ops, lanes):
     net = build()
     assert len(net._compile({}).ops) == want_ops
-    assert_interpreted_and_generated_match(net, sample_lanes(net, lanes, lanes))
+    assert_batches_interpreted_one_lane_generated(net, sample_lanes(net, lanes, lanes))
 
 
 @pytest.mark.parametrize("first, later", [(65, 1), (1, 65)], ids=["many-then-one", "one-then-many"])
 def test_generated_kernel_lane_count_changes(first, later):
-    # The first 99 calls run at one lane count and the rest at the other,
-    # so the kernel is generated by, and runs in, the form the other calls
-    # did not use; both forms then keep running.
+    # 99 calls at one lane count, then 99 at the other: only the one-lane
+    # calls count, whichever came first, so a 65-lane call still generates
+    # nothing and the next one-lane call generates the kernel. Both lane
+    # counts then keep running.
     net = build_unit("reconfigurable")
     vectors = sample_lanes(net, 65, "lanes")
     want = reference_outputs(net, vectors)
@@ -504,12 +521,29 @@ def test_generated_kernel_lane_count_changes(first, later):
 
     for run in range(_GENERATE_AT - 1):
         check(first, run)
-    assert net._kernels == {}
-    for run in range(len(vectors)):
+    for run in range(_GENERATE_AT - 1):
         check(later, run)
+    check(65, 0)
+    assert net._kernels == {} and net._runs == {(): _GENERATE_AT - 1}
+    check(1, 0)
     assert list(net._kernels) == [()]
-    check(first, 0)
-    check(later, 0)
+    check(first, 1)
+    check(later, 1)
+    assert net._runs == {(): _GENERATE_AT}
+
+
+@pytest.mark.parametrize("lanes", [2, 64, 65, 1000])
+def test_batches_never_generate(lanes):
+    # However often a batch runs, the gate loop interprets it, and it does
+    # not count toward generation.
+    net = build_unit("reconfigurable_q3")
+    vectors = sample_lanes(net, lanes, f"never-{lanes}")
+    columns = {bus: [v[bus] for v in vectors] for bus in net.inputs}
+    want = reference_outputs(net, vectors)
+    for run in range(2 * _GENERATE_AT):
+        assert net.evaluate_batch(columns) == want, run
+    assert list(net._programs) == [()]
+    assert net._runs == {} and net._kernels == {}
 
 
 def test_rejected_evaluation_compiles_nothing():
@@ -519,7 +553,7 @@ def test_rejected_evaluation_compiles_nothing():
     with pytest.raises(NetlistError):
         net.evaluate_batch({"a": [0, 4], "b": [1, 1]})
     assert net._programs == {} and net._runs == {}
-    assert_interpreted_and_generated_match(net, sample_lanes(net, 2, 0))
+    assert_batches_interpreted_one_lane_generated(net, sample_lanes(net, 2, 0))
 
 
 # Bus names that are Python keywords or spell the kernel's own names: none
@@ -545,23 +579,25 @@ def test_generated_kernel_bus_names(lanes):
     net = parse_netlist(KEYWORD_NAMES_TEXT)
     assert list(net.inputs) == ["def", "return", "m", "i0"]
     assert list(net.outputs) == ["s1", "c0"]
-    assert_interpreted_and_generated_match(net, sample_lanes(net, lanes, lanes))
+    assert_batches_interpreted_one_lane_generated(net, sample_lanes(net, lanes, lanes))
 
 
 def test_threads_generate_a_kernel_at_once():
-    # Each program has run one evaluation short of generating its kernel;
-    # two threads per program then race to generate it.
+    # Each program has run one one-lane evaluation short of generating its
+    # kernel; two one-lane threads per program then race to generate it,
+    # beside a batch thread per program that generates nothing.
     net = build_unit("reconfigurable_q3")
     vectors = input_vectors(net, random.Random(5))[:100]
     jobs = []
     for select in (0, 1, None):
         batch = vectors if select is None else [{**v, "select": select} for v in vectors]
-        columns = {bus: [v[bus] for v in batch] for bus in net.inputs}
-        if select is not None:
-            columns["select"] = select
+        tied = {} if select is None else {"select": select}
+        columns = {bus: [v[bus] for v in batch] for bus in net.inputs if bus not in tied}
+        one = {bus: col[:1] for bus, col in columns.items()}
         for _ in range(_GENERATE_AT - 1):
-            net.evaluate_batch(columns)
-        jobs += [(columns, reference_outputs(net, batch))] * 2
+            net.evaluate_batch({**one, **tied})
+        jobs += [({**one, **tied}, reference_outputs(net, batch[:1]))] * 2
+        jobs.append(({**columns, **tied}, reference_outputs(net, batch)))
     assert net._kernels == {}
     results = [None] * len(jobs)
     start = threading.Barrier(len(jobs))
@@ -597,7 +633,7 @@ def test_no_call_per_vector(width):
             bus: [rng.randrange(1 << net.input_width(bus)) for _ in range(lanes)]
             for bus in net.inputs
         }
-        for _ in range(_GENERATE_AT):  # the last call generates its kernel
+        for _ in range(_GENERATE_AT):  # a batch never generates a kernel
             net.evaluate_batch(columns)
         events = []
         sys.setprofile(lambda frame, event, arg: events.append(event))
@@ -619,8 +655,8 @@ FFT_CONFIGS = [
 # ``run_fft`` once its program has a generated kernel, measured on CPython
 # 3.10 to 3.13: 41 Python-level calls on 3.10 and 3.11 (19 on 3.12 and 3.13,
 # which inline comprehensions) and 56 C calls, profiler switch-off
-# included, 55 with select 2. Before the one-lane kernel form they were 86
-# and 93.
+# included, 55 with select 2. When the kernel took and returned lane words
+# they were 86 and 93.
 ONE_LANE_RUN_FFT_CALLS = 41
 ONE_LANE_RUN_FFT_C_CALLS = 56
 
@@ -775,7 +811,8 @@ class TestBatchRejections:
             got = net.evaluate_batch({"a": flags, "b": True})
             assert got == net.evaluate_batch({"a": flags, "b": 1})
             assert all(type(v) is int for v in got["p"]), run
-        assert set(net._kernels) == {(), (("b", 1),)}
+        # Only one-lane programs generate.
+        assert set(net._kernels) == ({(), (("b", 1),)} if lanes == 1 else set())
 
 
 @pytest.mark.parametrize("config", FFT_CONFIGS, ids=lambda c: f"{c.twiddle_mode}-{c.select}")

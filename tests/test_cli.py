@@ -293,6 +293,17 @@ GOLDEN_STDOUT_SHA256 = {
     ("report", "--format", "csv"): "b576b8708433fb8d79446df956cc53f52746c0e4a59e76963a8de5e29938d954",
     ("report", "--format", "json"): "eea05b6533f884f728a67255e6539c6d94ce967ee83947548610b748677d5c67",
     ("verify", "--unit", "all"): "80064c6506ce76b3928b70370840d8903d1f759908e827d5ba29a01e08422fd0",
+    # One-lane paths: a Q1.3 4-point transform, the tied select-2 program
+    # and the signed -8 * -8 corner.
+    ("fft", "--samples", "1,0;2,0;3,0;4,0", "--twiddle", "q3"): (
+        "95cc69b9c6501c982bd40e31a756a0f832a4c78e5f8caa8891201b33c3fbb3b1"
+    ),
+    ("fft", "--samples", "1,0;2,0", "--select", "2"): (
+        "eb5f858f23768a187da531afa4ebb8c7a16445859d4b52fe3f4c59267844aba1"
+    ),
+    ("mul", "--a", "-8", "--b", "-8", "--signed"): (
+        "913f5d1da2feaf4deeccc9e55cbb350a20f12b3f507e87be85dbb77fdd3cb9bc"
+    ),
 }
 
 

@@ -239,6 +239,65 @@ class TestFftConfig:
             make()
         assert str(caught.value) == message
 
+    @pytest.mark.parametrize(
+        "make,message",
+        [
+            pytest.param(
+                lambda: FftConfig(4, "quantized", True),
+                "quantized mode needs fraction_bits >= 1",
+                id="config-bool-fraction-bits",
+            ),
+            pytest.param(
+                lambda: FftConfig(4, "quantized", 3.0),
+                "quantized mode needs fraction_bits >= 1",
+                id="config-float-fraction-bits",
+            ),
+            pytest.param(
+                lambda: FftConfig(input_width=4.0),
+                "input_width must be >= 2, got 4.0",
+                id="config-float-width",
+            ),
+            pytest.param(
+                lambda: FftConfig(input_width="4"),
+                "input_width must be >= 2, got '4'",
+                id="config-str-width",
+            ),
+            pytest.param(
+                lambda: FftConfig(input_width=True),
+                "input_width must be >= 2, got True",
+                id="config-bool-width",
+            ),
+            pytest.param(
+                lambda: FftConfig(select=4.0),
+                "select must be 2 or 4, got 4.0",
+                id="config-float-select",
+            ),
+            pytest.param(
+                lambda: FftConfig(select="4"),
+                "select must be 2 or 4, got '4'",
+                id="config-str-select",
+            ),
+            pytest.param(
+                lambda: Twiddle("quantized", 1, 1, 0, True),
+                "quantized twiddle needs fraction_bits >= 1",
+                id="twiddle-bool-fraction-bits",
+            ),
+            pytest.param(
+                lambda: Twiddle.quantized(1, 4, 3.0),
+                "quantized twiddle needs fraction_bits >= 1",
+                id="twiddle-quantized-float-fraction-bits",
+            ),
+        ],
+    )
+    def test_field_types_checked(self, make, message):
+        # A bool or non-int count is rejected where it is made: F = True
+        # would otherwise share F = 1's cached datapath under another name,
+        # and a float width or select would reach the netlist or to_json.
+        with pytest.raises(ValueError) as caught:
+            make()
+        assert type(caught.value) is ValueError
+        assert str(caught.value) == message
+
     def test_unbuildable_configs_fail_at_run(self):
         # Coefficients wider than the multiplier core are caught when the
         # datapath is assembled, not when the config object is created.
