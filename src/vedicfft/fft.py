@@ -177,7 +177,7 @@ class Twiddle:
             if not _is_int(f) or f < 1:
                 raise ValueError("quantized twiddle needs fraction_bits >= 1")
             for q in (self.re_q, self.im_q):
-                if not isinstance(q, int) or not -(1 << f) <= q <= (1 << f) - 1:
+                if not _is_int(q) or not -(1 << f) <= q <= (1 << f) - 1:
                     raise ValueError(f"coefficient {q!r} not a Q1.{f} integer")
         else:
             raise ValueError(f"twiddle mode must be exact or quantized, got {self.mode!r}")
@@ -217,14 +217,15 @@ class Twiddle:
         return complex(self.re_q / scale, self.im_q / scale)
 
 
-_TWIDDLE_SPEC_RE = re.compile(r"^q(\d+)$")
+# ASCII digits with no leading zero: the spelling of ``build_unit``'s sizes.
+_TWIDDLE_SPEC_RE = re.compile(r"q(0|[1-9][0-9]*)")
 
 
 def parse_twiddle_spec(spec: str) -> tuple[str, int | None]:
     """Parse a twiddle mode string: ``exact`` or ``q<F>`` (e.g. ``q3``)."""
     if spec == "exact":
         return "exact", None
-    m = _TWIDDLE_SPEC_RE.match(spec)
+    m = _TWIDDLE_SPEC_RE.fullmatch(spec)
     if m:
         try:
             f = int(m.group(1))
@@ -613,7 +614,8 @@ def _coerce_samples(
     anything else, a dict or a set among them, is rejected. A component
     that is not exactly an ``int`` goes to :class:`FixedComplex`, which
     raises its message unless it is an ``int`` subclass other than
-    ``bool``. The range is left to :func:`_transform_columns`.
+    ``bool``. :func:`run_fft` and :func:`run_fft_batch` both call it, and
+    each checks the range after it.
     """
     row: list[int] = []
     for s in samples:
@@ -656,12 +658,12 @@ def _transform_columns(
     ``columns`` holds 8 columns of n signed int components each: x0_re,
     x0_im, .. x3_im. A component outside the input width raises the
     ValueError of :meth:`FixedComplex.check_range` for the first one in
-    vector order; this is the one range check of the ``run_fft`` path. The
-    result is the output width and the 8 signed output columns X0_re,
-    X0_im, .. X3_im: raw values, scaled by 2^scale_log2. ``select`` is
-    passed as a scalar, so only the selected datapath is simulated: the
-    netlist caches one program per select value. A one-lane call costs a
-    fixed number of operations per bus around the netlist's kernel.
+    vector order: the range check of the column path, which
+    :func:`run_fft` makes on its one row itself. The result is the output
+    width and the 8 signed output columns X0_re, X0_im, .. X3_im: raw
+    values, scaled by 2^scale_log2. ``select`` is passed as a scalar, so
+    only the selected datapath is simulated: the netlist caches one program
+    per select value, and :func:`run_fft` runs the same programs.
     """
     width = config.input_width
     lo, hi = -(1 << (width - 1)), (1 << (width - 1)) - 1
@@ -682,17 +684,50 @@ def _transform_columns(
     return out_width, [[(v ^ h) - h for v in outs[bus]] for bus in _BIN_BUSES]
 
 
+# The program key of each select value: the select bus tied, as
+# ``Netlist.evaluate_batch`` keys a scalar ``select`` column. The untied
+# buses are then x0_re .. x3_im in input order, the order of a sample row.
+_SELECT_KEYS = {4: (("select", 1),), 2: (("select", 0),)}
+
+
 def run_fft(
     config: FftConfig, samples: Sequence[FixedComplex | Sequence[int]]
 ) -> FftResult:
-    """Run one sample list through the reconfigurable netlist: a one-lane
-    :func:`run_fft_batch`.
+    """Run one sample list through the reconfigurable netlist.
 
     Expects 4 samples; with select=2, two samples are also accepted (the
     unused upper slots are zero-filled). Components must be ints, as
     :class:`FixedComplex` requires, and fit the configured input width.
+    The checks, their messages and their order are those of a one-lane
+    :func:`run_fft_batch`, and so is the result; the netlist's one-lane
+    path (``Netlist._evaluate_one``) takes the masked components and
+    returns the 8 output values with no columns built.
     """
-    return run_fft_batch(config, [samples])[0]
+    _check_config(config)
+    row = _coerce_samples(config, samples)
+    width = config.input_width
+    if min(row) < -(1 << (width - 1)) or max(row) >= 1 << (width - 1):
+        for re, im in zip(row[::2], row[1::2]):
+            FixedComplex(re, im).check_range(width)
+    net = _net_for(config)
+    mask = (1 << width) - 1
+    x0r, x0i, x1r, x1i, x2r, x2i, x3r, x3i = net._evaluate_one(
+        _SELECT_KEYS[config.select], [v & mask for v in row]
+    )
+    # Two's complement, as in :func:`_transform_columns`.
+    out_width = len(net.outputs["X0_re"])
+    h = 1 << (out_width - 1)
+    return FftResult(
+        (
+            FixedComplex((x0r ^ h) - h, (x0i ^ h) - h),
+            FixedComplex((x1r ^ h) - h, (x1i ^ h) - h),
+            FixedComplex((x2r ^ h) - h, (x2i ^ h) - h),
+            FixedComplex((x3r ^ h) - h, (x3i ^ h) - h),
+        ),
+        out_width,
+        config.scale_log2,
+        config.select,
+    )
 
 
 def run_fft_batch(
@@ -705,7 +740,8 @@ def run_fft_batch(
     read. Each list is checked as :func:`run_fft` documents: every list's
     samples and count first, in order, then the range of every component
     in vector order. Element i of the result is the spectrum of
-    ``sample_lists[i]``.
+    ``sample_lists[i]``. Every list count, one included, takes this column
+    path; :func:`run_fft` is the one-lane path.
     """
     _check_config(config)
     rows = [_coerce_samples(config, samples) for samples in sample_lists]

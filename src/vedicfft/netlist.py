@@ -27,9 +27,12 @@ every vector of a batch at once in lane words: columns are transposed into
 lane words, and lane words back into values, through byte buffers of one
 item per vector, so a bus costs a fixed number of buffer and big-int
 operations and each bus bit one stride slice, with no Python call per
-vector up to 64 bits. Every batch of two or more vectors runs the loop. A
-program's 100th one-lane evaluation generates a Python function that runs
-one vector through its gates as straight-line code, one statement per gate
+vector up to 64 bits. Every batch of two or more vectors runs the loop.
+One vector takes the one-lane path, ``_evaluate_one``, which
+``evaluate_batch`` calls after its checks and ``fft.run_fft`` calls
+directly: it takes and returns bus values, with no columns. A program's
+100th one-lane evaluation generates a Python function that runs one
+vector through its gates as straight-line code, one statement per gate
 (compiled-code simulation), on the bus values themselves; it and every
 later one-lane evaluation of the program run that function; no CLI command
 evaluates a program that often. Threads that race on an evaluation may
@@ -267,25 +270,38 @@ def _generate_kernel(p: _Program) -> Callable[..., tuple]:
     order.
 
     The function is ``kernel(i0, i1, ...)``, one argument per untied input
-    bus in ``p.in_slots`` order, each the bus's value; its bits are
-    extracted inline (``s3 = i0 >> 1 & 1``). It returns the value of each
-    output bus in ``p.out_slots`` order, one ``s40 | s41 << 1 | ...``
-    expression. Slot s is the local ``s<s>``. Every name in the source is
-    made from the program's integers, never from a bus name, so no netlist
-    text reaches it. The source is dropped once compiled.
+    bus in ``p.in_slots`` order, each the bus's value; the bits that a gate
+    or an output bus reads are extracted inline (``s3 = i0 >> 1 & 1``). It
+    returns the value of each output bus in ``p.out_slots`` order, one
+    ``s40 | s41 << 1 | ...`` expression without the bits held at constant
+    0 (``0`` for a bus of only those). No gate reads a constant slot, since
+    the compiler folds such gates. Slot s is the local ``s<s>``. Every name
+    in the source is made from the program's integers, never from a bus
+    name, so no netlist text reaches it. The source is dropped once
+    compiled.
     """
     zero = p.size - 2
+    read = {*p.in0, *p.in1}
+    for slots in p.out_slots.values():
+        read.update(slots)
     params = [f"i{k}" for k in range(len(p.in_slots))]
-    lines = [f"def kernel({', '.join(params)}):", f" s{zero} = 0", f" s{zero + 1} = 1"]
+    lines = [f"def kernel({', '.join(params)}):", f" s{zero + 1} = 1"]
     for param, slots in zip(params, p.in_slots.values()):
         lines += [
             f" s{s} = {param} >> {k} & 1" if k else f" s{s} = {param} & 1"
             for k, s in enumerate(slots)
+            if s in read
         ]
     for op, a, b, out in zip(p.ops, p.in0, p.in1, p.outs):
         lines.append(f" s{out} = " + _EXPR[op].format(a=f"s{a}", b=f"s{b}"))
     values = "".join(
-        " | ".join(f"s{s} << {k}" if k else f"s{s}" for k, s in enumerate(slots)) + ", "
+        (
+            " | ".join(
+                f"s{s} << {k}" if k else f"s{s}" for k, s in enumerate(slots) if s != zero
+            )
+            or "0"
+        )
+        + ", "
         for slots in p.out_slots.values()
     )
     lines.append(f" return ({values})")
@@ -549,8 +565,8 @@ class Netlist:
         pass therefore evaluates every vector at once (parallel-pattern
         simulation). Constant slots must already hold 0 or ``mask``.
         ``evaluate_batch`` runs it for every batch of two or more vectors,
-        and for one vector until the program has generated its one-lane
-        kernel (:func:`_generate_kernel`).
+        and ``_evaluate_one`` for one vector until the program has generated
+        its one-lane kernel (:func:`_generate_kernel`).
         """
         for op, a, b, out in zip(p.ops, p.in0, p.in1, p.outs):
             if op == 0:
@@ -568,6 +584,44 @@ class Netlist:
             else:
                 values[out] = values[a] ^ values[b] ^ mask
 
+    def _evaluate_one(
+        self, key: tuple[tuple[str, int], ...], values: Sequence[int]
+    ) -> tuple[int, ...]:
+        """Evaluate one vector, unchecked: the one-lane path.
+
+        ``key`` is the sorted tuple of (bus, value) pairs of the tied input
+        buses, ``values`` the values of the untied input buses in input
+        order, each already known to fit its bus. Returns the value of each
+        output bus in output order. The program of ``key`` is compiled on
+        its first evaluation. Its ``_GENERATE_AT``-th evaluation here
+        generates the straight-line kernel (:func:`_generate_kernel`) that
+        it and every later one runs; before that, the bits of each value
+        are run through ``_run`` at one lane. ``evaluate_batch`` calls it
+        for one vector after its checks; ``fft.run_fft`` calls it directly.
+        """
+        kernel = self._kernels.get(key)
+        if kernel is not None:
+            return kernel(*values)
+        p = self._programs.get(key)
+        if p is None:
+            p = self._programs[key] = self._compile(dict(key))
+        # Threads that race here may each compile or generate, and the last
+        # assignment wins; a count that a race loses only delays generation.
+        runs = self._runs[key] = self._runs.get(key, 0) + 1
+        if runs >= _GENERATE_AT:
+            kernel = self._kernels[key] = _generate_kernel(p)
+            return kernel(*values)
+        words = [0] * p.size
+        words[-1] = 1  # the constant-1 slot
+        for slots, value in zip(p.in_slots.values(), values):
+            for s, bit in zip(slots, _pack_lanes((value,), len(slots))):
+                words[s] = bit
+        self._run(p, words, 1)
+        return tuple(
+            _unpack_lanes([words[s] for s in slots], 1)[0]
+            for slots in p.out_slots.values()
+        )
+
     def evaluate_batch(
         self, columns: Mapping[str, int | Sequence[int]]
     ) -> dict[str, list[int]]:
@@ -581,8 +635,9 @@ class Netlist:
         ``0 <= v < 2**width``. Scalars are meant for configuration buses:
         each distinct assignment of them compiles and caches one program in
         which their bits are constants, so the logic they idle is not
-        simulated. This is the one simulation entry point: the only code
-        that packs vectors into lane words and runs the gate kernel.
+        simulated. This is the checked simulation entry point: two or more
+        vectors are packed into lane words here and run through the gate
+        kernel, and one vector goes to ``_evaluate_one``, the one-lane path.
 
         The checks cost a fixed number of operations per bus: one
         comparison of the bus sets (the missing and unknown names are only
@@ -593,11 +648,9 @@ class Netlist:
 
         Two or more vectors are packed into lane words
         (:func:`_pack_lanes`), run through the gate loop ``_run`` and
-        unpacked (:func:`_unpack_lanes`). So is one vector, until its
-        program's ``_GENERATE_AT``-th one-lane evaluation generates the
-        straight-line kernel (:func:`_generate_kernel`) that this and every
-        later one-lane evaluation of it run, on the bus values themselves.
-        Only one-lane evaluations count toward generation.
+        unpacked (:func:`_unpack_lanes`); a batch never generates or runs a
+        generated kernel. One vector is evaluated by ``_evaluate_one``, where
+        only one-lane evaluations count toward generating the kernel.
         """
         inputs = self.inputs
         if columns.keys() != inputs.keys():
@@ -632,10 +685,7 @@ class Netlist:
             )
         key = tuple(sorted(tied.items()))
         n = len(next(iter(lists.values())))
-        # One lane on a kernel reads the values themselves; anything else
-        # needs the lane words of every list.
-        kernel = self._kernels.get(key) if n == 1 else None
-        lanes = {}  # bus -> its lane words
+        lanes = {}  # bus -> its lane words, at two or more lanes
         bad = None  # the first list, in mapping order, outside its bus
         for bus, col in lists.items():
             if len(col) != n:
@@ -646,7 +696,9 @@ class Netlist:
                 try:
                     if min(col) < 0 or max(col) >> width:
                         bad = bus
-                    elif kernel is None:
+                    elif n > 1:
+                        # Packing meets a non-int between the bounds; one
+                        # lane's bounds are its value.
                         lanes[bus] = _pack_lanes(col, width)
                 except TypeError:  # a non-int value, at either bound or between
                     bad = bus
@@ -656,19 +708,12 @@ class Netlist:
             raise NetlistError(
                 f"input {bad} values must be integers in [0, 2**{len(inputs[bad])})"
             )
+        if n == 1:
+            out = self._evaluate_one(key, [lists[bus][0] for bus in inputs if bus in lists])
+            return {bus: [value] for bus, value in zip(self.outputs, out)}
         p = self._programs.get(key)
         if p is None:
             p = self._programs[key] = self._compile(tied)
-        if n == 1 and kernel is None:
-            # Threads that race here may each compile or generate, and the
-            # last assignment wins; a count that a race loses only delays
-            # generation.
-            runs = self._runs[key] = self._runs.get(key, 0) + 1
-            if runs >= _GENERATE_AT:
-                kernel = self._kernels[key] = _generate_kernel(p)
-        if kernel is not None:
-            out = kernel(*[lists[bus][0] for bus in p.in_slots])
-            return {bus: [value] for bus, value in zip(p.out_slots, out)}
         mask = (1 << n) - 1
         values = [0] * p.size
         values[-1] = mask  # the constant-1 slot

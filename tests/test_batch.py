@@ -653,12 +653,14 @@ FFT_CONFIGS = [
 
 # Python-level calls ("call" events) and C calls of one one-lane
 # ``run_fft`` once its program has a generated kernel, measured on CPython
-# 3.10 to 3.13: 41 Python-level calls on 3.10 and 3.11 (19 on 3.12 and 3.13,
-# which inline comprehensions) and 56 C calls, profiler switch-off
-# included, 55 with select 2. When the kernel took and returned lane words
-# they were 86 and 93.
-ONE_LANE_RUN_FFT_CALLS = 41
-ONE_LANE_RUN_FFT_C_CALLS = 56
+# 3.10 to 3.13 for all four configurations: 17 Python-level calls on 3.10
+# and 3.11 (16 on 3.12 and 3.13, which inline comprehensions) and 11 C
+# calls, profiler switch-off included, 10 with select 2. They were 41 and
+# 56 when ``run_fft`` was a one-lane ``run_fft_batch`` that built columns
+# and went through ``evaluate_batch``, and 86 and 93 before that, when the
+# kernel took and returned lane words.
+ONE_LANE_RUN_FFT_CALLS = 17
+ONE_LANE_RUN_FFT_C_CALLS = 11
 
 
 @pytest.mark.parametrize("config", FFT_CONFIGS, ids=lambda c: f"{c.twiddle_mode}-{c.select}")
@@ -676,6 +678,29 @@ def test_one_lane_run_fft_call_count(config):
     assert result == run_fft_batch(config, [samples, samples])[1]
     assert events.count("call") <= ONE_LANE_RUN_FFT_CALLS
     assert events.count("c_call") <= ONE_LANE_RUN_FFT_C_CALLS
+
+
+@pytest.mark.parametrize("config", FFT_CONFIGS, ids=lambda c: f"{c.twiddle_mode}-{c.select}")
+def test_one_lane_run_fft_across_generation(config):
+    # 300 one-lane calls on a fresh netlist, so the program generates its
+    # kernel on call 100: each agrees with the batch path and the oracle,
+    # on samples that always hold both extreme components.
+    fft._reconfigurable_cached.cache_clear()
+    rng = random.Random(config.select * 10 + (config.fraction_bits or 0))
+    scale = 1 << (config.fraction_bits or 0)
+    for call in range(300):
+        parts = [-8, 7] + [rng.randint(-8, 7) for _ in range(2 * config.select - 2)]
+        rng.shuffle(parts)
+        samples = list(zip(parts[::2], parts[1::2]))
+        result = run_fft(config, samples)
+        assert result == run_fft_batch(config, [samples, samples])[0], call
+        want = fft.dft_oracle([complex(*s) for s in samples])
+        want += [0j] * (4 - len(want))
+        assert [c.to_complex() for c in result.spectrum] == [scale * w for w in want], call
+    net = fft._net_for(config)
+    key = (("select", int(config.select == 4)),)
+    assert net._runs == {key: _GENERATE_AT}
+    assert list(net._kernels) == [key]
 
 
 @pytest.mark.parametrize("width", [2, 16, 65])

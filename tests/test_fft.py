@@ -213,6 +213,21 @@ class TestFftConfig:
                 lambda: parse_twiddle_spec("q0"), "fraction bits must be >= 1", id="spec-q0"
             ),
             pytest.param(
+                lambda: parse_twiddle_spec("q3\n"),
+                "twiddle mode must be 'exact' or 'q<F>', got 'q3\\n'",
+                id="spec-trailing-newline",
+            ),
+            pytest.param(
+                lambda: parse_twiddle_spec("q\u0663"),
+                "twiddle mode must be 'exact' or 'q<F>', got 'q\u0663'",
+                id="spec-non-ascii-digit",
+            ),
+            pytest.param(
+                lambda: parse_twiddle_spec("q03"),
+                "twiddle mode must be 'exact' or 'q<F>', got 'q03'",
+                id="spec-leading-zero",
+            ),
+            pytest.param(
                 lambda: Twiddle("exact", 2),
                 "exact twiddle must be one of 1, -1, j, -j, got 2",
                 id="twiddle-exact-value",
@@ -281,6 +296,11 @@ class TestFftConfig:
                 lambda: Twiddle("quantized", 1, 1, 0, True),
                 "quantized twiddle needs fraction_bits >= 1",
                 id="twiddle-bool-fraction-bits",
+            ),
+            pytest.param(
+                lambda: Twiddle("quantized", 1, True, 0, 3),
+                "coefficient True not a Q1.3 integer",
+                id="twiddle-bool-coefficient",
             ),
             pytest.param(
                 lambda: Twiddle.quantized(1, 4, 3.0),
