@@ -49,8 +49,8 @@ def dft_oracle(x: Sequence[complex], n: int | None = None) -> list[complex]:
     """Direct evaluation of X(k) = sum_n x(n) W_N^(nk), W_N = e^(-2pi j/N).
 
     For N in {1, 2, 4} every twiddle is one of 1, -j, -1, j, so the sum is
-    computed by exact quarter-turn rotations (a one-lane
-    :func:`_dft_columns`): integer inputs give exact Gaussian-integer
+    computed by exact quarter-turn rotations
+    (:func:`_dft_quarter_turns`): integer inputs give exact Gaussian-integer
     results (floats hold integers exactly below 2**53). Other lengths fall
     back to double precision; expect a few ulps of rounding, well below
     1e-9 for |x| <= 1e6 and N <= 4096.
@@ -63,8 +63,8 @@ def dft_oracle(x: Sequence[complex], n: int | None = None) -> list[complex]:
     if len(xs) != n:
         raise ValueError(f"expected {n} samples, got {len(xs)}")
     if n in (1, 2, 4):
-        out = _dft_columns([[part] for v in xs for part in (v.real, v.imag)], n)
-        return [complex(re[0], im[0]) for re, im in zip(out[::2], out[1::2])]
+        out = _dft_quarter_turns([part for v in xs for part in (v.real, v.imag)], n)
+        return [complex(re, im) for re, im in zip(out[::2], out[1::2])]
     return [
         sum(xs[m] * cmath.exp(-2j * math.pi * m * k / n) for m in range(n))
         for k in range(n)
@@ -82,28 +82,26 @@ _ROTATION_TERMS = (
 )
 
 
-def _dft_columns(columns: Sequence[Sequence], n: int) -> list[list]:
-    """The DFT of N in {1, 2, 4} samples per lane, by column.
+def _dft_quarter_turns(values: Sequence, n: int) -> list:
+    """The DFT of N in {1, 2, 4} samples, one value per component.
 
-    ``columns`` holds the re and im columns of samples 0..n-1 (x0_re,
-    x0_im, x1_re, ...), one lane per vector; the result holds the re and im
-    columns of bins 0..n-1 the same way. Every twiddle is a quarter turn,
-    so each output component starts at 0 and adds or subtracts one
-    component of each sample, in sample order: exact for ints, and for
-    floats the same operations, in the same order, as rotating and summing
-    complex values.
+    ``values`` holds the re and im parts of samples 0..n-1 (x0_re, x0_im,
+    x1_re, ...); the result holds those of bins 0..n-1 the same way. Every
+    twiddle is a quarter turn, so each output component starts at 0 and
+    adds or subtracts one component of each sample, in sample order
+    (``acc = op(acc, value)``): exact for ints, and for floats the same
+    operations, in the same order, as rotating and summing complex values.
+    A value may be anything that adds and subtracts like a number: the FFT
+    suite of :mod:`vedicfft.verify` passes packed columns, ints with one
+    field per vector, on which ``+`` and ``-`` act field by field.
     """
     step = 4 // n
-    lanes = len(columns[0])
     out = []
     for k in range(n):
-        acc = [[0] * lanes, [0] * lanes]
+        acc = [0, 0]
         for m in range(n):
             terms = _ROTATION_TERMS[(m * k * step) % 4]
-            acc = [
-                list(map(op, a, columns[2 * m + part]))
-                for a, (part, op) in zip(acc, terms)
-            ]
+            acc = [op(a, values[2 * m + part]) for a, (part, op) in zip(acc, terms)]
         out += acc
     return out
 
@@ -650,40 +648,6 @@ _SAMPLE_BUSES = tuple(f"x{k}_{part}" for k in range(4) for part in ("re", "im"))
 _BIN_BUSES = tuple(f"X{k}_{part}" for k in range(4) for part in ("re", "im"))
 
 
-def _transform_columns(
-    config: FftConfig, columns: Sequence[Sequence[int]]
-) -> tuple[int, list[list[int]]]:
-    """Simulate the reconfigurable netlist on n vectors given by column.
-
-    ``columns`` holds 8 columns of n signed int components each: x0_re,
-    x0_im, .. x3_im. A component outside the input width raises the
-    ValueError of :meth:`FixedComplex.check_range` for the first one in
-    vector order: the range check of the column path, which
-    :func:`run_fft` makes on its one row itself. The result is the output
-    width and the 8 signed output columns X0_re, X0_im, .. X3_im: raw
-    values, scaled by 2^scale_log2. ``select`` is passed as a scalar, so
-    only the selected datapath is simulated: the netlist caches one program
-    per select value, and :func:`run_fft` runs the same programs.
-    """
-    width = config.input_width
-    lo, hi = -(1 << (width - 1)), (1 << (width - 1)) - 1
-    if min(map(min, columns)) < lo or max(map(max, columns)) > hi:
-        for row in zip(*columns):
-            for re, im in zip(row[::2], row[1::2]):
-                FixedComplex(re, im).check_range(width)
-    net = _net_for(config)
-    mask = (1 << width) - 1
-    inputs: dict[str, int | list[int]] = {"select": int(config.select == 4)}
-    for bus, col in zip(_SAMPLE_BUSES, columns):
-        inputs[bus] = [v & mask for v in col]
-    outs = net.evaluate_batch(inputs)
-    # Two's complement by column: flipping the sign bit and subtracting
-    # its weight maps [0, 2**w) onto [-h, h).
-    out_width = net.output_width("X0_re")
-    h = 1 << (out_width - 1)
-    return out_width, [[(v ^ h) - h for v in outs[bus]] for bus in _BIN_BUSES]
-
-
 # The program key of each select value: the select bus tied, as
 # ``Netlist.evaluate_batch`` keys a scalar ``select`` column. The untied
 # buses are then x0_re .. x3_im in input order, the order of a sample row.
@@ -714,7 +678,7 @@ def run_fft(
     x0r, x0i, x1r, x1i, x2r, x2i, x3r, x3i = net._evaluate_one(
         _SELECT_KEYS[config.select], [v & mask for v in row]
     )
-    # Two's complement, as in :func:`_transform_columns`.
+    # Two's complement, as in :func:`run_fft_batch`.
     out_width = len(net.outputs["X0_re"])
     h = 1 << (out_width - 1)
     return FftResult(
@@ -734,23 +698,45 @@ def run_fft_batch(
     config: FftConfig, sample_lists: Sequence[Sequence[FixedComplex | Sequence[int]]]
 ) -> list[FftResult]:
     """Evaluate the reconfigurable netlist on every sample list in one gate
-    pass (:func:`_transform_columns`) and decode the outputs.
+    pass and decode the outputs.
 
     ``config`` must be an :class:`FftConfig`, checked before any sample is
     read. Each list is checked as :func:`run_fft` documents: every list's
     samples and count first, in order, then the range of every component
-    in vector order. Element i of the result is the spectrum of
-    ``sample_lists[i]``. Every list count, one included, takes this column
-    path; :func:`run_fft` is the one-lane path.
+    in vector order, which raises the ValueError of
+    :meth:`FixedComplex.check_range` for the first one outside the input
+    width. Element i of the result is the spectrum of ``sample_lists[i]``.
+    ``select`` is passed to ``Netlist.evaluate_batch`` as a scalar, so
+    only the selected datapath is simulated: the netlist caches one program
+    per select value, and :func:`run_fft` runs the same programs. Every
+    list count, one included, takes this column path; :func:`run_fft` is
+    the one-lane path.
     """
     _check_config(config)
     rows = [_coerce_samples(config, samples) for samples in sample_lists]
     if not rows:
         return []
-    width, out = _transform_columns(config, list(zip(*rows)))
+    columns = list(zip(*rows))
+    width = config.input_width
+    lo, hi = -(1 << (width - 1)), (1 << (width - 1)) - 1
+    if min(map(min, columns)) < lo or max(map(max, columns)) > hi:
+        for row in rows:
+            for re, im in zip(row[::2], row[1::2]):
+                FixedComplex(re, im).check_range(width)
+    net = _net_for(config)
+    mask = (1 << width) - 1
+    inputs: dict[str, int | list[int]] = {"select": int(config.select == 4)}
+    for bus, col in zip(_SAMPLE_BUSES, columns):
+        inputs[bus] = [v & mask for v in col]
+    outs = net.evaluate_batch(inputs)
+    # Two's complement by column: flipping the sign bit and subtracting
+    # its weight maps [0, 2**w) onto [-h, h).
+    out_width = net.output_width("X0_re")
+    h = 1 << (out_width - 1)
+    out = [[(v ^ h) - h for v in outs[bus]] for bus in _BIN_BUSES]
     bins = [map(FixedComplex, out[2 * k], out[2 * k + 1]) for k in range(4)]
     return [
-        FftResult(spectrum, width, config.scale_log2, config.select)
+        FftResult(spectrum, out_width, config.scale_log2, config.select)
         for spectrum in zip(*bins)
     ]
 
@@ -810,9 +796,7 @@ _FIXED_UNITS = {
 
 # The sized families adder<W>, subtractor<W>, fft4_q<F> and
 # reconfigurable_q<F>, with no leading zeros so that every name round-trips.
-_UNIT_FAMILY_RE = re.compile(
-    r"^(?:(adder|subtractor)|(fft4|reconfigurable)_q)([1-9][0-9]*)$"
-)
+_UNIT_FAMILY_RE = re.compile(r"(?:(adder|subtractor)|(fft4|reconfigurable)_q)([1-9][0-9]*)")
 
 
 def unit_names() -> list[str]:
@@ -838,7 +822,7 @@ def build_unit(name: str) -> Netlist:
     error."""
     if name in _FIXED_UNITS:
         return _FIXED_UNITS[name]()
-    m = _UNIT_FAMILY_RE.match(name)
+    m = _UNIT_FAMILY_RE.fullmatch(name)
     if m is None:
         known = ", ".join(unit_names())
         raise NetlistError(f"unknown unit {name!r}; known units: {known}")

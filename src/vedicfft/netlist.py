@@ -22,22 +22,26 @@ column is a list of per-vector values or one int that the bus holds in
 every vector. The slot program it simulates is compiled with those scalar
 bits as constants, so the logic they make idle drops out; each distinct
 scalar assignment (none included) compiles one program on its first
-evaluation, cached per netlist. The gate loop ``_run`` interprets it,
-every vector of a batch at once in lane words: columns are transposed into
-lane words, and lane words back into values, through byte buffers of one
-item per vector, so a bus costs a fixed number of buffer and big-int
-operations and each bus bit one stride slice, with no Python call per
-vector up to 64 bits. Every batch of two or more vectors runs the loop.
-One vector takes the one-lane path, ``_evaluate_one``, which
-``evaluate_batch`` calls after its checks and ``fft.run_fft`` calls
-directly: it takes and returns bus values, with no columns. A program's
-100th one-lane evaluation generates a Python function that runs one
-vector through its gates as straight-line code, one statement per gate
-(compiled-code simulation), on the bus values themselves; it and every
-later one-lane evaluation of the program run that function; no CLI command
-evaluates a program that often. Threads that race on an evaluation may
-each compile the same program or generate the same function, and the last
-assignment wins; a run count that a race loses only delays generation.
+evaluation, cached per netlist. There is one batch path,
+``_evaluate_packed``: it takes and returns packed columns, one int per bus
+with one fixed-width field per vector (the bytes of a buffer of one item
+per vector), transposes them into lane words and back, and runs the gate
+loop ``_run`` on every vector at once. A bus costs a fixed number of
+buffer and big-int operations and each bus bit one stride slice, with no
+Python call per vector up to 64 bits. ``evaluate_batch`` packs each list
+while it checks its range, and the FFT suite of :mod:`vedicfft.verify`
+keeps its columns packed from draw to compare. One vector takes the
+one-lane path, ``_evaluate_one``, which ``evaluate_batch`` calls after its
+checks and ``fft.run_fft`` calls directly: it takes and returns bus values,
+with no columns. A program's 100th one-lane evaluation generates a Python
+function that runs one vector through its gates as straight-line code, one
+statement per gate (compiled-code simulation), on the bus values
+themselves; it and every later one-lane evaluation of the program run that
+function, and the earlier ones run the batch path at one lane; no CLI
+command evaluates a program that often. Threads that race on an
+evaluation may each compile the same program or generate the same
+function, and the last assignment wins; a run count that a race loses
+only delays generation.
 
 Cost model: every gate costs one delay unit and one unit of area, wires are
 free. ``critical_path_depth`` and ``gate_counts`` report those two metrics.
@@ -199,22 +203,16 @@ def _item_size(width: int) -> int:
     return 1 << max(0, (width - 1).bit_length() - 3)
 
 
-def _pack_lanes(col: Sequence[int], width: int) -> list[int]:
-    """Transpose a column of n values into the bus's lane words: word k
-    holds bit k of vector i at bit i.
+def _column_fields(col: Sequence[int], width: int) -> int:
+    """A column of n values as its packed int: one field per vector, vector
+    i in bits ``[step * i, step * (i + 1))``.
 
-    The column becomes a buffer of one little-endian item per vector, read
-    as one int, so bit k of vector i is bit ``step * i + k`` with ``step``
-    the item's bit size. In the int's binary string, MSB first, every
-    step-th digit from ``step - 1 - k`` is then word k, last vector first.
-    ``evaluate_batch`` has checked the column's minimum and maximum
-    against ``[0, 2**width)``; a non-int value between them raises
-    TypeError here.
-    One lane needs no buffer: its word k is bit k of the value.
+    The column becomes a buffer of one little-endian item of
+    ``_item_size(width)`` bytes per vector, read as one int, so ``step`` is
+    the item's bit size. ``evaluate_batch`` has checked the column's minimum
+    and maximum against ``[0, 2**width)``; a non-int value between them
+    raises TypeError here.
     """
-    if len(col) == 1:
-        value = col[0]
-        return [(value >> k) & 1 for k in range(width)]
     if type(col) is not list:
         # ``bytes`` and ``array`` read a buffer's raw bytes, not its items.
         col = list(col)
@@ -227,32 +225,15 @@ def _pack_lanes(col: Sequence[int], width: int) -> list[int]:
             items.byteswap()
     else:
         items = b"".join([int.to_bytes(v, size, "little") for v in col])
-    step = 8 * size
-    digits = format(int.from_bytes(items, "little"), f"0{step * len(col)}b")
-    return [int(digits[step - 1 - k :: step], 2) for k in range(width)]
+    return int.from_bytes(items, "little")
 
 
-def _unpack_lanes(words: list[int], n: int) -> list[int]:
-    """The inverse of :func:`_pack_lanes`: the n values of a bus whose bit k
-    has lane word ``words[k]``.
-
-    Each word's n digits go into the binary string of the buffer at the
-    same stride, the string is parsed once, and the buffer is read back as
-    C items (or per vector, above 64 bits). One lane needs none of it: its
-    bits, MSB first, are the value.
-    """
-    if n == 1:
-        value = 0
-        for word in reversed(words):
-            value = (value << 1) | word
-        return [value]
-    size = _item_size(len(words))
-    step = 8 * size
-    digits = bytearray(b"0") * (step * n)
-    spec = f"0{n}b"
-    for k, word in enumerate(words):
-        digits[step - 1 - k :: step] = format(word, spec).encode()
-    data = int(digits, 2).to_bytes(size * n, "little")
+def _field_values(x: int, n: int, width: int) -> list[int]:
+    """The inverse of :func:`_column_fields`: the n values of the packed int
+    ``x`` of a ``width``-bit bus, read back as C items (or per vector,
+    above 64 bits)."""
+    size = _item_size(width)
+    data = x.to_bytes(size * n, "little")
     if size > 8:
         return [
             int.from_bytes(data[i : i + size], "little")
@@ -262,6 +243,34 @@ def _unpack_lanes(words: list[int], n: int) -> list[int]:
     if _BIG_ENDIAN:
         items.byteswap()
     return items.tolist()
+
+
+def _fields_to_lanes(x: int, n: int, width: int) -> list[int]:
+    """Transpose the packed int ``x`` of n vectors of a ``width``-bit bus
+    into the bus's lane words: word k holds bit k of vector i at bit i.
+
+    Bit k of vector i is bit ``step * i + k`` of ``x``, with ``step`` the
+    field size of :func:`_column_fields`. In the binary string of ``x``,
+    MSB first, every step-th digit from ``step - 1 - k`` is then word k,
+    last vector first. Field bits at and above ``width`` are not read. One
+    vector's packed int is its value.
+    """
+    step = 8 * _item_size(width)
+    digits = format(x, f"0{step * n}b")
+    return [int(digits[step - 1 - k :: step], 2) for k in range(width)]
+
+
+def _lanes_to_fields(words: list[int], n: int) -> int:
+    """The inverse of :func:`_fields_to_lanes`: the packed int of the n
+    vectors of a bus whose bit k has lane word ``words[k]``. Each word's n
+    digits go into the binary string of the packed int at the field stride,
+    and the string is parsed once."""
+    step = 8 * _item_size(len(words))
+    digits = bytearray(b"0") * (step * n)
+    spec = f"0{n}b"
+    for k, word in enumerate(words):
+        digits[step - 1 - k :: step] = format(word, spec).encode()
+    return int(digits, 2)
 
 
 def _generate_kernel(p: _Program) -> Callable[..., tuple]:
@@ -563,9 +572,9 @@ class Netlist:
         Each slot holds one word whose bit i is the net's value in vector i;
         ``mask`` has one set bit per vector, so a one-lane run passes 1. One
         pass therefore evaluates every vector at once (parallel-pattern
-        simulation). Constant slots must already hold 0 or ``mask``.
-        ``evaluate_batch`` runs it for every batch of two or more vectors,
-        and ``_evaluate_one`` for one vector until the program has generated
+        simulation). Constant slots must already hold 0 or ``mask``. Its
+        one caller is the batch path ``_evaluate_packed``: every batch of
+        two or more vectors, and one vector until the program has generated
         its one-lane kernel (:func:`_generate_kernel`).
         """
         for op, a, b, out in zip(p.ops, p.in0, p.in1, p.outs):
@@ -584,6 +593,45 @@ class Netlist:
             else:
                 values[out] = values[a] ^ values[b] ^ mask
 
+    def _program(self, key: tuple[tuple[str, int], ...]) -> _Program:
+        """The program of ``key``, compiled on its first evaluation."""
+        p = self._programs.get(key)
+        if p is None:
+            p = self._programs[key] = self._compile(dict(key))
+        return p
+
+    def _evaluate_packed(
+        self, key: tuple[tuple[str, int], ...], fields: Sequence[int], n: int
+    ) -> list[int]:
+        """Evaluate n vectors given as packed columns, unchecked: the batch
+        path, and the one gate-loop path.
+
+        ``key`` is the sorted tuple of (bus, value) pairs of the tied input
+        buses; ``fields`` holds the packed int (:func:`_column_fields`) of
+        each untied input bus in input order, every field already known to
+        fit its bus. The fields are transposed into lane words
+        (:func:`_fields_to_lanes`), run through the gate loop ``_run`` and
+        transposed back (:func:`_lanes_to_fields`). Returns the packed int
+        of each output bus in output order, one field of
+        ``8 * _item_size(width)`` bits per vector. It never counts toward,
+        generates or runs a generated kernel. ``evaluate_batch`` calls it
+        for two or more vectors after its checks, ``_evaluate_one`` for one
+        vector before the kernel is generated, and the FFT suite of
+        :mod:`vedicfft.verify` directly.
+        """
+        p = self._program(key)
+        mask = (1 << n) - 1
+        values = [0] * p.size
+        values[-1] = mask  # the constant-1 slot
+        for slots, x in zip(p.in_slots.values(), fields):
+            for s, word in zip(slots, _fields_to_lanes(x, n, len(slots))):
+                values[s] = word
+        self._run(p, values, mask)
+        return [
+            _lanes_to_fields([values[s] for s in slots], n)
+            for slots in p.out_slots.values()
+        ]
+
     def _evaluate_one(
         self, key: tuple[tuple[str, int], ...], values: Sequence[int]
     ) -> tuple[int, ...]:
@@ -592,35 +640,23 @@ class Netlist:
         ``key`` is the sorted tuple of (bus, value) pairs of the tied input
         buses, ``values`` the values of the untied input buses in input
         order, each already known to fit its bus. Returns the value of each
-        output bus in output order. The program of ``key`` is compiled on
-        its first evaluation. Its ``_GENERATE_AT``-th evaluation here
-        generates the straight-line kernel (:func:`_generate_kernel`) that
-        it and every later one runs; before that, the bits of each value
-        are run through ``_run`` at one lane. ``evaluate_batch`` calls it
-        for one vector after its checks; ``fft.run_fft`` calls it directly.
+        output bus in output order. Its ``_GENERATE_AT``-th evaluation of a
+        program generates the straight-line kernel
+        (:func:`_generate_kernel`) that it and every later one runs; before
+        that, the vector goes through ``_evaluate_packed`` at one lane, where
+        a value is its own packed int. ``evaluate_batch`` calls it for one
+        vector after its checks; ``fft.run_fft`` calls it directly.
         """
         kernel = self._kernels.get(key)
         if kernel is not None:
             return kernel(*values)
-        p = self._programs.get(key)
-        if p is None:
-            p = self._programs[key] = self._compile(dict(key))
         # Threads that race here may each compile or generate, and the last
         # assignment wins; a count that a race loses only delays generation.
         runs = self._runs[key] = self._runs.get(key, 0) + 1
         if runs >= _GENERATE_AT:
-            kernel = self._kernels[key] = _generate_kernel(p)
+            kernel = self._kernels[key] = _generate_kernel(self._program(key))
             return kernel(*values)
-        words = [0] * p.size
-        words[-1] = 1  # the constant-1 slot
-        for slots, value in zip(p.in_slots.values(), values):
-            for s, bit in zip(slots, _pack_lanes((value,), len(slots))):
-                words[s] = bit
-        self._run(p, words, 1)
-        return tuple(
-            _unpack_lanes([words[s] for s in slots], 1)[0]
-            for slots in p.out_slots.values()
-        )
+        return tuple(self._evaluate_packed(key, values, 1))
 
     def evaluate_batch(
         self, columns: Mapping[str, int | Sequence[int]]
@@ -636,8 +672,8 @@ class Netlist:
         each distinct assignment of them compiles and caches one program in
         which their bits are constants, so the logic they idle is not
         simulated. This is the checked simulation entry point: two or more
-        vectors are packed into lane words here and run through the gate
-        kernel, and one vector goes to ``_evaluate_one``, the one-lane path.
+        vectors go to ``_evaluate_packed``, the batch path, and one vector
+        to ``_evaluate_one``, the one-lane path.
 
         The checks cost a fixed number of operations per bus: one
         comparison of the bus sets (the missing and unknown names are only
@@ -646,11 +682,12 @@ class Netlist:
         their lengths and ranges. A call whose columns are rejected
         compiles and counts nothing.
 
-        Two or more vectors are packed into lane words
-        (:func:`_pack_lanes`), run through the gate loop ``_run`` and
-        unpacked (:func:`_unpack_lanes`); a batch never generates or runs a
-        generated kernel. One vector is evaluated by ``_evaluate_one``, where
-        only one-lane evaluations count toward generating the kernel.
+        Two or more vectors are packed, each list into one int while its
+        range is checked (:func:`_column_fields`), evaluated by
+        ``_evaluate_packed`` and read back (:func:`_field_values`); a batch
+        never generates or runs a generated kernel. One vector is evaluated
+        by ``_evaluate_one``, where only one-lane evaluations count toward
+        generating the kernel.
         """
         inputs = self.inputs
         if columns.keys() != inputs.keys():
@@ -685,7 +722,7 @@ class Netlist:
             )
         key = tuple(sorted(tied.items()))
         n = len(next(iter(lists.values())))
-        lanes = {}  # bus -> its lane words, at two or more lanes
+        fields = {}  # bus -> its packed int, at two or more lanes
         bad = None  # the first list, in mapping order, outside its bus
         for bus, col in lists.items():
             if len(col) != n:
@@ -699,7 +736,7 @@ class Netlist:
                     elif n > 1:
                         # Packing meets a non-int between the bounds; one
                         # lane's bounds are its value.
-                        lanes[bus] = _pack_lanes(col, width)
+                        fields[bus] = _column_fields(col, width)
                 except TypeError:  # a non-int value, at either bound or between
                     bad = bus
         if not n:
@@ -711,19 +748,10 @@ class Netlist:
         if n == 1:
             out = self._evaluate_one(key, [lists[bus][0] for bus in inputs if bus in lists])
             return {bus: [value] for bus, value in zip(self.outputs, out)}
-        p = self._programs.get(key)
-        if p is None:
-            p = self._programs[key] = self._compile(tied)
-        mask = (1 << n) - 1
-        values = [0] * p.size
-        values[-1] = mask  # the constant-1 slot
-        for bus, slots in p.in_slots.items():
-            for s, word in zip(slots, lanes[bus]):
-                values[s] = word
-        self._run(p, values, mask)
+        out = self._evaluate_packed(key, [fields[bus] for bus in inputs if bus in fields], n)
         return {
-            bus: _unpack_lanes([values[s] for s in slots], n)
-            for bus, slots in p.out_slots.items()
+            bus: _field_values(x, n, len(nets))
+            for (bus, nets), x in zip(self.outputs.items(), out)
         }
 
     # -- static analysis ----------------------------------------------------

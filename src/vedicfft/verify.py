@@ -11,15 +11,22 @@ are reproducible.
 
 Every suite works by column. It enumerates its operands
 (:func:`_exhaustive`) or draws them as columns, simulates them in one
-batch per netlist (``Netlist.evaluate_batch``), computes the oracle as
-columns, and records each check with one ``_Tally.check_all`` call, which
-formats the detail of the first failing case only, naming its operands.
+batch per netlist, computes the oracle as columns, and records each check
+with one ``_Tally`` call, which formats the detail of the first failing
+case only, naming its operands. The integer suites go through
+``Netlist.evaluate_batch`` and ``_Tally.check_all`` with lists.
 The only per-case objects are the digit-serial traces that are the
 vedic4x4 oracle. Each random column comes from one ``Random.getrandbits``
 call whose bytes are read as items: the FFT samples are its nibbles,
-sign-extended by ``bytes.translate`` (:func:`_draw`). The FFT suite
-simulates its columns with ``fft._transform_columns`` and takes the oracle
-from ``fft._dft_columns``, the column form of ``dft_oracle``.
+sign-extended by ``bytes.translate`` (:func:`_draw`).
+
+The FFT suite checks packed columns: one int per column, with one
+fixed-width field per vector, from the bytes of the drawn column through
+the simulation (``Netlist._evaluate_packed``), the DFT oracle
+(``fft._dft_quarter_turns``, which ``dft_oracle`` runs on numbers) and the
+compare (``_Tally.check_packed``), where the XOR of two columns is 0 when
+every case passes. Its only per-case work is the Parseval check and, when
+a check fails, finding the failing cases.
 
 Every netlist is built once per process: the catalog units by
 :func:`_unit`, the signed multipliers by ``arith._signed_unit`` and the
@@ -39,11 +46,11 @@ import random
 import sys
 from array import array
 from dataclasses import dataclass
-from operator import add, eq, mul, sub
-from typing import Callable, Sequence
+from operator import add, eq, mul, not_, sub
+from typing import Callable, Iterable, Sequence
 
 from . import arith, fft
-from .netlist import to_signed
+from .netlist import _BIG_ENDIAN, Netlist, _item_size, to_signed
 
 _RANDOM_VECTORS = 1000
 
@@ -88,6 +95,24 @@ class _Tally:
             self.failed += failed
             if not self.detail:
                 self.detail = detail(oks.index(False))
+
+    def check_packed(
+        self,
+        pairs: Iterable[tuple[int, int]],
+        lanes: _Layout,
+        detail: Callable[[int], str],
+    ):
+        """One check per case i of ``lanes``, failed where field i of the
+        buffer forms (got, want) of some pair differs. When no field of
+        any pair differs, the n cases pass with no per-case work; else the
+        per-case results go to :meth:`check_all`."""
+        diff = 0
+        for got, want in pairs:
+            diff |= got ^ want
+        if not diff:
+            self.checked += lanes.n
+            return
+        self.check_all(list(map(not_, lanes.items(diff))), detail)
 
     def result(self) -> UnitResult:
         return UnitResult(self.unit, self.checked, self.failed, self.detail)
@@ -258,14 +283,113 @@ def _fft_sections() -> dict[str, list[array]]:
     }
 
 
-def _vector(columns: Sequence[Sequence[int]], i: int) -> list[tuple[int, int]]:
-    """Vector i of re/im column pairs, as (re, im) pairs."""
-    return [(re[i], im[i]) for re, im in zip(columns[::2], columns[1::2])]
+# The FFT suite keeps every column packed: one int per column, with one
+# field of ``step`` bits (8, or 16 for the Q1.3 outputs and oracle) per
+# vector, vector i in bits [step * i, step * (i + 1)), as
+# ``Netlist._evaluate_packed`` takes and returns them. With R the int that
+# holds 1 in every field, a column of signed values v_i is kept in its
+# buffer form, sum (v_i + 2**(step - 1)) * 2**(step * i): every field is
+# non-negative, so a field is sliced out with a mask, and two columns are
+# equal field by field where their XOR is 0. Its signed form, the buffer
+# form less 2**(step - 1) * R, is the exact int sum v_i * 2**(step * i), on
+# which ``+``, ``-`` and ``<< F`` act field by field while every |v_i|
+# stays below 2**(step - 1). Headroom, the largest |v_i| the suite makes:
+# at step 8, 8 for a sample, 32 for an exact bin or a 6-bit netlist output
+# and 64 for the sum of two of those in the linearity check; at step 16,
+# 2**3 * 32 for a Q1.3 bin and 2**10 for an 11-bit netlist output.
 
 
-def _same_rows(got: Sequence[Sequence[int]], want: Sequence[Sequence[int]]) -> list[bool]:
-    """Per case i, whether row i of the columns ``got`` equals that of ``want``."""
-    return list(map(eq, zip(*got), zip(*want)))
+class _Layout:
+    """n signed fields of ``step`` bits, 8 or 16, packed in one int."""
+
+    def __init__(self, n: int, step: int):
+        self.n = n
+        self.step = step
+        self.ones = ((1 << step * n) - 1) // ((1 << step) - 1)  # R
+        self.half = self.ones << (step - 1)
+        self.code = "b" if step == 8 else "h"
+
+    def buffer(self, col: array) -> int:
+        """The buffer form of an ``array("b")`` column of n values.
+
+        Its bytes, the two's complement of each value, are spread one to a
+        field; flipping bit 7 of every field makes each v + 128, and adding
+        the rest of 2**(step - 1) * R makes it v + 2**(step - 1).
+        """
+        data = col.tobytes()
+        if self.step > 8:
+            spread = bytearray(self.n * self.step // 8)
+            spread[:: self.step // 8] = data
+            data = spread
+        low = self.ones << 7
+        return (int.from_bytes(data, "little") ^ low) + self.half - low
+
+    def from_raw(self, raw: int, width: int) -> int:
+        """The buffer form of the packed int of a netlist output bus: fields
+        of ``width``-bit two's complement patterns."""
+        return raw - ((raw & (self.ones << (width - 1))) << 1) + self.half
+
+    def items(self, x: int) -> array:
+        """The n fields of ``x``, read as signed array items."""
+        items = array(self.code, x.to_bytes(self.step // 8 * self.n, "little"))
+        if _BIG_ENDIAN:
+            items.byteswap()
+        return items
+
+    def values(self, buffer: int) -> array:
+        """The n signed values of a buffer form: XOR with 2**(step - 1) * R
+        gives the two's complement items."""
+        return self.items(buffer ^ self.half)
+
+    def value(self, buffer: int, i: int) -> int:
+        """The signed value of field i of a buffer form."""
+        return ((buffer >> self.step * i) & ((1 << self.step) - 1)) - (1 << (self.step - 1))
+
+    def vector(self, buffers: Sequence[int], i: int) -> list[tuple[int, int]]:
+        """Vector i of re/im column pairs in buffer form, as (re, im) pairs."""
+        return [
+            (self.value(re, i), self.value(im, i)) for re, im in zip(buffers[::2], buffers[1::2])
+        ]
+
+
+def _simulate(
+    net: Netlist, key: tuple[tuple[str, int], ...], xs: Sequence[int], lanes: _Layout
+) -> tuple[list[int], _Layout]:
+    """Evaluate ``net`` on the 4-bit sample columns ``xs``, buffer forms of
+    ``lanes`` at step 8, the buses in ``key`` tied.
+
+    Every sample must lie in [-8, 7]: the field v + 136 of v then has upper
+    nibble 8, a test of one column at a time. Else the ValueError of
+    ``FixedComplex.check_range`` names the first component outside, in
+    vector order. A field's low nibble is the sample's two's complement.
+    Returns the buffer forms of the output buses, in output order, and
+    their layout.
+    """
+    ones = lanes.ones
+    for x in xs:
+        if (x + 8 * ones) & (0xF0 * ones) != 0x80 * ones:
+            for row in zip(*map(lanes.values, xs)):
+                for re, im in zip(row[::2], row[1::2]):
+                    fft.FixedComplex(re, im).check_range(4)
+    raw = net._evaluate_packed(key, [x & 0x0F * ones for x in xs], lanes.n)
+    width = net.output_width(next(iter(net.outputs)))
+    out = _Layout(lanes.n, 8 * _item_size(width))
+    return [out.from_raw(u, width) for u in raw], out
+
+
+def _run_fft(
+    config: fft.FftConfig, xs: Sequence[int], lanes: _Layout
+) -> tuple[list[int], _Layout]:
+    """:func:`_simulate` on the reconfigurable netlist of ``config``,
+    ``select`` tied as ``fft.run_fft`` ties it."""
+    return _simulate(fft._net_for(config), fft._SELECT_KEYS[config.select], xs, lanes)
+
+
+def _dft(xs: Sequence[int], n: int, lanes: _Layout, shift: int = 0) -> list[int]:
+    """The buffer forms of 2**shift times the DFT of the n samples whose
+    buffer forms are ``xs``."""
+    signed = [x - lanes.half for x in xs]
+    return [(d << shift) + lanes.half for d in fft._dft_quarter_turns(signed, n)]
 
 
 def _energy(columns: Sequence[Sequence[int]]) -> list[int]:
@@ -283,77 +407,96 @@ def _verify_fft() -> UnitResult:
     exact4 = fft.FftConfig(select=4)
     exact2 = fft.FftConfig(select=2)
     quant4 = fft.FftConfig(4, "quantized", 3, 4)
-    run = fft._transform_columns
     sections = _fft_sections()
 
-    xs = sections["exact4"]
-    _, got = run(exact4, xs)
-    want = fft._dft_columns(xs, 4)
-    t.check_all(
-        _same_rows(got, want),
-        lambda i: f"select=4 x={_vector(xs, i)}: "
-        f"got {_vector(got, i)}, want {_vector(want, i)}",
+    cols = sections["exact4"]
+    lanes = _Layout(len(cols[0]), 8)
+    xs = [lanes.buffer(col) for col in cols]
+    got, out = _run_fft(exact4, xs, lanes)
+    want = _dft(xs, 4, out)
+    t.check_packed(
+        zip(got, want),
+        out,
+        lambda i: f"select=4 x={lanes.vector(xs, i)}: "
+        f"got {out.vector(got, i)}, want {out.vector(want, i)}",
     )
     # Parseval: sum |X|^2 == 4 * sum |x|^2, exact in integers.
-    energy_in, energy_out = _energy(xs), _energy(got)
+    energy_in, energy_out = _energy(cols), _energy([out.values(g) for g in got])
     t.check_all(
         [e_out == 4 * e_in for e_out, e_in in zip(energy_out, energy_in)],
-        lambda i: f"Parseval x={_vector(xs, i)}: {energy_out[i]} != 4*{energy_in[i]}",
+        lambda i: f"Parseval x={lanes.vector(xs, i)}: {energy_out[i]} != 4*{energy_in[i]}",
     )
 
-    xs = sections["exact2"]
-    _, got = run(exact2, xs)
-    want = fft._dft_columns(xs[:4], 2)
-    t.check_all(
-        _same_rows(got[:4], want),
-        lambda i: f"select=2 x={_vector(xs[:4], i)}: "
-        f"got {_vector(got[:4], i)}, want {_vector(want, i)}",
+    cols = sections["exact2"]
+    lanes = _Layout(len(cols[0]), 8)
+    xs = [lanes.buffer(col) for col in cols]
+    got, out = _run_fft(exact2, xs, lanes)
+    want = _dft(xs[:4], 2, out)
+    t.check_packed(
+        zip(got[:4], want),
+        out,
+        lambda i: f"select=2 x={lanes.vector(xs[:4], i)}: "
+        f"got {out.vector(got[:4], i)}, want {out.vector(want, i)}",
     )
-    t.check_all(
-        [not any(row) for row in zip(*got[4:])],
-        lambda i: f"upper slots not zero for x={_vector(xs[:4], i)}: {_vector(got[4:], i)}",
+    t.check_packed(
+        ((g, out.half) for g in got[4:]),
+        out,
+        lambda i: f"upper slots not zero for x={lanes.vector(xs[:4], i)}: "
+        f"{out.vector(got[4:], i)}",
     )
-    butterfly = _unit("butterfly2")
-    bf = butterfly.evaluate_batch(
-        {bus: [v & 15 for v in col] for bus, col in zip(fft._SAMPLE_BUSES, xs[:4])}
-    )
-    bf_width = butterfly.output_width("X0_re")
-    standalone = [[to_signed(v, bf_width) for v in bf[bus]] for bus in fft._BIN_BUSES[:4]]
-    t.check_all(
-        _same_rows(got[:4], standalone),
-        lambda i: f"select=2 disagrees with butterfly for x={_vector(xs[:4], i)}: "
-        f"{_vector(got[:4], i)} vs {_vector(standalone, i)}",
+    standalone, bf = _simulate(_unit("butterfly2"), (), xs[:4], lanes)
+    t.check_packed(
+        zip(got[:4], standalone),
+        out,
+        lambda i: f"select=2 disagrees with butterfly for x={lanes.vector(xs[:4], i)}: "
+        f"{out.vector(got[:4], i)} vs {bf.vector(standalone, i)}",
     )
 
-    # Linearity: one batch of x, y and x + y.
-    xs = sections["linearity"]
-    m = len(xs[0]) // 2
-    sums = [array("b", map(add, col[:m], col[m:])) for col in xs]
-    _, out = run(exact4, [col + s for col, s in zip(xs, sums)])
-    fx, fy, fs = ([col[j * m : (j + 1) * m] for col in out] for j in range(3))
-    t.check_all(
-        _same_rows(fs, [list(map(add, a, b)) for a, b in zip(fx, fy)]),
-        lambda i: f"linearity broken for x={_vector(xs, i)}, y={_vector(xs, m + i)}",
+    # Linearity: one batch of x, y and x + y, each m vectors. Exact
+    # outputs are 6 bits wide, so they too come at step 8.
+    cols = sections["linearity"]
+    m = len(cols[0]) // 2
+    lanes, half = _Layout(2 * m, 8), _Layout(m, 8)
+    xs = [lanes.buffer(col) for col in cols]
+    low = (1 << 8 * m) - 1
+    sums = [(x & low) + (x >> 8 * m) - half.half for x in xs]
+    batch = [x | s << 16 * m for x, s in zip(xs, sums)]
+    out, _ = _run_fft(exact4, batch, _Layout(3 * m, 8))
+    fx, fy, fs = ([(b >> 8 * m * j) & low for b in out] for j in range(3))
+    t.check_packed(
+        zip(fs, [a + b - half.half for a, b in zip(fx, fy)]),
+        half,
+        lambda i: f"linearity broken for x={lanes.vector(xs, i)}, y={lanes.vector(xs, m + i)}",
     )
 
     # Time reversal: the spectrum of x(-n mod 4) is X(-k mod 4).
-    xs = sections["time_reversal"]
-    m = len(xs[0])
-    _, out = run(exact4, [a + b for a, b in zip(xs, _reversed_index(xs))])
-    fx, frev = [col[:m] for col in out], [col[m:] for col in out]
-    t.check_all(
-        _same_rows(frev, _reversed_index(fx)),
-        lambda i: f"time reversal broken for x={_vector(xs, i)}",
+    cols = sections["time_reversal"]
+    m = len(cols[0])
+    lanes = _Layout(m, 8)
+    xs = [lanes.buffer(col) for col in cols]
+    low = (1 << 8 * m) - 1
+    batch = [a | b << 8 * m for a, b in zip(xs, _reversed_index(xs))]
+    out, _ = _run_fft(exact4, batch, _Layout(2 * m, 8))
+    fx, frev = [b & low for b in out], [b >> 8 * m for b in out]
+    t.check_packed(
+        zip(frev, _reversed_index(fx)),
+        lanes,
+        lambda i: f"time reversal broken for x={lanes.vector(xs, i)}",
     )
 
-    # Q1.F holds -j exactly, so the raw outputs are 2^F times the DFT.
-    xs = sections["quantized"]
+    # Q1.F holds -j exactly, so the raw outputs are 2^F times the DFT,
+    # taken at the outputs' step.
+    cols = sections["quantized"]
     f = quant4.fraction_bits
-    _, got = run(quant4, xs)
-    want = [[w << f for w in col] for col in fft._dft_columns(xs, 4)]
-    t.check_all(
-        _same_rows(got, want),
-        lambda i: f"q{f} x={_vector(xs, i)}: got {_vector(got, i)}, want {_vector(want, i)}",
+    lanes = _Layout(len(cols[0]), 8)
+    xs = [lanes.buffer(col) for col in cols]
+    got, out = _run_fft(quant4, xs, lanes)
+    want = _dft([out.buffer(col) for col in cols], 4, out, f)
+    t.check_packed(
+        zip(got, want),
+        out,
+        lambda i: f"q{f} x={lanes.vector(xs, i)}: "
+        f"got {out.vector(got, i)}, want {out.vector(want, i)}",
     )
     return t.result()
 

@@ -331,6 +331,8 @@ def test_bus_widths_and_lane_counts(width, lanes):
         assert net.evaluate_batch(columns) == want
         as_tuples = {bus: tuple(col) for bus, col in columns.items()}
         assert net.evaluate_batch(as_tuples) == want
+        # Columns in another order than the buses.
+        assert net.evaluate_batch(dict(reversed(columns.items()))) == want
     # A range column: the top `lanes` values of the bus, where they fit.
     top = 1 << width
     if lanes <= top:

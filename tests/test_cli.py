@@ -222,6 +222,12 @@ class TestDump:
             assert (code, out) == (2, "")
             assert "known units" in err
 
+    def test_unit_name_with_a_trailing_newline(self, capsys):
+        for unit in ("adder4\n", "fft4_q3\n"):
+            code, out, err = run_cli(capsys, "dump", "--unit", unit)
+            assert (code, out) == (2, "")
+            assert f"unknown unit {unit!r}" in err
+
     def test_rejected_size_reports_the_builder_error(self, capsys):
         code, out, err = run_cli(capsys, "dump", "--unit", "fft4_q9")
         assert (code, out) == (2, "")

@@ -27,7 +27,7 @@ from vedicfft import (
     run_fft,
     run_fft_batch,
 )
-from vedicfft.fft import _dft_columns, build_unit, unit_names
+from vedicfft.fft import _dft_quarter_turns, build_unit, unit_names
 from vedicfft.netlist import _GENERATE_AT, to_signed
 
 
@@ -95,15 +95,26 @@ class TestOracle:
     def test_columns_match_brute_force(self, n, draw):
         rng = random.Random(13 * n)
         columns = [[draw(rng, -8, 7) for _ in range(50)] for _ in range(2 * n)]
-        out = _dft_columns(columns, n)
-        assert len(out) == 2 * n
+        exact = draw is random.Random.randint
+        if exact:
+            # Each column packed in one int, lane i the signed 16-bit field
+            # at bit 16 * i: ``+`` and ``-`` act on every lane at once.
+            packed = _dft_quarter_turns(
+                [sum(v << 16 * i for i, v in enumerate(col)) for col in columns], n
+            )
+            assert len(packed) == 2 * n
+            half = sum(1 << (16 * i + 15) for i in range(50))
         for i in range(50):
+            out = _dft_quarter_turns([col[i] for col in columns], n)
+            assert len(out) == 2 * n
             x = [complex(re[i], im[i]) for re, im in zip(columns[::2], columns[1::2])]
-            got = [complex(re[i], im[i]) for re, im in zip(out[::2], out[1::2])]
+            got = [complex(re, im) for re, im in zip(out[::2], out[1::2])]
             for g, ref in zip(got, brute_dft(x)):
                 assert abs(g - ref) < 1e-9
-        if draw is random.Random.randint:  # exact Gaussian integers
-            assert all(type(v) is int for col in out for v in col)
+            if exact:  # exact Gaussian integers, lane by lane the packed form
+                assert all(type(v) is int for v in out)
+                lane = [(((v + half) >> 16 * i) & 0xFFFF) - (1 << 15) for v in packed]
+                assert lane == out
 
     def test_quarter_turn_outputs_are_exact_integers(self):
         got = dft_oracle([complex(1, 1), complex(-2, 3), complex(0, -4), complex(5, 0)])
@@ -684,8 +695,9 @@ class TestUnitCatalog:
         for name in ("zzz", "nope", "adder0", "fft4_q0", "reconfigurable_q0"):
             with pytest.raises(NetlistError, match="known units: vedic2x2, "):
                 build_unit(name)
-        # Leading zeros would name a unit whose netlist has another name.
-        for name in ("adder04", "fft4_q03"):
+        # Leading zeros, or a trailing newline, would name a unit whose
+        # netlist has another name.
+        for name in ("adder04", "fft4_q03", "adder4\n", "fft4_q3\n"):
             with pytest.raises(NetlistError, match="known units"):
                 build_unit(name)
 

@@ -6,6 +6,7 @@ gate of the unit it checks computes the wrong function."""
 import hashlib
 import random
 import re
+from array import array
 
 import pytest
 
@@ -150,25 +151,10 @@ def with_kind_flipped(net, gate_id):
     return Netlist(net.name, net.inputs, net.outputs, gates, net.consts)
 
 
-# One gate per datapath the FFT suite simulates: the 4-point exact path,
-# the 2-point path and a Q1.3 multiplier of the quantized path.
-MUTANTS = [
-    pytest.param(fft.FftConfig(select=4), 239, "select=4 x=[(", id="select4-exact"),
-    pytest.param(fft.FftConfig(select=2), 531, "select=2 x=[(", id="select2"),
-    pytest.param(
-        fft.FftConfig(4, "quantized", 3, 4), 367, "q3 x=[(", id="q3-multiplier"
-    ),
-]
-
-
-@pytest.mark.parametrize("config, gate_id, detail", MUTANTS)
-def test_fft_suite_catches_a_flipped_gate(monkeypatch, config, gate_id, detail):
+def fft_suite_with_flip(monkeypatch, config, gate_id):
+    """The FFT suite's result with gate ``gate_id`` of the reconfigurable
+    netlist of ``config``'s twiddle mode flipped (both select values)."""
     net = fft._net_for(config)
-    select = int(config.select == 4)
-    assert gate_id in live_gate_ids(net, select)
-    assert gate_id not in live_gate_ids(net, 1 - select)
-    if config.twiddle_mode == "quantized":
-        assert gate_id in multiplier_gate_ids(monkeypatch, config)
     mutated = with_kind_flipped(net, gate_id)
     cached = fft._reconfigurable_cached
 
@@ -178,11 +164,103 @@ def test_fft_suite_catches_a_flipped_gate(monkeypatch, config, gate_id, detail):
         return cached(width, mode, fraction_bits)
 
     monkeypatch.setattr(fft, "_reconfigurable_cached", reconfigurable)
-    result = verify.verify_unit("fft")
+    return verify.verify_unit("fft")
+
+
+# One gate per datapath the FFT suite simulates: the 4-point exact path,
+# the 2-point path and a Q1.3 multiplier of the quantized path, with the
+# failures and first detail the suite reports.
+MUTANTS = [
+    pytest.param(
+        fft.FftConfig(select=4),
+        239,
+        690,
+        "select=4 x=[(1, -6), (-8, -7), (2, 1), (-6, 5)]: "
+        "got [(21, -7), (-13, -5), (17, -3), (11, -9)], "
+        "want [(-11, -7), (-13, -5), (17, -3), (11, -9)]",
+        id="select4-exact",
+    ),
+    pytest.param(
+        fft.FftConfig(select=2),
+        531,
+        800,
+        "select=2 x=[(4, 7), (-7, -4)]: got [(-3, 3), (10, 11)], want [(-3, 3), (11, 11)]",
+        id="select2",
+    ),
+    pytest.param(
+        fft.FftConfig(4, "quantized", 3, 4),
+        367,
+        1000,
+        "q3 x=[(-7, 7), (5, -8), (7, 1), (0, 1)]: "
+        "got [(40, 8), (-176, 8), (-40, 120), (-48, 88)], "
+        "want [(40, 8), (-184, 8), (-40, 120), (-40, 88)]",
+        id="q3-multiplier",
+    ),
+]
+
+
+@pytest.mark.parametrize("config, gate_id, failed, detail", MUTANTS)
+def test_fft_suite_catches_a_flipped_gate(monkeypatch, config, gate_id, failed, detail):
+    net = fft._net_for(config)
+    select = int(config.select == 4)
+    assert gate_id in live_gate_ids(net, select)
+    assert gate_id not in live_gate_ids(net, 1 - select)
+    if config.twiddle_mode == "quantized":
+        assert gate_id in multiplier_gate_ids(monkeypatch, config)
+    result = fft_suite_with_flip(monkeypatch, config, gate_id)
     assert not result.ok
-    assert result.checked == 4618
-    assert detail in result.detail
-    assert "x=[(" in result.detail
+    assert (result.checked, result.failed, result.detail) == (4618, failed, detail)
+
+
+# Gates drawn by ``random.Random(2023).sample`` from the live AND, OR, XOR
+# and XNOR gates of each netlist at select 4, and Q1.3 gate 471, which the
+# compiled programs do not run; the suite's (failed, first detail) for
+# each. No case shows the flip of exact gate 418 either: 200,000 random
+# vectors give the flipped netlist's outputs at select 4 unchanged.
+EXACT4 = fft.FftConfig(select=4)
+Q3 = fft.FftConfig(4, "quantized", 3, 4)
+SEEDED_FLIPS = [
+    (EXACT4, 261, 2196, "select=4 x=[(1, 0), (0, 0), (0, 0), (0, 0)]: "
+     "got [(1, 8), (1, 0), (1, 0), (1, 0)], want [(1, 0), (1, 0), (1, 0), (1, 0)]"),
+    (EXACT4, 472, 2397, "select=4 x=[(1, 0), (0, 0), (0, 0), (0, 0)]: "
+     "got [(1, 0), (1, 0), (1, 0), (1, -32)], want [(1, 0), (1, 0), (1, 0), (1, 0)]"),
+    (EXACT4, 299, 812, "select=4 x=[(0, 0), (0, 0), (1, 0), (0, 0)]: "
+     "got [(1, 0), (31, 0), (1, 0), (-1, 0)], want [(1, 0), (-1, 0), (1, 0), (-1, 0)]"),
+    (EXACT4, 264, 882, "select=4 x=[(-2, -8), (-1, -6), (0, 2), (-2, 6)]: "
+     "got [(-5, 10), (-14, -11), (1, -6), (10, -9)], "
+     "want [(-5, -6), (-14, -11), (1, -6), (10, -9)]"),
+    (EXACT4, 222, 2218, "select=4 x=[(1, 0), (0, 0), (0, 0), (0, 0)]: "
+     "got [(3, 0), (1, 0), (1, 0), (1, 0)], want [(1, 0), (1, 0), (1, 0), (1, 0)]"),
+    (EXACT4, 418, 0, ""),
+    (Q3, 2227, 422, "q3 x=[(1, -1), (-3, 6), (4, -6), (-1, -7)]: "
+     "got [(8, -64), (112, 56), (72, -48), (-128, 24)], "
+     "want [(8, -64), (80, 56), (72, -48), (-128, 24)]"),
+    (Q3, 139, 1000, "q3 x=[(-7, 7), (5, -8), (7, 1), (0, 1)]: "
+     "got [(40, 24), (-184, 8), (-40, 104), (-40, 88)], "
+     "want [(40, 8), (-184, 8), (-40, 120), (-40, 88)]"),
+    (Q3, 384, 505, "q3 x=[(1, -1), (-3, 6), (4, -6), (-1, -7)]: "
+     "got [(8, -64), (144, 56), (72, -48), (-192, 24)], "
+     "want [(8, -64), (80, 56), (72, -48), (-128, 24)]"),
+    (Q3, 2165, 1000, "q3 x=[(-7, 7), (5, -8), (7, 1), (0, 1)]: "
+     "got [(168, 8), (-184, 8), (-40, 120), (-40, 88)], "
+     "want [(40, 8), (-184, 8), (-40, 120), (-40, 88)]"),
+    (Q3, 2163, 506, "q3 x=[(1, -1), (-3, 6), (4, -6), (-1, -7)]: "
+     "got [(-120, -64), (80, 56), (72, -48), (-128, 24)], "
+     "want [(8, -64), (80, 56), (72, -48), (-128, 24)]"),
+    (Q3, 471, 0, ""),
+]
+
+
+@pytest.mark.parametrize(
+    "config, gate_id, failed, detail",
+    SEEDED_FLIPS,
+    ids=[f"{c.twiddle_mode}-{g}" for c, g, _, _ in SEEDED_FLIPS],
+)
+def test_fft_suite_result_of_seeded_flips(monkeypatch, config, gate_id, failed, detail):
+    net = fft._net_for(config)
+    assert (gate_id in live_gate_ids(net, 1)) == (gate_id != 471)
+    result = fft_suite_with_flip(monkeypatch, config, gate_id)
+    assert (result.checked, result.failed, result.detail) == (4618, failed, detail)
 
 
 # One gate per non-FFT suite, flipped in the netlist that verify looks up by
@@ -229,3 +307,80 @@ def test_unit_suite_catches_a_flipped_gate(
     }
     assert len(case) == len(net.inputs)
     assert mutated.evaluate_batch(case) != net.evaluate_batch(case)
+
+
+# The FFT suite's packed columns: n signed fields of 8 or 16 bits in one
+# int, kept in buffer form (every field v + 2**(step - 1)).
+HEADROOM = {8: [-8, 8, -32, 32, -64, 64], 16: [-8, 8, -256, 256, -1024, 1024]}
+
+
+@pytest.mark.parametrize("n", [1, 2, 1009])
+@pytest.mark.parametrize("step", [8, 16])
+def test_packed_signed_buffer_round_trips(step, n):
+    lanes = verify._Layout(n, step)
+    h = 1 << (step - 1)
+    rng = random.Random(step * n)
+    extremes = [-h, h - 1, 0, -1] + HEADROOM[step]
+    values = (extremes + [rng.randrange(-h, h) for _ in range(n)])[:n]
+    signed = sum(v << step * i for i, v in enumerate(values))
+    buffer = signed + lanes.half
+    assert 0 <= buffer < 1 << step * n
+    assert lanes.values(buffer).tolist() == values
+    assert [lanes.value(buffer, i) for i in range(n)] == values
+    assert lanes.vector([buffer, buffer], n - 1) == [(values[-1], values[-1])]
+    # A netlist output bus of width w < step: raw two's complement fields.
+    width = step - 2
+    small = [v % (1 << (width - 1)) - (1 << (width - 2)) for v in values]
+    raw = sum((v % (1 << width)) << step * i for i, v in enumerate(small))
+    assert lanes.values(lanes.from_raw(raw, width)).tolist() == small
+    # +, - and << act field by field on the signed form, within the headroom.
+    halves = [v // 2 for v in values]
+    x = sum(v << step * i for i, v in enumerate(halves))
+    y = sum(v << step * i for i, v in enumerate(reversed(halves)))
+    pairs = list(zip(halves, reversed(halves)))
+    assert lanes.values(x + y + lanes.half).tolist() == [a + b for a, b in pairs]
+    assert lanes.values(x - y + lanes.half).tolist() == [a - b for a, b in pairs]
+    assert lanes.values((x << 1) + lanes.half).tolist() == [2 * a for a in halves]
+    # From the bytes of a drawn column: every value of a signed byte.
+    column = array("b", [v % 256 - 128 for v in values])
+    assert lanes.values(lanes.buffer(column)).tolist() == column.tolist()
+
+
+def test_simulate_checks_the_sample_range():
+    lanes = verify._Layout(3, 8)
+    net = fft._net_for(EXACT4)
+    xs = [lanes.buffer(array("b", [0, 7, -8]))] * 8
+    assert verify._simulate(net, fft._SELECT_KEYS[4], xs, lanes)[1].n == 3
+    xs[5] = lanes.buffer(array("b", [0, -9, 8]))
+    with pytest.raises(ValueError, match=r"^component -9 outside \[-8, 7\] for width 4$"):
+        verify._simulate(net, fft._SELECT_KEYS[4], xs, lanes)
+
+
+@pytest.mark.parametrize("n", [2, 1009])
+def test_tally_packed_accounting(n):
+    lanes = verify._Layout(n, 8)
+    rng = random.Random(n)
+    columns = [lanes.buffer(array("b", [rng.randrange(-8, 8) for _ in range(n)])) for _ in range(2)]
+
+    def flipped(buffer, *cases):
+        for i in cases:
+            buffer ^= 1 << 8 * i + rng.randrange(8)
+        return buffer
+
+    def tally(got):
+        t = verify._Tally("packed")
+        t.check_packed(zip(got, columns), lanes, lambda i: f"case {i}")
+        return t.checked, t.failed, t.detail
+
+    def unused(i):
+        raise AssertionError("a detail of a passing check")
+
+    t = verify._Tally("packed")
+    t.check_packed(zip(columns, columns), lanes, unused)
+    assert (t.checked, t.failed, t.detail) == (n, 0, "")
+    a, b = columns
+    assert tally([flipped(a, 0), b]) == (n, 1, "case 0")
+    assert tally([a, flipped(b, n - 1)]) == (n, 1, f"case {n - 1}")
+    assert tally([flipped(a, n - 1), flipped(b, 0)]) == (n, 2, "case 0")
+    assert tally([flipped(a, 1), flipped(b, 1)]) == (n, 1, "case 1")
+    assert tally([flipped(a, 0, n - 1), flipped(b, 0)]) == (n, 2, "case 0")
