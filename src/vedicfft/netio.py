@@ -127,7 +127,7 @@ def parse_netlist(text: str) -> Netlist:
         if name is None:
             if len(fields) != 3 or fields[0] != "netlist" or fields[2] != "v1":
                 fail(lineno, "expected header 'netlist <name> v1'")
-            if not _NAME_RE.match(fields[1]):
+            if not _NAME_RE.fullmatch(fields[1]):
                 fail(lineno, f"bad netlist name {fields[1]!r}")
             name = fields[1]
             continue
@@ -193,7 +193,7 @@ def parse_netlist(text: str) -> Netlist:
                 fail(lineno, f"width {width} exceeds the {MAX_BUS_WIDTH}-bit limit")
             inputs[bus] = nets = tuple(range(next_id, next_id + width))
             next_id += width
-            if _NAME_RE.match(bus):  # else its bits are bad net ids
+            if _NAME_RE.fullmatch(bus):  # else its bits are bad net ids
                 for k, net in enumerate(nets):
                     by_token[f"{bus}[{k}]"] = net
         elif directive in ("const0", "const1"):

@@ -28,12 +28,14 @@ with one fixed-width field per vector (the bytes of a buffer of one item
 per vector), transposes them into lane words and back, and runs the gate
 loop ``_run`` on every vector at once. A bus costs a fixed number of
 buffer and big-int operations and each bus bit one stride slice, with no
-Python call per vector up to 64 bits. ``evaluate_batch`` packs each list
-while it checks its range, and the FFT suite of :mod:`vedicfft.verify`
-keeps its columns packed from draw to compare. One vector takes the
-one-lane path, ``_evaluate_one``, which ``evaluate_batch`` calls after its
-checks and ``fft.run_fft`` calls directly: it takes and returns bus values,
-with no columns. A program's 100th one-lane evaluation generates a Python
+Python call per vector up to 64 bits. ``evaluate_batch`` takes one route
+at every lane count: it packs each list while it checks its range and
+reads each output bus back from its packed int, and the FFT suite of
+:mod:`vedicfft.verify` keeps its columns packed from draw to compare. One
+vector takes the one-lane path, ``_evaluate_one``: it takes and returns bus
+values, with no columns. One lane's packed ints are its bus values, so
+``evaluate_batch`` hands them over as they are, and ``fft.run_fft`` calls
+it directly. A program's 100th one-lane evaluation generates a Python
 function that runs one vector through its gates as straight-line code, one
 statement per gate (compiled-code simulation), on the bus values
 themselves; it and every later one-lane evaluation of the program run that
@@ -126,7 +128,7 @@ KIND_OF: dict[GateKind | str, GateKind] = {
     **{k: k for k in GateKind},
 }
 
-_NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 # ``add_gate`` reads these once per gate: a module global is cheaper than
 # the enum class attribute, and ``tuple.__new__`` than the namedtuple's own.
@@ -320,7 +322,7 @@ def _generate_kernel(p: _Program) -> Callable[..., tuple]:
 
 
 def _check_bus_name(name: str) -> str:
-    if not _NAME_RE.match(name):
+    if not _NAME_RE.fullmatch(name):
         raise NetlistError(f"invalid bus name {name!r}")
     return name
 
@@ -392,7 +394,7 @@ class Netlist:
         ascending id: one pass over ``self.gates`` finds this, and the sort
         runs only for text with forward references or cycles.
         """
-        if not _NAME_RE.match(self.name):
+        if not _NAME_RE.fullmatch(self.name):
             raise NetlistError(f"invalid netlist name {self.name!r}")
         # Net -> its driver, as a value ``_driver_name`` formats only when a
         # second driver turns up: (bus, bit), a constant value or a gate.
@@ -671,38 +673,29 @@ class Netlist:
         ``0 <= v < 2**width``. Scalars are meant for configuration buses:
         each distinct assignment of them compiles and caches one program in
         which their bits are constants, so the logic they idle is not
-        simulated. This is the checked simulation entry point: two or more
-        vectors go to ``_evaluate_packed``, the batch path, and one vector
-        to ``_evaluate_one``, the one-lane path.
+        simulated. This is the checked simulation entry point.
 
-        The checks cost a fixed number of operations per bus: one
-        comparison of the bus sets (the missing and unknown names are only
-        worked out for the message), each column classified by its exact
-        type before the ``Sequence`` check, and one pass over the lists for
-        their lengths and ranges. A call whose columns are rejected
-        compiles and counts nothing.
-
-        Two or more vectors are packed, each list into one int while its
-        range is checked (:func:`_column_fields`), evaluated by
-        ``_evaluate_packed`` and read back (:func:`_field_values`); a batch
-        never generates or runs a generated kernel. One vector is evaluated
-        by ``_evaluate_one``, where only one-lane evaluations count toward
-        generating the kernel.
+        Every lane count takes one route. The bus sets are checked, each
+        column is classified as a scalar (range-checked at once) or a list,
+        the lists' lengths are checked, and each list is range-checked and
+        packed into one int (:func:`_column_fields`) in mapping order; a
+        call whose columns are rejected compiles and counts nothing. One
+        vector's packed ints are its values and go to ``_evaluate_one``, the
+        one-lane path, where only one-lane evaluations count toward
+        generating the kernel; two or more go to ``_evaluate_packed``, the
+        batch path. Each output bus is read back with :func:`_field_values`.
         """
         inputs = self.inputs
-        if columns.keys() != inputs.keys():
-            missing = inputs.keys() - columns.keys()
-            if missing:
-                raise NetlistError(f"missing input buses: {sorted(missing)}")
-            extra = columns.keys() - inputs.keys()
+        missing = inputs.keys() - columns.keys()
+        if missing:
+            raise NetlistError(f"missing input buses: {sorted(missing)}")
+        extra = columns.keys() - inputs.keys()
+        if extra:
             raise NetlistError(f"unknown input buses: {sorted(extra)}")
         tied = {}
         lists = {}
         for bus, col in columns.items():
-            kind = type(col)
-            if kind is list or kind is tuple:
-                lists[bus] = col
-            elif isinstance(col, int):
+            if isinstance(col, int):
                 width = len(inputs[bus])
                 if col < 0 or col >> width:
                     raise NetlistError(
@@ -714,41 +707,35 @@ class Netlist:
             else:
                 raise NetlistError(
                     f"input {bus} column must be an int or a sequence, "
-                    f"got {kind.__name__}"
+                    f"got {type(col).__name__}"
                 )
         if not lists:
             raise NetlistError(
                 "every input column is a scalar: no list gives the lane count"
             )
-        key = tuple(sorted(tied.items()))
-        n = len(next(iter(lists.values())))
-        fields = {}  # bus -> its packed int, at two or more lanes
-        bad = None  # the first list, in mapping order, outside its bus
-        for bus, col in lists.items():
-            if len(col) != n:
-                lengths = {len(c) for c in lists.values()}
-                raise NetlistError(f"input columns differ in length: {sorted(lengths)}")
-            if bad is None and n:
-                width = len(inputs[bus])
-                try:
-                    if min(col) < 0 or max(col) >> width:
-                        bad = bus
-                    elif n > 1:
-                        # Packing meets a non-int between the bounds; one
-                        # lane's bounds are its value.
-                        fields[bus] = _column_fields(col, width)
-                except TypeError:  # a non-int value, at either bound or between
-                    bad = bus
+        lengths = {len(col) for col in lists.values()}
+        if len(lengths) > 1:
+            raise NetlistError(f"input columns differ in length: {sorted(lengths)}")
+        (n,) = lengths
         if not n:
             raise NetlistError("input columns are empty")
-        if bad is not None:
-            raise NetlistError(
-                f"input {bad} values must be integers in [0, 2**{len(inputs[bad])})"
-            )
+        fields = {}
+        for bus, col in lists.items():
+            width = len(inputs[bus])
+            try:
+                if min(col) >= 0 and not max(col) >> width:
+                    # Packing meets a non-int between the bounds.
+                    fields[bus] = _column_fields(col, width)
+                    continue
+            except TypeError:  # a non-int value, at either bound or between
+                pass
+            raise NetlistError(f"input {bus} values must be integers in [0, 2**{width})")
+        key = tuple(sorted(tied.items()))
+        packed = [fields[bus] for bus in inputs if bus in fields]
         if n == 1:
-            out = self._evaluate_one(key, [lists[bus][0] for bus in inputs if bus in lists])
-            return {bus: [value] for bus, value in zip(self.outputs, out)}
-        out = self._evaluate_packed(key, [fields[bus] for bus in inputs if bus in fields], n)
+            out = self._evaluate_one(key, packed)
+        else:
+            out = self._evaluate_packed(key, packed, n)
         return {
             bus: _field_values(x, n, len(nets))
             for (bus, nets), x in zip(self.outputs.items(), out)
@@ -892,7 +879,7 @@ class NetlistBuilder:
         if not self._outputs:
             raise NetlistError("netlist has no output buses")
         self._done = True
-        if not _NAME_RE.match(self.name):
+        if not _NAME_RE.fullmatch(self.name):
             raise NetlistError(f"invalid netlist name {self.name!r}")
         # Every id below ``_next_net`` was made with its driver.
         return Netlist._trusted(

@@ -124,8 +124,9 @@ def _bus_signature(netlist: Netlist) -> dict[str, tuple[str, int]]:
 
 def multipliers_equivalent(a: Netlist, b: Netlist) -> bool:
     """Exhaustive truth-table comparison of two a,b(4) -> p(8) multipliers."""
+    multiplier = {"a": ("in", 4), "b": ("in", 4), "p": ("out", 8)}
     for net in (a, b):
-        if net.input_width("a") != 4 or net.input_width("b") != 4:
+        if _bus_signature(net) != multiplier:
             raise ComparisonError(f"{net.name} is not a 4x4 multiplier")
     columns = {"a": [x for x in range(16) for _ in range(16)], "b": list(range(16)) * 16}
     return a.evaluate_batch(columns)["p"] == b.evaluate_batch(columns)["p"]

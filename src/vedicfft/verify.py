@@ -43,14 +43,13 @@ from __future__ import annotations
 import functools
 import itertools
 import random
-import sys
 from array import array
 from dataclasses import dataclass
 from operator import add, eq, mul, not_, sub
 from typing import Callable, Iterable, Sequence
 
 from . import arith, fft
-from .netlist import _BIG_ENDIAN, Netlist, _item_size, to_signed
+from .netlist import _BIG_ENDIAN, Netlist, _field_values, _item_size, to_signed
 
 _RANDOM_VECTORS = 1000
 
@@ -165,14 +164,12 @@ def _verify_4x4(unit: str) -> UnitResult:
 
 def _random_column(rng: random.Random, n: int, width: int) -> list[int]:
     """n values uniform over [0, 2**width), width 1, 8 or 16, from one
-    ``getrandbits`` call: its little-endian bytes read as n items."""
+    ``getrandbits`` call: its bits read as n fields of a packed column
+    (:func:`vedicfft.netlist._field_values`), or as n bits at width 1."""
     bits = rng.getrandbits(width * n)
     if width == 1:
         return [(bits >> i) & 1 for i in range(n)]
-    items = array("B" if width == 8 else "H", bits.to_bytes(width * n // 8, "little"))
-    if sys.byteorder == "big":
-        items.byteswap()
-    return items.tolist()
+    return _field_values(bits, n, width)
 
 
 def _verify_adder() -> UnitResult:

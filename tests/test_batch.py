@@ -422,6 +422,20 @@ def assert_batches_interpreted_one_lane_generated(net, vectors, tied=None):
     assert net._runs == {key: _GENERATE_AT}
 
 
+@pytest.mark.parametrize("name", ["adder65", "adder100"])
+def test_one_lane_wide_buses_across_generation(name):
+    # Above 64 bits a one-lane column is packed byte by byte
+    # (``int.to_bytes``); its packed int must reach the generated kernel,
+    # and every output come back, as the bus value.
+    net = build_unit(name)
+    rng = random.Random(name)
+    for run in range(_GENERATE_AT + 1):
+        vector = {bus: rng.randrange(1 << len(nets)) for bus, nets in net.inputs.items()}
+        got = net.evaluate_batch({bus: [value] for bus, value in vector.items()})
+        assert got == reference_outputs(net, [vector]), (run, vector)
+    assert list(net._kernels) == [()]
+
+
 def sample_lanes(net, lanes, seed):
     rng = random.Random(seed)
     return rng.choices(input_vectors(net, rng), k=lanes)

@@ -107,6 +107,23 @@ class TestBuilder:
             b.finalize()
         assert str(excinfo.value) == "builder already finalized"
 
+    def test_names_with_a_trailing_newline_rejected(self):
+        # A name has one spelling: ``$`` would also match before a final
+        # newline, and the dump of such a netlist would not parse.
+        b = NetlistBuilder("t")
+        with pytest.raises(NetlistError) as excinfo:
+            b.add_input("a\n", 1)
+        assert str(excinfo.value) == "invalid bus name 'a\\n'"
+        x = b.add_input("a", 1)[0]
+        with pytest.raises(NetlistError) as excinfo:
+            b.set_output("o\n", [x])
+        assert str(excinfo.value) == "invalid bus name 'o\\n'"
+        b = NetlistBuilder("t\n")
+        b.set_output("o", [b.add_input("a", 1)[0]])
+        with pytest.raises(NetlistError) as excinfo:
+            b.finalize()
+        assert str(excinfo.value) == "invalid netlist name 't\\n'"
+
     def test_no_outputs_rejected(self):
         b = NetlistBuilder("t")
         b.add_input("x", 1)
@@ -277,6 +294,21 @@ class TestValidation:
                 dict(gates=[AND], outputs={"o[0]": [2]}),
                 "invalid bus name 'o[0]'",
                 id="output-bus-name",
+            ),
+            pytest.param(
+                dict(gates=[AND], name="u\n"),
+                "invalid netlist name 'u\\n'",
+                id="netlist-name-newline",
+            ),
+            pytest.param(
+                dict(gates=[AND], inputs={"a\n": [0], "b": [1]}),
+                "invalid bus name 'a\\n'",
+                id="input-bus-name-newline",
+            ),
+            pytest.param(
+                dict(gates=[AND], outputs={"o\n": [2]}),
+                "invalid bus name 'o\\n'",
+                id="output-bus-name-newline",
             ),
             pytest.param(
                 dict(gates=[AND], inputs={"a": [0], "b": [1], "c": []}),

@@ -8,6 +8,7 @@ import pytest
 from vedicfft import (
     GateKind,
     NetlistBuilder,
+    build_butterfly2,
     build_ripple_adder,
     build_vedic2x2,
 )
@@ -79,6 +80,16 @@ class TestMultiplierEquivalence:
 
     def test_detects_difference(self, vedic4x4):
         assert not multipliers_equivalent(vedic4x4, broken_multiplier())
+
+    @pytest.mark.parametrize(
+        "other", [build_ripple_adder(4), build_butterfly2(4)], ids=lambda n: n.name
+    )
+    def test_rejects_what_is_not_a_multiplier(self, vedic4x4, other):
+        # Checked by bus signature before any simulation, on either side.
+        for pair in ((other, vedic4x4), (vedic4x4, other)):
+            with pytest.raises(ComparisonError) as info:
+                multipliers_equivalent(*pair)
+            assert str(info.value) == f"{other.name} is not a 4x4 multiplier"
 
 
 class TestCompare:

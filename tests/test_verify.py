@@ -6,6 +6,7 @@ gate of the unit it checks computes the wrong function."""
 import hashlib
 import random
 import re
+import sys
 from array import array
 
 import pytest
@@ -117,6 +118,26 @@ def test_fft_draws_are_pinned():
         for name, cols in sections.items()
     }
     assert digests == SECTION_SHA256
+
+
+@pytest.mark.parametrize("n", [1, 2, 500])
+@pytest.mark.parametrize("width", [1, 8, 16])
+def test_random_column_draws_are_unchanged(width, n):
+    # The integer suites draw through netlist's packed-field codec; the
+    # draws equal those of the byte-level reader it replaced.
+    def byte_reader(rng, n, width):
+        bits = rng.getrandbits(width * n)
+        if width == 1:
+            return [(bits >> i) & 1 for i in range(n)]
+        items = array("B" if width == 8 else "H", bits.to_bytes(width * n // 8, "little"))
+        if sys.byteorder == "big":
+            items.byteswap()
+        return items.tolist()
+
+    seed = width * 1000 + n
+    got = verify._random_column(random.Random(seed), n, width)
+    assert got == byte_reader(random.Random(seed), n, width)
+    assert all(type(v) is int and 0 <= v < 1 << width for v in got)
 
 
 def live_gate_ids(net, select):
