@@ -35,15 +35,15 @@ reads each output bus back from its packed int, and the FFT suite of
 vector takes the one-lane path, ``_evaluate_one``: it takes and returns bus
 values, with no columns. One lane's packed ints are its bus values, so
 ``evaluate_batch`` hands them over as they are, and ``fft.run_fft`` calls
-it directly. A program's 100th one-lane evaluation generates a Python
-function that runs one vector through its gates as straight-line code, one
-statement per gate (compiled-code simulation), on the bus values
-themselves; it and every later one-lane evaluation of the program run that
-function, and the earlier ones run the batch path at one lane; no CLI
-command evaluates a program that often. Threads that race on an
-evaluation may each compile the same program or generate the same
-function, and the last assignment wins; a run count that a race loses
-only delays generation.
+it directly. A one-lane evaluation of a program that an earlier
+evaluation compiled, at any lane count, generates a Python function that
+runs one vector through its gates as straight-line code, one statement
+per gate (compiled-code simulation), on the bus values themselves; it
+and every later one-lane evaluation of the program run that function. A
+program's first evaluation, and every batch, runs the batch path; no CLI
+command evaluates a program at one lane after compiling it. Threads that
+race on an evaluation may each compile the same program or generate the
+same function, and the last assignment wins.
 
 Cost model: every gate costs one delay unit and one unit of area, wires are
 free. ``critical_path_depth`` and ``gate_counts`` report those two metrics.
@@ -113,13 +113,6 @@ _EXPR = (
     "({a} | {b}) ^ 1",
     "{a} ^ {b} ^ 1",
 )
-
-# The one-lane evaluation of a program that generates its kernel. Generating
-# one costs what 29 to 114 one-lane runs of the kernel save over ``_run``
-# (CPython 3.11, the four one-lane programs of ``fft_stream``, medians 33 to
-# 71), and no CLI command or benchmark ``prepare`` evaluates a program this
-# often at one lane, so they never pay for generation.
-_GENERATE_AT = 100
 
 # A kind, or its canonical name, to the kind: the one dict lookup that
 # ``add_gate`` and ``parse_netlist`` try before :func:`as_gate_kind`.
@@ -321,10 +314,11 @@ def _generate_kernel(p: _Program) -> Callable[..., tuple]:
     return namespace["kernel"]
 
 
-def _check_bus_name(name: str) -> str:
-    if not _NAME_RE.fullmatch(name):
-        raise NetlistError(f"invalid bus name {name!r}")
-    return name
+def _check_name(name: object, what: str) -> None:
+    """Reject ``name`` unless it is a valid netlist or bus name (``what``):
+    a ``str`` that ``_NAME_RE`` matches in full."""
+    if not (isinstance(name, str) and _NAME_RE.fullmatch(name)):
+        raise NetlistError(f"invalid {what} name {name!r}")
 
 
 class Netlist:
@@ -348,11 +342,9 @@ class Netlist:
         self.consts: dict[int, int] = dict(consts)  # constant bit value -> net id
         self.nets, self._order = self._validate()
         # One program per sorted tuple of (bus, value) scalars; () is the
-        # program with no input tied. Under the same key: its one-lane
-        # evaluations, counted until one generates its kernel, and then that
-        # kernel.
+        # program with no input tied. Under the same key: its generated
+        # one-lane kernel, once it has one.
         self._programs: dict[tuple[tuple[str, int], ...], _Program] = {}
-        self._runs: dict[tuple[tuple[str, int], ...], int] = {}
         self._kernels: dict[tuple[tuple[str, int], ...], Callable[..., tuple]] = {}
 
     @classmethod
@@ -378,7 +370,6 @@ class Netlist:
         self.nets = nets
         self._order = gates
         self._programs = {}
-        self._runs = {}
         self._kernels = {}
         return self
 
@@ -394,8 +385,7 @@ class Netlist:
         ascending id: one pass over ``self.gates`` finds this, and the sort
         runs only for text with forward references or cycles.
         """
-        if not _NAME_RE.fullmatch(self.name):
-            raise NetlistError(f"invalid netlist name {self.name!r}")
+        _check_name(self.name, "netlist")
         # Net -> its driver, as a value ``_driver_name`` formats only when a
         # second driver turns up: (bus, bit), a constant value or a gate.
         drivers: dict[int, tuple[str, int] | int | Gate] = {}
@@ -409,7 +399,7 @@ class Netlist:
             drivers[net] = source
 
         for bus in list(self.inputs) + list(self.outputs):
-            _check_bus_name(bus)
+            _check_name(bus, "bus")
         for bus in self.outputs:
             if bus in self.inputs:
                 raise NetlistError(f"duplicate bus name {bus}")
@@ -575,9 +565,7 @@ class Netlist:
         ``mask`` has one set bit per vector, so a one-lane run passes 1. One
         pass therefore evaluates every vector at once (parallel-pattern
         simulation). Constant slots must already hold 0 or ``mask``. Its
-        one caller is the batch path ``_evaluate_packed``: every batch of
-        two or more vectors, and one vector until the program has generated
-        its one-lane kernel (:func:`_generate_kernel`).
+        one caller is the batch path ``_evaluate_packed``.
         """
         for op, a, b, out in zip(p.ops, p.in0, p.in1, p.outs):
             if op == 0:
@@ -595,13 +583,6 @@ class Netlist:
             else:
                 values[out] = values[a] ^ values[b] ^ mask
 
-    def _program(self, key: tuple[tuple[str, int], ...]) -> _Program:
-        """The program of ``key``, compiled on its first evaluation."""
-        p = self._programs.get(key)
-        if p is None:
-            p = self._programs[key] = self._compile(dict(key))
-        return p
-
     def _evaluate_packed(
         self, key: tuple[tuple[str, int], ...], fields: Sequence[int], n: int
     ) -> list[int]:
@@ -615,13 +596,15 @@ class Netlist:
         (:func:`_fields_to_lanes`), run through the gate loop ``_run`` and
         transposed back (:func:`_lanes_to_fields`). Returns the packed int
         of each output bus in output order, one field of
-        ``8 * _item_size(width)`` bits per vector. It never counts toward,
-        generates or runs a generated kernel. ``evaluate_batch`` calls it
-        for two or more vectors after its checks, ``_evaluate_one`` for one
-        vector before the kernel is generated, and the FFT suite of
-        :mod:`vedicfft.verify` directly.
+        ``8 * _item_size(width)`` bits per vector. It compiles the program
+        of ``key`` on its first evaluation, and never generates or runs a
+        generated kernel. ``evaluate_batch`` calls it for two or more
+        vectors after its checks, ``_evaluate_one`` for a program's first
+        evaluation, and the FFT suite of :mod:`vedicfft.verify` directly.
         """
-        p = self._program(key)
+        p = self._programs.get(key)
+        if p is None:
+            p = self._programs[key] = self._compile(dict(key))
         mask = (1 << n) - 1
         values = [0] * p.size
         values[-1] = mask  # the constant-1 slot
@@ -642,21 +625,20 @@ class Netlist:
         ``key`` is the sorted tuple of (bus, value) pairs of the tied input
         buses, ``values`` the values of the untied input buses in input
         order, each already known to fit its bus. Returns the value of each
-        output bus in output order. Its ``_GENERATE_AT``-th evaluation of a
-        program generates the straight-line kernel
-        (:func:`_generate_kernel`) that it and every later one runs; before
-        that, the vector goes through ``_evaluate_packed`` at one lane, where
-        a value is its own packed int. ``evaluate_batch`` calls it for one
-        vector after its checks; ``fft.run_fft`` calls it directly.
+        output bus in output order. It runs the program's straight-line
+        kernel (:func:`_generate_kernel`) if it has one; else it generates
+        and runs it if an earlier evaluation, of any lane count, compiled
+        the program; else the vector goes through ``_evaluate_packed`` at
+        one lane, where a value is its own packed int, and that compiles
+        the program. ``evaluate_batch`` calls it for one vector after its
+        checks; ``fft.run_fft`` calls it directly.
         """
         kernel = self._kernels.get(key)
         if kernel is not None:
             return kernel(*values)
-        # Threads that race here may each compile or generate, and the last
-        # assignment wins; a count that a race loses only delays generation.
-        runs = self._runs[key] = self._runs.get(key, 0) + 1
-        if runs >= _GENERATE_AT:
-            kernel = self._kernels[key] = _generate_kernel(self._program(key))
+        p = self._programs.get(key)
+        if p is not None:
+            kernel = self._kernels[key] = _generate_kernel(p)
             return kernel(*values)
         return tuple(self._evaluate_packed(key, values, 1))
 
@@ -679,11 +661,11 @@ class Netlist:
         column is classified as a scalar (range-checked at once) or a list,
         the lists' lengths are checked, and each list is range-checked and
         packed into one int (:func:`_column_fields`) in mapping order; a
-        call whose columns are rejected compiles and counts nothing. One
-        vector's packed ints are its values and go to ``_evaluate_one``, the
-        one-lane path, where only one-lane evaluations count toward
-        generating the kernel; two or more go to ``_evaluate_packed``, the
-        batch path. Each output bus is read back with :func:`_field_values`.
+        call whose columns are rejected compiles nothing. One vector's
+        packed ints are its values and go to ``_evaluate_one``, the one-lane
+        path, the only one that generates a kernel; two or more go to
+        ``_evaluate_packed``, the batch path. Each output bus is read back
+        with :func:`_field_values`.
         """
         inputs = self.inputs
         missing = inputs.keys() - columns.keys()
@@ -815,7 +797,9 @@ class NetlistBuilder:
 
     def add_input(self, name: str, width: int) -> list[int]:
         self._check_open()
-        _check_bus_name(name)
+        _check_name(name, "bus")
+        if not isinstance(width, int) or isinstance(width, bool):
+            raise NetlistError(f"input bus {name} width must be an int, got {width!r}")
         if width < 1:
             raise NetlistError(f"input bus {name} must be at least 1 bit wide")
         if width > MAX_BUS_WIDTH:
@@ -861,7 +845,7 @@ class NetlistBuilder:
 
     def set_output(self, name: str, nets: Sequence[int]):
         self._check_open()
-        _check_bus_name(name)
+        _check_name(name, "bus")
         if name in self._outputs or name in self._inputs:
             raise NetlistError(f"duplicate bus name {name}")
         nets = list(nets)
@@ -879,8 +863,7 @@ class NetlistBuilder:
         if not self._outputs:
             raise NetlistError("netlist has no output buses")
         self._done = True
-        if not _NAME_RE.fullmatch(self.name):
-            raise NetlistError(f"invalid netlist name {self.name!r}")
+        _check_name(self.name, "netlist")
         # Every id below ``_next_net`` was made with its driver.
         return Netlist._trusted(
             self.name,

@@ -31,10 +31,10 @@ from vedicfft import (
     run_fft,
     run_fft_batch,
 )
-from vedicfft import fft
+from vedicfft import fft, netlist
 from vedicfft.fft import build_unit, unit_names
 from vedicfft.netio import parse_netlist
-from vedicfft.netlist import _GENERATE_AT, Gate, Netlist
+from vedicfft.netlist import Gate, Netlist
 from test_netlist import _random_program
 
 EXHAUSTIVE_BITS = 12
@@ -364,22 +364,24 @@ def test_buffer_columns(width, kind):
 
 
 # A program runs in the gate loop ``Netlist._run`` for every batch of two
-# or more vectors, however often, and for one vector until its
-# ``_GENERATE_AT``-th one-lane evaluation generates its straight-line
-# kernel; only one-lane evaluations count toward that. Each case below runs
-# on a netlist that has not evaluated it yet.
+# or more vectors, however often, and for one vector on its first
+# evaluation, which compiles it. A one-lane evaluation of a program that is
+# already compiled, by a batch or by a one-lane call, generates its
+# straight-line kernel. Each case below runs on a netlist that has not
+# evaluated it yet.
 LANE_COUNTS = [1, 2, 64, 65, 1000]
 
 
 def assert_batches_interpreted_one_lane_generated(net, vectors, tied=None):
     """Evaluate ``vectors`` on the fresh ``net`` as one batch, the buses in
-    ``tied`` as scalars, and one vector at a time until their program has
-    generated its kernel; each result must equal the reference. Every bus
-    at 0, every bus at 2^w - 1 and up to 65 of the vectors run alone, and
-    give plain ints: exactly the ``_GENERATE_AT``-th of those one-lane
-    evaluations generates the kernel. A batch of two or more vectors runs
-    first and after each one-lane evaluation, ``_GENERATE_AT`` times before
-    generation: none of them counts or generates."""
+    ``tied`` as scalars, and one vector at a time; each result must equal
+    the reference. Every bus at 0, every bus at 2^w - 1 and up to 65 of the
+    vectors run alone, and give plain ints. The first one-lane call compiles
+    the program and generates nothing; the second generates the kernel,
+    which every later one runs. A batch of two or more vectors runs after
+    each one-lane call and generates nothing. Each vector alone also runs
+    through the batch path at one lane, as a program's first evaluation
+    does."""
     tied = tied or {}
     assert net._programs == {} and net._kernels == {}
     vectors = [{**v, **tied} for v in vectors]
@@ -406,20 +408,22 @@ def assert_batches_interpreted_one_lane_generated(net, vectors, tied=None):
         )
         assert all(type(v) is int for values in got.values() for v in values)
 
+    one_lane(0)
+    assert list(net._programs) == [key] and net._kernels == {}
     batch(0)
-    for run in range(1, _GENERATE_AT):
-        one_lane(run)
-        batch(run)
-        assert net._runs == {key: run} and net._kernels == {}
-    assert list(net._programs) == [key]
-    one_lane(_GENERATE_AT)
+    assert net._kernels == {}
+    one_lane(1)
     assert list(net._kernels) == [key]
     kernel = net._kernels[key]
-    for run in range(_GENERATE_AT + 1, _GENERATE_AT + 1 + len(alone)):
+    for run in range(2, 2 + len(alone)):
         one_lane(run)
-    batch(_GENERATE_AT + len(alone))
+        batch(run)
     assert net._kernels == {key: kernel}
-    assert net._runs == {key: _GENERATE_AT}
+    assert list(net._programs) == [key]
+    untied = [bus for bus in net.inputs if bus not in tied]
+    for i, vector in enumerate(alone):
+        got = net._evaluate_packed(key, [vector[bus] for bus in untied], 1)
+        assert got == [want_alone[bus][i] for bus in net.outputs], vector
 
 
 @pytest.mark.parametrize("name", ["adder65", "adder100"])
@@ -429,11 +433,12 @@ def test_one_lane_wide_buses_across_generation(name):
     # and every output come back, as the bus value.
     net = build_unit(name)
     rng = random.Random(name)
-    for run in range(_GENERATE_AT + 1):
+    for run in range(4):
         vector = {bus: rng.randrange(1 << len(nets)) for bus, nets in net.inputs.items()}
         got = net.evaluate_batch({bus: [value] for bus, value in vector.items()})
         assert got == reference_outputs(net, [vector]), (run, vector)
-    assert list(net._kernels) == [()]
+        # The first call compiles the program, the second generates.
+        assert list(net._kernels) == ([()] if run else []), run
 
 
 def sample_lanes(net, lanes, seed):
@@ -520,10 +525,10 @@ def test_generated_kernel_edges(build, want_ops, lanes):
 
 @pytest.mark.parametrize("first, later", [(65, 1), (1, 65)], ids=["many-then-one", "one-then-many"])
 def test_generated_kernel_lane_count_changes(first, later):
-    # 99 calls at one lane count, then 99 at the other: only the one-lane
-    # calls count, whichever came first, so a 65-lane call still generates
-    # nothing and the next one-lane call generates the kernel. Both lane
-    # counts then keep running.
+    # The first call, at either lane count, compiles the program and
+    # generates nothing; a 65-lane call never generates, and the next
+    # one-lane call generates the kernel. Both lane counts then keep
+    # running.
     net = build_unit("reconfigurable")
     vectors = sample_lanes(net, 65, "lanes")
     want = reference_outputs(net, vectors)
@@ -535,40 +540,85 @@ def test_generated_kernel_lane_count_changes(first, later):
             bus: [values[i] for i in picked] for bus, values in want.items()
         }, (lanes, start)
 
-    for run in range(_GENERATE_AT - 1):
-        check(first, run)
-    for run in range(_GENERATE_AT - 1):
-        check(later, run)
-    check(65, 0)
-    assert net._kernels == {} and net._runs == {(): _GENERATE_AT - 1}
+    check(first, 0)
+    assert list(net._programs) == [()] and net._kernels == {}
+    for run in range(3):
+        check(65, run)
+    assert net._kernels == {}
     check(1, 0)
     assert list(net._kernels) == [()]
-    check(first, 1)
-    check(later, 1)
-    assert net._runs == {(): _GENERATE_AT}
+    kernel = net._kernels[()]
+    for run in range(1, 4):
+        check(first, run)
+        check(later, run)
+    assert net._kernels == {(): kernel}
 
 
 @pytest.mark.parametrize("lanes", [2, 64, 65, 1000])
 def test_batches_never_generate(lanes):
-    # However often a batch runs, the gate loop interprets it, and it does
-    # not count toward generation.
+    # However often a batch runs, the gate loop interprets it: twice as
+    # many batches as the one-lane calls that generate a kernel generate
+    # none.
     net = build_unit("reconfigurable_q3")
     vectors = sample_lanes(net, lanes, f"never-{lanes}")
     columns = {bus: [v[bus] for v in vectors] for bus in net.inputs}
     want = reference_outputs(net, vectors)
-    for run in range(2 * _GENERATE_AT):
+    for run in range(4):
         assert net.evaluate_batch(columns) == want, run
     assert list(net._programs) == [()]
-    assert net._runs == {} and net._kernels == {}
+    assert net._kernels == {}
+
+
+# A fresh program's calls by lane count, and after each call the kernels
+# generated and the calls that ran one: the first evaluation compiles the
+# program, a one-lane call on a compiled program generates the kernel and
+# runs it, and batches never do, even twice as many as take a one-lane
+# program to its kernel.
+GENERATION_RULE = {
+    "one-lane-twice": ([1, 1, 1], [0, 1, 1], [0, 1, 2]),
+    "batch-then-one-lane": ([2, 1, 1], [0, 1, 1], [0, 1, 2]),
+    "batches-only": ([2, 65, 2, 65], [0, 0, 0, 0], [0, 0, 0, 0]),
+}
+
+
+@pytest.mark.parametrize("tied", [{}, {"select": 1}], ids=["untied", "select-1"])
+@pytest.mark.parametrize("case", GENERATION_RULE)
+def test_generation_rule(case, tied, monkeypatch):
+    generated, kernel_calls = [], []
+    generate = netlist._generate_kernel
+
+    def counted_generate(p):
+        kernel = generate(p)
+        generated.append(p)
+
+        def counted(*values):
+            kernel_calls.append(values)
+            return kernel(*values)
+
+        return counted
+
+    monkeypatch.setattr(netlist, "_generate_kernel", counted_generate)
+    net = build_unit("reconfigurable")
+    vectors = [{**v, **tied} for v in sample_lanes(net, 65, case)]
+    lane_counts, want_generated, want_kernel_calls = GENERATION_RULE[case]
+    for call, lanes in enumerate(lane_counts):
+        batch = [vectors[(call + j) % len(vectors)] for j in range(lanes)]
+        columns = {bus: [v[bus] for v in batch] for bus in net.inputs}
+        assert net.evaluate_batch({**columns, **tied}) == reference_outputs(net, batch), call
+        counts = (len(generated), len(kernel_calls))
+        assert counts == (want_generated[call], want_kernel_calls[call]), call
+    assert list(net._programs) == [tuple(sorted(tied.items()))]
+    assert len(net._kernels) == want_generated[-1]
 
 
 def test_rejected_evaluation_compiles_nothing():
-    # A call whose columns are rejected neither compiles nor counts as an
-    # evaluation: the next accepted call is the first, and it is interpreted.
+    # A call whose columns are rejected is not an evaluation: it compiles
+    # nothing, so the next accepted call is the first, and it is interpreted.
     net = build_unit("vedic2x2")
-    with pytest.raises(NetlistError):
-        net.evaluate_batch({"a": [0, 4], "b": [1, 1]})
-    assert net._programs == {} and net._runs == {}
+    for lanes in (1, 2):
+        with pytest.raises(NetlistError):
+            net.evaluate_batch({"a": [4] * lanes, "b": [1] * lanes})
+    assert net._programs == {} and net._kernels == {}
     assert_batches_interpreted_one_lane_generated(net, sample_lanes(net, 2, 0))
 
 
@@ -599,9 +649,10 @@ def test_generated_kernel_bus_names(lanes):
 
 
 def test_threads_generate_a_kernel_at_once():
-    # Each program has run one one-lane evaluation short of generating its
-    # kernel; two one-lane threads per program then race to generate it,
-    # beside a batch thread per program that generates nothing.
+    # Each program has run its first one-lane evaluation, which compiles
+    # it; two one-lane threads per program then race on the second, which
+    # generates its kernel, beside a batch thread per program that
+    # generates nothing.
     net = build_unit("reconfigurable_q3")
     vectors = input_vectors(net, random.Random(5))[:100]
     jobs = []
@@ -610,11 +661,10 @@ def test_threads_generate_a_kernel_at_once():
         tied = {} if select is None else {"select": select}
         columns = {bus: [v[bus] for v in batch] for bus in net.inputs if bus not in tied}
         one = {bus: col[:1] for bus, col in columns.items()}
-        for _ in range(_GENERATE_AT - 1):
-            net.evaluate_batch({**one, **tied})
+        net.evaluate_batch({**one, **tied})
         jobs += [({**one, **tied}, reference_outputs(net, batch[:1]))] * 2
         jobs.append(({**columns, **tied}, reference_outputs(net, batch)))
-    assert net._kernels == {}
+    assert len(net._programs) == 3 and net._kernels == {}
     results = [None] * len(jobs)
     start = threading.Barrier(len(jobs))
 
@@ -649,8 +699,10 @@ def test_no_call_per_vector(width):
             bus: [rng.randrange(1 << net.input_width(bus)) for _ in range(lanes)]
             for bus in net.inputs
         }
-        for _ in range(_GENERATE_AT):  # a batch never generates a kernel
-            net.evaluate_batch(columns)
+        # The first call compiles the program; a batch never generates a
+        # kernel.
+        net.evaluate_batch(columns)
+        assert net._kernels == {}
         events = []
         sys.setprofile(lambda frame, event, arg: events.append(event))
         try:
@@ -682,7 +734,7 @@ ONE_LANE_RUN_FFT_C_CALLS = 11
 @pytest.mark.parametrize("config", FFT_CONFIGS, ids=lambda c: f"{c.twiddle_mode}-{c.select}")
 def test_one_lane_run_fft_call_count(config):
     samples = [(1, -2), (3, 4), (-8, 7), (0, 5)][: config.select]
-    for _ in range(_GENERATE_AT):
+    for _ in range(2):  # a second one-lane call generates the kernel
         run_fft(config, samples)
     assert len(fft._net_for(config)._kernels) >= 1
     events = []
@@ -698,10 +750,13 @@ def test_one_lane_run_fft_call_count(config):
 
 @pytest.mark.parametrize("config", FFT_CONFIGS, ids=lambda c: f"{c.twiddle_mode}-{c.select}")
 def test_one_lane_run_fft_across_generation(config):
-    # 300 one-lane calls on a fresh netlist, so the program generates its
-    # kernel on call 100: each agrees with the batch path and the oracle,
-    # on samples that always hold both extreme components.
+    # 300 one-lane calls on a fresh netlist: the first compiles the
+    # program and the second generates its kernel. Each agrees with the
+    # batch path and the oracle, on samples that always hold both extreme
+    # components.
     fft._reconfigurable_cached.cache_clear()
+    net = fft._net_for(config)
+    key = (("select", int(config.select == 4)),)
     rng = random.Random(config.select * 10 + (config.fraction_bits or 0))
     scale = 1 << (config.fraction_bits or 0)
     for call in range(300):
@@ -709,14 +764,12 @@ def test_one_lane_run_fft_across_generation(config):
         rng.shuffle(parts)
         samples = list(zip(parts[::2], parts[1::2]))
         result = run_fft(config, samples)
+        assert list(net._kernels) == ([key] if call else []), call
         assert result == run_fft_batch(config, [samples, samples])[0], call
         want = fft.dft_oracle([complex(*s) for s in samples])
         want += [0j] * (4 - len(want))
         assert [c.to_complex() for c in result.spectrum] == [scale * w for w in want], call
-    net = fft._net_for(config)
-    key = (("select", int(config.select == 4)),)
-    assert net._runs == {key: _GENERATE_AT}
-    assert list(net._kernels) == [key]
+    assert list(net._programs) == [key]
 
 
 @pytest.mark.parametrize("width", [2, 16, 65])
@@ -735,19 +788,19 @@ def assert_rejects(case):
     message it must be rejected with, in full. Each call is made at 1 and at
     3 lanes on a fresh netlist, and on one whose untied program has
     generated its kernel (so the one-lane kernel form sits behind the
-    checks too); none compiles or counts anything."""
+    checks too); none compiles or generates anything."""
     generated = build_unit("vedic2x2")
-    for _ in range(_GENERATE_AT):
+    for _ in range(2):  # the first call compiles, the second generates
         generated.evaluate_batch({"a": [1], "b": [2]})
     assert list(generated._kernels) == [()]
     for net in (build_unit("vedic2x2"), generated):
-        before = (dict(net._programs), dict(net._runs))
+        before = (dict(net._programs), dict(net._kernels))
         for lanes in (1, 3):
             columns, message = case(lanes)
             with pytest.raises(NetlistError) as info:
                 net.evaluate_batch(columns)
             assert str(info.value) == message, (lanes, columns)
-            assert (net._programs, net._runs) == before
+            assert (net._programs, net._kernels) == before
         assert net.evaluate_batch({"a": [3], "b": [3]}) == {"p": [9]}
 
 
@@ -846,7 +899,7 @@ class TestBatchRejections:
         net = build_unit("vedic2x2")
         flags = [True, False, True][:lanes]
         want = net.evaluate_batch({"a": [int(f) for f in flags], "b": [3] * lanes})
-        for run in range(_GENERATE_AT + 1):
+        for run in range(3):
             got = net.evaluate_batch({"a": flags, "b": [3] * lanes})
             assert got == want and all(type(v) is int for v in got["p"]), run
             got = net.evaluate_batch({"a": flags, "b": True})

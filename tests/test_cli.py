@@ -327,6 +327,67 @@ def test_golden_stdout(capsys):
     )
 
 
+# Run in a fresh interpreter: the command given as arguments through
+# ``cli.main``, or for ``prepare`` the one-lane calls that the benchmark's
+# ``prepare`` steps make. Prints the programs compiled, the kernels
+# generated, and the kernels held by the netlists still alive.
+COUNT_KERNELS = """\
+import contextlib, gc, io, sys
+from vedicfft import arith, cli, fft, netlist
+counts = {"compiled": 0, "generated": 0}
+
+def counting(name, f):
+    def wrapper(*args):
+        counts[name] += 1
+        return f(*args)
+    return wrapper
+
+netlist.Netlist._compile = counting("compiled", netlist.Netlist._compile)
+netlist._generate_kernel = counting("generated", netlist._generate_kernel)
+if sys.argv[1:] == ["prepare"]:
+    for spec in ("exact", "q3"):
+        fft.run_fft(fft.FftConfig.make(4, spec, 4), [(0, 0)] * 4)
+    for impl in ("vedic", "array"):
+        arith.signed_multiply_4x4(0, 0, impl)
+else:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(sys.argv[1:]) == 0
+nets = [obj for obj in gc.get_objects() if isinstance(obj, netlist.Netlist)]
+print(counts["compiled"], counts["generated"], sum(len(n._kernels) for n in nets))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("mul", "--a", "13", "--b", "11"),
+        ("mul", "--a", "-3", "--b", "5", "--signed"),
+        ("fft", "--samples", "1,0;2,0;3,0;4,0"),
+        ("fft", "--samples", "1,0;2,0;3,0;4,0", "--twiddle", "q3"),
+        ("fft", "--samples", "1,0;2,0", "--select", "2"),
+        ("fft", "--samples", "1,0;2,0", "--select", "2", "--twiddle", "q3"),
+        ("verify", "--unit", "all"),
+        ("report",),
+        ("prepare",),
+    ],
+    ids=" ".join,
+)
+def test_no_command_generates_a_kernel(argv):
+    # A kernel is generated only when a compiled program runs again at one
+    # lane. No command does that: each compiles programs and generates no
+    # kernel, and no netlist it leaves alive holds one.
+    proc = subprocess.run(
+        [sys.executable, "-c", COUNT_KERNELS, *argv],
+        capture_output=True,
+        text=True,
+        env=checkout_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    compiled, generated, held = map(int, proc.stdout.split())
+    assert compiled >= 1
+    assert (generated, held) == (0, 0)
+
+
 def test_second_main_call_builds_no_parser(capsys, monkeypatch):
     run_cli(capsys, "mul", "--a", "13", "--b", "11")
     built = []

@@ -124,6 +124,33 @@ class TestBuilder:
             b.finalize()
         assert str(excinfo.value) == "invalid netlist name 't\\n'"
 
+    @pytest.mark.parametrize("site", ["add_input", "set_output", "finalize"])
+    def test_name_that_is_not_a_str_rejected(self, site):
+        # A name of another type is an invalid name, not a TypeError from
+        # the name pattern.
+        b = NetlistBuilder(5 if site == "finalize" else "t")
+        x = b.add_input("x", 1)
+        with pytest.raises(NetlistError) as excinfo:
+            if site == "add_input":
+                b.add_input(7, 1)
+            elif site == "set_output":
+                b.set_output(7, x)
+            else:
+                b.set_output("o", x)
+                b.finalize()
+        message = "invalid netlist name 5" if site == "finalize" else "invalid bus name 7"
+        assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize("width", [True, 1.5, "1", None], ids=repr)
+    def test_input_width_must_be_an_int(self, width):
+        # A bool is not a width: True would build a 1-bit bus. Nothing else
+        # reaches the range checks.
+        b = NetlistBuilder("t")
+        with pytest.raises(NetlistError) as excinfo:
+            b.add_input("a", width)
+        assert str(excinfo.value) == f"input bus a width must be an int, got {width!r}"
+        assert b._inputs == {} and b._next_net == 0
+
     def test_no_outputs_rejected(self):
         b = NetlistBuilder("t")
         b.add_input("x", 1)
@@ -309,6 +336,19 @@ class TestValidation:
                 dict(gates=[AND], outputs={"o\n": [2]}),
                 "invalid bus name 'o\\n'",
                 id="output-bus-name-newline",
+            ),
+            pytest.param(
+                dict(gates=[AND], name=5), "invalid netlist name 5", id="netlist-name-not-str"
+            ),
+            pytest.param(
+                dict(gates=[AND], inputs={7: [0], "b": [1]}),
+                "invalid bus name 7",
+                id="input-bus-name-not-str",
+            ),
+            pytest.param(
+                dict(gates=[AND], outputs={b"o": [2]}),
+                "invalid bus name b'o'",
+                id="output-bus-name-not-str",
             ),
             pytest.param(
                 dict(gates=[AND], inputs={"a": [0], "b": [1], "c": []}),
