@@ -30,8 +30,9 @@ loop ``_run`` on every vector at once. A bus costs a fixed number of
 buffer and big-int operations and each bus bit one stride slice, with no
 Python call per vector up to 64 bits. ``evaluate_batch`` takes one route
 at every lane count: it packs each list while it checks its range and
-reads each output bus back from its packed int, and the FFT suite of
-:mod:`vedicfft.verify` keeps its columns packed from draw to compare. One
+reads each output bus back from its packed int, and the adder,
+subtractor and FFT suites of :mod:`vedicfft.verify` keep their columns
+packed from draw to compare. One
 vector takes the one-lane path, ``_evaluate_one``: it takes and returns bus
 values, with no columns. One lane's packed ints are its bus values, so
 ``evaluate_batch`` hands them over as they are, and ``fft.run_fft`` calls
@@ -430,6 +431,11 @@ class Netlist:
                     if n not in drivers:
                         id_ordered = False
             claim(gate.output, gate)
+        # One pass over the driven nets; every gate input and output bit
+        # must be one of them.
+        if not set(map(type, drivers)) <= {int}:
+            bad = next(n for n in drivers if type(n) is not int)
+            raise NetlistError(f"net id {bad!r} is not an int")
 
         if not id_ordered:  # else every read was found driven above
             for gate in self.gates:
@@ -600,7 +606,8 @@ class Netlist:
         of ``key`` on its first evaluation, and never generates or runs a
         generated kernel. ``evaluate_batch`` calls it for two or more
         vectors after its checks, ``_evaluate_one`` for a program's first
-        evaluation, and the FFT suite of :mod:`vedicfft.verify` directly.
+        evaluation, and the adder, subtractor and FFT suites of
+        :mod:`vedicfft.verify` directly.
         """
         p = self._programs.get(key)
         if p is None:
@@ -829,7 +836,12 @@ class NetlistBuilder:
             kind = KIND_OF[kind]
         except (KeyError, TypeError):
             kind = as_gate_kind(kind)
-        inputs = tuple(inputs)
+        try:
+            inputs = tuple(inputs)
+        except TypeError:
+            raise NetlistError(
+                f"{kind.value} inputs must be a sequence of nets, got {inputs!r}"
+            ) from None
         if len(inputs) != (1 if kind is _NOT else 2):
             raise NetlistError(
                 f"{kind.value} takes {kind.arity} input(s), got {len(inputs)}"
@@ -848,7 +860,12 @@ class NetlistBuilder:
         _check_name(name, "bus")
         if name in self._outputs or name in self._inputs:
             raise NetlistError(f"duplicate bus name {name}")
-        nets = list(nets)
+        try:
+            nets = list(nets)
+        except TypeError:
+            raise NetlistError(
+                f"output bus {name} must be a sequence of nets, got {nets!r}"
+            ) from None
         if not nets:
             raise NetlistError(f"output bus {name} must be at least 1 bit wide")
         for n in nets:

@@ -13,29 +13,36 @@ Every suite works by column. It enumerates its operands
 (:func:`_exhaustive`) or draws them as columns, simulates them in one
 batch per netlist, computes the oracle as columns, and records each check
 with one ``_Tally`` call, which formats the detail of the first failing
-case only, naming its operands. The integer suites go through
-``Netlist.evaluate_batch`` and ``_Tally.check_all`` with lists.
-The only per-case objects are the digit-serial traces that are the
-vedic4x4 oracle. Each random column comes from one ``Random.getrandbits``
-call whose bytes are read as items: the FFT samples are its nibbles,
-sign-extended by ``bytes.translate`` (:func:`_draw`).
+case only, naming its operands. The multiplier suites go through
+``Netlist.evaluate_batch`` and ``_Tally.check_all`` with lists. The only
+per-case objects are the digit-serial traces that are the vedic4x4
+oracle.
 
-The FFT suite checks packed columns: one int per column, with one
-fixed-width field per vector, from the bytes of the drawn column through
-the simulation (``Netlist._evaluate_packed``), the DFT oracle
-(``fft._dft_quarter_turns``, which ``dft_oracle`` runs on numbers) and the
-compare (``_Tally.check_packed``), where the XOR of two columns is 0 when
-every case passes. Its only per-case work is the Parseval check and, when
-a check fails, finding the failing cases.
+The adder, subtractor and FFT suites check packed columns: one int per
+column, with one fixed-width field per vector, from the draw through the
+simulation (``Netlist._evaluate_packed``) and the oracle to the compare
+(``_Tally.check_packed``), where the XOR of two columns is 0 when every
+case passes. A random adder or subtractor column is the int of one
+``Random.getrandbits`` call (:func:`_random_fields`), and the sums and
+differences of its oracle are taken on fields twice the bus step wide.
+Each FFT column comes from one ``getrandbits`` call whose bytes are read
+as items: the samples are its nibbles, sign-extended by
+``bytes.translate`` (:func:`_draw`). Its oracle is the DFT
+(``fft._dft_quarter_turns``, which ``dft_oracle`` runs on numbers), and
+its Parseval check squares bytes by ``bytes.translate`` tables
+(:func:`_energy`). A passing suite of the three does no per-case work;
+only a failing check decodes its cases one by one, to count them and
+name the first.
 
 Every netlist is built once per process: the catalog units by
 :func:`_unit`, the signed multipliers by ``arith._signed_unit`` and the
-FFT datapaths by ``fft._reconfigurable_cached``. So is the vedic4x4 oracle
-column (:func:`_digit_serial_products`), so a second pass builds nothing
-and compiles no slot program. A pass evaluates the exact 4-point program
-three times, vedic4x4's twice and every other program once, each as a
-batch, so the gate loop ``Netlist._run`` interprets every one of them,
-however many passes a process makes.
+FFT datapaths by ``fft._reconfigurable_cached``. So are the vedic4x4
+oracle column (:func:`_digit_serial_products`) and the exhaustive adder
+and subtractor columns (:func:`_exhaustive_fields`), so a second pass
+builds nothing and compiles no slot program. A pass evaluates the exact
+4-point program three times, vedic4x4's twice and every other program
+once, each as a batch, so the gate loop ``Netlist._run`` interprets every
+one of them, however many passes a process makes.
 """
 
 from __future__ import annotations
@@ -45,11 +52,18 @@ import itertools
 import random
 from array import array
 from dataclasses import dataclass
-from operator import add, eq, mul, not_, sub
+from operator import eq, mul, not_
 from typing import Callable, Iterable, Sequence
 
 from . import arith, fft
-from .netlist import _BIG_ENDIAN, Netlist, _field_values, _item_size, to_signed
+from .netlist import (
+    _BIG_ENDIAN,
+    Netlist,
+    _column_fields,
+    _item_size,
+    _lanes_to_fields,
+    to_signed,
+)
 
 _RANDOM_VECTORS = 1000
 
@@ -102,7 +116,7 @@ class _Tally:
         detail: Callable[[int], str],
     ):
         """One check per case i of ``lanes``, failed where field i of the
-        buffer forms (got, want) of some pair differs. When no field of
+        packed columns (got, want) of some pair differs. When no field of
         any pair differs, the n cases pass with no per-case work; else the
         per-case results go to :meth:`check_all`."""
         diff = 0
@@ -121,6 +135,105 @@ def _exhaustive(*ranges: range) -> list[list[int]]:
     """Every combination of one value per range, the first range slowest,
     as one column per range."""
     return [list(col) for col in zip(*itertools.product(*ranges))]
+
+
+# The adder, subtractor and FFT suites keep every column packed: one int
+# per column, with one field of ``step`` bits per vector, vector i in bits
+# [step * i, step * (i + 1)), as ``Netlist._evaluate_packed`` takes and
+# returns them. With R the int that holds 1 in every field, a column of
+# non-negative values v_i below 2**step is the exact int sum
+# v_i * 2**(step * i), on which ``+``, ``-`` and ``<< k`` act field by field
+# while every result stays in [0, 2**step); two columns are equal field by
+# field where their XOR is 0. The FFT suite keeps a column of signed values
+# in its buffer form, sum (v_i + 2**(step - 1)) * 2**(step * i): every field
+# is non-negative, so a field is sliced out with a mask. Its signed form,
+# the buffer form less 2**(step - 1) * R, is the exact int
+# sum v_i * 2**(step * i), on which ``+``, ``-`` and ``<< F`` act field by
+# field while every |v_i| stays below 2**(step - 1). Headroom, the largest
+# |v_i| the suite makes: at step 8, 8 for a sample, 32 for an exact bin or a
+# 6-bit netlist output and 64 for the sum of two of those in the linearity
+# check; at step 16, 2**3 * 32 for a Q1.3 bin and 2**10 for an 11-bit
+# netlist output. The Parseval energies are unsigned at step 16: at most
+# 8 * 32**2 = 8192 for the 8 components of a 6-bit output vector, faulty or
+# not, and 4 * 8 * 8**2 = 2048 for 4 times an input vector's. A w-bit adder
+# or subtractor is checked at twice its bus step (16, or 32 for w = 16),
+# in fields below 2**(w + 1): a + b + cin and sum + (cout << w) for the
+# adder, a - b + 2**w and diff + ((1 - borrow) << w) for the subtractor,
+# whatever the netlist outputs, since sum and diff are w-bit buses and
+# cout and borrow 1-bit ones.
+
+# The signed C type code of each item size in bytes, for ``array``.
+_SIGNED_CODE = {array(code).itemsize: code for code in "bhilq"}
+
+
+class _Layout:
+    """n fields of ``step`` bits, 8, 16 or 32, packed in one int."""
+
+    def __init__(self, n: int, step: int):
+        self.n = n
+        self.step = step
+        self.ones = ((1 << step * n) - 1) // ((1 << step) - 1)  # R
+        self.half = self.ones << (step - 1)
+        self.code = _SIGNED_CODE[step // 8]
+
+    def _spread(self, data: bytes, size: int) -> int:
+        """The int whose field i holds item i of ``data``, ``size`` bytes
+        each, zero-extended."""
+        step = self.step // 8
+        if size == step:
+            return int.from_bytes(data, "little")
+        spread = bytearray(step * self.n)
+        for j in range(size):
+            spread[j::step] = data[j::size]
+        return int.from_bytes(spread, "little")
+
+    def buffer(self, col: array) -> int:
+        """The buffer form of an ``array("b")`` column of n values.
+
+        Its bytes, the two's complement of each value, are spread one to a
+        field; flipping bit 7 of every field makes each v + 128, and adding
+        the rest of 2**(step - 1) * R makes it v + 2**(step - 1).
+        """
+        low = self.ones << 7
+        return (self._spread(col.tobytes(), 1) ^ low) + self.half - low
+
+    def widen(self, x: int, width: int) -> int:
+        """The packed int ``x`` of n values of a ``width``-bit bus, one field
+        of ``8 * _item_size(width)`` bits each, with every value moved to a
+        field of this layout."""
+        size = _item_size(width)
+        return self._spread(x.to_bytes(size * self.n, "little"), size)
+
+    def from_raw(self, raw: int, width: int) -> int:
+        """The buffer form of the packed int of a netlist output bus: fields
+        of ``width``-bit two's complement patterns."""
+        return raw - ((raw & (self.ones << (width - 1))) << 1) + self.half
+
+    def items(self, x: int) -> array:
+        """The n fields of ``x``, read as signed array items."""
+        items = array(self.code, x.to_bytes(self.step // 8 * self.n, "little"))
+        if _BIG_ENDIAN:
+            items.byteswap()
+        return items
+
+    def values(self, buffer: int) -> array:
+        """The n signed values of a buffer form: XOR with 2**(step - 1) * R
+        gives the two's complement items."""
+        return self.items(buffer ^ self.half)
+
+    def field(self, x: int, i: int) -> int:
+        """Field i of ``x``, unsigned."""
+        return (x >> self.step * i) & ((1 << self.step) - 1)
+
+    def value(self, buffer: int, i: int) -> int:
+        """The signed value of field i of a buffer form."""
+        return self.field(buffer, i) - (1 << (self.step - 1))
+
+    def vector(self, buffers: Sequence[int], i: int) -> list[tuple[int, int]]:
+        """Vector i of re/im column pairs in buffer form, as (re, im) pairs."""
+        return [
+            (self.value(re, i), self.value(im, i)) for re, im in zip(buffers[::2], buffers[1::2])
+        ]
 
 
 def _verify_vedic2x2() -> UnitResult:
@@ -162,52 +275,76 @@ def _verify_4x4(unit: str) -> UnitResult:
     return t.result()
 
 
-def _random_column(rng: random.Random, n: int, width: int) -> list[int]:
-    """n values uniform over [0, 2**width), width 1, 8 or 16, from one
-    ``getrandbits`` call: its bits read as n fields of a packed column
-    (:func:`vedicfft.netlist._field_values`), or as n bits at width 1."""
+@functools.cache
+def _exhaustive_fields(*ranges: range) -> tuple[int, ...]:
+    """:func:`_exhaustive` as packed ints, one byte per case: the columns of
+    the width-4 adder and subtractor sections, built once per process."""
+    return tuple(_column_fields(col, 8) for col in _exhaustive(*ranges))
+
+
+def _random_fields(rng: random.Random, n: int, width: int) -> int:
+    """n values uniform over [0, 2**width), width 1, 8 or 16, as the packed
+    int of a ``width``-bit bus: one ``getrandbits`` call, whose bits are the
+    n fields, or at width 1 the n lane bits, spread one to a byte
+    (:func:`vedicfft.netlist._lanes_to_fields`)."""
     bits = rng.getrandbits(width * n)
-    if width == 1:
-        return [(bits >> i) & 1 for i in range(n)]
-    return _field_values(bits, n, width)
+    return _lanes_to_fields([bits], n) if width == 1 else bits
+
+
+def _simulate_wide(unit: str, columns: Sequence[int], n: int) -> tuple[_Layout, list[int]]:
+    """Evaluate the catalog unit ``unit`` on the packed ints of its input
+    buses, in input order. Returns the layout of twice the step of the
+    unit's widest bus, and every input then every output bus in it
+    (:meth:`_Layout.widen`)."""
+    net = _unit(unit)
+    buses = [*net.inputs.values(), *net.outputs.values()]
+    wide = _Layout(n, 16 * _item_size(max(map(len, buses))))
+    packed = [*columns, *net._evaluate_packed((), columns, n)]
+    return wide, [wide.widen(x, len(nets)) for x, nets in zip(packed, buses)]
 
 
 def _verify_adder() -> UnitResult:
     t = _Tally("adder")
-    sections = [(4, *_exhaustive(range(16), range(16), range(2)))]
+    sections = [(4, 512, _exhaustive_fields(range(16), range(16), range(2)))]
     rng = random.Random(41)
+    n = _RANDOM_VECTORS // 2
     for width in (8, 16):
-        n = _RANDOM_VECTORS // 2
-        columns = [_random_column(rng, n, w) for w in (width, width, 1)]
-        sections.append((width, *columns))
-    for width, a, b, cin in sections:
-        out = _unit(f"adder{width}").evaluate_batch({"a": a, "b": b, "cin": cin})
-        mask = (1 << width) - 1
-        want = [(s & mask, s >> width) for s in map(add, map(add, a, b), cin)]
-        got = list(zip(out["sum"], out["cout"]))
-        t.check_all(
-            list(map(eq, got, want)),
-            lambda i: f"w{width} {a[i]}+{b[i]}+{cin[i]}: got sum, cout {got[i]}, want {want[i]}",
-        )
+        sections.append((width, n, [_random_fields(rng, n, w) for w in (width, width, 1)]))
+    for width, n, columns in sections:
+        wide, (a, b, cin, total, cout) = _simulate_wide(f"adder{width}", columns, n)
+
+        def detail(i: int) -> str:
+            x, y, c = wide.field(a, i), wide.field(b, i), wide.field(cin, i)
+            s = x + y + c
+            got = (wide.field(total, i), wide.field(cout, i))
+            want = (s % (1 << width), s >> width)
+            return f"w{width} {x}+{y}+{c}: got sum, cout {got}, want {want}"
+
+        t.check_packed([(total + (cout << width), a + b + cin)], wide, detail)
     return t.result()
 
 
 def _verify_subtractor() -> UnitResult:
     t = _Tally("subtractor")
-    sections = [(4, *_exhaustive(range(16), range(16)))]
+    sections = [(4, 256, _exhaustive_fields(range(16), range(16)))]
     rng = random.Random(43)
+    n = _RANDOM_VECTORS // 2
     for width in (8, 16):
-        n = _RANDOM_VECTORS // 2
-        sections.append((width, _random_column(rng, n, width), _random_column(rng, n, width)))
-    for width, a, b in sections:
-        out = _unit(f"subtractor{width}").evaluate_batch({"a": a, "b": b})
-        mask = (1 << width) - 1
-        want = [(d & mask, int(d < 0)) for d in map(sub, a, b)]
-        got = list(zip(out["diff"], out["borrow"]))
-        t.check_all(
-            list(map(eq, got, want)),
-            lambda i: f"w{width} {a[i]}-{b[i]}: got diff, borrow {got[i]}, want {want[i]}",
-        )
+        sections.append((width, n, [_random_fields(rng, n, width) for _ in range(2)]))
+    for width, n, columns in sections:
+        wide, (a, b, diff, borrow) = _simulate_wide(f"subtractor{width}", columns, n)
+
+        def detail(i: int) -> str:
+            x, y = wide.field(a, i), wide.field(b, i)
+            got = (wide.field(diff, i), wide.field(borrow, i))
+            return (
+                f"w{width} {x}-{y}: got diff, borrow {got}, "
+                f"want {((x - y) % (1 << width), int(x < y))}"
+            )
+
+        # diff + ((1 - borrow) << w) against a - b + 2**w.
+        bias = wide.ones << width
+        t.check_packed([(diff + bias - (borrow << width), a - b + bias)], wide, detail)
     return t.result()
 
 
@@ -280,75 +417,6 @@ def _fft_sections() -> dict[str, list[array]]:
     }
 
 
-# The FFT suite keeps every column packed: one int per column, with one
-# field of ``step`` bits (8, or 16 for the Q1.3 outputs and oracle) per
-# vector, vector i in bits [step * i, step * (i + 1)), as
-# ``Netlist._evaluate_packed`` takes and returns them. With R the int that
-# holds 1 in every field, a column of signed values v_i is kept in its
-# buffer form, sum (v_i + 2**(step - 1)) * 2**(step * i): every field is
-# non-negative, so a field is sliced out with a mask, and two columns are
-# equal field by field where their XOR is 0. Its signed form, the buffer
-# form less 2**(step - 1) * R, is the exact int sum v_i * 2**(step * i), on
-# which ``+``, ``-`` and ``<< F`` act field by field while every |v_i|
-# stays below 2**(step - 1). Headroom, the largest |v_i| the suite makes:
-# at step 8, 8 for a sample, 32 for an exact bin or a 6-bit netlist output
-# and 64 for the sum of two of those in the linearity check; at step 16,
-# 2**3 * 32 for a Q1.3 bin and 2**10 for an 11-bit netlist output.
-
-
-class _Layout:
-    """n signed fields of ``step`` bits, 8 or 16, packed in one int."""
-
-    def __init__(self, n: int, step: int):
-        self.n = n
-        self.step = step
-        self.ones = ((1 << step * n) - 1) // ((1 << step) - 1)  # R
-        self.half = self.ones << (step - 1)
-        self.code = "b" if step == 8 else "h"
-
-    def buffer(self, col: array) -> int:
-        """The buffer form of an ``array("b")`` column of n values.
-
-        Its bytes, the two's complement of each value, are spread one to a
-        field; flipping bit 7 of every field makes each v + 128, and adding
-        the rest of 2**(step - 1) * R makes it v + 2**(step - 1).
-        """
-        data = col.tobytes()
-        if self.step > 8:
-            spread = bytearray(self.n * self.step // 8)
-            spread[:: self.step // 8] = data
-            data = spread
-        low = self.ones << 7
-        return (int.from_bytes(data, "little") ^ low) + self.half - low
-
-    def from_raw(self, raw: int, width: int) -> int:
-        """The buffer form of the packed int of a netlist output bus: fields
-        of ``width``-bit two's complement patterns."""
-        return raw - ((raw & (self.ones << (width - 1))) << 1) + self.half
-
-    def items(self, x: int) -> array:
-        """The n fields of ``x``, read as signed array items."""
-        items = array(self.code, x.to_bytes(self.step // 8 * self.n, "little"))
-        if _BIG_ENDIAN:
-            items.byteswap()
-        return items
-
-    def values(self, buffer: int) -> array:
-        """The n signed values of a buffer form: XOR with 2**(step - 1) * R
-        gives the two's complement items."""
-        return self.items(buffer ^ self.half)
-
-    def value(self, buffer: int, i: int) -> int:
-        """The signed value of field i of a buffer form."""
-        return ((buffer >> self.step * i) & ((1 << self.step) - 1)) - (1 << (self.step - 1))
-
-    def vector(self, buffers: Sequence[int], i: int) -> list[tuple[int, int]]:
-        """Vector i of re/im column pairs in buffer form, as (re, im) pairs."""
-        return [
-            (self.value(re, i), self.value(im, i)) for re, im in zip(buffers[::2], buffers[1::2])
-        ]
-
-
 def _simulate(
     net: Netlist, key: tuple[tuple[str, int], ...], xs: Sequence[int], lanes: _Layout
 ) -> tuple[list[int], _Layout]:
@@ -389,9 +457,26 @@ def _dft(xs: Sequence[int], n: int, lanes: _Layout, shift: int = 0) -> list[int]
     return [(d << shift) + lanes.half for d in fft._dft_quarter_turns(signed, n)]
 
 
-def _energy(columns: Sequence[Sequence[int]]) -> list[int]:
-    """Per case, the sum of the squares of its components."""
-    return [sum(map(mul, row, row)) for row in zip(*columns)]
+# The low and the high byte of v**2, per two's-complement byte of v.
+_SQUARES = [((b ^ 0x80) - 0x80) ** 2 for b in range(256)]
+_SQUARE_LOW = bytes(v & 0xFF for v in _SQUARES)
+_SQUARE_HIGH = bytes(v >> 8 for v in _SQUARES)
+
+
+def _energy(buffers: Sequence[int], lanes: _Layout) -> int:
+    """Per vector, the sum of the squares of its components, as one
+    unsigned 16-bit field per vector; ``buffers`` are the buffer forms of
+    its component columns at step 8. Each column's two's complement bytes
+    are squared by two ``bytes.translate`` tables into the low and high
+    byte of a field; the sum must stay below 2**16."""
+    spread = bytearray(2 * lanes.n)
+    energy = 0
+    for x in buffers:
+        data = (x ^ lanes.half).to_bytes(lanes.n, "little")
+        spread[::2] = data.translate(_SQUARE_LOW)
+        spread[1::2] = data.translate(_SQUARE_HIGH)
+        energy += int.from_bytes(spread, "little")
+    return energy
 
 
 def _reversed_index(columns: list) -> list:
@@ -418,10 +503,13 @@ def _verify_fft() -> UnitResult:
         f"got {out.vector(got, i)}, want {out.vector(want, i)}",
     )
     # Parseval: sum |X|^2 == 4 * sum |x|^2, exact in integers.
-    energy_in, energy_out = _energy(cols), _energy([out.values(g) for g in got])
-    t.check_all(
-        [e_out == 4 * e_in for e_out, e_in in zip(energy_out, energy_in)],
-        lambda i: f"Parseval x={lanes.vector(xs, i)}: {energy_out[i]} != 4*{energy_in[i]}",
+    energy_in, energy_out = _energy(xs, lanes), _energy(got, out)
+    fields = _Layout(lanes.n, 16)
+    t.check_packed(
+        [(energy_out, energy_in << 2)],
+        fields,
+        lambda i: f"Parseval x={lanes.vector(xs, i)}: "
+        f"{fields.field(energy_out, i)} != 4*{fields.field(energy_in, i)}",
     )
 
     cols = sections["exact2"]

@@ -151,6 +151,25 @@ class TestBuilder:
         assert str(excinfo.value) == f"input bus a width must be an int, got {width!r}"
         assert b._inputs == {} and b._next_net == 0
 
+    @pytest.mark.parametrize("site", ["add_gate", "set_output"])
+    def test_nets_that_are_not_a_sequence_rejected(self, site):
+        # A bare net id is not a sequence of nets: a NetlistError, not the
+        # TypeError of iterating an int.
+        b = NetlistBuilder("t")
+        b.add_input("a", 8)
+        with pytest.raises(NetlistError) as excinfo:
+            if site == "add_gate":
+                b.add_gate("AND", 5)
+            else:
+                b.set_output("o", 7)
+        message = (
+            "AND inputs must be a sequence of nets, got 5"
+            if site == "add_gate"
+            else "output bus o must be a sequence of nets, got 7"
+        )
+        assert str(excinfo.value) == message
+        assert b._gates == [] and b._outputs == {} and b._next_net == 8
+
     def test_no_outputs_rejected(self):
         b = NetlistBuilder("t")
         b.add_input("x", 1)
@@ -349,6 +368,21 @@ class TestValidation:
                 dict(gates=[AND], outputs={b"o": [2]}),
                 "invalid bus name b'o'",
                 id="output-bus-name-not-str",
+            ),
+            pytest.param(
+                dict(inputs={"a": ["q"], "b": [1]}, outputs={"o": ["q"]}),
+                "net id 'q' is not an int",
+                id="net-id-str",
+            ),
+            pytest.param(
+                dict(gates=[(0, "NOT", (0,), 2)], inputs={"a": [0], "b": [True]}),
+                "net id True is not an int",
+                id="net-id-bool",
+            ),
+            pytest.param(
+                dict(gates=[(0, "AND", (0, 1), 2.0)]),
+                "net id 2.0 is not an int",
+                id="net-id-float-gate-output",
             ),
             pytest.param(
                 dict(gates=[AND], inputs={"a": [0], "b": [1], "c": []}),

@@ -12,7 +12,7 @@ from array import array
 import pytest
 
 from vedicfft import arith, fft, verify
-from vedicfft.netlist import GateKind, Netlist
+from vedicfft.netlist import GateKind, Netlist, _column_fields, _field_values, _item_size
 
 FLIPPED = {
     GateKind.AND: GateKind.OR,
@@ -120,24 +120,31 @@ def test_fft_draws_are_pinned():
     assert digests == SECTION_SHA256
 
 
+def list_column(rng, n, width):
+    """The list reader the integer suites drew their columns with: n values
+    of one ``getrandbits`` call, as little-endian 8- or 16-bit items, or as
+    n bits at width 1."""
+    bits = rng.getrandbits(width * n)
+    if width == 1:
+        return [(bits >> i) & 1 for i in range(n)]
+    items = array("B" if width == 8 else "H", bits.to_bytes(width * n // 8, "little"))
+    if sys.byteorder == "big":
+        items.byteswap()
+    return items.tolist()
+
+
 @pytest.mark.parametrize("n", [1, 2, 500])
 @pytest.mark.parametrize("width", [1, 8, 16])
 def test_random_column_draws_are_unchanged(width, n):
-    # The integer suites draw through netlist's packed-field codec; the
-    # draws equal those of the byte-level reader it replaced.
-    def byte_reader(rng, n, width):
-        bits = rng.getrandbits(width * n)
-        if width == 1:
-            return [(bits >> i) & 1 for i in range(n)]
-        items = array("B" if width == 8 else "H", bits.to_bytes(width * n // 8, "little"))
-        if sys.byteorder == "big":
-            items.byteswap()
-        return items.tolist()
-
+    # The integer suites draw packed ints; the same calls on the same rng
+    # give the cases of the list reader they replaced, and the next draw
+    # is unchanged too.
     seed = width * 1000 + n
-    got = verify._random_column(random.Random(seed), n, width)
-    assert got == byte_reader(random.Random(seed), n, width)
-    assert all(type(v) is int and 0 <= v < 1 << width for v in got)
+    rng, reference = random.Random(seed), random.Random(seed)
+    packed = verify._random_fields(rng, n, width)
+    assert _field_values(packed, n, width) == list_column(reference, n, width)
+    assert 0 <= packed < 1 << 8 * _item_size(width) * n
+    assert rng.getrandbits(64) == reference.getrandbits(64)
 
 
 def live_gate_ids(net, select):
@@ -304,7 +311,79 @@ UNIT_MUTANTS = [
         id="subtractor16",
     ),
     pytest.param("signed4x4", arith, "_signed_unit", "vedic", 125, SIGNED_DETAIL, id="signed4x4"),
+    # Flips in the other sections of the adder and subtractor suites, so
+    # that every width and field step of their packed compare fails some
+    # cases: a sum bit, a carry out alone, diff and borrow, a borrow alone.
+    pytest.param(
+        "adder",
+        verify,
+        "_unit",
+        "adder4",
+        12,
+        r"w4 (\d+)\+(\d+)\+(\d): got sum, cout ",
+        id="adder4",
+    ),
+    pytest.param(
+        "adder",
+        verify,
+        "_unit",
+        "adder16",
+        79,
+        r"w16 (\d+)\+(\d+)\+(\d): got sum, cout \((\d+), 0\), want \((\d+), 1\)$",
+        id="adder16",
+    ),
+    pytest.param(
+        "subtractor",
+        verify,
+        "_unit",
+        "subtractor4",
+        16,
+        r"w4 (\d+)-(\d+): got diff, ",
+        id="subtractor4",
+    ),
+    pytest.param(
+        "subtractor",
+        verify,
+        "_unit",
+        "subtractor8",
+        47,
+        r"w8 (\d+)-(\d+): got diff, borrow \((\d+), 1\), want \((\d+), 0\)$",
+        id="subtractor8",
+    ),
 ]
+
+
+def per_lane_result(suite):
+    """(checked, failed, detail) of the adder or subtractor suite computed
+    the per-lane way: list columns drawn by :func:`list_column` from the
+    suite's seed, ``evaluate_batch`` on the netlists ``verify._unit`` gives,
+    and a Python oracle compared case by case."""
+    rng = random.Random(41 if suite == "adder" else 43)
+    if suite == "adder":
+        sections = [(4, *verify._exhaustive(range(16), range(16), range(2)))]
+        sections += [(w, *[list_column(rng, 500, v) for v in (w, w, 1)]) for w in (8, 16)]
+    else:
+        sections = [(4, *verify._exhaustive(range(16), range(16)))]
+        sections += [(w, *[list_column(rng, 500, w) for _ in "ab"]) for w in (8, 16)]
+    checked = failed = 0
+    detail = ""
+    for width, *columns in sections:
+        net = verify._unit(f"{suite}{width}")
+        out = list(net.evaluate_batch(dict(zip(net.inputs, columns))).values())
+        for operands, got in zip(zip(*columns), zip(*out)):
+            if suite == "adder":
+                total = sum(operands)
+                want = (total % (1 << width), total >> width)
+                text = "w{} {}+{}+{}: got sum, cout {}, want {}"
+            else:
+                difference = operands[0] - operands[1]
+                want = (difference % (1 << width), int(difference < 0))
+                text = "w{} {}-{}: got diff, borrow {}, want {}"
+            checked += 1
+            if got != want:
+                failed += 1
+                detail = detail or text.format(width, *operands, got, want)
+    return checked, failed, detail
 
 
 @pytest.mark.parametrize("suite, owner, lookup_name, key, gate_id, detail", UNIT_MUTANTS)
@@ -328,6 +407,80 @@ def test_unit_suite_catches_a_flipped_gate(
     }
     assert len(case) == len(net.inputs)
     assert mutated.evaluate_batch(case) != net.evaluate_batch(case)
+    if suite in ("adder", "subtractor"):
+        # The packed compare counts the failures the per-lane one counts.
+        assert (result.checked, result.failed, result.detail) == per_lane_result(suite)
+        assert 0 < result.failed < COUNTS[suite]
+
+
+@pytest.mark.parametrize("suite", ["adder", "subtractor"])
+def test_per_lane_reference_passes(suite):
+    assert per_lane_result(suite) == (COUNTS[suite], 0, "")
+
+
+def test_passing_packed_suites_decode_no_case(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a per-case check in a passing packed suite")
+
+    monkeypatch.setattr(verify._Tally, "check_all", forbidden)
+    for suite in ("adder", "subtractor", "fft"):
+        result = verify.verify_unit(suite)
+        assert result.ok and result.checked == COUNTS[suite], suite
+
+
+def test_parseval_failure_alone(monkeypatch):
+    # X0.re of vector 5 of the exact 4-point section is one too large, and
+    # the DFT oracle is made to agree: only Parseval's identity fails.
+    # Vector 5 is j at sample 1, of energy 1; every bin has energy 1 but
+    # X0 = j becomes 1 + j.
+    run_fft, dft = verify._run_fft, verify._dft
+    corrupted = []
+
+    def corrupting_run_fft(config, xs, lanes):
+        got, out = run_fft(config, xs, lanes)
+        if lanes.n == 1009:
+            got = [got[0] + (1 << 8 * 5), *got[1:]]
+            corrupted.append(got)
+        return got, out
+
+    def agreeing_dft(xs, n, lanes, shift=0):
+        return corrupted[-1] if lanes.n == 1009 else dft(xs, n, lanes, shift)
+
+    monkeypatch.setattr(verify, "_run_fft", corrupting_run_fft)
+    monkeypatch.setattr(verify, "_dft", agreeing_dft)
+    result = verify.verify_unit("fft")
+    assert len(corrupted) == 1
+    assert (result.checked, result.failed, result.detail) == (
+        4618,
+        1,
+        "Parseval x=[(0, 0), (0, 1), (0, 0), (0, 0)]: 5 != 4*1",
+    )
+
+
+def per_lane_energy(columns):
+    return [sum(v * v for v in row) for row in zip(*columns)]
+
+
+@pytest.mark.parametrize(
+    "columns",
+    [
+        pytest.param([list(range(-128, 128))], id="every-signed-byte"),
+        pytest.param([[-32, 32, 31, -31, 0, 1]] * 8, id="output-headroom"),
+        pytest.param([[-8, 8, 7, 0, -1, 3]] * 8, id="input-headroom"),
+        pytest.param(
+            [[random.Random(k).randrange(-32, 33) for _ in range(1009)] for k in range(8)],
+            id="random-outputs",
+        ),
+    ],
+)
+def test_packed_energy_matches_per_lane(columns):
+    n = len(columns[0])
+    lanes = verify._Layout(n, 8)
+    buffers = [lanes.buffer(array("b", col)) for col in columns]
+    energy = verify._energy(buffers, lanes)
+    assert 0 <= energy < 1 << 16 * n
+    fields = verify._Layout(n, 16)
+    assert [fields.field(energy, i) for i in range(n)] == per_lane_energy(columns)
 
 
 # The FFT suite's packed columns: n signed fields of 8 or 16 bits in one
@@ -365,6 +518,19 @@ def test_packed_signed_buffer_round_trips(step, n):
     # From the bytes of a drawn column: every value of a signed byte.
     column = array("b", [v % 256 - 128 for v in values])
     assert lanes.values(lanes.buffer(column)).tolist() == column.tolist()
+
+
+@pytest.mark.parametrize("width, step", [(1, 16), (4, 16), (8, 16), (1, 32), (16, 32)])
+def test_widen_moves_every_field(width, step):
+    # A bus's packed int, at the bus's own step, into a wider layout.
+    n = 37
+    rng = random.Random(width * step)
+    values = [(1 << width) - 1, 0] + [rng.randrange(1 << width) for _ in range(n - 2)]
+    wide = verify._Layout(n, step)
+    x = wide.widen(_column_fields(values, width), width)
+    assert 0 <= x < 1 << step * n
+    assert [wide.field(x, i) for i in range(n)] == values
+    assert wide.items(x).tolist() == values
 
 
 def test_simulate_checks_the_sample_range():
