@@ -30,21 +30,20 @@ loop ``_run`` on every vector at once. A bus costs a fixed number of
 buffer and big-int operations and each bus bit one stride slice, with no
 Python call per vector up to 64 bits. ``evaluate_batch`` takes one route
 at every lane count: it packs each list while it checks its range and
-reads each output bus back from its packed int, and the adder,
-subtractor and FFT suites of :mod:`vedicfft.verify` keep their columns
-packed from draw to compare. One
-vector takes the one-lane path, ``_evaluate_one``: it takes and returns bus
-values, with no columns. One lane's packed ints are its bus values, so
-``evaluate_batch`` hands them over as they are, and ``fft.run_fft`` calls
-it directly. A one-lane evaluation of a program that an earlier
-evaluation compiled, at any lane count, generates a Python function that
-runs one vector through its gates as straight-line code, one statement
-per gate (compiled-code simulation), on the bus values themselves; it
-and every later one-lane evaluation of the program run that function. A
-program's first evaluation, and every batch, runs the batch path; no CLI
-command evaluates a program at one lane after compiling it. Threads that
-race on an evaluation may each compile the same program or generate the
-same function, and the last assignment wins.
+reads each output bus back from its packed int, and every suite of
+:mod:`vedicfft.verify` keeps its columns packed from operands to compare.
+One vector takes the one-lane path, ``_evaluate_one``: it takes and
+returns bus values, with no columns. One lane's packed ints are its bus
+values, so ``evaluate_batch`` hands them over as they are, and
+``fft.run_fft`` calls it directly. A one-lane evaluation of a program that
+an earlier evaluation compiled, at any lane count, generates a Python
+function that runs one vector through its gates as straight-line code, one
+statement per gate (compiled-code simulation), on the bus values
+themselves; it and every later one-lane evaluation of the program run that
+function. A program's first evaluation, and every batch, runs the batch
+path; no CLI command evaluates a program at one lane after compiling it.
+Threads that race on an evaluation may each compile the same program or
+generate the same function, and the last assignment wins.
 
 Cost model: every gate costs one delay unit and one unit of area, wires are
 free. ``critical_path_depth`` and ``gate_counts`` report those two metrics.
@@ -339,7 +338,7 @@ class Netlist:
         self.name = name
         self.inputs: dict[str, tuple[int, ...]] = {b: tuple(n) for b, n in inputs.items()}
         self.outputs: dict[str, tuple[int, ...]] = {b: tuple(n) for b, n in outputs.items()}
-        self.gates: tuple[Gate, ...] = tuple(sorted(gates, key=itemgetter(0)))
+        self.gates: tuple[Gate, ...] = tuple(gates)  # sorted by id in _validate
         self.consts: dict[int, int] = dict(consts)  # constant bit value -> net id
         self.nets, self._order = self._validate()
         # One program per sorted tuple of (bus, value) scalars; () is the
@@ -414,23 +413,31 @@ class Netlist:
                 raise NetlistError(f"constant value must be 0 or 1, got {value}")
             claim(n, value)
 
+        try:
+            self.gates = tuple(sorted(self.gates, key=itemgetter(0)))
+        except TypeError:  # ids that do not compare: the loop meets a non-int
+            pass
         not_ = GateKind.NOT  # arity 1, every other kind 2; cheaper than .arity
         id_ordered = True  # every gate reads only nets driven before it
         last_id = None
         for gate in self.gates:  # sorted by id, so duplicates are neighbours
-            if gate.id == last_id:
-                raise NetlistError(f"duplicate gate id {gate.id}")
-            last_id = gate.id
-            if len(gate.inputs) != (1 if gate.kind is not_ else 2):
+            gid, kind, inputs, output = gate
+            if type(gid) is not int:
+                raise NetlistError(f"gate id {gid!r} is not an int")
+            if gid == last_id:
+                raise NetlistError(f"duplicate gate id {gid}")
+            last_id = gid
+            if type(kind) is not GateKind:
+                raise NetlistError(f"gate {gid} kind {kind!r} is not a GateKind")
+            if len(inputs) != (1 if kind is not_ else 2):
                 raise NetlistError(
-                    f"gate {gate.id} ({gate.kind.value}) takes {gate.kind.arity} "
-                    f"inputs, got {len(gate.inputs)}"
+                    f"gate {gid} ({kind.value}) takes {kind.arity} inputs, got {len(inputs)}"
                 )
             if id_ordered:
-                for n in gate.inputs:
+                for n in inputs:
                     if n not in drivers:
                         id_ordered = False
-            claim(gate.output, gate)
+            claim(output, gate)
         # One pass over the driven nets; every gate input and output bit
         # must be one of them.
         if not set(map(type, drivers)) <= {int}:
@@ -606,8 +613,7 @@ class Netlist:
         of ``key`` on its first evaluation, and never generates or runs a
         generated kernel. ``evaluate_batch`` calls it for two or more
         vectors after its checks, ``_evaluate_one`` for a program's first
-        evaluation, and the adder, subtractor and FFT suites of
-        :mod:`vedicfft.verify` directly.
+        evaluation, and every suite of :mod:`vedicfft.verify` directly.
         """
         p = self._programs.get(key)
         if p is None:

@@ -9,40 +9,34 @@ is small (every 4-bit operand pair); fixed-seed random sweeps elsewhere, so
 every run, on every supported Python, checks the same cases and results
 are reproducible.
 
-Every suite works by column. It enumerates its operands
-(:func:`_exhaustive`) or draws them as columns, simulates them in one
-batch per netlist, computes the oracle as columns, and records each check
-with one ``_Tally`` call, which formats the detail of the first failing
-case only, naming its operands. The multiplier suites go through
-``Netlist.evaluate_batch`` and ``_Tally.check_all`` with lists. The only
-per-case objects are the digit-serial traces that are the vedic4x4
-oracle.
-
-The adder, subtractor and FFT suites check packed columns: one int per
-column, with one fixed-width field per vector, from the draw through the
-simulation (``Netlist._evaluate_packed``) and the oracle to the compare
+Every suite checks packed columns: one int per column, with one
+fixed-width field per vector, from the enumeration
+(:func:`_exhaustive_fields`) or the draw through the simulation
+(``Netlist._evaluate_packed``) and the oracle to the compare
 (``_Tally.check_packed``), where the XOR of two columns is 0 when every
-case passes. A random adder or subtractor column is the int of one
-``Random.getrandbits`` call (:func:`_random_fields`), and the sums and
-differences of its oracle are taken on fields twice the bus step wide.
-Each FFT column comes from one ``getrandbits`` call whose bytes are read
-as items: the samples are its nibbles, sign-extended by
+case passes. Each check is one ``_Tally`` call, which formats the detail
+of the first failing case only, naming its operands. A multiplier's
+product column must equal ``a*b & 0xFF`` (:func:`_product_fields`), and so
+must the cross column of vedic4x4 (the digit-serial Urdhva run) and of
+array4x4 (the vedic4x4 netlist). A random adder or subtractor column is
+the int of one ``Random.getrandbits`` call (:func:`_random_fields`), and
+the sums and differences of its oracle are taken on fields twice the bus
+step wide. Each FFT column comes from one ``getrandbits`` call whose bytes
+are read as items: the samples are its nibbles, sign-extended by
 ``bytes.translate`` (:func:`_draw`). Its oracle is the DFT
 (``fft._dft_quarter_turns``, which ``dft_oracle`` runs on numbers), and
 its Parseval check squares bytes by ``bytes.translate`` tables
-(:func:`_energy`). A passing suite of the three does no per-case work;
-only a failing check decodes its cases one by one, to count them and
-name the first.
+(:func:`_energy`). A passing suite does no per-case work; only a failing
+check decodes its cases one by one, to count them and name the first.
 
 Every netlist is built once per process: the catalog units by
 :func:`_unit`, the signed multipliers by ``arith._signed_unit`` and the
-FFT datapaths by ``fft._reconfigurable_cached``. So are the vedic4x4
-oracle column (:func:`_digit_serial_products`) and the exhaustive adder
-and subtractor columns (:func:`_exhaustive_fields`), so a second pass
-builds nothing and compiles no slot program. A pass evaluates the exact
-4-point program three times, vedic4x4's twice and every other program
-once, each as a batch, so the gate loop ``Netlist._run`` interprets every
-one of them, however many passes a process makes.
+FFT datapaths by ``fft._reconfigurable_cached``. So are the exhaustive
+operand columns and the product and digit-serial oracle columns, so a
+second pass builds nothing and compiles no slot program. A pass evaluates
+the exact 4-point program three times, vedic4x4's twice and every other
+program once, each as a batch, so the gate loop ``Netlist._run``
+interprets every one of them, however many passes a process makes.
 """
 
 from __future__ import annotations
@@ -52,7 +46,7 @@ import itertools
 import random
 from array import array
 from dataclasses import dataclass
-from operator import eq, mul, not_
+from operator import not_
 from typing import Callable, Iterable, Sequence
 
 from . import arith, fft
@@ -131,13 +125,7 @@ class _Tally:
         return UnitResult(self.unit, self.checked, self.failed, self.detail)
 
 
-def _exhaustive(*ranges: range) -> list[list[int]]:
-    """Every combination of one value per range, the first range slowest,
-    as one column per range."""
-    return [list(col) for col in zip(*itertools.product(*ranges))]
-
-
-# The adder, subtractor and FFT suites keep every column packed: one int
+# Every suite keeps every column packed, from operands to compare: one int
 # per column, with one field of ``step`` bits per vector, vector i in bits
 # [step * i, step * (i + 1)), as ``Netlist._evaluate_packed`` takes and
 # returns them. With R the int that holds 1 in every field, a column of
@@ -160,7 +148,7 @@ def _exhaustive(*ranges: range) -> list[list[int]]:
 # in fields below 2**(w + 1): a + b + cin and sum + (cout << w) for the
 # adder, a - b + 2**w and diff + ((1 - borrow) << w) for the subtractor,
 # whatever the netlist outputs, since sum and diff are w-bit buses and
-# cout and borrow 1-bit ones.
+# cout and borrow 1-bit ones. A multiplier's 8-bit product is at step 16.
 
 # The signed C type code of each item size in bytes, for ``array``.
 _SIGNED_CODE = {array(code).itemsize: code for code in "bhilq"}
@@ -236,50 +224,30 @@ class _Layout:
         ]
 
 
-def _verify_vedic2x2() -> UnitResult:
-    t = _Tally("vedic2x2")
-    a, b = _exhaustive(range(4), range(4))
-    got = _unit("vedic2x2").evaluate_batch({"a": a, "b": b})["p"]
-    want = list(map(mul, a, b))
-    t.check_all(
-        list(map(eq, got, want)), lambda i: f"{a[i]}*{b[i]}: got {got[i]}, want {want[i]}"
-    )
-    return t.result()
-
-
-@functools.cache
-def _digit_serial_products() -> tuple[int, ...]:
-    """The product of the digit-serial base-2 run for every pair of 4-bit
-    operands, in the order of ``_exhaustive(range(16), range(16))``."""
-    a, b = _exhaustive(range(16), range(16))
-    return tuple(arith.urdhva_decimal(x, y, base=2).product for x, y in zip(a, b))
-
-
-def _verify_4x4(unit: str) -> UnitResult:
-    t = _Tally(unit)
-    a, b = _exhaustive(range(16), range(16))
-    got = _unit(unit).evaluate_batch({"a": a, "b": b})["p"]
-    want = list(map(mul, a, b))
-    if unit == "vedic4x4":
-        # The digit-serial base-2 run must give the netlist's product.
-        cross = _digit_serial_products()
-        label = "digit-serial"
-    else:
-        cross = _unit("vedic4x4").evaluate_batch({"a": a, "b": b})["p"]
-        label = "vedic cross-check"
-    t.check_all(
-        [g == w == c for g, w, c in zip(got, want, cross)],
-        lambda i: f"{a[i]}*{b[i]}: got {got[i]}, want {want[i]} "
-        f"({label} {'ok' if cross[i] == got[i] else 'differs'})",
-    )
-    return t.result()
-
-
 @functools.cache
 def _exhaustive_fields(*ranges: range) -> tuple[int, ...]:
-    """:func:`_exhaustive` as packed ints, one byte per case: the columns of
-    the width-4 adder and subtractor sections, built once per process."""
-    return tuple(_column_fields(col, 8) for col in _exhaustive(*ranges))
+    """Every combination of one value per range, the first range slowest,
+    as one packed int per range with one byte per case: each value mod the
+    length of its range (so ``range(-8, 8)`` gives the 4-bit two's
+    complement). Built once per process."""
+    cols = zip(*itertools.product(*ranges))
+    return tuple(_column_fields([v % len(r) for v in col], 8) for r, col in zip(ranges, cols))
+
+
+@functools.cache
+def _product_fields(*ranges: range) -> int:
+    """``a*b & 0xFF`` for every operand pair, in the order of
+    :func:`_exhaustive_fields`, one 16-bit field per case, built once per
+    process."""
+    return _column_fields([x * y & 0xFF for x, y in itertools.product(*ranges)], 16)
+
+
+@functools.cache
+def _digit_serial_products() -> int:
+    """The digit-serial base-2 product of every pair of 4-bit operands,
+    packed as :func:`_product_fields` packs a*b."""
+    pairs = itertools.product(range(16), repeat=2)
+    return _column_fields([arith.urdhva_decimal(x, y, base=2).product for x, y in pairs], 16)
 
 
 def _random_fields(rng: random.Random, n: int, width: int) -> int:
@@ -291,16 +259,57 @@ def _random_fields(rng: random.Random, n: int, width: int) -> int:
     return _lanes_to_fields([bits], n) if width == 1 else bits
 
 
-def _simulate_wide(unit: str, columns: Sequence[int], n: int) -> tuple[_Layout, list[int]]:
-    """Evaluate the catalog unit ``unit`` on the packed ints of its input
-    buses, in input order. Returns the layout of twice the step of the
-    unit's widest bus, and every input then every output bus in it
+def _simulate_wide(net: Netlist, columns: Sequence[int], n: int) -> tuple[_Layout, list[int]]:
+    """Evaluate ``net`` on the packed ints of its input buses, in input
+    order. Returns the layout of twice the step of the netlist's widest
+    bus, and every input then every output bus in it
     (:meth:`_Layout.widen`)."""
-    net = _unit(unit)
     buses = [*net.inputs.values(), *net.outputs.values()]
     wide = _Layout(n, 16 * _item_size(max(map(len, buses))))
     packed = [*columns, *net._evaluate_packed((), columns, n)]
     return wide, [wide.widen(x, len(nets)) for x, nets in zip(packed, buses)]
+
+
+def _verify_unsigned(unit: str, bits: int) -> UnitResult:
+    """The catalog multiplier ``unit`` on every pair of ``bits``-bit
+    operands. A 4x4 product must also equal a cross column: the
+    digit-serial run's for vedic4x4, the vedic4x4 netlist's for array4x4."""
+    t = _Tally(unit)
+    ranges = (range(1 << bits),) * 2
+    columns, n = _exhaustive_fields(*ranges), 1 << 2 * bits
+    wide, (a, b, got) = _simulate_wide(_unit(unit), columns, n)
+    want = _product_fields(*ranges)
+    label, cross = "", got  # vedic2x2 has no cross column
+    if unit == "vedic4x4":
+        label, cross = "digit-serial", _digit_serial_products()
+    elif unit == "array4x4":
+        label, cross = "vedic cross-check", _simulate_wide(_unit("vedic4x4"), columns, n)[1][2]
+
+    def detail(i: int) -> str:
+        g = wide.field(got, i)
+        line = f"{wide.field(a, i)}*{wide.field(b, i)}: got {g}, want {wide.field(want, i)}"
+        if label:
+            line += f" ({label} {'ok' if wide.field(cross, i) == g else 'differs'})"
+        return line
+
+    t.check_packed([(got, want), (cross, want)], wide, detail)
+    return t.result()
+
+
+def _verify_signed4x4() -> UnitResult:
+    t = _Tally("signed4x4")
+    ranges = (range(-8, 8),) * 2
+    columns = _exhaustive_fields(*ranges)
+    want = _product_fields(*ranges)
+    for impl in ("vedic", "array"):
+        wide, (a, b, got) = _simulate_wide(arith._signed_unit(impl), columns, 256)
+
+        def detail(i: int) -> str:
+            x, y = to_signed(wide.field(a, i), 4), to_signed(wide.field(b, i), 4)
+            return f"{impl} {x}*{y}: got {to_signed(wide.field(got, i), 8)}, want {x * y}"
+
+        t.check_packed([(got, want)], wide, detail)
+    return t.result()
 
 
 def _verify_adder() -> UnitResult:
@@ -311,7 +320,7 @@ def _verify_adder() -> UnitResult:
     for width in (8, 16):
         sections.append((width, n, [_random_fields(rng, n, w) for w in (width, width, 1)]))
     for width, n, columns in sections:
-        wide, (a, b, cin, total, cout) = _simulate_wide(f"adder{width}", columns, n)
+        wide, (a, b, cin, total, cout) = _simulate_wide(_unit(f"adder{width}"), columns, n)
 
         def detail(i: int) -> str:
             x, y, c = wide.field(a, i), wide.field(b, i), wide.field(cin, i)
@@ -332,7 +341,7 @@ def _verify_subtractor() -> UnitResult:
     for width in (8, 16):
         sections.append((width, n, [_random_fields(rng, n, width) for _ in range(2)]))
     for width, n, columns in sections:
-        wide, (a, b, diff, borrow) = _simulate_wide(f"subtractor{width}", columns, n)
+        wide, (a, b, diff, borrow) = _simulate_wide(_unit(f"subtractor{width}"), columns, n)
 
         def detail(i: int) -> str:
             x, y = wide.field(a, i), wide.field(b, i)
@@ -345,22 +354,6 @@ def _verify_subtractor() -> UnitResult:
         # diff + ((1 - borrow) << w) against a - b + 2**w.
         bias = wide.ones << width
         t.check_packed([(diff + bias - (borrow << width), a - b + bias)], wide, detail)
-    return t.result()
-
-
-def _verify_signed4x4() -> UnitResult:
-    t = _Tally("signed4x4")
-    a, b = _exhaustive(range(-8, 8), range(-8, 8))
-    want = list(map(mul, a, b))
-    columns = {"a": [x & 15 for x in a], "b": [y & 15 for y in b]}
-    for impl in ("vedic", "array"):
-        net = arith._signed_unit(impl)
-        width = net.output_width("p")
-        got = [to_signed(p, width) for p in net.evaluate_batch(columns)["p"]]
-        t.check_all(
-            list(map(eq, got, want)),
-            lambda i: f"{impl} {a[i]}*{b[i]}: got {got[i]}, want {want[i]}",
-        )
     return t.result()
 
 
@@ -587,9 +580,9 @@ def _verify_fft() -> UnitResult:
 
 
 _VERIFIERS: dict[str, Callable[[], UnitResult]] = {
-    "vedic2x2": _verify_vedic2x2,
-    "vedic4x4": lambda: _verify_4x4("vedic4x4"),
-    "array4x4": lambda: _verify_4x4("array4x4"),
+    "vedic2x2": lambda: _verify_unsigned("vedic2x2", 2),
+    "vedic4x4": lambda: _verify_unsigned("vedic4x4", 4),
+    "array4x4": lambda: _verify_unsigned("array4x4", 4),
     "adder": _verify_adder,
     "subtractor": _verify_subtractor,
     "signed4x4": _verify_signed4x4,

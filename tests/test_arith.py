@@ -3,6 +3,7 @@ import random
 import pytest
 
 from vedicfft import (
+    NetlistBuilder,
     NetlistError,
     build_ripple_adder,
     build_ripple_subtractor,
@@ -12,6 +13,7 @@ from vedicfft import (
     signed_multiply_4x4,
     urdhva_decimal,
 )
+from vedicfft.arith import ripple_add
 from vedicfft.fft import build_unit
 
 
@@ -152,6 +154,12 @@ class TestAdder:
     def test_invalid_width(self):
         with pytest.raises(NetlistError):
             build_ripple_adder(0)
+
+    def test_addend_widths_must_match(self):
+        b = NetlistBuilder("t")
+        a, c = b.add_input("a", 2), b.add_input("b", 3)
+        with pytest.raises(NetlistError, match=r"^addend widths differ$"):
+            ripple_add(b, a, c, b.const(0))
 
 
 class TestSubtractor:

@@ -187,6 +187,31 @@ class TestVerify:
         assert code == 2
         assert "unknown unit" in err
 
+    def test_failing_unit(self, capsys, monkeypatch):
+        # Gate 2 of vedic2x2, an AND, computes OR: the suite's summary line
+        # names the first failure, and the command fails on stderr.
+        from vedicfft import verify
+        from vedicfft.netlist import GateKind, Netlist
+
+        unit = verify._unit
+        net = unit("vedic2x2")
+        assert net.gates[2].kind is GateKind.AND
+        gates = [g._replace(kind=GateKind.OR) if g.id == 2 else g for g in net.gates]
+        flipped = Netlist(net.name, net.inputs, net.outputs, gates, net.consts)
+        monkeypatch.setattr(verify, "_unit", lambda k: flipped if k == "vedic2x2" else unit(k))
+        code, out, err = run_cli(capsys, "verify", "--unit", "all")
+        assert code == 1
+        assert out.splitlines() == [
+            "vedic2x2: 8/16 pass (first failure: 0*2: got 2, want 0)",
+            "vedic4x4: 256/256 pass",
+            "array4x4: 256/256 pass",
+            "adder: 1512/1512 pass",
+            "subtractor: 1256/1256 pass",
+            "signed4x4: 512/512 pass",
+            "fft: 4618/4618 pass",
+        ]
+        assert err == "1 unit(s) FAILED\n"
+
 
 class TestDump:
     def test_stdout_layout(self, capsys):

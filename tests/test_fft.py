@@ -1,6 +1,7 @@
 import cmath
 import enum
 import hashlib
+import math
 import random
 import tracemalloc
 
@@ -116,6 +117,27 @@ class TestOracle:
                 lane = [(((v + half) >> 16 * i) & 0xFFFF) - (1 << 15) for v in packed]
                 assert lane == out
 
+    @pytest.mark.parametrize("n", [3, 8])
+    def test_other_lengths_in_double_precision(self, n):
+        # Against the sum written with cos and sin of each term's angle.
+        rng = random.Random(n)
+        for _ in range(50):
+            x = [complex(rng.randint(-8, 7), rng.randint(-8, 7)) for _ in range(n)]
+            got = dft_oracle(x, n)
+            assert len(got) == n
+            for k, g in enumerate(got):
+                angles = [2 * math.pi * m * k / n for m in range(n)]
+                ref = sum(v * complex(math.cos(t), -math.sin(t)) for v, t in zip(x, angles))
+                assert abs(g - ref) < 1e-9
+        dc = dft_oracle([1] * n)
+        assert abs(dc[0] - n) < 1e-12 and all(abs(v) < 1e-12 for v in dc[1:])
+
+    def test_rejects_bad_lengths(self):
+        with pytest.raises(ValueError, match=r"^dft_oracle needs at least one sample$"):
+            dft_oracle([])
+        with pytest.raises(ValueError, match=r"^expected 4 samples, got 3$"):
+            dft_oracle([1, 2, 3], 4)
+
     def test_quarter_turn_outputs_are_exact_integers(self):
         got = dft_oracle([complex(1, 1), complex(-2, 3), complex(0, -4), complex(5, 0)])
         for v in got:
@@ -168,6 +190,20 @@ class TestTwiddle:
     def test_quantized_needs_fraction_bits(self):
         with pytest.raises(ValueError):
             Twiddle.quantized(1, 4, 0)
+
+    def test_quantized_needs_a_length(self):
+        with pytest.raises(ValueError, match=r"^N must be >= 1, got 0$"):
+            Twiddle.quantized(0, 0, 3)
+
+    def test_quantized_eighth_turns(self):
+        # N = 8 takes cos and sin: ±0.7071 rounds to ±6/8 in Q1.3, and +1.0
+        # clamps to 7/8.
+        twiddles = [Twiddle.quantized(k, 8, 3) for k in range(8)]
+        assert [(t.re_q, t.im_q) for t in twiddles] == [
+            (7, 0), (6, -6), (0, -8), (-6, -6), (-8, 0), (-6, 6), (0, 7), (6, 6)
+        ]
+        for k, t in enumerate(twiddles):
+            assert abs(t.value - cmath.exp(-2j * math.pi * k / 8)) < 1e-12
 
     def test_spec_parsing(self):
         assert parse_twiddle_spec("exact") == ("exact", None)

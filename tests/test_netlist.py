@@ -170,6 +170,22 @@ class TestBuilder:
         assert str(excinfo.value) == message
         assert b._gates == [] and b._outputs == {} and b._next_net == 8
 
+    def test_zero_width_rejected(self):
+        b = NetlistBuilder("t")
+        with pytest.raises(NetlistError, match=r"^input bus x must be at least 1 bit wide$"):
+            b.add_input("x", 0)
+        x = b.add_input("x", 1)
+        with pytest.raises(NetlistError, match=r"^output bus o must be at least 1 bit wide$"):
+            b.set_output("o", [])
+        b.set_output("o", x)
+        assert b.finalize().output_width("o") == 1
+
+    def test_const_must_be_0_or_1(self):
+        b = NetlistBuilder("t")
+        with pytest.raises(NetlistError, match=r"^constant must be 0 or 1, got 2$"):
+            b.const(2)
+        assert b.const(1) == b.const(1) != b.const(0)
+
     def test_no_outputs_rejected(self):
         b = NetlistBuilder("t")
         b.add_input("x", 1)
@@ -385,6 +401,21 @@ class TestValidation:
                 id="net-id-float-gate-output",
             ),
             pytest.param(
+                dict(gates=[("g", "AND", (0, 1), 2)]),
+                "gate id 'g' is not an int",
+                id="gate-id-str",
+            ),
+            pytest.param(
+                dict(gates=[AND, ("g", "NOT", (2,), 3)]),
+                "gate id 'g' is not an int",
+                id="gate-id-str-beside-int",
+            ),
+            pytest.param(
+                dict(gates=[(True, "AND", (0, 1), 2)]),
+                "gate id True is not an int",
+                id="gate-id-bool",
+            ),
+            pytest.param(
                 dict(gates=[AND], inputs={"a": [0], "b": [1], "c": []}),
                 "input bus c has zero width",
                 id="zero-width-input",
@@ -509,6 +540,16 @@ class TestValidation:
                 id="gates-checked-in-id-order",
             ),
             pytest.param(
+                dict(gates=[("g", "AND", (0,), 2)], consts={2: 0}),
+                "constant value must be 0 or 1, got 2",
+                id="const-value-before-gate-id",
+            ),
+            pytest.param(
+                dict(gates=[(0, "AND", (0, 1), 2), (0.0, "AND", (0,), 3)]),
+                "gate id 0.0 is not an int",
+                id="gate-id-before-duplicate-and-arity",
+            ),
+            pytest.param(
                 dict(gates=[(0, "AND", (0, 9), 2), (1, "NOT", (0,), 2)]),
                 "net 2 has two drivers: gate 0 and gate 1",
                 id="drivers-before-reads",
@@ -533,6 +574,21 @@ class TestValidation:
     def test_precedence(self, kwargs, message):
         with pytest.raises(NetlistError) as caught:
             _direct(**kwargs)
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize(
+        "kind, inputs, message",
+        [
+            pytest.param("AND", (0, 1), "gate 0 kind 'AND' is not a GateKind", id="str"),
+            pytest.param(1, (0, 1), "gate 0 kind 1 is not a GateKind", id="int"),
+            pytest.param("NOT", (0, 1), "gate 0 kind 'NOT' is not a GateKind", id="before-arity"),
+        ],
+    )
+    def test_gate_kind_must_be_a_gate_kind(self, kind, inputs, message):
+        # Accepted, such a gate made dump_netlist, evaluate_batch and
+        # gate_counts raise a bare KeyError or AttributeError.
+        with pytest.raises(NetlistError) as caught:
+            Netlist("t", {"a": [0], "b": [1]}, {"o": [2]}, [Gate(0, kind, inputs, 2)], {})
         assert str(caught.value) == message
 
 

@@ -4,6 +4,7 @@ column, and that each suite fails, naming the operands or samples, when one
 gate of the unit it checks computes the wrong function."""
 
 import hashlib
+import itertools
 import random
 import re
 import sys
@@ -12,7 +13,14 @@ from array import array
 import pytest
 
 from vedicfft import arith, fft, verify
-from vedicfft.netlist import GateKind, Netlist, _column_fields, _field_values, _item_size
+from vedicfft.netlist import (
+    GateKind,
+    Netlist,
+    _column_fields,
+    _field_values,
+    _item_size,
+    to_signed,
+)
 
 FLIPPED = {
     GateKind.AND: GateKind.OR,
@@ -296,8 +304,33 @@ def test_fft_suite_result_of_seeded_flips(monkeypatch, config, gate_id, failed, 
 # operands the suite's first failure must name.
 SIGNED_DETAIL = r"vedic (-?\d+)\*(-?\d+): got -?\d+, want -?\d+$"
 UNIT_MUTANTS = [
+    # Gates drawn by ``random.Random(1).choice`` from the AND, OR, XOR and
+    # XNOR gates of vedic2x2 (gate 2) and of the array signed multiplier
+    # (gate 34).
+    pytest.param(
+        "vedic2x2", verify, "_unit", "vedic2x2", 2, r"(\d)\*(\d): got \d+, want \d$", id="vedic2x2"
+    ),
+    pytest.param(
+        "signed4x4",
+        arith,
+        "_signed_unit",
+        "array",
+        34,
+        r"array (-?\d+)\*(-?\d+): got -?\d+, want -?\d+$",
+        id="signed4x4-array",
+    ),
     pytest.param("vedic4x4", verify, "_unit", "vedic4x4", 51, r"(\d+)\*(\d+): got ", id="vedic4x4"),
     pytest.param("array4x4", verify, "_unit", "array4x4", 40, r"(\d+)\*(\d+): got ", id="array4x4"),
+    # The array4x4 suite's vedic cross-check fails alone.
+    pytest.param(
+        "array4x4",
+        verify,
+        "_unit",
+        "vedic4x4",
+        51,
+        r"(\d+)\*(\d+): got (\d+), want \3 \(vedic cross-check differs\)$",
+        id="array4x4-cross",
+    ),
     pytest.param(
         "adder", verify, "_unit", "adder8", 22, r"w8 (\d+)\+(\d+)\+(\d): got sum, cout ", id="adder8"
     ),
@@ -353,6 +386,12 @@ UNIT_MUTANTS = [
 ]
 
 
+def exhaustive(*ranges):
+    """Every combination of one value per range, the first range slowest,
+    as one list column per range."""
+    return [list(col) for col in zip(*itertools.product(*ranges))]
+
+
 def per_lane_result(suite):
     """(checked, failed, detail) of the adder or subtractor suite computed
     the per-lane way: list columns drawn by :func:`list_column` from the
@@ -360,10 +399,10 @@ def per_lane_result(suite):
     and a Python oracle compared case by case."""
     rng = random.Random(41 if suite == "adder" else 43)
     if suite == "adder":
-        sections = [(4, *verify._exhaustive(range(16), range(16), range(2)))]
+        sections = [(4, *exhaustive(range(16), range(16), range(2)))]
         sections += [(w, *[list_column(rng, 500, v) for v in (w, w, 1)]) for w in (8, 16)]
     else:
-        sections = [(4, *verify._exhaustive(range(16), range(16)))]
+        sections = [(4, *exhaustive(range(16), range(16)))]
         sections += [(w, *[list_column(rng, 500, w) for _ in "ab"]) for w in (8, 16)]
     checked = failed = 0
     detail = ""
@@ -383,6 +422,57 @@ def per_lane_result(suite):
             if got != want:
                 failed += 1
                 detail = detail or text.format(width, *operands, got, want)
+    return checked, failed, detail
+
+
+def per_lane_product_result(suite):
+    """(checked, failed, detail) of a multiplier suite computed the per-lane
+    way: list columns from :func:`exhaustive`, ``evaluate_batch`` on the
+    netlists ``verify._unit`` and ``arith._signed_unit`` give, and products
+    compared case by case, a 4x4 product with its cross-check too."""
+    checked = failed = 0
+    detail = ""
+
+    def tally(oks, describe):
+        nonlocal checked, failed, detail
+        checked += len(oks)
+        failed += oks.count(False)
+        if not detail and False in oks:
+            detail = describe(oks.index(False))
+
+    if suite == "signed4x4":
+        a, b = exhaustive(range(-8, 8), range(-8, 8))
+        want = [x * y for x, y in zip(a, b)]
+        columns = {"a": [x & 15 for x in a], "b": [y & 15 for y in b]}
+        for impl in ("vedic", "array"):
+            net = arith._signed_unit(impl)
+            got = [to_signed(p, net.output_width("p")) for p in net.evaluate_batch(columns)["p"]]
+            tally(
+                [g == w for g, w in zip(got, want)],
+                lambda i: f"{impl} {a[i]}*{b[i]}: got {got[i]}, want {want[i]}",
+            )
+        return checked, failed, detail
+    bits = 2 if suite == "vedic2x2" else 4
+    a, b = exhaustive(range(1 << bits), range(1 << bits))
+    got = verify._unit(suite).evaluate_batch({"a": a, "b": b})["p"]
+    want = [x * y for x, y in zip(a, b)]
+    if suite == "vedic2x2":
+        tally(
+            [g == w for g, w in zip(got, want)],
+            lambda i: f"{a[i]}*{b[i]}: got {got[i]}, want {want[i]}",
+        )
+        return checked, failed, detail
+    if suite == "vedic4x4":
+        cross = [arith.urdhva_decimal(x, y, base=2).product for x, y in zip(a, b)]
+        label = "digit-serial"
+    else:
+        cross = verify._unit("vedic4x4").evaluate_batch({"a": a, "b": b})["p"]
+        label = "vedic cross-check"
+    tally(
+        [g == w == c for g, w, c in zip(got, want, cross)],
+        lambda i: f"{a[i]}*{b[i]}: got {got[i]}, want {want[i]} "
+        f"({label} {'ok' if cross[i] == got[i] else 'differs'})",
+    )
     return checked, failed, detail
 
 
@@ -407,23 +497,27 @@ def test_unit_suite_catches_a_flipped_gate(
     }
     assert len(case) == len(net.inputs)
     assert mutated.evaluate_batch(case) != net.evaluate_batch(case)
-    if suite in ("adder", "subtractor"):
-        # The packed compare counts the failures the per-lane one counts.
-        assert (result.checked, result.failed, result.detail) == per_lane_result(suite)
-        assert 0 < result.failed < COUNTS[suite]
+    # The packed compare counts the failures the per-lane one counts.
+    reference = per_lane_result if suite in ("adder", "subtractor") else per_lane_product_result
+    assert (result.checked, result.failed, result.detail) == reference(suite)
+    assert 0 < result.failed < COUNTS[suite]
 
 
-@pytest.mark.parametrize("suite", ["adder", "subtractor"])
+@pytest.mark.parametrize(
+    "suite", ["adder", "subtractor", "vedic2x2", "vedic4x4", "array4x4", "signed4x4"]
+)
 def test_per_lane_reference_passes(suite):
-    assert per_lane_result(suite) == (COUNTS[suite], 0, "")
+    reference = per_lane_result if suite in ("adder", "subtractor") else per_lane_product_result
+    assert reference(suite) == (COUNTS[suite], 0, "")
 
 
 def test_passing_packed_suites_decode_no_case(monkeypatch):
     def forbidden(*args, **kwargs):
-        raise AssertionError("a per-case check in a passing packed suite")
+        raise AssertionError("a per-case check or a list simulation in a passing suite")
 
     monkeypatch.setattr(verify._Tally, "check_all", forbidden)
-    for suite in ("adder", "subtractor", "fft"):
+    monkeypatch.setattr(Netlist, "evaluate_batch", forbidden)
+    for suite in verify.unit_names():
         result = verify.verify_unit(suite)
         assert result.ok and result.checked == COUNTS[suite], suite
 
