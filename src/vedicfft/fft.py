@@ -1,5 +1,6 @@
 """Reconfigurable 2/4-point FFT datapath built from the arithmetic netlists,
-plus an exact reference DFT oracle.
+plus an exact reference DFT oracle. The 2-point mode runs on the 4-point
+core: the DFT of (x0, x1, 0, 0) holds that of (x0, x1) in its even bins.
 
 Structure is radix-2 decimation in time: stage 1 runs butterflies on
 (x0, x2) and (x1, x3), stage 2 recombines with the twiddle W4^1 = -j on the
@@ -308,16 +309,6 @@ def _shift_left(b: NetlistBuilder, bits: Sequence[int], count: int) -> list[int]
 _Complex = tuple[Sequence[int], Sequence[int]]
 
 
-def _butterfly2(b: NetlistBuilder, x0: _Complex, x1: _Complex) -> dict[str, list[int]]:
-    """Emit X0 = x0 + x1, X1 = x0 - x1; returns the output buses by name."""
-    return {
-        "X0_re": _add_signed(b, x0[0], x1[0]),
-        "X0_im": _add_signed(b, x0[1], x1[1]),
-        "X1_re": _sub_signed(b, x0[0], x1[0]),
-        "X1_im": _sub_signed(b, x0[1], x1[1]),
-    }
-
-
 def build_butterfly2(width: int) -> Netlist:
     """2-point butterfly: X0 = x0 + x1, X1 = x0 - x1 on complex inputs.
 
@@ -328,8 +319,10 @@ def build_butterfly2(width: int) -> Netlist:
     b = NetlistBuilder("butterfly2")
     x0 = (b.add_input("x0_re", width), b.add_input("x0_im", width))
     x1 = (b.add_input("x1_re", width), b.add_input("x1_im", width))
-    for bus, bits in _butterfly2(b, x0, x1).items():
-        b.set_output(bus, bits)
+    b.set_output("X0_re", _add_signed(b, x0[0], x1[0]))
+    b.set_output("X0_im", _add_signed(b, x0[1], x1[1]))
+    b.set_output("X1_re", _sub_signed(b, x0[0], x1[0]))
+    b.set_output("X1_im", _sub_signed(b, x0[1], x1[1]))
     return b.finalize()
 
 
@@ -522,41 +515,33 @@ def build_fft4(config: FftConfig, multiplier: str = "vedic") -> Netlist:
 
 
 def build_reconfigurable_fft(config: FftConfig, multiplier: str = "vedic") -> Netlist:
-    """Both transform datapaths behind one 1-bit ``select`` input.
+    """Both transforms on one 4-point core behind a 1-bit ``select`` input.
 
-    select=0: X0, X1 carry the 2-point butterfly of (x0, x1); X2 and X3 are
-    forced to zero. select=1: the full 4-point transform of x0..x3. Output
-    multiplexing is gate-level (AND/OR/NOT). In quantized mode the 2-point
-    branch is shifted left by F wire positions so both paths share the
-    documented 2^-F output scale. The rejections are :func:`build_fft4`'s.
+    select=1: the 4-point transform of x0..x3. select=0: every bit of x2
+    and x3 is ANDed with ``select`` (operand isolation), so the core
+    transforms (x0, x1, 0, 0): X0 is the core's X0, X1 a gate-level mux
+    (AND/OR/NOT) of the core's X2 and X1, and X2 and X3 are forced to
+    zero. Both modes share the core's output width and 2^-F scale. The
+    rejections are :func:`build_fft4`'s.
     """
     _check_datapath(config, multiplier)
-    f = config.fraction_bits if config.twiddle_mode == "quantized" else 0
     b = NetlistBuilder(_datapath_name("reconfigurable", config, multiplier))
     select = b.add_input("select", 1)[0]
+
+    def gated(bits: Sequence[int]) -> list[int]:
+        return [b.add_gate("AND", [n, select]) for n in bits]
+
     x = _add_samples(b, config.input_width)
-    four = _fft4(b, config, multiplier, x)
-    two = _butterfly2(b, x[0], x[1])
-    out_w = len(four["X0_re"])
+    core = _fft4(b, config, multiplier, x[:2] + [(gated(re), gated(im)) for re, im in x[2:]])
     not_sel = b.add_gate("NOT", [select])
-
-    def mux(two_bits: list[int], four_bits: list[int]) -> list[int]:
-        padded = _sext(_shift_left(b, two_bits, f), out_w)
-        return [
-            b.add_gate(
-                "OR",
-                [
-                    b.add_gate("AND", [lo, not_sel]),
-                    b.add_gate("AND", [hi, select]),
-                ],
-            )
-            for lo, hi in zip(padded, four_bits)
-        ]
-
-    for bus in ("X0_re", "X0_im", "X1_re", "X1_im"):
-        b.set_output(bus, mux(two[bus], four[bus]))
+    b.set_output("X0_re", core["X0_re"])
+    b.set_output("X0_im", core["X0_im"])
+    for part in ("re", "im"):
+        lows = [b.add_gate("AND", [n, not_sel]) for n in core[f"X2_{part}"]]
+        highs = gated(core[f"X1_{part}"])
+        b.set_output(f"X1_{part}", [b.add_gate("OR", pair) for pair in zip(lows, highs)])
     for bus in ("X2_re", "X2_im", "X3_re", "X3_im"):
-        b.set_output(bus, [b.add_gate("AND", [n, select]) for n in four[bus]])
+        b.set_output(bus, gated(core[bus]))
     return b.finalize()
 
 
@@ -707,10 +692,10 @@ def run_fft_batch(
     :meth:`FixedComplex.check_range` for the first one outside the input
     width. Element i of the result is the spectrum of ``sample_lists[i]``.
     ``select`` is passed to ``Netlist.evaluate_batch`` as a scalar, so
-    only the selected datapath is simulated: the netlist caches one program
-    per select value, and :func:`run_fft` runs the same programs. Every
-    list count, one included, takes this column path; :func:`run_fft` is
-    the one-lane path.
+    only the selected mode's gates are simulated: the netlist caches one
+    program per select value, and :func:`run_fft` runs the same programs.
+    Every list count, one included, takes this column path;
+    :func:`run_fft` is the one-lane path.
     """
     _check_config(config)
     rows = [_coerce_samples(config, samples) for samples in sample_lists]

@@ -391,11 +391,14 @@ class Netlist:
         drivers: dict[int, tuple[str, int] | int | Gate] = {}
 
         def claim(net: int, source: tuple[str, int] | int | Gate):
-            if net in drivers:
-                raise NetlistError(
-                    f"net {net} has two drivers: {_driver_name(drivers[net])} "
-                    f"and {_driver_name(source)}"
-                )
+            try:
+                if net in drivers:
+                    raise NetlistError(
+                        f"net {net} has two drivers: {_driver_name(drivers[net])} "
+                        f"and {_driver_name(source)}"
+                    )
+            except TypeError:  # unhashable
+                raise NetlistError(f"net id {net!r} is not an int") from None
             drivers[net] = source
 
         for bus in list(self.inputs) + list(self.outputs):
@@ -421,7 +424,10 @@ class Netlist:
         id_ordered = True  # every gate reads only nets driven before it
         last_id = None
         for gate in self.gates:  # sorted by id, so duplicates are neighbours
-            gid, kind, inputs, output = gate
+            try:
+                gid, kind, inputs, output = gate
+            except (TypeError, ValueError):
+                raise NetlistError(f"gate {gate!r} is not (id, kind, inputs, output)") from None
             if type(gid) is not int:
                 raise NetlistError(f"gate id {gid!r} is not an int")
             if gid == last_id:
@@ -429,14 +435,16 @@ class Netlist:
             last_id = gid
             if type(kind) is not GateKind:
                 raise NetlistError(f"gate {gid} kind {kind!r} is not a GateKind")
-            if len(inputs) != (1 if kind is not_ else 2):
-                raise NetlistError(
-                    f"gate {gid} ({kind.value}) takes {kind.arity} inputs, got {len(inputs)}"
-                )
-            if id_ordered:
+            try:
+                if len(inputs) != (1 if kind is not_ else 2):
+                    raise NetlistError(
+                        f"gate {gid} ({kind.value}) takes {kind.arity} inputs, got {len(inputs)}"
+                    )
                 for n in inputs:
                     if n not in drivers:
                         id_ordered = False
+            except TypeError:  # no len(), or an unhashable net
+                raise NetlistError(f"gate {gid} inputs {inputs!r} are not net ids") from None
             claim(output, gate)
         # One pass over the driven nets; every gate input and output bit
         # must be one of them.
@@ -452,9 +460,12 @@ class Netlist:
         for bus, nets in self.outputs.items():
             if not nets:
                 raise NetlistError(f"output bus {bus} has zero width")
-            for k, n in enumerate(nets):
-                if n not in drivers:
-                    raise NetlistError(f"floating output bit {bus}[{k}] (net {n})")
+            try:
+                for k, n in enumerate(nets):
+                    if n not in drivers:
+                        raise NetlistError(f"floating output bit {bus}[{k}] (net {n})")
+            except TypeError:  # unhashable
+                raise NetlistError(f"net id {n!r} is not an int") from None
         if id_ordered:
             return frozenset(drivers), self.gates
 

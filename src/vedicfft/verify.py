@@ -392,8 +392,8 @@ def _fft_sections() -> dict[str, list[array]]:
         basis[2 * k][k] = basis[2 * k][8] = 1
         basis[2 * k + 1][4 + k] = 1
     exact4 = [b + x for b, x in zip(basis, _draw(rng, _RANDOM_VECTORS))]
-    # select=2 reads x0 and x1 only.
-    exact2 = _draw(rng, 400)[:4] + [array("b", bytes(400))] * 4
+    # select=2 reads x0 and x1 only; x2 and x3, drawn last, must not matter.
+    exact2 = _draw(rng, 400)[:4]
     # Linearity: x is the first 200 vectors and y the last 200; components
     # in [-4, 3] keep x + y in range.
     linearity = _draw(rng, 400, bits=3)
@@ -401,6 +401,7 @@ def _fft_sections() -> dict[str, list[array]]:
     time_reversal = _draw(rng, 200)
     time_reversal[1::2] = [array("b", bytes(200))] * 4
     quantized = _draw(rng, _RANDOM_VECTORS)
+    exact2 += _draw(rng, 400)[4:]
     return {
         "exact4": exact4,
         "exact2": exact2,

@@ -36,6 +36,7 @@ from vedicfft.fft import build_unit, unit_names
 from vedicfft.netio import parse_netlist
 from vedicfft.netlist import Gate, Netlist
 from test_netlist import _random_program
+from test_verify import live_gate_ids
 
 EXHAUSTIVE_BITS = 12
 SAMPLED_VECTORS = 2000
@@ -79,9 +80,9 @@ GATE_FUNCTIONS = {
 }
 
 
-def reference_outputs(net, vectors):
-    """Every output bus of ``net`` for ``vectors``, one list of raw values per
-    bus: vector i is bit i of each net's word, and a gate's word is computed
+def net_words(net, vectors):
+    """The word of each net of ``net`` for ``vectors``, as a function of the
+    net id: vector i is bit i of the word, and a gate's word is computed
     from its input words on first use (memoized recursion)."""
     mask = (1 << len(vectors)) - 1
     words = {nid: mask if value else 0 for value, nid in net.consts.items()}
@@ -99,6 +100,13 @@ def reference_outputs(net, vectors):
             words[nid] = GATE_FUNCTIONS[gate.kind](*inputs) & mask
         return words[nid]
 
+    return word
+
+
+def reference_outputs(net, vectors):
+    """Every output bus of ``net`` for ``vectors``, one list of raw values per
+    bus, read from :func:`net_words`."""
+    word = net_words(net, vectors)
     return {
         bus: [
             sum(((word(nid) >> i) & 1) << k for k, nid in enumerate(nets))
@@ -262,22 +270,60 @@ def test_arith_unit_with_each_input_tied(name):
     assert_each_bus_tied_matches_reference(build_unit(name), None)
 
 
+def renumbered(program):
+    """``program`` with each slot named by what it holds: an input bit
+    (bus, k), a constant "0" or "1", or the index of the op that writes
+    it. Two programs that run the same gates on the same inputs are then
+    equal list for list, whatever slots their netlists' net ids give."""
+    zero = program.size - 2
+    names = {zero: "0", zero + 1: "1"}
+    for bus, slots in program.in_slots.items():
+        names.update((s, (bus, k)) for k, s in enumerate(slots))
+    names.update((s, i) for i, s in enumerate(program.outs))
+    return (
+        program.ops,
+        [names[s] for s in program.in0],
+        [names[s] for s in program.in1],
+        {bus: [names[s] for s in slots] for bus, slots in program.out_slots.items()},
+    )
+
+
 @pytest.mark.parametrize(
-    "name, datapath",
+    "name, core",
     [
-        ("reconfigurable", ("butterfly2", "fft4")),
-        ("reconfigurable_q3", ("butterfly2", "fft4_q3")),
+        pytest.param("reconfigurable", "fft4", id="reconfigurable-datapath0"),
+        pytest.param("reconfigurable_q3", "fft4_q3", id="reconfigurable_q3-datapath1"),
     ],
 )
-def test_tied_select_simulates_only_the_selected_datapath(name, datapath):
-    # With select tied, the output multiplexers fold to wires or zeros and
-    # the idle datapath reaches no output: what is left is gate for gate
-    # the folded program of the selected unit alone.
+def test_tied_select_simulates_only_the_selected_datapath(name, core):
+    # With select tied to 1 the isolation ANDs and the output multiplexers
+    # fold to wires: what is left is gate for gate the folded program of
+    # the 4-point unit alone. Select 0 runs part of that same core.
     net = build_unit(name)
-    wants = [len(build_unit(unit)._compile({}).ops) for unit in datapath]
-    for select, want in enumerate(wants):
-        assert len(net._compile({"select": select}).ops) == want, datapath[select]
-    assert len(net._compile({}).ops) > max(wants)
+    four = net._compile({"select": 1})
+    assert renumbered(four) == renumbered(build_unit(core)._compile({}))
+    assert live_gate_ids(net, 0) <= live_gate_ids(net, 1)
+    assert len(net._compile({}).ops) > len(four.ops)
+
+
+@pytest.mark.parametrize("multiplier", ["vedic", "array"])
+@pytest.mark.parametrize(
+    "config", [FftConfig(), FftConfig(4, "quantized", 3)], ids=["exact", "q3"]
+)
+@pytest.mark.parametrize("idle", [("x2_re", "x2_im"), ("x3_re", "x3_im")], ids=["x2", "x3"])
+def test_select0_isolates_the_idle_samples(idle, config, multiplier):
+    # Operand isolation: at select 0, vectors that differ only in x2 or x3
+    # give every gate of the raw netlist the same output.
+    net = build_reconfigurable_fft(config, multiplier)
+    rng = random.Random(f"{idle}-{config}-{multiplier}")
+    vectors = [
+        {bus: rng.randrange(1 << net.input_width(bus)) for bus in net.inputs} | {"select": 0}
+        for _ in range(200)
+    ]
+    others = [v | {bus: rng.randrange(16) for bus in idle} for v in vectors]
+    assert any(v != w for v, w in zip(vectors, others))
+    first, second = net_words(net, vectors), net_words(net, others)
+    assert [first(g.output) for g in net.gates] == [second(g.output) for g in net.gates]
 
 
 @pytest.mark.parametrize("name", catalog_units())

@@ -318,11 +318,11 @@ GOLDEN_STDOUT_SHA256 = {
     ("dump", "--unit", "butterfly2"): "77085034f3ade9b3cb05675bb835ff1cf32145e8c8953c5e44bcece4b0147a56",
     ("dump", "--unit", "fft4"): "e74f1f3a910a8ff9ceeb666c8a350bb0953b207d8dc6f6424d7e5bd2289fa40b",
     ("dump", "--unit", "fft4_q3"): "1f598678cf7d6893a8c69fb888522609c738ffffe91c2b9d15ef7c3c0d8b5a66",
-    ("dump", "--unit", "reconfigurable"): "ce869406a8facdd706680fbbe4f5a02447bef1d444e9db034c7251e7283eab3f",
-    ("dump", "--unit", "reconfigurable_q3"): "8c909f470cfc13558e23898a36312d66d6c22199e7f0aaf7162883bfb1fd7781",
-    ("report", "--format", "text"): "424e4e7b0b024086980088f722df36824474cf8e391164518351771ffb7bc6e3",
-    ("report", "--format", "csv"): "b576b8708433fb8d79446df956cc53f52746c0e4a59e76963a8de5e29938d954",
-    ("report", "--format", "json"): "eea05b6533f884f728a67255e6539c6d94ce967ee83947548610b748677d5c67",
+    ("dump", "--unit", "reconfigurable"): "95f5033a14e67d1fbe98ddfa60381096b673189fe0b5e8917bd33d76e5692fb2",
+    ("dump", "--unit", "reconfigurable_q3"): "95e5136676869f932d93116ac71d20dd2e9632838b60aebe60a5a077f2aa5236",
+    ("report", "--format", "text"): "582d7a6e84e798d2e9b4972342f203f4fe397ad1e4358e4e0cde7d9479aca773",
+    ("report", "--format", "csv"): "f51e7e1b18fcde0bba7793964f6251c03fc82a2868c97f9322d76f5acf49032f",
+    ("report", "--format", "json"): "52c19c5afe04a2c950a9e12eac982b44586d82bf0cd50950307dfca04034682a",
     ("verify", "--unit", "all"): "80064c6506ce76b3928b70370840d8903d1f759908e827d5ba29a01e08422fd0",
     # One-lane paths: a Q1.3 4-point transform, the tied select-2 program
     # and the signed -8 * -8 corner.

@@ -654,6 +654,52 @@ class TestReconfigurable:
         assert res.values[0] == 4
 
 
+# The four builds of the reconfigurable datapath: each twiddle mode with
+# each multiplier core.
+SHARED_CORE_VARIANTS = [
+    pytest.param(config, multiplier, id=f"{mode}-{multiplier}")
+    for mode, config in (("exact", FftConfig()), ("q3", FftConfig(4, "quantized", 3)))
+    for multiplier in ("vedic", "array")
+]
+
+
+class TestSharedCore:
+    """Both modes of the reconfigurable datapath against the standalone
+    units: select 0 is the 2-point butterfly, select 1 the 4-point
+    transform, on one shared core."""
+
+    @pytest.mark.parametrize("config, multiplier", SHARED_CORE_VARIANTS)
+    def test_select0_is_the_butterfly_on_every_pair(self, config, multiplier):
+        # Every (x0, x1), with x2 and x3 drawn at random: the butterfly's
+        # outputs, shifted left by F and sign-extended, and zero upper bins.
+        net = build_reconfigurable_fft(config, multiplier)
+        n = 1 << 16
+        pairs = {
+            bus: [(i >> 4 * k) & 15 for i in range(n)]
+            for k, bus in enumerate(("x0_re", "x0_im", "x1_re", "x1_im"))
+        }
+        rng = random.Random(f"{config}-{multiplier}")
+        idle = {
+            bus: [rng.randrange(16) for _ in range(n)]
+            for bus in ("x2_re", "x2_im", "x3_re", "x3_im")
+        }
+        got = net.evaluate_batch({"select": 0, **pairs, **idle})
+        f = config.fraction_bits or 0
+        mask = (1 << net.output_width("X0_re")) - 1
+        for bus, col in build_butterfly2(4).evaluate_batch(pairs).items():
+            assert got[bus] == [(to_signed(v, 5) << f) & mask for v in col], bus
+        for bus in ("X2_re", "X2_im", "X3_re", "X3_im"):
+            assert got[bus] == [0] * n, bus
+
+    @pytest.mark.parametrize("config, multiplier", SHARED_CORE_VARIANTS)
+    def test_select1_is_the_4_point_unit(self, config, multiplier):
+        net = build_reconfigurable_fft(config, multiplier)
+        rng = random.Random(f"{config}-{multiplier}")
+        columns = {bus: [rng.randrange(16) for _ in range(2000)] for bus in fft._SAMPLE_BUSES}
+        want = build_fft4(config, multiplier).evaluate_batch(columns)
+        assert net.evaluate_batch({"select": 1, **columns}) == want
+
+
 class TestResultDocuments:
     def test_document_round_trip(self):
         res = run_fft(FftConfig.make(4, "q3", 4), [(1, 0), (2, 0), (3, 0), (4, 0)])
@@ -816,7 +862,7 @@ class TestCompositeBuilders:
             ),
             pytest.param(
                 lambda: build_reconfigurable_fft(Q3, "array"),
-                "8e9afbc01363e76c171c9c378a55afc4f48a60027baa4c5d691db4c1b747d023",
+                "8a5eb7f77dba7d3b1d5ebcd58de2c27fe0ee6a36bc02321a6aacb29f71c0a834",
                 id="reconfigurable_q3_array",
             ),
         ],

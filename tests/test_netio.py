@@ -348,8 +348,8 @@ _PARSED_DIGESTS = {
     "butterfly2": "9ca5a75f03f37f4f067def8e1a495d2a3d8629503f0a5736cbdf4f6dbafc7743",
     "fft4": "63af8125a582fa1476d080fe45f92e72b0af269619f3e13556a1b6a46e911827",
     "fft4_q3": "cde76ba109d47fa364a53c9947d1990adc529f181e553ed6f84989beae73fa50",
-    "reconfigurable": "ef359c6ba3154b7b1a9ed1e1c6d69f6668409e9571391e3ec6f73cf5ba839b57",
-    "reconfigurable_q3": "b337a0b7133f11a89b41caa51440a7176a189ebaac08a07952af6bbf3f69f957",
+    "reconfigurable": "8d25e53618f49aeaa970727060997c476fbb012a53ed352c36063c9ee6e06a4e",
+    "reconfigurable_q3": "50a5351c66b830bda9b235b8035542d35cedc7193d71ee8b3ff5327e60e5e236",
     "adder16": "52c0bb3dcb16a02436385671fd662a117e22459e889ed042c1378627b3f299cc",
     "fft4_q1": "99a99974cab50dfe3811282927956e0b135a53123365b6ff5942ef64d22286ab",
 }

@@ -591,6 +591,128 @@ class TestValidation:
             Netlist("t", {"a": [0], "b": [1]}, {"o": [2]}, [Gate(0, kind, inputs, 2)], {})
         assert str(caught.value) == message
 
+    @pytest.mark.parametrize(
+        "gates, inputs, outputs, message",
+        [
+            pytest.param(
+                [5],
+                None,
+                None,
+                "gate 5 is not (id, kind, inputs, output)",
+                id="gate-not-a-tuple",
+            ),
+            pytest.param(
+                [(0, GateKind.NOT, (0,))],
+                None,
+                None,
+                "gate (0, <GateKind.NOT: 'NOT'>, (0,)) is not (id, kind, inputs, output)",
+                id="gate-of-3-fields",
+            ),
+            pytest.param(
+                [Gate(0, GateKind.AND, 5, 2)],
+                None,
+                None,
+                "gate 0 inputs 5 are not net ids",
+                id="inputs-not-a-sequence",
+            ),
+            pytest.param(
+                [Gate(0, GateKind.AND, (0, [1]), 2)],
+                None,
+                None,
+                "gate 0 inputs (0, [1]) are not net ids",
+                id="read-unhashable",
+            ),
+            pytest.param(
+                # Gate 0 reads a net that no gate drives before it: the
+                # netlist is not in id order, and gate 1's reads are still
+                # checked in the gate loop.
+                [Gate(0, GateKind.AND, (0, 3), 2), Gate(1, GateKind.NOT, ([4],), 3)],
+                None,
+                None,
+                "gate 1 inputs ([4],) are not net ids",
+                id="read-unhashable-after-forward-read",
+            ),
+            pytest.param(
+                [Gate(0, GateKind.AND, (0, 1), [2])],
+                None,
+                None,
+                "net id [2] is not an int",
+                id="gate-output-unhashable",
+            ),
+            pytest.param(
+                [Gate(0, GateKind.AND, (0, 1), 2)],
+                {"a": [[0]], "b": [1]},
+                None,
+                "net id [0] is not an int",
+                id="input-bus-unhashable",
+            ),
+            pytest.param(
+                [Gate(0, GateKind.AND, (0, 1), 2)],
+                None,
+                {"o": [[2]]},
+                "net id [2] is not an int",
+                id="output-bus-unhashable",
+            ),
+        ],
+    )
+    def test_malformed_gate_or_net_id(self, gates, inputs, outputs, message):
+        # A NetlistError, not a bare TypeError or ValueError.
+        with pytest.raises(NetlistError) as caught:
+            Netlist("t", inputs or {"a": [0], "b": [1]}, outputs or {"o": [2]}, gates, {})
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize(
+        "gates, outputs, consts, message",
+        [
+            pytest.param(
+                [5],
+                None,
+                {5: 0},
+                "constant value must be 0 or 1, got 5",
+                id="consts-before-gate-shape",
+            ),
+            pytest.param(
+                [Gate(0, GateKind.AND, (0,), 2), (1, GateKind.NOT)],
+                None,
+                None,
+                "gate 0 (AND) takes 2 inputs, got 1",
+                id="earlier-gate-before-gate-shape",
+            ),
+            pytest.param(
+                [Gate(0, "AND", 5, 2)],
+                None,
+                None,
+                "gate 0 kind 'AND' is not a GateKind",
+                id="kind-before-inputs",
+            ),
+            pytest.param(
+                [Gate(0, GateKind.NOT, (0, [1]), 2)],
+                None,
+                None,
+                "gate 0 (NOT) takes 1 inputs, got 2",
+                id="arity-before-unhashable-read",
+            ),
+            pytest.param(
+                [Gate(0, GateKind.AND, (0, [1]), 0)],
+                None,
+                None,
+                "gate 0 inputs (0, [1]) are not net ids",
+                id="unhashable-read-before-output-claim",
+            ),
+            pytest.param(
+                [Gate(0, GateKind.AND, (0, 9), 2)],
+                {"o": [[2]]},
+                None,
+                "gate 0 reads undriven net 9",
+                id="reads-before-unhashable-output-bus",
+            ),
+        ],
+    )
+    def test_malformed_gate_or_net_id_precedence(self, gates, outputs, consts, message):
+        with pytest.raises(NetlistError) as caught:
+            Netlist("t", {"a": [0], "b": [1]}, outputs or {"o": [2]}, gates, consts or {})
+        assert str(caught.value) == message
+
 
 def _min_id_topological(gates):
     """Reference order: Kahn's algorithm, the smallest ready gate id first."""

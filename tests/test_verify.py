@@ -98,7 +98,7 @@ def test_unknown_unit_lists_only_accepted_names():
 # interpreter must draw these same cases.
 SECTION_SHA256 = {
     "exact4": "58e1326ea664c053560b30eff985aef27b57017f320a6950123a4321396263d9",
-    "exact2": "61e7087f7f1fe8758c78c3393777b2a01e4371844e4a89c959d11b0730d8d680",
+    "exact2": "2bb0a73afacac01e5215316e6c412923ccc4c6ed2e0d99150dffd4dfed6ee737",
     "linearity": "02e92fb8ac6d61f073f4514f683af6db86591a919113df295b920ccd8e51f91b",
     "time_reversal": "00ca4552e0a272201917158d3d33dd84cbec546b8ab9a847701e9db795f3cb2d",
     "quantized": "0b577e657a8842e5f9fff13921b718ade6f8117a75d60323c7686000165671d4",
@@ -119,7 +119,7 @@ def test_fft_draws_are_pinned():
         lo, hi = (-4, 3) if name == "linearity" else (-8, 7)
         assert len(cols) == 8
         assert all(lo <= min(col) and max(col) <= hi for col in cols), name
-    assert not any(map(any, sections["exact2"][4:]))  # x2, x3
+    assert all(map(any, sections["exact2"][4:]))  # x2, x3: select 2 ignores them
     assert not any(map(any, sections["time_reversal"][1::2]))  # every im
     digests = {
         name: hashlib.sha256(b"".join(col.tobytes() for col in cols)).hexdigest()
@@ -190,8 +190,12 @@ def with_kind_flipped(net, gate_id):
 def fft_suite_with_flip(monkeypatch, config, gate_id):
     """The FFT suite's result with gate ``gate_id`` of the reconfigurable
     netlist of ``config``'s twiddle mode flipped (both select values)."""
-    net = fft._net_for(config)
-    mutated = with_kind_flipped(net, gate_id)
+    return fft_suite_on(monkeypatch, config, with_kind_flipped(fft._net_for(config), gate_id))
+
+
+def fft_suite_on(monkeypatch, config, mutated):
+    """The FFT suite's result with ``mutated`` as the reconfigurable
+    netlist of ``config``'s twiddle mode."""
     cached = fft._reconfigurable_cached
 
     def reconfigurable(width, mode, fraction_bits):
@@ -203,14 +207,17 @@ def fft_suite_with_flip(monkeypatch, config, gate_id):
     return verify.verify_unit("fft")
 
 
-# One gate per datapath the FFT suite simulates: the 4-point exact path,
-# the 2-point path and a Q1.3 multiplier of the quantized path, with the
-# failures and first detail the suite reports.
+# One gate per program the FFT suite runs: the 4-point exact path, the
+# select-0 program (gate 242, drawn by ``random.Random(2).choice`` from its
+# live AND, OR, XOR and XNOR gates) and a Q1.3 multiplier of the quantized
+# path, with the failures and first detail the suite reports. Select 0 runs
+# part of the shared core, so gates 255 and 242 fail cases of both select
+# values: 270 and 800 of them at select 2.
 MUTANTS = [
     pytest.param(
         fft.FftConfig(select=4),
-        239,
-        690,
+        255,
+        960,
         "select=4 x=[(1, -6), (-8, -7), (2, 1), (-6, 5)]: "
         "got [(21, -7), (-13, -5), (17, -3), (11, -9)], "
         "want [(-11, -7), (-13, -5), (17, -3), (11, -9)]",
@@ -218,14 +225,15 @@ MUTANTS = [
     ),
     pytest.param(
         fft.FftConfig(select=2),
-        531,
-        800,
-        "select=2 x=[(4, 7), (-7, -4)]: got [(-3, 3), (10, 11)], want [(-3, 3), (11, 11)]",
+        242,
+        3003,
+        "select=4 x=[(1, 0), (0, 0), (0, 0), (0, 0)]: "
+        "got [(5, 0), (1, 0), (1, 0), (1, 0)], want [(1, 0), (1, 0), (1, 0), (1, 0)]",
         id="select2",
     ),
     pytest.param(
         fft.FftConfig(4, "quantized", 3, 4),
-        367,
+        383,
         1000,
         "q3 x=[(-7, 7), (5, -8), (7, 1), (0, 1)]: "
         "got [(40, 8), (-176, 8), (-40, 120), (-48, 88)], "
@@ -238,9 +246,7 @@ MUTANTS = [
 @pytest.mark.parametrize("config, gate_id, failed, detail", MUTANTS)
 def test_fft_suite_catches_a_flipped_gate(monkeypatch, config, gate_id, failed, detail):
     net = fft._net_for(config)
-    select = int(config.select == 4)
-    assert gate_id in live_gate_ids(net, select)
-    assert gate_id not in live_gate_ids(net, 1 - select)
+    assert gate_id in live_gate_ids(net, int(config.select == 4))
     if config.twiddle_mode == "quantized":
         assert gate_id in multiplier_gate_ids(monkeypatch, config)
     result = fft_suite_with_flip(monkeypatch, config, gate_id)
@@ -248,53 +254,75 @@ def test_fft_suite_catches_a_flipped_gate(monkeypatch, config, gate_id, failed, 
     assert (result.checked, result.failed, result.detail) == (4618, failed, detail)
 
 
+def test_fft_suite_catches_an_idle_sample_leaking_into_select_2(monkeypatch):
+    # The isolation AND of x2_re bit 0 reads that bit twice: select 0 lets
+    # the bit into the core, and only the select-2 cases, whose x2 and x3
+    # are drawn at random, can show it.
+    net = fft._net_for(fft.FftConfig(select=2))
+    bit = net.inputs["x2_re"][0]
+    (gate,) = [g for g in net.gates if bit in g.inputs]
+    assert gate.kind is GateKind.AND and net.inputs["select"][0] in gate.inputs
+    leaky = [g._replace(inputs=(bit, bit)) if g is gate else g for g in net.gates]
+    mutated = Netlist(net.name, net.inputs, net.outputs, leaky, net.consts)
+    result = fft_suite_on(monkeypatch, fft.FftConfig(select=2), mutated)
+    assert (result.checked, result.failed, result.detail) == (
+        4618,
+        392,
+        "select=2 x=[(7, 6), (7, 3)]: got [(15, 9), (1, 3)], want [(14, 9), (0, 3)]",
+    )
+
+
 # Gates drawn by ``random.Random(2023).sample`` from the live AND, OR, XOR
-# and XNOR gates of each netlist at select 4, and Q1.3 gate 471, which the
+# and XNOR gates of each netlist at select 4, and Q1.3 gate 487, which the
 # compiled programs do not run; the suite's (failed, first detail) for
-# each. No case shows the flip of exact gate 418 either: 200,000 random
-# vectors give the flipped netlist's outputs at select 4 unchanged.
+# each. No case shows the flip of exact gate 434 either: 200,000 random
+# vectors give the flipped netlist's outputs at select 4 unchanged. The
+# draw was made before the 16 isolation ANDs on x2 and x3 came ahead of
+# the core; each id is the drawn one plus 16, and the test ids name the
+# drawn ones. Exact gates 277, 280 and
+# 238 also run at select 0 and fail 800, 306 and 800 select-2 cases.
 EXACT4 = fft.FftConfig(select=4)
 Q3 = fft.FftConfig(4, "quantized", 3, 4)
 SEEDED_FLIPS = [
-    (EXACT4, 261, 2196, "select=4 x=[(1, 0), (0, 0), (0, 0), (0, 0)]: "
+    (EXACT4, 277, 2996, "select=4 x=[(1, 0), (0, 0), (0, 0), (0, 0)]: "
      "got [(1, 8), (1, 0), (1, 0), (1, 0)], want [(1, 0), (1, 0), (1, 0), (1, 0)]"),
-    (EXACT4, 472, 2397, "select=4 x=[(1, 0), (0, 0), (0, 0), (0, 0)]: "
+    (EXACT4, 488, 2397, "select=4 x=[(1, 0), (0, 0), (0, 0), (0, 0)]: "
      "got [(1, 0), (1, 0), (1, 0), (1, -32)], want [(1, 0), (1, 0), (1, 0), (1, 0)]"),
-    (EXACT4, 299, 812, "select=4 x=[(0, 0), (0, 0), (1, 0), (0, 0)]: "
+    (EXACT4, 315, 812, "select=4 x=[(0, 0), (0, 0), (1, 0), (0, 0)]: "
      "got [(1, 0), (31, 0), (1, 0), (-1, 0)], want [(1, 0), (-1, 0), (1, 0), (-1, 0)]"),
-    (EXACT4, 264, 882, "select=4 x=[(-2, -8), (-1, -6), (0, 2), (-2, 6)]: "
+    (EXACT4, 280, 1188, "select=4 x=[(-2, -8), (-1, -6), (0, 2), (-2, 6)]: "
      "got [(-5, 10), (-14, -11), (1, -6), (10, -9)], "
      "want [(-5, -6), (-14, -11), (1, -6), (10, -9)]"),
-    (EXACT4, 222, 2218, "select=4 x=[(1, 0), (0, 0), (0, 0), (0, 0)]: "
+    (EXACT4, 238, 3018, "select=4 x=[(1, 0), (0, 0), (0, 0), (0, 0)]: "
      "got [(3, 0), (1, 0), (1, 0), (1, 0)], want [(1, 0), (1, 0), (1, 0), (1, 0)]"),
-    (EXACT4, 418, 0, ""),
-    (Q3, 2227, 422, "q3 x=[(1, -1), (-3, 6), (4, -6), (-1, -7)]: "
+    (EXACT4, 434, 0, ""),
+    (Q3, 2243, 422, "q3 x=[(1, -1), (-3, 6), (4, -6), (-1, -7)]: "
      "got [(8, -64), (112, 56), (72, -48), (-128, 24)], "
      "want [(8, -64), (80, 56), (72, -48), (-128, 24)]"),
-    (Q3, 139, 1000, "q3 x=[(-7, 7), (5, -8), (7, 1), (0, 1)]: "
+    (Q3, 155, 1000, "q3 x=[(-7, 7), (5, -8), (7, 1), (0, 1)]: "
      "got [(40, 24), (-184, 8), (-40, 104), (-40, 88)], "
      "want [(40, 8), (-184, 8), (-40, 120), (-40, 88)]"),
-    (Q3, 384, 505, "q3 x=[(1, -1), (-3, 6), (4, -6), (-1, -7)]: "
+    (Q3, 400, 505, "q3 x=[(1, -1), (-3, 6), (4, -6), (-1, -7)]: "
      "got [(8, -64), (144, 56), (72, -48), (-192, 24)], "
      "want [(8, -64), (80, 56), (72, -48), (-128, 24)]"),
-    (Q3, 2165, 1000, "q3 x=[(-7, 7), (5, -8), (7, 1), (0, 1)]: "
+    (Q3, 2181, 1000, "q3 x=[(-7, 7), (5, -8), (7, 1), (0, 1)]: "
      "got [(168, 8), (-184, 8), (-40, 120), (-40, 88)], "
      "want [(40, 8), (-184, 8), (-40, 120), (-40, 88)]"),
-    (Q3, 2163, 506, "q3 x=[(1, -1), (-3, 6), (4, -6), (-1, -7)]: "
+    (Q3, 2179, 506, "q3 x=[(1, -1), (-3, 6), (4, -6), (-1, -7)]: "
      "got [(-120, -64), (80, 56), (72, -48), (-128, 24)], "
      "want [(8, -64), (80, 56), (72, -48), (-128, 24)]"),
-    (Q3, 471, 0, ""),
+    (Q3, 487, 0, ""),
 ]
 
 
 @pytest.mark.parametrize(
     "config, gate_id, failed, detail",
     SEEDED_FLIPS,
-    ids=[f"{c.twiddle_mode}-{g}" for c, g, _, _ in SEEDED_FLIPS],
+    ids=[f"{c.twiddle_mode}-{g - 16}" for c, g, _, _ in SEEDED_FLIPS],
 )
 def test_fft_suite_result_of_seeded_flips(monkeypatch, config, gate_id, failed, detail):
     net = fft._net_for(config)
-    assert (gate_id in live_gate_ids(net, 1)) == (gate_id != 471)
+    assert (gate_id in live_gate_ids(net, 1)) == (gate_id != 487)
     result = fft_suite_with_flip(monkeypatch, config, gate_id)
     assert (result.checked, result.failed, result.detail) == (4618, failed, detail)
 
