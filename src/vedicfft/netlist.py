@@ -26,12 +26,16 @@ evaluation, cached per netlist. There is one batch path,
 ``_evaluate_packed``: it takes and returns packed columns, one int per bus
 with one fixed-width field per vector (the bytes of a buffer of one item
 per vector), transposes them into lane words and back, and runs the gate
-loop ``_run`` on every vector at once. A bus costs a fixed number of
-buffer and big-int operations and each bus bit one stride slice, with no
-Python call per vector up to 64 bits. ``evaluate_batch`` takes one route
-at every lane count: it packs each list while it checks its range and
-reads each output bus back from its packed int, and every suite of
-:mod:`vedicfft.verify` keeps its columns packed from operands to compare.
+loop ``_run`` on every vector at once. The transposition works on whole
+ints: each 8 vectors' bytes of a byte plane form an 8x8 bit matrix, and
+three masked shift-and-swap steps on one int per bus turn every matrix at
+once (:func:`_transpose8`). A bus costs a fixed number of buffer and
+big-int operations per byte plane and each bus bit one strided byte
+slice, with no Python call per vector up to 64 bits. ``evaluate_batch``
+takes one route at every lane count: it packs each list while it checks
+its range and reads each output bus back from its packed int, and every
+suite of :mod:`vedicfft.verify` keeps its columns packed from operands to
+compare.
 One vector takes the one-lane path, ``_evaluate_one``: it takes and
 returns bus values, with no columns. One lane's packed ints are its bus
 values, so ``evaluate_batch`` hands them over as they are, and
@@ -240,32 +244,91 @@ def _field_values(x: int, n: int, width: int) -> list[int]:
     return items.tolist()
 
 
+# The masks of the three delta swaps that transpose an 8x8 bit matrix held
+# in 64 bits (``transpose8``, Warren, Hacker's Delight, 2nd ed., 7-3), each
+# repeated once per 64-bit chunk for the most chunks transposed so far:
+# (chunks, mask of the 7-bit swap, of the 14-bit one, of the 28-bit one).
+# A longer mask serves fewer chunks as it is, since ``&`` stops at the
+# shorter int, so one tuple bounds the cache. Threads that race to grow it
+# may each build one, and each uses its own; the last assignment wins.
+_SWAP_MASKS = (0x00AA00AA00AA00AA, 0x0000CCCC0000CCCC, 0x00000000F0F0F0F0)
+_swap_masks = (1, *_SWAP_MASKS)
+
+
+def _transpose8(x: int, chunks: int) -> int:
+    """Transpose every 8x8 bit matrix of the ``64 * chunks``-bit int ``x``:
+    in each 64-bit chunk, bit ``8 * r + c`` and bit ``8 * c + r`` trade
+    places. No swap moves a bit across a chunk boundary, so one pass of
+    three masked delta swaps on the whole int does every chunk; the
+    transpose is its own inverse."""
+    global _swap_masks
+    masks = _swap_masks
+    if masks[0] < chunks:
+        masks = _swap_masks = (
+            chunks,
+            *(int.from_bytes(m.to_bytes(8, "little") * chunks, "little") for m in _SWAP_MASKS),
+        )
+    _, m7, m14, m28 = masks
+    t = (x ^ (x >> 7)) & m7
+    x ^= t ^ (t << 7)
+    t = (x ^ (x >> 14)) & m14
+    x ^= t ^ (t << 14)
+    t = (x ^ (x >> 28)) & m28
+    return x ^ t ^ (t << 28)
+
+
 def _fields_to_lanes(x: int, n: int, width: int) -> list[int]:
     """Transpose the packed int ``x`` of n vectors of a ``width``-bit bus
     into the bus's lane words: word k holds bit k of vector i at bit i.
 
-    Bit k of vector i is bit ``step * i + k`` of ``x``, with ``step`` the
-    field size of :func:`_column_fields`. In the binary string of ``x``,
-    MSB first, every step-th digit from ``step - 1 - k`` is then word k,
-    last vector first. Field bits at and above ``width`` are not read. One
-    vector's packed int is its value.
+    Byte plane j, byte j of every field of :func:`_column_fields`, is one
+    strided slice of the bytes of ``x``; the planes of the bus's
+    ``ceil(width / 8)`` low bytes go end to end, each padded to whole
+    64-bit chunks. Each chunk, 8 vectors' bytes, is an 8x8 bit matrix, and
+    :func:`_transpose8` turns all of them at once: byte b of a chunk of
+    plane j then holds bit ``8 * j + b`` of its 8 vectors, so word k is
+    every 8th byte of its plane from byte ``k % 8``. Field bits at and
+    above ``width`` are not read. One vector's packed int is its value.
     """
-    step = 8 * _item_size(width)
-    digits = format(x, f"0{step * n}b")
-    return [int(digits[step - 1 - k :: step], 2) for k in range(width)]
+    size = _item_size(width)
+    planes = (width + 7) // 8
+    span = (n + 7) & -8  # bytes per plane
+    if size == 1:
+        t = _transpose8(x, span // 8)
+    else:
+        data = x.to_bytes(size * n, "little")
+        stacked = bytearray(planes * span)
+        for j in range(planes):
+            stacked[j * span : j * span + n] = data[j::size]
+        t = _transpose8(int.from_bytes(stacked, "little"), planes * span // 8)
+    data = t.to_bytes(planes * span, "little")
+    starts = (k // 8 * span + k % 8 for k in range(width))
+    return [int.from_bytes(data[s : s + span : 8], "little") for s in starts]
 
 
 def _lanes_to_fields(words: list[int], n: int) -> int:
     """The inverse of :func:`_fields_to_lanes`: the packed int of the n
-    vectors of a bus whose bit k has lane word ``words[k]``. Each word's n
-    digits go into the binary string of the packed int at the field stride,
-    and the string is parsed once."""
-    step = 8 * _item_size(len(words))
-    digits = bytearray(b"0") * (step * n)
-    spec = f"0{n}b"
+    vectors of a bus whose bit k has lane word ``words[k]``, each below
+    ``2**n``. Each word's bytes go to every 8th byte of its plane from byte
+    ``k % 8``, :func:`_transpose8` turns the planes back, and plane j
+    becomes byte j of every field; field bytes above the bus's planes stay
+    zero, as do the field bits at and above the width."""
+    width = len(words)
+    size = _item_size(width)
+    planes = (width + 7) // 8
+    span = (n + 7) & -8  # bytes per plane
+    stacked = bytearray(planes * span)
     for k, word in enumerate(words):
-        digits[step - 1 - k :: step] = format(word, spec).encode()
-    return int(digits, 2)
+        start = k // 8 * span + k % 8
+        stacked[start : start + span : 8] = word.to_bytes(span // 8, "little")
+    t = _transpose8(int.from_bytes(stacked, "little"), planes * span // 8)
+    if size == 1:  # the one plane is the fields, zero past vector n
+        return t
+    data = t.to_bytes(planes * span, "little")
+    fields = bytearray(size * n)
+    for j in range(planes):
+        fields[j::size] = data[j * span : j * span + n]
+    return int.from_bytes(fields, "little")
 
 
 def _generate_kernel(p: _Program) -> Callable[..., tuple]:
@@ -428,6 +491,8 @@ class Netlist:
                 gid, kind, inputs, output = gate
             except (TypeError, ValueError):
                 raise NetlistError(f"gate {gate!r} is not (id, kind, inputs, output)") from None
+            if type(gate) is not Gate:
+                raise NetlistError(f"gate {gate!r} is not a Gate")
             if type(gid) is not int:
                 raise NetlistError(f"gate id {gid!r} is not an int")
             if gid == last_id:
@@ -616,9 +681,10 @@ class Netlist:
         ``key`` is the sorted tuple of (bus, value) pairs of the tied input
         buses; ``fields`` holds the packed int (:func:`_column_fields`) of
         each untied input bus in input order, every field already known to
-        fit its bus. The fields are transposed into lane words
-        (:func:`_fields_to_lanes`), run through the gate loop ``_run`` and
-        transposed back (:func:`_lanes_to_fields`). Returns the packed int
+        fit its bus. The fields are transposed into lane words by 8x8
+        bit-matrix swaps on ints (:func:`_fields_to_lanes`), run through the
+        gate loop ``_run`` and transposed back the same way
+        (:func:`_lanes_to_fields`). Returns the packed int
         of each output bus in output order, one field of
         ``8 * _item_size(width)`` bits per vector. It compiles the program
         of ``key`` on its first evaluation, and never generates or runs a

@@ -32,11 +32,12 @@ check decodes its cases one by one, to count them and name the first.
 Every netlist is built once per process: the catalog units by
 :func:`_unit`, the signed multipliers by ``arith._signed_unit`` and the
 FFT datapaths by ``fft._reconfigurable_cached``. So are the exhaustive
-operand columns and the product and digit-serial oracle columns, so a
-second pass builds nothing and compiles no slot program. A pass evaluates
-the exact 4-point program three times, vedic4x4's twice and every other
-program once, each as a batch, so the gate loop ``Netlist._run``
-interprets every one of them, however many passes a process makes.
+operand columns, the product and digit-serial oracle columns and the FFT
+suite's seeded sample columns, so a second pass builds nothing, draws no
+FFT sample and compiles no slot program. A pass evaluates the exact
+4-point program three times, vedic4x4's twice and every other program
+once, each as a batch, so the gate loop ``Netlist._run`` interprets every
+one of them, however many passes a process makes.
 """
 
 from __future__ import annotations
@@ -47,7 +48,8 @@ import random
 from array import array
 from dataclasses import dataclass
 from operator import not_
-from typing import Callable, Iterable, Sequence
+from types import MappingProxyType
+from typing import Callable, Iterable, Mapping, Sequence
 
 from . import arith, fft
 from .netlist import (
@@ -175,8 +177,9 @@ class _Layout:
             spread[j::step] = data[j::size]
         return int.from_bytes(spread, "little")
 
-    def buffer(self, col: array) -> int:
-        """The buffer form of an ``array("b")`` column of n values.
+    def buffer(self, col: array | memoryview) -> int:
+        """The buffer form of a column of n values: an ``array("b")``, or a
+        signed byte view.
 
         Its bytes, the two's complement of each value, are spread one to a
         field; flipping bit 7 of every field makes each v + 128, and adding
@@ -381,9 +384,12 @@ def _draw(rng: random.Random, n: int, bits: int = 4) -> list[array]:
     return [part[k::4] for k in range(4) for part in (re, im)]
 
 
-def _fft_sections() -> dict[str, list[array]]:
+@functools.cache
+def _fft_sections() -> Mapping[str, tuple[memoryview, ...]]:
     """The FFT suite's sample columns, section by section, drawn in this
-    order from one rng seeded 47."""
+    order from one rng seeded 47, once per process. Every pass shares them,
+    so they are read-only: each column a signed byte view of ``bytes``,
+    each section a tuple and the sections a mapping proxy."""
     rng = random.Random(47)
     # Basis vectors and DC, real and imaginary: vector k (k < 4) is 1 at
     # sample k, vector 4 + k is j at sample k, vector 8 is 1 everywhere.
@@ -402,13 +408,19 @@ def _fft_sections() -> dict[str, list[array]]:
     time_reversal[1::2] = [array("b", bytes(200))] * 4
     quantized = _draw(rng, _RANDOM_VECTORS)
     exact2 += _draw(rng, 400)[4:]
-    return {
+    sections = {
         "exact4": exact4,
         "exact2": exact2,
         "linearity": linearity,
         "time_reversal": time_reversal,
         "quantized": quantized,
     }
+    return MappingProxyType(
+        {
+            name: tuple(memoryview(col.tobytes()).cast("b") for col in cols)
+            for name, cols in sections.items()
+        }
+    )
 
 
 def _simulate(

@@ -388,6 +388,42 @@ def test_bus_widths_and_lane_counts(width, lanes):
         assert net.evaluate_batch({**columns, "b": b}) == reference_outputs(net, batch)
 
 
+def per_bit_lanes(values, width):
+    """The lane words of the bus values ``values`` by a per-bit transpose:
+    one row of binary digits per vector, LSB first; word k is column k,
+    read with vector 0 as its LSB."""
+    rows = [format(v, f"0{width}b")[::-1] for v in values]
+    return [int("".join(column)[::-1], 2) for column in zip(*rows)]
+
+
+# Widths on either side of each item size (1, 2, 4 and 8 bytes), whole
+# bytes above 64 bits, and the widest bus; lane counts around whole 64-bit
+# chunks of 8 vectors.
+TRANSPOSE_WIDTHS = [*range(1, 10), 11, 16, 17, 32, 33, 64, 65, 100, netlist.MAX_BUS_WIDTH]
+TRANSPOSE_LANES = [*range(1, 71), 255, 256, 257, 1009]
+
+
+@pytest.mark.parametrize("width", TRANSPOSE_WIDTHS)
+def test_transposition_against_per_bit_reference(width):
+    # Packed columns to lane words and back. Every field of the packed int
+    # is random in all of its item's bits, those at and above the width
+    # included, which must not be read; the fields that come back are the
+    # bus values, zero above the width.
+    size = netlist._item_size(width)
+    rng = random.Random(width)
+    for n in TRANSPOSE_LANES:
+        x = rng.getrandbits(8 * size * n)
+        data = x.to_bytes(size * n, "little")
+        values = [
+            int.from_bytes(data[i : i + size], "little") & ((1 << width) - 1)
+            for i in range(0, len(data), size)
+        ]
+        words = netlist._fields_to_lanes(x, n, width)
+        assert words == per_bit_lanes(values, width), (width, n)
+        fields = b"".join(v.to_bytes(size, "little") for v in values)
+        assert netlist._lanes_to_fields(words, n) == int.from_bytes(fields, "little"), (width, n)
+
+
 BUFFER_COLUMNS = {
     "bytes": bytes,
     "bytearray": bytearray,

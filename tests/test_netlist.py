@@ -592,6 +592,49 @@ class TestValidation:
         assert str(caught.value) == message
 
     @pytest.mark.parametrize(
+        "gates, consts, message",
+        [
+            pytest.param(
+                [(0, GateKind.AND, (0, 1), 2)],
+                {},
+                "gate (0, <GateKind.AND: 'AND'>, (0, 1), 2) is not a Gate",
+                id="plain-tuple",
+            ),
+            pytest.param(
+                [Gate(0, GateKind.AND, (0, 1), 2), (1, GateKind.NOT, (2,), 3)],
+                {},
+                "gate (1, <GateKind.NOT: 'NOT'>, (2,), 3) is not a Gate",
+                id="plain-tuple-beside-gate",
+            ),
+            pytest.param(
+                [(0, GateKind.NOT, (0,))],
+                {},
+                "gate (0, <GateKind.NOT: 'NOT'>, (0,)) is not (id, kind, inputs, output)",
+                id="fields-before-gate",
+            ),
+            pytest.param(
+                [("g", "AND", (0,), 2)],
+                {},
+                "gate ('g', 'AND', (0,), 2) is not a Gate",
+                id="gate-before-id-kind-and-arity",
+            ),
+            pytest.param(
+                [(0, GateKind.AND, (0, 1), 2)],
+                {2: 0},
+                "constant value must be 0 or 1, got 2",
+                id="const-value-before-gate",
+            ),
+        ],
+    )
+    def test_gate_must_be_a_gate(self, gates, consts, message):
+        # Accepted, a plain 4-tuple made evaluate_batch, dump_netlist,
+        # critical_path_depth, gate_counts and the topological sort raise a
+        # bare AttributeError.
+        with pytest.raises(NetlistError) as caught:
+            Netlist("t", {"a": [0], "b": [1]}, {"o": [2]}, gates, consts)
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize(
         "gates, inputs, outputs, message",
         [
             pytest.param(

@@ -1,7 +1,7 @@
 """The verification suites themselves: their case counts, the seeded cases
-they draw, that a second pass builds no netlist and reruns no oracle
-column, and that each suite fails, naming the operands or samples, when one
-gate of the unit it checks computes the wrong function."""
+they draw, that a second pass builds no netlist, reruns no oracle column
+and draws no FFT sample, and that each suite fails, naming the operands or
+samples, when one gate of the unit it checks computes the wrong function."""
 
 import hashlib
 import itertools
@@ -105,6 +105,13 @@ SECTION_SHA256 = {
 }
 
 
+def section_digests(sections):
+    return {
+        name: hashlib.sha256(b"".join(col.tobytes() for col in cols)).hexdigest()
+        for name, cols in sections.items()
+    }
+
+
 def test_fft_draws_are_pinned():
     sections = verify._fft_sections()
     sizes = {name: len(cols[0]) for name, cols in sections.items()}
@@ -121,11 +128,28 @@ def test_fft_draws_are_pinned():
         assert all(lo <= min(col) and max(col) <= hi for col in cols), name
     assert all(map(any, sections["exact2"][4:]))  # x2, x3: select 2 ignores them
     assert not any(map(any, sections["time_reversal"][1::2]))  # every im
-    digests = {
-        name: hashlib.sha256(b"".join(col.tobytes() for col in cols)).hexdigest()
-        for name, cols in sections.items()
-    }
-    assert digests == SECTION_SHA256
+    assert section_digests(sections) == SECTION_SHA256
+
+
+def test_fft_sections_are_drawn_once_and_read_only(monkeypatch):
+    verify.verify_all()
+    sections = verify._fft_sections()
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an FFT section was drawn again")
+
+    monkeypatch.setattr(verify, "_draw", forbidden)
+    for _ in range(2):
+        assert all(r.ok for r in verify.verify_all())
+        assert verify._fft_sections() is sections
+        assert section_digests(sections) == SECTION_SHA256
+    cols = sections["exact4"]
+    with pytest.raises(TypeError):
+        cols[0][0] = 1
+    with pytest.raises(TypeError):
+        cols[0] = cols[1]
+    with pytest.raises(TypeError):
+        sections["exact4"] = cols
 
 
 def list_column(rng, n, width):
