@@ -24,18 +24,19 @@ bits as constants, so the logic they make idle drops out; each distinct
 scalar assignment (none included) compiles one program on its first
 evaluation, cached per netlist. There is one batch path,
 ``_evaluate_packed``: it takes and returns packed columns, one int per bus
-with one fixed-width field per vector (the bytes of a buffer of one item
-per vector), transposes them into lane words and back, and runs the gate
-loop ``_run`` on every vector at once. The transposition works on whole
-ints: each 8 vectors' bytes of a byte plane form an 8x8 bit matrix, and
-three masked shift-and-swap steps on one int per bus turn every matrix at
-once (:func:`_transpose8`). A bus costs a fixed number of buffer and
-big-int operations per byte plane and each bus bit one strided byte
-slice, with no Python call per vector up to 64 bits. ``evaluate_batch``
-takes one route at every lane count: it packs each list while it checks
-its range and reads each output bus back from its packed int, and every
-suite of :mod:`vedicfft.verify` keeps its columns packed from operands to
-compare.
+with one field per vector (the bytes of a buffer of one item per vector),
+every field of one call the size its caller names, transposes them into
+lane words and back, and runs the gate loop ``_run`` on every vector at
+once. The transposition works on whole ints: each 8 vectors' bytes of a
+byte plane form an 8x8 bit matrix, and three masked shift-and-swap steps
+on one int that stacks every bus's planes turn every matrix at once
+(:func:`_transpose8`), once on the way in and once on the way out. A bus
+costs a fixed number of buffer operations per byte plane and each bus bit
+one strided byte slice, with no Python call per vector up to 64 bits.
+``evaluate_batch`` takes one route at every lane count: it packs each list
+while it checks its range and reads each output bus back from its packed
+int, and every suite of :mod:`vedicfft.verify` keeps its columns packed
+from operands to compare.
 One vector takes the one-lane path, ``_evaluate_one``: it takes and
 returns bus values, with no columns. One lane's packed ints are its bus
 values, so ``evaluate_batch`` hands them over as they are, and
@@ -62,7 +63,7 @@ import sys
 from array import array
 from collections import Counter
 from collections.abc import Callable, Iterable, Mapping, Sequence
-from itertools import compress
+from itertools import chain, compress
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -277,58 +278,75 @@ def _transpose8(x: int, chunks: int) -> int:
     return x ^ t ^ (t << 28)
 
 
-def _fields_to_lanes(x: int, n: int, width: int) -> list[int]:
-    """Transpose the packed int ``x`` of n vectors of a ``width``-bit bus
-    into the bus's lane words: word k holds bit k of vector i at bit i.
+def _fields_to_lanes(xs: Sequence[int], n: int, size: int, widths: Sequence[int]) -> list[int]:
+    """Transpose the packed ints ``xs`` of n vectors, one per bus of the
+    given widths and each with one field of ``size`` bytes per vector, into
+    the buses' lane words, bus after bus: word k of a bus holds bit k of
+    vector i at bit i.
 
-    Byte plane j, byte j of every field of :func:`_column_fields`, is one
-    strided slice of the bytes of ``x``; the planes of the bus's
-    ``ceil(width / 8)`` low bytes go end to end, each padded to whole
-    64-bit chunks. Each chunk, 8 vectors' bytes, is an 8x8 bit matrix, and
+    Byte plane j of a bus, byte j of every field, is one strided slice of
+    the bytes of its int. The planes of every bus's ``ceil(width / 8)`` low
+    bytes go end to end in one int, each padded to whole 64-bit chunks.
+    Each chunk, 8 vectors' bytes, is an 8x8 bit matrix, and one
     :func:`_transpose8` turns all of them at once: byte b of a chunk of
-    plane j then holds bit ``8 * j + b`` of its 8 vectors, so word k is
-    every 8th byte of its plane from byte ``k % 8``. Field bits at and
-    above ``width`` are not read. One vector's packed int is its value.
+    plane j then holds bit ``8 * j + b`` of its 8 vectors, so word k of a
+    bus is every 8th byte of its plane ``k // 8`` from byte ``k % 8``.
+    ``size`` may exceed a bus's :func:`_item_size`; field bits at and above
+    a bus's width are not read. One vector's packed int is its value.
     """
-    size = _item_size(width)
-    planes = (width + 7) // 8
     span = (n + 7) & -8  # bytes per plane
-    if size == 1:
-        t = _transpose8(x, span // 8)
-    else:
+    planes = [(width + 7) // 8 for width in widths]
+    stacked = bytearray(sum(planes) * span)
+    start = 0
+    for x, count in zip(xs, planes):
         data = x.to_bytes(size * n, "little")
-        stacked = bytearray(planes * span)
-        for j in range(planes):
-            stacked[j * span : j * span + n] = data[j::size]
-        t = _transpose8(int.from_bytes(stacked, "little"), planes * span // 8)
-    data = t.to_bytes(planes * span, "little")
-    starts = (k // 8 * span + k % 8 for k in range(width))
+        for j in range(count):
+            stacked[start : start + n] = data[j::size]
+            start += span
+    data = _transpose8(int.from_bytes(stacked, "little"), len(stacked) // 8).to_bytes(
+        len(stacked), "little"
+    )
+    starts = []
+    start = 0
+    for width, count in zip(widths, planes):
+        starts += [start + k // 8 * span + k % 8 for k in range(width)]
+        start += count * span
     return [int.from_bytes(data[s : s + span : 8], "little") for s in starts]
 
 
-def _lanes_to_fields(words: list[int], n: int) -> int:
-    """The inverse of :func:`_fields_to_lanes`: the packed int of the n
-    vectors of a bus whose bit k has lane word ``words[k]``, each below
-    ``2**n``. Each word's bytes go to every 8th byte of its plane from byte
-    ``k % 8``, :func:`_transpose8` turns the planes back, and plane j
-    becomes byte j of every field; field bytes above the bus's planes stay
-    zero, as do the field bits at and above the width."""
-    width = len(words)
-    size = _item_size(width)
-    planes = (width + 7) // 8
+def _lanes_to_fields(buses: Sequence[Sequence[int]], n: int, size: int) -> list[int]:
+    """The inverse of :func:`_fields_to_lanes`: per bus, the packed int of
+    its n vectors, one field of ``size`` bytes per vector, where bit k of
+    the bus has lane word ``buses[b][k]``, each below ``2**n``. Each word's
+    bytes go to every 8th byte of its plane from byte ``k % 8``, one
+    :func:`_transpose8` turns every bus's planes back, and plane j of a bus
+    becomes byte j of each of its fields. Field bytes above a bus's planes
+    stay zero, as do the field bits at and above its width, so ``size`` may
+    exceed the bus's :func:`_item_size`."""
     span = (n + 7) & -8  # bytes per plane
-    stacked = bytearray(planes * span)
-    for k, word in enumerate(words):
-        start = k // 8 * span + k % 8
-        stacked[start : start + span : 8] = word.to_bytes(span // 8, "little")
-    t = _transpose8(int.from_bytes(stacked, "little"), planes * span // 8)
-    if size == 1:  # the one plane is the fields, zero past vector n
-        return t
-    data = t.to_bytes(planes * span, "little")
-    fields = bytearray(size * n)
-    for j in range(planes):
-        fields[j::size] = data[j * span : j * span + n]
-    return int.from_bytes(fields, "little")
+    planes = [(len(words) + 7) // 8 for words in buses]
+    stacked = bytearray(sum(planes) * span)
+    start = 0
+    for words, count in zip(buses, planes):
+        for k, word in enumerate(words):
+            s = start + k // 8 * span + k % 8
+            stacked[s : s + span : 8] = word.to_bytes(span // 8, "little")
+        start += count * span
+    data = _transpose8(int.from_bytes(stacked, "little"), len(stacked) // 8).to_bytes(
+        len(stacked), "little"
+    )
+    fields = []
+    start = 0
+    for count in planes:
+        if size == 1:  # the one plane is the fields
+            fields.append(int.from_bytes(data[start : start + n], "little"))
+        else:
+            out = bytearray(size * n)
+            for j in range(count):
+                out[j::size] = data[start + j * span : start + j * span + n]
+            fields.append(int.from_bytes(out, "little"))
+        start += count * span
+    return fields
 
 
 def _generate_kernel(p: _Program) -> Callable[..., tuple]:
@@ -673,21 +691,25 @@ class Netlist:
                 values[out] = values[a] ^ values[b] ^ mask
 
     def _evaluate_packed(
-        self, key: tuple[tuple[str, int], ...], fields: Sequence[int], n: int
+        self, key: tuple[tuple[str, int], ...], fields: Sequence[int], n: int, size: int
     ) -> list[int]:
         """Evaluate n vectors given as packed columns, unchecked: the batch
         path, and the one gate-loop path.
 
         ``key`` is the sorted tuple of (bus, value) pairs of the tied input
-        buses; ``fields`` holds the packed int (:func:`_column_fields`) of
-        each untied input bus in input order, every field already known to
-        fit its bus. The fields are transposed into lane words by 8x8
-        bit-matrix swaps on ints (:func:`_fields_to_lanes`), run through the
-        gate loop ``_run`` and transposed back the same way
-        (:func:`_lanes_to_fields`). Returns the packed int
-        of each output bus in output order, one field of
-        ``8 * _item_size(width)`` bits per vector. It compiles the program
-        of ``key`` on its first evaluation, and never generates or runs a
+        buses; ``fields`` holds the packed int of each untied input bus in
+        input order, one field of ``size`` bytes per vector, every field
+        already known to fit its bus. ``size`` is the field size the caller
+        reads the outputs at: at least the :func:`_item_size` of every
+        untied input and every output bus, and possibly more, as the suites
+        of :mod:`vedicfft.verify` compare at twice their buses' step. The
+        fields of every input bus are transposed into lane words by one
+        pass of 8x8 bit-matrix swaps on one int (:func:`_fields_to_lanes`),
+        run through the gate loop ``_run``, and the lane words of every
+        output bus transposed back by one more (:func:`_lanes_to_fields`).
+        Returns the packed int of each output bus in output order, one
+        field of ``size`` bytes per vector. It compiles the program of
+        ``key`` on its first evaluation, and never generates or runs a
         generated kernel. ``evaluate_batch`` calls it for two or more
         vectors after its checks, ``_evaluate_one`` for a program's first
         evaluation, and every suite of :mod:`vedicfft.verify` directly.
@@ -698,14 +720,19 @@ class Netlist:
         mask = (1 << n) - 1
         values = [0] * p.size
         values[-1] = mask  # the constant-1 slot
-        for slots, x in zip(p.in_slots.values(), fields):
-            for s, word in zip(slots, _fields_to_lanes(x, n, len(slots))):
-                values[s] = word
+        buses = p.in_slots.values()
+        words = _fields_to_lanes(fields, n, size, [len(slots) for slots in buses])
+        for s, word in zip(chain.from_iterable(buses), words):
+            values[s] = word
         self._run(p, values, mask)
-        return [
-            _lanes_to_fields([values[s] for s in slots], n)
-            for slots in p.out_slots.values()
-        ]
+        return _lanes_to_fields(
+            [[values[s] for s in slots] for slots in p.out_slots.values()], n, size
+        )
+
+    def _field_size(self) -> int:
+        """The :func:`_item_size` of the netlist's widest bus: a field size
+        that every bus fits."""
+        return _item_size(max(map(len, (*self.inputs.values(), *self.outputs.values()))))
 
     def _evaluate_one(
         self, key: tuple[tuple[str, int], ...], values: Sequence[int]
@@ -719,8 +746,9 @@ class Netlist:
         kernel (:func:`_generate_kernel`) if it has one; else it generates
         and runs it if an earlier evaluation, of any lane count, compiled
         the program; else the vector goes through ``_evaluate_packed`` at
-        one lane, where a value is its own packed int, and that compiles
-        the program. ``evaluate_batch`` calls it for one vector after its
+        one lane, where a value is its own packed int at the field size of
+        the widest bus (:meth:`_field_size`), and that compiles the
+        program. ``evaluate_batch`` calls it for one vector after its
         checks; ``fft.run_fft`` calls it directly.
         """
         kernel = self._kernels.get(key)
@@ -730,7 +758,7 @@ class Netlist:
         if p is not None:
             kernel = self._kernels[key] = _generate_kernel(p)
             return kernel(*values)
-        return tuple(self._evaluate_packed(key, values, 1))
+        return tuple(self._evaluate_packed(key, values, 1, self._field_size()))
 
     def evaluate_batch(
         self, columns: Mapping[str, int | Sequence[int]]
@@ -750,12 +778,14 @@ class Netlist:
         Every lane count takes one route. The bus sets are checked, each
         column is classified as a scalar (range-checked at once) or a list,
         the lists' lengths are checked, and each list is range-checked and
-        packed into one int (:func:`_column_fields`) in mapping order; a
-        call whose columns are rejected compiles nothing. One vector's
-        packed ints are its values and go to ``_evaluate_one``, the one-lane
-        path, the only one that generates a kernel; two or more go to
-        ``_evaluate_packed``, the batch path. Each output bus is read back
-        with :func:`_field_values`.
+        packed into one int (:func:`_column_fields`) in mapping order, with
+        every bus's fields at the item size of the widest bus
+        (:meth:`_field_size`); a call whose columns are rejected compiles
+        nothing. One vector's packed ints are its values and go to
+        ``_evaluate_one``, the one-lane path, the only one that generates a
+        kernel; two or more go to ``_evaluate_packed``, the batch path, at
+        that field size. Each output bus is read back at it with
+        :func:`_field_values`.
         """
         inputs = self.inputs
         missing = inputs.keys() - columns.keys()
@@ -791,13 +821,14 @@ class Netlist:
         (n,) = lengths
         if not n:
             raise NetlistError("input columns are empty")
+        size = self._field_size()
         fields = {}
         for bus, col in lists.items():
             width = len(inputs[bus])
             try:
                 if min(col) >= 0 and not max(col) >> width:
                     # Packing meets a non-int between the bounds.
-                    fields[bus] = _column_fields(col, width)
+                    fields[bus] = _column_fields(col, 8 * size)
                     continue
             except TypeError:  # a non-int value, at either bound or between
                 pass
@@ -807,11 +838,8 @@ class Netlist:
         if n == 1:
             out = self._evaluate_one(key, packed)
         else:
-            out = self._evaluate_packed(key, packed, n)
-        return {
-            bus: _field_values(x, n, len(nets))
-            for (bus, nets), x in zip(self.outputs.items(), out)
-        }
+            out = self._evaluate_packed(key, packed, n, size)
+        return {bus: _field_values(x, n, 8 * size) for bus, x in zip(self.outputs, out)}
 
     # -- static analysis ----------------------------------------------------
 

@@ -29,15 +29,27 @@ its Parseval check squares bytes by ``bytes.translate`` tables
 (:func:`_energy`). A passing suite does no per-case work; only a failing
 check decodes its cases one by one, to count them and name the first.
 
-Every netlist is built once per process: the catalog units by
-:func:`_unit`, the signed multipliers by ``arith._signed_unit`` and the
-FFT datapaths by ``fft._reconfigurable_cached``. So are the exhaustive
-operand columns, the product and digit-serial oracle columns and the FFT
-suite's seeded sample columns, so a second pass builds nothing, draws no
-FFT sample and compiles no slot program. A pass evaluates the exact
-4-point program three times, vedic4x4's twice and every other program
-once, each as a batch, so the gate loop ``Netlist._run`` interprets every
-one of them, however many passes a process makes.
+Everything a pass reads that depends only on its fixed inputs is built
+once per process and held read-only, every pass sharing it:
+- the netlists: the catalog units by :func:`_unit`, the signed multipliers
+  by ``arith._signed_unit`` and the FFT datapaths by
+  ``fft._reconfigurable_cached``;
+- the exhaustive operand columns and the seeded adder and subtractor
+  sections, at the step they are compared at, with their oracle columns
+  (:func:`_exhaustive_fields`, :func:`_integer_sections`), and the product
+  and digit-serial oracle columns;
+- the FFT suite's seeded sample columns (:func:`_fft_sections`) and, per
+  section, their buffer forms, the netlist input columns, the DFT
+  references and the input energies (:func:`_fft_checks`);
+- one :class:`_Layout` per lane count and step (:func:`_layout`).
+A pass then only simulates, reads the outputs and compares. Each netlist
+takes its input columns at the step of the compare and lays out its
+outputs at that step (``Netlist._evaluate_packed``), so no column is moved
+between steps, and a second pass builds, draws and compiles nothing. A
+pass evaluates the exact 4-point program three times, vedic4x4's twice and
+every other program once, each as a batch, so the gate loop
+``Netlist._run`` interprets every one of them, however many passes a
+process makes.
 """
 
 from __future__ import annotations
@@ -49,7 +61,7 @@ from array import array
 from dataclasses import dataclass
 from operator import not_
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from . import arith, fft
 from .netlist import (
@@ -228,13 +240,19 @@ class _Layout:
 
 
 @functools.cache
+def _layout(n: int, step: int) -> _Layout:
+    """The one :class:`_Layout` of n fields of ``step`` bits per process."""
+    return _Layout(n, step)
+
+
+@functools.cache
 def _exhaustive_fields(*ranges: range) -> tuple[int, ...]:
     """Every combination of one value per range, the first range slowest,
-    as one packed int per range with one byte per case: each value mod the
-    length of its range (so ``range(-8, 8)`` gives the 4-bit two's
+    as one packed int per range with one 16-bit field per case: each value
+    mod the length of its range (so ``range(-8, 8)`` gives the 4-bit two's
     complement). Built once per process."""
     cols = zip(*itertools.product(*ranges))
-    return tuple(_column_fields([v % len(r) for v in col], 8) for r, col in zip(ranges, cols))
+    return tuple(_column_fields([v % len(r) for v in col], 16) for r, col in zip(ranges, cols))
 
 
 @functools.cache
@@ -259,18 +277,42 @@ def _random_fields(rng: random.Random, n: int, width: int) -> int:
     n fields, or at width 1 the n lane bits, spread one to a byte
     (:func:`vedicfft.netlist._lanes_to_fields`)."""
     bits = rng.getrandbits(width * n)
-    return _lanes_to_fields([bits], n) if width == 1 else bits
+    return _lanes_to_fields([[bits]], n, 1)[0] if width == 1 else bits
 
 
-def _simulate_wide(net: Netlist, columns: Sequence[int], n: int) -> tuple[_Layout, list[int]]:
+@functools.cache
+def _integer_sections(suite: str) -> tuple[tuple[int, _Layout, tuple[int, ...], int], ...]:
+    """The sections of the adder or subtractor suite, built once per
+    process: (bus width, layout, operand columns, oracle column) for every
+    4-bit operand pair (and carry in), then for 500 vectors at width 8 and
+    500 at width 16, drawn in that order from one rng seeded 41 (adder) or
+    43 (subtractor). Each section is laid out at twice the step of its
+    netlist's widest bus, the sum or difference: the operand columns as
+    :func:`_simulate_wide` takes them, and the oracle ``a + b + cin`` or
+    ``a - b + 2**w`` against which the suite checks ``sum + (cout << w)``
+    or ``diff + ((1 - borrow) << w)``."""
+    adder = suite == "adder"
+    rng = random.Random(41 if adder else 43)
+    sections = []
+    for width in (4, 8, 16):
+        widths = (width, width, 1) if adder else (width, width)
+        if width == 4:
+            wide = _layout(1 << sum(widths), 16)
+            columns = _exhaustive_fields(*(range(1 << w) for w in widths))
+        else:
+            wide = _layout(_RANDOM_VECTORS // 2, 16 * _item_size(width))
+            columns = tuple(wide.widen(_random_fields(rng, wide.n, w), w) for w in widths)
+        a, b, *cin = columns
+        want = a + b + cin[0] if adder else a - b + (wide.ones << width)
+        sections.append((width, wide, columns, want))
+    return tuple(sections)
+
+
+def _simulate_wide(net: Netlist, columns: Sequence[int], wide: _Layout) -> list[int]:
     """Evaluate ``net`` on the packed ints of its input buses, in input
-    order. Returns the layout of twice the step of the netlist's widest
-    bus, and every input then every output bus in it
-    (:meth:`_Layout.widen`)."""
-    buses = [*net.inputs.values(), *net.outputs.values()]
-    wide = _Layout(n, 16 * _item_size(max(map(len, buses))))
-    packed = [*columns, *net._evaluate_packed((), columns, n)]
-    return wide, [wide.widen(x, len(nets)) for x, nets in zip(packed, buses)]
+    order, laid out at ``wide``. Returns every input then every output bus
+    at that layout."""
+    return [*columns, *net._evaluate_packed((), columns, wide.n, wide.step // 8)]
 
 
 def _verify_unsigned(unit: str, bits: int) -> UnitResult:
@@ -279,14 +321,14 @@ def _verify_unsigned(unit: str, bits: int) -> UnitResult:
     digit-serial run's for vedic4x4, the vedic4x4 netlist's for array4x4."""
     t = _Tally(unit)
     ranges = (range(1 << bits),) * 2
-    columns, n = _exhaustive_fields(*ranges), 1 << 2 * bits
-    wide, (a, b, got) = _simulate_wide(_unit(unit), columns, n)
+    columns, wide = _exhaustive_fields(*ranges), _layout(1 << 2 * bits, 16)
+    a, b, got = _simulate_wide(_unit(unit), columns, wide)
     want = _product_fields(*ranges)
     label, cross = "", got  # vedic2x2 has no cross column
     if unit == "vedic4x4":
         label, cross = "digit-serial", _digit_serial_products()
     elif unit == "array4x4":
-        label, cross = "vedic cross-check", _simulate_wide(_unit("vedic4x4"), columns, n)[1][2]
+        label, cross = "vedic cross-check", _simulate_wide(_unit("vedic4x4"), columns, wide)[2]
 
     def detail(i: int) -> str:
         g = wide.field(got, i)
@@ -302,10 +344,10 @@ def _verify_unsigned(unit: str, bits: int) -> UnitResult:
 def _verify_signed4x4() -> UnitResult:
     t = _Tally("signed4x4")
     ranges = (range(-8, 8),) * 2
-    columns = _exhaustive_fields(*ranges)
+    columns, wide = _exhaustive_fields(*ranges), _layout(256, 16)
     want = _product_fields(*ranges)
     for impl in ("vedic", "array"):
-        wide, (a, b, got) = _simulate_wide(arith._signed_unit(impl), columns, 256)
+        a, b, got = _simulate_wide(arith._signed_unit(impl), columns, wide)
 
         def detail(i: int) -> str:
             x, y = to_signed(wide.field(a, i), 4), to_signed(wide.field(b, i), 4)
@@ -317,13 +359,8 @@ def _verify_signed4x4() -> UnitResult:
 
 def _verify_adder() -> UnitResult:
     t = _Tally("adder")
-    sections = [(4, 512, _exhaustive_fields(range(16), range(16), range(2)))]
-    rng = random.Random(41)
-    n = _RANDOM_VECTORS // 2
-    for width in (8, 16):
-        sections.append((width, n, [_random_fields(rng, n, w) for w in (width, width, 1)]))
-    for width, n, columns in sections:
-        wide, (a, b, cin, total, cout) = _simulate_wide(_unit(f"adder{width}"), columns, n)
+    for width, wide, columns, want in _integer_sections("adder"):
+        a, b, cin, total, cout = _simulate_wide(_unit(f"adder{width}"), columns, wide)
 
         def detail(i: int) -> str:
             x, y, c = wide.field(a, i), wide.field(b, i), wide.field(cin, i)
@@ -332,19 +369,14 @@ def _verify_adder() -> UnitResult:
             want = (s % (1 << width), s >> width)
             return f"w{width} {x}+{y}+{c}: got sum, cout {got}, want {want}"
 
-        t.check_packed([(total + (cout << width), a + b + cin)], wide, detail)
+        t.check_packed([(total + (cout << width), want)], wide, detail)
     return t.result()
 
 
 def _verify_subtractor() -> UnitResult:
     t = _Tally("subtractor")
-    sections = [(4, 256, _exhaustive_fields(range(16), range(16)))]
-    rng = random.Random(43)
-    n = _RANDOM_VECTORS // 2
-    for width in (8, 16):
-        sections.append((width, n, [_random_fields(rng, n, width) for _ in range(2)]))
-    for width, n, columns in sections:
-        wide, (a, b, diff, borrow) = _simulate_wide(_unit(f"subtractor{width}"), columns, n)
+    for width, wide, columns, want in _integer_sections("subtractor"):
+        a, b, diff, borrow = _simulate_wide(_unit(f"subtractor{width}"), columns, wide)
 
         def detail(i: int) -> str:
             x, y = wide.field(a, i), wide.field(b, i)
@@ -354,9 +386,7 @@ def _verify_subtractor() -> UnitResult:
                 f"want {((x - y) % (1 << width), int(x < y))}"
             )
 
-        # diff + ((1 - borrow) << w) against a - b + 2**w.
-        bias = wide.ones << width
-        t.check_packed([(diff + bias - (borrow << width), a - b + bias)], wide, detail)
+        t.check_packed([(diff + ((wide.ones - borrow) << width), want)], wide, detail)
     return t.result()
 
 
@@ -423,44 +453,31 @@ def _fft_sections() -> Mapping[str, tuple[memoryview, ...]]:
     )
 
 
-def _simulate(
-    net: Netlist, key: tuple[tuple[str, int], ...], xs: Sequence[int], lanes: _Layout
-) -> tuple[list[int], _Layout]:
-    """Evaluate ``net`` on the 4-bit sample columns ``xs``, buffer forms of
-    ``lanes`` at step 8, the buses in ``key`` tied.
+def _nibbles(xs: Sequence[int], lanes: _Layout) -> tuple[int, ...]:
+    """The 4-bit netlist input columns of the sample columns whose buffer
+    forms at ``lanes`` are ``xs``: the low nibble of each field, the
+    sample's two's complement.
 
-    Every sample must lie in [-8, 7]: the field v + 136 of v then has upper
-    nibble 8, a test of one column at a time. Else the ValueError of
-    ``FixedComplex.check_range`` names the first component outside, in
-    vector order. A field's low nibble is the sample's two's complement.
-    Returns the buffer forms of the output buses, in output order, and
-    their layout.
+    Every sample must lie in [-8, 7]: its field plus 8 then differs from
+    2**(step - 1) in its low nibble only, a test of one column at a time.
+    Else the ValueError of ``FixedComplex.check_range`` names the first
+    component outside, in vector order.
     """
     ones = lanes.ones
+    high = ((1 << lanes.step) - 16) * ones
     for x in xs:
-        if (x + 8 * ones) & (0xF0 * ones) != 0x80 * ones:
+        if (x + 8 * ones) & high != lanes.half:
             for row in zip(*map(lanes.values, xs)):
                 for re, im in zip(row[::2], row[1::2]):
                     fft.FixedComplex(re, im).check_range(4)
-    raw = net._evaluate_packed(key, [x & 0x0F * ones for x in xs], lanes.n)
-    width = net.output_width(next(iter(net.outputs)))
-    out = _Layout(lanes.n, 8 * _item_size(width))
-    return [out.from_raw(u, width) for u in raw], out
+    return tuple(x & 0x0F * ones for x in xs)
 
 
-def _run_fft(
-    config: fft.FftConfig, xs: Sequence[int], lanes: _Layout
-) -> tuple[list[int], _Layout]:
-    """:func:`_simulate` on the reconfigurable netlist of ``config``,
-    ``select`` tied as ``fft.run_fft`` ties it."""
-    return _simulate(fft._net_for(config), fft._SELECT_KEYS[config.select], xs, lanes)
-
-
-def _dft(xs: Sequence[int], n: int, lanes: _Layout, shift: int = 0) -> list[int]:
+def _dft(xs: Sequence[int], n: int, lanes: _Layout, shift: int = 0) -> tuple[int, ...]:
     """The buffer forms of 2**shift times the DFT of the n samples whose
     buffer forms are ``xs``."""
     signed = [x - lanes.half for x in xs]
-    return [(d << shift) + lanes.half for d in fft._dft_quarter_turns(signed, n)]
+    return tuple((d << shift) + lanes.half for d in fft._dft_quarter_turns(signed, n))
 
 
 # The low and the high byte of v**2, per two's-complement byte of v.
@@ -490,69 +507,130 @@ def _reversed_index(columns: list) -> list:
     return columns[0:2] + columns[6:8] + columns[4:6] + columns[2:4]
 
 
-def _verify_fft() -> UnitResult:
-    t = _Tally("fft")
-    exact4 = fft.FftConfig(select=4)
-    exact2 = fft.FftConfig(select=2)
-    quant4 = fft.FftConfig(4, "quantized", 3, 4)
+_EXACT4 = fft.FftConfig(select=4)
+_EXACT2 = fft.FftConfig(select=2)
+_QUANT4 = fft.FftConfig(4, "quantized", 3, 4)
+
+
+class _FftCheck(NamedTuple):
+    """What one section of the FFT suite checks against, given its sample
+    columns alone."""
+
+    lanes: _Layout  # of the samples, the netlist's inputs and outputs
+    xs: tuple[int, ...]  # the buffer forms of the sample columns
+    inputs: tuple[int, ...]  # the netlist's input columns (:func:`_nibbles`)
+    want: tuple[int, ...] = ()  # the DFT of each vector, in buffer form
+    energy: int = 0  # 4 times each vector's energy, for Parseval (exact4)
+
+
+@functools.cache
+def _fft_checks() -> Mapping[str, _FftCheck]:
+    """Per section of :func:`_fft_sections`, the columns its checks read
+    that depend on its samples alone, built once per process and held
+    read-only like them. The linearity section simulates x, y and x + y
+    (m vectors each) in one batch, and the time-reversal section x and
+    x(-n mod 4), so their samples are those batches. Exact outputs are 6
+    bits wide and come at step 8; Q1.3 outputs are 11 bits wide, so the
+    quantized section is laid out at step 16, where its DFT is taken
+    2**3 times: Q1.F holds -j exactly, so the raw outputs are 2**F times
+    the DFT."""
     sections = _fft_sections()
 
-    cols = sections["exact4"]
-    lanes = _Layout(len(cols[0]), 8)
-    xs = [lanes.buffer(col) for col in cols]
-    got, out = _run_fft(exact4, xs, lanes)
-    want = _dft(xs, 4, out)
-    t.check_packed(
-        zip(got, want),
-        out,
-        lambda i: f"select=4 x={lanes.vector(xs, i)}: "
-        f"got {out.vector(got, i)}, want {out.vector(want, i)}",
-    )
-    # Parseval: sum |X|^2 == 4 * sum |x|^2, exact in integers.
-    energy_in, energy_out = _energy(xs, lanes), _energy(got, out)
-    fields = _Layout(lanes.n, 16)
-    t.check_packed(
-        [(energy_out, energy_in << 2)],
-        fields,
-        lambda i: f"Parseval x={lanes.vector(xs, i)}: "
-        f"{fields.field(energy_out, i)} != 4*{fields.field(energy_in, i)}",
-    )
+    def check(lanes: _Layout, xs: Sequence[int], *refs) -> _FftCheck:
+        return _FftCheck(lanes, tuple(xs), _nibbles(xs, lanes), *refs)
 
-    cols = sections["exact2"]
-    lanes = _Layout(len(cols[0]), 8)
-    xs = [lanes.buffer(col) for col in cols]
-    got, out = _run_fft(exact2, xs, lanes)
-    want = _dft(xs[:4], 2, out)
-    t.check_packed(
-        zip(got[:4], want),
-        out,
-        lambda i: f"select=2 x={lanes.vector(xs[:4], i)}: "
-        f"got {out.vector(got[:4], i)}, want {out.vector(want, i)}",
-    )
-    t.check_packed(
-        ((g, out.half) for g in got[4:]),
-        out,
-        lambda i: f"upper slots not zero for x={lanes.vector(xs[:4], i)}: "
-        f"{out.vector(got[4:], i)}",
-    )
-    standalone, bf = _simulate(_unit("butterfly2"), (), xs[:4], lanes)
-    t.check_packed(
-        zip(got[:4], standalone),
-        out,
-        lambda i: f"select=2 disagrees with butterfly for x={lanes.vector(xs[:4], i)}: "
-        f"{out.vector(got[:4], i)} vs {bf.vector(standalone, i)}",
-    )
-
-    # Linearity: one batch of x, y and x + y, each m vectors. Exact
-    # outputs are 6 bits wide, so they too come at step 8.
+    lanes = _layout(len(sections["exact4"][0]), 8)
+    xs = [lanes.buffer(col) for col in sections["exact4"]]
+    checks = {"exact4": check(lanes, xs, _dft(xs, 4, lanes), _energy(xs, lanes) << 2)}
+    lanes = _layout(len(sections["exact2"][0]), 8)
+    xs = [lanes.buffer(col) for col in sections["exact2"]]
+    checks["exact2"] = check(lanes, xs, _dft(xs[:4], 2, lanes))
     cols = sections["linearity"]
     m = len(cols[0]) // 2
-    lanes, half = _Layout(2 * m, 8), _Layout(m, 8)
-    xs = [lanes.buffer(col) for col in cols]
+    pairs, half = _layout(2 * m, 8), _layout(m, 8)
     low = (1 << 8 * m) - 1
+    xs = [pairs.buffer(col) for col in cols]
     sums = [(x & low) + (x >> 8 * m) - half.half for x in xs]
-    batch = [x | s << 16 * m for x, s in zip(xs, sums)]
-    out, _ = _run_fft(exact4, batch, _Layout(3 * m, 8))
+    checks["linearity"] = check(_layout(3 * m, 8), [x | s << 16 * m for x, s in zip(xs, sums)])
+    cols = sections["time_reversal"]
+    m = len(cols[0])
+    xs = [_layout(m, 8).buffer(col) for col in cols]
+    batch = [a | b << 8 * m for a, b in zip(xs, _reversed_index(xs))]
+    checks["time_reversal"] = check(_layout(2 * m, 8), batch)
+    lanes = _layout(len(sections["quantized"][0]), 16)
+    xs = [lanes.buffer(col) for col in sections["quantized"]]
+    checks["quantized"] = check(lanes, xs, _dft(xs, 4, lanes, _QUANT4.fraction_bits))
+    return MappingProxyType(checks)
+
+
+def _simulate(
+    net: Netlist, key: tuple[tuple[str, int], ...], inputs: Sequence[int], lanes: _Layout
+) -> list[int]:
+    """Evaluate ``net`` on the 4-bit sample columns ``inputs``
+    (:func:`_nibbles`) at ``lanes``, the buses in ``key`` tied. Returns the
+    buffer forms at ``lanes`` of the output buses, in output order; every
+    output must fit a field."""
+    width = net.output_width(next(iter(net.outputs)))
+    raw = net._evaluate_packed(key, inputs, lanes.n, lanes.step // 8)
+    return [lanes.from_raw(u, width) for u in raw]
+
+
+def _run_fft(config: fft.FftConfig, inputs: Sequence[int], lanes: _Layout) -> list[int]:
+    """:func:`_simulate` on the reconfigurable netlist of ``config``,
+    ``select`` tied as ``fft.run_fft`` ties it."""
+    return _simulate(fft._net_for(config), fft._SELECT_KEYS[config.select], inputs, lanes)
+
+
+def _verify_fft() -> UnitResult:
+    t = _Tally("fft")
+    checks = _fft_checks()
+
+    lanes, xs, inputs, want, energy = checks["exact4"]
+    got = _run_fft(_EXACT4, inputs, lanes)
+    t.check_packed(
+        zip(got, want),
+        lanes,
+        lambda i: f"select=4 x={lanes.vector(xs, i)}: "
+        f"got {lanes.vector(got, i)}, want {lanes.vector(want, i)}",
+    )
+    # Parseval: sum |X|^2 == 4 * sum |x|^2, exact in integers.
+    energy_out = _energy(got, lanes)
+    fields = _layout(lanes.n, 16)
+    t.check_packed(
+        [(energy_out, energy)],
+        fields,
+        lambda i: f"Parseval x={lanes.vector(xs, i)}: "
+        f"{fields.field(energy_out, i)} != 4*{fields.field(energy, i) >> 2}",
+    )
+
+    lanes, xs, inputs, want, _ = checks["exact2"]
+    got = _run_fft(_EXACT2, inputs, lanes)
+    t.check_packed(
+        zip(got[:4], want),
+        lanes,
+        lambda i: f"select=2 x={lanes.vector(xs[:4], i)}: "
+        f"got {lanes.vector(got[:4], i)}, want {lanes.vector(want, i)}",
+    )
+    t.check_packed(
+        ((g, lanes.half) for g in got[4:]),
+        lanes,
+        lambda i: f"upper slots not zero for x={lanes.vector(xs[:4], i)}: "
+        f"{lanes.vector(got[4:], i)}",
+    )
+    standalone = _simulate(_unit("butterfly2"), (), inputs[:4], lanes)
+    t.check_packed(
+        zip(got[:4], standalone),
+        lanes,
+        lambda i: f"select=2 disagrees with butterfly for x={lanes.vector(xs[:4], i)}: "
+        f"{lanes.vector(got[:4], i)} vs {lanes.vector(standalone, i)}",
+    )
+
+    # Linearity: the outputs of x + y against the sums of those of x and y.
+    lanes, xs, inputs, _, _ = checks["linearity"]
+    m = lanes.n // 3
+    half = _layout(m, 8)
+    low = (1 << 8 * m) - 1
+    out = _run_fft(_EXACT4, inputs, lanes)
     fx, fy, fs = ([(b >> 8 * m * j) & low for b in out] for j in range(3))
     t.check_packed(
         zip(fs, [a + b - half.half for a, b in zip(fx, fy)]),
@@ -561,33 +639,24 @@ def _verify_fft() -> UnitResult:
     )
 
     # Time reversal: the spectrum of x(-n mod 4) is X(-k mod 4).
-    cols = sections["time_reversal"]
-    m = len(cols[0])
-    lanes = _Layout(m, 8)
-    xs = [lanes.buffer(col) for col in cols]
+    lanes, xs, inputs, _, _ = checks["time_reversal"]
+    m = lanes.n // 2
     low = (1 << 8 * m) - 1
-    batch = [a | b << 8 * m for a, b in zip(xs, _reversed_index(xs))]
-    out, _ = _run_fft(exact4, batch, _Layout(2 * m, 8))
+    out = _run_fft(_EXACT4, inputs, lanes)
     fx, frev = [b & low for b in out], [b >> 8 * m for b in out]
     t.check_packed(
         zip(frev, _reversed_index(fx)),
-        lanes,
+        _layout(m, 8),
         lambda i: f"time reversal broken for x={lanes.vector(xs, i)}",
     )
 
-    # Q1.F holds -j exactly, so the raw outputs are 2^F times the DFT,
-    # taken at the outputs' step.
-    cols = sections["quantized"]
-    f = quant4.fraction_bits
-    lanes = _Layout(len(cols[0]), 8)
-    xs = [lanes.buffer(col) for col in cols]
-    got, out = _run_fft(quant4, xs, lanes)
-    want = _dft([out.buffer(col) for col in cols], 4, out, f)
+    lanes, xs, inputs, want, _ = checks["quantized"]
+    got = _run_fft(_QUANT4, inputs, lanes)
     t.check_packed(
         zip(got, want),
-        out,
-        lambda i: f"q{f} x={lanes.vector(xs, i)}: "
-        f"got {out.vector(got, i)}, want {out.vector(want, i)}",
+        lanes,
+        lambda i: f"q{_QUANT4.fraction_bits} x={lanes.vector(xs, i)}: "
+        f"got {lanes.vector(got, i)}, want {lanes.vector(want, i)}",
     )
     return t.result()
 

@@ -418,10 +418,43 @@ def test_transposition_against_per_bit_reference(width):
             int.from_bytes(data[i : i + size], "little") & ((1 << width) - 1)
             for i in range(0, len(data), size)
         ]
-        words = netlist._fields_to_lanes(x, n, width)
+        words = netlist._fields_to_lanes([x], n, size, [width])
         assert words == per_bit_lanes(values, width), (width, n)
         fields = b"".join(v.to_bytes(size, "little") for v in values)
-        assert netlist._lanes_to_fields(words, n) == int.from_bytes(fields, "little"), (width, n)
+        assert netlist._lanes_to_fields([words], n, size) == [int.from_bytes(fields, "little")], (
+            width,
+            n,
+        )
+
+
+@pytest.mark.parametrize("size", [2, 4, 8, 13])
+def test_transposition_at_a_wider_field_step(size):
+    # Every bus whose item fits ``size`` bytes, stacked in one call, with
+    # fields of ``size`` bytes: the step the verify suites compare at, or
+    # that evaluate_batch packs every bus of a netlist at. Every field is
+    # random in all of its bytes; the words are each bus's per-bit lane
+    # words, end to end, and the fields that come back are the bus values,
+    # zero above the width.
+    widths = [w for w in TRANSPOSE_WIDTHS if netlist._item_size(w) <= size]
+    rng = random.Random(size)
+    for n in [1, 7, 8, 9, 255, 256, 257, 1009]:
+        xs = [rng.getrandbits(8 * size * n) for _ in widths]
+        values = []
+        for x, width in zip(xs, widths):
+            data = x.to_bytes(size * n, "little")
+            values.append(
+                [
+                    int.from_bytes(data[i : i + size], "little") & ((1 << width) - 1)
+                    for i in range(0, len(data), size)
+                ]
+            )
+        words = netlist._fields_to_lanes(xs, n, size, widths)
+        buses = [per_bit_lanes(vs, width) for vs, width in zip(values, widths)]
+        assert words == [word for bus in buses for word in bus], n
+        fields = [b"".join(v.to_bytes(size, "little") for v in vs) for vs in values]
+        assert netlist._lanes_to_fields(buses, n, size) == [
+            int.from_bytes(f, "little") for f in fields
+        ], n
 
 
 BUFFER_COLUMNS = {
@@ -504,7 +537,7 @@ def assert_batches_interpreted_one_lane_generated(net, vectors, tied=None):
     assert list(net._programs) == [key]
     untied = [bus for bus in net.inputs if bus not in tied]
     for i, vector in enumerate(alone):
-        got = net._evaluate_packed(key, [vector[bus] for bus in untied], 1)
+        got = net._evaluate_packed(key, [vector[bus] for bus in untied], 1, net._field_size())
         assert got == [want_alone[bus][i] for bus in net.outputs], vector
 
 

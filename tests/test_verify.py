@@ -1,7 +1,8 @@
 """The verification suites themselves: their case counts, the seeded cases
-they draw, that a second pass builds no netlist, reruns no oracle column
-and draws no FFT sample, and that each suite fails, naming the operands or
-samples, when one gate of the unit it checks computes the wrong function."""
+they draw, that a second pass builds no netlist and redoes nothing that
+depends only on its inputs, and that each suite fails, naming the operands
+or samples, when one gate of the unit it checks computes the wrong
+function."""
 
 import hashlib
 import itertools
@@ -150,6 +151,47 @@ def test_fft_sections_are_drawn_once_and_read_only(monkeypatch):
         cols[0] = cols[1]
     with pytest.raises(TypeError):
         sections["exact4"] = cols
+
+
+def test_second_pass_redoes_no_input_only_work(monkeypatch):
+    # After one warm pass, a pass only simulates, reads the outputs and
+    # compares: the operand columns, the seeded draws, the layouts, the
+    # buffer forms, the DFT references and the input energies are all held
+    # from the first one.
+    first = verify.verify_all()
+    integer = {suite: verify._integer_sections(suite) for suite in ("adder", "subtractor")}
+    checks = verify._fft_checks()
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a second pass redid work that depends only on its inputs")
+
+    monkeypatch.setattr(random.Random, "getrandbits", forbidden)
+    monkeypatch.setattr(fft, "_dft_quarter_turns", forbidden)
+    monkeypatch.setattr(verify._Layout, "__init__", forbidden)
+    monkeypatch.setattr(verify._Layout, "buffer", forbidden)
+    monkeypatch.setattr(verify._Layout, "widen", forbidden)
+    monkeypatch.setattr(verify, "_column_fields", forbidden)
+    monkeypatch.setattr(verify, "_nibbles", forbidden)
+    assert verify.verify_all() == first
+    assert all(r.ok for r in first)
+    assert verify._fft_checks() is checks
+    assert all(verify._integer_sections(suite) is integer[suite] for suite in integer)
+    # Every pass shares them, so the cached columns reject writes.
+    *_, columns, want = integer["adder"][1]
+    with pytest.raises(TypeError):
+        columns[0] = want
+    with pytest.raises(TypeError):
+        integer["adder"][1] = integer["adder"][2]
+    with pytest.raises(TypeError):
+        verify._exhaustive_fields(range(16), range(16))[0] = 0
+    with pytest.raises(TypeError):
+        checks["exact4"].want[0] = 0
+    with pytest.raises(TypeError):
+        checks["exact4"].inputs[0] = 0
+    with pytest.raises(AttributeError):
+        checks["exact4"].energy = 0
+    with pytest.raises(TypeError):
+        checks["exact4"] = checks["exact2"]
 
 
 def list_column(rng, n, width):
@@ -576,26 +618,26 @@ def test_passing_packed_suites_decode_no_case(monkeypatch):
 
 def test_parseval_failure_alone(monkeypatch):
     # X0.re of vector 5 of the exact 4-point section is one too large, and
-    # the DFT oracle is made to agree: only Parseval's identity fails.
-    # Vector 5 is j at sample 1, of energy 1; every bin has energy 1 but
-    # X0 = j becomes 1 + j.
-    run_fft, dft = verify._run_fft, verify._dft
+    # the section's DFT reference, built once per process, is made to
+    # agree: only Parseval's identity fails. Vector 5 is j at sample 1, of
+    # energy 1; every bin has energy 1 but X0 = j becomes 1 + j.
+    run_fft = verify._run_fft
+    checks = verify._fft_checks()
+    exact4 = checks["exact4"]
+    agreeing = exact4._replace(want=(exact4.want[0] + (1 << 8 * 5), *exact4.want[1:]))
     corrupted = []
 
-    def corrupting_run_fft(config, xs, lanes):
-        got, out = run_fft(config, xs, lanes)
+    def corrupting_run_fft(config, inputs, lanes):
+        got = run_fft(config, inputs, lanes)
         if lanes.n == 1009:
             got = [got[0] + (1 << 8 * 5), *got[1:]]
             corrupted.append(got)
-        return got, out
-
-    def agreeing_dft(xs, n, lanes, shift=0):
-        return corrupted[-1] if lanes.n == 1009 else dft(xs, n, lanes, shift)
+        return got
 
     monkeypatch.setattr(verify, "_run_fft", corrupting_run_fft)
-    monkeypatch.setattr(verify, "_dft", agreeing_dft)
+    monkeypatch.setattr(verify, "_fft_checks", lambda: {**checks, "exact4": agreeing})
     result = verify.verify_unit("fft")
-    assert len(corrupted) == 1
+    assert corrupted == [list(agreeing.want)]
     assert (result.checked, result.failed, result.detail) == (
         4618,
         1,
@@ -680,13 +722,21 @@ def test_widen_moves_every_field(width, step):
 
 
 def test_simulate_checks_the_sample_range():
-    lanes = verify._Layout(3, 8)
+    # The netlist inputs of sample columns are range-checked as they are
+    # built, at either step an FFT section is laid out at, and simulate to
+    # the spectra run_fft gives.
     net = fft._net_for(EXACT4)
-    xs = [lanes.buffer(array("b", [0, 7, -8]))] * 8
-    assert verify._simulate(net, fft._SELECT_KEYS[4], xs, lanes)[1].n == 3
-    xs[5] = lanes.buffer(array("b", [0, -9, 8]))
-    with pytest.raises(ValueError, match=r"^component -9 outside \[-8, 7\] for width 4$"):
-        verify._simulate(net, fft._SELECT_KEYS[4], xs, lanes)
+    samples = [0, 7, -8]
+    for step in (8, 16):
+        lanes = verify._Layout(3, step)
+        xs = [lanes.buffer(array("b", samples))] * 8
+        got = verify._simulate(net, fft._SELECT_KEYS[4], verify._nibbles(xs, lanes), lanes)
+        for i, v in enumerate(samples):
+            spectrum = fft.run_fft(EXACT4, [(v, v)] * 4).spectrum
+            assert lanes.vector(got, i) == [(x.re, x.im) for x in spectrum], (step, v)
+        xs[5] = lanes.buffer(array("b", [0, -9, 8]))
+        with pytest.raises(ValueError, match=r"^component -9 outside \[-8, 7\] for width 4$"):
+            verify._nibbles(xs, lanes)
 
 
 @pytest.mark.parametrize("n", [2, 1009])
