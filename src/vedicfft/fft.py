@@ -93,8 +93,10 @@ def _dft_quarter_turns(values: Sequence, n: int) -> list:
     (``acc = op(acc, value)``): exact for ints, and for floats the same
     operations, in the same order, as rotating and summing complex values.
     A value may be anything that adds and subtracts like a number: the FFT
-    suite of :mod:`vedicfft.verify` passes packed columns, ints with one
-    field per vector, on which ``+`` and ``-`` act field by field.
+    suite of :mod:`vedicfft.verify` passes packed signed columns, the ints
+    sum v_i * 2**(8 * i) with one 8-bit field per vector, on which ``+``
+    and ``-`` act field by field while every field stays in [-128, 127],
+    and turns the bins into lane words once per process.
     """
     step = 4 // n
     out = []

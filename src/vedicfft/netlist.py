@@ -22,21 +22,23 @@ column is a list of per-vector values or one int that the bus holds in
 every vector. The slot program it simulates is compiled with those scalar
 bits as constants, so the logic they make idle drops out; each distinct
 scalar assignment (none included) compiles one program on its first
-evaluation, cached per netlist. There is one batch path,
-``_evaluate_packed``: it takes and returns packed columns, one int per bus
-with one field per vector (the bytes of a buffer of one item per vector),
-every field of one call the size its caller names, transposes them into
-lane words and back, and runs the gate loop ``_run`` on every vector at
-once. The transposition works on whole ints: each 8 vectors' bytes of a
-byte plane form an 8x8 bit matrix, and three masked shift-and-swap steps
-on one int that stacks every bus's planes turn every matrix at once
-(:func:`_transpose8`), once on the way in and once on the way out. A bus
-costs a fixed number of buffer operations per byte plane and each bus bit
-one strided byte slice, with no Python call per vector up to 64 bits.
-``evaluate_batch`` takes one route at every lane count: it packs each list
-while it checks its range and reads each output bus back from its packed
-int, and every suite of :mod:`vedicfft.verify` keeps its columns packed
-from operands to compare.
+evaluation, cached per netlist. There is one gate-loop path,
+``_evaluate_lanes``: it takes and returns lane words, one int per bus bit
+with bit i the bit's value in vector i, and runs the gate loop ``_run`` on
+every vector at once; every suite of :mod:`vedicfft.verify` builds its
+input and oracle lane words once per process and calls it directly, with
+no transposition in a pass. The batch path, ``_evaluate_packed``, wraps it
+in transpositions: it takes and returns packed columns, one int per bus
+with one field per vector (the bytes of a buffer of one item of the bus's
+own size per vector). The transposition works on whole ints: each 8
+vectors' bytes of a byte plane form an 8x8 bit matrix, and three masked
+shift-and-swap steps on one int that stacks every bus's planes turn every
+matrix at once (:func:`_transpose8`), once on the way in and once on the
+way out. A bus costs a fixed number of buffer operations per byte plane
+and each bus bit one strided byte slice, with no Python call per vector up
+to 64 bits. ``evaluate_batch`` takes one route at every lane count: it
+packs each list while it checks its range and reads each output bus back
+from its packed int.
 One vector takes the one-lane path, ``_evaluate_one``: it takes and
 returns bus values, with no columns. One lane's packed ints are its bus
 values, so ``evaluate_batch`` hands them over as they are, and
@@ -278,11 +280,11 @@ def _transpose8(x: int, chunks: int) -> int:
     return x ^ t ^ (t << 28)
 
 
-def _fields_to_lanes(xs: Sequence[int], n: int, size: int, widths: Sequence[int]) -> list[int]:
+def _fields_to_lanes(xs: Sequence[int], n: int, widths: Sequence[int]) -> list[int]:
     """Transpose the packed ints ``xs`` of n vectors, one per bus of the
-    given widths and each with one field of ``size`` bytes per vector, into
-    the buses' lane words, bus after bus: word k of a bus holds bit k of
-    vector i at bit i.
+    given widths and each with one field of the bus's :func:`_item_size`
+    per vector, into the buses' lane words, bus after bus: word k of a bus
+    holds bit k of vector i at bit i.
 
     Byte plane j of a bus, byte j of every field, is one strided slice of
     the bytes of its int. The planes of every bus's ``ceil(width / 8)`` low
@@ -291,14 +293,15 @@ def _fields_to_lanes(xs: Sequence[int], n: int, size: int, widths: Sequence[int]
     :func:`_transpose8` turns all of them at once: byte b of a chunk of
     plane j then holds bit ``8 * j + b`` of its 8 vectors, so word k of a
     bus is every 8th byte of its plane ``k // 8`` from byte ``k % 8``.
-    ``size`` may exceed a bus's :func:`_item_size`; field bits at and above
-    a bus's width are not read. One vector's packed int is its value.
+    Field bits at and above a bus's width are not read. One vector's
+    packed int is its value.
     """
     span = (n + 7) & -8  # bytes per plane
     planes = [(width + 7) // 8 for width in widths]
     stacked = bytearray(sum(planes) * span)
     start = 0
-    for x, count in zip(xs, planes):
+    for x, width, count in zip(xs, widths, planes):
+        size = _item_size(width)
         data = x.to_bytes(size * n, "little")
         for j in range(count):
             stacked[start : start + n] = data[j::size]
@@ -314,15 +317,14 @@ def _fields_to_lanes(xs: Sequence[int], n: int, size: int, widths: Sequence[int]
     return [int.from_bytes(data[s : s + span : 8], "little") for s in starts]
 
 
-def _lanes_to_fields(buses: Sequence[Sequence[int]], n: int, size: int) -> list[int]:
+def _lanes_to_fields(buses: Sequence[Sequence[int]], n: int) -> list[int]:
     """The inverse of :func:`_fields_to_lanes`: per bus, the packed int of
-    its n vectors, one field of ``size`` bytes per vector, where bit k of
-    the bus has lane word ``buses[b][k]``, each below ``2**n``. Each word's
-    bytes go to every 8th byte of its plane from byte ``k % 8``, one
-    :func:`_transpose8` turns every bus's planes back, and plane j of a bus
-    becomes byte j of each of its fields. Field bytes above a bus's planes
-    stay zero, as do the field bits at and above its width, so ``size`` may
-    exceed the bus's :func:`_item_size`."""
+    its n vectors, one field of the bus's :func:`_item_size` per vector,
+    where bit k of the bus has lane word ``buses[b][k]``, each below
+    ``2**n``. Each word's bytes go to every 8th byte of its plane from byte
+    ``k % 8``, one :func:`_transpose8` turns every bus's planes back, and
+    plane j of a bus becomes byte j of each of its fields. Field bits at
+    and above a bus's width stay zero."""
     span = (n + 7) & -8  # bytes per plane
     planes = [(len(words) + 7) // 8 for words in buses]
     stacked = bytearray(sum(planes) * span)
@@ -337,7 +339,8 @@ def _lanes_to_fields(buses: Sequence[Sequence[int]], n: int, size: int) -> list[
     )
     fields = []
     start = 0
-    for count in planes:
+    for words, count in zip(buses, planes):
+        size = _item_size(len(words))
         if size == 1:  # the one plane is the fields
             fields.append(int.from_bytes(data[start : start + n], "little"))
         else:
@@ -672,7 +675,7 @@ class Netlist:
         ``mask`` has one set bit per vector, so a one-lane run passes 1. One
         pass therefore evaluates every vector at once (parallel-pattern
         simulation). Constant slots must already hold 0 or ``mask``. Its
-        one caller is the batch path ``_evaluate_packed``.
+        one caller is :meth:`_evaluate_lanes`.
         """
         for op, a, b, out in zip(p.ops, p.in0, p.in1, p.outs):
             if op == 0:
@@ -690,29 +693,22 @@ class Netlist:
             else:
                 values[out] = values[a] ^ values[b] ^ mask
 
-    def _evaluate_packed(
-        self, key: tuple[tuple[str, int], ...], fields: Sequence[int], n: int, size: int
-    ) -> list[int]:
-        """Evaluate n vectors given as packed columns, unchecked: the batch
-        path, and the one gate-loop path.
+    def _evaluate_lanes(
+        self, key: tuple[tuple[str, int], ...], words: Sequence[int], n: int
+    ) -> list[list[int]]:
+        """Evaluate n vectors given as lane words, unchecked: the one
+        gate-loop path.
 
         ``key`` is the sorted tuple of (bus, value) pairs of the tied input
-        buses; ``fields`` holds the packed int of each untied input bus in
-        input order, one field of ``size`` bytes per vector, every field
-        already known to fit its bus. ``size`` is the field size the caller
-        reads the outputs at: at least the :func:`_item_size` of every
-        untied input and every output bus, and possibly more, as the suites
-        of :mod:`vedicfft.verify` compare at twice their buses' step. The
-        fields of every input bus are transposed into lane words by one
-        pass of 8x8 bit-matrix swaps on one int (:func:`_fields_to_lanes`),
-        run through the gate loop ``_run``, and the lane words of every
-        output bus transposed back by one more (:func:`_lanes_to_fields`).
-        Returns the packed int of each output bus in output order, one
-        field of ``size`` bytes per vector. It compiles the program of
-        ``key`` on its first evaluation, and never generates or runs a
-        generated kernel. ``evaluate_batch`` calls it for two or more
-        vectors after its checks, ``_evaluate_one`` for a program's first
-        evaluation, and every suite of :mod:`vedicfft.verify` directly.
+        buses; ``words`` holds the lane words of every untied input bus in
+        input order, bus after bus and LSB first, each below ``2**n``: bit i
+        of word k of a bus is bit k of the bus's value in vector i. It
+        compiles the program of ``key`` on its first evaluation, sets the
+        input slots, runs the gate loop ``_run`` and returns the lane words
+        of each output bus in output order. Every suite of
+        :mod:`vedicfft.verify` calls it directly, with words it built once
+        per process; :meth:`_evaluate_packed` calls it between its two
+        transpositions.
         """
         p = self._programs.get(key)
         if p is None:
@@ -720,19 +716,34 @@ class Netlist:
         mask = (1 << n) - 1
         values = [0] * p.size
         values[-1] = mask  # the constant-1 slot
-        buses = p.in_slots.values()
-        words = _fields_to_lanes(fields, n, size, [len(slots) for slots in buses])
-        for s, word in zip(chain.from_iterable(buses), words):
+        for s, word in zip(chain.from_iterable(p.in_slots.values()), words):
             values[s] = word
         self._run(p, values, mask)
-        return _lanes_to_fields(
-            [[values[s] for s in slots] for slots in p.out_slots.values()], n, size
-        )
+        return [[values[s] for s in slots] for slots in p.out_slots.values()]
 
-    def _field_size(self) -> int:
-        """The :func:`_item_size` of the netlist's widest bus: a field size
-        that every bus fits."""
-        return _item_size(max(map(len, (*self.inputs.values(), *self.outputs.values()))))
+    def _evaluate_packed(
+        self, key: tuple[tuple[str, int], ...], fields: Sequence[int], n: int
+    ) -> list[int]:
+        """Evaluate n vectors given as packed columns, unchecked: the batch
+        path.
+
+        ``key`` is as for :meth:`_evaluate_lanes`; ``fields`` holds the
+        packed int of each untied input bus in input order, one field of
+        the bus's :func:`_item_size` per vector, every field already known
+        to fit its bus. The fields of every input bus are transposed into
+        lane words by one pass of 8x8 bit-matrix swaps on one int
+        (:func:`_fields_to_lanes`), evaluated by :meth:`_evaluate_lanes`,
+        and the lane words of every output bus transposed back by one more
+        (:func:`_lanes_to_fields`). Returns the packed int of each output
+        bus in output order, at the bus's own item size. It never generates
+        or runs a generated kernel. ``evaluate_batch`` calls it for two or
+        more vectors after its checks, ``_evaluate_one`` for a program's
+        first evaluation.
+        """
+        tied = dict(key)
+        widths = [len(nets) for bus, nets in self.inputs.items() if bus not in tied]
+        words = _fields_to_lanes(fields, n, widths)
+        return _lanes_to_fields(self._evaluate_lanes(key, words, n), n)
 
     def _evaluate_one(
         self, key: tuple[tuple[str, int], ...], values: Sequence[int]
@@ -746,9 +757,8 @@ class Netlist:
         kernel (:func:`_generate_kernel`) if it has one; else it generates
         and runs it if an earlier evaluation, of any lane count, compiled
         the program; else the vector goes through ``_evaluate_packed`` at
-        one lane, where a value is its own packed int at the field size of
-        the widest bus (:meth:`_field_size`), and that compiles the
-        program. ``evaluate_batch`` calls it for one vector after its
+        one lane, where a value is its own packed int, and that compiles
+        the program. ``evaluate_batch`` calls it for one vector after its
         checks; ``fft.run_fft`` calls it directly.
         """
         kernel = self._kernels.get(key)
@@ -758,7 +768,7 @@ class Netlist:
         if p is not None:
             kernel = self._kernels[key] = _generate_kernel(p)
             return kernel(*values)
-        return tuple(self._evaluate_packed(key, values, 1, self._field_size()))
+        return tuple(self._evaluate_packed(key, values, 1))
 
     def evaluate_batch(
         self, columns: Mapping[str, int | Sequence[int]]
@@ -778,13 +788,12 @@ class Netlist:
         Every lane count takes one route. The bus sets are checked, each
         column is classified as a scalar (range-checked at once) or a list,
         the lists' lengths are checked, and each list is range-checked and
-        packed into one int (:func:`_column_fields`) in mapping order, with
-        every bus's fields at the item size of the widest bus
-        (:meth:`_field_size`); a call whose columns are rejected compiles
-        nothing. One vector's packed ints are its values and go to
-        ``_evaluate_one``, the one-lane path, the only one that generates a
-        kernel; two or more go to ``_evaluate_packed``, the batch path, at
-        that field size. Each output bus is read back at it with
+        packed into one int (:func:`_column_fields`) in mapping order, each
+        bus's fields at its own item size; a call whose columns are
+        rejected compiles nothing. One vector's packed ints are its values
+        and go to ``_evaluate_one``, the one-lane path, the only one that
+        generates a kernel; two or more go to ``_evaluate_packed``, the
+        batch path. Each output bus is read back at its own item size with
         :func:`_field_values`.
         """
         inputs = self.inputs
@@ -821,14 +830,13 @@ class Netlist:
         (n,) = lengths
         if not n:
             raise NetlistError("input columns are empty")
-        size = self._field_size()
         fields = {}
         for bus, col in lists.items():
             width = len(inputs[bus])
             try:
                 if min(col) >= 0 and not max(col) >> width:
                     # Packing meets a non-int between the bounds.
-                    fields[bus] = _column_fields(col, 8 * size)
+                    fields[bus] = _column_fields(col, width)
                     continue
             except TypeError:  # a non-int value, at either bound or between
                 pass
@@ -838,8 +846,10 @@ class Netlist:
         if n == 1:
             out = self._evaluate_one(key, packed)
         else:
-            out = self._evaluate_packed(key, packed, n, size)
-        return {bus: _field_values(x, n, 8 * size) for bus, x in zip(self.outputs, out)}
+            out = self._evaluate_packed(key, packed, n)
+        return {
+            bus: _field_values(x, n, len(nets)) for (bus, nets), x in zip(self.outputs.items(), out)
+        }
 
     # -- static analysis ----------------------------------------------------
 

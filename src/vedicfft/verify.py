@@ -9,47 +9,52 @@ is small (every 4-bit operand pair); fixed-seed random sweeps elsewhere, so
 every run, on every supported Python, checks the same cases and results
 are reproducible.
 
-Every suite checks packed columns: one int per column, with one
-fixed-width field per vector, from the enumeration
-(:func:`_exhaustive_fields`) or the draw through the simulation
-(``Netlist._evaluate_packed``) and the oracle to the compare
-(``_Tally.check_packed``), where the XOR of two columns is 0 when every
-case passes. Each check is one ``_Tally`` call, which formats the detail
-of the first failing case only, naming its operands. A multiplier's
-product column must equal ``a*b & 0xFF`` (:func:`_product_fields`), and so
-must the cross column of vedic4x4 (the digit-serial Urdhva run) and of
-array4x4 (the vedic4x4 netlist). A random adder or subtractor column is
-the int of one ``Random.getrandbits`` call (:func:`_random_fields`), and
-the sums and differences of its oracle are taken on fields twice the bus
-step wide. Each FFT column comes from one ``getrandbits`` call whose bytes
-are read as items: the samples are its nibbles, sign-extended by
-``bytes.translate`` (:func:`_draw`). Its oracle is the DFT
-(``fft._dft_quarter_turns``, which ``dft_oracle`` runs on numbers), and
-its Parseval check squares bytes by ``bytes.translate`` tables
-(:func:`_energy`). A passing suite does no per-case work; only a failing
-check decodes its cases one by one, to count them and name the first.
+Every suite is lane-major: case i is lane i, bit i of every lane word, and
+a bus is its list of lane words, LSB first (word k holds bit k of the bus
+in every lane). Once per process, each section's input lane words and the
+lane words of its oracle's outputs are built from the enumeration or the
+seeded draw (:func:`_lanes`). The oracles: ``a*b`` at the product's width
+for a multiplier (:func:`_product_lanes`), and the cross columns of
+vedic4x4 (the digit-serial Urdhva run) and of array4x4 (the vedic4x4
+netlist); ``a + b + cin`` for an adder, against its sum then its carry
+out; ``a - b`` mod ``2**(w + 1)`` for a subtractor, against its
+difference then its borrow; for the FFT datapaths the DFT, taken by
+``fft._dft_quarter_turns`` on packed signed columns (which ``dft_oracle``
+runs on numbers) and turned into lane words by one transposition
+(:func:`_dft_lanes`). A pass then does three things per section: it runs
+the gate loop on the cached input words (``Netlist._evaluate_lanes``), ORs
+together the XORs of the output words against the oracle words, and adds
+the set bits of that difference as failures (``_Tally.check``). No column
+is transposed in a pass, and a passing suite does no per-case work; only a
+failing check decodes a lane, its first failing one, to name its operands
+or samples.
+
+The FFT suite checks every lane against the DFT. Its select-4 run holds
+the exact 4-point lanes (basis vectors, DC and random vectors), then the
+linearity lanes x, y and x + y and the time-reversal lanes x and
+x(-n mod 4): a lane that breaks linearity, Parseval's identity or time
+reversal has an output that differs from the DFT of its input, so these
+properties need no check of their own. The select-2 run must give the
+2-point DFT of x0 and x1 and X2 = X3 = 0 whatever x2 and x3 are; the
+standalone ``butterfly2`` unit must give the same 2-point DFT, at its
+5-bit width, on the same lanes; the Q1.3 run must give 2**3 times the
+4-point DFT.
 
 Everything a pass reads that depends only on its fixed inputs is built
 once per process and held read-only, every pass sharing it:
 - the netlists: the catalog units by :func:`_unit`, the signed multipliers
   by ``arith._signed_unit`` and the FFT datapaths by
   ``fft._reconfigurable_cached``;
-- the exhaustive operand columns and the seeded adder and subtractor
-  sections, at the step they are compared at, with their oracle columns
-  (:func:`_exhaustive_fields`, :func:`_integer_sections`), and the product
-  and digit-serial oracle columns;
+- the exhaustive operand words and their product words
+  (:func:`_exhaustive_lanes`, :func:`_product_lanes`), the digit-serial
+  product words, and the adder and subtractor sections with their oracle
+  words (:func:`_integer_sections`);
 - the FFT suite's seeded sample columns (:func:`_fft_sections`) and, per
-  section, their buffer forms, the netlist input columns, the DFT
-  references and the input energies (:func:`_fft_checks`);
-- one :class:`_Layout` per lane count and step (:func:`_layout`).
-A pass then only simulates, reads the outputs and compares. Each netlist
-takes its input columns at the step of the compare and lays out its
-outputs at that step (``Netlist._evaluate_packed``), so no column is moved
-between steps, and a second pass builds, draws and compiles nothing. A
-pass evaluates the exact 4-point program three times, vedic4x4's twice and
-every other program once, each as a batch, so the gate loop
-``Netlist._run`` interprets every one of them, however many passes a
-process makes.
+  run, its input and DFT words (:func:`_fft_lanes`).
+A second pass therefore builds, draws, transposes and compiles nothing. A
+pass evaluates vedic4x4's program twice and every other program once,
+each as a batch, so the gate loop ``Netlist._run`` interprets every one of
+them, however many passes a process makes.
 """
 
 from __future__ import annotations
@@ -59,24 +64,19 @@ import itertools
 import random
 from array import array
 from dataclasses import dataclass
-from operator import not_
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Mapping, Sequence
 
 from . import arith, fft
-from .netlist import (
-    _BIG_ENDIAN,
-    Netlist,
-    _column_fields,
-    _item_size,
-    _lanes_to_fields,
-    to_signed,
-)
+from .netlist import Netlist, _column_fields, _field_values, _fields_to_lanes, to_signed
 
 _RANDOM_VECTORS = 1000
 
 # The catalog unit of a name, built on first use and shared by every pass.
 _unit = functools.cache(fft.build_unit)
+
+# Buses as lane words: per bus, its words LSB first.
+_Buses = tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -107,212 +107,120 @@ class _Tally:
         self.failed = 0
         self.detail = ""
 
-    def check_all(self, oks: list[bool], detail: Callable[[int], str]):
-        """One check per case i, failed where ``oks[i]`` is false;
-        ``detail(i)`` describes the first failing case."""
-        self.checked += len(oks)
-        failed = oks.count(False)
-        if failed:
-            self.failed += failed
+    def check(self, n: int, diff: int, detail: Callable[[int], str]):
+        """n cases, one per lane: case i fails where bit i of ``diff`` is
+        set. ``detail(i)`` describes lane i; a failing check calls it on
+        its first failing lane, and only while no detail is recorded."""
+        self.checked += n
+        if diff:
+            self.failed += diff.bit_count()
             if not self.detail:
-                self.detail = detail(oks.index(False))
-
-    def check_packed(
-        self,
-        pairs: Iterable[tuple[int, int]],
-        lanes: _Layout,
-        detail: Callable[[int], str],
-    ):
-        """One check per case i of ``lanes``, failed where field i of the
-        packed columns (got, want) of some pair differs. When no field of
-        any pair differs, the n cases pass with no per-case work; else the
-        per-case results go to :meth:`check_all`."""
-        diff = 0
-        for got, want in pairs:
-            diff |= got ^ want
-        if not diff:
-            self.checked += lanes.n
-            return
-        self.check_all(list(map(not_, lanes.items(diff))), detail)
+                self.detail = detail((diff & -diff).bit_length() - 1)
 
     def result(self) -> UnitResult:
         return UnitResult(self.unit, self.checked, self.failed, self.detail)
 
 
-# Every suite keeps every column packed, from operands to compare: one int
-# per column, with one field of ``step`` bits per vector, vector i in bits
-# [step * i, step * (i + 1)), as ``Netlist._evaluate_packed`` takes and
-# returns them. With R the int that holds 1 in every field, a column of
-# non-negative values v_i below 2**step is the exact int sum
-# v_i * 2**(step * i), on which ``+``, ``-`` and ``<< k`` act field by field
-# while every result stays in [0, 2**step); two columns are equal field by
-# field where their XOR is 0. The FFT suite keeps a column of signed values
-# in its buffer form, sum (v_i + 2**(step - 1)) * 2**(step * i): every field
-# is non-negative, so a field is sliced out with a mask. Its signed form,
-# the buffer form less 2**(step - 1) * R, is the exact int
-# sum v_i * 2**(step * i), on which ``+``, ``-`` and ``<< F`` act field by
-# field while every |v_i| stays below 2**(step - 1). Headroom, the largest
-# |v_i| the suite makes: at step 8, 8 for a sample, 32 for an exact bin or a
-# 6-bit netlist output and 64 for the sum of two of those in the linearity
-# check; at step 16, 2**3 * 32 for a Q1.3 bin and 2**10 for an 11-bit
-# netlist output. The Parseval energies are unsigned at step 16: at most
-# 8 * 32**2 = 8192 for the 8 components of a 6-bit output vector, faulty or
-# not, and 4 * 8 * 8**2 = 2048 for 4 times an input vector's. A w-bit adder
-# or subtractor is checked at twice its bus step (16, or 32 for w = 16),
-# in fields below 2**(w + 1): a + b + cin and sum + (cout << w) for the
-# adder, a - b + 2**w and diff + ((1 - borrow) << w) for the subtractor,
-# whatever the netlist outputs, since sum and diff are w-bit buses and
-# cout and borrow 1-bit ones. A multiplier's 8-bit product is at step 16.
-
-# The signed C type code of each item size in bytes, for ``array``.
-_SIGNED_CODE = {array(code).itemsize: code for code in "bhilq"}
+def _lanes(columns: Sequence[Sequence[int]], widths: Sequence[int]) -> _Buses:
+    """The lane words of equally long columns of values, one column per bus
+    of the given width, each value in ``[0, 2**width)``: per bus, its words
+    LSB first, lane i holding value i."""
+    n = len(columns[0])
+    words = iter(
+        _fields_to_lanes([_column_fields(col, w) for col, w in zip(columns, widths)], n, widths)
+    )
+    return tuple(tuple(itertools.islice(words, w)) for w in widths)
 
 
-class _Layout:
-    """n fields of ``step`` bits, 8, 16 or 32, packed in one int."""
+def _value(words: Sequence[int], i: int) -> int:
+    """The value in lane i of the bus whose lane words are ``words``."""
+    return sum(((word >> i) & 1) << k for k, word in enumerate(words))
 
-    def __init__(self, n: int, step: int):
-        self.n = n
-        self.step = step
-        self.ones = ((1 << step * n) - 1) // ((1 << step) - 1)  # R
-        self.half = self.ones << (step - 1)
-        self.code = _SIGNED_CODE[step // 8]
 
-    def _spread(self, data: bytes, size: int) -> int:
-        """The int whose field i holds item i of ``data``, ``size`` bytes
-        each, zero-extended."""
-        step = self.step // 8
-        if size == step:
-            return int.from_bytes(data, "little")
-        spread = bytearray(step * self.n)
-        for j in range(size):
-            spread[j::step] = data[j::size]
-        return int.from_bytes(spread, "little")
+def _diff(got: Sequence[Sequence[int]], want: Sequence[Sequence[int]]) -> int:
+    """The lanes in which some bus of ``got`` differs from the bus of
+    ``want`` in its place: the OR of the XORs of their lane words."""
+    diff = 0
+    for g, w in zip(itertools.chain(*got), itertools.chain(*want)):
+        diff |= g ^ w
+    return diff
 
-    def buffer(self, col: array | memoryview) -> int:
-        """The buffer form of a column of n values: an ``array("b")``, or a
-        signed byte view.
 
-        Its bytes, the two's complement of each value, are spread one to a
-        field; flipping bit 7 of every field makes each v + 128, and adding
-        the rest of 2**(step - 1) * R makes it v + 2**(step - 1).
-        """
-        low = self.ones << 7
-        return (self._spread(col.tobytes(), 1) ^ low) + self.half - low
-
-    def widen(self, x: int, width: int) -> int:
-        """The packed int ``x`` of n values of a ``width``-bit bus, one field
-        of ``8 * _item_size(width)`` bits each, with every value moved to a
-        field of this layout."""
-        size = _item_size(width)
-        return self._spread(x.to_bytes(size * self.n, "little"), size)
-
-    def from_raw(self, raw: int, width: int) -> int:
-        """The buffer form of the packed int of a netlist output bus: fields
-        of ``width``-bit two's complement patterns."""
-        return raw - ((raw & (self.ones << (width - 1))) << 1) + self.half
-
-    def items(self, x: int) -> array:
-        """The n fields of ``x``, read as signed array items."""
-        items = array(self.code, x.to_bytes(self.step // 8 * self.n, "little"))
-        if _BIG_ENDIAN:
-            items.byteswap()
-        return items
-
-    def values(self, buffer: int) -> array:
-        """The n signed values of a buffer form: XOR with 2**(step - 1) * R
-        gives the two's complement items."""
-        return self.items(buffer ^ self.half)
-
-    def field(self, x: int, i: int) -> int:
-        """Field i of ``x``, unsigned."""
-        return (x >> self.step * i) & ((1 << self.step) - 1)
-
-    def value(self, buffer: int, i: int) -> int:
-        """The signed value of field i of a buffer form."""
-        return self.field(buffer, i) - (1 << (self.step - 1))
-
-    def vector(self, buffers: Sequence[int], i: int) -> list[tuple[int, int]]:
-        """Vector i of re/im column pairs in buffer form, as (re, im) pairs."""
-        return [
-            (self.value(re, i), self.value(im, i)) for re, im in zip(buffers[::2], buffers[1::2])
-        ]
+def _simulate(
+    net: Netlist, inputs: Sequence[Sequence[int]], n: int, key: tuple[tuple[str, int], ...] = ()
+) -> list[list[int]]:
+    """The lane words of every output bus of ``net`` on n lanes, bus by bus,
+    given those of every untied input bus; the buses in ``key`` tied."""
+    return net._evaluate_lanes(key, list(itertools.chain(*inputs)), n)
 
 
 @functools.cache
-def _layout(n: int, step: int) -> _Layout:
-    """The one :class:`_Layout` of n fields of ``step`` bits per process."""
-    return _Layout(n, step)
-
-
-@functools.cache
-def _exhaustive_fields(*ranges: range) -> tuple[int, ...]:
+def _exhaustive_lanes(*ranges: range) -> _Buses:
     """Every combination of one value per range, the first range slowest,
-    as one packed int per range with one 16-bit field per case: each value
-    mod the length of its range (so ``range(-8, 8)`` gives the 4-bit two's
+    one lane each, as the lane words of one bus per range: each value mod
+    the length of its range (so ``range(-8, 8)`` gives the 4-bit two's
     complement). Built once per process."""
     cols = zip(*itertools.product(*ranges))
-    return tuple(_column_fields([v % len(r) for v in col], 16) for r, col in zip(ranges, cols))
+    return _lanes(
+        [[v % len(r) for v in col] for r, col in zip(ranges, cols)],
+        [(len(r) - 1).bit_length() for r in ranges],
+    )
 
 
 @functools.cache
-def _product_fields(*ranges: range) -> int:
-    """``a*b & 0xFF`` for every operand pair, in the order of
-    :func:`_exhaustive_fields`, one 16-bit field per case, built once per
-    process."""
-    return _column_fields([x * y & 0xFF for x, y in itertools.product(*ranges)], 16)
+def _product_lanes(*ranges: range) -> _Buses:
+    """The lane words of the product bus ``a*b`` for every operand pair, in
+    the order of :func:`_exhaustive_lanes`, at the product's width (the
+    operands' widths summed) in two's complement, built once per process."""
+    width = sum((len(r) - 1).bit_length() for r in ranges)
+    return _lanes([[x * y % (1 << width) for x, y in itertools.product(*ranges)]], [width])
 
 
 @functools.cache
-def _digit_serial_products() -> int:
-    """The digit-serial base-2 product of every pair of 4-bit operands,
-    packed as :func:`_product_fields` packs a*b."""
+def _digit_serial_products() -> _Buses:
+    """The digit-serial base-2 product of every pair of 4-bit operands, as
+    :func:`_product_lanes` gives a*b."""
     pairs = itertools.product(range(16), repeat=2)
-    return _column_fields([arith.urdhva_decimal(x, y, base=2).product for x, y in pairs], 16)
+    return _lanes([[arith.urdhva_decimal(x, y, base=2).product for x, y in pairs]], [8])
 
 
-def _random_fields(rng: random.Random, n: int, width: int) -> int:
-    """n values uniform over [0, 2**width), width 1, 8 or 16, as the packed
-    int of a ``width``-bit bus: one ``getrandbits`` call, whose bits are the
-    n fields, or at width 1 the n lane bits, spread one to a byte
-    (:func:`vedicfft.netlist._lanes_to_fields`)."""
+def _random_column(rng: random.Random, n: int, width: int) -> list[int]:
+    """n values uniform over [0, 2**width), width 1, 8 or 16, from one
+    ``getrandbits(width * n)`` call: value i is its bits
+    ``[width * i, width * (i + 1))``."""
     bits = rng.getrandbits(width * n)
-    return _lanes_to_fields([[bits]], n, 1)[0] if width == 1 else bits
+    if width == 1:
+        return [(bits >> i) & 1 for i in range(n)]
+    return _field_values(bits, n, width)
 
 
 @functools.cache
-def _integer_sections(suite: str) -> tuple[tuple[int, _Layout, tuple[int, ...], int], ...]:
+def _integer_sections(suite: str) -> tuple[tuple[int, int, _Buses, _Buses], ...]:
     """The sections of the adder or subtractor suite, built once per
-    process: (bus width, layout, operand columns, oracle column) for every
-    4-bit operand pair (and carry in), then for 500 vectors at width 8 and
-    500 at width 16, drawn in that order from one rng seeded 41 (adder) or
-    43 (subtractor). Each section is laid out at twice the step of its
-    netlist's widest bus, the sum or difference: the operand columns as
-    :func:`_simulate_wide` takes them, and the oracle ``a + b + cin`` or
-    ``a - b + 2**w`` against which the suite checks ``sum + (cout << w)``
-    or ``diff + ((1 - borrow) << w)``."""
+    process: (bus width w, lane count, lane words of each operand bus, of
+    each oracle output bus) for every 4-bit operand pair (and carry in),
+    then for 500 vectors at width 8 and 500 at width 16, drawn in that
+    order from one rng seeded 41 (adder) or 43 (subtractor). The oracle
+    gives the adder's sum and carry out, the low w bits and bit w of
+    ``a + b + cin``, or the subtractor's difference ``a - b`` mod ``2**w``
+    and borrow ``a < b``."""
     adder = suite == "adder"
     rng = random.Random(41 if adder else 43)
     sections = []
     for width in (4, 8, 16):
         widths = (width, width, 1) if adder else (width, width)
         if width == 4:
-            wide = _layout(1 << sum(widths), 16)
-            columns = _exhaustive_fields(*(range(1 << w) for w in widths))
+            columns = list(zip(*itertools.product(*(range(1 << w) for w in widths))))
         else:
-            wide = _layout(_RANDOM_VECTORS // 2, 16 * _item_size(width))
-            columns = tuple(wide.widen(_random_fields(rng, wide.n, w), w) for w in widths)
-        a, b, *cin = columns
-        want = a + b + cin[0] if adder else a - b + (wide.ones << width)
-        sections.append((width, wide, columns, want))
+            columns = [_random_column(rng, _RANDOM_VECTORS // 2, w) for w in widths]
+        if adder:
+            total = [a + b + cin for a, b, cin in zip(*columns)]
+            want = [[v % (1 << width) for v in total], [v >> width for v in total]]
+        else:
+            pairs = list(zip(*columns))
+            want = [[(a - b) % (1 << width) for a, b in pairs], [int(a < b) for a, b in pairs]]
+        sections.append((width, len(want[0]), _lanes(columns, widths), _lanes(want, [width, 1])))
     return tuple(sections)
-
-
-def _simulate_wide(net: Netlist, columns: Sequence[int], wide: _Layout) -> list[int]:
-    """Evaluate ``net`` on the packed ints of its input buses, in input
-    order, laid out at ``wide``. Returns every input then every output bus
-    at that layout."""
-    return [*columns, *net._evaluate_packed((), columns, wide.n, wide.step // 8)]
 
 
 def _verify_unsigned(unit: str, bits: int) -> UnitResult:
@@ -321,72 +229,71 @@ def _verify_unsigned(unit: str, bits: int) -> UnitResult:
     digit-serial run's for vedic4x4, the vedic4x4 netlist's for array4x4."""
     t = _Tally(unit)
     ranges = (range(1 << bits),) * 2
-    columns, wide = _exhaustive_fields(*ranges), _layout(1 << 2 * bits, 16)
-    a, b, got = _simulate_wide(_unit(unit), columns, wide)
-    want = _product_fields(*ranges)
+    n, inputs, want = 1 << 2 * bits, _exhaustive_lanes(*ranges), _product_lanes(*ranges)
+    got = _simulate(_unit(unit), inputs, n)
     label, cross = "", got  # vedic2x2 has no cross column
     if unit == "vedic4x4":
         label, cross = "digit-serial", _digit_serial_products()
     elif unit == "array4x4":
-        label, cross = "vedic cross-check", _simulate_wide(_unit("vedic4x4"), columns, wide)[2]
+        label, cross = "vedic cross-check", _simulate(_unit("vedic4x4"), inputs, n)
 
     def detail(i: int) -> str:
-        g = wide.field(got, i)
-        line = f"{wide.field(a, i)}*{wide.field(b, i)}: got {g}, want {wide.field(want, i)}"
+        a, b = (_value(bus, i) for bus in inputs)
+        g = _value(got[0], i)
+        line = f"{a}*{b}: got {g}, want {_value(want[0], i)}"
         if label:
-            line += f" ({label} {'ok' if wide.field(cross, i) == g else 'differs'})"
+            line += f" ({label} {'ok' if _value(cross[0], i) == g else 'differs'})"
         return line
 
-    t.check_packed([(got, want), (cross, want)], wide, detail)
+    t.check(n, _diff(got, want) | _diff(cross, want), detail)
     return t.result()
 
 
 def _verify_signed4x4() -> UnitResult:
     t = _Tally("signed4x4")
     ranges = (range(-8, 8),) * 2
-    columns, wide = _exhaustive_fields(*ranges), _layout(256, 16)
-    want = _product_fields(*ranges)
+    inputs, want = _exhaustive_lanes(*ranges), _product_lanes(*ranges)
     for impl in ("vedic", "array"):
-        a, b, got = _simulate_wide(arith._signed_unit(impl), columns, wide)
+        got = _simulate(arith._signed_unit(impl), inputs, 256)
 
         def detail(i: int) -> str:
-            x, y = to_signed(wide.field(a, i), 4), to_signed(wide.field(b, i), 4)
-            return f"{impl} {x}*{y}: got {to_signed(wide.field(got, i), 8)}, want {x * y}"
+            x, y = (to_signed(_value(bus, i), 4) for bus in inputs)
+            return f"{impl} {x}*{y}: got {to_signed(_value(got[0], i), 8)}, want {x * y}"
 
-        t.check_packed([(got, want)], wide, detail)
+        t.check(256, _diff(got, want), detail)
     return t.result()
 
 
 def _verify_adder() -> UnitResult:
     t = _Tally("adder")
-    for width, wide, columns, want in _integer_sections("adder"):
-        a, b, cin, total, cout = _simulate_wide(_unit(f"adder{width}"), columns, wide)
+    for width, n, inputs, want in _integer_sections("adder"):
+        got = total, cout = _simulate(_unit(f"adder{width}"), inputs, n)
 
         def detail(i: int) -> str:
-            x, y, c = wide.field(a, i), wide.field(b, i), wide.field(cin, i)
+            x, y, c = (_value(bus, i) for bus in inputs)
             s = x + y + c
-            got = (wide.field(total, i), wide.field(cout, i))
-            want = (s % (1 << width), s >> width)
-            return f"w{width} {x}+{y}+{c}: got sum, cout {got}, want {want}"
+            values = (_value(total, i), _value(cout, i))
+            expected = (s % (1 << width), s >> width)
+            return f"w{width} {x}+{y}+{c}: got sum, cout {values}, want {expected}"
 
-        t.check_packed([(total + (cout << width), want)], wide, detail)
+        t.check(n, _diff(got, want), detail)
     return t.result()
 
 
 def _verify_subtractor() -> UnitResult:
     t = _Tally("subtractor")
-    for width, wide, columns, want in _integer_sections("subtractor"):
-        a, b, diff, borrow = _simulate_wide(_unit(f"subtractor{width}"), columns, wide)
+    for width, n, inputs, want in _integer_sections("subtractor"):
+        got = diff, borrow = _simulate(_unit(f"subtractor{width}"), inputs, n)
 
         def detail(i: int) -> str:
-            x, y = wide.field(a, i), wide.field(b, i)
-            got = (wide.field(diff, i), wide.field(borrow, i))
+            x, y = (_value(bus, i) for bus in inputs)
+            values = (_value(diff, i), _value(borrow, i))
             return (
-                f"w{width} {x}-{y}: got diff, borrow {got}, "
+                f"w{width} {x}-{y}: got diff, borrow {values}, "
                 f"want {((x - y) % (1 << width), int(x < y))}"
             )
 
-        t.check_packed([(diff + ((wide.ones - borrow) << width), want)], wide, detail)
+        t.check(n, _diff(got, want), detail)
     return t.result()
 
 
@@ -453,211 +360,134 @@ def _fft_sections() -> Mapping[str, tuple[memoryview, ...]]:
     )
 
 
-def _nibbles(xs: Sequence[int], lanes: _Layout) -> tuple[int, ...]:
-    """The 4-bit netlist input columns of the sample columns whose buffer
-    forms at ``lanes`` are ``xs``: the low nibble of each field, the
-    sample's two's complement.
-
-    Every sample must lie in [-8, 7]: its field plus 8 then differs from
-    2**(step - 1) in its low nibble only, a test of one column at a time.
-    Else the ValueError of ``FixedComplex.check_range`` names the first
-    component outside, in vector order.
-    """
-    ones = lanes.ones
-    high = ((1 << lanes.step) - 16) * ones
-    for x in xs:
-        if (x + 8 * ones) & high != lanes.half:
-            for row in zip(*map(lanes.values, xs)):
-                for re, im in zip(row[::2], row[1::2]):
-                    fft.FixedComplex(re, im).check_range(4)
-    return tuple(x & 0x0F * ones for x in xs)
-
-
-def _dft(xs: Sequence[int], n: int, lanes: _Layout, shift: int = 0) -> tuple[int, ...]:
-    """The buffer forms of 2**shift times the DFT of the n samples whose
-    buffer forms are ``xs``."""
-    signed = [x - lanes.half for x in xs]
-    return tuple((d << shift) + lanes.half for d in fft._dft_quarter_turns(signed, n))
-
-
-# The low and the high byte of v**2, per two's-complement byte of v.
-_SQUARES = [((b ^ 0x80) - 0x80) ** 2 for b in range(256)]
-_SQUARE_LOW = bytes(v & 0xFF for v in _SQUARES)
-_SQUARE_HIGH = bytes(v >> 8 for v in _SQUARES)
-
-
-def _energy(buffers: Sequence[int], lanes: _Layout) -> int:
-    """Per vector, the sum of the squares of its components, as one
-    unsigned 16-bit field per vector; ``buffers`` are the buffer forms of
-    its component columns at step 8. Each column's two's complement bytes
-    are squared by two ``bytes.translate`` tables into the low and high
-    byte of a field; the sum must stay below 2**16."""
-    spread = bytearray(2 * lanes.n)
-    energy = 0
-    for x in buffers:
-        data = (x ^ lanes.half).to_bytes(lanes.n, "little")
-        spread[::2] = data.translate(_SQUARE_LOW)
-        spread[1::2] = data.translate(_SQUARE_HIGH)
-        energy += int.from_bytes(spread, "little")
-    return energy
-
-
-def _reversed_index(columns: list) -> list:
-    """Sample (or bin) columns in the order 0, 3, 2, 1: index -k mod 4."""
-    return columns[0:2] + columns[6:8] + columns[4:6] + columns[2:4]
-
-
 _EXACT4 = fft.FftConfig(select=4)
 _EXACT2 = fft.FftConfig(select=2)
 _QUANT4 = fft.FftConfig(4, "quantized", 3, 4)
 
 
-class _FftCheck(NamedTuple):
-    """What one section of the FFT suite checks against, given its sample
-    columns alone."""
+def _sample_lanes(columns: Sequence[Sequence[int]]) -> _Buses:
+    """The lane words of the 4-bit sample buses x0_re, x0_im, .. of columns
+    of signed samples, one lane per vector.
 
-    lanes: _Layout  # of the samples, the netlist's inputs and outputs
-    xs: tuple[int, ...]  # the buffer forms of the sample columns
-    inputs: tuple[int, ...]  # the netlist's input columns (:func:`_nibbles`)
-    want: tuple[int, ...] = ()  # the DFT of each vector, in buffer form
-    energy: int = 0  # 4 times each vector's energy, for Parseval (exact4)
+    Every sample must lie in [-8, 7]; else the ValueError of
+    ``FixedComplex.check_range`` names the first component outside, in
+    vector order.
+    """
+    if min(map(min, columns)) < -8 or max(map(max, columns)) > 7:
+        for row in zip(*columns):
+            for re, im in zip(row[::2], row[1::2]):
+                fft.FixedComplex(re, im).check_range(4)
+    return _lanes([[v & 0xF for v in col] for col in columns], [4] * len(columns))
+
+
+def _dft_lanes(columns: Sequence[Sequence[int]], points: int) -> list[list[int]]:
+    """Per component of bins 0 .. points - 1 (X0_re, X0_im, ..), the 8
+    lane words of the DFT of the samples in the columns x0_re, x0_im, ..,
+    in two's complement.
+
+    Each column's two's complement bytes are one int with one 8-bit field
+    per vector; flipping bit 7 of every field makes it v + 128, and taking
+    128 from every field leaves the exact int sum v_i * 2**(8 * i), on which
+    ``fft._dft_quarter_turns`` adds and subtracts field by field. Every bin
+    of 4-bit samples lies in [-32, 32], so adding 128 to every field and
+    flipping bit 7 back gives its two's complement bytes, which one
+    ``_fields_to_lanes`` turns into lane words.
+    """
+    n = len(columns[0])
+    half = ((1 << 8 * n) - 1) // 0xFF << 7  # 128 in every field
+    signed = [
+        (int.from_bytes(array("b", col).tobytes(), "little") ^ half) - half for col in columns
+    ]
+    bins = fft._dft_quarter_turns(signed, points)
+    words = iter(_fields_to_lanes([(x + half) ^ half for x in bins], n, [8] * len(bins)))
+    return [list(itertools.islice(words, 8)) for _ in bins]
+
+
+def _oracle(bins: Sequence[Sequence[int]], width: int, shift: int = 0) -> _Buses:
+    """The lane words of ``width``-bit buses holding 2**shift times the
+    values whose 8-bit two's complement lane words are ``bins``: per bus,
+    ``shift`` zero words, then its words with the sign word repeated, cut
+    at ``width``."""
+    return tuple(tuple(([0] * shift + [*words, *[words[-1]] * width])[:width]) for words in bins)
 
 
 @functools.cache
-def _fft_checks() -> Mapping[str, _FftCheck]:
-    """Per section of :func:`_fft_sections`, the columns its checks read
-    that depend on its samples alone, built once per process and held
-    read-only like them. The linearity section simulates x, y and x + y
-    (m vectors each) in one batch, and the time-reversal section x and
-    x(-n mod 4), so their samples are those batches. Exact outputs are 6
-    bits wide and come at step 8; Q1.3 outputs are 11 bits wide, so the
-    quantized section is laid out at step 16, where its DFT is taken
-    2**3 times: Q1.F holds -j exactly, so the raw outputs are 2**F times
-    the DFT."""
+def _fft_lanes() -> Mapping[str, tuple[int, _Buses, _Buses]]:
+    """Per run of the FFT suite, (lane count, the lane words of each input
+    bus, of each output bus of the oracle), built once per process from
+    :func:`_fft_sections` and held read-only like them:
+
+    - ``select=4``: the exact4 lanes, then the linearity lanes x (its first
+      200 vectors), y (the last 200) and x + y, then the time-reversal
+      lanes x and x(-n mod 4), against the 4-point DFT;
+    - ``select=2``: the exact2 lanes, against the 2-point DFT of x0 and x1
+      in X0 and X1, and 0 in X2 and X3;
+    - ``butterfly2``: the x0 and x1 words of those lanes, against the same
+      2-point DFT at the unit's output width;
+    - ``q3``: the quantized lanes, against 2**3 times the 4-point DFT:
+      Q1.F holds -j exactly, so the raw outputs are 2**F times the DFT.
+    """
     sections = _fft_sections()
-
-    def check(lanes: _Layout, xs: Sequence[int], *refs) -> _FftCheck:
-        return _FftCheck(lanes, tuple(xs), _nibbles(xs, lanes), *refs)
-
-    lanes = _layout(len(sections["exact4"][0]), 8)
-    xs = [lanes.buffer(col) for col in sections["exact4"]]
-    checks = {"exact4": check(lanes, xs, _dft(xs, 4, lanes), _energy(xs, lanes) << 2)}
-    lanes = _layout(len(sections["exact2"][0]), 8)
-    xs = [lanes.buffer(col) for col in sections["exact2"]]
-    checks["exact2"] = check(lanes, xs, _dft(xs[:4], 2, lanes))
-    cols = sections["linearity"]
-    m = len(cols[0]) // 2
-    pairs, half = _layout(2 * m, 8), _layout(m, 8)
-    low = (1 << 8 * m) - 1
-    xs = [pairs.buffer(col) for col in cols]
-    sums = [(x & low) + (x >> 8 * m) - half.half for x in xs]
-    checks["linearity"] = check(_layout(3 * m, 8), [x | s << 16 * m for x, s in zip(xs, sums)])
-    cols = sections["time_reversal"]
-    m = len(cols[0])
-    xs = [_layout(m, 8).buffer(col) for col in cols]
-    batch = [a | b << 8 * m for a, b in zip(xs, _reversed_index(xs))]
-    checks["time_reversal"] = check(_layout(2 * m, 8), batch)
-    lanes = _layout(len(sections["quantized"][0]), 16)
-    xs = [lanes.buffer(col) for col in sections["quantized"]]
-    checks["quantized"] = check(lanes, xs, _dft(xs, 4, lanes, _QUANT4.fraction_bits))
-    return MappingProxyType(checks)
-
-
-def _simulate(
-    net: Netlist, key: tuple[tuple[str, int], ...], inputs: Sequence[int], lanes: _Layout
-) -> list[int]:
-    """Evaluate ``net`` on the 4-bit sample columns ``inputs``
-    (:func:`_nibbles`) at ``lanes``, the buses in ``key`` tied. Returns the
-    buffer forms at ``lanes`` of the output buses, in output order; every
-    output must fit a field."""
-    width = net.output_width(next(iter(net.outputs)))
-    raw = net._evaluate_packed(key, inputs, lanes.n, lanes.step // 8)
-    return [lanes.from_raw(u, width) for u in raw]
+    linearity, reversal = sections["linearity"], sections["time_reversal"]
+    m = len(linearity[0]) // 2
+    # Sample order 0, 3, 2, 1: index -k mod 4.
+    reversed_index = reversal[0:2] + reversal[6:8] + reversal[4:6] + reversal[2:4]
+    select4 = [
+        [*x, *lin, *(a + b for a, b in zip(lin[:m], lin[m:])), *rev, *back]
+        for x, lin, rev, back in zip(sections["exact4"], linearity, reversal, reversed_index)
+    ]
+    exact2, quantized = sections["exact2"], sections["quantized"]
+    width = fft._net_for(_EXACT4).output_width("X0_re")
+    dft2 = _dft_lanes(exact2[:4], 2)
+    inputs2 = _sample_lanes(exact2)
+    runs = {
+        "select=4": (select4, _sample_lanes(select4), _oracle(_dft_lanes(select4, 4), width)),
+        "select=2": (exact2, inputs2, _oracle(dft2, width) + ((0,) * width,) * 4),
+        "butterfly2": (
+            exact2,
+            inputs2[:4],
+            _oracle(dft2, _unit("butterfly2").output_width("X0_re")),
+        ),
+        "q3": (
+            quantized,
+            _sample_lanes(quantized),
+            _oracle(
+                _dft_lanes(quantized, 4),
+                fft._net_for(_QUANT4).output_width("X0_re"),
+                _QUANT4.fraction_bits,
+            ),
+        ),
+    }
+    return MappingProxyType(
+        {name: (len(cols[0]), inputs, want) for name, (cols, inputs, want) in runs.items()}
+    )
 
 
-def _run_fft(config: fft.FftConfig, inputs: Sequence[int], lanes: _Layout) -> list[int]:
-    """:func:`_simulate` on the reconfigurable netlist of ``config``,
-    ``select`` tied as ``fft.run_fft`` ties it."""
-    return _simulate(fft._net_for(config), fft._SELECT_KEYS[config.select], inputs, lanes)
+def _vector(buses: Sequence[Sequence[int]], i: int) -> list[tuple[int, int]]:
+    """Lane i of the buses whose lane words are ``buses``, re, im, re, ..,
+    as two's complement (re, im) pairs."""
+    values = [to_signed(_value(words, i), len(words)) for words in buses]
+    return list(zip(values[::2], values[1::2]))
+
+
+def _check_fft(t: _Tally, run: str, net: Netlist, key: tuple[tuple[str, int], ...]) -> None:
+    """Check ``net``, the buses in ``key`` tied, on the run ``run`` of
+    :func:`_fft_lanes`, whose name begins the detail of a failing lane."""
+    n, inputs, want = _fft_lanes()[run]
+    got = _simulate(net, inputs, n, key)
+    t.check(
+        n,
+        _diff(got, want),
+        lambda i: f"{run} x={_vector(inputs, i)}: got {_vector(got, i)}, want {_vector(want, i)}",
+    )
 
 
 def _verify_fft() -> UnitResult:
     t = _Tally("fft")
-    checks = _fft_checks()
-
-    lanes, xs, inputs, want, energy = checks["exact4"]
-    got = _run_fft(_EXACT4, inputs, lanes)
-    t.check_packed(
-        zip(got, want),
-        lanes,
-        lambda i: f"select=4 x={lanes.vector(xs, i)}: "
-        f"got {lanes.vector(got, i)}, want {lanes.vector(want, i)}",
-    )
-    # Parseval: sum |X|^2 == 4 * sum |x|^2, exact in integers.
-    energy_out = _energy(got, lanes)
-    fields = _layout(lanes.n, 16)
-    t.check_packed(
-        [(energy_out, energy)],
-        fields,
-        lambda i: f"Parseval x={lanes.vector(xs, i)}: "
-        f"{fields.field(energy_out, i)} != 4*{fields.field(energy, i) >> 2}",
-    )
-
-    lanes, xs, inputs, want, _ = checks["exact2"]
-    got = _run_fft(_EXACT2, inputs, lanes)
-    t.check_packed(
-        zip(got[:4], want),
-        lanes,
-        lambda i: f"select=2 x={lanes.vector(xs[:4], i)}: "
-        f"got {lanes.vector(got[:4], i)}, want {lanes.vector(want, i)}",
-    )
-    t.check_packed(
-        ((g, lanes.half) for g in got[4:]),
-        lanes,
-        lambda i: f"upper slots not zero for x={lanes.vector(xs[:4], i)}: "
-        f"{lanes.vector(got[4:], i)}",
-    )
-    standalone = _simulate(_unit("butterfly2"), (), inputs[:4], lanes)
-    t.check_packed(
-        zip(got[:4], standalone),
-        lanes,
-        lambda i: f"select=2 disagrees with butterfly for x={lanes.vector(xs[:4], i)}: "
-        f"{lanes.vector(got[:4], i)} vs {lanes.vector(standalone, i)}",
-    )
-
-    # Linearity: the outputs of x + y against the sums of those of x and y.
-    lanes, xs, inputs, _, _ = checks["linearity"]
-    m = lanes.n // 3
-    half = _layout(m, 8)
-    low = (1 << 8 * m) - 1
-    out = _run_fft(_EXACT4, inputs, lanes)
-    fx, fy, fs = ([(b >> 8 * m * j) & low for b in out] for j in range(3))
-    t.check_packed(
-        zip(fs, [a + b - half.half for a, b in zip(fx, fy)]),
-        half,
-        lambda i: f"linearity broken for x={lanes.vector(xs, i)}, y={lanes.vector(xs, m + i)}",
-    )
-
-    # Time reversal: the spectrum of x(-n mod 4) is X(-k mod 4).
-    lanes, xs, inputs, _, _ = checks["time_reversal"]
-    m = lanes.n // 2
-    low = (1 << 8 * m) - 1
-    out = _run_fft(_EXACT4, inputs, lanes)
-    fx, frev = [b & low for b in out], [b >> 8 * m for b in out]
-    t.check_packed(
-        zip(frev, _reversed_index(fx)),
-        _layout(m, 8),
-        lambda i: f"time reversal broken for x={lanes.vector(xs, i)}",
-    )
-
-    lanes, xs, inputs, want, _ = checks["quantized"]
-    got = _run_fft(_QUANT4, inputs, lanes)
-    t.check_packed(
-        zip(got, want),
-        lanes,
-        lambda i: f"q{_QUANT4.fraction_bits} x={lanes.vector(xs, i)}: "
-        f"got {lanes.vector(got, i)}, want {lanes.vector(want, i)}",
-    )
+    _check_fft(t, "select=4", fft._net_for(_EXACT4), fft._SELECT_KEYS[4])
+    _check_fft(t, "select=2", fft._net_for(_EXACT2), fft._SELECT_KEYS[2])
+    _check_fft(t, "butterfly2", _unit("butterfly2"), ())
+    _check_fft(t, "q3", fft._net_for(_QUANT4), fft._SELECT_KEYS[4])
     return t.result()
 
 

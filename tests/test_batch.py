@@ -418,41 +418,43 @@ def test_transposition_against_per_bit_reference(width):
             int.from_bytes(data[i : i + size], "little") & ((1 << width) - 1)
             for i in range(0, len(data), size)
         ]
-        words = netlist._fields_to_lanes([x], n, size, [width])
+        words = netlist._fields_to_lanes([x], n, [width])
         assert words == per_bit_lanes(values, width), (width, n)
         fields = b"".join(v.to_bytes(size, "little") for v in values)
-        assert netlist._lanes_to_fields([words], n, size) == [int.from_bytes(fields, "little")], (
+        assert netlist._lanes_to_fields([words], n) == [int.from_bytes(fields, "little")], (
             width,
             n,
         )
 
 
 @pytest.mark.parametrize("size", [2, 4, 8, 13])
-def test_transposition_at_a_wider_field_step(size):
-    # Every bus whose item fits ``size`` bytes, stacked in one call, with
-    # fields of ``size`` bytes: the step the verify suites compare at, or
-    # that evaluate_batch packs every bus of a netlist at. Every field is
-    # random in all of its bytes; the words are each bus's per-bit lane
-    # words, end to end, and the fields that come back are the bus values,
-    # zero above the width.
+def test_transposition_of_stacked_buses(size):
+    # Every bus whose item fits ``size`` bytes, stacked in one call, each
+    # bus's fields at its own item size, as evaluate_batch packs the buses
+    # of a netlist. Every field is random in all of its bytes; the words
+    # are each bus's per-bit lane words, end to end, and the fields that
+    # come back are the bus values, zero above the width.
     widths = [w for w in TRANSPOSE_WIDTHS if netlist._item_size(w) <= size]
     rng = random.Random(size)
     for n in [1, 7, 8, 9, 255, 256, 257, 1009]:
-        xs = [rng.getrandbits(8 * size * n) for _ in widths]
+        sizes = [netlist._item_size(width) for width in widths]
+        xs = [rng.getrandbits(8 * item * n) for item in sizes]
         values = []
-        for x, width in zip(xs, widths):
-            data = x.to_bytes(size * n, "little")
+        for x, width, item in zip(xs, widths, sizes):
+            data = x.to_bytes(item * n, "little")
             values.append(
                 [
-                    int.from_bytes(data[i : i + size], "little") & ((1 << width) - 1)
-                    for i in range(0, len(data), size)
+                    int.from_bytes(data[i : i + item], "little") & ((1 << width) - 1)
+                    for i in range(0, len(data), item)
                 ]
             )
-        words = netlist._fields_to_lanes(xs, n, size, widths)
+        words = netlist._fields_to_lanes(xs, n, widths)
         buses = [per_bit_lanes(vs, width) for vs, width in zip(values, widths)]
         assert words == [word for bus in buses for word in bus], n
-        fields = [b"".join(v.to_bytes(size, "little") for v in vs) for vs in values]
-        assert netlist._lanes_to_fields(buses, n, size) == [
+        fields = [
+            b"".join(v.to_bytes(item, "little") for v in vs) for vs, item in zip(values, sizes)
+        ]
+        assert netlist._lanes_to_fields(buses, n) == [
             int.from_bytes(f, "little") for f in fields
         ], n
 
@@ -537,7 +539,7 @@ def assert_batches_interpreted_one_lane_generated(net, vectors, tied=None):
     assert list(net._programs) == [key]
     untied = [bus for bus in net.inputs if bus not in tied]
     for i, vector in enumerate(alone):
-        got = net._evaluate_packed(key, [vector[bus] for bus in untied], 1, net._field_size())
+        got = net._evaluate_packed(key, [vector[bus] for bus in untied], 1)
         assert got == [want_alone[bus][i] for bus in net.outputs], vector
 
 
@@ -576,6 +578,33 @@ def test_generated_kernel_tied_select(name, select, lanes):
     net = build_unit(name)
     vectors = sample_lanes(net, lanes, f"{name}-{select}-{lanes}")
     assert_batches_interpreted_one_lane_generated(net, vectors, {"select": select})
+
+
+def lane_units():
+    """Every catalog unit with no bus tied, and each reconfigurable one
+    with ``select`` tied to each value."""
+    untied = [pytest.param(p.values[0], None, id=p.id) for p in catalog_units()]
+    return untied + [
+        pytest.param(name, select, id=f"fft-{name}-select{select}")
+        for name in RECONFIGURABLE_UNITS
+        for select in (0, 1)
+    ]
+
+
+@pytest.mark.parametrize("name, select", lane_units())
+def test_evaluate_lanes_matches_evaluate_batch(name, select):
+    # The gate-loop path, on the lane words of seeded vectors, returns the
+    # lane words of the outputs the checked batch path gives.
+    net = build_unit(name)
+    tied = {} if select is None else {"select": select}
+    vectors = sample_lanes(net, 257, f"lanes-{name}-{select}")
+    columns = {bus: [v[bus] for v in vectors] for bus in net.inputs if bus not in tied}
+    words = [
+        word for bus, col in columns.items() for word in per_bit_lanes(col, net.input_width(bus))
+    ]
+    got = net._evaluate_lanes(tuple(sorted(tied.items())), words, len(vectors))
+    batch = net.evaluate_batch({**columns, **tied})
+    assert got == [per_bit_lanes(batch[bus], net.output_width(bus)) for bus in net.outputs]
 
 
 def test_generated_kernel_random_programs():

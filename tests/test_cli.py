@@ -208,7 +208,7 @@ class TestVerify:
             "adder: 1512/1512 pass",
             "subtractor: 1256/1256 pass",
             "signed4x4: 512/512 pass",
-            "fft: 4618/4618 pass",
+            "fft: 3809/3809 pass",
         ]
         assert err == "1 unit(s) FAILED\n"
 
@@ -323,7 +323,7 @@ GOLDEN_STDOUT_SHA256 = {
     ("report", "--format", "text"): "582d7a6e84e798d2e9b4972342f203f4fe397ad1e4358e4e0cde7d9479aca773",
     ("report", "--format", "csv"): "f51e7e1b18fcde0bba7793964f6251c03fc82a2868c97f9322d76f5acf49032f",
     ("report", "--format", "json"): "52c19c5afe04a2c950a9e12eac982b44586d82bf0cd50950307dfca04034682a",
-    ("verify", "--unit", "all"): "80064c6506ce76b3928b70370840d8903d1f759908e827d5ba29a01e08422fd0",
+    ("verify", "--unit", "all"): "fed1f775d808721e55e7aa387218a96b500b883c55243a8d95ebac65d0d3ce6b",
     # One-lane paths: a Q1.3 4-point transform, the tied select-2 program
     # and the signed -8 * -8 corner.
     ("fft", "--samples", "1,0;2,0;3,0;4,0", "--twiddle", "q3"): (

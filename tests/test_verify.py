@@ -13,15 +13,8 @@ from array import array
 
 import pytest
 
-from vedicfft import arith, fft, verify
-from vedicfft.netlist import (
-    GateKind,
-    Netlist,
-    _column_fields,
-    _field_values,
-    _item_size,
-    to_signed,
-)
+from vedicfft import arith, fft, netlist, verify
+from vedicfft.netlist import GateKind, Netlist, to_signed
 
 FLIPPED = {
     GateKind.AND: GateKind.OR,
@@ -38,7 +31,7 @@ COUNTS = {
     "adder": 1512,
     "subtractor": 1256,
     "signed4x4": 512,
-    "fft": 4618,
+    "fft": 3809,
 }
 
 
@@ -47,7 +40,7 @@ def test_case_counts():
     assert all(r.ok for r in results), [r.summary() for r in results]
     assert {r.unit: r.checked for r in results} == COUNTS
     assert list(COUNTS) == list(verify.unit_names())
-    assert sum(r.checked for r in results) == 8426
+    assert sum(r.checked for r in results) == 7617
 
 
 def test_column_suites_build_no_object_per_case(monkeypatch):
@@ -154,44 +147,45 @@ def test_fft_sections_are_drawn_once_and_read_only(monkeypatch):
 
 
 def test_second_pass_redoes_no_input_only_work(monkeypatch):
-    # After one warm pass, a pass only simulates, reads the outputs and
-    # compares: the operand columns, the seeded draws, the layouts, the
-    # buffer forms, the DFT references and the input energies are all held
-    # from the first one.
+    # After one warm pass, a pass only runs the gate loop on held lane words
+    # and compares: the seeded draws, the operand and sample lane words, the
+    # DFT references and every other oracle word are all held from the
+    # first one, so a pass transposes, packs and decodes nothing.
     first = verify.verify_all()
     integer = {suite: verify._integer_sections(suite) for suite in ("adder", "subtractor")}
-    checks = verify._fft_checks()
+    lanes = verify._fft_lanes()
 
     def forbidden(*args, **kwargs):
         raise AssertionError("a second pass redid work that depends only on its inputs")
 
     monkeypatch.setattr(random.Random, "getrandbits", forbidden)
     monkeypatch.setattr(fft, "_dft_quarter_turns", forbidden)
-    monkeypatch.setattr(verify._Layout, "__init__", forbidden)
-    monkeypatch.setattr(verify._Layout, "buffer", forbidden)
-    monkeypatch.setattr(verify._Layout, "widen", forbidden)
-    monkeypatch.setattr(verify, "_column_fields", forbidden)
-    monkeypatch.setattr(verify, "_nibbles", forbidden)
+    for name in ("_fields_to_lanes", "_lanes_to_fields", "_column_fields", "_field_values"):
+        monkeypatch.setattr(netlist, name, forbidden)
+        if hasattr(verify, name):
+            monkeypatch.setattr(verify, name, forbidden)
+    monkeypatch.setattr(Netlist, "evaluate_batch", forbidden)
+    monkeypatch.setattr(Netlist, "_evaluate_packed", forbidden)
+    monkeypatch.setattr(verify, "_sample_lanes", forbidden)
     assert verify.verify_all() == first
     assert all(r.ok for r in first)
-    assert verify._fft_checks() is checks
+    assert verify._fft_lanes() is lanes
     assert all(verify._integer_sections(suite) is integer[suite] for suite in integer)
-    # Every pass shares them, so the cached columns reject writes.
-    *_, columns, want = integer["adder"][1]
+    # Every pass shares them, so the cached words reject writes.
+    _, _, inputs, want = integer["adder"][1]
     with pytest.raises(TypeError):
-        columns[0] = want
+        inputs[0] = want
     with pytest.raises(TypeError):
         integer["adder"][1] = integer["adder"][2]
     with pytest.raises(TypeError):
-        verify._exhaustive_fields(range(16), range(16))[0] = 0
+        verify._exhaustive_lanes(range(16), range(16))[0] = ()
+    _, inputs, want = lanes["select=4"]
     with pytest.raises(TypeError):
-        checks["exact4"].want[0] = 0
+        want[0] = 0
     with pytest.raises(TypeError):
-        checks["exact4"].inputs[0] = 0
-    with pytest.raises(AttributeError):
-        checks["exact4"].energy = 0
+        inputs[0] = 0
     with pytest.raises(TypeError):
-        checks["exact4"] = checks["exact2"]
+        lanes["select=4"] = lanes["select=2"]
 
 
 def list_column(rng, n, width):
@@ -210,14 +204,12 @@ def list_column(rng, n, width):
 @pytest.mark.parametrize("n", [1, 2, 500])
 @pytest.mark.parametrize("width", [1, 8, 16])
 def test_random_column_draws_are_unchanged(width, n):
-    # The integer suites draw packed ints; the same calls on the same rng
-    # give the cases of the list reader they replaced, and the next draw
-    # is unchanged too.
+    # The integer suites read each random column from one getrandbits call;
+    # the same calls on the same rng give the cases of the list reader the
+    # suites have always drawn, and the next draw is unchanged too.
     seed = width * 1000 + n
     rng, reference = random.Random(seed), random.Random(seed)
-    packed = verify._random_fields(rng, n, width)
-    assert _field_values(packed, n, width) == list_column(reference, n, width)
-    assert 0 <= packed < 1 << 8 * _item_size(width) * n
+    assert verify._random_column(rng, n, width) == list_column(reference, n, width)
     assert rng.getrandbits(64) == reference.getrandbits(64)
 
 
@@ -273,17 +265,81 @@ def fft_suite_on(monkeypatch, config, mutated):
     return verify.verify_unit("fft")
 
 
+EXACT4 = fft.FftConfig(select=4)
+Q3 = fft.FftConfig(4, "quantized", 3, 4)
+
+
+def fft_sample_rows():
+    """The sample rows of the FFT suite's runs at select 4 and 2 and in
+    Q1.3, each a list of 4 (re, im) samples, built the per-lane way from
+    the suite's pinned draws: at select 4 the exact4 rows, then the
+    linearity rows x (the first 200) and y (the last 200) and their sums,
+    then the time-reversal rows and the same rows in sample order 0, 3,
+    2, 1."""
+    rows = {
+        name: [list(zip(row[::2], row[1::2])) for row in zip(*cols)]
+        for name, cols in verify._fft_sections().items()
+    }
+    linearity, reversal = rows["linearity"], rows["time_reversal"]
+    m = len(linearity) // 2
+    sums = [
+        [(a + c, b + d) for (a, b), (c, d) in zip(x, y)]
+        for x, y in zip(linearity[:m], linearity[m:])
+    ]
+    reversed_rows = [[x[0], x[3], x[2], x[1]] for x in reversal]
+    select4 = rows["exact4"] + linearity + sums + reversal + reversed_rows
+    return select4, rows["exact2"], rows["quantized"]
+
+
+def fft_per_lane_result():
+    """(checked, failed, detail) of the FFT suite computed the per-lane way:
+    the rows of :func:`fft_sample_rows`, ``evaluate_batch`` on the netlists
+    ``fft._net_for`` and ``verify._unit`` give, with ``select`` tied, and
+    ``fft.dft_oracle`` compared case by case. The select-2 run must give
+    the 2-point DFT of x0 and x1 and zero in X2 and X3; ``butterfly2`` the
+    2-point DFT of the same x0 and x1; Q1.3 2**3 times the 4-point DFT."""
+    select4, exact2, quantized = fft_sample_rows()
+    runs = [
+        ("select=4", fft._net_for(EXACT4), {"select": 1}, select4, 4, 0),
+        ("select=2", fft._net_for(fft.FftConfig(select=2)), {"select": 0}, exact2, 2, 0),
+        ("butterfly2", verify._unit("butterfly2"), {}, [row[:2] for row in exact2], 2, 0),
+        ("q3", fft._net_for(Q3), {"select": 1}, quantized, 4, Q3.fraction_bits),
+    ]
+    checked = failed = 0
+    detail = ""
+    for label, net, tied, rows, points, shift in runs:
+        columns = {
+            bus: [row[int(bus[1])][bus.endswith("im")] & 15 for row in rows]
+            for bus in net.inputs
+            if bus not in tied
+        }
+        out = net.evaluate_batch({**columns, **tied})
+        width = net.output_width("X0_re")
+        for row, raw in zip(rows, zip(*out.values())):
+            values = [to_signed(v, width) for v in raw]
+            got = list(zip(values[::2], values[1::2]))
+            spectrum = fft.dft_oracle([complex(*sample) for sample in row[:points]])
+            want = [(int(x.real) << shift, int(x.imag) << shift) for x in spectrum]
+            want += [(0, 0)] * (len(got) - points)
+            checked += 1
+            if got != want:
+                failed += 1
+                detail = detail or f"{label} x={row}: got {got}, want {want}"
+    return checked, failed, detail
+
+
 # One gate per program the FFT suite runs: the 4-point exact path, the
 # select-0 program (gate 242, drawn by ``random.Random(2).choice`` from its
 # live AND, OR, XOR and XNOR gates) and a Q1.3 multiplier of the quantized
-# path, with the failures and first detail the suite reports. Select 0 runs
-# part of the shared core, so gates 255 and 242 fail cases of both select
-# values: 270 and 800 of them at select 2.
+# path, with the failures and first detail the suite reports; the per-lane
+# reference (:func:`fft_per_lane_result`) gives the same. Select 0 runs part
+# of the shared core, so gates 255 and 242 fail lanes of both select
+# values: 135 and all 400 of them at select 2.
 MUTANTS = [
     pytest.param(
         fft.FftConfig(select=4),
         255,
-        960,
+        743,
         "select=4 x=[(1, -6), (-8, -7), (2, 1), (-6, 5)]: "
         "got [(21, -7), (-13, -5), (17, -3), (11, -9)], "
         "want [(-11, -7), (-13, -5), (17, -3), (11, -9)]",
@@ -292,7 +348,7 @@ MUTANTS = [
     pytest.param(
         fft.FftConfig(select=2),
         242,
-        3003,
+        2409,
         "select=4 x=[(1, 0), (0, 0), (0, 0), (0, 0)]: "
         "got [(5, 0), (1, 0), (1, 0), (1, 0)], want [(1, 0), (1, 0), (1, 0), (1, 0)]",
         id="select2",
@@ -317,12 +373,13 @@ def test_fft_suite_catches_a_flipped_gate(monkeypatch, config, gate_id, failed, 
         assert gate_id in multiplier_gate_ids(monkeypatch, config)
     result = fft_suite_with_flip(monkeypatch, config, gate_id)
     assert not result.ok
-    assert (result.checked, result.failed, result.detail) == (4618, failed, detail)
+    assert (result.checked, result.failed, result.detail) == (3809, failed, detail)
+    assert (result.checked, result.failed, result.detail) == fft_per_lane_result()
 
 
 def test_fft_suite_catches_an_idle_sample_leaking_into_select_2(monkeypatch):
     # The isolation AND of x2_re bit 0 reads that bit twice: select 0 lets
-    # the bit into the core, and only the select-2 cases, whose x2 and x3
+    # the bit into the core, and only the select-2 lanes, whose x2 and x3
     # are drawn at random, can show it.
     net = fft._net_for(fft.FftConfig(select=2))
     bit = net.inputs["x2_re"][0]
@@ -332,34 +389,55 @@ def test_fft_suite_catches_an_idle_sample_leaking_into_select_2(monkeypatch):
     mutated = Netlist(net.name, net.inputs, net.outputs, leaky, net.consts)
     result = fft_suite_on(monkeypatch, fft.FftConfig(select=2), mutated)
     assert (result.checked, result.failed, result.detail) == (
-        4618,
-        392,
-        "select=2 x=[(7, 6), (7, 3)]: got [(15, 9), (1, 3)], want [(14, 9), (0, 3)]",
+        3809,
+        196,
+        "select=2 x=[(7, 6), (7, 3), (3, -7), (0, -7)]: "
+        "got [(15, 9), (1, 3), (0, 0), (0, 0)], want [(14, 9), (0, 3), (0, 0), (0, 0)]",
     )
+    assert (result.checked, result.failed, result.detail) == fft_per_lane_result()
+
+
+def test_fft_suite_catches_a_flipped_butterfly2_gate(monkeypatch):
+    # Gate 17, drawn by ``random.Random(1).choice`` from the AND, OR, XOR
+    # and XNOR gates of butterfly2, flipped in the unit that verify looks
+    # up: the suite's butterfly2 run names a lane on which the flip shows.
+    # (Gate 49, the draw of seed 0, is an equivalent mutant: all 2**16
+    # inputs give the unit's outputs unchanged.)
+    lookup = verify._unit
+    net = lookup("butterfly2")
+    mutated = with_kind_flipped(net, 17)
+    monkeypatch.setattr(verify, "_unit", lambda k: mutated if k == "butterfly2" else lookup(k))
+    result = verify.verify_unit("fft")
+    assert (result.checked, result.failed) == (3809, 135)
+    named = re.match(
+        r"butterfly2 x=\[\((-?\d+), (-?\d+)\), \((-?\d+), (-?\d+)\)\]: got ", result.detail
+    )
+    assert named, result.detail
+    case = {bus: [int(v) & 15] for bus, v in zip(net.inputs, named.groups())}
+    assert mutated.evaluate_batch(case) != net.evaluate_batch(case)
+    assert (result.checked, result.failed, result.detail) == fft_per_lane_result()
 
 
 # Gates drawn by ``random.Random(2023).sample`` from the live AND, OR, XOR
 # and XNOR gates of each netlist at select 4, and Q1.3 gate 487, which the
 # compiled programs do not run; the suite's (failed, first detail) for
-# each. No case shows the flip of exact gate 434 either: 200,000 random
-# vectors give the flipped netlist's outputs at select 4 unchanged. The
-# draw was made before the 16 isolation ANDs on x2 and x3 came ahead of
-# the core; each id is the drawn one plus 16, and the test ids name the
-# drawn ones. Exact gates 277, 280 and
-# 238 also run at select 0 and fail 800, 306 and 800 select-2 cases.
-EXACT4 = fft.FftConfig(select=4)
-Q3 = fft.FftConfig(4, "quantized", 3, 4)
+# each, which the per-lane reference gives too. No case shows the flip of
+# exact gate 434 either: 200,000 random vectors give the flipped netlist's
+# outputs at select 4 unchanged. The draw was made before the 16 isolation
+# ANDs on x2 and x3 came ahead of the core; each id is the drawn one plus
+# 16, and the test ids name the drawn ones. Exact gates 277, 280 and 238
+# also run at select 0 and fail 400, 153 and 400 select-2 lanes.
 SEEDED_FLIPS = [
-    (EXACT4, 277, 2996, "select=4 x=[(1, 0), (0, 0), (0, 0), (0, 0)]: "
+    (EXACT4, 277, 2409, "select=4 x=[(1, 0), (0, 0), (0, 0), (0, 0)]: "
      "got [(1, 8), (1, 0), (1, 0), (1, 0)], want [(1, 0), (1, 0), (1, 0), (1, 0)]"),
-    (EXACT4, 488, 2397, "select=4 x=[(1, 0), (0, 0), (0, 0), (0, 0)]: "
+    (EXACT4, 488, 2009, "select=4 x=[(1, 0), (0, 0), (0, 0), (0, 0)]: "
      "got [(1, 0), (1, 0), (1, 0), (1, -32)], want [(1, 0), (1, 0), (1, 0), (1, 0)]"),
-    (EXACT4, 315, 812, "select=4 x=[(0, 0), (0, 0), (1, 0), (0, 0)]: "
+    (EXACT4, 315, 698, "select=4 x=[(0, 0), (0, 0), (1, 0), (0, 0)]: "
      "got [(1, 0), (31, 0), (1, 0), (-1, 0)], want [(1, 0), (-1, 0), (1, 0), (-1, 0)]"),
-    (EXACT4, 280, 1188, "select=4 x=[(-2, -8), (-1, -6), (0, 2), (-2, 6)]: "
+    (EXACT4, 280, 753, "select=4 x=[(-2, -8), (-1, -6), (0, 2), (-2, 6)]: "
      "got [(-5, 10), (-14, -11), (1, -6), (10, -9)], "
      "want [(-5, -6), (-14, -11), (1, -6), (10, -9)]"),
-    (EXACT4, 238, 3018, "select=4 x=[(1, 0), (0, 0), (0, 0), (0, 0)]: "
+    (EXACT4, 238, 2409, "select=4 x=[(1, 0), (0, 0), (0, 0), (0, 0)]: "
      "got [(3, 0), (1, 0), (1, 0), (1, 0)], want [(1, 0), (1, 0), (1, 0), (1, 0)]"),
     (EXACT4, 434, 0, ""),
     (Q3, 2243, 422, "q3 x=[(1, -1), (-3, 6), (4, -6), (-1, -7)]: "
@@ -390,7 +468,8 @@ def test_fft_suite_result_of_seeded_flips(monkeypatch, config, gate_id, failed, 
     net = fft._net_for(config)
     assert (gate_id in live_gate_ids(net, 1)) == (gate_id != 487)
     result = fft_suite_with_flip(monkeypatch, config, gate_id)
-    assert (result.checked, result.failed, result.detail) == (4618, failed, detail)
+    assert (result.checked, result.failed, result.detail) == (3809, failed, detail)
+    assert (result.checked, result.failed, result.detail) == fft_per_lane_result()
 
 
 # One gate per non-FFT suite, flipped in the netlist that verify looks up by
@@ -591,179 +670,74 @@ def test_unit_suite_catches_a_flipped_gate(
     }
     assert len(case) == len(net.inputs)
     assert mutated.evaluate_batch(case) != net.evaluate_batch(case)
-    # The packed compare counts the failures the per-lane one counts.
-    reference = per_lane_result if suite in ("adder", "subtractor") else per_lane_product_result
-    assert (result.checked, result.failed, result.detail) == reference(suite)
+    # The lane compare counts the failures the per-lane one counts.
+    assert (result.checked, result.failed, result.detail) == reference_result(suite)
     assert 0 < result.failed < COUNTS[suite]
 
 
-@pytest.mark.parametrize(
-    "suite", ["adder", "subtractor", "vedic2x2", "vedic4x4", "array4x4", "signed4x4"]
-)
+def reference_result(suite):
+    """(checked, failed, detail) of ``suite`` computed the per-lane way."""
+    if suite == "fft":
+        return fft_per_lane_result()
+    if suite in ("adder", "subtractor"):
+        return per_lane_result(suite)
+    return per_lane_product_result(suite)
+
+
+@pytest.mark.parametrize("suite", list(COUNTS))
 def test_per_lane_reference_passes(suite):
-    reference = per_lane_result if suite in ("adder", "subtractor") else per_lane_product_result
-    assert reference(suite) == (COUNTS[suite], 0, "")
+    assert reference_result(suite) == (COUNTS[suite], 0, "")
 
 
 def test_passing_packed_suites_decode_no_case(monkeypatch):
+    # A passing suite runs the gate loop on lane words and compares them;
+    # it decodes no lane, formats no detail and simulates no list column.
     def forbidden(*args, **kwargs):
-        raise AssertionError("a per-case check or a list simulation in a passing suite")
+        raise AssertionError("a decoded lane or a list simulation in a passing suite")
 
-    monkeypatch.setattr(verify._Tally, "check_all", forbidden)
+    monkeypatch.setattr(verify, "_value", forbidden)
     monkeypatch.setattr(Netlist, "evaluate_batch", forbidden)
+    monkeypatch.setattr(Netlist, "_evaluate_packed", forbidden)
     for suite in verify.unit_names():
         result = verify.verify_unit(suite)
         assert result.ok and result.checked == COUNTS[suite], suite
 
 
-def test_parseval_failure_alone(monkeypatch):
-    # X0.re of vector 5 of the exact 4-point section is one too large, and
-    # the section's DFT reference, built once per process, is made to
-    # agree: only Parseval's identity fails. Vector 5 is j at sample 1, of
-    # energy 1; every bin has energy 1 but X0 = j becomes 1 + j.
-    run_fft = verify._run_fft
-    checks = verify._fft_checks()
-    exact4 = checks["exact4"]
-    agreeing = exact4._replace(want=(exact4.want[0] + (1 << 8 * 5), *exact4.want[1:]))
-    corrupted = []
-
-    def corrupting_run_fft(config, inputs, lanes):
-        got = run_fft(config, inputs, lanes)
-        if lanes.n == 1009:
-            got = [got[0] + (1 << 8 * 5), *got[1:]]
-            corrupted.append(got)
-        return got
-
-    monkeypatch.setattr(verify, "_run_fft", corrupting_run_fft)
-    monkeypatch.setattr(verify, "_fft_checks", lambda: {**checks, "exact4": agreeing})
-    result = verify.verify_unit("fft")
-    assert corrupted == [list(agreeing.want)]
-    assert (result.checked, result.failed, result.detail) == (
-        4618,
-        1,
-        "Parseval x=[(0, 0), (0, 1), (0, 0), (0, 0)]: 5 != 4*1",
-    )
-
-
-def per_lane_energy(columns):
-    return [sum(v * v for v in row) for row in zip(*columns)]
-
-
-@pytest.mark.parametrize(
-    "columns",
-    [
-        pytest.param([list(range(-128, 128))], id="every-signed-byte"),
-        pytest.param([[-32, 32, 31, -31, 0, 1]] * 8, id="output-headroom"),
-        pytest.param([[-8, 8, 7, 0, -1, 3]] * 8, id="input-headroom"),
-        pytest.param(
-            [[random.Random(k).randrange(-32, 33) for _ in range(1009)] for k in range(8)],
-            id="random-outputs",
-        ),
-    ],
-)
-def test_packed_energy_matches_per_lane(columns):
-    n = len(columns[0])
-    lanes = verify._Layout(n, 8)
-    buffers = [lanes.buffer(array("b", col)) for col in columns]
-    energy = verify._energy(buffers, lanes)
-    assert 0 <= energy < 1 << 16 * n
-    fields = verify._Layout(n, 16)
-    assert [fields.field(energy, i) for i in range(n)] == per_lane_energy(columns)
-
-
-# The FFT suite's packed columns: n signed fields of 8 or 16 bits in one
-# int, kept in buffer form (every field v + 2**(step - 1)).
-HEADROOM = {8: [-8, 8, -32, 32, -64, 64], 16: [-8, 8, -256, 256, -1024, 1024]}
-
-
-@pytest.mark.parametrize("n", [1, 2, 1009])
-@pytest.mark.parametrize("step", [8, 16])
-def test_packed_signed_buffer_round_trips(step, n):
-    lanes = verify._Layout(n, step)
-    h = 1 << (step - 1)
-    rng = random.Random(step * n)
-    extremes = [-h, h - 1, 0, -1] + HEADROOM[step]
-    values = (extremes + [rng.randrange(-h, h) for _ in range(n)])[:n]
-    signed = sum(v << step * i for i, v in enumerate(values))
-    buffer = signed + lanes.half
-    assert 0 <= buffer < 1 << step * n
-    assert lanes.values(buffer).tolist() == values
-    assert [lanes.value(buffer, i) for i in range(n)] == values
-    assert lanes.vector([buffer, buffer], n - 1) == [(values[-1], values[-1])]
-    # A netlist output bus of width w < step: raw two's complement fields.
-    width = step - 2
-    small = [v % (1 << (width - 1)) - (1 << (width - 2)) for v in values]
-    raw = sum((v % (1 << width)) << step * i for i, v in enumerate(small))
-    assert lanes.values(lanes.from_raw(raw, width)).tolist() == small
-    # +, - and << act field by field on the signed form, within the headroom.
-    halves = [v // 2 for v in values]
-    x = sum(v << step * i for i, v in enumerate(halves))
-    y = sum(v << step * i for i, v in enumerate(reversed(halves)))
-    pairs = list(zip(halves, reversed(halves)))
-    assert lanes.values(x + y + lanes.half).tolist() == [a + b for a, b in pairs]
-    assert lanes.values(x - y + lanes.half).tolist() == [a - b for a, b in pairs]
-    assert lanes.values((x << 1) + lanes.half).tolist() == [2 * a for a in halves]
-    # From the bytes of a drawn column: every value of a signed byte.
-    column = array("b", [v % 256 - 128 for v in values])
-    assert lanes.values(lanes.buffer(column)).tolist() == column.tolist()
-
-
-@pytest.mark.parametrize("width, step", [(1, 16), (4, 16), (8, 16), (1, 32), (16, 32)])
-def test_widen_moves_every_field(width, step):
-    # A bus's packed int, at the bus's own step, into a wider layout.
-    n = 37
-    rng = random.Random(width * step)
-    values = [(1 << width) - 1, 0] + [rng.randrange(1 << width) for _ in range(n - 2)]
-    wide = verify._Layout(n, step)
-    x = wide.widen(_column_fields(values, width), width)
-    assert 0 <= x < 1 << step * n
-    assert [wide.field(x, i) for i in range(n)] == values
-    assert wide.items(x).tolist() == values
-
-
 def test_simulate_checks_the_sample_range():
-    # The netlist inputs of sample columns are range-checked as they are
-    # built, at either step an FFT section is laid out at, and simulate to
-    # the spectra run_fft gives.
+    # The sample lane words of signed columns are range-checked as they are
+    # built, and simulate to the spectra run_fft gives.
     net = fft._net_for(EXACT4)
-    samples = [0, 7, -8]
-    for step in (8, 16):
-        lanes = verify._Layout(3, step)
-        xs = [lanes.buffer(array("b", samples))] * 8
-        got = verify._simulate(net, fft._SELECT_KEYS[4], verify._nibbles(xs, lanes), lanes)
-        for i, v in enumerate(samples):
-            spectrum = fft.run_fft(EXACT4, [(v, v)] * 4).spectrum
-            assert lanes.vector(got, i) == [(x.re, x.im) for x in spectrum], (step, v)
-        xs[5] = lanes.buffer(array("b", [0, -9, 8]))
-        with pytest.raises(ValueError, match=r"^component -9 outside \[-8, 7\] for width 4$"):
-            verify._nibbles(xs, lanes)
+    samples = [0, 7, -8, -1, 3]
+    inputs = verify._sample_lanes([samples] * 8)
+    got = verify._simulate(net, inputs, len(samples), fft._SELECT_KEYS[4])
+    for i, v in enumerate(samples):
+        spectrum = fft.run_fft(EXACT4, [(v, v)] * 4).spectrum
+        assert verify._vector(got, i) == [(x.re, x.im) for x in spectrum], v
+    columns = [samples] * 8
+    columns[5] = [0, -9, 8, 0, 0]
+    with pytest.raises(ValueError, match=r"^component -9 outside \[-8, 7\] for width 4$"):
+        verify._sample_lanes(columns)
 
 
 @pytest.mark.parametrize("n", [2, 1009])
 def test_tally_packed_accounting(n):
-    lanes = verify._Layout(n, 8)
-    rng = random.Random(n)
-    columns = [lanes.buffer(array("b", [rng.randrange(-8, 8) for _ in range(n)])) for _ in range(2)]
-
-    def flipped(buffer, *cases):
-        for i in cases:
-            buffer ^= 1 << 8 * i + rng.randrange(8)
-        return buffer
-
-    def tally(got):
-        t = verify._Tally("packed")
-        t.check_packed(zip(got, columns), lanes, lambda i: f"case {i}")
+    def tally(*lanes):
+        t = verify._Tally("lanes")
+        t.check(n, sum(1 << i for i in lanes), lambda i: f"case {i}")
         return t.checked, t.failed, t.detail
 
     def unused(i):
         raise AssertionError("a detail of a passing check")
 
-    t = verify._Tally("packed")
-    t.check_packed(zip(columns, columns), lanes, unused)
+    t = verify._Tally("lanes")
+    t.check(n, 0, unused)
     assert (t.checked, t.failed, t.detail) == (n, 0, "")
-    a, b = columns
-    assert tally([flipped(a, 0), b]) == (n, 1, "case 0")
-    assert tally([a, flipped(b, n - 1)]) == (n, 1, f"case {n - 1}")
-    assert tally([flipped(a, n - 1), flipped(b, 0)]) == (n, 2, "case 0")
-    assert tally([flipped(a, 1), flipped(b, 1)]) == (n, 1, "case 1")
-    assert tally([flipped(a, 0, n - 1), flipped(b, 0)]) == (n, 2, "case 0")
+    assert tally(0) == (n, 1, "case 0")
+    assert tally(n - 1) == (n, 1, f"case {n - 1}")
+    assert tally(n - 1, 0) == (n, 2, "case 0")
+    assert tally(1) == (n, 1, "case 1")
+    # A second check adds its cases and failures and keeps the first detail.
+    t = verify._Tally("lanes")
+    t.check(n, 1 << (n - 1), lambda i: f"first {i}")
+    t.check(n, 0b11, lambda i: f"second {i}")
+    assert (t.checked, t.failed, t.detail) == (2 * n, 3, f"first {n - 1}")
