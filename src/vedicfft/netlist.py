@@ -22,15 +22,15 @@ column is a list of per-vector values or one int that the bus holds in
 every vector. The slot program it simulates is compiled with those scalar
 bits as constants, so the logic they make idle drops out; each distinct
 scalar assignment (none included) compiles one program on its first
-evaluation, cached per netlist. There is one gate-loop path,
-``_evaluate_lanes``: it takes and returns lane words, one int per bus bit
-with bit i the bit's value in vector i, and runs the gate loop ``_run`` on
-every vector at once; every suite of :mod:`vedicfft.verify` builds its
-input and oracle lane words once per process and calls it directly, with
-no transposition in a pass. The batch path, ``_evaluate_packed``, wraps it
-in transpositions: it takes and returns packed columns, one int per bus
-with one field per vector (the bytes of a buffer of one item of the bus's
-own size per vector). The transposition works on whole ints: each 8
+evaluation, cached per netlist. The lanes path, ``_evaluate_lanes``,
+takes and returns lane words, one int per bus bit with bit i the bit's
+value in vector i, and evaluates every vector at once; every suite of
+:mod:`vedicfft.verify` builds its input and oracle lane words once per
+process and calls it directly, with no transposition in a pass. The batch
+path, ``_evaluate_packed``, wraps it in transpositions: it takes and
+returns packed columns, one int per bus with one field per vector (the
+bytes of a buffer of one item of the bus's own size per vector). The
+transposition works on whole ints: each 8
 vectors' bytes of a byte plane form an 8x8 bit matrix, and three masked
 shift-and-swap steps on one int that stacks every bus's planes turn every
 matrix at once (:func:`_transpose8`), once on the way in and once on the
@@ -42,15 +42,20 @@ from its packed int.
 One vector takes the one-lane path, ``_evaluate_one``: it takes and
 returns bus values, with no columns. One lane's packed ints are its bus
 values, so ``evaluate_batch`` hands them over as they are, and
-``fft.run_fft`` calls it directly. A one-lane evaluation of a program that
-an earlier evaluation compiled, at any lane count, generates a Python
-function that runs one vector through its gates as straight-line code, one
-statement per gate (compiled-code simulation), on the bus values
-themselves; it and every later one-lane evaluation of the program run that
-function. A program's first evaluation, and every batch, runs the batch
-path; no CLI command evaluates a program at one lane after compiling it.
-Threads that race on an evaluation may each compile the same program or
-generate the same function, and the last assignment wins.
+``fft.run_fft`` calls it directly.
+
+A program's first evaluation, at any lane count, compiles it and runs the
+gate loop ``_run``, which decodes one opcode per gate. Every later
+evaluation, at any lane count, runs a Python function generated from the
+program with one statement per gate, as straight-line code (compiled-code
+simulation): the one-lane kernel on bus values for ``_evaluate_one``, the
+lanes kernel on lane words for ``_evaluate_lanes``, each generated by the
+first later evaluation that runs it. Generating costs far more than one
+run of the loop, so a program evaluated once never pays it. The one-lane
+kernel stays apart because splitting one vector's bus values into lane
+words would cost every one-lane call more than the gates it runs. Threads
+that race on an evaluation may each compile the same program or generate
+the same function, and the last assignment wins.
 
 Cost model: every gate costs one delay unit and one unit of area, wires are
 free. ``critical_path_depth`` and ``gate_counts`` report those two metrics.
@@ -110,15 +115,16 @@ _OPCODE = {
 _TRUTH = (0b1000, 0b1110, 0b0110, 0b0011, 0b0111, 0b0001, 0b1001)
 
 # Python expression per opcode, for :func:`_generate_kernel`: ``{a}`` and
-# ``{b}`` are input bits (``&`` binds before ``^``).
+# ``{b}`` are input words and ``m`` the all-lanes mask (``&`` binds before
+# ``^``).
 _EXPR = (
     "{a} & {b}",
     "{a} | {b}",
     "{a} ^ {b}",
-    "{a} ^ 1",
-    "{a} & {b} ^ 1",
-    "({a} | {b}) ^ 1",
-    "{a} ^ {b} ^ 1",
+    "{a} ^ m",
+    "{a} & {b} ^ m",
+    "({a} | {b}) ^ m",
+    "{a} ^ {b} ^ m",
 )
 
 # A kind, or its canonical name, to the kind: the one dict lookup that
@@ -180,6 +186,7 @@ class _Program(NamedTuple):
     size: int  # number of slots: one per net, then constant 0, constant 1
     in_slots: dict[str, list[int]]
     out_slots: dict[str, list[int]]
+    in_bits: int  # untied input bits: the lane words an evaluation takes
 
 
 def _driver_name(driver: tuple[str, int] | int | Gate) -> str:
@@ -352,47 +359,77 @@ def _lanes_to_fields(buses: Sequence[Sequence[int]], n: int) -> list[int]:
     return fields
 
 
-def _generate_kernel(p: _Program) -> Callable[..., tuple]:
-    """Compile ``p`` to a Python function that runs one vector through its
-    gates as straight-line code, one assignment per folded gate in program
-    order.
+def _generate_kernel(p: _Program, lanes: bool) -> Callable[..., Sequence]:
+    """Compile ``p`` to a Python function that runs its gates as
+    straight-line code, one assignment per folded gate in program order
+    (compiled-code simulation), in one of two entry forms.
 
-    The function is ``kernel(i0, i1, ...)``, one argument per untied input
-    bus in ``p.in_slots`` order, each the bus's value; the bits that a gate
-    or an output bus reads are extracted inline (``s3 = i0 >> 1 & 1``). It
-    returns the value of each output bus in ``p.out_slots`` order, one
-    ``s40 | s41 << 1 | ...`` expression without the bits held at constant
-    0 (``0`` for a bus of only those). No gate reads a constant slot, since
-    the compiler folds such gates. Slot s is the local ``s<s>``. Every name
-    in the source is made from the program's integers, never from a bus
-    name, so no netlist text reaches it. The source is dropped once
-    compiled.
+    Slot s is the local ``s<s>``, each a word of bit lanes as in
+    :meth:`Netlist._run`, and ``m`` is the all-lanes mask, which NOT, NAND,
+    NOR and XNOR XOR with. No gate reads a constant slot, since the
+    compiler folds such gates; an output bit held at a constant reads ``0``
+    or ``m``.
+
+    - ``lanes`` false, the one-lane form: ``kernel(i0, i1, ...)``, one
+      argument per untied input bus in ``p.in_slots`` order, each the bus's
+      value, and ``m = 1``. The bits that a gate or an output bus reads are
+      extracted inline (``s3 = i0 >> 1 & 1``). It returns the value of each
+      output bus in ``p.out_slots`` order, one ``s40 | s41 << 1 | ...``
+      expression without the bits held at constant 0 (``0`` for a bus of
+      only those).
+    - ``lanes`` true, the lanes form: ``kernel(m, words)``, where
+      ``words`` holds the ``p.in_bits`` lane words of the untied input bits
+      in ``p.in_slots`` order, unpacked in one statement (``_`` for a bit
+      that nothing reads). It returns the list of each output bus's word
+      list in ``p.out_slots`` order.
+
+    Every name in the source is made from the program's integers, never
+    from a bus name, so no netlist text reaches it. The source is dropped
+    once compiled.
     """
     zero = p.size - 2
     read = {*p.in0, *p.in1}
     for slots in p.out_slots.values():
         read.update(slots)
-    params = [f"i{k}" for k in range(len(p.in_slots))]
-    lines = [f"def kernel({', '.join(params)}):", f" s{zero + 1} = 1"]
-    for param, slots in zip(params, p.in_slots.values()):
-        lines += [
-            f" s{s} = {param} >> {k} & 1" if k else f" s{s} = {param} & 1"
-            for k, s in enumerate(slots)
-            if s in read
-        ]
+    # The word of each slot that a gate or an output bus reads, in the
+    # source: the slot's local, or a constant.
+    word = {zero: "0", zero + 1: "m"}
+    word.update((s, f"s{s}") for s in read if s < zero)
+    if lanes:
+        lines = ["def kernel(m, words):"]
+        if p.in_bits:
+            names = [word.get(s, "_") for s in chain(*p.in_slots.values())]
+            lines.append(f" {', '.join(names)}, = words")
+    else:
+        params = [f"i{k}" for k in range(len(p.in_slots))]
+        lines = [f"def kernel({', '.join(params)}):", " m = 1"]
+        for param, slots in zip(params, p.in_slots.values()):
+            lines += [
+                f" s{s} = {param} >> {k} & 1" if k else f" s{s} = {param} & 1"
+                for k, s in enumerate(slots)
+                if s in read
+            ]
     for op, a, b, out in zip(p.ops, p.in0, p.in1, p.outs):
         lines.append(f" s{out} = " + _EXPR[op].format(a=f"s{a}", b=f"s{b}"))
-    values = "".join(
-        (
-            " | ".join(
-                f"s{s} << {k}" if k else f"s{s}" for k, s in enumerate(slots) if s != zero
-            )
-            or "0"
+    if lanes:
+        buses = ", ".join(
+            "[" + ", ".join(word[s] for s in slots) + "]" for slots in p.out_slots.values()
         )
-        + ", "
-        for slots in p.out_slots.values()
-    )
-    lines.append(f" return ({values})")
+        lines.append(f" return [{buses}]")
+    else:
+        values = "".join(
+            (
+                " | ".join(
+                    f"{word[s]} << {k}" if k else word[s]
+                    for k, s in enumerate(slots)
+                    if s != zero
+                )
+                or "0"
+            )
+            + ", "
+            for slots in p.out_slots.values()
+        )
+        lines.append(f" return ({values})")
     namespace: dict[str, object] = {}
     exec(compile("\n".join(lines), "<kernel>", "exec"), namespace)
     return namespace["kernel"]
@@ -427,9 +464,10 @@ class Netlist:
         self.nets, self._order = self._validate()
         # One program per sorted tuple of (bus, value) scalars; () is the
         # program with no input tied. Under the same key: its generated
-        # one-lane kernel, once it has one.
+        # one-lane kernel and its generated lanes kernel, once it has them.
         self._programs: dict[tuple[tuple[str, int], ...], _Program] = {}
         self._kernels: dict[tuple[tuple[str, int], ...], Callable[..., tuple]] = {}
+        self._lane_kernels: dict[tuple[tuple[str, int], ...], Callable[..., list]] = {}
 
     @classmethod
     def _trusted(
@@ -455,6 +493,7 @@ class Netlist:
         self._order = gates
         self._programs = {}
         self._kernels = {}
+        self._lane_kernels = {}
         return self
 
     # -- validation ---------------------------------------------------------
@@ -653,18 +692,18 @@ class Netlist:
             if live[outs[i]]:
                 live[in0[i]] = live[in1[i]] = 1
         kept = bytes(map(live.__getitem__, outs))
+        in_slots = {
+            bus: [slot[n] for n in nets] for bus, nets in self.inputs.items() if bus not in tied
+        }
         return _Program(
             ops=list(compress(ops, kept)),
             in0=list(compress(in0, kept)),
             in1=list(compress(in1, kept)),
             outs=list(compress(outs, kept)),
             size=zero + 2,
-            in_slots={
-                bus: [slot[n] for n in nets]
-                for bus, nets in self.inputs.items()
-                if bus not in tied
-            },
+            in_slots=in_slots,
             out_slots=out_slots,
+            in_bits=sum(map(len, in_slots.values())),
         )
 
     def _run(self, p: _Program, values: list[int], mask: int) -> None:
@@ -696,24 +735,38 @@ class Netlist:
     def _evaluate_lanes(
         self, key: tuple[tuple[str, int], ...], words: Sequence[int], n: int
     ) -> list[list[int]]:
-        """Evaluate n vectors given as lane words, unchecked: the one
-        gate-loop path.
+        """Evaluate n vectors given as lane words: the lanes path.
 
         ``key`` is the sorted tuple of (bus, value) pairs of the tied input
         buses; ``words`` holds the lane words of every untied input bus in
         input order, bus after bus and LSB first, each below ``2**n``: bit i
-        of word k of a bus is bit k of the bus's value in vector i. It
-        compiles the program of ``key`` on its first evaluation, sets the
-        input slots, runs the gate loop ``_run`` and returns the lane words
-        of each output bus in output order. Every suite of
-        :mod:`vedicfft.verify` calls it directly, with words it built once
-        per process; :meth:`_evaluate_packed` calls it between its two
-        transpositions.
+        of word k of a bus is bit k of the bus's value in vector i. Returns
+        the lane words of each output bus in output order.
+
+        A word count other than the program's untied input bits raises
+        NetlistError, and a rejected call caches nothing; the words
+        themselves are not checked. The program's first evaluation compiles
+        it, sets its input slots and runs the gate loop ``_run``. Every
+        later one runs the program's lanes kernel (:func:`_generate_kernel`),
+        generated by the first of them. Every suite of :mod:`vedicfft.verify` calls
+        it directly, with words it built once per process;
+        :meth:`_evaluate_packed` calls it between its two transpositions.
         """
         p = self._programs.get(key)
-        if p is None:
-            p = self._programs[key] = self._compile(dict(key))
+        first = p is None
+        if first:
+            p = self._compile(dict(key))
+        if len(words) != p.in_bits:
+            raise NetlistError(
+                f"expected {p.in_bits} lane words, one per untied input bit, got {len(words)}"
+            )
         mask = (1 << n) - 1
+        if not first:
+            kernel = self._lane_kernels.get(key)
+            if kernel is None:
+                kernel = self._lane_kernels[key] = _generate_kernel(p, lanes=True)
+            return kernel(mask, words)
+        self._programs[key] = p
         values = [0] * p.size
         values[-1] = mask  # the constant-1 slot
         for s, word in zip(chain.from_iterable(p.in_slots.values()), words):
@@ -735,10 +788,9 @@ class Netlist:
         (:func:`_fields_to_lanes`), evaluated by :meth:`_evaluate_lanes`,
         and the lane words of every output bus transposed back by one more
         (:func:`_lanes_to_fields`). Returns the packed int of each output
-        bus in output order, at the bus's own item size. It never generates
-        or runs a generated kernel. ``evaluate_batch`` calls it for two or
-        more vectors after its checks, ``_evaluate_one`` for a program's
-        first evaluation.
+        bus in output order, at the bus's own item size. ``evaluate_batch``
+        calls it for two or more vectors after its checks, ``_evaluate_one``
+        for a program's first evaluation.
         """
         tied = dict(key)
         widths = [len(nets) for bus, nets in self.inputs.items() if bus not in tied]
@@ -753,20 +805,21 @@ class Netlist:
         ``key`` is the sorted tuple of (bus, value) pairs of the tied input
         buses, ``values`` the values of the untied input buses in input
         order, each already known to fit its bus. Returns the value of each
-        output bus in output order. It runs the program's straight-line
-        kernel (:func:`_generate_kernel`) if it has one; else it generates
-        and runs it if an earlier evaluation, of any lane count, compiled
-        the program; else the vector goes through ``_evaluate_packed`` at
-        one lane, where a value is its own packed int, and that compiles
-        the program. ``evaluate_batch`` calls it for one vector after its
-        checks; ``fft.run_fft`` calls it directly.
+        output bus in output order. The program's first evaluation, at any
+        lane count, compiles it: here the vector goes through
+        ``_evaluate_packed`` at one lane, where a value is its own packed
+        int. Every later one-lane evaluation runs the program's one-lane
+        kernel (:func:`_generate_kernel`), generated on the first of them,
+        which takes and returns bus values, so no vector is split into lane
+        words. ``evaluate_batch`` calls it for one vector after its checks;
+        ``fft.run_fft`` calls it directly.
         """
         kernel = self._kernels.get(key)
         if kernel is not None:
             return kernel(*values)
         p = self._programs.get(key)
         if p is not None:
-            kernel = self._kernels[key] = _generate_kernel(p)
+            kernel = self._kernels[key] = _generate_kernel(p, lanes=False)
             return kernel(*values)
         return tuple(self._evaluate_packed(key, values, 1))
 
@@ -791,10 +844,9 @@ class Netlist:
         packed into one int (:func:`_column_fields`) in mapping order, each
         bus's fields at its own item size; a call whose columns are
         rejected compiles nothing. One vector's packed ints are its values
-        and go to ``_evaluate_one``, the one-lane path, the only one that
-        generates a kernel; two or more go to ``_evaluate_packed``, the
-        batch path. Each output bus is read back at its own item size with
-        :func:`_field_values`.
+        and go to ``_evaluate_one``, the one-lane path; two or more go to
+        ``_evaluate_packed``, the batch path. Each output bus is read back
+        at its own item size with :func:`_field_values`.
         """
         inputs = self.inputs
         missing = inputs.keys() - columns.keys()

@@ -21,13 +21,13 @@ out; ``a - b`` mod ``2**(w + 1)`` for a subtractor, against its
 difference then its borrow; for the FFT datapaths the DFT, taken by
 ``fft._dft_quarter_turns`` on packed signed columns (which ``dft_oracle``
 runs on numbers) and turned into lane words by one transposition
-(:func:`_dft_lanes`). A pass then does three things per section: it runs
-the gate loop on the cached input words (``Netlist._evaluate_lanes``), ORs
-together the XORs of the output words against the oracle words, and adds
-the set bits of that difference as failures (``_Tally.check``). No column
-is transposed in a pass, and a passing suite does no per-case work; only a
-failing check decodes a lane, its first failing one, to name its operands
-or samples.
+(:func:`_dft_lanes`). A pass then does three things per section: it
+simulates the netlist on the cached input words
+(``Netlist._evaluate_lanes``), ORs together the XORs of the output words
+against the oracle words, and adds the set bits of that difference as
+failures (``_Tally.check``). No column is transposed in a pass, and a
+passing suite does no per-case work; only a failing check decodes a lane,
+its first failing one, to name its operands or samples.
 
 The FFT suite checks every lane against the DFT. Its select-4 run holds
 the exact 4-point lanes (basis vectors, DC and random vectors), then the
@@ -52,9 +52,12 @@ once per process and held read-only, every pass sharing it:
 - the FFT suite's seeded sample columns (:func:`_fft_sections`) and, per
   run, its input and DFT words (:func:`_fft_lanes`).
 A second pass therefore builds, draws, transposes and compiles nothing. A
-pass evaluates vedic4x4's program twice and every other program once,
-each as a batch, so the gate loop ``Netlist._run`` interprets every one of
-them, however many passes a process makes.
+pass evaluates vedic4x4's program twice and every other program once, each
+on all its lanes at once. A program's first evaluation compiles it and
+runs the gate loop ``Netlist._run``; every later one runs its generated
+lanes kernel, so the first pass interprets every program (vedic4x4's
+second evaluation generates its kernel), the second generates the rest,
+and every pass after that runs straight-line code only.
 """
 
 from __future__ import annotations

@@ -480,27 +480,26 @@ def test_buffer_columns(width, kind):
     assert net.evaluate_batch({**columns, "a": BUFFER_COLUMNS[kind](values)}) == want
 
 
-# A program runs in the gate loop ``Netlist._run`` for every batch of two
-# or more vectors, however often, and for one vector on its first
-# evaluation, which compiles it. A one-lane evaluation of a program that is
-# already compiled, by a batch or by a one-lane call, generates its
-# straight-line kernel. Each case below runs on a netlist that has not
-# evaluated it yet.
+# A program's first evaluation, at any lane count, compiles it and runs
+# the gate loop ``Netlist._run``. Every later evaluation runs a generated
+# kernel: a batch of two or more vectors the lanes kernel, one vector the
+# one-lane kernel, each generated by the first later evaluation that runs
+# it. Each case below runs on a netlist that has not evaluated it yet.
 LANE_COUNTS = [1, 2, 64, 65, 1000]
 
 
-def assert_batches_interpreted_one_lane_generated(net, vectors, tied=None):
+def assert_first_interpreted_later_generated(net, vectors, tied=None):
     """Evaluate ``vectors`` on the fresh ``net`` as one batch, the buses in
     ``tied`` as scalars, and one vector at a time; each result must equal
     the reference. Every bus at 0, every bus at 2^w - 1 and up to 65 of the
-    vectors run alone, and give plain ints. The first one-lane call compiles
-    the program and generates nothing; the second generates the kernel,
-    which every later one runs. A batch of two or more vectors runs after
-    each one-lane call and generates nothing. Each vector alone also runs
-    through the batch path at one lane, as a program's first evaluation
-    does."""
+    vectors run alone, and give plain ints. The first evaluation, the batch
+    if there are two or more vectors, else the first one-lane call,
+    compiles the program and generates nothing. Batches and one-lane calls
+    then alternate: the first later one of each generates its form's kernel,
+    which every later one of that form runs. Each vector alone also runs
+    through the batch path at one lane, on the lanes kernel."""
     tied = tied or {}
-    assert net._programs == {} and net._kernels == {}
+    assert net._programs == {} and net._kernels == {} and net._lane_kernels == {}
     vectors = [{**v, **tied} for v in vectors]
     columns = {bus: [v[bus] for v in vectors] for bus in net.inputs}
     columns.update(tied)
@@ -512,10 +511,25 @@ def assert_batches_interpreted_one_lane_generated(net, vectors, tied=None):
     ]
     alone = [{**v, **tied} for v in extremes + vectors[:65]]
     want_alone = reference_outputs(net, alone)
+    evaluations = []  # the form of each evaluation so far
+    later = set()  # the forms evaluated after the first evaluation
+    kernels = {}  # each form's kernel, once generated
+
+    def evaluated(form):
+        """Check the caches after an evaluation in ``form``."""
+        if evaluations:
+            later.add(form)
+        evaluations.append(form)
+        assert list(net._programs) == [key], form
+        for name, cache in (("one", net._kernels), ("lanes", net._lane_kernels)):
+            assert list(cache) == ([key] if name in later else []), (form, name)
+            if name in later:
+                assert kernels.setdefault(name, cache[key]) is cache[key], (form, name)
 
     def batch(run):
         if len(vectors) > 1:
-            assert net.evaluate_batch(columns) == want, f"batch after one-lane run {run}"
+            assert net.evaluate_batch(columns) == want, f"batch {run}"
+            evaluated("lanes")
 
     def one_lane(run):
         i = run % len(alone)
@@ -524,23 +538,17 @@ def assert_batches_interpreted_one_lane_generated(net, vectors, tied=None):
             f"one-lane run {run}: {alone[i]}"
         )
         assert all(type(v) is int for values in got.values() for v in values)
+        evaluated("one")
 
-    one_lane(0)
-    assert list(net._programs) == [key] and net._kernels == {}
-    batch(0)
-    assert net._kernels == {}
-    one_lane(1)
-    assert list(net._kernels) == [key]
-    kernel = net._kernels[key]
-    for run in range(2, 2 + len(alone)):
-        one_lane(run)
+    for run in range(len(alone)):
         batch(run)
-    assert net._kernels == {key: kernel}
-    assert list(net._programs) == [key]
+        one_lane(run)
+    assert later == ({"one", "lanes"} if len(vectors) > 1 else {"one"})
     untied = [bus for bus in net.inputs if bus not in tied]
     for i, vector in enumerate(alone):
         got = net._evaluate_packed(key, [vector[bus] for bus in untied], 1)
         assert got == [want_alone[bus][i] for bus in net.outputs], vector
+        evaluated("lanes")
 
 
 @pytest.mark.parametrize("name", ["adder65", "adder100"])
@@ -568,7 +576,7 @@ def sample_lanes(net, lanes, seed):
 def test_generated_kernel_catalog_unit(name, lanes):
     net = build_unit(name)
     vectors = sample_lanes(net, lanes, f"{name}-{lanes}")
-    assert_batches_interpreted_one_lane_generated(net, vectors)
+    assert_first_interpreted_later_generated(net, vectors)
 
 
 @pytest.mark.parametrize("lanes", LANE_COUNTS)
@@ -577,34 +585,7 @@ def test_generated_kernel_catalog_unit(name, lanes):
 def test_generated_kernel_tied_select(name, select, lanes):
     net = build_unit(name)
     vectors = sample_lanes(net, lanes, f"{name}-{select}-{lanes}")
-    assert_batches_interpreted_one_lane_generated(net, vectors, {"select": select})
-
-
-def lane_units():
-    """Every catalog unit with no bus tied, and each reconfigurable one
-    with ``select`` tied to each value."""
-    untied = [pytest.param(p.values[0], None, id=p.id) for p in catalog_units()]
-    return untied + [
-        pytest.param(name, select, id=f"fft-{name}-select{select}")
-        for name in RECONFIGURABLE_UNITS
-        for select in (0, 1)
-    ]
-
-
-@pytest.mark.parametrize("name, select", lane_units())
-def test_evaluate_lanes_matches_evaluate_batch(name, select):
-    # The gate-loop path, on the lane words of seeded vectors, returns the
-    # lane words of the outputs the checked batch path gives.
-    net = build_unit(name)
-    tied = {} if select is None else {"select": select}
-    vectors = sample_lanes(net, 257, f"lanes-{name}-{select}")
-    columns = {bus: [v[bus] for v in vectors] for bus in net.inputs if bus not in tied}
-    words = [
-        word for bus, col in columns.items() for word in per_bit_lanes(col, net.input_width(bus))
-    ]
-    got = net._evaluate_lanes(tuple(sorted(tied.items())), words, len(vectors))
-    batch = net.evaluate_batch({**columns, **tied})
-    assert got == [per_bit_lanes(batch[bus], net.output_width(bus)) for bus in net.outputs]
+    assert_first_interpreted_later_generated(net, vectors, {"select": select})
 
 
 def test_generated_kernel_random_programs():
@@ -618,7 +599,7 @@ def test_generated_kernel_random_programs():
             {bus: lane_rng.randrange(1 << len(bits)) for bus, bits in net.inputs.items()}
             for _ in range(LANE_COUNTS[i % len(LANE_COUNTS)])
         ]
-        assert_batches_interpreted_one_lane_generated(net, vectors)
+        assert_first_interpreted_later_generated(net, vectors)
 
 
 def folded_away_netlist():
@@ -664,15 +645,15 @@ def no_output_netlist():
 def test_generated_kernel_edges(build, want_ops, lanes):
     net = build()
     assert len(net._compile({}).ops) == want_ops
-    assert_batches_interpreted_one_lane_generated(net, sample_lanes(net, lanes, lanes))
+    assert_first_interpreted_later_generated(net, sample_lanes(net, lanes, lanes))
 
 
 @pytest.mark.parametrize("first, later", [(65, 1), (1, 65)], ids=["many-then-one", "one-then-many"])
 def test_generated_kernel_lane_count_changes(first, later):
     # The first call, at either lane count, compiles the program and
-    # generates nothing; a 65-lane call never generates, and the next
-    # one-lane call generates the kernel. Both lane counts then keep
-    # running.
+    # generates nothing. The first later 65-lane call generates the lanes
+    # kernel and the first later one-lane call the one-lane kernel; both
+    # lane counts then keep running their own kernel.
     net = build_unit("reconfigurable")
     vectors = sample_lanes(net, 65, "lanes")
     want = reference_outputs(net, vectors)
@@ -685,43 +666,49 @@ def test_generated_kernel_lane_count_changes(first, later):
         }, (lanes, start)
 
     check(first, 0)
-    assert list(net._programs) == [()] and net._kernels == {}
+    assert list(net._programs) == [()]
+    assert net._kernels == {} and net._lane_kernels == {}
     for run in range(3):
         check(65, run)
-    assert net._kernels == {}
+    assert net._kernels == {} and list(net._lane_kernels) == [()]
+    lane_kernel = net._lane_kernels[()]
     check(1, 0)
     assert list(net._kernels) == [()]
     kernel = net._kernels[()]
     for run in range(1, 4):
         check(first, run)
         check(later, run)
-    assert net._kernels == {(): kernel}
+    assert net._kernels == {(): kernel} and net._lane_kernels == {(): lane_kernel}
 
 
 @pytest.mark.parametrize("lanes", [2, 64, 65, 1000])
-def test_batches_never_generate(lanes):
-    # However often a batch runs, the gate loop interprets it: twice as
-    # many batches as the one-lane calls that generate a kernel generate
-    # none.
+def test_batches_generate_once(lanes):
+    # The first batch runs the gate loop, the second generates the lanes
+    # kernel and every later one runs that kernel; no batch generates a
+    # one-lane kernel.
     net = build_unit("reconfigurable_q3")
     vectors = sample_lanes(net, lanes, f"never-{lanes}")
     columns = {bus: [v[bus] for v in vectors] for bus in net.inputs}
     want = reference_outputs(net, vectors)
+    kernels = []
     for run in range(4):
         assert net.evaluate_batch(columns) == want, run
-    assert list(net._programs) == [()]
-    assert net._kernels == {}
+        kernels.append(net._lane_kernels.get(()))
+    assert kernels[0] is None and kernels[1] is not None
+    assert kernels[1:] == [kernels[1]] * 3
+    assert list(net._programs) == [()] and net._kernels == {}
 
 
 # A fresh program's calls by lane count, and after each call the kernels
-# generated and the calls that ran one: the first evaluation compiles the
-# program, a one-lane call on a compiled program generates the kernel and
-# runs it, and batches never do, even twice as many as take a one-lane
-# program to its kernel.
+# generated and the calls that ran one, then the one-lane and lanes
+# kernels held: the first evaluation compiles the program, and the first
+# later evaluation at one lane, or at two or more, generates that form's
+# kernel and runs it.
 GENERATION_RULE = {
-    "one-lane-twice": ([1, 1, 1], [0, 1, 1], [0, 1, 2]),
-    "batch-then-one-lane": ([2, 1, 1], [0, 1, 1], [0, 1, 2]),
-    "batches-only": ([2, 65, 2, 65], [0, 0, 0, 0], [0, 0, 0, 0]),
+    "one-lane-twice": ([1, 1, 1], [0, 1, 1], [0, 1, 2], (1, 0)),
+    "batch-then-one-lane": ([2, 1, 1], [0, 1, 1], [0, 1, 2], (1, 0)),
+    "batches-only": ([2, 65, 2, 65], [0, 1, 1, 1], [0, 1, 2, 3], (0, 1)),
+    "one-lane-then-batches": ([1, 2, 65, 1], [0, 1, 1, 2], [0, 1, 2, 3], (1, 1)),
 }
 
 
@@ -731,20 +718,20 @@ def test_generation_rule(case, tied, monkeypatch):
     generated, kernel_calls = [], []
     generate = netlist._generate_kernel
 
-    def counted_generate(p):
-        kernel = generate(p)
+    def counted_generate(p, lanes):
+        kernel = generate(p, lanes)
         generated.append(p)
 
-        def counted(*values):
-            kernel_calls.append(values)
-            return kernel(*values)
+        def counted(*args):
+            kernel_calls.append(args)
+            return kernel(*args)
 
         return counted
 
     monkeypatch.setattr(netlist, "_generate_kernel", counted_generate)
     net = build_unit("reconfigurable")
     vectors = [{**v, **tied} for v in sample_lanes(net, 65, case)]
-    lane_counts, want_generated, want_kernel_calls = GENERATION_RULE[case]
+    lane_counts, want_generated, want_kernel_calls, want_held = GENERATION_RULE[case]
     for call, lanes in enumerate(lane_counts):
         batch = [vectors[(call + j) % len(vectors)] for j in range(lanes)]
         columns = {bus: [v[bus] for v in batch] for bus in net.inputs}
@@ -752,7 +739,7 @@ def test_generation_rule(case, tied, monkeypatch):
         counts = (len(generated), len(kernel_calls))
         assert counts == (want_generated[call], want_kernel_calls[call]), call
     assert list(net._programs) == [tuple(sorted(tied.items()))]
-    assert len(net._kernels) == want_generated[-1]
+    assert (len(net._kernels), len(net._lane_kernels)) == want_held
 
 
 def test_rejected_evaluation_compiles_nothing():
@@ -762,8 +749,29 @@ def test_rejected_evaluation_compiles_nothing():
     for lanes in (1, 2):
         with pytest.raises(NetlistError):
             net.evaluate_batch({"a": [4] * lanes, "b": [1] * lanes})
-    assert net._programs == {} and net._kernels == {}
-    assert_batches_interpreted_one_lane_generated(net, sample_lanes(net, 2, 0))
+    assert net._programs == {} and net._kernels == {} and net._lane_kernels == {}
+    assert_first_interpreted_later_generated(net, sample_lanes(net, 2, 0))
+
+
+@pytest.mark.parametrize("count", [0, 3, 5, 9])
+def test_lane_word_count_is_checked(count):
+    # vedic2x2 has 4 input bits. Another word count is rejected with the
+    # same message at the program's first evaluation, which then compiles
+    # nothing, and at a later one, which then generates nothing, with the
+    # buses tied or not.
+    for key, bits in (((), 4), ((("a", 1),), 2)):
+        if count == bits:
+            continue
+        net = build_unit("vedic2x2")
+        message = f"expected {bits} lane words, one per untied input bit, got {count}"
+        # Before any evaluation, after the first and after the second.
+        for evaluations in range(3):
+            with pytest.raises(NetlistError) as info:
+                net._evaluate_lanes(key, [1] * count, 1)
+            assert str(info.value) == message, (key, evaluations)
+            assert len(net._programs) == (evaluations > 0), (key, evaluations)
+            assert len(net._lane_kernels) == (evaluations > 1), (key, evaluations)
+            net._evaluate_lanes(key, [1] * bits, 1)
 
 
 # Bus names that are Python keywords or spell the kernel's own names: none
@@ -774,29 +782,85 @@ input def 2
 input return 1
 input m 2
 input i0 1
+input words 1
+input _ 1
 const1 n0
 gate 0 AND def[0] m[1] -> n1
 gate 1 XOR n1 return[0] -> n2
 gate 2 NOR def[1] i0[0] -> n3
 gate 3 NOT m[0] -> n4
-output s1 n2 n3 n4 def[1]
-output c0 n0 n3 m[0]
+gate 4 XNOR words[0] _[0] -> n5
+output s1 n2 n3 n4 def[1] n5
+output c0 n0 n3 m[0] words[0]
 """
 
 
 @pytest.mark.parametrize("lanes", [1, 64])
 def test_generated_kernel_bus_names(lanes):
     net = parse_netlist(KEYWORD_NAMES_TEXT)
-    assert list(net.inputs) == ["def", "return", "m", "i0"]
+    assert list(net.inputs) == ["def", "return", "m", "i0", "words", "_"]
     assert list(net.outputs) == ["s1", "c0"]
-    assert_batches_interpreted_one_lane_generated(net, sample_lanes(net, lanes, lanes))
+    assert_first_interpreted_later_generated(net, sample_lanes(net, lanes, lanes))
+
+
+def lane_units():
+    """Every catalog unit with no bus tied, and each reconfigurable one
+    with ``select`` tied to each value."""
+    untied = [pytest.param(p.values[0], None, id=p.id) for p in catalog_units()]
+    return untied + [
+        pytest.param(name, select, id=f"fft-{name}-select{select}")
+        for name in RECONFIGURABLE_UNITS
+        for select in (0, 1)
+    ]
+
+
+# Small netlists for the lanes path beside the catalog units, by test id.
+EDGE_NETLISTS = {
+    "edges": edge_netlist,
+    "folded_away": folded_away_netlist,
+    "no_outputs": no_output_netlist,
+    "keyword_names": lambda: parse_netlist(KEYWORD_NAMES_TEXT),
+}
+
+
+@pytest.mark.parametrize(
+    "name, select",
+    lane_units() + [pytest.param(name, None, id=f"edge-{name}") for name in EDGE_NETLISTS],
+)
+def test_evaluate_lanes_matches_evaluate_batch(name, select):
+    # The lanes path, on the lane words of seeded vectors, returns the lane
+    # words of the outputs that the checked batch path of a second copy of
+    # the netlist gives: at 257 lanes on the program's first evaluation,
+    # which runs the gate loop, at 65 on its second, which generates the
+    # lanes kernel, and at 1 on its third, which runs that kernel.
+    build = EDGE_NETLISTS.get(name, lambda: build_unit(name))
+    net, other = build(), build()
+    tied = {} if select is None else {"select": select}
+    key = tuple(sorted(tied.items()))
+    vectors = sample_lanes(net, 257, f"lanes-{name}-{select}")
+    kernels = []
+    for start, lanes in ((0, 257), (100, 65), (200, 1)):
+        batch = vectors[start : start + lanes]
+        columns = {bus: [v[bus] for v in batch] for bus in net.inputs if bus not in tied}
+        words = [
+            word
+            for bus, col in columns.items()
+            for word in per_bit_lanes(col, net.input_width(bus))
+        ]
+        got = net._evaluate_lanes(key, words, lanes)
+        want = other.evaluate_batch({**columns, **tied})
+        assert got == [per_bit_lanes(want[bus], net.output_width(bus)) for bus in net.outputs], (
+            lanes
+        )
+        kernels.append(net._lane_kernels.get(key))
+    assert kernels[0] is None and kernels[1] is not None and kernels[2] is kernels[1]
+    assert list(net._programs) == [key] and net._kernels == {}
 
 
 def test_threads_generate_a_kernel_at_once():
     # Each program has run its first one-lane evaluation, which compiles
-    # it; two one-lane threads per program then race on the second, which
-    # generates its kernel, beside a batch thread per program that
-    # generates nothing.
+    # it. Two one-lane threads per program then race to generate its
+    # one-lane kernel, and two batch threads per program its lanes kernel.
     net = build_unit("reconfigurable_q3")
     vectors = input_vectors(net, random.Random(5))[:100]
     jobs = []
@@ -807,8 +871,8 @@ def test_threads_generate_a_kernel_at_once():
         one = {bus: col[:1] for bus, col in columns.items()}
         net.evaluate_batch({**one, **tied})
         jobs += [({**one, **tied}, reference_outputs(net, batch[:1]))] * 2
-        jobs.append(({**columns, **tied}, reference_outputs(net, batch)))
-    assert len(net._programs) == 3 and net._kernels == {}
+        jobs += [({**columns, **tied}, reference_outputs(net, batch))] * 2
+    assert len(net._programs) == 3 and net._kernels == {} and net._lane_kernels == {}
     results = [None] * len(jobs)
     start = threading.Barrier(len(jobs))
 
@@ -829,6 +893,7 @@ def test_threads_generate_a_kernel_at_once():
     assert not any(t.is_alive() for t in threads)
     assert results == [want for _, want in jobs]
     assert set(net._kernels) == {(), (("select", 0),), (("select", 1),)}
+    assert set(net._lane_kernels) == set(net._kernels)
 
 
 @pytest.mark.parametrize("width", [8, 64])
@@ -843,10 +908,11 @@ def test_no_call_per_vector(width):
             bus: [rng.randrange(1 << net.input_width(bus)) for _ in range(lanes)]
             for bus in net.inputs
         }
-        # The first call compiles the program; a batch never generates a
-        # kernel.
+        # The first call compiles the program and the second generates
+        # its lanes kernel, which the profiled call runs.
         net.evaluate_batch(columns)
-        assert net._kernels == {}
+        net.evaluate_batch(columns)
+        assert list(net._lane_kernels) == [()]
         events = []
         sys.setprofile(lambda frame, event, arg: events.append(event))
         try:
@@ -931,20 +997,21 @@ def assert_rejects(case):
     """``case(n)`` gives the columns of an n-lane vedic2x2 call and the
     message it must be rejected with, in full. Each call is made at 1 and at
     3 lanes on a fresh netlist, and on one whose untied program has
-    generated its kernel (so the one-lane kernel form sits behind the
-    checks too); none compiles or generates anything."""
+    generated both its kernels (so both kernel forms sit behind the checks
+    too); none compiles or generates anything."""
     generated = build_unit("vedic2x2")
-    for _ in range(2):  # the first call compiles, the second generates
-        generated.evaluate_batch({"a": [1], "b": [2]})
-    assert list(generated._kernels) == [()]
+    # The first call compiles, the second and third generate.
+    for columns in ({"a": [1], "b": [2]}, {"a": [1], "b": [2]}, {"a": [1, 3], "b": [2, 0]}):
+        generated.evaluate_batch(columns)
+    assert list(generated._kernels) == list(generated._lane_kernels) == [()]
     for net in (build_unit("vedic2x2"), generated):
-        before = (dict(net._programs), dict(net._kernels))
+        before = (dict(net._programs), dict(net._kernels), dict(net._lane_kernels))
         for lanes in (1, 3):
             columns, message = case(lanes)
             with pytest.raises(NetlistError) as info:
                 net.evaluate_batch(columns)
             assert str(info.value) == message, (lanes, columns)
-            assert (net._programs, net._kernels) == before
+            assert (net._programs, net._kernels, net._lane_kernels) == before
         assert net.evaluate_batch({"a": [3], "b": [3]}) == {"p": [9]}
 
 
@@ -1049,8 +1116,11 @@ class TestBatchRejections:
             got = net.evaluate_batch({"a": flags, "b": True})
             assert got == net.evaluate_batch({"a": flags, "b": 1})
             assert all(type(v) is int for v in got["p"]), run
-        # Only one-lane programs generate.
-        assert set(net._kernels) == ({(), (("b", 1),)} if lanes == 1 else set())
+        # Each program generates the kernel of the one form it runs in.
+        held, unused = (net._kernels, net._lane_kernels)
+        if lanes > 1:
+            held, unused = unused, held
+        assert set(held) == {(), (("b", 1),)} and unused == {}
 
 
 @pytest.mark.parametrize("config", FFT_CONFIGS, ids=lambda c: f"{c.twiddle_mode}-{c.select}")

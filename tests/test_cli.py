@@ -354,17 +354,18 @@ def test_golden_stdout(capsys):
 
 # Run in a fresh interpreter: the command given as arguments through
 # ``cli.main``, or for ``prepare`` the one-lane calls that the benchmark's
-# ``prepare`` steps make. Prints the programs compiled, the kernels
-# generated, and the kernels held by the netlists still alive.
+# ``prepare`` steps make. Prints the programs compiled and the kernels
+# generated, then one ``<netlist>:<form>`` per kernel held by the netlists
+# still alive, ``one`` for a one-lane kernel and ``lanes`` for a lanes one.
 COUNT_KERNELS = """\
 import contextlib, gc, io, sys
 from vedicfft import arith, cli, fft, netlist
 counts = {"compiled": 0, "generated": 0}
 
 def counting(name, f):
-    def wrapper(*args):
+    def wrapper(*args, **kwargs):
         counts[name] += 1
-        return f(*args)
+        return f(*args, **kwargs)
     return wrapper
 
 netlist.Netlist._compile = counting("compiled", netlist.Netlist._compile)
@@ -378,8 +379,28 @@ else:
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(sys.argv[1:]) == 0
 nets = [obj for obj in gc.get_objects() if isinstance(obj, netlist.Netlist)]
-print(counts["compiled"], counts["generated"], sum(len(n._kernels) for n in nets))
+held = [
+    f"{n.name}:{form}"
+    for n in nets
+    for form, kernels in (("one", n._kernels), ("lanes", n._lane_kernels))
+    for _ in kernels
+]
+print(counts["compiled"], counts["generated"], *sorted(held))
 """
+
+
+def count_kernels(*argv):
+    """(programs compiled, kernels generated, kernels held) by ``argv`` in
+    a fresh interpreter, as :data:`COUNT_KERNELS` prints them."""
+    proc = subprocess.run(
+        [sys.executable, "-c", COUNT_KERNELS, *argv],
+        capture_output=True,
+        text=True,
+        env=checkout_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    compiled, generated, *held = proc.stdout.split()
+    return int(compiled), int(generated), held
 
 
 @pytest.mark.parametrize(
@@ -391,26 +412,28 @@ print(counts["compiled"], counts["generated"], sum(len(n._kernels) for n in nets
         ("fft", "--samples", "1,0;2,0;3,0;4,0", "--twiddle", "q3"),
         ("fft", "--samples", "1,0;2,0", "--select", "2"),
         ("fft", "--samples", "1,0;2,0", "--select", "2", "--twiddle", "q3"),
-        ("verify", "--unit", "all"),
         ("report",),
         ("prepare",),
     ],
     ids=" ".join,
 )
 def test_no_command_generates_a_kernel(argv):
-    # A kernel is generated only when a compiled program runs again at one
-    # lane. No command does that: each compiles programs and generates no
-    # kernel, and no netlist it leaves alive holds one.
-    proc = subprocess.run(
-        [sys.executable, "-c", COUNT_KERNELS, *argv],
-        capture_output=True,
-        text=True,
-        env=checkout_env(),
-    )
-    assert proc.returncode == 0, proc.stderr
-    compiled, generated, held = map(int, proc.stdout.split())
+    # A kernel is generated only when a compiled program is evaluated
+    # again. These commands evaluate each program they compile once, so
+    # they generate no kernel and no netlist they leave alive holds one.
+    compiled, generated, held = count_kernels(*argv)
     assert compiled >= 1
-    assert (generated, held) == (0, 0)
+    assert (generated, held) == (0, [])
+
+
+def test_verify_generates_only_the_vedic4x4_kernel():
+    # ``verify --unit all`` evaluates every program it compiles once, but
+    # vedic4x4's twice: array4x4's suite cross-checks against it. The
+    # second evaluation generates its lanes kernel, the one kernel the
+    # command generates.
+    compiled, generated, held = count_kernels("verify", "--unit", "all")
+    assert compiled >= 1
+    assert (generated, held) == (1, ["vedic4x4:lanes"])
 
 
 def test_second_main_call_builds_no_parser(capsys, monkeypatch):

@@ -2,7 +2,8 @@
 they draw, that a second pass builds no netlist and redoes nothing that
 depends only on its inputs, and that each suite fails, naming the operands
 or samples, when one gate of the unit it checks computes the wrong
-function."""
+function, in the gate loop of a first pass and in the generated kernels of
+a second."""
 
 import hashlib
 import itertools
@@ -245,6 +246,20 @@ def with_kind_flipped(net, gate_id):
     return Netlist(net.name, net.inputs, net.outputs, gates, net.consts)
 
 
+def two_passes(suite, mutated):
+    """The result of ``suite`` with the fresh netlist ``mutated`` in it.
+    The first pass compiles its programs and runs them in the gate loop;
+    the second generates their lanes kernels and runs those. Both passes
+    must give the same result."""
+    assert mutated._programs == {}
+    first = verify.verify_unit(suite)
+    assert mutated._programs and mutated._lane_kernels == {}
+    second = verify.verify_unit(suite)
+    assert mutated._lane_kernels.keys() == mutated._programs.keys()
+    assert second == first
+    return second
+
+
 def fft_suite_with_flip(monkeypatch, config, gate_id):
     """The FFT suite's result with gate ``gate_id`` of the reconfigurable
     netlist of ``config``'s twiddle mode flipped (both select values)."""
@@ -262,7 +277,7 @@ def fft_suite_on(monkeypatch, config, mutated):
         return cached(width, mode, fraction_bits)
 
     monkeypatch.setattr(fft, "_reconfigurable_cached", reconfigurable)
-    return verify.verify_unit("fft")
+    return two_passes("fft", mutated)
 
 
 EXACT4 = fft.FftConfig(select=4)
@@ -407,7 +422,7 @@ def test_fft_suite_catches_a_flipped_butterfly2_gate(monkeypatch):
     net = lookup("butterfly2")
     mutated = with_kind_flipped(net, 17)
     monkeypatch.setattr(verify, "_unit", lambda k: mutated if k == "butterfly2" else lookup(k))
-    result = verify.verify_unit("fft")
+    result = two_passes("fft", mutated)
     assert (result.checked, result.failed) == (3809, 135)
     named = re.match(
         r"butterfly2 x=\[\((-?\d+), (-?\d+)\), \((-?\d+), (-?\d+)\)\]: got ", result.detail
@@ -657,7 +672,7 @@ def test_unit_suite_catches_a_flipped_gate(
     net = lookup(key)
     mutated = with_kind_flipped(net, gate_id)
     monkeypatch.setattr(owner, lookup_name, lambda k: mutated if k == key else lookup(k))
-    result = verify.verify_unit(suite)
+    result = two_passes(suite, mutated)
     assert not result.ok
     assert result.checked == COUNTS[suite]
     named = re.match(detail, result.detail)
