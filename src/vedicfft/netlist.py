@@ -24,7 +24,8 @@ bits as constants, so the logic they make idle drops out; each distinct
 scalar assignment (none included) compiles one program on its first
 evaluation, cached per netlist. The lanes path, ``_evaluate_lanes``,
 takes and returns lane words, one int per bus bit with bit i the bit's
-value in vector i, and evaluates every vector at once; every suite of
+value in vector i, every bus's words end to end in one flat sequence,
+and evaluates every vector at once; every suite of
 :mod:`vedicfft.verify` builds its input and oracle lane words once per
 process and calls it directly, with no transposition in a pass. The batch
 path, ``_evaluate_packed``, wraps it in transpositions: it takes and
@@ -70,7 +71,7 @@ import sys
 from array import array
 from collections import Counter
 from collections.abc import Callable, Iterable, Mapping, Sequence
-from itertools import chain, compress
+from itertools import chain, compress, islice
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -380,8 +381,9 @@ def _generate_kernel(p: _Program, lanes: bool) -> Callable[..., Sequence]:
     - ``lanes`` true, the lanes form: ``kernel(m, words)``, where
       ``words`` holds the ``p.in_bits`` lane words of the untied input bits
       in ``p.in_slots`` order, unpacked in one statement (``_`` for a bit
-      that nothing reads). It returns the list of each output bus's word
-      list in ``p.out_slots`` order.
+      that nothing reads). It returns one flat tuple of the output words,
+      bus after bus in ``p.out_slots`` order and LSB first, as ``words``
+      holds the inputs.
 
     Every name in the source is made from the program's integers, never
     from a bus name, so no netlist text reaches it. The source is dropped
@@ -412,10 +414,8 @@ def _generate_kernel(p: _Program, lanes: bool) -> Callable[..., Sequence]:
     for op, a, b, out in zip(p.ops, p.in0, p.in1, p.outs):
         lines.append(f" s{out} = " + _EXPR[op].format(a=f"s{a}", b=f"s{b}"))
     if lanes:
-        buses = ", ".join(
-            "[" + ", ".join(word[s] for s in slots) + "]" for slots in p.out_slots.values()
-        )
-        lines.append(f" return [{buses}]")
+        flat = "".join(f"{word[s]}, " for s in chain(*p.out_slots.values()))
+        lines.append(f" return ({flat})")
     else:
         values = "".join(
             (
@@ -734,14 +734,15 @@ class Netlist:
 
     def _evaluate_lanes(
         self, key: tuple[tuple[str, int], ...], words: Sequence[int], n: int
-    ) -> list[list[int]]:
+    ) -> tuple[int, ...]:
         """Evaluate n vectors given as lane words: the lanes path.
 
         ``key`` is the sorted tuple of (bus, value) pairs of the tied input
         buses; ``words`` holds the lane words of every untied input bus in
         input order, bus after bus and LSB first, each below ``2**n``: bit i
         of word k of a bus is bit k of the bus's value in vector i. Returns
-        the lane words of each output bus in output order.
+        one flat tuple of the lane words of every output bus in the same
+        layout: output order, bus after bus, LSB first.
 
         A word count other than the program's untied input bits raises
         NetlistError, and a rejected call caches nothing; the words
@@ -772,7 +773,7 @@ class Netlist:
         for s, word in zip(chain.from_iterable(p.in_slots.values()), words):
             values[s] = word
         self._run(p, values, mask)
-        return [[values[s] for s in slots] for slots in p.out_slots.values()]
+        return tuple(map(values.__getitem__, chain(*p.out_slots.values())))
 
     def _evaluate_packed(
         self, key: tuple[tuple[str, int], ...], fields: Sequence[int], n: int
@@ -785,17 +786,18 @@ class Netlist:
         the bus's :func:`_item_size` per vector, every field already known
         to fit its bus. The fields of every input bus are transposed into
         lane words by one pass of 8x8 bit-matrix swaps on one int
-        (:func:`_fields_to_lanes`), evaluated by :meth:`_evaluate_lanes`,
-        and the lane words of every output bus transposed back by one more
-        (:func:`_lanes_to_fields`). Returns the packed int of each output
-        bus in output order, at the bus's own item size. ``evaluate_batch``
-        calls it for two or more vectors after its checks, ``_evaluate_one``
-        for a program's first evaluation.
+        (:func:`_fields_to_lanes`) and evaluated by :meth:`_evaluate_lanes`;
+        its flat output words are split by output bus width and transposed
+        back by one more (:func:`_lanes_to_fields`). Returns the packed int
+        of each output bus in output order, at the bus's own item size.
+        ``evaluate_batch`` calls it for two or more vectors after its
+        checks, ``_evaluate_one`` for a program's first evaluation.
         """
         tied = dict(key)
         widths = [len(nets) for bus, nets in self.inputs.items() if bus not in tied]
-        words = _fields_to_lanes(fields, n, widths)
-        return _lanes_to_fields(self._evaluate_lanes(key, words, n), n)
+        words = iter(self._evaluate_lanes(key, _fields_to_lanes(fields, n, widths), n))
+        buses = [list(islice(words, len(nets))) for nets in self.outputs.values()]
+        return _lanes_to_fields(buses, n)
 
     def _evaluate_one(
         self, key: tuple[tuple[str, int], ...], values: Sequence[int]

@@ -9,25 +9,36 @@ is small (every 4-bit operand pair); fixed-seed random sweeps elsewhere, so
 every run, on every supported Python, checks the same cases and results
 are reproducible.
 
-Every suite is lane-major: case i is lane i, bit i of every lane word, and
-a bus is its list of lane words, LSB first (word k holds bit k of the bus
-in every lane). Once per process, each section's input lane words and the
-lane words of its oracle's outputs are built from the enumeration or the
-seeded draw (:func:`_lanes`). The oracles: ``a*b`` at the product's width
-for a multiplier (:func:`_product_lanes`), and the cross columns of
-vedic4x4 (the digit-serial Urdhva run) and of array4x4 (the vedic4x4
-netlist); ``a + b + cin`` for an adder, against its sum then its carry
-out; ``a - b`` mod ``2**(w + 1)`` for a subtractor, against its
-difference then its borrow; for the FFT datapaths the DFT, taken by
+Every suite is lane-major: case i is lane i, bit i of every lane word.
+The buses of one side of a check are one flat tuple of lane words, bus
+after bus and LSB first (word k of a bus holds bit k of the bus in every
+lane): the layout ``Netlist._evaluate_lanes`` takes and returns. Once per
+process, each section's input lane words and the lane words of its
+oracle's outputs are built from the enumeration or the seeded draw
+(:func:`_lanes`). The oracles: ``a*b`` at the product's width for a
+multiplier (:func:`_product_lanes`), and the cross columns of vedic4x4
+(the digit-serial Urdhva run) and of array4x4 (the vedic4x4 netlist);
+``a + b + cin`` for an adder, against its sum then its carry out;
+``a - b`` mod ``2**(w + 1)`` for a subtractor, against its difference then
+its borrow; for the FFT datapaths the DFT, taken by
 ``fft._dft_quarter_turns`` on packed signed columns (which ``dft_oracle``
 runs on numbers) and turned into lane words by one transposition
-(:func:`_dft_lanes`). A pass then does three things per section: it
-simulates the netlist on the cached input words
-(``Netlist._evaluate_lanes``), ORs together the XORs of the output words
-against the oracle words, and adds the set bits of that difference as
-failures (``_Tally.check``). No column is transposed in a pass, and a
-passing suite does no per-case work; only a failing check decodes a lane,
-its first failing one, to name its operands or samples.
+(:func:`_dft_lanes`).
+
+Each suite is a table of checks (:class:`_Check`), built on its first run
+and held for the process: per check, its lane count, its input and oracle
+words, each netlist it simulates as a lookup, its argument and a program
+key, the lanes that fail whatever the netlists give, and a describer of
+one lane. A pass (:func:`_run_suite`) loops over the table. Per check it
+looks each netlist up, evaluates it on the held input words and compares
+the flat output tuple with the oracle tuple by one ``==``: a passing
+check costs one lane evaluation per netlist and that compare. Only where
+the words differ does it OR together the XORs of the words
+(:func:`_diff`), add the set bits of that difference as failures and
+decode the first failing lane to name its operands or samples
+(``_Tally.check``). No column is transposed in a pass. The lookups
+(:func:`_unit`, ``arith._signed_unit`` and ``fft._net_for``) run on every
+pass, so a netlist replaced there is the one the next pass checks.
 
 The FFT suite checks every lane against the DFT. Its select-4 run holds
 the exact 4-point lanes (basis vectors, DC and random vectors), then the
@@ -46,11 +57,12 @@ once per process and held read-only, every pass sharing it:
   by ``arith._signed_unit`` and the FFT datapaths by
   ``fft._reconfigurable_cached``;
 - the exhaustive operand words and their product words
-  (:func:`_exhaustive_lanes`, :func:`_product_lanes`), the digit-serial
-  product words, and the adder and subtractor sections with their oracle
-  words (:func:`_integer_sections`);
+  (:func:`_exhaustive_lanes`, :func:`_product_lanes`), and the adder and
+  subtractor sections with their oracle words (:func:`_integer_sections`);
 - the FFT suite's seeded sample columns (:func:`_fft_sections`) and, per
-  run, its input and DFT words (:func:`_fft_lanes`).
+  run, its input and DFT words (:func:`_fft_lanes`);
+- the check tables, and in vedic4x4's the lanes where the digit-serial
+  products differ from a*b.
 A second pass therefore builds, draws, transposes and compiles nothing. A
 pass evaluates vedic4x4's program twice and every other program once, each
 on all its lanes at once. A program's first evaluation compiles it and
@@ -68,7 +80,7 @@ import random
 from array import array
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Callable, Mapping, Sequence
+from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 from . import arith, fft
 from .netlist import Netlist, _column_fields, _field_values, _fields_to_lanes, to_signed
@@ -78,8 +90,10 @@ _RANDOM_VECTORS = 1000
 # The catalog unit of a name, built on first use and shared by every pass.
 _unit = functools.cache(fft.build_unit)
 
-# Buses as lane words: per bus, its words LSB first.
-_Buses = tuple[tuple[int, ...], ...]
+# Lane words: bus after bus, each bus's words LSB first.
+_Words = tuple[int, ...]
+# A program key: the sorted (bus, value) pairs of the tied input buses.
+_Key = tuple[tuple[str, int], ...]
 
 
 @dataclass(frozen=True)
@@ -124,15 +138,12 @@ class _Tally:
         return UnitResult(self.unit, self.checked, self.failed, self.detail)
 
 
-def _lanes(columns: Sequence[Sequence[int]], widths: Sequence[int]) -> _Buses:
+def _lanes(columns: Sequence[Sequence[int]], widths: Sequence[int]) -> _Words:
     """The lane words of equally long columns of values, one column per bus
-    of the given width, each value in ``[0, 2**width)``: per bus, its words
-    LSB first, lane i holding value i."""
-    n = len(columns[0])
-    words = iter(
-        _fields_to_lanes([_column_fields(col, w) for col, w in zip(columns, widths)], n, widths)
-    )
-    return tuple(tuple(itertools.islice(words, w)) for w in widths)
+    of the given width, each value in ``[0, 2**width)``: bus after bus, each
+    bus's words LSB first, lane i holding value i."""
+    fields = [_column_fields(col, w) for col, w in zip(columns, widths)]
+    return tuple(_fields_to_lanes(fields, len(columns[0]), widths))
 
 
 def _value(words: Sequence[int], i: int) -> int:
@@ -140,29 +151,69 @@ def _value(words: Sequence[int], i: int) -> int:
     return sum(((word >> i) & 1) << k for k, word in enumerate(words))
 
 
-def _diff(got: Sequence[Sequence[int]], want: Sequence[Sequence[int]]) -> int:
-    """The lanes in which some bus of ``got`` differs from the bus of
-    ``want`` in its place: the OR of the XORs of their lane words."""
+def _diff(got: Sequence[int], want: Sequence[int]) -> int:
+    """The lanes in which the lane words ``got`` differ from the words of
+    ``want`` in their places: the OR of the XORs of the words."""
     diff = 0
-    for g, w in zip(itertools.chain(*got), itertools.chain(*want)):
+    for g, w in zip(got, want):
         diff |= g ^ w
     return diff
 
 
-def _simulate(
-    net: Netlist, inputs: Sequence[Sequence[int]], n: int, key: tuple[tuple[str, int], ...] = ()
-) -> list[list[int]]:
-    """The lane words of every output bus of ``net`` on n lanes, bus by bus,
-    given those of every untied input bus; the buses in ``key`` tied."""
-    return net._evaluate_lanes(key, list(itertools.chain(*inputs)), n)
+# The lookups a check names its netlists by. Each reads the module
+# attribute it calls on every call, so a netlist replaced there is the one
+# that the next pass checks.
+def _catalog(name: str) -> Netlist:
+    return _unit(name)
+
+
+def _signed(impl: str) -> Netlist:
+    return arith._signed_unit(impl)
+
+
+def _datapath(config: fft.FftConfig) -> Netlist:
+    return fft._net_for(config)
+
+
+class _Check(NamedTuple):
+    """One check of a suite: n cases, one per lane, built once per process.
+
+    Each entry of ``sims`` is (lookup, argument, program key): the netlist
+    ``lookup(argument)``, looked up on every pass, is evaluated under that
+    key on ``words``. Lane i fails where some netlist's output words differ
+    from ``want`` in bit i, and where ``failing`` has bit i set, whatever
+    they give. ``describe(got, i)`` names lane i, given each netlist's
+    output words in ``sims`` order; only a failing check calls it."""
+
+    n: int
+    words: _Words
+    want: _Words
+    sims: tuple[tuple[Callable[[Any], Netlist], Any, _Key], ...]
+    failing: int
+    describe: Callable[[list[_Words], int], str]
+
+
+def _run_suite(unit: str, checks: Sequence[_Check]) -> UnitResult:
+    """One pass of ``unit``'s suite over its table of checks."""
+    t = _Tally(unit)
+    for n, words, want, sims, failing, describe in checks:
+        got = []
+        diff = failing
+        for lookup, arg, key in sims:
+            out = lookup(arg)._evaluate_lanes(key, words, n)
+            got.append(out)
+            if out != want:
+                diff |= _diff(out, want)
+        t.check(n, diff, functools.partial(describe, got))
+    return t.result()
 
 
 @functools.cache
-def _exhaustive_lanes(*ranges: range) -> _Buses:
+def _exhaustive_lanes(*ranges: range) -> _Words:
     """Every combination of one value per range, the first range slowest,
-    one lane each, as the lane words of one bus per range: each value mod
-    the length of its range (so ``range(-8, 8)`` gives the 4-bit two's
-    complement). Built once per process."""
+    one lane each, as the lane words of one bus per range, bus after bus:
+    each value mod the length of its range (so ``range(-8, 8)`` gives the
+    4-bit two's complement). Built once per process."""
     cols = zip(*itertools.product(*ranges))
     return _lanes(
         [[v % len(r) for v in col] for r, col in zip(ranges, cols)],
@@ -171,7 +222,7 @@ def _exhaustive_lanes(*ranges: range) -> _Buses:
 
 
 @functools.cache
-def _product_lanes(*ranges: range) -> _Buses:
+def _product_lanes(*ranges: range) -> _Words:
     """The lane words of the product bus ``a*b`` for every operand pair, in
     the order of :func:`_exhaustive_lanes`, at the product's width (the
     operands' widths summed) in two's complement, built once per process."""
@@ -179,8 +230,7 @@ def _product_lanes(*ranges: range) -> _Buses:
     return _lanes([[x * y % (1 << width) for x, y in itertools.product(*ranges)]], [width])
 
 
-@functools.cache
-def _digit_serial_products() -> _Buses:
+def _digit_serial_products() -> _Words:
     """The digit-serial base-2 product of every pair of 4-bit operands, as
     :func:`_product_lanes` gives a*b."""
     pairs = itertools.product(range(16), repeat=2)
@@ -198,10 +248,10 @@ def _random_column(rng: random.Random, n: int, width: int) -> list[int]:
 
 
 @functools.cache
-def _integer_sections(suite: str) -> tuple[tuple[int, int, _Buses, _Buses], ...]:
+def _integer_sections(suite: str) -> tuple[tuple[int, int, _Words, _Words], ...]:
     """The sections of the adder or subtractor suite, built once per
-    process: (bus width w, lane count, lane words of each operand bus, of
-    each oracle output bus) for every 4-bit operand pair (and carry in),
+    process: (bus width w, lane count, lane words of the operand buses, of
+    the oracle output buses) for every 4-bit operand pair (and carry in),
     then for 500 vectors at width 8 and 500 at width 16, drawn in that
     order from one rng seeded 41 (adder) or 43 (subtractor). The oracle
     gives the adder's sum and carry out, the low w bits and bit w of
@@ -226,78 +276,73 @@ def _integer_sections(suite: str) -> tuple[tuple[int, int, _Buses, _Buses], ...]
     return tuple(sections)
 
 
-def _verify_unsigned(unit: str, bits: int) -> UnitResult:
+@functools.cache
+def _unsigned_checks(unit: str, bits: int) -> tuple[_Check]:
     """The catalog multiplier ``unit`` on every pair of ``bits``-bit
     operands. A 4x4 product must also equal a cross column: the
-    digit-serial run's for vedic4x4, the vedic4x4 netlist's for array4x4."""
-    t = _Tally(unit)
+    digit-serial run's for vedic4x4, whose lanes that differ from a*b are
+    found here, and the vedic4x4 netlist's for array4x4, simulated beside
+    it."""
     ranges = (range(1 << bits),) * 2
-    n, inputs, want = 1 << 2 * bits, _exhaustive_lanes(*ranges), _product_lanes(*ranges)
-    got = _simulate(_unit(unit), inputs, n)
-    label, cross = "", got  # vedic2x2 has no cross column
+    n, words, want = 1 << 2 * bits, _exhaustive_lanes(*ranges), _product_lanes(*ranges)
+    sims = ((_catalog, unit, ()),)
+    label, cross, failing = "", None, 0  # vedic2x2 has no cross column
     if unit == "vedic4x4":
         label, cross = "digit-serial", _digit_serial_products()
+        failing = _diff(cross, want)
     elif unit == "array4x4":
-        label, cross = "vedic cross-check", _simulate(_unit("vedic4x4"), inputs, n)
+        label, sims = "vedic cross-check", (*sims, (_catalog, "vedic4x4", ()))
 
-    def detail(i: int) -> str:
-        a, b = (_value(bus, i) for bus in inputs)
+    def describe(got: list[_Words], i: int) -> str:
+        a, b = _value(words[:bits], i), _value(words[bits:], i)
         g = _value(got[0], i)
-        line = f"{a}*{b}: got {g}, want {_value(want[0], i)}"
+        line = f"{a}*{b}: got {g}, want {_value(want, i)}"
         if label:
-            line += f" ({label} {'ok' if _value(cross[0], i) == g else 'differs'})"
+            c = _value(got[1] if cross is None else cross, i)
+            line += f" ({label} {'ok' if c == g else 'differs'})"
         return line
 
-    t.check(n, _diff(got, want) | _diff(cross, want), detail)
-    return t.result()
+    return (_Check(n, words, want, sims, failing, describe),)
 
 
-def _verify_signed4x4() -> UnitResult:
-    t = _Tally("signed4x4")
+@functools.cache
+def _signed_checks() -> tuple[_Check, ...]:
+    """The vedic, then the array, signed 4x4 multiplier on every pair of
+    operands in [-8, 7]."""
     ranges = (range(-8, 8),) * 2
-    inputs, want = _exhaustive_lanes(*ranges), _product_lanes(*ranges)
-    for impl in ("vedic", "array"):
-        got = _simulate(arith._signed_unit(impl), inputs, 256)
+    words, want = _exhaustive_lanes(*ranges), _product_lanes(*ranges)
 
-        def detail(i: int) -> str:
-            x, y = (to_signed(_value(bus, i), 4) for bus in inputs)
+    def check(impl: str) -> _Check:
+        def describe(got: list[_Words], i: int) -> str:
+            x, y = to_signed(_value(words[:4], i), 4), to_signed(_value(words[4:], i), 4)
             return f"{impl} {x}*{y}: got {to_signed(_value(got[0], i), 8)}, want {x * y}"
 
-        t.check(256, _diff(got, want), detail)
-    return t.result()
+        return _Check(256, words, want, ((_signed, impl, ()),), 0, describe)
+
+    return check("vedic"), check("array")
 
 
-def _verify_adder() -> UnitResult:
-    t = _Tally("adder")
-    for width, n, inputs, want in _integer_sections("adder"):
-        got = total, cout = _simulate(_unit(f"adder{width}"), inputs, n)
+@functools.cache
+def _integer_checks(suite: str) -> tuple[_Check, ...]:
+    """The adder or subtractor suite: ``adder<w>`` or ``subtractor<w>`` on
+    each section of :func:`_integer_sections`."""
+    adder = suite == "adder"
 
-        def detail(i: int) -> str:
-            x, y, c = (_value(bus, i) for bus in inputs)
-            s = x + y + c
-            values = (_value(total, i), _value(cout, i))
-            expected = (s % (1 << width), s >> width)
-            return f"w{width} {x}+{y}+{c}: got sum, cout {values}, want {expected}"
+    def check(width: int, n: int, words: _Words, want: _Words) -> _Check:
+        def describe(got: list[_Words], i: int) -> str:
+            x, y = _value(words[:width], i), _value(words[width : 2 * width], i)
+            values = (_value(got[0][:width], i), _value(got[0][width:], i))
+            if adder:
+                c = _value(words[2 * width :], i)
+                s = x + y + c
+                expected = (s % (1 << width), s >> width)
+                return f"w{width} {x}+{y}+{c}: got sum, cout {values}, want {expected}"
+            expected = ((x - y) % (1 << width), int(x < y))
+            return f"w{width} {x}-{y}: got diff, borrow {values}, want {expected}"
 
-        t.check(n, _diff(got, want), detail)
-    return t.result()
+        return _Check(n, words, want, ((_catalog, f"{suite}{width}", ()),), 0, describe)
 
-
-def _verify_subtractor() -> UnitResult:
-    t = _Tally("subtractor")
-    for width, n, inputs, want in _integer_sections("subtractor"):
-        got = diff, borrow = _simulate(_unit(f"subtractor{width}"), inputs, n)
-
-        def detail(i: int) -> str:
-            x, y = (_value(bus, i) for bus in inputs)
-            values = (_value(diff, i), _value(borrow, i))
-            return (
-                f"w{width} {x}-{y}: got diff, borrow {values}, "
-                f"want {((x - y) % (1 << width), int(x < y))}"
-            )
-
-        t.check(n, _diff(got, want), detail)
-    return t.result()
+    return tuple(check(*section) for section in _integer_sections(suite))
 
 
 def _sign_table(bits: int, shift: int) -> bytes:
@@ -368,9 +413,9 @@ _EXACT2 = fft.FftConfig(select=2)
 _QUANT4 = fft.FftConfig(4, "quantized", 3, 4)
 
 
-def _sample_lanes(columns: Sequence[Sequence[int]]) -> _Buses:
-    """The lane words of the 4-bit sample buses x0_re, x0_im, .. of columns
-    of signed samples, one lane per vector.
+def _sample_lanes(columns: Sequence[Sequence[int]]) -> _Words:
+    """The lane words of the 4-bit sample buses x0_re, x0_im, .., bus after
+    bus, of columns of signed samples, one lane per vector.
 
     Every sample must lie in [-8, 7]; else the ValueError of
     ``FixedComplex.check_range`` names the first component outside, in
@@ -406,18 +451,22 @@ def _dft_lanes(columns: Sequence[Sequence[int]], points: int) -> list[list[int]]
     return [list(itertools.islice(words, 8)) for _ in bins]
 
 
-def _oracle(bins: Sequence[Sequence[int]], width: int, shift: int = 0) -> _Buses:
+def _oracle(bins: Sequence[Sequence[int]], width: int, shift: int = 0) -> _Words:
     """The lane words of ``width``-bit buses holding 2**shift times the
-    values whose 8-bit two's complement lane words are ``bins``: per bus,
-    ``shift`` zero words, then its words with the sign word repeated, cut
-    at ``width``."""
-    return tuple(tuple(([0] * shift + [*words, *[words[-1]] * width])[:width]) for words in bins)
+    values whose 8-bit two's complement lane words are ``bins``, bus after
+    bus: per bus, ``shift`` zero words, then its words with the sign word
+    repeated, cut at ``width``."""
+    return tuple(
+        itertools.chain.from_iterable(
+            ([0] * shift + [*words, *[words[-1]] * width])[:width] for words in bins
+        )
+    )
 
 
 @functools.cache
-def _fft_lanes() -> Mapping[str, tuple[int, _Buses, _Buses]]:
-    """Per run of the FFT suite, (lane count, the lane words of each input
-    bus, of each output bus of the oracle), built once per process from
+def _fft_lanes() -> Mapping[str, tuple[int, _Words, _Words]]:
+    """Per run of the FFT suite, (lane count, the lane words of the input
+    buses, of the output buses of the oracle), built once per process from
     :func:`_fft_sections` and held read-only like them:
 
     - ``select=4``: the exact4 lanes, then the linearity lanes x (its first
@@ -445,10 +494,10 @@ def _fft_lanes() -> Mapping[str, tuple[int, _Buses, _Buses]]:
     inputs2 = _sample_lanes(exact2)
     runs = {
         "select=4": (select4, _sample_lanes(select4), _oracle(_dft_lanes(select4, 4), width)),
-        "select=2": (exact2, inputs2, _oracle(dft2, width) + ((0,) * width,) * 4),
+        "select=2": (exact2, inputs2, _oracle(dft2, width) + (0,) * (4 * width)),
         "butterfly2": (
             exact2,
-            inputs2[:4],
+            inputs2[:16],
             _oracle(dft2, _unit("butterfly2").output_width("X0_re")),
         ),
         "q3": (
@@ -466,42 +515,49 @@ def _fft_lanes() -> Mapping[str, tuple[int, _Buses, _Buses]]:
     )
 
 
-def _vector(buses: Sequence[Sequence[int]], i: int) -> list[tuple[int, int]]:
-    """Lane i of the buses whose lane words are ``buses``, re, im, re, ..,
-    as two's complement (re, im) pairs."""
-    values = [to_signed(_value(words, i), len(words)) for words in buses]
+def _vector(words: Sequence[int], width: int, i: int) -> list[tuple[int, int]]:
+    """Lane i of the ``width``-bit buses re, im, re, .. whose lane words,
+    bus after bus, are ``words``, as two's complement (re, im) pairs."""
+    values = [
+        to_signed(_value(words[k : k + width], i), width) for k in range(0, len(words), width)
+    ]
     return list(zip(values[::2], values[1::2]))
 
 
-def _check_fft(t: _Tally, run: str, net: Netlist, key: tuple[tuple[str, int], ...]) -> None:
-    """Check ``net``, the buses in ``key`` tied, on the run ``run`` of
-    :func:`_fft_lanes`, whose name begins the detail of a failing lane."""
-    n, inputs, want = _fft_lanes()[run]
-    got = _simulate(net, inputs, n, key)
-    t.check(
-        n,
-        _diff(got, want),
-        lambda i: f"{run} x={_vector(inputs, i)}: got {_vector(got, i)}, want {_vector(want, i)}",
-    )
+@functools.cache
+def _fft_checks() -> tuple[_Check, ...]:
+    """The FFT suite: each run of :func:`_fft_lanes` on its netlist, the
+    datapaths with ``select`` tied as ``run_fft`` ties it. The run's name
+    begins the detail of a failing lane."""
+    runs = {
+        "select=4": (_datapath, _EXACT4, fft._SELECT_KEYS[4]),
+        "select=2": (_datapath, _EXACT2, fft._SELECT_KEYS[2]),
+        "butterfly2": (_catalog, "butterfly2", ()),
+        "q3": (_datapath, _QUANT4, fft._SELECT_KEYS[4]),
+    }
+    lanes = _fft_lanes()
 
+    def check(run: str, sim: tuple[Callable[[Any], Netlist], Any, _Key]) -> _Check:
+        n, words, want = lanes[run]
+        width = 4 * len(want) // len(words)  # as many output buses as 4-bit inputs
 
-def _verify_fft() -> UnitResult:
-    t = _Tally("fft")
-    _check_fft(t, "select=4", fft._net_for(_EXACT4), fft._SELECT_KEYS[4])
-    _check_fft(t, "select=2", fft._net_for(_EXACT2), fft._SELECT_KEYS[2])
-    _check_fft(t, "butterfly2", _unit("butterfly2"), ())
-    _check_fft(t, "q3", fft._net_for(_QUANT4), fft._SELECT_KEYS[4])
-    return t.result()
+        def describe(got: list[_Words], i: int) -> str:
+            x, y, z = _vector(words, 4, i), _vector(got[0], width, i), _vector(want, width, i)
+            return f"{run} x={x}: got {y}, want {z}"
+
+        return _Check(n, words, want, (sim,), 0, describe)
+
+    return tuple(check(run, sim) for run, sim in runs.items())
 
 
 _VERIFIERS: dict[str, Callable[[], UnitResult]] = {
-    "vedic2x2": lambda: _verify_unsigned("vedic2x2", 2),
-    "vedic4x4": lambda: _verify_unsigned("vedic4x4", 4),
-    "array4x4": lambda: _verify_unsigned("array4x4", 4),
-    "adder": _verify_adder,
-    "subtractor": _verify_subtractor,
-    "signed4x4": _verify_signed4x4,
-    "fft": _verify_fft,
+    "vedic2x2": lambda: _run_suite("vedic2x2", _unsigned_checks("vedic2x2", 2)),
+    "vedic4x4": lambda: _run_suite("vedic4x4", _unsigned_checks("vedic4x4", 4)),
+    "array4x4": lambda: _run_suite("array4x4", _unsigned_checks("array4x4", 4)),
+    "adder": lambda: _run_suite("adder", _integer_checks("adder")),
+    "subtractor": lambda: _run_suite("subtractor", _integer_checks("subtractor")),
+    "signed4x4": lambda: _run_suite("signed4x4", _signed_checks()),
+    "fft": lambda: _run_suite("fft", _fft_checks()),
 }
 
 

@@ -724,7 +724,12 @@ def test_generation_rule(case, tied, monkeypatch):
 
         def counted(*args):
             kernel_calls.append(args)
-            return kernel(*args)
+            out = kernel(*args)
+            # Either form returns a flat tuple of ints: bus values, or the
+            # output lane words bus after bus.
+            assert type(out) is tuple and all(type(v) is int for v in out)
+            assert len(out) == (sum(map(len, p.out_slots.values())) if lanes else len(p.out_slots))
+            return out
 
         return counted
 
@@ -758,8 +763,9 @@ def test_lane_word_count_is_checked(count):
     # vedic2x2 has 4 input bits. Another word count is rejected with the
     # same message at the program's first evaluation, which then compiles
     # nothing, and at a later one, which then generates nothing, with the
-    # buses tied or not.
-    for key, bits in (((), 4), ((("a", 1),), 2)):
+    # buses tied or not. The accepted call returns p's 4 lane words as one
+    # flat tuple: 3*3 = 0b1001 untied, 1*3 = 0b0011 with a tied to 1.
+    for key, bits, product in (((), 4, (1, 0, 0, 1)), ((("a", 1),), 2, (1, 1, 0, 0))):
         if count == bits:
             continue
         net = build_unit("vedic2x2")
@@ -771,7 +777,7 @@ def test_lane_word_count_is_checked(count):
             assert str(info.value) == message, (key, evaluations)
             assert len(net._programs) == (evaluations > 0), (key, evaluations)
             assert len(net._lane_kernels) == (evaluations > 1), (key, evaluations)
-            net._evaluate_lanes(key, [1] * bits, 1)
+            assert net._evaluate_lanes(key, [1] * bits, 1) == product, (key, evaluations)
 
 
 # Bus names that are Python keywords or spell the kernel's own names: none
@@ -828,11 +834,12 @@ EDGE_NETLISTS = {
     lane_units() + [pytest.param(name, None, id=f"edge-{name}") for name in EDGE_NETLISTS],
 )
 def test_evaluate_lanes_matches_evaluate_batch(name, select):
-    # The lanes path, on the lane words of seeded vectors, returns the lane
-    # words of the outputs that the checked batch path of a second copy of
-    # the netlist gives: at 257 lanes on the program's first evaluation,
-    # which runs the gate loop, at 65 on its second, which generates the
-    # lanes kernel, and at 1 on its third, which runs that kernel.
+    # The lanes path, on the lane words of seeded vectors, returns one flat
+    # tuple of the lane words of the outputs, bus after bus, that the
+    # checked batch path of a second copy of the netlist gives: at 257
+    # lanes on the program's first evaluation, which runs the gate loop, at
+    # 65 on its second, which generates the lanes kernel, and at 1 on its
+    # third, which runs that kernel.
     build = EDGE_NETLISTS.get(name, lambda: build_unit(name))
     net, other = build(), build()
     tied = {} if select is None else {"select": select}
@@ -849,9 +856,9 @@ def test_evaluate_lanes_matches_evaluate_batch(name, select):
         ]
         got = net._evaluate_lanes(key, words, lanes)
         want = other.evaluate_batch({**columns, **tied})
-        assert got == [per_bit_lanes(want[bus], net.output_width(bus)) for bus in net.outputs], (
-            lanes
-        )
+        assert got == tuple(
+            word for bus in net.outputs for word in per_bit_lanes(want[bus], net.output_width(bus))
+        ), lanes
         kernels.append(net._lane_kernels.get(key))
     assert kernels[0] is None and kernels[1] is not None and kernels[2] is kernels[1]
     assert list(net._programs) == [key] and net._kernels == {}

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import vedicfft
-from vedicfft import parse_netlist
+from vedicfft import parse_netlist, verify
 from vedicfft.cli import entry, main
 from vedicfft.fft import unit_names
 
@@ -471,6 +471,21 @@ class TestEntryPoints:
         )
         assert proc.returncode == 0
         assert proc.stdout == "143\n"
+
+    def test_package_invocation(self):
+        # ``python -m vedicfft`` is the ``vedicfft`` command: one line per
+        # suite and the summary, the lines ``main`` prints in process.
+        proc = subprocess.run(
+            [sys.executable, "-m", "vedicfft", "verify", "--unit", "all"],
+            capture_output=True,
+            text=True,
+            env=checkout_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert len(lines) == 8
+        assert lines[:-1] == [r.summary() for r in verify.verify_all()]
+        assert lines[-1] == "all 7 unit(s) pass"
 
     def test_console_script(self, tmp_path):
         # The script pyproject.toml declares, run by name in a fresh process

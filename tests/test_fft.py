@@ -1,6 +1,7 @@
 import cmath
 import enum
 import hashlib
+import itertools
 import math
 import random
 import tracemalloc
@@ -536,6 +537,29 @@ class TestReconfigurable:
         assert spectrum_of(res) == [(64, 0), (-16, 0), (0, 0), (0, 0)]
         assert res.values == [8, -2, 0, 0]
         assert res.output_width == 11
+
+    @pytest.mark.parametrize("select", [4, 2])
+    @pytest.mark.parametrize("width", [2, 3, 5, 8])
+    def test_exact_mode_at_other_widths(self, width, select):
+        # Exact mode has no multiplier core, so its datapath builds at any
+        # input width. Every combination of the two extreme components in
+        # all 8 slots, then 48 seeded vectors: the batch gives the DFT (of
+        # x0 and x1 at select 2, with X2 = X3 = 0 whatever x2 and x3 are)
+        # at output width w + 2, and one-lane run_fft gives the batch.
+        config = FftConfig.make(select, "exact", width)
+        lo, hi = -(1 << (width - 1)), (1 << (width - 1)) - 1
+        rows = [list(row) for row in itertools.product((lo, hi), repeat=8)]
+        rng = random.Random(f"exact-w{width}-s{select}")
+        rows += [[rng.randint(lo, hi) for _ in range(8)] for _ in range(48)]
+        sample_lists = [list(zip(row[::2], row[1::2])) for row in rows]
+        results = run_fft_batch(config, sample_lists)
+        assert len(results) == 304
+        for samples, result in zip(sample_lists, results):
+            want = dft_oracle([complex(*s) for s in samples[:select]])
+            want += [0j] * (4 - select)
+            assert [x.to_complex() for x in result.spectrum] == want, samples
+            assert result.output_width == width + 2
+            assert run_fft(config, samples) == result, samples
 
     def test_uniform_output_width(self, recon_exact, recon_q3):
         for bus in ("X0_re", "X1_im", "X2_re", "X3_im"):

@@ -150,8 +150,9 @@ def test_fft_sections_are_drawn_once_and_read_only(monkeypatch):
 def test_second_pass_redoes_no_input_only_work(monkeypatch):
     # After one warm pass, a pass only runs the gate loop on held lane words
     # and compares: the seeded draws, the operand and sample lane words, the
-    # DFT references and every other oracle word are all held from the
-    # first one, so a pass transposes, packs and decodes nothing.
+    # DFT references, the digit-serial products and their diff against a*b
+    # and every other oracle word are all held from the first one, so a
+    # pass transposes, packs, diffs and decodes nothing.
     first = verify.verify_all()
     integer = {suite: verify._integer_sections(suite) for suite in ("adder", "subtractor")}
     lanes = verify._fft_lanes()
@@ -168,6 +169,8 @@ def test_second_pass_redoes_no_input_only_work(monkeypatch):
     monkeypatch.setattr(Netlist, "evaluate_batch", forbidden)
     monkeypatch.setattr(Netlist, "_evaluate_packed", forbidden)
     monkeypatch.setattr(verify, "_sample_lanes", forbidden)
+    monkeypatch.setattr(verify, "_digit_serial_products", forbidden)
+    monkeypatch.setattr(verify, "_diff", forbidden)
     assert verify.verify_all() == first
     assert all(r.ok for r in first)
     assert verify._fft_lanes() is lanes
@@ -718,16 +721,50 @@ def test_passing_packed_suites_decode_no_case(monkeypatch):
         assert result.ok and result.checked == COUNTS[suite], suite
 
 
+def test_warm_passing_pass_compares_each_check_once(monkeypatch):
+    # A warm pass whose checks all pass evaluates each netlist of a check
+    # once on the held words and compares its flat output tuple with the
+    # oracle's: it diffs no words and decodes no lane.
+    verify.verify_all()
+    verify.verify_all()
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a diff or a decoded lane in a passing pass")
+
+    for name in ("_diff", "_value", "_vector"):
+        monkeypatch.setattr(verify, name, forbidden)
+    evaluations = []
+    evaluate = Netlist._evaluate_lanes
+
+    def counting(self, key, words, n):
+        got = evaluate(self, key, words, n)
+        assert type(got) is tuple and len(got) == sum(map(len, self.outputs.values()))
+        evaluations.append(self.name)
+        return got
+
+    monkeypatch.setattr(Netlist, "_evaluate_lanes", counting)
+    results = verify.verify_all()
+    assert all(r.ok for r in results) and {r.unit: r.checked for r in results} == COUNTS
+    # vedic4x4 twice, in its suite and in array4x4's cross-check, and each
+    # other program once.
+    assert len(evaluations) == 16
+    assert evaluations.count("vedic4x4") == 2
+
+
 def test_simulate_checks_the_sample_range():
     # The sample lane words of signed columns are range-checked as they are
-    # built, and simulate to the spectra run_fft gives.
+    # built, and simulate to the spectra run_fft gives: the lanes path
+    # returns the output words as one flat tuple, bus after bus.
     net = fft._net_for(EXACT4)
     samples = [0, 7, -8, -1, 3]
     inputs = verify._sample_lanes([samples] * 8)
-    got = verify._simulate(net, inputs, len(samples), fft._SELECT_KEYS[4])
+    assert len(inputs) == 32
+    got = net._evaluate_lanes(fft._SELECT_KEYS[4], inputs, len(samples))
+    width = net.output_width("X0_re")
+    assert type(got) is tuple and len(got) == 8 * width
     for i, v in enumerate(samples):
         spectrum = fft.run_fft(EXACT4, [(v, v)] * 4).spectrum
-        assert verify._vector(got, i) == [(x.re, x.im) for x in spectrum], v
+        assert verify._vector(got, width, i) == [(x.re, x.im) for x in spectrum], v
     columns = [samples] * 8
     columns[5] = [0, -9, 8, 0, 0]
     with pytest.raises(ValueError, match=r"^component -9 outside \[-8, 7\] for width 4$"):
