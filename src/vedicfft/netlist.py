@@ -24,26 +24,18 @@ bits as constants, so the logic they make idle drops out; each distinct
 scalar assignment (none included) compiles one program on its first
 evaluation, cached per netlist. The lanes path, ``_evaluate_lanes``,
 takes and returns lane words, one int per bus bit with bit i the bit's
-value in vector i, every bus's words end to end in one flat sequence,
-and evaluates every vector at once; every suite of
-:mod:`vedicfft.verify` builds its input and oracle lane words once per
-process and calls it directly, with no transposition in a pass. The batch
-path, ``_evaluate_packed``, wraps it in transpositions: it takes and
-returns packed columns, one int per bus with one field per vector (the
-bytes of a buffer of one item of the bus's own size per vector). The
-transposition works on whole ints: each 8
-vectors' bytes of a byte plane form an 8x8 bit matrix, and three masked
-shift-and-swap steps on one int that stacks every bus's planes turn every
-matrix at once (:func:`_transpose8`), once on the way in and once on the
-way out. A bus costs a fixed number of buffer operations per byte plane
-and each bus bit one strided byte slice, with no Python call per vector up
-to 64 bits. ``evaluate_batch`` takes one route at every lane count: it
-packs each list while it checks its range and reads each output bus back
-from its packed int.
-One vector takes the one-lane path, ``_evaluate_one``: it takes and
-returns bus values, with no columns. One lane's packed ints are its bus
-values, so ``evaluate_batch`` hands them over as they are, and
-``fft.run_fft`` calls it directly.
+value in vector i, every bus's words end to end in one flat sequence, and
+evaluates every vector at once; every suite of :mod:`vedicfft.verify`
+calls it directly on lane words it built once per process. For two or
+more vectors ``evaluate_batch`` turns each list into its bus's lane words
+(:func:`_bus_lanes`) and each output bus's words back into a list
+(:func:`_bus_values`). Both transpose whole ints: each 8 vectors' bytes of
+a byte plane form an 8x8 bit matrix, and three masked shift-and-swap steps
+on one int of the bus's planes turn every matrix at once
+(:func:`_transpose8`), with no Python call per vector up to 64 bits. One
+vector takes the one-lane path, ``_evaluate_one``, which takes and returns
+bus values: ``evaluate_batch`` hands it the checked values as they are,
+and ``fft.run_fft`` calls it directly.
 
 A program's first evaluation, at any lane count, compiles it and runs the
 gate loop ``_run``, which decodes one opcode per gate. Every later
@@ -213,48 +205,6 @@ def _item_size(width: int) -> int:
     return 1 << max(0, (width - 1).bit_length() - 3)
 
 
-def _column_fields(col: Sequence[int], width: int) -> int:
-    """A column of n values as its packed int: one field per vector, vector
-    i in bits ``[step * i, step * (i + 1))``.
-
-    The column becomes a buffer of one little-endian item of
-    ``_item_size(width)`` bytes per vector, read as one int, so ``step`` is
-    the item's bit size. ``evaluate_batch`` has checked the column's minimum
-    and maximum against ``[0, 2**width)``; a non-int value between them
-    raises TypeError here.
-    """
-    if type(col) is not list:
-        # ``bytes`` and ``array`` read a buffer's raw bytes, not its items.
-        col = list(col)
-    size = _item_size(width)
-    if size == 1:
-        items = bytes(col)
-    elif size <= 8:
-        items = array(_ITEM_CODE[size], col)
-        if _BIG_ENDIAN:
-            items.byteswap()
-    else:
-        items = b"".join([int.to_bytes(v, size, "little") for v in col])
-    return int.from_bytes(items, "little")
-
-
-def _field_values(x: int, n: int, width: int) -> list[int]:
-    """The inverse of :func:`_column_fields`: the n values of the packed int
-    ``x`` of a ``width``-bit bus, read back as C items (or per vector,
-    above 64 bits)."""
-    size = _item_size(width)
-    data = x.to_bytes(size * n, "little")
-    if size > 8:
-        return [
-            int.from_bytes(data[i : i + size], "little")
-            for i in range(0, len(data), size)
-        ]
-    items = array(_ITEM_CODE[size], data)
-    if _BIG_ENDIAN:
-        items.byteswap()
-    return items.tolist()
-
-
 # The masks of the three delta swaps that transpose an 8x8 bit matrix held
 # in 64 bits (``transpose8``, Warren, Hacker's Delight, 2nd ed., 7-3), each
 # repeated once per 64-bit chunk for the most chunks transposed so far:
@@ -288,76 +238,76 @@ def _transpose8(x: int, chunks: int) -> int:
     return x ^ t ^ (t << 28)
 
 
-def _fields_to_lanes(xs: Sequence[int], n: int, widths: Sequence[int]) -> list[int]:
-    """Transpose the packed ints ``xs`` of n vectors, one per bus of the
-    given widths and each with one field of the bus's :func:`_item_size`
-    per vector, into the buses' lane words, bus after bus: word k of a bus
-    holds bit k of vector i at bit i.
+def _bus_lanes(col: Sequence[int], width: int, n: int) -> list[int]:
+    """The ``width`` lane words, LSB first, of a bus whose n values are
+    ``col``: bit i of word k is bit k of value i.
 
-    Byte plane j of a bus, byte j of every field, is one strided slice of
-    the bytes of its int. The planes of every bus's ``ceil(width / 8)`` low
-    bytes go end to end in one int, each padded to whole 64-bit chunks.
-    Each chunk, 8 vectors' bytes, is an 8x8 bit matrix, and one
-    :func:`_transpose8` turns all of them at once: byte b of a chunk of
-    plane j then holds bit ``8 * j + b`` of its 8 vectors, so word k of a
-    bus is every 8th byte of its plane ``k // 8`` from byte ``k % 8``.
-    Field bits at and above a bus's width are not read. One vector's
-    packed int is its value.
+    The values become one buffer of one little-endian item of
+    ``_item_size(width)`` bytes per vector. Byte plane j, byte j of every
+    item, is one strided slice of it; the ``ceil(width / 8)`` planes go end
+    to end in one int, each padded to whole 64-bit chunks. Each chunk, 8
+    vectors' bytes, is an 8x8 bit matrix, and one :func:`_transpose8` turns
+    all of them at once: byte b of a chunk of plane j then holds bit
+    ``8 * j + b`` of its 8 vectors, so word k is every 8th byte of plane
+    ``k // 8`` from byte ``k % 8``. ``evaluate_batch`` has checked the
+    values' minimum and maximum against ``[0, 2**width)``; a non-int value
+    between them raises TypeError here.
     """
+    if type(col) is not list:
+        # ``bytes`` and ``array`` read a buffer's raw bytes, not its items.
+        col = list(col)
+    size = _item_size(width)
+    if size == 1:
+        items = bytes(col)
+    elif size <= 8:
+        items = array(_ITEM_CODE[size], col)
+        if _BIG_ENDIAN:
+            items.byteswap()
+        items = items.tobytes()
+    else:
+        items = b"".join([int.to_bytes(v, size, "little") for v in col])
     span = (n + 7) & -8  # bytes per plane
-    planes = [(width + 7) // 8 for width in widths]
-    stacked = bytearray(sum(planes) * span)
-    start = 0
-    for x, width, count in zip(xs, widths, planes):
-        size = _item_size(width)
-        data = x.to_bytes(size * n, "little")
-        for j in range(count):
-            stacked[start : start + n] = data[j::size]
-            start += span
-    data = _transpose8(int.from_bytes(stacked, "little"), len(stacked) // 8).to_bytes(
-        len(stacked), "little"
+    planes = bytearray((width + 7) // 8 * span)
+    for j in range(len(planes) // span):
+        planes[j * span : j * span + n] = items[j::size]
+    data = _transpose8(int.from_bytes(planes, "little"), len(planes) // 8).to_bytes(
+        len(planes), "little"
     )
-    starts = []
-    start = 0
-    for width, count in zip(widths, planes):
-        starts += [start + k // 8 * span + k % 8 for k in range(width)]
-        start += count * span
-    return [int.from_bytes(data[s : s + span : 8], "little") for s in starts]
+    words = []
+    for k in range(width):
+        s = k // 8 * span + k % 8
+        words.append(int.from_bytes(data[s : s + span : 8], "little"))
+    return words
 
 
-def _lanes_to_fields(buses: Sequence[Sequence[int]], n: int) -> list[int]:
-    """The inverse of :func:`_fields_to_lanes`: per bus, the packed int of
-    its n vectors, one field of the bus's :func:`_item_size` per vector,
-    where bit k of the bus has lane word ``buses[b][k]``, each below
-    ``2**n``. Each word's bytes go to every 8th byte of its plane from byte
-    ``k % 8``, one :func:`_transpose8` turns every bus's planes back, and
-    plane j of a bus becomes byte j of each of its fields. Field bits at
-    and above a bus's width stay zero."""
+def _bus_values(words: Sequence[int], n: int) -> list[int]:
+    """The inverse of :func:`_bus_lanes`: the n values of the bus whose
+    lane words are ``words``, each below ``2**n``. Each word's bytes go to
+    every 8th byte of its plane from byte ``k % 8``, one
+    :func:`_transpose8` turns the planes back, and plane j becomes byte j
+    of each item of a buffer, read back as C items (or per vector, above
+    64 bits)."""
+    width = len(words)
     span = (n + 7) & -8  # bytes per plane
-    planes = [(len(words) + 7) // 8 for words in buses]
-    stacked = bytearray(sum(planes) * span)
-    start = 0
-    for words, count in zip(buses, planes):
-        for k, word in enumerate(words):
-            s = start + k // 8 * span + k % 8
-            stacked[s : s + span : 8] = word.to_bytes(span // 8, "little")
-        start += count * span
-    data = _transpose8(int.from_bytes(stacked, "little"), len(stacked) // 8).to_bytes(
-        len(stacked), "little"
+    planes = bytearray((width + 7) // 8 * span)
+    for k, word in enumerate(words):
+        s = k // 8 * span + k % 8
+        planes[s : s + span : 8] = word.to_bytes(span // 8, "little")
+    data = _transpose8(int.from_bytes(planes, "little"), len(planes) // 8).to_bytes(
+        len(planes), "little"
     )
-    fields = []
-    start = 0
-    for words, count in zip(buses, planes):
-        size = _item_size(len(words))
-        if size == 1:  # the one plane is the fields
-            fields.append(int.from_bytes(data[start : start + n], "little"))
-        else:
-            out = bytearray(size * n)
-            for j in range(count):
-                out[j::size] = data[start + j * span : start + j * span + n]
-            fields.append(int.from_bytes(out, "little"))
-        start += count * span
-    return fields
+    size = _item_size(width)
+    if size == 1:  # the one plane is the items
+        return list(data[:n])
+    items = bytearray(size * n)
+    for j in range(len(planes) // span):
+        items[j::size] = data[j * span : j * span + n]
+    if size > 8:
+        return [int.from_bytes(items[i : i + size], "little") for i in range(0, len(items), size)]
+    values = array(_ITEM_CODE[size], items)
+    if _BIG_ENDIAN:
+        values.byteswap()
+    return values.tolist()
 
 
 def _generate_kernel(p: _Program, lanes: bool) -> Callable[..., Sequence]:
@@ -467,7 +417,7 @@ class Netlist:
         # one-lane kernel and its generated lanes kernel, once it has them.
         self._programs: dict[tuple[tuple[str, int], ...], _Program] = {}
         self._kernels: dict[tuple[tuple[str, int], ...], Callable[..., tuple]] = {}
-        self._lane_kernels: dict[tuple[tuple[str, int], ...], Callable[..., list]] = {}
+        self._lane_kernels: dict[tuple[tuple[str, int], ...], Callable[..., tuple]] = {}
 
     @classmethod
     def _trusted(
@@ -749,9 +699,11 @@ class Netlist:
         themselves are not checked. The program's first evaluation compiles
         it, sets its input slots and runs the gate loop ``_run``. Every
         later one runs the program's lanes kernel (:func:`_generate_kernel`),
-        generated by the first of them. Every suite of :mod:`vedicfft.verify` calls
-        it directly, with words it built once per process;
-        :meth:`_evaluate_packed` calls it between its two transpositions.
+        generated by the first of them. Every suite of :mod:`vedicfft.verify`
+        calls it directly, with words it built once per process;
+        ``evaluate_batch`` calls it for two or more vectors, between
+        :func:`_bus_lanes` and :func:`_bus_values`, and ``_evaluate_one``
+        for a program's first evaluation, on one-lane words.
         """
         p = self._programs.get(key)
         first = p is None
@@ -775,30 +727,6 @@ class Netlist:
         self._run(p, values, mask)
         return tuple(map(values.__getitem__, chain(*p.out_slots.values())))
 
-    def _evaluate_packed(
-        self, key: tuple[tuple[str, int], ...], fields: Sequence[int], n: int
-    ) -> list[int]:
-        """Evaluate n vectors given as packed columns, unchecked: the batch
-        path.
-
-        ``key`` is as for :meth:`_evaluate_lanes`; ``fields`` holds the
-        packed int of each untied input bus in input order, one field of
-        the bus's :func:`_item_size` per vector, every field already known
-        to fit its bus. The fields of every input bus are transposed into
-        lane words by one pass of 8x8 bit-matrix swaps on one int
-        (:func:`_fields_to_lanes`) and evaluated by :meth:`_evaluate_lanes`;
-        its flat output words are split by output bus width and transposed
-        back by one more (:func:`_lanes_to_fields`). Returns the packed int
-        of each output bus in output order, at the bus's own item size.
-        ``evaluate_batch`` calls it for two or more vectors after its
-        checks, ``_evaluate_one`` for a program's first evaluation.
-        """
-        tied = dict(key)
-        widths = [len(nets) for bus, nets in self.inputs.items() if bus not in tied]
-        words = iter(self._evaluate_lanes(key, _fields_to_lanes(fields, n, widths), n))
-        buses = [list(islice(words, len(nets))) for nets in self.outputs.values()]
-        return _lanes_to_fields(buses, n)
-
     def _evaluate_one(
         self, key: tuple[tuple[str, int], ...], values: Sequence[int]
     ) -> tuple[int, ...]:
@@ -808,13 +736,13 @@ class Netlist:
         buses, ``values`` the values of the untied input buses in input
         order, each already known to fit its bus. Returns the value of each
         output bus in output order. The program's first evaluation, at any
-        lane count, compiles it: here the vector goes through
-        ``_evaluate_packed`` at one lane, where a value is its own packed
-        int. Every later one-lane evaluation runs the program's one-lane
-        kernel (:func:`_generate_kernel`), generated on the first of them,
-        which takes and returns bus values, so no vector is split into lane
-        words. ``evaluate_batch`` calls it for one vector after its checks;
-        ``fft.run_fft`` calls it directly.
+        lane count, compiles it: here the bits of the values go to
+        :meth:`_evaluate_lanes` as one-lane words, and each output bus's
+        value is summed from its words. Every later one-lane evaluation
+        runs the program's one-lane kernel (:func:`_generate_kernel`),
+        generated on the first of them, which takes and returns bus values,
+        so no vector is split into lane words. ``evaluate_batch`` calls it
+        for one vector after its checks; ``fft.run_fft`` calls it directly.
         """
         kernel = self._kernels.get(key)
         if kernel is not None:
@@ -823,7 +751,14 @@ class Netlist:
         if p is not None:
             kernel = self._kernels[key] = _generate_kernel(p, lanes=False)
             return kernel(*values)
-        return tuple(self._evaluate_packed(key, values, 1))
+        tied = dict(key)
+        widths = [len(nets) for bus, nets in self.inputs.items() if bus not in tied]
+        bits = [v >> k & 1 for v, width in zip(values, widths) for k in range(width)]
+        words = iter(self._evaluate_lanes(key, bits, 1))
+        return tuple(
+            sum(word << k for k, word in zip(range(len(nets)), words))
+            for nets in self.outputs.values()
+        )
 
     def evaluate_batch(
         self, columns: Mapping[str, int | Sequence[int]]
@@ -840,15 +775,15 @@ class Netlist:
         which their bits are constants, so the logic they idle is not
         simulated. This is the checked simulation entry point.
 
-        Every lane count takes one route. The bus sets are checked, each
-        column is classified as a scalar (range-checked at once) or a list,
-        the lists' lengths are checked, and each list is range-checked and
-        packed into one int (:func:`_column_fields`) in mapping order, each
-        bus's fields at its own item size; a call whose columns are
-        rejected compiles nothing. One vector's packed ints are its values
-        and go to ``_evaluate_one``, the one-lane path; two or more go to
-        ``_evaluate_packed``, the batch path. Each output bus is read back
-        at its own item size with :func:`_field_values`.
+        The bus sets are checked, each column is classified as a scalar
+        (range-checked at once) or a list, the lists' lengths are checked,
+        and each list is range-checked in mapping order; a call whose
+        columns are rejected compiles nothing. One vector's checked values
+        go to ``_evaluate_one``, the one-lane path, as they are. For two or
+        more, each list becomes its bus's lane words (:func:`_bus_lanes`)
+        as it is checked, the words of every bus go to ``_evaluate_lanes``
+        in input order, and each output bus is read back from its words
+        with :func:`_bus_values`.
         """
         inputs = self.inputs
         missing = inputs.keys() - columns.keys()
@@ -884,25 +819,27 @@ class Netlist:
         (n,) = lengths
         if not n:
             raise NetlistError("input columns are empty")
-        fields = {}
+        checked = {}
         for bus, col in lists.items():
             width = len(inputs[bus])
             try:
                 if min(col) >= 0 and not max(col) >> width:
-                    # Packing meets a non-int between the bounds.
-                    fields[bus] = _column_fields(col, width)
+                    # One value is both bounds; the lane words of more meet
+                    # a non-int between them.
+                    checked[bus] = col if n == 1 else _bus_lanes(col, width, n)
                     continue
             except TypeError:  # a non-int value, at either bound or between
                 pass
             raise NetlistError(f"input {bus} values must be integers in [0, 2**{width})")
         key = tuple(sorted(tied.items()))
-        packed = [fields[bus] for bus in inputs if bus in fields]
         if n == 1:
-            out = self._evaluate_one(key, packed)
-        else:
-            out = self._evaluate_packed(key, packed, n)
+            out = self._evaluate_one(key, [checked[bus][0] for bus in inputs if bus in checked])
+            return {bus: [value] for bus, value in zip(self.outputs, out)}
+        words = [word for bus in inputs if bus in checked for word in checked[bus]]
+        out = iter(self._evaluate_lanes(key, words, n))
         return {
-            bus: _field_values(x, n, len(nets)) for (bus, nets), x in zip(self.outputs.items(), out)
+            bus: _bus_values(list(islice(out, len(nets))), n)
+            for bus, nets in self.outputs.items()
         }
 
     # -- static analysis ----------------------------------------------------

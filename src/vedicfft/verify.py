@@ -22,7 +22,7 @@ multiplier (:func:`_product_lanes`), and the cross columns of vedic4x4
 ``a - b`` mod ``2**(w + 1)`` for a subtractor, against its difference then
 its borrow; for the FFT datapaths the DFT, taken by
 ``fft._dft_quarter_turns`` on packed signed columns (which ``dft_oracle``
-runs on numbers) and turned into lane words by one transposition
+runs on numbers) and turned into lane words bin by bin
 (:func:`_dft_lanes`).
 
 Each suite is a table of checks (:class:`_Check`), built on its first run
@@ -83,7 +83,7 @@ from types import MappingProxyType
 from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 from . import arith, fft
-from .netlist import Netlist, _column_fields, _field_values, _fields_to_lanes, to_signed
+from .netlist import Netlist, _bus_lanes, to_signed
 
 _RANDOM_VECTORS = 1000
 
@@ -142,8 +142,12 @@ def _lanes(columns: Sequence[Sequence[int]], widths: Sequence[int]) -> _Words:
     """The lane words of equally long columns of values, one column per bus
     of the given width, each value in ``[0, 2**width)``: bus after bus, each
     bus's words LSB first, lane i holding value i."""
-    fields = [_column_fields(col, w) for col, w in zip(columns, widths)]
-    return tuple(_fields_to_lanes(fields, len(columns[0]), widths))
+    n = len(columns[0])
+    return tuple(
+        itertools.chain.from_iterable(
+            _bus_lanes(col, width, n) for col, width in zip(columns, widths)
+        )
+    )
 
 
 def _value(words: Sequence[int], i: int) -> int:
@@ -238,13 +242,11 @@ def _digit_serial_products() -> _Words:
 
 
 def _random_column(rng: random.Random, n: int, width: int) -> list[int]:
-    """n values uniform over [0, 2**width), width 1, 8 or 16, from one
-    ``getrandbits(width * n)`` call: value i is its bits
-    ``[width * i, width * (i + 1))``."""
+    """n values uniform over [0, 2**width) from one ``getrandbits(width * n)``
+    call: value i is its bits ``[width * i, width * (i + 1))``."""
     bits = rng.getrandbits(width * n)
-    if width == 1:
-        return [(bits >> i) & 1 for i in range(n)]
-    return _field_values(bits, n, width)
+    mask = (1 << width) - 1
+    return [(bits >> width * i) & mask for i in range(n)]
 
 
 @functools.cache
@@ -438,8 +440,8 @@ def _dft_lanes(columns: Sequence[Sequence[int]], points: int) -> list[list[int]]
     128 from every field leaves the exact int sum v_i * 2**(8 * i), on which
     ``fft._dft_quarter_turns`` adds and subtracts field by field. Every bin
     of 4-bit samples lies in [-32, 32], so adding 128 to every field and
-    flipping bit 7 back gives its two's complement bytes, which one
-    ``_fields_to_lanes`` turns into lane words.
+    flipping bit 7 back gives its two's complement bytes, which
+    ``_bus_lanes`` turns into the bin's lane words.
     """
     n = len(columns[0])
     half = ((1 << 8 * n) - 1) // 0xFF << 7  # 128 in every field
@@ -447,8 +449,7 @@ def _dft_lanes(columns: Sequence[Sequence[int]], points: int) -> list[list[int]]
         (int.from_bytes(array("b", col).tobytes(), "little") ^ half) - half for col in columns
     ]
     bins = fft._dft_quarter_turns(signed, points)
-    words = iter(_fields_to_lanes([(x + half) ^ half for x in bins], n, [8] * len(bins)))
-    return [list(itertools.islice(words, 8)) for _ in bins]
+    return [_bus_lanes(((x + half) ^ half).to_bytes(n, "little"), 8, n) for x in bins]
 
 
 def _oracle(bins: Sequence[Sequence[int]], width: int, shift: int = 0) -> _Words:

@@ -31,7 +31,7 @@ from vedicfft import (
     run_fft,
     run_fft_batch,
 )
-from vedicfft import fft, netlist
+from vedicfft import fft, netlist, verify
 from vedicfft.fft import build_unit, unit_names
 from vedicfft.netio import parse_netlist
 from vedicfft.netlist import Gate, Netlist
@@ -405,58 +405,36 @@ TRANSPOSE_LANES = [*range(1, 71), 255, 256, 257, 1009]
 
 @pytest.mark.parametrize("width", TRANSPOSE_WIDTHS)
 def test_transposition_against_per_bit_reference(width):
-    # Packed columns to lane words and back. Every field of the packed int
-    # is random in all of its item's bits, those at and above the width
-    # included, which must not be read; the fields that come back are the
-    # bus values, zero above the width.
-    size = netlist._item_size(width)
+    # A bus's values to its lane words and back, the extremes among them.
     rng = random.Random(width)
+    top = (1 << width) - 1
     for n in TRANSPOSE_LANES:
-        x = rng.getrandbits(8 * size * n)
-        data = x.to_bytes(size * n, "little")
-        values = [
-            int.from_bytes(data[i : i + size], "little") & ((1 << width) - 1)
-            for i in range(0, len(data), size)
-        ]
-        words = netlist._fields_to_lanes([x], n, [width])
+        values = [top, 0, *(rng.randrange(top + 1) for _ in range(n - 2))][:n]
+        words = netlist._bus_lanes(values, width, n)
         assert words == per_bit_lanes(values, width), (width, n)
-        fields = b"".join(v.to_bytes(size, "little") for v in values)
-        assert netlist._lanes_to_fields([words], n) == [int.from_bytes(fields, "little")], (
-            width,
-            n,
-        )
+        assert netlist._bus_values(words, n) == values, (width, n)
 
 
 @pytest.mark.parametrize("size", [2, 4, 8, 13])
 def test_transposition_of_stacked_buses(size):
-    # Every bus whose item fits ``size`` bytes, stacked in one call, each
-    # bus's fields at its own item size, as evaluate_batch packs the buses
-    # of a netlist. Every field is random in all of its bytes; the words
-    # are each bus's per-bit lane words, end to end, and the fields that
-    # come back are the bus values, zero above the width.
+    # Every bus whose item fits ``size`` bytes, end to end, as
+    # ``evaluate_batch`` and ``verify._lanes`` lay out the buses of a
+    # netlist: the words are each bus's per-bit lane words, bus after bus,
+    # and a netlist whose outputs are its inputs, wire for wire, gives them
+    # back as lane words and as the bus values.
     widths = [w for w in TRANSPOSE_WIDTHS if netlist._item_size(w) <= size]
+    b = NetlistBuilder("wires")
+    for k, width in enumerate(widths):
+        b.set_output(f"y{k}", b.add_input(f"x{k}", width))
+    net = b.finalize()
     rng = random.Random(size)
     for n in [1, 7, 8, 9, 255, 256, 257, 1009]:
-        sizes = [netlist._item_size(width) for width in widths]
-        xs = [rng.getrandbits(8 * item * n) for item in sizes]
-        values = []
-        for x, width, item in zip(xs, widths, sizes):
-            data = x.to_bytes(item * n, "little")
-            values.append(
-                [
-                    int.from_bytes(data[i : i + item], "little") & ((1 << width) - 1)
-                    for i in range(0, len(data), item)
-                ]
-            )
-        words = netlist._fields_to_lanes(xs, n, widths)
-        buses = [per_bit_lanes(vs, width) for vs, width in zip(values, widths)]
-        assert words == [word for bus in buses for word in bus], n
-        fields = [
-            b"".join(v.to_bytes(item, "little") for v in vs) for vs, item in zip(values, sizes)
-        ]
-        assert netlist._lanes_to_fields(buses, n) == [
-            int.from_bytes(f, "little") for f in fields
-        ], n
+        values = [[rng.randrange(1 << width) for _ in range(n)] for width in widths]
+        words = [word for vs, width in zip(values, widths) for word in per_bit_lanes(vs, width)]
+        assert list(verify._lanes(values, widths)) == words, n
+        assert net._evaluate_lanes((), words, n) == tuple(words), n
+        got = net.evaluate_batch({f"x{k}": vs for k, vs in enumerate(values)})
+        assert got == {f"y{k}": vs for k, vs in enumerate(values)}, n
 
 
 BUFFER_COLUMNS = {
@@ -480,6 +458,19 @@ def test_buffer_columns(width, kind):
     assert net.evaluate_batch({**columns, "a": BUFFER_COLUMNS[kind](values)}) == want
 
 
+@pytest.mark.parametrize("kind", BUFFER_COLUMNS)
+def test_bus_lanes_of_buffer_columns(kind):
+    # A buffer column's lane words are those of its items, whatever their
+    # size, at every bus width: values below 256 fit every kind.
+    rng = random.Random(kind)
+    for width in TRANSPOSE_WIDTHS:
+        for n in [1, 2, 8, 9, 65, 257]:
+            values = [rng.randrange(min(256, 1 << width)) for _ in range(n)]
+            words = netlist._bus_lanes(BUFFER_COLUMNS[kind](values), width, n)
+            assert words == per_bit_lanes(values, width), (width, n)
+            assert netlist._bus_values(words, n) == values, (width, n)
+
+
 # A program's first evaluation, at any lane count, compiles it and runs
 # the gate loop ``Netlist._run``. Every later evaluation runs a generated
 # kernel: a batch of two or more vectors the lanes kernel, one vector the
@@ -497,7 +488,7 @@ def assert_first_interpreted_later_generated(net, vectors, tied=None):
     compiles the program and generates nothing. Batches and one-lane calls
     then alternate: the first later one of each generates its form's kernel,
     which every later one of that form runs. Each vector alone also runs
-    through the batch path at one lane, on the lanes kernel."""
+    through ``_evaluate_one`` itself, and on the lanes kernel at one lane."""
     tied = tied or {}
     assert net._programs == {} and net._kernels == {} and net._lane_kernels == {}
     vectors = [{**v, **tied} for v in vectors]
@@ -546,16 +537,26 @@ def assert_first_interpreted_later_generated(net, vectors, tied=None):
     assert later == ({"one", "lanes"} if len(vectors) > 1 else {"one"})
     untied = [bus for bus in net.inputs if bus not in tied]
     for i, vector in enumerate(alone):
-        got = net._evaluate_packed(key, [vector[bus] for bus in untied], 1)
-        assert got == [want_alone[bus][i] for bus in net.outputs], vector
+        got = net._evaluate_one(key, [vector[bus] for bus in untied])
+        assert got == tuple(want_alone[bus][i] for bus in net.outputs), vector
+        evaluated("one")
+        bits = [
+            word for bus in untied for word in per_bit_lanes([vector[bus]], net.input_width(bus))
+        ]
+        got = net._evaluate_lanes(key, bits, 1)
+        assert got == tuple(
+            word
+            for bus, nets in net.outputs.items()
+            for word in per_bit_lanes([want_alone[bus][i]], len(nets))
+        ), vector
         evaluated("lanes")
 
 
 @pytest.mark.parametrize("name", ["adder65", "adder100"])
 def test_one_lane_wide_buses_across_generation(name):
-    # Above 64 bits a one-lane column is packed byte by byte
-    # (``int.to_bytes``); its packed int must reach the generated kernel,
-    # and every output come back, as the bus value.
+    # Above 64 bits a one-lane column's value must reach the first
+    # evaluation's one-lane words and then the generated kernel, and every
+    # output come back, as the bus value.
     net = build_unit(name)
     rng = random.Random(name)
     for run in range(4):
@@ -905,8 +906,8 @@ def test_threads_generate_a_kernel_at_once():
 
 @pytest.mark.parametrize("width", [8, 64])
 def test_no_call_per_vector(width):
-    # Up to 64 bits a bus is packed and unpacked with a fixed number of
-    # calls, Python or C, whatever the lane count.
+    # Up to 64 bits a bus becomes lane words and comes back with a fixed
+    # number of calls, Python or C, whatever the lane count.
     net = build_ripple_adder(width)
 
     def calls(lanes):
@@ -929,6 +930,38 @@ def test_no_call_per_vector(width):
         return sum(event in ("call", "c_call") for event in events)
 
     assert calls(2) == calls(1000)
+
+
+# Python-level calls ("call" events) and C calls of one one-lane
+# ``evaluate_batch`` on vedic4x4 once its program has a generated kernel,
+# measured on CPython 3.11: 8 Python-level calls (the call itself, two
+# ``Sequence`` instance checks, three comprehensions, ``_evaluate_one`` and
+# the kernel; 3.12 and later inline comprehensions) and 26 C calls,
+# profiler switch-off included. They were 14 and 38 when one lane went
+# through a packed int per bus, and a one-lane batch that transposed to
+# lane words and back would add the calls of ``_bus_lanes``,
+# ``_bus_values`` and ``_transpose8``.
+ONE_LANE_EVALUATE_BATCH_CALLS = 8
+ONE_LANE_EVALUATE_BATCH_C_CALLS = 26
+
+
+def test_one_lane_evaluate_batch_transposes_nothing():
+    net = build_unit("vedic4x4")
+    columns = {"a": [13], "b": [11]}
+    for _ in range(2):  # a second one-lane call generates the kernel
+        net.evaluate_batch(columns)
+    assert list(net._kernels) == [()]
+    events = []
+    sys.setprofile(lambda frame, event, arg: events.append((event, frame.f_code.co_name)))
+    try:
+        result = net.evaluate_batch(columns)
+    finally:
+        sys.setprofile(None)
+    assert result == {"p": [143]}
+    called = [name for event, name in events if event == "call"]
+    assert not {"_bus_lanes", "_bus_values", "_transpose8"} & set(called), called
+    assert len(called) <= ONE_LANE_EVALUATE_BATCH_CALLS, called
+    assert [event for event, _ in events].count("c_call") <= ONE_LANE_EVALUATE_BATCH_C_CALLS
 
 
 FFT_CONFIGS = [

@@ -17,10 +17,12 @@ PRINT_RE = re.compile(r"print\(.*?\)(?:\s+#\s*(.*))?")
 
 
 def python_blocks():
+    """Each ``python`` block, named by its position in the README, so that
+    an edit to the prose around it does not rename its test."""
     text = README.read_text(encoding="utf-8")
     return [
-        pytest.param(m.group(1), id=f"line-{text.count(chr(10), 0, m.start()) + 1}")
-        for m in BLOCK_RE.finditer(text)
+        pytest.param(m.group(1), id=f"block-{i}")
+        for i, m in enumerate(BLOCK_RE.finditer(text), 1)
     ]
 
 

@@ -162,12 +162,12 @@ def test_second_pass_redoes_no_input_only_work(monkeypatch):
 
     monkeypatch.setattr(random.Random, "getrandbits", forbidden)
     monkeypatch.setattr(fft, "_dft_quarter_turns", forbidden)
-    for name in ("_fields_to_lanes", "_lanes_to_fields", "_column_fields", "_field_values"):
+    for name in ("_bus_lanes", "_bus_values", "_transpose8"):
         monkeypatch.setattr(netlist, name, forbidden)
         if hasattr(verify, name):
             monkeypatch.setattr(verify, name, forbidden)
     monkeypatch.setattr(Netlist, "evaluate_batch", forbidden)
-    monkeypatch.setattr(Netlist, "_evaluate_packed", forbidden)
+    monkeypatch.setattr(Netlist, "_evaluate_one", forbidden)
     monkeypatch.setattr(verify, "_sample_lanes", forbidden)
     monkeypatch.setattr(verify, "_digit_serial_products", forbidden)
     monkeypatch.setattr(verify, "_diff", forbidden)
@@ -536,8 +536,8 @@ UNIT_MUTANTS = [
     ),
     pytest.param("signed4x4", arith, "_signed_unit", "vedic", 125, SIGNED_DETAIL, id="signed4x4"),
     # Flips in the other sections of the adder and subtractor suites, so
-    # that every width and field step of their packed compare fails some
-    # cases: a sum bit, a carry out alone, diff and borrow, a borrow alone.
+    # that every width of their lane compare fails some cases: a sum bit, a
+    # carry out alone, diff and borrow, a borrow alone.
     pytest.param(
         "adder",
         verify,
@@ -715,7 +715,7 @@ def test_passing_packed_suites_decode_no_case(monkeypatch):
 
     monkeypatch.setattr(verify, "_value", forbidden)
     monkeypatch.setattr(Netlist, "evaluate_batch", forbidden)
-    monkeypatch.setattr(Netlist, "_evaluate_packed", forbidden)
+    monkeypatch.setattr(Netlist, "_evaluate_one", forbidden)
     for suite in verify.unit_names():
         result = verify.verify_unit(suite)
         assert result.ok and result.checked == COUNTS[suite], suite
