@@ -29,13 +29,14 @@ evaluates every vector at once; every suite of :mod:`vedicfft.verify`
 calls it directly on lane words it built once per process. For two or
 more vectors ``evaluate_batch`` turns each list into its bus's lane words
 (:func:`_bus_lanes`) and each output bus's words back into a list
-(:func:`_bus_values`). Both transpose whole ints: each 8 vectors' bytes of
-a byte plane form an 8x8 bit matrix, and three masked shift-and-swap steps
-on one int of the bus's planes turn every matrix at once
-(:func:`_transpose8`), with no Python call per vector up to 64 bits. One
-vector takes the one-lane path, ``_evaluate_one``, which takes and returns
-bus values: ``evaluate_batch`` hands it the checked values as they are,
-and ``fft.run_fft`` calls it directly.
+(:func:`_bus_values`). Both go through ASCII binary digits, one byte per
+vector: a byte plane of the values, byte j of each, translates to the
+digits of each of its 8 bits, which ``int(..., 2)`` reads as words, and a
+word's ``format`` digits give back its bit of every vector. Neither makes
+a Python call per vector, at any width. One vector takes the one-lane
+path, ``_evaluate_one``, which takes and returns bus values:
+``evaluate_batch`` hands it the checked values as they are, and
+``fft.run_fft`` calls it directly.
 
 A program's first evaluation, at any lane count, compiles it and runs the
 gate loop ``_run``, which decodes one opcode per gate. Every later
@@ -59,8 +60,6 @@ from __future__ import annotations
 import enum
 import heapq
 import re
-import sys
-from array import array
 from collections import Counter
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from itertools import chain, compress, islice
@@ -191,123 +190,49 @@ def _driver_name(driver: tuple[str, int] | int | Gate) -> str:
     return f"const{driver}"
 
 
-# The C type code of each item size in bytes, for ``array``.
-_ITEM_CODE = {array(code).itemsize: code for code in "BHILQ"}
-_BIG_ENDIAN = sys.byteorder == "big"
+# Table k of ``bytes.translate``: each byte to the ASCII binary digit of
+# its bit k, ``b"1"`` where it is set, else ``b"0"``.
+_DIGIT_TABLES = tuple(bytes(48 | v >> k & 1 for v in range(256)) for k in range(8))
 
 
-def _item_size(width: int) -> int:
-    """Bytes per vector when a ``width``-bit bus is laid out as a buffer:
-    1, 2, 4 or 8 up to 64 bits, so that the buffer is a C array; whole
-    bytes above."""
-    if width > 64:
-        return (width + 7) // 8
-    return 1 << max(0, (width - 1).bit_length() - 3)
-
-
-# The masks of the three delta swaps that transpose an 8x8 bit matrix held
-# in 64 bits (``transpose8``, Warren, Hacker's Delight, 2nd ed., 7-3), each
-# repeated once per 64-bit chunk for the most chunks transposed so far:
-# (chunks, mask of the 7-bit swap, of the 14-bit one, of the 28-bit one).
-# A longer mask serves fewer chunks as it is, since ``&`` stops at the
-# shorter int, so one tuple bounds the cache. Threads that race to grow it
-# may each build one, and each uses its own; the last assignment wins.
-_SWAP_MASKS = (0x00AA00AA00AA00AA, 0x0000CCCC0000CCCC, 0x00000000F0F0F0F0)
-_swap_masks = (1, *_SWAP_MASKS)
-
-
-def _transpose8(x: int, chunks: int) -> int:
-    """Transpose every 8x8 bit matrix of the ``64 * chunks``-bit int ``x``:
-    in each 64-bit chunk, bit ``8 * r + c`` and bit ``8 * c + r`` trade
-    places. No swap moves a bit across a chunk boundary, so one pass of
-    three masked delta swaps on the whole int does every chunk; the
-    transpose is its own inverse."""
-    global _swap_masks
-    masks = _swap_masks
-    if masks[0] < chunks:
-        masks = _swap_masks = (
-            chunks,
-            *(int.from_bytes(m.to_bytes(8, "little") * chunks, "little") for m in _SWAP_MASKS),
-        )
-    _, m7, m14, m28 = masks
-    t = (x ^ (x >> 7)) & m7
-    x ^= t ^ (t << 7)
-    t = (x ^ (x >> 14)) & m14
-    x ^= t ^ (t << 14)
-    t = (x ^ (x >> 28)) & m28
-    return x ^ t ^ (t << 28)
-
-
-def _bus_lanes(col: Sequence[int], width: int, n: int) -> list[int]:
-    """The ``width`` lane words, LSB first, of a bus whose n values are
+def _bus_lanes(col: Sequence[int], width: int) -> list[int]:
+    """The ``width`` lane words, LSB first, of a bus whose values are
     ``col``: bit i of word k is bit k of value i.
 
-    The values become one buffer of one little-endian item of
-    ``_item_size(width)`` bytes per vector. Byte plane j, byte j of every
-    item, is one strided slice of it; the ``ceil(width / 8)`` planes go end
-    to end in one int, each padded to whole 64-bit chunks. Each chunk, 8
-    vectors' bytes, is an 8x8 bit matrix, and one :func:`_transpose8` turns
-    all of them at once: byte b of a chunk of plane j then holds bit
-    ``8 * j + b`` of its 8 vectors, so word k is every 8th byte of plane
-    ``k // 8`` from byte ``k % 8``. ``evaluate_batch`` has checked the
-    values' minimum and maximum against ``[0, 2**width)``; a non-int value
-    between them raises TypeError here.
+    Byte plane j is one ``bytes`` of byte j of every value, one byte per
+    vector; a buffer column (``bytes``, ``array``, ``memoryview``) gives
+    its items. Word k is plane ``k // 8``, reversed so that vector 0 comes
+    last, translated to the ASCII binary digit of bit ``k % 8`` of each
+    byte and read by ``int(..., 2)``, which the int/str digit limit does
+    not bound. ``evaluate_batch`` has checked the values' minimum and
+    maximum against ``[0, 2**width)``; a non-int value between them raises
+    TypeError here.
     """
-    if type(col) is not list:
-        # ``bytes`` and ``array`` read a buffer's raw bytes, not its items.
-        col = list(col)
-    size = _item_size(width)
-    if size == 1:
-        items = bytes(col)
-    elif size <= 8:
-        items = array(_ITEM_CODE[size], col)
-        if _BIG_ENDIAN:
-            items.byteswap()
-        items = items.tobytes()
+    if width <= 8:
+        planes = [bytes(iter(col))[::-1]]
     else:
-        items = b"".join([int.to_bytes(v, size, "little") for v in col])
-    span = (n + 7) & -8  # bytes per plane
-    planes = bytearray((width + 7) // 8 * span)
-    for j in range(len(planes) // span):
-        planes[j * span : j * span + n] = items[j::size]
-    data = _transpose8(int.from_bytes(planes, "little"), len(planes) // 8).to_bytes(
-        len(planes), "little"
-    )
-    words = []
-    for k in range(width):
-        s = k // 8 * span + k % 8
-        words.append(int.from_bytes(data[s : s + span : 8], "little"))
-    return words
+        planes = [bytes([v >> s & 255 for v in col])[::-1] for s in range(0, width, 8)]
+    return [int(planes[k // 8].translate(_DIGIT_TABLES[k % 8]), 2) for k in range(width)]
 
 
 def _bus_values(words: Sequence[int], n: int) -> list[int]:
     """The inverse of :func:`_bus_lanes`: the n values of the bus whose
-    lane words are ``words``, each below ``2**n``. Each word's bytes go to
-    every 8th byte of its plane from byte ``k % 8``, one
-    :func:`_transpose8` turns the planes back, and plane j becomes byte j
-    of each item of a buffer, read back as C items (or per vector, above
-    64 bits)."""
-    width = len(words)
-    span = (n + 7) & -8  # bytes per plane
-    planes = bytearray((width + 7) // 8 * span)
-    for k, word in enumerate(words):
-        s = k // 8 * span + k % 8
-        planes[s : s + span : 8] = word.to_bytes(span // 8, "little")
-    data = _transpose8(int.from_bytes(planes, "little"), len(planes) // 8).to_bytes(
-        len(planes), "little"
-    )
-    size = _item_size(width)
-    if size == 1:  # the one plane is the items
-        return list(data[:n])
-    items = bytearray(size * n)
-    for j in range(len(planes) // span):
-        items[j::size] = data[j * span : j * span + n]
-    if size > 8:
-        return [int.from_bytes(items[i : i + size], "little") for i in range(0, len(items), size)]
-    values = array(_ITEM_CODE[size], items)
-    if _BIG_ENDIAN:
-        values.byteswap()
-    return values.tolist()
+    lane words are ``words``, each below ``2**n``.
+
+    Word k's ``format`` digits, vector 0 last, read as a big-endian int and
+    XORed with the row of ``0`` digits, hold its bit of each vector in one
+    byte, vector 0 lowest. Shifted by ``k % 8`` and ORed over the 8 words
+    of a byte plane, they give the plane: byte i is byte ``k // 8`` of
+    value i. The values are built plane by plane."""
+    spec = f"0{n}b"
+    zeros = int.from_bytes(b"0" * n, "big")
+    for s in range(0, len(words), 8):
+        plane = 0
+        for k, word in enumerate(words[s : s + 8]):
+            plane |= (int.from_bytes(format(word, spec).encode(), "big") ^ zeros) << k
+        plane = plane.to_bytes(n, "little")
+        values = [v | b << s for v, b in zip(values, plane)] if s else list(plane)
+    return values
 
 
 def _generate_kernel(p: _Program, lanes: bool) -> Callable[..., Sequence]:
@@ -826,7 +751,7 @@ class Netlist:
                 if min(col) >= 0 and not max(col) >> width:
                     # One value is both bounds; the lane words of more meet
                     # a non-int between them.
-                    checked[bus] = col if n == 1 else _bus_lanes(col, width, n)
+                    checked[bus] = col if n == 1 else _bus_lanes(col, width)
                     continue
             except TypeError:  # a non-int value, at either bound or between
                 pass

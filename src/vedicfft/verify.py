@@ -142,12 +142,7 @@ def _lanes(columns: Sequence[Sequence[int]], widths: Sequence[int]) -> _Words:
     """The lane words of equally long columns of values, one column per bus
     of the given width, each value in ``[0, 2**width)``: bus after bus, each
     bus's words LSB first, lane i holding value i."""
-    n = len(columns[0])
-    return tuple(
-        itertools.chain.from_iterable(
-            _bus_lanes(col, width, n) for col, width in zip(columns, widths)
-        )
-    )
+    return tuple(itertools.chain.from_iterable(map(_bus_lanes, columns, widths)))
 
 
 def _value(words: Sequence[int], i: int) -> int:
@@ -449,7 +444,7 @@ def _dft_lanes(columns: Sequence[Sequence[int]], points: int) -> list[list[int]]
         (int.from_bytes(array("b", col).tobytes(), "little") ^ half) - half for col in columns
     ]
     bins = fft._dft_quarter_turns(signed, points)
-    return [_bus_lanes(((x + half) ^ half).to_bytes(n, "little"), 8, n) for x in bins]
+    return [_bus_lanes(((x + half) ^ half).to_bytes(n, "little"), 8) for x in bins]
 
 
 def _oracle(bins: Sequence[Sequence[int]], width: int, shift: int = 0) -> _Words:

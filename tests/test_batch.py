@@ -396,11 +396,14 @@ def per_bit_lanes(values, width):
     return [int("".join(column)[::-1], 2) for column in zip(*rows)]
 
 
-# Widths on either side of each item size (1, 2, 4 and 8 bytes), whole
-# bytes above 64 bits, and the widest bus; lane counts around whole 64-bit
-# chunks of 8 vectors.
+# Widths on either side of one byte plane and of 2, 4 and 8 of them, and
+# the widest bus; lane counts around multiples of 8 vectors.
 TRANSPOSE_WIDTHS = [*range(1, 10), 11, 16, 17, 32, 33, 64, 65, 100, netlist.MAX_BUS_WIDTH]
 TRANSPOSE_LANES = [*range(1, 71), 255, 256, 257, 1009]
+# Lane counts whose words have more decimal digits than CPython's default
+# int/str conversion limit of 4300, which base-2 ``int`` and ``format`` are
+# exempt from; checked up to 100 bits.
+DIGIT_LIMIT_LANES = [4301, 5000]
 
 
 @pytest.mark.parametrize("width", TRANSPOSE_WIDTHS)
@@ -408,21 +411,21 @@ def test_transposition_against_per_bit_reference(width):
     # A bus's values to its lane words and back, the extremes among them.
     rng = random.Random(width)
     top = (1 << width) - 1
-    for n in TRANSPOSE_LANES:
+    for n in TRANSPOSE_LANES + (DIGIT_LIMIT_LANES if width <= 100 else []):
         values = [top, 0, *(rng.randrange(top + 1) for _ in range(n - 2))][:n]
-        words = netlist._bus_lanes(values, width, n)
+        words = netlist._bus_lanes(values, width)
         assert words == per_bit_lanes(values, width), (width, n)
         assert netlist._bus_values(words, n) == values, (width, n)
 
 
 @pytest.mark.parametrize("size", [2, 4, 8, 13])
 def test_transposition_of_stacked_buses(size):
-    # Every bus whose item fits ``size`` bytes, end to end, as
-    # ``evaluate_batch`` and ``verify._lanes`` lay out the buses of a
-    # netlist: the words are each bus's per-bit lane words, bus after bus,
+    # Every bus of at most ``size`` bytes (16, 32, 64 and 104 bits), end to
+    # end, as ``evaluate_batch`` and ``verify._lanes`` lay out the buses of
+    # a netlist: the words are each bus's per-bit lane words, bus after bus,
     # and a netlist whose outputs are its inputs, wire for wire, gives them
     # back as lane words and as the bus values.
-    widths = [w for w in TRANSPOSE_WIDTHS if netlist._item_size(w) <= size]
+    widths = [w for w in TRANSPOSE_WIDTHS if w <= 8 * size]
     b = NetlistBuilder("wires")
     for k, width in enumerate(widths):
         b.set_output(f"y{k}", b.add_input(f"x{k}", width))
@@ -466,7 +469,7 @@ def test_bus_lanes_of_buffer_columns(kind):
     for width in TRANSPOSE_WIDTHS:
         for n in [1, 2, 8, 9, 65, 257]:
             values = [rng.randrange(min(256, 1 << width)) for _ in range(n)]
-            words = netlist._bus_lanes(BUFFER_COLUMNS[kind](values), width, n)
+            words = netlist._bus_lanes(BUFFER_COLUMNS[kind](values), width)
             assert words == per_bit_lanes(values, width), (width, n)
             assert netlist._bus_values(words, n) == values, (width, n)
 
@@ -904,9 +907,9 @@ def test_threads_generate_a_kernel_at_once():
     assert set(net._lane_kernels) == set(net._kernels)
 
 
-@pytest.mark.parametrize("width", [8, 64])
+@pytest.mark.parametrize("width", [8, 64, 100])
 def test_no_call_per_vector(width):
-    # Up to 64 bits a bus becomes lane words and comes back with a fixed
+    # A bus of any width becomes lane words and comes back with a fixed
     # number of calls, Python or C, whatever the lane count.
     net = build_ripple_adder(width)
 
@@ -939,8 +942,8 @@ def test_no_call_per_vector(width):
 # the kernel; 3.12 and later inline comprehensions) and 26 C calls,
 # profiler switch-off included. They were 14 and 38 when one lane went
 # through a packed int per bus, and a one-lane batch that transposed to
-# lane words and back would add the calls of ``_bus_lanes``,
-# ``_bus_values`` and ``_transpose8``.
+# lane words and back would add the calls of ``_bus_lanes`` and
+# ``_bus_values``.
 ONE_LANE_EVALUATE_BATCH_CALLS = 8
 ONE_LANE_EVALUATE_BATCH_C_CALLS = 26
 
@@ -959,7 +962,7 @@ def test_one_lane_evaluate_batch_transposes_nothing():
         sys.setprofile(None)
     assert result == {"p": [143]}
     called = [name for event, name in events if event == "call"]
-    assert not {"_bus_lanes", "_bus_values", "_transpose8"} & set(called), called
+    assert not {"_bus_lanes", "_bus_values"} & set(called), called
     assert len(called) <= ONE_LANE_EVALUATE_BATCH_CALLS, called
     assert [event for event, _ in events].count("c_call") <= ONE_LANE_EVALUATE_BATCH_C_CALLS
 
@@ -1026,7 +1029,7 @@ def test_one_lane_run_fft_across_generation(config):
 @pytest.mark.parametrize("value", [0.5, 1.0])
 def test_non_int_between_column_bounds(width, value):
     # The value is neither the column's minimum nor its maximum, so only
-    # packing the column meets it.
+    # converting the column to lane words meets it.
     net = build_ripple_adder(width)
     top = (1 << width) - 1
     with pytest.raises(NetlistError, match=rf"\[0, 2\*\*{width}\)"):

@@ -162,7 +162,7 @@ def test_second_pass_redoes_no_input_only_work(monkeypatch):
 
     monkeypatch.setattr(random.Random, "getrandbits", forbidden)
     monkeypatch.setattr(fft, "_dft_quarter_turns", forbidden)
-    for name in ("_bus_lanes", "_bus_values", "_transpose8"):
+    for name in ("_bus_lanes", "_bus_values"):
         monkeypatch.setattr(netlist, name, forbidden)
         if hasattr(verify, name):
             monkeypatch.setattr(verify, name, forbidden)
@@ -707,7 +707,7 @@ def test_per_lane_reference_passes(suite):
     assert reference_result(suite) == (COUNTS[suite], 0, "")
 
 
-def test_passing_packed_suites_decode_no_case(monkeypatch):
+def test_passing_suites_decode_no_case(monkeypatch):
     # A passing suite runs the gate loop on lane words and compares them;
     # it decodes no lane, formats no detail and simulates no list column.
     def forbidden(*args, **kwargs):
@@ -772,7 +772,7 @@ def test_simulate_checks_the_sample_range():
 
 
 @pytest.mark.parametrize("n", [2, 1009])
-def test_tally_packed_accounting(n):
+def test_tally_accounting(n):
     def tally(*lanes):
         t = verify._Tally("lanes")
         t.check(n, sum(1 << i for i in lanes), lambda i: f"case {i}")
