@@ -112,19 +112,24 @@ def _dft_quarter_turns(values: Sequence, n: int) -> list:
 # -- domain types -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class FixedComplex:
     """One complex sample as a pair of signed integers."""
 
     re: int
     im: int
 
-    def __post_init__(self):
-        if type(self.re) is int and type(self.im) is int:
-            return
-        for part in (self.re, self.im):
-            if not _is_int(part):
-                raise ValueError(f"components must be integers, got {part!r}")
+    def __init__(self, re: int, im: int):
+        # One frame per sample, where the generated ``__init__`` calls a
+        # ``__post_init__`` to check; the fields go straight into
+        # ``__dict__``, past the frozen ``__setattr__``.
+        if type(re) is not int or type(im) is not int:
+            for part in (re, im):
+                if not _is_int(part):
+                    raise ValueError(f"components must be integers, got {part!r}")
+        fields = self.__dict__
+        fields["re"] = re
+        fields["im"] = im
 
     def check_range(self, width: int) -> "FixedComplex":
         lo, hi = -(1 << (width - 1)), (1 << (width - 1)) - 1
@@ -651,7 +656,8 @@ def run_fft(
     :class:`FixedComplex` requires, and fit the configured input width.
     The checks, their messages and their order are those of a one-lane
     :func:`run_fft_batch`, and so is the result; the netlist's one-lane
-    path (``Netlist._evaluate_one``) takes the masked components and
+    path (``Netlist._evaluate_one``) takes the components as they are,
+    negative ones included, reads only their two's-complement bits, and
     returns the 8 output values with no columns built.
     """
     _check_config(config)
@@ -661,9 +667,8 @@ def run_fft(
         for re, im in zip(row[::2], row[1::2]):
             FixedComplex(re, im).check_range(width)
     net = _net_for(config)
-    mask = (1 << width) - 1
     x0r, x0i, x1r, x1i, x2r, x2i, x3r, x3i = net._evaluate_one(
-        _SELECT_KEYS[config.select], [v & mask for v in row]
+        _SELECT_KEYS[config.select], row
     )
     # Two's complement, as in :func:`run_fft_batch`.
     out_width = len(net.outputs["X0_re"])

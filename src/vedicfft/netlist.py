@@ -39,17 +39,22 @@ path, ``_evaluate_one``, which takes and returns bus values:
 ``fft.run_fft`` calls it directly.
 
 A program's first evaluation, at any lane count, compiles it and runs the
-gate loop ``_run``, which decodes one opcode per gate. Every later
-evaluation, at any lane count, runs a Python function generated from the
-program with one statement per gate, as straight-line code (compiled-code
-simulation): the one-lane kernel on bus values for ``_evaluate_one``, the
-lanes kernel on lane words for ``_evaluate_lanes``, each generated by the
-first later evaluation that runs it. Generating costs far more than one
-run of the loop, so a program evaluated once never pays it. The one-lane
-kernel stays apart because splitting one vector's bus values into lane
-words would cost every one-lane call more than the gates it runs. Threads
-that race on an evaluation may each compile the same program or generate
-the same function, and the last assignment wins.
+gate loop ``_run``, which decodes one opcode per gate. Compiling folds
+constant and duplicated inputs, keeps one gate per kind and input pair
+(structural hashing) and drops gates that reach no output, all in one pass
+and one backward sweep. Every later evaluation, at any lane count, runs a
+Python function generated from the program as straight-line code
+(compiled-code simulation), with one assignment per gate that several
+gates or an output read and the gates that one gate reads written into
+their reader's expression: the one-lane kernel on bus values for
+``_evaluate_one``, the lanes kernel on lane words for ``_evaluate_lanes``,
+each generated by the first later evaluation that runs it. Generating
+costs far more than one run of the loop, so a program evaluated once
+never pays it. The one-lane kernel stays apart because splitting one
+vector's bus values into lane words would cost every one-lane call more
+than the gates it runs. Threads that race on an evaluation may each
+compile the same program or generate the same function, and the last
+assignment wins.
 
 Cost model: every gate costs one delay unit and one unit of area, wires are
 free. ``critical_path_depth`` and ``gate_counts`` report those two metrics.
@@ -62,7 +67,7 @@ import heapq
 import re
 from collections import Counter
 from collections.abc import Callable, Iterable, Mapping, Sequence
-from itertools import chain, compress, islice
+from itertools import chain, compress, islice, repeat
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -118,6 +123,12 @@ _EXPR = (
     "({a} | {b}) ^ m",
     "{a} ^ {b} ^ m",
 )
+
+# Parenthesis depth at which a generated gate expression gets a local
+# instead of going into its reader's. A chain of gates that each have one
+# reader would otherwise nest without bound, and the parser rejects a
+# statement 201 levels deep.
+_MAX_NESTING = 32
 
 # A kind, or its canonical name, to the kind: the one dict lookup that
 # ``add_gate`` and ``parse_netlist`` try before :func:`as_gate_kind`.
@@ -179,6 +190,7 @@ class _Program(NamedTuple):
     in_slots: dict[str, list[int]]
     out_slots: dict[str, list[int]]
     in_bits: int  # untied input bits: the lane words an evaluation takes
+    name: str  # the netlist name and the program key, for kernel file names
 
 
 def _driver_name(driver: tuple[str, int] | int | Gate) -> str:
@@ -200,18 +212,22 @@ def _bus_lanes(col: Sequence[int], width: int) -> list[int]:
     ``col``: bit i of word k is bit k of value i.
 
     Byte plane j is one ``bytes`` of byte j of every value, one byte per
-    vector; a buffer column (``bytes``, ``array``, ``memoryview``) gives
-    its items. Word k is plane ``k // 8``, reversed so that vector 0 comes
-    last, translated to the ASCII binary digit of bit ``k % 8`` of each
-    byte and read by ``int(..., 2)``, which the int/str digit limit does
-    not bound. ``evaluate_batch`` has checked the values' minimum and
-    maximum against ``[0, 2**width)``; a non-int value between them raises
-    TypeError here.
+    vector, vector 0 last; a buffer column (``bytes``, ``array``,
+    ``memoryview``) gives its items. Above 8 bits each value is
+    ``int.to_bytes`` big-endian, the values are joined and the buffer is
+    reversed, so plane j is the stride slice from byte j: one pass over
+    the values at any width. Word k is plane ``k // 8`` translated to the
+    ASCII binary digit of bit ``k % 8`` of each byte and read by
+    ``int(..., 2)``, which the int/str digit limit does not bound.
+    ``evaluate_batch`` has checked the values' minimum and maximum against
+    ``[0, 2**width)``; a non-int value between them raises TypeError here.
     """
     if width <= 8:
         planes = [bytes(iter(col))[::-1]]
     else:
-        planes = [bytes([v >> s & 255 for v in col])[::-1] for s in range(0, width, 8)]
+        size = (width + 7) // 8
+        buf = b"".join(map(int.to_bytes, col, repeat(size), repeat("big")))[::-1]
+        planes = [buf[j::size] for j in range(size)]
     return [int(planes[k // 8].translate(_DIGIT_TABLES[k % 8]), 2) for k in range(width)]
 
 
@@ -237,22 +253,26 @@ def _bus_values(words: Sequence[int], n: int) -> list[int]:
 
 def _generate_kernel(p: _Program, lanes: bool) -> Callable[..., Sequence]:
     """Compile ``p`` to a Python function that runs its gates as
-    straight-line code, one assignment per folded gate in program order
-    (compiled-code simulation), in one of two entry forms.
+    straight-line code in program order (compiled-code simulation), in one
+    of two entry forms.
 
     Slot s is the local ``s<s>``, each a word of bit lanes as in
     :meth:`Netlist._run`, and ``m`` is the all-lanes mask, which NOT, NAND,
     NOR and XNOR XOR with. No gate reads a constant slot, since the
     compiler folds such gates; an output bit held at a constant reads ``0``
-    or ``m``.
+    or ``m``. A gate whose output exactly one gate reads, and no output
+    bus, gets no local: its expression is written, in parentheses, into
+    its reader's (``s9 = (s1 ^ s4) & s7``), unless its own parentheses
+    already nest ``_MAX_NESTING`` deep. Every other gate is one
+    assignment.
 
     - ``lanes`` false, the one-lane form: ``kernel(i0, i1, ...)``, one
       argument per untied input bus in ``p.in_slots`` order, each the bus's
       value, and ``m = 1``. The bits that a gate or an output bus reads are
-      extracted inline (``s3 = i0 >> 1 & 1``). It returns the value of each
-      output bus in ``p.out_slots`` order, one ``s40 | s41 << 1 | ...``
-      expression without the bits held at constant 0 (``0`` for a bus of
-      only those).
+      extracted inline (``s3 = i0 >> 1 & 1``), so a negative value gives
+      its two's-complement bits. It returns the value of each output bus in
+      ``p.out_slots`` order, one ``s40 | s41 << 1 | ...`` expression
+      without the bits held at constant 0 (``0`` for a bus of only those).
     - ``lanes`` true, the lanes form: ``kernel(m, words)``, where
       ``words`` holds the ``p.in_bits`` lane words of the untied input bits
       in ``p.in_slots`` order, unpacked in one statement (``_`` for a bit
@@ -261,17 +281,21 @@ def _generate_kernel(p: _Program, lanes: bool) -> Callable[..., Sequence]:
       holds the inputs.
 
     Every name in the source is made from the program's integers, never
-    from a bus name, so no netlist text reaches it. The source is dropped
-    once compiled.
+    from a bus name, so no netlist text reaches it. The source is compiled
+    under the file name ``<kernel {p.name} lanes>`` or ``<kernel {p.name}
+    one-lane>``, so profiles tell kernels apart, and dropped once compiled.
     """
     zero = p.size - 2
     read = {*p.in0, *p.in1}
-    for slots in p.out_slots.values():
-        read.update(slots)
+    out_read = set(chain(*p.out_slots.values()))
+    read |= out_read
     # The word of each slot that a gate or an output bus reads, in the
     # source: the slot's local, or a constant.
     word = {zero: "0", zero + 1: "m"}
     word.update((s, f"s{s}") for s in read if s < zero)
+    # Gates reading each slot; a NOT reads its one input as both in0 and in1.
+    readers = Counter(p.in0)
+    readers.update(b for a, b in zip(p.in0, p.in1) if a != b)
     if lanes:
         lines = ["def kernel(m, words):"]
         if p.in_bits:
@@ -286,8 +310,20 @@ def _generate_kernel(p: _Program, lanes: bool) -> Callable[..., Sequence]:
                 for k, s in enumerate(slots)
                 if s in read
             ]
+    # Slot -> (expression, parenthesis depth) of a gate left for its reader.
+    inlined: dict[int, tuple[str, int]] = {}
+    pop = inlined.pop
     for op, a, b, out in zip(p.ops, p.in0, p.in1, p.outs):
-        lines.append(f" s{out} = " + _EXPR[op].format(a=f"s{a}", b=f"s{b}"))
+        # An operand is a word at depth -1, or an inlined gate's expression,
+        # which goes in parentheses one level deeper.
+        x, dx = pop(a, (word[a], -1))
+        y, dy = (x, dx) if b == a else pop(b, (word[b], -1))
+        expr = _EXPR[op].format(a=f"({x})" if dx >= 0 else x, b=f"({y})" if dy >= 0 else y)
+        depth = max(dx, dy) + 1 + _EXPR[op].count("(")  # NOR's own parentheses
+        if readers[out] == 1 and out not in out_read and depth < _MAX_NESTING:
+            inlined[out] = (expr, depth)
+        else:
+            lines.append(f" s{out} = {expr}")
     if lanes:
         flat = "".join(f"{word[s]}, " for s in chain(*p.out_slots.values()))
         lines.append(f" return ({flat})")
@@ -306,7 +342,8 @@ def _generate_kernel(p: _Program, lanes: bool) -> Callable[..., Sequence]:
         )
         lines.append(f" return ({values})")
     namespace: dict[str, object] = {}
-    exec(compile("\n".join(lines), "<kernel>", "exec"), namespace)
+    form = "lanes" if lanes else "one-lane"
+    exec(compile("\n".join(lines), f"<kernel {p.name} {form}>", "exec"), namespace)
     return namespace["kernel"]
 
 
@@ -508,9 +545,13 @@ class Netlist:
         truth table: it becomes a constant, a copy of its free input, or a
         NOT of it. Only gates that depend on two distinct slots, and those
         NOTs, are emitted, and readers and output buses read the
-        representatives. A backward sweep from the output slots then drops
-        every gate that reaches no output. The netlist itself keeps every
-        gate for ``dump`` and the cost model.
+        representatives. The same pass keys each gate it would emit by its
+        opcode and sorted input slots, every kind being symmetric: a gate
+        whose key was emitted before is not emitted, and its slot's
+        representative is the earlier gate's (structural hashing). A
+        backward sweep from the output slots then drops every gate that
+        reaches no output. The netlist itself keeps every gate for ``dump``
+        and the cost model.
         """
         slot = {nid: i for i, nid in enumerate(sorted(self.nets))}
         zero = len(slot)
@@ -525,6 +566,7 @@ class Netlist:
         in0: list[int] = []
         in1: list[int] = []
         outs: list[int] = []
+        emitted: dict[tuple[int, int, int], int] = {}  # (op, sorted inputs) -> slot
         for g in self._order:
             op = _OPCODE[g.kind]
             a, b = rep[slot[g.inputs[0]]], rep[slot[g.inputs[-1]]]
@@ -550,6 +592,13 @@ class Netlist:
                     rep[out] = const[u & 1]
                     continue
                 op, a, b = _OPCODE[GateKind.NOT], x, x
+            # Every kind is symmetric in its inputs, so the sorted pair keys
+            # the gate's function; a repeat reads the first one's slot.
+            key = (op, a, b) if a < b else (op, b, a)
+            first = emitted.setdefault(key, out)
+            if first != out:
+                rep[out] = first
+                continue
             ops.append(op)
             in0.append(a)
             in1.append(b)
@@ -579,6 +628,7 @@ class Netlist:
             in_slots=in_slots,
             out_slots=out_slots,
             in_bits=sum(map(len, in_slots.values())),
+            name=f"{self.name} {tuple(sorted(tied.items()))}",
         )
 
     def _run(self, p: _Program, values: list[int], mask: int) -> None:
@@ -659,9 +709,12 @@ class Netlist:
 
         ``key`` is the sorted tuple of (bus, value) pairs of the tied input
         buses, ``values`` the values of the untied input buses in input
-        order, each already known to fit its bus. Returns the value of each
-        output bus in output order. The program's first evaluation, at any
-        lane count, compiles it: here the bits of the values go to
+        order. Only bits 0 to width - 1 of each value are read, as ``v >> k
+        & 1``, so a negative value stands for its two's complement:
+        ``fft.run_fft`` passes signed components unmasked. Returns the
+        value of each output bus in output order, each below
+        ``2**width``. The program's first evaluation, at any lane count,
+        compiles it: here the bits of the values go to
         :meth:`_evaluate_lanes` as one-lane words, and each output bus's
         value is summed from its words. Every later one-lane evaluation
         runs the program's one-lane kernel (:func:`_generate_kernel`),

@@ -6,14 +6,15 @@ that code: it packs vector i into bit i of one int per net with plain
 shifts, evaluates ``net.gates`` with Python's bitwise operators in its own
 dependency order, and unpacks bit by bit. Every batch is compared with it
 vector by vector, among them small netlists that hit every rule by which
-the compiler folds constant, duplicated-input and dead gates out of the
-simulated program, and batches with scalar columns, whose bits the
+the compiler folds constant, duplicated-input, repeated and dead gates out
+of the simulated program, and batches with scalar columns, whose bits the
 compiler folds as constants too. The n-lane ``run_fft_batch`` is compared with one-lane
 ``run_fft`` calls, which the DFT oracle of ``test_fft`` checks.
 """
 
 import itertools
 import random
+import re
 import sys
 import threading
 from array import array
@@ -188,6 +189,33 @@ def test_fold_rules(lanes):
     for start in range(len(vectors)):
         batch = [vectors[(start + i) % len(vectors)] for i in range(lanes)]
         assert_batch_matches_reference(net, batch)
+
+
+def repeated_gates_netlist():
+    """Each function twice: ``AND(x, y)`` and ``AND(y, x)``, ``XOR(x, y)``
+    twice, then an ``OR`` and a ``NOT`` of each copy, which repeat once
+    their inputs are one slot. Every gate is an output bit."""
+    b = NetlistBuilder("repeats")
+    x = b.add_input("x", 1)[0]
+    y = b.add_input("y", 1)[0]
+    ands = [b.add_gate("AND", [x, y]), b.add_gate("AND", [y, x])]
+    xors = [b.add_gate("XOR", [x, y]), b.add_gate("XOR", [x, y])]
+    ors = [b.add_gate("OR", [ands[0], xors[0]]), b.add_gate("OR", [xors[1], ands[1]])]
+    nots = [b.add_gate("NOT", [g]) for g in ors]
+    b.set_output("o", ands + xors + ors + nots)
+    return b.finalize()
+
+
+def test_repeated_gates_compile_once():
+    # The compiler keys each gate it emits by its opcode and sorted input
+    # slots, so a repeat reads the first gate's slot: one gate per function.
+    net = repeated_gates_netlist()
+    p = net._compile({})
+    kinds = [GateKind.AND, GateKind.XOR, GateKind.OR, GateKind.NOT]
+    assert p.ops == [netlist._OPCODE[kind] for kind in kinds]
+    assert p.out_slots["o"] == [p.outs[k // 2] for k in range(8)]
+    vectors = input_vectors(net, None)
+    assert_first_interpreted_later_generated(net, vectors)
 
 
 def test_threads_compile_a_fresh_netlist_at_once():
@@ -868,6 +896,100 @@ def test_evaluate_lanes_matches_evaluate_batch(name, select):
     assert list(net._programs) == [key] and net._kernels == {}
 
 
+def assert_kernels_match_run(net, vectors, tied=None):
+    """Run the program of ``net`` with ``tied`` on ``vectors`` through the
+    gate loop ``_run``, then through both generated kernel forms: the lanes
+    kernel on every vector at once and the one-lane kernel on each vector
+    alone must give what the loop gave."""
+    tied = tied or {}
+    p = net._compile(tied)
+    n = len(vectors)
+    mask = (1 << n) - 1
+    words = [
+        word
+        for bus, slots in p.in_slots.items()
+        for word in per_bit_lanes([v[bus] for v in vectors], len(slots))
+    ]
+    values = [0] * p.size
+    values[-1] = mask
+    for s, word in zip(itertools.chain(*p.in_slots.values()), words):
+        values[s] = word
+    net._run(p, values, mask)
+    want = tuple(values[s] for s in itertools.chain(*p.out_slots.values()))
+    assert netlist._generate_kernel(p, lanes=True)(mask, words) == want
+    one_lane = netlist._generate_kernel(p, lanes=False)
+    for i, vector in enumerate(vectors):
+        got = one_lane(*(vector[bus] for bus in p.in_slots))
+        bits = iter(want)
+        assert got == tuple(
+            sum((next(bits) >> i & 1) << k for k in range(len(slots)))
+            for slots in p.out_slots.values()
+        ), vector
+
+
+def chain_netlist(kind, length):
+    """``length`` gates of ``kind`` in a chain, each read by the next gate
+    only: NOT of the last, or AND of the last and the next bit of ``x``."""
+    b = NetlistBuilder(f"{kind.lower()}_chain")
+    x = b.add_input("x", 8)
+    last = x[0]
+    for i in range(length):
+        last = b.add_gate(kind, [last] if kind == "NOT" else [last, x[1 + i % 7]])
+    b.set_output("o", [last])
+    return b.finalize()
+
+
+@pytest.mark.parametrize("lanes", [1, 65])
+@pytest.mark.parametrize("kind", ["AND", "NOT"])
+def test_single_reader_chain(kind, lanes):
+    # Each gate's one reader would take its expression in parentheses; the
+    # nesting cap keeps the generated statements parseable.
+    net = chain_netlist(kind, 1000)
+    assert len(net._compile({}).ops) == 1000
+    vectors = [{"x": 255}, {"x": 0}, *sample_lanes(net, lanes, f"{kind}-{lanes}")][:lanes]
+    assert_kernels_match_run(net, vectors)
+    # Through ``evaluate_batch``: the first call runs the gate loop, the
+    # second generates the kernel of its form and the third runs it. An
+    # even count of NOTs gives back x[0].
+    xs = [v["x"] for v in vectors]
+    want = [x & 1 if kind == "NOT" else int(x == 255) for x in xs]
+    for _ in range(3):
+        assert net.evaluate_batch({"x": xs}) == {"o": want}
+
+
+@pytest.mark.parametrize("name, select", lane_units())
+def test_generated_kernels_match_run(name, select):
+    net = build_unit(name)
+    tied = {} if select is None else {"select": select}
+    vectors = [{**v, **tied} for v in sample_lanes(net, 65, f"run-{name}-{select}")]
+    assert_kernels_match_run(net, vectors, tied)
+
+
+def test_kernel_file_names(monkeypatch):
+    # Each generated kernel is compiled under a file name of its own, made
+    # of the netlist name, the program key and the form, so that profiles
+    # keep kernels apart; the source holds no bus name.
+    sources = {}
+
+    def recording_compile(source, filename, mode):
+        sources[filename] = source
+        return compile(source, filename, mode)
+
+    monkeypatch.setattr(netlist, "compile", recording_compile, raising=False)
+    filenames = []
+    for name in unit_names():
+        net = build_unit(name)
+        buses = net.inputs.keys() | net.outputs.keys()
+        for tied in [{}] + [{"select": v} for v in (0, 1) if "select" in net.inputs]:
+            p = net._compile(tied)
+            for lanes, form in ((True, "lanes"), (False, "one-lane")):
+                filename = netlist._generate_kernel(p, lanes).__code__.co_filename
+                assert filename == f"<kernel {name} {tuple(tied.items())} {form}>"
+                assert not buses & set(re.findall(r"[A-Za-z_]\w*", sources[filename]))
+                filenames.append(filename)
+    assert len(set(filenames)) == len(filenames) == 28
+
+
 def test_threads_generate_a_kernel_at_once():
     # Each program has run its first one-lane evaluation, which compiles
     # it. Two one-lane threads per program then race to generate its
@@ -974,13 +1096,17 @@ FFT_CONFIGS = [
 
 # Python-level calls ("call" events) and C calls of one one-lane
 # ``run_fft`` once its program has a generated kernel, measured on CPython
-# 3.10 to 3.13 for all four configurations: 17 Python-level calls on 3.10
-# and 3.11 (16 on 3.12 and 3.13, which inline comprehensions) and 11 C
-# calls, profiler switch-off included, 10 with select 2. They were 41 and
-# 56 when ``run_fft`` was a one-lane ``run_fft_batch`` that built columns
-# and went through ``evaluate_batch``, and 86 and 93 before that, when the
-# kernel took and returned lane words.
-ONE_LANE_RUN_FFT_CALLS = 17
+# 3.10 to 3.13 for all four configurations: 12 Python-level calls (the
+# call itself, ``_check_config``, ``_coerce_samples``, ``_net_for``,
+# ``_evaluate_one``, the kernel, four ``FixedComplex.__init__``,
+# ``scale_log2`` and ``FftResult.__init__``) and 11 C calls, profiler
+# switch-off included, 10 with select 2. They were 17 on 3.10 and 3.11
+# while ``run_fft`` masked the components in a comprehension and
+# ``FixedComplex`` checked in a ``__post_init__``, 41 and 56 when
+# ``run_fft`` was a one-lane ``run_fft_batch`` that built columns and went
+# through ``evaluate_batch``, and 86 and 93 before that, when the kernel
+# took and returned lane words.
+ONE_LANE_RUN_FFT_CALLS = 12
 ONE_LANE_RUN_FFT_C_CALLS = 11
 
 

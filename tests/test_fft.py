@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import enum
 import hashlib
 import itertools
@@ -166,6 +167,20 @@ class TestFixedComplex:
         Level = enum.IntEnum("Level", {"LOW": -2, "HIGH": 3})
         assert FixedComplex(Level.LOW, Level.HIGH).to_complex() == complex(-2, 3)
         assert FixedComplex(1, Level.HIGH).im == 3
+
+    def test_frozen_dataclass(self):
+        # Its own ``__init__`` keeps what the dataclass gave: keywords,
+        # equality, hashing, repr, frozen fields and ``replace``, which
+        # checks the new component too.
+        c = FixedComplex(re=-2, im=5)
+        assert c == FixedComplex(-2, 5) and hash(c) == hash(FixedComplex(-2, 5))
+        assert c != FixedComplex(5, -2)
+        assert repr(c) == "FixedComplex(re=-2, im=5)"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            c.re = 1
+        assert dataclasses.replace(c, im=7) == FixedComplex(-2, 7)
+        with pytest.raises(ValueError, match="must be integers, got 1.5"):
+            dataclasses.replace(c, re=1.5)
 
 
 class TestTwiddle:

@@ -2,7 +2,8 @@
 
 Each ``python`` block is executed on its own with stdout captured; every
 ``print(...)`` line prints one line, and a ``print(...)  # <value>`` line
-must have printed ``<value>``."""
+must have printed ``<value>``. The folded program sizes that the README
+quotes for the reconfigurable units are the compiler's."""
 
 import contextlib
 import io
@@ -10,6 +11,8 @@ import pathlib
 import re
 
 import pytest
+
+from vedicfft.fft import build_unit
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 BLOCK_RE = re.compile(r"^```python\n(.*?)^```$", re.DOTALL | re.MULTILINE)
@@ -46,3 +49,27 @@ def test_readme_block_prints_what_it_claims(source):
     for line, claim in zip(printed, claims):
         if claim is not None:
             assert line == claim
+
+
+SIMULATES_RE = re.compile(
+    r"`reconfigurable_q3`\s+simulates (\d+) of its (\d+) gates\s+and `reconfigurable` (\d+) of (\d+)\."
+)
+SELECT_ROW_RE = re.compile(r"^\| `(reconfigurable\w*)` \| (\d+) \| (\d+) \(= `\w+`\) \| (\d+) ", re.MULTILINE)
+
+
+def test_readme_program_sizes():
+    # The folded program sizes the README quotes are the compiler's: with
+    # select untied in the prose, beside the raw gate count, and untied,
+    # tied to 1 and tied to 0 in the table.
+    def sizes(name, *ties):
+        net = build_unit(name)
+        return [len(net._compile(tied).ops) for tied in ties]
+
+    text = README.read_text(encoding="utf-8")
+    q3, q3_raw, plain, plain_raw = map(int, SIMULATES_RE.search(text).groups())
+    for name, folded, raw in (("reconfigurable_q3", q3, q3_raw), ("reconfigurable", plain, plain_raw)):
+        assert [folded, raw] == sizes(name, {}) + [len(build_unit(name).gates)]
+    rows = SELECT_ROW_RE.findall(text)
+    assert [name for name, *_ in rows] == ["reconfigurable", "reconfigurable_q3"]
+    for name, *counts in rows:
+        assert list(map(int, counts)) == sizes(name, {}, {"select": 1}, {"select": 0})
