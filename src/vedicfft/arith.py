@@ -134,26 +134,12 @@ def format_trace(trace: UrdhvaTrace) -> str:
 # -- gate-level units ---------------------------------------------------------
 
 
-def _full_adder(b: NetlistBuilder, x: int, y: int, c: int) -> tuple[int, int]:
-    """One full adder: 2 XOR, 2 AND, 1 OR. Returns (sum, carry-out)."""
-    axb = b.add_gate("XOR", [x, y])
-    s = b.add_gate("XOR", [axb, c])
-    carry = b.add_gate("OR", [b.add_gate("AND", [x, y]), b.add_gate("AND", [axb, c])])
-    return s, carry
-
-
 def ripple_add(
     b: NetlistBuilder, a_bits: Sequence[int], b_bits: Sequence[int], cin: int
 ) -> tuple[list[int], int]:
-    """Ripple-carry chain inside an existing builder. LSB first."""
-    if len(a_bits) != len(b_bits):
-        raise NetlistError("addend widths differ")
-    carry = cin
-    sums = []
-    for x, y in zip(a_bits, b_bits):
-        s, carry = _full_adder(b, x, y, carry)
-        sums.append(s)
-    return sums, carry
+    """Ripple-carry chain inside an existing builder. LSB first. Each bit is
+    a full adder of 2 XOR, 2 AND and 1 OR; returns (sums, carry-out)."""
+    return b.add_ripple_chain(a_bits, b_bits, cin)
 
 
 def build_ripple_adder(width: int) -> Netlist:

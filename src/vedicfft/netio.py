@@ -30,6 +30,7 @@ from .netlist import (
     GateKind,
     Netlist,
     NetlistError,
+    _new_tuple,
     as_gate_kind,
 )
 
@@ -86,6 +87,8 @@ def parse_netlist(text: str) -> Netlist:
     # and each other spelling once ``resolve`` has read it.
     by_token: dict[str, int] = {}
     lookup = by_token.get
+    kind_of = KIND_OF.get
+    append_gate = gates.append
     next_id = 0
     name: str | None = None
     not_ = GateKind.NOT
@@ -139,7 +142,7 @@ def parse_netlist(text: str) -> Netlist:
                 gid = int(fields[1])
             except ValueError:
                 fail(lineno, f"bad gate id {fields[1]!r}")
-            kind = KIND_OF.get(fields[2])
+            kind = kind_of(fields[2])
             if kind is None:
                 try:
                     kind = as_gate_kind(fields[2])
@@ -176,7 +179,7 @@ def parse_netlist(text: str) -> Netlist:
                 next_id += 1
             else:
                 out = resolve(token, lineno, internal_only=True)
-            gates.append(Gate(gid, kind, ins, out))
+            append_gate(_new_tuple(Gate, (gid, kind, ins, out)))
         elif directive == "input":
             if len(fields) != 3:
                 fail(lineno, "expected 'input <busname> <width>'")

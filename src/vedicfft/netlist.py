@@ -8,9 +8,10 @@ as raw unsigned ints (bit k of the int is net k of the bus);
 :func:`to_signed` reads one as two's complement. A unit is built in one
 :class:`NetlistBuilder`: composite blocks emit their gates straight into
 it, so every gate is constructed once. The builder checks each net, gate
-and bus as it is added, so its ``finalize`` checks only the netlist name
-and does not validate again: the gate ids are the evaluation order and the
-nets are every id it handed out. ``Netlist(...)``, and so
+and bus as it is added (a ripple-carry chain's operand nets once per
+chain), so its ``finalize`` checks only the netlist name and does not
+validate again: the gate ids are the evaluation order and the nets are
+every id it handed out. ``Netlist(...)``, and so
 :func:`vedicfft.netio.parse_netlist`, validates the structure and fixes
 the evaluation order: Kahn's topological sort, smallest ready gate id
 first. Where every gate reads only nets driven before it in id order, as
@@ -139,9 +140,11 @@ KIND_OF: dict[GateKind | str, GateKind] = {
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
-# ``add_gate`` reads these once per gate: a module global is cheaper than
-# the enum class attribute, and ``tuple.__new__`` than the namedtuple's own.
+# ``add_gate``, ``add_ripple_chain`` and ``parse_netlist`` read these once
+# per gate: a module global is cheaper than the enum class attribute, and
+# ``tuple.__new__`` than the namedtuple's own.
 _NOT = GateKind.NOT
+_AND, _OR, _XOR = GateKind.AND, GateKind.OR, GateKind.XOR
 _new_tuple = tuple.__new__
 
 # Widest input bus a builder or the text format accepts. The widest catalog
@@ -858,20 +861,22 @@ class NetlistBuilder:
     unusable after :meth:`finalize`.
 
     A net is created together with its driver: :meth:`add_input` makes the
-    input bits, :meth:`const` the constant nets and :meth:`add_gate` a fresh
-    output net per gate. A net id is a plain ``int`` below the next fresh
-    id. Every gate therefore reads nets that already exist, and a built
-    netlist has no floating nets, no second drivers and no cycles, and its
-    gate ids are a topological order. :meth:`finalize` therefore trusts
-    these checks: it checks the netlist name and hands the gates over as
-    they are, without ``Netlist._validate``. (The text format allows
-    forward references; ``Netlist(...)`` validates what ``parse_netlist``
-    reads, and sorts such a netlist's gates with Kahn's algorithm.)
+    input bits, :meth:`const` the constant nets, :meth:`add_gate` a fresh
+    output net per gate and :meth:`add_ripple_chain` five per full adder,
+    after checking the chain's operand nets once. A net id is a plain
+    ``int`` below the next fresh id. Every gate therefore reads nets that
+    already exist, and a built netlist has no floating nets, no second
+    drivers and no cycles, and its gate ids are a topological order.
+    :meth:`finalize` therefore trusts these checks: it checks the netlist
+    name and hands the gates over as they are, without
+    ``Netlist._validate``. (The text format allows forward references;
+    ``Netlist(...)`` validates what ``parse_netlist`` reads, and sorts such
+    a netlist's gates with Kahn's algorithm.)
 
     Composite units do not nest netlists: each block is an emitter that
     adds its gates to the builder it is handed and returns its output nets,
-    so a whole datapath is one builder, one ``add_gate`` per gate and one
-    ``Netlist``.
+    so a whole datapath is one builder, one ``add_gate`` per gate outside
+    ripple chains, one ``add_ripple_chain`` per chain and one ``Netlist``.
     """
 
     def __init__(self, name: str):
@@ -944,6 +949,53 @@ class NetlistBuilder:
         gates = self._gates
         gates.append(_new_tuple(Gate, (len(gates), kind, inputs, output)))
         return output
+
+    def add_ripple_chain(
+        self, a_bits: Sequence[int], b_bits: Sequence[int], cin: int
+    ) -> tuple[list[int], int]:
+        """Append a ripple-carry chain adding ``a_bits``, ``b_bits`` (LSB
+        first) and the carry-in ``cin``; returns (sum nets, carry-out net).
+
+        Bit k is one full adder of five gates, XOR(x, y) -> p,
+        XOR(p, c) -> sum, AND(x, y), AND(p, c) and their OR -> carry, the
+        gates and ids that as many ``add_gate`` calls would make. The
+        operands are checked once, in the order those calls would read
+        them (x0, y0, cin, x1, y1, ...; ``cin`` only when there is a bit),
+        before any gate is added: each must name a net that exists before
+        the chain. The chain's own gates read only those operands and nets
+        it has just made, so ``finalize`` can still trust the builder.
+        """
+        if len(a_bits) != len(b_bits):
+            raise NetlistError("addend widths differ")
+        self._check_open()
+        if not a_bits:
+            return [], cin
+        net = self._next_net
+        reads = [n for pair in zip(a_bits, b_bits) for n in pair]
+        reads.insert(2, cin)
+        for n in reads:
+            if type(n) is not int or not 0 <= n < net:
+                raise NetlistError(f"unknown input net {n}")
+        gates = self._gates
+        extend = gates.extend
+        gid = len(gates)
+        first = net
+        carry = cin
+        for x, y in zip(a_bits, b_bits):
+            xy = (x, y)
+            pc = (net, carry)
+            extend((
+                _new_tuple(Gate, (gid, _XOR, xy, net)),
+                _new_tuple(Gate, (gid + 1, _XOR, pc, net + 1)),
+                _new_tuple(Gate, (gid + 2, _AND, xy, net + 2)),
+                _new_tuple(Gate, (gid + 3, _AND, pc, net + 3)),
+                _new_tuple(Gate, (gid + 4, _OR, (net + 2, net + 3), net + 4)),
+            ))
+            carry = net + 4
+            gid += 5
+            net += 5
+        self._next_net = net
+        return list(range(first + 1, net, 5)), carry
 
     def set_output(self, name: str, nets: Sequence[int]):
         self._check_open()

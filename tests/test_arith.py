@@ -3,6 +3,7 @@ import random
 import pytest
 
 from vedicfft import (
+    Gate,
     NetlistBuilder,
     NetlistError,
     build_ripple_adder,
@@ -160,6 +161,116 @@ class TestAdder:
         a, c = b.add_input("a", 2), b.add_input("b", 3)
         with pytest.raises(NetlistError, match=r"^addend widths differ$"):
             ripple_add(b, a, c, b.const(0))
+
+
+def _per_gate_chain(b, a_bits, b_bits, cin):
+    """The ripple chain as one ``add_gate`` call per gate: the reference
+    ``NetlistBuilder.add_ripple_chain`` must match gate for gate."""
+    if len(a_bits) != len(b_bits):
+        raise NetlistError("addend widths differ")
+    carry, sums = cin, []
+    for x, y in zip(a_bits, b_bits):
+        axb = b.add_gate("XOR", [x, y])
+        sums.append(b.add_gate("XOR", [axb, carry]))
+        and_xy = b.add_gate("AND", [x, y])
+        carry = b.add_gate("OR", [and_xy, b.add_gate("AND", [axb, carry])])
+    return sums, carry
+
+
+def _chain_builder():
+    """A builder with 3-bit buses a and b, both constants and one gate, so
+    the chain starts at gate id 1 and net id 9."""
+    b = NetlistBuilder("chain")
+    a, c = b.add_input("a", 3), b.add_input("b", 3)
+    b.const(0), b.const(1)
+    b.add_gate("AND", [a[0], c[0]])
+    return b, a, c
+
+
+# (a operands, b operands, cin) with bad nets, as indices into
+# ``_chain_builder``'s nets 0..8 or as values that name no net there.
+_BAD_OPERANDS = [
+    ([-1, 1, 2], [3, 4, 5], 6),
+    ([0, 1, 2], [9, 4, 5], 6),
+    ([0, 1, 2], [3, 4, 5], 10**6),
+    ([0, 1, 2], [3, 4, 5], None),
+    ([0, 1.0, 2], [3, 4, 5], 6),
+    ([0, 1, 2], [3, "4", 5], 6),
+    ([0, 1, 2], [3, 4, True], 6),
+    ([0, 1, 99], [3, 4, -5], 6),
+    ([0, 1, 2], [3, 4, 5], -1),
+    ([0, -7, 2], [3, -8, 5], -9),
+    ([-2], [-3], -4),
+]
+
+
+class TestRippleChain:
+    @pytest.mark.parametrize("width", [1, 2, 3, 64])
+    def test_gates_match_per_gate_reference(self, width):
+        results = []
+        for chain in (ripple_add, _per_gate_chain):
+            b = NetlistBuilder(f"adder{width}")
+            a, c = b.add_input("a", width), b.add_input("b", width)
+            b.add_gate("NOT", [a[0]])
+            sums, cout = chain(b, a, c, b.const(1))
+            b.set_output("sum", sums)
+            b.set_output("cout", [cout])
+            results.append((sums, cout, b.finalize()))
+        (sums, cout, net), (ref_sums, ref_cout, ref) = results
+        assert (sums, cout) == (ref_sums, ref_cout)
+        assert net.gates == ref.gates and net.nets == ref.nets
+        assert all(type(g) is Gate for g in net.gates)
+
+    @pytest.mark.parametrize("operands", _BAD_OPERANDS)
+    def test_unknown_operand_names_first_bad_net(self, operands):
+        a_ops, b_ops, cin = operands
+        messages = []
+        for chain in (ripple_add, _per_gate_chain):
+            b, _, _ = _chain_builder()
+            with pytest.raises(NetlistError, match=r"^unknown input net ") as err:
+                chain(b, a_ops, b_ops, cin)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+
+    @pytest.mark.parametrize("operands", _BAD_OPERANDS)
+    def test_unknown_operand_adds_no_gate(self, operands):
+        b, a, c = _chain_builder()
+        with pytest.raises(NetlistError):
+            ripple_add(b, *operands)
+        sums, _ = ripple_add(b, a, c, b.const(0))
+        b.set_output("s", sums)
+        ref, a, c = _chain_builder()
+        ref_sums, _ = ripple_add(ref, a, c, ref.const(0))
+        ref.set_output("s", ref_sums)
+        assert b.finalize().gates == ref.finalize().gates
+
+    def test_operand_made_by_the_chain_is_unknown(self):
+        # Net 9 is the first net the chain makes, XOR(x0, y0). One add_gate
+        # per gate read x1 only after making it; the chain checks every
+        # operand before it makes anything.
+        b, a, c = _chain_builder()
+        with pytest.raises(NetlistError, match=r"^unknown input net 9$"):
+            ripple_add(b, [a[0], 9], [c[0], c[1]], b.const(0))
+        assert len(b._gates) == 1 and b._next_net == 9
+
+    def test_finalized_builder(self):
+        b, a, c = _chain_builder()
+        b.set_output("p", a)
+        b.finalize()
+        with pytest.raises(NetlistError, match=r"^builder already finalized$"):
+            ripple_add(b, a, c, 0)
+        with pytest.raises(NetlistError, match=r"^builder already finalized$"):
+            ripple_add(b, [-1], [-1], -1)
+        with pytest.raises(NetlistError, match=r"^builder already finalized$"):
+            ripple_add(b, [], [], 0)
+        with pytest.raises(NetlistError, match=r"^addend widths differ$"):
+            ripple_add(b, a, c[:2], 0)
+
+    def test_width_zero_does_not_read_cin(self):
+        b, _, _ = _chain_builder()
+        for cin in (7, -1, "not a net", None):
+            assert ripple_add(b, [], [], cin) == ([], cin)
+        assert len(b._gates) == 1 and b._next_net == 9
 
 
 class TestSubtractor:

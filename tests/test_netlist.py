@@ -4,12 +4,16 @@ import random
 import pytest
 
 from vedicfft import (
+    FftConfig,
     Gate,
     GateKind,
     Netlist,
     NetlistBuilder,
     NetlistError,
+    build_fft4,
+    build_reconfigurable_fft,
     build_ripple_adder,
+    build_signed_multiplier4,
     dump_netlist,
     parse_netlist,
 )
@@ -858,10 +862,16 @@ def _random_program(rng):
 
 
 def _trusted_cases():
-    names = [*unit_names(), "adder1", "adder16", "subtractor8"]
+    names = [*unit_names(), "adder1", "adder16", "adder512", "subtractor8"]
     names += ["fft4_q1", "fft4_q2", "reconfigurable_q1", "reconfigurable_q2"]
     for name in names:
         yield build_unit(name)
+    # What ``report`` builds that no unit name reaches.
+    q3 = FftConfig(4, "quantized", 3)
+    yield build_fft4(q3, "array")
+    yield build_reconfigurable_fft(q3, "array")
+    for impl in ("vedic", "array"):
+        yield build_signed_multiplier4(impl)
     rng = random.Random(20101)
     for _ in range(200):
         yield _random_program(rng)
