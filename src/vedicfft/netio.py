@@ -16,6 +16,16 @@ The parser keeps one table from token to net. A token seen before costs one
 lookup, and so does a gate's new output spelled as a dump spells it; every
 other token is read by its regex, so ``n07`` and ``n7`` name one net, as do
 ``a[01]`` and ``a[1]``.
+
+Text in dump order is not validated twice. The parser's own pass shows
+it: every gate output is a fresh token spelled as a dump spells it, gate
+ids strictly ascend, each ``const`` token is new, every bus name is valid
+and no output bus is named as an input, and the parser made no net
+without its driver, so every gate input and output bit names a net
+driven above it. The netlist is then built trusted, nets ``0 .. N - 1``
+and its gates in id order, as ``NetlistBuilder.finalize`` builds one.
+Any other text goes to ``Netlist(...)``, which validates it and raises
+the same messages as ever.
 """
 
 from __future__ import annotations
@@ -43,7 +53,9 @@ class NetlistFormatError(NetlistError):
 
 def dump_netlist(netlist: Netlist) -> str:
     """Serialize to the canonical structural text format."""
-    text_id: dict[int, str] = {}
+    # Net id -> its token; a list when the ids are 0 .. N - 1.
+    count = netlist._net_count
+    text_id: dict[int, str] | list[str] = {} if count is None else [""] * count
     for bus, nets in netlist.inputs.items():
         for k, n in enumerate(nets):
             text_id[n] = f"{bus}[{k}]"
@@ -78,7 +90,8 @@ def dump_netlist(netlist: Netlist) -> str:
 
 
 def parse_netlist(text: str) -> Netlist:
-    """Parse the structural format back into a validated Netlist."""
+    """Parse the structural format back into a Netlist: trusted when the
+    text is dump-ordered, else validated by ``Netlist(...)``."""
     inputs: dict[str, tuple[int, ...]] = {}
     outputs: dict[str, tuple[int, ...]] = {}
     gates: list[Gate] = []
@@ -90,6 +103,13 @@ def parse_netlist(text: str) -> Netlist:
     kind_of = KIND_OF.get
     append_gate = gates.append
     next_id = 0
+    # Dump-ordered so far: every gate output fresh and spelled as a dump
+    # spells it, gate ids ascending, each const token new, every bus name
+    # valid and no output named as an input. If, as well, every net was
+    # made with its driver (checked at the end), no net has two drivers
+    # and every read names a net driven above it.
+    ordered = True
+    last_gid = None
     name: str | None = None
     not_ = GateKind.NOT
 
@@ -142,6 +162,9 @@ def parse_netlist(text: str) -> Netlist:
                 gid = int(fields[1])
             except ValueError:
                 fail(lineno, f"bad gate id {fields[1]!r}")
+            if last_gid is not None and gid <= last_gid:
+                ordered = False
+            last_gid = gid
             kind = kind_of(fields[2])
             if kind is None:
                 try:
@@ -179,6 +202,7 @@ def parse_netlist(text: str) -> Netlist:
                 next_id += 1
             else:
                 out = resolve(token, lineno, internal_only=True)
+                ordered = False
             append_gate(_new_tuple(Gate, (gid, kind, ins, out)))
         elif directive == "input":
             if len(fields) != 3:
@@ -199,19 +223,26 @@ def parse_netlist(text: str) -> Netlist:
             if _NAME_RE.fullmatch(bus):  # else its bits are bad net ids
                 for k, net in enumerate(nets):
                     by_token[f"{bus}[{k}]"] = net
+            else:
+                ordered = False
         elif directive in ("const0", "const1"):
             if len(fields) != 2:
                 fail(lineno, f"expected '{directive} <netid>'")
             value = int(directive[-1])
             if value in consts:
                 fail(lineno, f"duplicate {directive} declaration")
+            fresh = next_id
             consts[value] = resolve(fields[1], lineno, internal_only=True)
+            if consts[value] != fresh:  # a net named before
+                ordered = False
         elif directive == "output":
             if len(fields) < 3:
                 fail(lineno, "expected 'output <busname> <netid>...'")
             bus = fields[1]
             if bus in outputs:
                 fail(lineno, f"duplicate output bus {bus!r}")
+            if bus in inputs or not _NAME_RE.fullmatch(bus):
+                ordered = False
             bits = []
             for token in fields[2:]:
                 net = lookup(token)
@@ -224,4 +255,8 @@ def parse_netlist(text: str) -> Netlist:
         raise NetlistFormatError("empty netlist text")
     if not outputs:
         raise NetlistFormatError("netlist text declares no output buses")
+    # As many nets as drivers: no net was made without its driver.
+    drivers = sum(map(len, inputs.values())) + len(consts) + len(gates)
+    if ordered and next_id == drivers:
+        return Netlist._trusted(name, inputs, outputs, tuple(gates), consts, next_id)
     return Netlist(name, inputs, outputs, gates, consts)

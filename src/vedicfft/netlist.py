@@ -11,24 +11,27 @@ it, so every gate is constructed once. The builder checks each net, gate
 and bus as it is added (a ripple-carry chain's operand nets once per
 chain), so its ``finalize`` checks only the netlist name and does not
 validate again: the gate ids are the evaluation order and the nets are
-every id it handed out. ``Netlist(...)``, and so
-:func:`vedicfft.netio.parse_netlist`, validates the structure and fixes
-the evaluation order: Kahn's topological sort, smallest ready gate id
-first. Where every gate reads only nets driven before it in id order, as
-in the dump of a built netlist, that order is ascending id and validation
-is one linear pass; only text with forward references or cycles runs the
-sort. A finalized ``Netlist`` is immutable and safe to share across
-threads; ``evaluate_batch`` is a pure function of its input columns. A
-column is a list of per-vector values or one int that the bus holds in
-every vector. The slot program it simulates is compiled with those scalar
-bits as constants, so the logic they make idle drops out; each distinct
-scalar assignment (none included) compiles one program on its first
-evaluation, cached per netlist. The lanes path, ``_evaluate_lanes``,
-takes and returns lane words, one int per bus bit with bit i the bit's
-value in vector i, every bus's words end to end in one flat sequence, and
-evaluates every vector at once; every suite of :mod:`vedicfft.verify`
-calls it directly on lane words it built once per process. For two or
-more vectors ``evaluate_batch`` turns each list into its bus's lane words
+every id it handed out, ``0 .. N - 1``.
+:func:`vedicfft.netio.parse_netlist` trusts dump-ordered text the same
+way, having checked it as it read it; such a netlist records its net count
+``N``, and depth and dump index a list by net id. ``Netlist(...)``, and so
+``parse_netlist`` on any other text, validates the structure and fixes the
+evaluation order: Kahn's topological sort, smallest ready gate id first.
+Its net ids may be any ints. Where every gate reads only nets driven
+before it in id order, that order is ascending id and validation is one
+linear pass; only text with forward references or cycles runs the sort. A
+finalized ``Netlist`` is immutable and safe to share across threads;
+``evaluate_batch`` is a pure function of its input columns. A column is a
+list of per-vector values or one int that the bus holds in every vector.
+The slot program it simulates is compiled with those scalar bits as
+constants, so the logic they make idle drops out; each distinct scalar
+assignment (none included) compiles one program on its first evaluation,
+cached per netlist. The lanes path, ``_evaluate_lanes``, takes and returns
+lane words, one int per bus bit with bit i the bit's value in vector i,
+every bus's words end to end in one flat sequence, and evaluates every
+vector at once; every suite of :mod:`vedicfft.verify` calls it directly on
+lane words it built once per process. For two or more vectors
+``evaluate_batch`` turns each list into its bus's lane words
 (:func:`_bus_lanes`) and each output bus's words back into a list
 (:func:`_bus_values`). Both go through ASCII binary digits, one byte per
 vector: a byte plane of the values, byte j of each, translates to the
@@ -64,6 +67,7 @@ free. ``critical_path_depth`` and ``gate_counts`` report those two metrics.
 from __future__ import annotations
 
 import enum
+import functools
 import heapq
 import re
 from collections import Counter
@@ -377,6 +381,7 @@ class Netlist:
         self.gates: tuple[Gate, ...] = tuple(gates)  # sorted by id in _validate
         self.consts: dict[int, int] = dict(consts)  # constant bit value -> net id
         self.nets, self._order = self._validate()
+        self._net_count: int | None = None  # the ids may be any ints
         # One program per sorted tuple of (bus, value) scalars; () is the
         # program with no input tied. Under the same key: its generated
         # one-lane kernel and its generated lanes kernel, once it has them.
@@ -392,24 +397,32 @@ class Netlist:
         outputs: dict[str, tuple[int, ...]],
         gates: tuple[Gate, ...],
         consts: dict[int, int],
-        nets: frozenset[int],
+        net_count: int,
     ) -> Netlist:
         """A netlist whose structure its caller guarantees, without
         :meth:`_validate`: ``gates`` sorted by id and already in evaluation
-        order, ``nets`` exactly the driven nets. Only
-        :meth:`NetlistBuilder.finalize` calls it."""
+        order, and the driven nets exactly ``0 .. net_count - 1``, each with
+        one driver. :meth:`NetlistBuilder.finalize` calls it, and so does
+        :func:`vedicfft.netio.parse_netlist` for text its own pass has shown
+        to be dump-ordered."""
         self = object.__new__(cls)
         self.name = name
         self.inputs = inputs
         self.outputs = outputs
         self.gates = gates
         self.consts = consts
-        self.nets = nets
+        self._net_count = net_count
         self._order = gates
         self._programs = {}
         self._kernels = {}
         self._lane_kernels = {}
         return self
+
+    @functools.cached_property
+    def nets(self) -> frozenset[int]:
+        """The driven nets. ``Netlist(...)`` sets them as it validates; a
+        trusted netlist's are ``range(_net_count)``, built on first read."""
+        return frozenset(range(self._net_count))
 
     # -- validation ---------------------------------------------------------
 
@@ -556,7 +569,9 @@ class Netlist:
         reaches no output. The netlist itself keeps every gate for ``dump``
         and the cost model.
         """
-        slot = {nid: i for i, nid in enumerate(sorted(self.nets))}
+        count = self._net_count
+        ids = sorted(self.nets) if count is None else range(count)
+        slot = {nid: i for i, nid in enumerate(ids)}
         zero = len(slot)
         const = (zero, zero + 1)  # the slot of constant 0, of constant 1
         rep = [*slot.values(), *const]
@@ -827,7 +842,9 @@ class Netlist:
 
     def critical_path_depth(self) -> int:
         """Gate count along the longest input-to-output path (unit delays)."""
-        depth = dict.fromkeys(self.nets, 0)
+        # Indexed by net id: a list when the ids are 0 .. _net_count - 1.
+        count = self._net_count
+        depth = dict.fromkeys(self.nets, 0) if count is None else [0] * count
         for gate in self._order:
             # A NOT reads one net: inputs[-1] is inputs[0].
             inputs = gate.inputs
@@ -870,8 +887,8 @@ class NetlistBuilder:
     :meth:`finalize` therefore trusts these checks: it checks the netlist
     name and hands the gates over as they are, without
     ``Netlist._validate``. (The text format allows forward references;
-    ``Netlist(...)`` validates what ``parse_netlist`` reads, and sorts such
-    a netlist's gates with Kahn's algorithm.)
+    ``Netlist(...)`` validates what ``parse_netlist`` reads unless it is
+    dump-ordered, and sorts such a netlist's gates with Kahn's algorithm.)
 
     Composite units do not nest netlists: each block is an emitter that
     adds its gates to the builder it is handed and returns its output nets,
@@ -1030,5 +1047,5 @@ class NetlistBuilder:
             {bus: tuple(nets) for bus, nets in self._outputs.items()},
             tuple(self._gates),
             self._consts,
-            frozenset(range(self._next_net)),
+            self._next_net,
         )

@@ -5,6 +5,7 @@ import tracemalloc
 import pytest
 
 from vedicfft import (
+    Netlist,
     NetlistBuilder,
     NetlistError,
     NetlistFormatError,
@@ -335,6 +336,89 @@ def test_token_spellings_name_the_canonical_nets(old, new):
         want.outputs,
         want.consts,
     )
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        pytest.param(
+            _HEAD + "gate 0 AND n1 a[0] -> n0\ngate 1 NOT a[0] -> n1\noutput o n0\n",
+            None,
+            id="forward-reference-driven-later",
+        ),
+        pytest.param(_HEAD + "gate 0 NOT a[0] -> n07\noutput o n7\n", None, id="output-n07"),
+        pytest.param(
+            _HEAD + "gate 0 NOT a[0] -> n0\nconst1 n0\noutput o n0\n",
+            "net 1 has two drivers: const1 and gate 0",
+            id="const-names-gate-output",
+        ),
+        pytest.param(
+            # As many nets as drivers: the undriven n5 makes up for the
+            # second driver of n0.
+            _HEAD + "gate 0 AND n5 a[0] -> n0\nconst1 n0\noutput o n0\n",
+            "net 2 has two drivers: const1 and gate 0",
+            id="const-names-gate-output-beside-undriven-read",
+        ),
+        pytest.param(
+            _HEAD + "gate 1 NOT a[0] -> n0\ngate 0 NOT n0 -> n1\noutput o n1\n",
+            None,
+            id="descending-gate-ids",
+        ),
+        pytest.param(
+            _HEAD + "gate 0 NOT a[0] -> n0\ngate 0 NOT n0 -> n1\noutput o n1\n",
+            "duplicate gate id 0",
+            id="repeated-gate-id",
+        ),
+        pytest.param(
+            _HEAD + "gate 0 NOT a[0] -> n0\noutput a n0\n",
+            "duplicate bus name a",
+            id="output-reuses-input-name",
+        ),
+        pytest.param(
+            _HEAD + "gate 0 NOT a[0] -> n0\noutput 9o n0\n",
+            "invalid bus name '9o'",
+            id="bad-output-name",
+        ),
+        pytest.param(
+            "netlist t v1\ninput 9x 1\nconst0 n0\noutput o n0\n",
+            "invalid bus name '9x'",
+            id="bad-input-name",
+        ),
+        pytest.param(
+            _HEAD + "gate 0 NOT a[0] -> n0\noutput o n0 n3\n",
+            "floating output bit o[1] (net 2)",
+            id="output-bit-undriven",
+        ),
+        pytest.param(
+            _HEAD + "gate 0 AND n1 a[0] -> n0\noutput o n0\n",
+            "gate 0 reads undriven net 1",
+            id="gate-input-undriven",
+        ),
+    ],
+)
+def test_text_not_dump_ordered_is_validated_once(monkeypatch, text, message):
+    # Only dump-ordered text skips ``Netlist._validate``; any other text is
+    # validated once, as ``Netlist(...)`` would, with the same outcome.
+    calls = []
+    validate = Netlist._validate
+
+    def counting_validate(self):
+        calls.append(self.name)
+        return validate(self)
+
+    monkeypatch.setattr(Netlist, "_validate", counting_validate)
+    if message is not None:
+        with pytest.raises(NetlistError) as caught:
+            parse_netlist(text)
+        assert (str(caught.value), calls) == (message, ["t"])
+        return
+    got = parse_netlist(text)
+    assert calls == ["t"]
+    ref = Netlist(got.name, got.inputs, got.outputs, got.gates, got.consts)
+    for attr in ("name", "inputs", "outputs", "consts", "gates", "nets", "_order"):
+        assert getattr(got, attr) == getattr(ref, attr), attr
+    assert got.critical_path_depth() == ref.critical_path_depth()
+    assert dump_netlist(got) == dump_netlist(ref)
 
 
 # SHA-256 of repr((inputs, outputs, consts, gates)) of each parsed dump: the

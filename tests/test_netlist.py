@@ -877,8 +877,12 @@ def _trusted_cases():
         yield _random_program(rng)
 
 
+_PARTS = ("name", "inputs", "outputs", "consts", "gates", "nets", "_order")
+
+
 class TestTrustedFinalize:
-    """``NetlistBuilder.finalize`` skips ``_validate``; the netlist it makes
+    """``NetlistBuilder.finalize`` skips ``_validate``, and so does
+    ``parse_netlist`` on the dump of a built netlist; each netlist they make
     equals the one ``Netlist(...)`` validates from the same parts."""
 
     def test_equals_validated_construction(self):
@@ -886,9 +890,20 @@ class TestTrustedFinalize:
         direct_reads = {"input": 0, "const": 0}
         for net in _trusted_cases():
             ref = Netlist(net.name, net.inputs, net.outputs, net.gates, net.consts)
-            for attr in ("name", "inputs", "outputs", "consts", "gates", "nets", "_order"):
+            for attr in _PARTS:
                 assert getattr(net, attr) == getattr(ref, attr), (net.name, attr)
             assert all(type(g) is Gate for g in net.gates)
+            text = dump_netlist(net)
+            parsed = parse_netlist(text)
+            assert parsed._net_count == len(net.nets), net.name
+            parsed_ref = Netlist(
+                parsed.name, parsed.inputs, parsed.outputs, parsed.gates, parsed.consts
+            )
+            for attr in _PARTS:
+                assert getattr(parsed, attr) == getattr(parsed_ref, attr), (net.name, attr)
+            assert parsed.critical_path_depth() == parsed_ref.critical_path_depth()
+            assert parsed.critical_path_depth() == net.critical_path_depth()
+            assert dump_netlist(parsed) == dump_netlist(parsed_ref) == text
             columns = {
                 bus: [rng.randrange(1 << len(bits)) for _ in range(16)]
                 for bus, bits in net.inputs.items()
@@ -900,6 +915,29 @@ class TestTrustedFinalize:
             )
             direct_reads["const"] += any(n in read for n in net.consts.values())
         assert min(direct_reads.values()) > 10
+
+
+@pytest.mark.parametrize("unit", unit_names())
+def test_sparse_net_ids_cost_and_dump_as_the_unit(unit):
+    # ``Netlist(...)`` takes any int ids; depth and dump then index a dict.
+    net = build_unit(unit)
+
+    def sparse(n):
+        return 7 + 1000 * n
+
+    def spread(buses):
+        return {bus: [sparse(n) for n in nets] for bus, nets in buses.items()}
+
+    gates = [
+        Gate(g.id, g.kind, tuple(map(sparse, g.inputs)), sparse(g.output)) for g in net.gates
+    ]
+    consts = {value: sparse(n) for value, n in net.consts.items()}
+    wide = Netlist(net.name, spread(net.inputs), spread(net.outputs), gates, consts)
+    assert wide._net_count is None
+    assert wide.nets == {sparse(n) for n in net.nets}
+    assert wide.critical_path_depth() == net.critical_path_depth()
+    assert wide.gate_counts() == net.gate_counts()
+    assert dump_netlist(wide) == dump_netlist(net)
 
 
 def test_gate_kind_arity():
