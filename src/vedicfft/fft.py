@@ -555,18 +555,35 @@ def build_reconfigurable_fft(config: FftConfig, multiplier: str = "vedic") -> Ne
 # -- behavioral front door ----------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class FftResult:
     """Decoded spectrum plus the metadata needed to interpret it.
 
     ``spectrum`` holds raw integer outputs; the represented values are
     spectrum * 2^scale_log2 (scale_log2 is 0 in exact mode, -F quantized).
+    The fields are not checked: :func:`run_fft` and :func:`run_fft_batch`
+    build them from the netlist's outputs.
     """
 
     spectrum: tuple[FixedComplex, ...]
     output_width: int
     scale_log2: int
     select: int
+
+    def __init__(
+        self,
+        spectrum: tuple[FixedComplex, ...],
+        output_width: int,
+        scale_log2: int,
+        select: int,
+    ):
+        # One frame per result, as in ``FixedComplex``: the fields go
+        # straight into ``__dict__``, past the frozen ``__setattr__``.
+        fields = self.__dict__
+        fields["spectrum"] = spectrum
+        fields["output_width"] = output_width
+        fields["scale_log2"] = scale_log2
+        fields["select"] = select
 
     @property
     def values(self) -> list[complex]:
@@ -586,48 +603,82 @@ class FftResult:
 
 
 @functools.lru_cache(maxsize=None)
+def _datapath(
+    input_width: int, twiddle_mode: str, fraction_bits: int | None
+) -> tuple[Netlist, int, int, int]:
+    """The reconfigurable netlist of a configuration and what decoding its
+    outputs reads: (netlist, output width, the weight 2**(width - 1) of
+    its sign bit, scale_log2). Built on first use and held for the
+    process; both select values run on the one netlist, and a build that
+    raises caches nothing."""
+    config = FftConfig(4, twiddle_mode, fraction_bits, input_width)
+    net = build_reconfigurable_fft(config)
+    width = net.output_width("X0_re")
+    return net, width, 1 << (width - 1), config.scale_log2
+
+
 def _reconfigurable_cached(
     input_width: int, twiddle_mode: str, fraction_bits: int | None
 ) -> Netlist:
-    return build_reconfigurable_fft(
-        FftConfig(4, twiddle_mode, fraction_bits, input_width)
-    )
+    return _datapath(input_width, twiddle_mode, fraction_bits)[0]
+
+
+# One cache holds each netlist and its decode state, so clearing the
+# netlists clears the state with them.
+_reconfigurable_cached.cache_clear = _datapath.cache_clear
 
 
 def _coerce_samples(
     config: FftConfig, samples: Sequence[FixedComplex | Sequence[int]]
-) -> list[int]:
+) -> tuple[list[int], bool]:
     """The 8 components x0_re, x0_im .. x3_im that ``run_fft`` feeds the
-    netlist (2 samples are zero-filled with select=2).
+    netlist (2 samples are zero-filled with select=2), read in one pass,
+    and whether every component fits the input width.
 
+    Each sample is checked in turn: its kind, its length, its components.
     A sample is a :class:`FixedComplex` or a sequence of two components;
-    anything else, a dict or a set among them, is rejected. A component
-    that is not exactly an ``int`` goes to :class:`FixedComplex`, which
-    raises its message unless it is an ``int`` subclass other than
-    ``bool``. :func:`run_fft` and :func:`run_fft_batch` both call it, and
-    each checks the range after it.
+    anything else, a dict or a set among them, is rejected, and so is a
+    sequence of any other length. A component that is not exactly an
+    ``int`` goes to :class:`FixedComplex`, which raises its message unless
+    it is an ``int`` subclass other than ``bool``. The sample count is
+    checked last. The range is only noted: :func:`run_fft` and
+    :func:`run_fft_batch` both call this, and each raises for the first
+    component outside the width (:func:`_check_ranges`) only once every
+    sample it reads has passed these checks.
     """
+    hi = (1 << (config.input_width - 1)) - 1
+    lo = -hi - 1
+    fits = True
     row: list[int] = []
     for s in samples:
-        kind = type(s)
-        if kind is not tuple and kind is not list:
+        if type(s) is not tuple and type(s) is not list:
             if isinstance(s, FixedComplex):
                 s = (s.re, s.im)
             elif not isinstance(s, Sequence):
                 raise ValueError(f"sample must be a (re, im) pair, got {s!r}")
-        if len(s) != 2:
-            raise ValueError(f"sample must be a (re, im) pair, got {s!r}")
-        re, im = s
+        try:
+            re, im = s
+        except ValueError:
+            raise ValueError(f"sample must be a (re, im) pair, got {s!r}") from None
         if type(re) is not int or type(im) is not int:
             FixedComplex(re, im)
-        row += (re, im)
-    if config.select == 2 and len(row) == 4:
+        if not (lo <= re <= hi and lo <= im <= hi):
+            fits = False
+        row += s
+    n = len(row)
+    if n != 8:
+        if n != 4 or config.select != 2:
+            raise ValueError(f"expected 4 samples (or 2 with select=2), got {n // 2}")
         row += (0, 0, 0, 0)
-    if len(row) != 8:
-        raise ValueError(
-            f"expected 4 samples (or 2 with select=2), got {len(row) // 2}"
-        )
-    return row
+    return row, fits
+
+
+def _check_ranges(rows: Sequence[Sequence[int]], width: int) -> None:
+    """Raise the ValueError of :meth:`FixedComplex.check_range` for the
+    first component of ``rows`` outside ``width`` bits, in vector order."""
+    for row in rows:
+        for re, im in zip(row[::2], row[1::2]):
+            FixedComplex(re, im).check_range(width)
 
 
 def _net_for(config: FftConfig) -> Netlist:
@@ -655,24 +706,25 @@ def run_fft(
     unused upper slots are zero-filled). Components must be ints, as
     :class:`FixedComplex` requires, and fit the configured input width.
     The checks, their messages and their order are those of a one-lane
-    :func:`run_fft_batch`, and so is the result; the netlist's one-lane
-    path (``Netlist._evaluate_one``) takes the components as they are,
-    negative ones included, reads only their two's-complement bits, and
-    returns the 8 output values with no columns built.
+    :func:`run_fft_batch`, and so is the result. Every sample check comes
+    before the netlist is looked up, so a configuration whose build
+    raises still rejects bad samples first; the netlist and its decode
+    state are resolved once per configuration (:func:`_datapath`). The
+    netlist's one-lane path (``Netlist._evaluate_one``) takes the
+    components as they are, negative ones included, reads only their
+    two's-complement bits, and returns the 8 output values with no
+    columns built.
     """
     _check_config(config)
-    row = _coerce_samples(config, samples)
-    width = config.input_width
-    if min(row) < -(1 << (width - 1)) or max(row) >= 1 << (width - 1):
-        for re, im in zip(row[::2], row[1::2]):
-            FixedComplex(re, im).check_range(width)
-    net = _net_for(config)
-    x0r, x0i, x1r, x1i, x2r, x2i, x3r, x3i = net._evaluate_one(
-        _SELECT_KEYS[config.select], row
+    row, fits = _coerce_samples(config, samples)
+    if not fits:
+        _check_ranges([row], config.input_width)
+    net, out_width, h, scale_log2 = _datapath(
+        config.input_width, config.twiddle_mode, config.fraction_bits
     )
+    select = config.select
+    x0r, x0i, x1r, x1i, x2r, x2i, x3r, x3i = net._evaluate_one(_SELECT_KEYS[select], row)
     # Two's complement, as in :func:`run_fft_batch`.
-    out_width = len(net.outputs["X0_re"])
-    h = 1 << (out_width - 1)
     return FftResult(
         (
             FixedComplex((x0r ^ h) - h, (x0i ^ h) - h),
@@ -681,8 +733,8 @@ def run_fft(
             FixedComplex((x3r ^ h) - h, (x3i ^ h) - h),
         ),
         out_width,
-        config.scale_log2,
-        config.select,
+        scale_log2,
+        select,
     )
 
 
@@ -705,30 +757,27 @@ def run_fft_batch(
     :func:`run_fft` is the one-lane path.
     """
     _check_config(config)
-    rows = [_coerce_samples(config, samples) for samples in sample_lists]
-    if not rows:
+    coerced = [_coerce_samples(config, samples) for samples in sample_lists]
+    if not coerced:
         return []
-    columns = list(zip(*rows))
+    rows, fits = zip(*coerced)
     width = config.input_width
-    lo, hi = -(1 << (width - 1)), (1 << (width - 1)) - 1
-    if min(map(min, columns)) < lo or max(map(max, columns)) > hi:
-        for row in rows:
-            for re, im in zip(row[::2], row[1::2]):
-                FixedComplex(re, im).check_range(width)
-    net = _net_for(config)
+    if not all(fits):
+        _check_ranges(rows, width)
+    net, out_width, h, scale_log2 = _datapath(
+        width, config.twiddle_mode, config.fraction_bits
+    )
     mask = (1 << width) - 1
     inputs: dict[str, int | list[int]] = {"select": int(config.select == 4)}
-    for bus, col in zip(_SAMPLE_BUSES, columns):
+    for bus, col in zip(_SAMPLE_BUSES, zip(*rows)):
         inputs[bus] = [v & mask for v in col]
     outs = net.evaluate_batch(inputs)
     # Two's complement by column: flipping the sign bit and subtracting
     # its weight maps [0, 2**w) onto [-h, h).
-    out_width = net.output_width("X0_re")
-    h = 1 << (out_width - 1)
     out = [[(v ^ h) - h for v in outs[bus]] for bus in _BIN_BUSES]
     bins = [map(FixedComplex, out[2 * k], out[2 * k + 1]) for k in range(4)]
     return [
-        FftResult(spectrum, out_width, config.scale_log2, config.select)
+        FftResult(spectrum, out_width, scale_log2, config.select)
         for spectrum in zip(*bins)
     ]
 

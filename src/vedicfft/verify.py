@@ -96,7 +96,7 @@ _Words = tuple[int, ...]
 _Key = tuple[tuple[str, int], ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class UnitResult:
     """Outcome of one unit's suite: cases checked, failures, first detail."""
 
@@ -104,6 +104,15 @@ class UnitResult:
     checked: int
     failed: int
     detail: str = ""
+
+    def __init__(self, unit: str, checked: int, failed: int, detail: str = ""):
+        # One frame per result, as in ``fft.FixedComplex``: the fields go
+        # straight into ``__dict__``, past the frozen ``__setattr__``.
+        fields = self.__dict__
+        fields["unit"] = unit
+        fields["checked"] = checked
+        fields["failed"] = failed
+        fields["detail"] = detail
 
     @property
     def ok(self) -> bool:
@@ -124,10 +133,11 @@ class _Tally:
         self.failed = 0
         self.detail = ""
 
-    def check(self, n: int, diff: int, detail: Callable[[int], str]):
+    def check(self, n: int, diff: int, detail: Callable[[int], str] | None):
         """n cases, one per lane: case i fails where bit i of ``diff`` is
         set. ``detail(i)`` describes lane i; a failing check calls it on
-        its first failing lane, and only while no detail is recorded."""
+        its first failing lane, and only while no detail is recorded. A
+        check with no failure never calls it, so it may pass None."""
         self.checked += n
         if diff:
             self.failed += diff.bit_count()
@@ -203,7 +213,8 @@ def _run_suite(unit: str, checks: Sequence[_Check]) -> UnitResult:
             got.append(out)
             if out != want:
                 diff |= _diff(out, want)
-        t.check(n, diff, functools.partial(describe, got))
+        # Only a failing check needs the describer of its lanes.
+        t.check(n, diff, functools.partial(describe, got) if diff else None)
     return t.result()
 
 

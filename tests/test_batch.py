@@ -1096,18 +1096,22 @@ FFT_CONFIGS = [
 
 # Python-level calls ("call" events) and C calls of one one-lane
 # ``run_fft`` once its program has a generated kernel, measured on CPython
-# 3.10 to 3.13 for all four configurations: 12 Python-level calls (the
-# call itself, ``_check_config``, ``_coerce_samples``, ``_net_for``,
-# ``_evaluate_one``, the kernel, four ``FixedComplex.__init__``,
-# ``scale_log2`` and ``FftResult.__init__``) and 11 C calls, profiler
-# switch-off included, 10 with select 2. They were 17 on 3.10 and 3.11
-# while ``run_fft`` masked the components in a comprehension and
-# ``FixedComplex`` checked in a ``__post_init__``, 41 and 56 when
+# 3.10 to 3.13 for all four configurations: 10 Python-level calls (the
+# call itself, ``_check_config``, ``_coerce_samples``, ``_evaluate_one``,
+# the kernel, four ``FixedComplex.__init__`` and ``FftResult.__init__``)
+# and 4 C calls (``isinstance`` on the config, ``len`` of the sample row,
+# the kernel lookup and the profiler switch-off). The netlist and its
+# decode state come from one cache lookup that makes no event. They were
+# 12 and 11 (10 with select 2) while ``run_fft`` called ``_net_for`` and
+# the ``scale_log2`` property, took the ``len`` of every sample and of an
+# output bus, and checked the range with ``min`` and ``max``; 17 on 3.10
+# and 3.11 while ``run_fft`` masked the components in a comprehension and
+# ``FixedComplex`` checked in a ``__post_init__``; 41 and 56 when
 # ``run_fft`` was a one-lane ``run_fft_batch`` that built columns and went
-# through ``evaluate_batch``, and 86 and 93 before that, when the kernel
+# through ``evaluate_batch``; and 86 and 93 before that, when the kernel
 # took and returned lane words.
-ONE_LANE_RUN_FFT_CALLS = 12
-ONE_LANE_RUN_FFT_C_CALLS = 11
+ONE_LANE_RUN_FFT_CALLS = 10
+ONE_LANE_RUN_FFT_C_CALLS = 4
 
 
 @pytest.mark.parametrize("config", FFT_CONFIGS, ids=lambda c: f"{c.twiddle_mode}-{c.select}")

@@ -12,6 +12,7 @@ import pytest
 from vedicfft import fft
 from vedicfft import (
     FftConfig,
+    FftResult,
     FixedComplex,
     Netlist,
     NetlistError,
@@ -691,6 +692,169 @@ class TestReconfigurable:
         cfg = FftConfig.make(4, "exact", 4)
         res = run_fft(cfg, [FixedComplex(1, 0)] * 4)
         assert res.values[0] == 4
+
+
+# The four configurations one fft_stream frame runs: each twiddle mode at
+# each select value, all at width 4.
+ONE_LANE_CONFIGS = [
+    FftConfig.make(select, twiddle, 4) for twiddle in ("exact", "q3") for select in (4, 2)
+]
+
+GOOD_SAMPLES = [(1, -2), (3, 4), (-8, 7), (0, 5)]
+
+
+def with_component(position, value):
+    """``GOOD_SAMPLES`` with component ``position`` (x0_re, x0_im, ..,
+    x3_im) set to ``value``."""
+    row = [part for sample in GOOD_SAMPLES for part in sample]
+    row[position] = value
+    return list(zip(row[::2], row[1::2]))
+
+
+# Every way ``run_fft`` rejects a list of 4 samples (or 3), with its full
+# message, pinned: each sample is checked in turn (its kind, its length,
+# its components), then the count, then the range of every component in
+# vector order. Each raises ValueError at every configuration.
+RUN_FFT_REJECTIONS = [
+    ("float re", [(0, 0), (1.5, 0), (0, 0), (0, 0)], "components must be integers, got 1.5"),
+    ("float im", [(0, 0), (0, 0), (0, -2.5), (0, 0)], "components must be integers, got -2.5"),
+    ("bool re", [(True, 0), (0, 0), (0, 0), (0, 0)], "components must be integers, got True"),
+    ("bool im", [(0, 0), (0, 0), (0, 0), (3, False)], "components must be integers, got False"),
+    (
+        "dict",
+        [(0, 0), {1: 2, 3: 4}, (0, 0), (0, 0)],
+        "sample must be a (re, im) pair, got {1: 2, 3: 4}",
+    ),
+    ("set", [(0, 0), (0, 0), {1, 2}, (0, 0)], "sample must be a (re, im) pair, got {1, 2}"),
+    (
+        "3-tuple",
+        [(1, 2, 3), (0, 0), (0, 0), (0, 0)],
+        "sample must be a (re, im) pair, got (1, 2, 3)",
+    ),
+    ("1-list", [(0, 0), [1], (0, 0), (0, 0)], "sample must be a (re, im) pair, got [1]"),
+    ("3 samples", GOOD_SAMPLES[:3], "expected 4 samples (or 2 with select=2), got 3"),
+    ("5 samples", GOOD_SAMPLES + [(0, 0)], "expected 4 samples (or 2 with select=2), got 5"),
+    (
+        "FixedComplex out of range",
+        [FixedComplex(1, 2), FixedComplex(-9, 0), (0, 0), (0, 0)],
+        "component -9 outside [-8, 7] for width 4",
+    ),
+    *(
+        (
+            f"component {position} = {value}",
+            with_component(position, value),
+            f"component {value} outside [-8, 7] for width 4",
+        )
+        for position in range(8)
+        for value in (8, -9)
+    ),
+    # Precedence: a component that is not an int before any range, and in
+    # sample order against a sample that is not a pair; the count after
+    # every sample and before any range.
+    (
+        "float after range",
+        [(9, 0), (0, 1.5), (0, 0), (0, 0)],
+        "components must be integers, got 1.5",
+    ),
+    (
+        "float before dict",
+        [(1.5, 0), {1: 2}, (0, 0), (0, 0)],
+        "components must be integers, got 1.5",
+    ),
+    (
+        "dict before float",
+        [{1: 2}, (1.5, 0), (0, 0), (0, 0)],
+        "sample must be a (re, im) pair, got {1: 2}",
+    ),
+    (
+        "3-tuple before bool",
+        [(0, 0), (1, 2, 3), (True, 0)],
+        "sample must be a (re, im) pair, got (1, 2, 3)",
+    ),
+    ("bool before count", [(True, 0)] * 3, "components must be integers, got True"),
+    ("count before range", [(9, 0)] * 3, "expected 4 samples (or 2 with select=2), got 3"),
+    (
+        "first range in vector order",
+        [(0, 0), (0, 9), (-9, 0), (0, 0)],
+        "component 9 outside [-8, 7] for width 4",
+    ),
+]
+
+
+def config_id(config):
+    return f"{config.twiddle_mode}-{config.select}"
+
+
+class TestRunFftRejections:
+    @pytest.mark.parametrize("config", ONE_LANE_CONFIGS, ids=config_id)
+    def test_pinned_messages_in_order(self, config):
+        # A config that is not an FftConfig before any sample is read.
+        with pytest.raises(NetlistError) as info:
+            run_fft(dataclasses.asdict(config), [(9, 0), {1: 2}])
+        assert str(info.value) == "expected FftConfig, got dict"
+        for case, samples, message in RUN_FFT_REJECTIONS:
+            with pytest.raises(ValueError) as info:
+                run_fft(config, samples)
+            assert type(info.value) is ValueError, case
+            assert str(info.value) == message, case
+        two = GOOD_SAMPLES[:2]
+        if config.select == 4:
+            with pytest.raises(ValueError) as info:
+                run_fft(config, two)
+            assert str(info.value) == "expected 4 samples (or 2 with select=2), got 2"
+        else:
+            assert run_fft(config, two) == run_fft(config, two + [(0, 0), (0, 0)])
+        # An int subclass other than bool, a FixedComplex and a list are
+        # read as the plain int pair.
+        Level = enum.IntEnum("Level", {"LOW": -8, "HIGH": 7})
+        got = run_fft(config, [FixedComplex(1, -2), [3, 4], (Level.LOW, Level.HIGH), (0, 5)])
+        assert got == run_fft(config, GOOD_SAMPLES)
+
+    def test_config_whose_build_raises(self):
+        # Width 5 does not fit the 4x4 multiplier core. Every call builds
+        # afresh and raises again, so no failed build is held; the samples
+        # are checked before the build, the range at width 5.
+        config = FftConfig(4, "quantized", 3, 5)
+        for _ in range(2):
+            with pytest.raises(NetlistError) as info:
+                run_fft(config, GOOD_SAMPLES)
+            assert str(info.value) == "complex multiplier is pinned to the 4x4 core, got width 5"
+        for samples, message in (
+            ([(0, 0), (1.5, 0), (0, 0), (0, 0)], "components must be integers, got 1.5"),
+            ([(0, 0), (0, 16), (0, 0), (0, 0)], "component 16 outside [-16, 15] for width 5"),
+            (GOOD_SAMPLES[:3], "expected 4 samples (or 2 with select=2), got 3"),
+        ):
+            with pytest.raises(ValueError) as info:
+                run_fft(config, samples)
+            assert type(info.value) is ValueError
+            assert str(info.value) == message
+
+
+class TestFftResult:
+    def test_frozen_dataclass(self):
+        # Its own ``__init__`` keeps what the dataclass gave: keywords,
+        # equality, hashing, repr, frozen fields and ``replace``.
+        spectrum = tuple(FixedComplex(*c) for c in ((8, 0), (-2, 0), (0, 0), (0, 0)))
+        r = FftResult(spectrum=spectrum, output_width=6, scale_log2=0, select=2)
+        assert r == FftResult(spectrum, 6, 0, 2) and hash(r) == hash(FftResult(spectrum, 6, 0, 2))
+        assert r != FftResult(spectrum, 6, 0, 4)
+        assert r == run_fft(FftConfig.make(2, "exact", 4), [(3, 0), (5, 0)])
+        assert repr(r) == (
+            "FftResult(spectrum=(FixedComplex(re=8, im=0), FixedComplex(re=-2, im=0), "
+            "FixedComplex(re=0, im=0), FixedComplex(re=0, im=0)), output_width=6, "
+            "scale_log2=0, select=2)"
+        )
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            r.select = 4
+        assert dataclasses.replace(r, select=4) == FftResult(spectrum, 6, 0, 4)
+        assert [f.name for f in dataclasses.fields(r)] == [
+            "spectrum",
+            "output_width",
+            "scale_log2",
+            "select",
+        ]
+        with pytest.raises(TypeError):
+            FftResult(spectrum, 6, 0)
 
 
 # The four builds of the reconfigurable datapath: each twiddle mode with

@@ -5,6 +5,7 @@ or samples, when one gate of the unit it checks computes the wrong
 function, in the gate loop of a first pass and in the generated kernels of
 a second."""
 
+import dataclasses
 import hashlib
 import itertools
 import random
@@ -793,3 +794,22 @@ def test_tally_accounting(n):
     t.check(n, 1 << (n - 1), lambda i: f"first {i}")
     t.check(n, 0b11, lambda i: f"second {i}")
     assert (t.checked, t.failed, t.detail) == (2 * n, 3, f"first {n - 1}")
+
+
+def test_unit_result_frozen_dataclass():
+    # Its own ``__init__`` keeps what the dataclass gave: keywords, the
+    # empty default detail, equality, hashing, repr, frozen fields and
+    # ``replace``.
+    r = verify.UnitResult(unit="fft", checked=3809, failed=0)
+    assert r.detail == "" and r.ok and r.summary() == "fft: 3809/3809 pass"
+    assert r == verify.UnitResult("fft", 3809, 0, "")
+    assert hash(r) == hash(verify.UnitResult("fft", 3809, 0))
+    assert r != verify.UnitResult("fft", 3809, 1)
+    assert repr(r) == "UnitResult(unit='fft', checked=3809, failed=0, detail='')"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        r.failed = 1
+    failed = dataclasses.replace(r, failed=2, detail="select=4 x=[]")
+    assert failed == verify.UnitResult("fft", 3809, 2, "select=4 x=[]")
+    assert failed.summary() == "fft: 3807/3809 pass (first failure: select=4 x=[])"
+    assert [f.name for f in dataclasses.fields(r)] == ["unit", "checked", "failed", "detail"]
+    assert verify.verify_unit("fft") == r
