@@ -23,7 +23,8 @@ ids strictly ascend, each ``const`` token is new, every bus name is valid
 and no output bus is named as an input, and the parser made no net
 without its driver, so every gate input and output bit names a net
 driven above it. The netlist is then built trusted, nets ``0 .. N - 1``
-and its gates in id order, as ``NetlistBuilder.finalize`` builds one.
+and its gate columns in id order, as ``NetlistBuilder.finalize`` builds
+one; the parser appends each gate to the columns and makes no ``Gate``.
 Any other text goes to ``Netlist(...)``, which validates it and raises
 the same messages as ever.
 """
@@ -36,11 +37,11 @@ from .netlist import (
     KIND_OF,
     MAX_BUS_WIDTH,
     _NAME_RE,
-    Gate,
     GateKind,
     Netlist,
     NetlistError,
-    _new_tuple,
+    _gap_ids,
+    _gate,
     as_gate_kind,
 )
 
@@ -66,22 +67,22 @@ def dump_netlist(netlist: Netlist) -> str:
             text_id[netlist.consts[value]] = f"n{counter}"
             const_lines.append(f"const{value} n{counter}")
             counter += 1
-    for gate in netlist.gates:  # ascending gate id
-        text_id[gate.output] = f"n{counter}"
-        counter += 1
+    kinds, in0, in1, outs = netlist._kinds, netlist._in0, netlist._in1, netlist._outs
+    for counter, out in enumerate(outs, counter):  # ascending gate id
+        text_id[out] = f"n{counter}"
 
     kind_name = {kind: kind.value for kind in GateKind}
+    not_ = GateKind.NOT
     lines = [f"netlist {netlist.name} v1"]
     for bus, nets in netlist.inputs.items():
         lines.append(f"input {bus} {len(nets)}")
     lines.extend(const_lines)
-    for seq, (_, kind, ins, out) in enumerate(netlist.gates):
-        if len(ins) == 1:
-            lines.append(f"gate {seq} {kind_name[kind]} {text_id[ins[0]]} -> {text_id[out]}")
+    for seq, (kind, a, b, out) in enumerate(zip(kinds, in0, in1, outs)):
+        if kind is not_:
+            lines.append(f"gate {seq} NOT {text_id[a]} -> {text_id[out]}")
         else:
             lines.append(
-                f"gate {seq} {kind_name[kind]} {text_id[ins[0]]} {text_id[ins[1]]}"
-                f" -> {text_id[out]}"
+                f"gate {seq} {kind_name[kind]} {text_id[a]} {text_id[b]} -> {text_id[out]}"
             )
     for bus, nets in netlist.outputs.items():
         bits = " ".join(text_id[n] for n in nets)
@@ -94,14 +95,20 @@ def parse_netlist(text: str) -> Netlist:
     text is dump-ordered, else validated by ``Netlist(...)``."""
     inputs: dict[str, tuple[int, ...]] = {}
     outputs: dict[str, tuple[int, ...]] = {}
-    gates: list[Gate] = []
+    # The gate columns ``Netlist._trusted`` takes, and the gate ids.
+    ids: list[int] = []
+    kinds: list[GateKind] = []
+    in0: list[int] = []
+    in1: list[int] = []
+    outs: list[int] = []
     consts: dict[int, int] = {}
     # Token -> net: every input bit and internal net as the dump spells it,
     # and each other spelling once ``resolve`` has read it.
     by_token: dict[str, int] = {}
     lookup = by_token.get
     kind_of = KIND_OF.get
-    append_gate = gates.append
+    append_id, append_kind = ids.append, kinds.append
+    append_in0, append_in1, append_out = in0.append, in1.append, outs.append
     next_id = 0
     # Dump-ordered so far: every gate output fresh and spelled as a dump
     # spells it, gate ids ascending, each const token new, every bus name
@@ -179,13 +186,12 @@ def parse_netlist(text: str) -> Netlist:
             if a is None:
                 a = resolve(token, lineno)
             if arity == 1:
-                ins = (a,)
+                b = a
             else:
                 token = fields[4]
                 b = lookup(token)
                 if b is None:
                     b = resolve(token, lineno)
-                ins = (a, b)
             token = fields[-1]
             # A new output spelled as a dump spells it, ``n`` and at most 18
             # ASCII digits without a leading zero, is a fresh net; the length
@@ -203,7 +209,11 @@ def parse_netlist(text: str) -> Netlist:
             else:
                 out = resolve(token, lineno, internal_only=True)
                 ordered = False
-            append_gate(_new_tuple(Gate, (gid, kind, ins, out)))
+            append_id(gid)
+            append_kind(kind)
+            append_in0(a)
+            append_in1(b)
+            append_out(out)
         elif directive == "input":
             if len(fields) != 3:
                 fail(lineno, "expected 'input <busname> <width>'")
@@ -256,7 +266,9 @@ def parse_netlist(text: str) -> Netlist:
     if not outputs:
         raise NetlistFormatError("netlist text declares no output buses")
     # As many nets as drivers: no net was made without its driver.
-    drivers = sum(map(len, inputs.values())) + len(consts) + len(gates)
+    drivers = sum(map(len, inputs.values())) + len(consts) + len(ids)
     if ordered and next_id == drivers:
-        return Netlist._trusted(name, inputs, outputs, tuple(gates), consts, next_id)
-    return Netlist(name, inputs, outputs, gates, consts)
+        return Netlist._trusted(
+            name, inputs, outputs, kinds, in0, in1, outs, consts, next_id, _gap_ids(ids)
+        )
+    return Netlist(name, inputs, outputs, map(_gate, ids, kinds, in0, in1, outs), consts)

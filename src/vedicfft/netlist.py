@@ -5,9 +5,12 @@ The model is a DAG of single-output boolean gates connected by nets, each
 net an integer id with exactly one driver: an input bit, a constant or a
 gate. Buses are named, ordered lists of nets, LSB first. Bus values travel
 as raw unsigned ints (bit k of the int is net k of the bus);
-:func:`to_signed` reads one as two's complement. A unit is built in one
-:class:`NetlistBuilder`: composite blocks emit their gates straight into
-it, so every gate is constructed once. The builder checks each net, gate
+:func:`to_signed` reads one as two's complement. A netlist stores its gates
+as parallel columns (kind, first input, second input, output net), as a
+compiled ``_Program`` does; ``Netlist.gates`` is a view of ``Gate`` tuples
+built on first read. A unit is built in one :class:`NetlistBuilder`:
+composite blocks append their gates straight to its columns, so every
+gate is stored once. The builder checks each net, gate
 and bus as it is added (a ripple-carry chain's operand nets once per
 chain), so its ``finalize`` checks only the netlist name and does not
 validate again: the gate ids are the evaluation order and the nets are
@@ -20,7 +23,9 @@ evaluation order: Kahn's topological sort, smallest ready gate id first.
 Its net ids may be any ints. Where every gate reads only nets driven
 before it in id order, that order is ascending id and validation is one
 linear pass; only text with forward references or cycles runs the sort. A
-finalized ``Netlist`` is immutable and safe to share across threads;
+finalized ``Netlist`` is immutable and safe to share across threads:
+threads that race on the first read of a lazy view (``gates``, ``nets``)
+may each build it, equal values, and the last assignment wins;
 ``evaluate_batch`` is a pure function of its input columns. A column is a
 list of per-vector values or one int that the bus holds in every vector.
 The slot program it simulates is compiled with those scalar bits as
@@ -144,12 +149,13 @@ KIND_OF: dict[GateKind | str, GateKind] = {
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
-# ``add_gate``, ``add_ripple_chain`` and ``parse_netlist`` read these once
-# per gate: a module global is cheaper than the enum class attribute, and
-# ``tuple.__new__`` than the namedtuple's own.
+# ``add_gate`` reads this once per gate: a module global is cheaper than
+# the enum class attribute.
 _NOT = GateKind.NOT
-_AND, _OR, _XOR = GateKind.AND, GateKind.OR, GateKind.XOR
-_new_tuple = tuple.__new__
+
+# The kinds of one full adder's five gates, in the order
+# ``add_ripple_chain`` emits them.
+_FULL_ADDER = (GateKind.XOR, GateKind.XOR, GateKind.AND, GateKind.AND, GateKind.OR)
 
 # Widest input bus a builder or the text format accepts. The widest catalog
 # bus is 4 bits; the cap keeps one request from an unbounded net allocation.
@@ -178,6 +184,17 @@ class Gate(NamedTuple):
     kind: GateKind
     inputs: tuple[int, ...]
     output: int
+
+
+def _gate(gid: int, kind: GateKind, a: int, b: int, out: int) -> Gate:
+    """One row of a netlist's gate columns as a ``Gate``."""
+    return Gate(gid, kind, (a,) if kind is _NOT else (a, b), out)
+
+
+def _gap_ids(ids: list[int]) -> list[int] | None:
+    """Strictly ascending gate ids as a netlist keeps them: ``None`` where
+    they are exactly ``0 .. G - 1``, the ids a row index implies."""
+    return None if not ids or ids[0] == 0 and ids[-1] == len(ids) - 1 else ids
 
 
 class GateCounts(NamedTuple):
@@ -365,6 +382,16 @@ class Netlist:
     """An immutable, validated combinational netlist.
 
     Construct through :class:`NetlistBuilder` or :func:`vedicfft.netio.parse_netlist`.
+
+    The gates are stored as four parallel columns in ascending gate id
+    order: ``_kinds`` (the ``GateKind``), ``_in0`` and ``_in1`` (the input
+    nets; a NOT's ``_in1`` repeats its ``_in0``, as in ``_Program``) and
+    ``_outs`` (the output net). Row r is gate ``r`` unless ``_ids`` lists
+    the ids, as it does only for ids other than ``0 .. G - 1``.
+    ``_rows`` is the evaluation order as row indices where it is not row
+    order, as only Kahn's sort leaves it. :attr:`gates` and ``_order``
+    are views of ``Gate`` tuples built from the columns on first read;
+    no analysis, dump or compile reads them.
     """
 
     def __init__(
@@ -378,9 +405,12 @@ class Netlist:
         self.name = name
         self.inputs: dict[str, tuple[int, ...]] = {b: tuple(n) for b, n in inputs.items()}
         self.outputs: dict[str, tuple[int, ...]] = {b: tuple(n) for b, n in outputs.items()}
-        self.gates: tuple[Gate, ...] = tuple(gates)  # sorted by id in _validate
+        # ``_validate`` reads the gates here and fills the columns; the
+        # tuples are then dropped for the view built from the columns.
+        self.gates = tuple(gates)
         self.consts: dict[int, int] = dict(consts)  # constant bit value -> net id
-        self.nets, self._order = self._validate()
+        self.nets = self._validate()
+        del self.gates
         self._net_count: int | None = None  # the ids may be any ints
         # One program per sorted tuple of (bus, value) scalars; () is the
         # program with no input tied. Under the same key: its generated
@@ -395,28 +425,60 @@ class Netlist:
         name: str,
         inputs: dict[str, tuple[int, ...]],
         outputs: dict[str, tuple[int, ...]],
-        gates: tuple[Gate, ...],
+        kinds: list[GateKind],
+        in0: list[int],
+        in1: list[int],
+        outs: list[int],
         consts: dict[int, int],
         net_count: int,
+        ids: list[int] | None,
     ) -> Netlist:
         """A netlist whose structure its caller guarantees, without
-        :meth:`_validate`: ``gates`` sorted by id and already in evaluation
-        order, and the driven nets exactly ``0 .. net_count - 1``, each with
-        one driver. :meth:`NetlistBuilder.finalize` calls it, and so does
-        :func:`vedicfft.netio.parse_netlist` for text its own pass has shown
-        to be dump-ordered."""
+        :meth:`_validate`: the gate columns (see the class docstring) in
+        ascending id order, which is also evaluation order, and the driven
+        nets exactly ``0 .. net_count - 1``, each with one driver; ``ids``
+        is ``None`` when the gate ids are ``0 .. G - 1``. The columns are
+        taken, not copied. :meth:`NetlistBuilder.finalize` calls it, and so
+        does :func:`vedicfft.netio.parse_netlist` for text its own pass has
+        shown to be dump-ordered."""
         self = object.__new__(cls)
         self.name = name
         self.inputs = inputs
         self.outputs = outputs
-        self.gates = gates
+        self._kinds = kinds
+        self._in0 = in0
+        self._in1 = in1
+        self._outs = outs
+        self._ids = ids
+        self._rows = None
         self.consts = consts
         self._net_count = net_count
-        self._order = gates
         self._programs = {}
         self._kernels = {}
         self._lane_kernels = {}
         return self
+
+    @functools.cached_property
+    def gates(self) -> tuple[Gate, ...]:
+        """The gates as ``Gate`` tuples in ascending id order, built from
+        the columns on first read."""
+        ids = range(len(self._kinds)) if self._ids is None else self._ids
+        return tuple(map(_gate, ids, self._kinds, self._in0, self._in1, self._outs))
+
+    @functools.cached_property
+    def _order(self) -> tuple[Gate, ...]:
+        """The gates as ``Gate`` tuples in evaluation order, built on first
+        read: :attr:`gates` itself unless Kahn's sort ordered them."""
+        gates = self.gates
+        return gates if self._rows is None else tuple(map(gates.__getitem__, self._rows))
+
+    def _eval_columns(self) -> tuple[list[GateKind], list[int], list[int], list[int]]:
+        """The kind, input and output columns in evaluation order."""
+        columns = (self._kinds, self._in0, self._in1, self._outs)
+        rows = self._rows
+        if rows is None:
+            return columns
+        return tuple(list(map(column.__getitem__, rows)) for column in columns)
 
     @functools.cached_property
     def nets(self) -> frozenset[int]:
@@ -426,15 +488,15 @@ class Netlist:
 
     # -- validation ---------------------------------------------------------
 
-    def _validate(self) -> tuple[frozenset[int], tuple[Gate, ...]]:
-        """Check the structure; return the driven nets and the gates in
-        evaluation order.
+    def _validate(self) -> frozenset[int]:
+        """Check the structure of ``self.gates``, fill the gate columns and
+        their evaluation order, and return the driven nets.
 
         The order is Kahn's, ready gates taken smallest id first. When every
         gate reads only input bits, constants and outputs of lower-id gates,
         as in every built netlist and the dump of one, that order is
-        ascending id: one pass over ``self.gates`` finds this, and the sort
-        runs only for text with forward references or cycles.
+        ascending id: one pass over the gates finds this, and the sort runs
+        only for text with forward references or cycles.
         """
         _check_name(self.name, "netlist")
         # Net -> its driver, as a value ``_driver_name`` formats only when a
@@ -467,14 +529,16 @@ class Netlist:
                 raise NetlistError(f"constant value must be 0 or 1, got {value}")
             claim(n, value)
 
+        gates = self.gates
         try:
-            self.gates = tuple(sorted(self.gates, key=itemgetter(0)))
+            gates = sorted(gates, key=itemgetter(0))
         except TypeError:  # ids that do not compare: the loop meets a non-int
             pass
         not_ = GateKind.NOT  # arity 1, every other kind 2; cheaper than .arity
         id_ordered = True  # every gate reads only nets driven before it
         last_id = None
-        for gate in self.gates:  # sorted by id, so duplicates are neighbours
+        ids, kinds, in0, in1, outs = [], [], [], [], []
+        for gate in gates:  # sorted by id, so duplicates are neighbours
             try:
                 gid, kind, inputs, output = gate
             except (TypeError, ValueError):
@@ -496,9 +560,14 @@ class Netlist:
                 for n in inputs:
                     if n not in drivers:
                         id_ordered = False
-            except TypeError:  # no len(), or an unhashable net
+                in0.append(inputs[0])
+                in1.append(inputs[-1])
+            except TypeError:  # no len(), an unhashable net, or no indexing
                 raise NetlistError(f"gate {gid} inputs {inputs!r} are not net ids") from None
             claim(output, gate)
+            ids.append(gid)
+            kinds.append(kind)
+            outs.append(output)
         # One pass over the driven nets; every gate input and output bit
         # must be one of them.
         if not set(map(type, drivers)) <= {int}:
@@ -506,7 +575,7 @@ class Netlist:
             raise NetlistError(f"net id {bad!r} is not an int")
 
         if not id_ordered:  # else every read was found driven above
-            for gate in self.gates:
+            for gate in gates:
                 for n in gate.inputs:
                     if n not in drivers:
                         raise NetlistError(f"gate {gate.id} reads undriven net {n}")
@@ -519,33 +588,39 @@ class Netlist:
                         raise NetlistError(f"floating output bit {bus}[{k}] (net {n})")
             except TypeError:  # unhashable
                 raise NetlistError(f"net id {n!r} is not an int") from None
+        self._ids = _gap_ids(ids)
+        self._kinds, self._in0, self._in1, self._outs = kinds, in0, in1, outs
+        self._rows = None
         if id_ordered:
-            return frozenset(drivers), self.gates
+            return frozenset(drivers)
 
-        # Kahn's algorithm over gates; ready ties broken by ascending gate id
-        # so evaluation order is reproducible.
-        producer = {g.output: g for g in self.gates}
-        pending = {g.id: sum(1 for n in g.inputs if n in producer) for g in self.gates}
-        ready = [g.id for g in self.gates if pending[g.id] == 0]
-        heapq.heapify(ready)
-        consumers: dict[int, list[Gate]] = {}
-        for g in self.gates:
-            for n in g.inputs:
+        # Kahn's algorithm over the rows, which are in ascending gate id, so
+        # taking the smallest ready row breaks ties by id and evaluation
+        # order is reproducible.
+        producer = {out: r for r, out in enumerate(outs)}
+        pending = []  # row -> inputs driven by gates not yet ordered
+        consumers: dict[int, list[int]] = {}  # net -> rows reading it
+        for r, gate in enumerate(gates):
+            waits = 0
+            for n in gate.inputs:
                 if n in producer:
-                    consumers.setdefault(n, []).append(g)
-        order: list[Gate] = []
-        by_id = {g.id: g for g in self.gates}
+                    waits += 1
+                    consumers.setdefault(n, []).append(r)
+            pending.append(waits)
+        ready = [r for r, waits in enumerate(pending) if not waits]  # sorted: a heap
+        order: list[int] = []
         while ready:
-            g = by_id[heapq.heappop(ready)]
-            order.append(g)
-            for consumer in consumers.get(g.output, ()):
-                pending[consumer.id] -= 1
-                if pending[consumer.id] == 0:
-                    heapq.heappush(ready, consumer.id)
-        if len(order) != len(self.gates):
-            stuck = sorted(gid for gid, deg in pending.items() if deg > 0)
+            r = heapq.heappop(ready)
+            order.append(r)
+            for consumer in consumers.get(outs[r], ()):
+                pending[consumer] -= 1
+                if not pending[consumer]:
+                    heapq.heappush(ready, consumer)
+        if len(order) != len(gates):
+            stuck = [ids[r] for r, waits in enumerate(pending) if waits]
             raise NetlistError(f"combinational cycle through gates {stuck}")
-        return frozenset(drivers), tuple(order)
+        self._rows = order
+        return frozenset(drivers)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -556,7 +631,7 @@ class Netlist:
         and one at the all-lanes mask. The bits of every bus in ``tied``
         start out as those constant slots (bit k of ``tied[bus]``), like the
         netlist's own constants, and the bus has no input slots. One pass
-        over ``_order`` maps every net to a representative slot. A gate
+        over the gate columns in evaluation order maps every net to a representative slot. A gate
         whose inputs are constant or are one slot twice is read off its
         truth table: it becomes a constant, a copy of its free input, or a
         NOT of it. Only gates that depend on two distinct slots, and those
@@ -569,26 +644,28 @@ class Netlist:
         reaches no output. The netlist itself keeps every gate for ``dump``
         and the cost model.
         """
+        kinds, in0, in1, outs = self._eval_columns()
         count = self._net_count
-        ids = sorted(self.nets) if count is None else range(count)
-        slot = {nid: i for i, nid in enumerate(ids)}
+        if count is None:  # the ids may be any ints: read the columns as slots
+            slot = {nid: i for i, nid in enumerate(sorted(self.nets))}
+            in0, in1, outs = ([slot[n] for n in column] for column in (in0, in1, outs))
+        else:
+            slot = range(count)  # each net id is its slot
         zero = len(slot)
         const = (zero, zero + 1)  # the slot of constant 0, of constant 1
-        rep = [*slot.values(), *const]
+        rep = [*range(zero), *const]
         for value, nid in self.consts.items():
             rep[slot[nid]] = const[value]
         for bus, value in tied.items():
             for k, nid in enumerate(self.inputs[bus]):
                 rep[slot[nid]] = const[(value >> k) & 1]
         ops: list[int] = []
-        in0: list[int] = []
-        in1: list[int] = []
-        outs: list[int] = []
+        p_in0: list[int] = []
+        p_in1: list[int] = []
+        p_outs: list[int] = []
         emitted: dict[tuple[int, int, int], int] = {}  # (op, sorted inputs) -> slot
-        for g in self._order:
-            op = _OPCODE[g.kind]
-            a, b = rep[slot[g.inputs[0]]], rep[slot[g.inputs[-1]]]
-            out = slot[g.output]
+        for op, a, b, out in zip(map(_OPCODE.__getitem__, kinds), in0, in1, outs):
+            a, b = rep[a], rep[b]
             if a >= zero or b >= zero or a == b:
                 t = _TRUTH[op]
                 ka, kb = a - zero, b - zero  # the constant's value where >= 0
@@ -618,9 +695,9 @@ class Netlist:
                 rep[out] = first
                 continue
             ops.append(op)
-            in0.append(a)
-            in1.append(b)
-            outs.append(out)
+            p_in0.append(a)
+            p_in1.append(b)
+            p_outs.append(out)
         out_slots = {
             bus: [rep[slot[n]] for n in nets] for bus, nets in self.outputs.items()
         }
@@ -631,17 +708,17 @@ class Netlist:
         # Every reader of a gate comes after it, so a gate's output is
         # marked live, if at all, before the sweep reaches the gate.
         for i in range(len(ops) - 1, -1, -1):
-            if live[outs[i]]:
-                live[in0[i]] = live[in1[i]] = 1
-        kept = bytes(map(live.__getitem__, outs))
+            if live[p_outs[i]]:
+                live[p_in0[i]] = live[p_in1[i]] = 1
+        kept = bytes(map(live.__getitem__, p_outs))
         in_slots = {
             bus: [slot[n] for n in nets] for bus, nets in self.inputs.items() if bus not in tied
         }
         return _Program(
             ops=list(compress(ops, kept)),
-            in0=list(compress(in0, kept)),
-            in1=list(compress(in1, kept)),
-            outs=list(compress(outs, kept)),
+            in0=list(compress(p_in0, kept)),
+            in1=list(compress(p_in1, kept)),
+            outs=list(compress(p_outs, kept)),
             size=zero + 2,
             in_slots=in_slots,
             out_slots=out_slots,
@@ -845,20 +922,19 @@ class Netlist:
         # Indexed by net id: a list when the ids are 0 .. _net_count - 1.
         count = self._net_count
         depth = dict.fromkeys(self.nets, 0) if count is None else [0] * count
-        for gate in self._order:
-            # A NOT reads one net: inputs[-1] is inputs[0].
-            inputs = gate.inputs
-            a = depth[inputs[0]]
-            b = depth[inputs[-1]]
-            depth[gate.output] = a + 1 if a > b else b + 1
+        _, in0, in1, outs = self._eval_columns()
+        for x, y, out in zip(in0, in1, outs):  # a NOT's y is its x
+            a = depth[x]
+            b = depth[y]
+            depth[out] = a + 1 if a > b else b + 1
         out_nets = {n for nets in self.outputs.values() for n in nets}
         return max((depth[n] for n in out_nets), default=0)
 
     def gate_counts(self) -> GateCounts:
         """Census of gates by kind; the total is the area metric."""
         # Kinds keyed in order of first appearance.
-        counts = Counter([gate.kind for gate in self.gates])
-        return GateCounts({kind.value: n for kind, n in counts.items()}, len(self.gates))
+        counts = Counter(self._kinds)
+        return GateCounts({kind.value: n for kind, n in counts.items()}, len(self._kinds))
 
     def input_width(self, bus: str) -> int:
         return len(self.inputs[bus])
@@ -869,7 +945,7 @@ class Netlist:
     def __repr__(self) -> str:
         return (
             f"Netlist({self.name!r}, inputs={list(self.inputs)}, "
-            f"outputs={list(self.outputs)}, gates={len(self.gates)})"
+            f"outputs={list(self.outputs)}, gates={len(self._kinds)})"
         )
 
 
@@ -880,12 +956,13 @@ class NetlistBuilder:
     A net is created together with its driver: :meth:`add_input` makes the
     input bits, :meth:`const` the constant nets, :meth:`add_gate` a fresh
     output net per gate and :meth:`add_ripple_chain` five per full adder,
-    after checking the chain's operand nets once. A net id is a plain
-    ``int`` below the next fresh id. Every gate therefore reads nets that
-    already exist, and a built netlist has no floating nets, no second
-    drivers and no cycles, and its gate ids are a topological order.
-    :meth:`finalize` therefore trusts these checks: it checks the netlist
-    name and hands the gates over as they are, without
+    after checking the chain's operand nets once, each appending to the
+    gate columns that ``Netlist`` takes; no ``Gate`` tuple is made. A
+    net id is a plain ``int`` below the next fresh id. Every gate therefore
+    reads nets that already exist, and a built netlist has no floating
+    nets, no second drivers and no cycles, and its gate ids are a
+    topological order. :meth:`finalize` therefore trusts these checks: it
+    checks the netlist name and hands the columns over as they are, without
     ``Netlist._validate``. (The text format allows forward references;
     ``Netlist(...)`` validates what ``parse_netlist`` reads unless it is
     dump-ordered, and sorts such a netlist's gates with Kahn's algorithm.)
@@ -900,7 +977,12 @@ class NetlistBuilder:
         self.name = name
         self._inputs: dict[str, tuple[int, ...]] = {}
         self._outputs: dict[str, list[int]] = {}
-        self._gates: list[Gate] = []
+        # The gate columns ``Netlist`` takes (see its docstring); row r is
+        # gate r.
+        self._kinds: list[GateKind] = []
+        self._in0: list[int] = []
+        self._in1: list[int] = []
+        self._outs: list[int] = []
         self._consts: dict[int, int] = {}
         self._next_net = 0
         self._done = False
@@ -963,8 +1045,10 @@ class NetlistBuilder:
             if type(n) is not int or not 0 <= n < output:
                 raise NetlistError(f"unknown input net {n}")
         self._next_net = output + 1
-        gates = self._gates
-        gates.append(_new_tuple(Gate, (len(gates), kind, inputs, output)))
+        self._kinds.append(kind)
+        self._in0.append(inputs[0])
+        self._in1.append(inputs[-1])
+        self._outs.append(output)
         return output
 
     def add_ripple_chain(
@@ -993,24 +1077,17 @@ class NetlistBuilder:
         for n in reads:
             if type(n) is not int or not 0 <= n < net:
                 raise NetlistError(f"unknown input net {n}")
-        gates = self._gates
-        extend = gates.extend
-        gid = len(gates)
+        extend0 = self._in0.extend
+        extend1 = self._in1.extend
         first = net
         carry = cin
         for x, y in zip(a_bits, b_bits):
-            xy = (x, y)
-            pc = (net, carry)
-            extend((
-                _new_tuple(Gate, (gid, _XOR, xy, net)),
-                _new_tuple(Gate, (gid + 1, _XOR, pc, net + 1)),
-                _new_tuple(Gate, (gid + 2, _AND, xy, net + 2)),
-                _new_tuple(Gate, (gid + 3, _AND, pc, net + 3)),
-                _new_tuple(Gate, (gid + 4, _OR, (net + 2, net + 3), net + 4)),
-            ))
+            extend0((x, net, x, net, net + 2))
+            extend1((y, carry, y, carry, net + 3))
             carry = net + 4
-            gid += 5
             net += 5
+        self._kinds.extend(_FULL_ADDER * len(a_bits))
+        self._outs.extend(range(first, net))
         self._next_net = net
         return list(range(first + 1, net, 5)), carry
 
@@ -1045,7 +1122,11 @@ class NetlistBuilder:
             self.name,
             self._inputs,
             {bus: tuple(nets) for bus, nets in self._outputs.items()},
-            tuple(self._gates),
+            self._kinds,
+            self._in0,
+            self._in1,
+            self._outs,
             self._consts,
             self._next_net,
+            None,
         )

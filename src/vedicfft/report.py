@@ -158,9 +158,13 @@ def compare(variants: VariantSet | None = None) -> tuple[ComparisonTable, Compar
             "multiplier variants are not truth-table equivalent on all 256 "
             "input pairs; comparison refused"
         )
-    reports = {
-        label: cost_report(variants.datapaths[label], label) for label in _ROW_ORDER
-    }
+    # Rows may share a netlist (the 2-point pair does): cost each one once.
+    costs: dict[int, CostReport] = {}
+    for label in _ROW_ORDER:
+        net = variants.datapaths[label]
+        if id(net) not in costs:
+            costs[id(net)] = cost_report(net)
+    reports = {label: costs[id(variants.datapaths[label])] for label in _ROW_ORDER}
     delay_rows = tuple((label, reports[label].depth_units) for label in _ROW_ORDER)
     area_rows = tuple((label, reports[label].gates_total) for label in _ROW_ORDER)
 

@@ -251,7 +251,8 @@ class TestRippleChain:
         b, a, c = _chain_builder()
         with pytest.raises(NetlistError, match=r"^unknown input net 9$"):
             ripple_add(b, [a[0], 9], [c[0], c[1]], b.const(0))
-        assert len(b._gates) == 1 and b._next_net == 9
+        assert len(b._kinds) == len(b._in0) == len(b._in1) == len(b._outs) == 1
+        assert b._next_net == 9
 
     def test_finalized_builder(self):
         b, a, c = _chain_builder()
@@ -270,7 +271,8 @@ class TestRippleChain:
         b, _, _ = _chain_builder()
         for cin in (7, -1, "not a net", None):
             assert ripple_add(b, [], [], cin) == ([], cin)
-        assert len(b._gates) == 1 and b._next_net == 9
+        assert len(b._kinds) == len(b._in0) == len(b._in1) == len(b._outs) == 1
+        assert b._next_net == 9
 
 
 class TestSubtractor:

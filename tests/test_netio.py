@@ -5,6 +5,8 @@ import tracemalloc
 import pytest
 
 from vedicfft import (
+    Gate,
+    GateKind,
     Netlist,
     NetlistBuilder,
     NetlistError,
@@ -16,6 +18,7 @@ from vedicfft import (
 from vedicfft import fft
 from vedicfft.arith import ripple_add
 from vedicfft.netio import MAX_BUS_WIDTH
+from vedicfft.report import cost_report
 
 
 def _random_equivalent(a, b, cases=10, seed=11):
@@ -450,6 +453,115 @@ def test_catalog_dump_parses_to_pinned_nets(unit):
     assert dump_netlist(net) == text
     parsed = repr((net.inputs, net.outputs, net.consts, net.gates))
     assert hashlib.sha256(parsed.encode()).hexdigest() == _PARSED_DIGESTS[unit]
+
+
+# SHA-256 of repr((inputs, outputs, consts, gates)) of each built unit: the
+# ``Gate`` tuples its builder's columns give, as per-gate storage gave them.
+_BUILT_DIGESTS = {
+    "vedic2x2": "aa49aa61679b4cce955e646a2fa1ddea96a4f7c4f4447f5c78c2cb462605fab5",
+    "vedic4x4": "b37e70ca7fd71b7e46fb698a010d1077b18c570337a30f5d72cddeaca37234b3",
+    "array4x4": "676efe2462f96966ededbd8dfc70146e4342659f0f4a15f51a99d545d87688f4",
+    "adder4": "67dbfa498658b3ba05e514e6a9d5ec9305fff85109df2273c797316a0c1a99cd",
+    "subtractor4": "a601a62de0f911363fdc916c8b20b641ff3150c32bcee8f669d9effb85f7a571",
+    "butterfly2": "5dcba5976f19acf74c8c3fc2b410734f7e233ae7c8cdb676ef03b97c13df2f3f",
+    "fft4": "d9943ecd5399b61fb903ec5c9f6ef2a438c835539efbb0f7f372a608abd60ec4",
+    "fft4_q3": "209940c4279f120d2dd46187d1ab01e4b1ab2399137c09e6a561411e0f4d5f8d",
+    "reconfigurable": "bc1db55c2dfa5a99e84c5608dfbe8bf619d9ac693b71db0f47b0351f3cbcff42",
+    "reconfigurable_q3": "b2d8478bf55743fd578c01c3cd9f453b36d5f9b28d47504a671bad8d2da646a5",
+    "adder16": "52c0bb3dcb16a02436385671fd662a117e22459e889ed042c1378627b3f299cc",
+    "fft4_q1": "36d9213c2fbf2babe71b6d72755d518f6afea92699376590f80727ddd063ab93",
+}
+
+
+@pytest.mark.parametrize("unit", sorted(_BUILT_DIGESTS))
+def test_catalog_unit_builds_pinned_gates(unit):
+    assert set(_BUILT_DIGESTS) == set(_PARSED_DIGESTS)
+    net = fft.build_unit(unit)
+    built = repr((net.inputs, net.outputs, net.consts, net.gates))
+    assert hashlib.sha256(built.encode()).hexdigest() == _BUILT_DIGESTS[unit]
+    assert net._order is net.gates
+
+
+@pytest.mark.parametrize("unit", fft.unit_names())
+def test_hot_paths_make_no_gate_tuples(monkeypatch, unit):
+    # Built and dump-parsed netlists keep their gates as columns only: no
+    # ``Gate`` is made unless ``gates`` or ``_order`` is read.
+    made = []
+    new = Gate.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Gate, "__new__", counting_new)
+    built = fft.build_unit(unit)
+    text = dump_netlist(built)
+    parsed = parse_netlist(text)
+    for net in (built, parsed):
+        assert dump_netlist(net) == text
+        assert net.critical_path_depth() > 0
+        assert net.gate_counts().total == cost_report(net).gates_total > 0
+        columns = {bus: [0, (1 << len(bits)) - 1] for bus, bits in net.inputs.items()}
+        assert net.evaluate_batch(columns).keys() == net.outputs.keys()
+        assert "gates" not in net.__dict__ and "_order" not in net.__dict__
+    assert made == []
+    assert len(built.gates) == built.gate_counts().total == len(made)
+
+
+# Text that reads gates of higher id (forward references) and whose ids have
+# gaps: Kahn's sort orders it. Expected values were produced by per-gate
+# storage, before the gates were columns.
+_FORWARD_TEXT = (
+    "netlist t v1\ninput a 2\nconst1 n9\n"
+    "gate 0 NOT n1 -> n0\ngate 1 AND a[0] n3 -> n1\ngate 2 XOR n0 n9 -> n2\n"
+    "gate 5 NOT a[1] -> n3\ngate 7 OR n2 n3 -> n4\noutput o n0 n2 n4\noutput p n1\n"
+)
+
+
+def test_forward_references_keep_gates_order_depth_dump_and_program():
+    net = parse_netlist(_FORWARD_TEXT)
+    not_, and_, xor, or_ = GateKind.NOT, GateKind.AND, GateKind.XOR, GateKind.OR
+    assert net.gates == (
+        Gate(0, not_, (3,), 4),
+        Gate(1, and_, (0, 5), 3),
+        Gate(2, xor, (4, 2), 6),
+        Gate(5, not_, (1,), 5),
+        Gate(7, or_, (6, 5), 7),
+    )
+    assert [g.id for g in net._order] == [5, 1, 0, 2, 7]
+    assert all(type(g) is Gate for g in net._order)
+    assert net.critical_path_depth() == 5
+    assert dump_netlist(net) == (
+        "netlist t v1\ninput a 2\nconst1 n0\n"
+        "gate 0 NOT n2 -> n1\ngate 1 AND a[0] n4 -> n2\ngate 2 XOR n1 n0 -> n3\n"
+        "gate 3 NOT a[1] -> n4\ngate 4 OR n3 n4 -> n5\noutput o n1 n3 n5\noutput p n2\n"
+    )
+    assert repr(net._compile({})) == (
+        "_Program(ops=[3, 0, 3, 3, 1], in0=[1, 0, 3, 4, 6], in1=[1, 5, 3, 4, 5], "
+        "outs=[5, 3, 4, 6, 7], size=10, in_slots={'a': [0, 1]}, "
+        "out_slots={'o': [4, 6, 7], 'p': [3]}, in_bits=2, name='t ()')"
+    )
+
+
+def test_dump_ordered_text_keeps_gate_ids_with_gaps(monkeypatch):
+    # Ascending ids with gaps are still dump order: the parse is trusted and
+    # keeps the ids, and the dump numbers the gates 0 .. G - 1.
+    monkeypatch.setattr(Netlist, "_validate", None)
+    net = parse_netlist(
+        "netlist t v1\ninput a 1\ngate 3 NOT a[0] -> n0\n"
+        "gate 8 AND a[0] n0 -> n1\ngate 9 NOT n1 -> n2\noutput o n2\n"
+    )
+    assert [(g.id, g.kind, g.inputs, g.output) for g in net.gates] == [
+        (3, GateKind.NOT, (0,), 1),
+        (8, GateKind.AND, (0, 1), 2),
+        (9, GateKind.NOT, (2,), 3),
+    ]
+    assert net._order == net.gates
+    assert dump_netlist(net).splitlines()[2:5] == [
+        "gate 0 NOT a[0] -> n0",
+        "gate 1 AND a[0] n0 -> n1",
+        "gate 2 NOT n1 -> n2",
+    ]
 
 
 def test_validation_still_applies_after_parse():

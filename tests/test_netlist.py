@@ -29,15 +29,23 @@ def _single_and():
     return b.finalize()
 
 
+def _gate_rows(b):
+    """A builder's gates, one (kind, in0, in1, out) row each, from its four
+    gate columns, which must be equally long."""
+    columns = (b._kinds, b._in0, b._in1, b._outs)
+    assert len({len(column) for column in columns}) == 1
+    return list(zip(*columns))
+
+
 class TestBuilder:
     def test_add_gate_returns_fresh_net(self):
         b = NetlistBuilder("t")
         x = b.add_input("x", 1)[0]
         y = b.add_input("y", 1)[0]
-        before = len(b._gates)
+        before = len(_gate_rows(b))
         out = b.add_gate("AND", [x, y])
         assert out not in (x, y)
-        assert len(b._gates) == before + 1
+        assert len(_gate_rows(b)) == before + 1
 
     def test_wrong_arity_rejected(self):
         b = NetlistBuilder("t")
@@ -60,7 +68,7 @@ class TestBuilder:
         with pytest.raises(NetlistError) as excinfo:
             b.add_gate("AND", [x, bad])
         assert str(excinfo.value) == f"unknown input net {bad}"
-        assert b._gates == []
+        assert _gate_rows(b) == []
 
     @pytest.mark.parametrize("bad", [0.0, False, -1, 3])
     def test_output_net_must_be_an_existing_int(self, bad):
@@ -77,7 +85,7 @@ class TestBuilder:
         b.add_gate("nand", [x, x])
         b.add_gate(GateKind.XOR, [x, x])
         b.add_gate("NOT", [x])
-        assert [g.kind for g in b._gates] == [GateKind.NAND, GateKind.XOR, GateKind.NOT]
+        assert [kind for kind, *_ in _gate_rows(b)] == [GateKind.NAND, GateKind.XOR, GateKind.NOT]
         for bad in ("MUX", ["AND"], 3):
             with pytest.raises(NetlistError) as excinfo:
                 b.add_gate(bad, [x, x])
@@ -172,7 +180,7 @@ class TestBuilder:
             else "output bus o must be a sequence of nets, got 7"
         )
         assert str(excinfo.value) == message
-        assert b._gates == [] and b._outputs == {} and b._next_net == 8
+        assert _gate_rows(b) == [] and b._outputs == {} and b._next_net == 8
 
     def test_zero_width_rejected(self):
         b = NetlistBuilder("t")

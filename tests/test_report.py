@@ -12,6 +12,7 @@ from vedicfft import (
     build_ripple_adder,
     build_vedic2x2,
 )
+from vedicfft import report
 from vedicfft.report import (
     MODEL_NOTE,
     ComparisonError,
@@ -144,6 +145,24 @@ class TestCompare:
         areas = dict(area.rows)
         assert delays["vedic_reconfigurable"] >= delays["vedic_4pt"]
         assert areas["vedic_reconfigurable"] >= areas["vedic_4pt"] + areas["vedic_2pt"]
+
+    def test_each_distinct_netlist_costed_once(self, monkeypatch, tables):
+        # The two 2-point rows share one butterfly; separate but equal
+        # butterflies cost twice and give the same tables.
+        costed = []
+
+        def counting_cost_report(netlist, label=None):
+            costed.append(netlist)
+            return cost_report(netlist, label)
+
+        monkeypatch.setattr(report, "cost_report", counting_cost_report)
+        variants = build_variants()
+        assert compare(variants) == tables
+        assert len(costed) == len({id(net) for net in costed}) == 5
+        datapaths = {**variants.datapaths, "vedic_2pt": build_butterfly2(4)}
+        costed.clear()
+        assert compare(dataclasses.replace(variants, datapaths=datapaths)) == tables
+        assert len(costed) == len({id(net) for net in costed}) == 6
 
 
 class TestCompareRefusals:

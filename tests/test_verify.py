@@ -232,9 +232,9 @@ def multiplier_gate_ids(monkeypatch, config):
     emit = fft._signed_multiplier4
 
     def recording(b, *args):
-        start = len(b._gates)
+        start = len(b._kinds)
         product = emit(b, *args)
-        ids.update(range(start, len(b._gates)))
+        ids.update(range(start, len(b._kinds)))
         return product
 
     with monkeypatch.context() as patch:
