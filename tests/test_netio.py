@@ -648,3 +648,90 @@ def test_input_width_cap_boundary():
     assert parse_netlist(widest).input_width("a") == MAX_BUS_WIDTH
     with pytest.raises(NetlistFormatError, match="limit"):
         parse_netlist(f"netlist t v1\ninput a {MAX_BUS_WIDTH + 1}\noutput o a[0]\n")
+
+
+# Small catalog units whose dumps the fuzz test mutates, and how many
+# mutated texts each gets: the smaller the dump, the more texts.
+_FUZZ_UNITS = {
+    "vedic2x2": 800,
+    "adder4": 600,
+    "subtractor4": 500,
+    "array4x4": 200,
+    "butterfly2": 150,
+    "vedic4x4": 150,
+}
+
+# Lines and tokens the mutations insert: some well formed, some not.
+_STRAY_LINES = (
+    "",
+    "# a comment",
+    "bogus line",
+    "netlist t v1",
+    "input q 2",
+    "const0 n3",
+    "const1 n0",
+    "output z n0",
+    "gate 999 NOT n0 -> n999",
+    "gate 5 AND n1 n2 -> n4",
+    "gate 7 XOR q[1] n2 -> n40",
+)
+_STRAY_TOKENS = ("n0", "n1", "n07", "n99", "a[0]", "a[9]", "b[1]", "x", "-1", "->", "AND", "7")
+_KIND_NAMES = (*(kind.value for kind in GateKind), "nand", "MUX")
+
+
+def _mutate(rng, lines):
+    """One random edit of a list of text lines, in place."""
+    op = rng.randrange(6)
+    i = rng.randrange(len(lines))
+    if op == 0 and len(lines) > 1:
+        del lines[i]
+    elif op == 1:
+        j = rng.randrange(len(lines))
+        lines[i], lines[j] = lines[j], lines[i]
+    elif op == 2:
+        lines.insert(rng.randrange(len(lines) + 1), lines[i])
+    elif op == 3:
+        fields = lines[i].split()
+        if fields:
+            other = rng.choice(lines).split() or ["n0"]
+            pool = other if rng.random() < 0.5 else _STRAY_TOKENS
+            fields[rng.randrange(len(fields))] = rng.choice(pool)
+            lines[i] = " ".join(fields)
+    elif op == 4:
+        gates = [k for k, line in enumerate(lines) if line.startswith("gate ")]
+        if gates:
+            k = rng.choice(gates)
+            fields = lines[k].split()
+            fields[2] = rng.choice(_KIND_NAMES)
+            lines[k] = " ".join(fields)
+    else:
+        lines.insert(rng.randrange(len(lines) + 1), rng.choice(_STRAY_LINES))
+
+
+def test_mutated_dumps_are_rejected_cleanly_or_round_trip():
+    # A mutated dump is either rejected with NetlistError (or its
+    # NetlistFormatError) and nothing else, or accepted; an accepted text
+    # dumps to a fixed point and compiles to the program that ``Netlist(...)``
+    # compiles from its parts.
+    rng = random.Random(20260)
+    outcomes = {"rejected": 0, "accepted": 0}
+    for unit, count in _FUZZ_UNITS.items():
+        lines = dump_netlist(fft.build_unit(unit)).splitlines()
+        for _ in range(count):
+            mutated = list(lines)
+            for _ in range(rng.randrange(1, 4)):
+                _mutate(rng, mutated)
+            text = "\n".join(mutated) + "\n"
+            try:
+                net = parse_netlist(text)
+            except NetlistError:
+                outcomes["rejected"] += 1
+                continue
+            outcomes["accepted"] += 1
+            dumped = dump_netlist(net)
+            assert dump_netlist(parse_netlist(dumped)) == dumped, text
+            ref = Netlist(net.name, net.inputs, net.outputs, net.gates, net.consts)
+            assert repr(net._compile({})) == repr(ref._compile({})), text
+            assert dump_netlist(ref) == dumped, text
+    assert sum(outcomes.values()) == sum(_FUZZ_UNITS.values())
+    assert min(outcomes.values()) > 300, outcomes
