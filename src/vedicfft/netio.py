@@ -9,24 +9,26 @@
 
 Input bits are named ``<busname>[k]`` and internal nets ``n<int>``.
 ``#`` starts a comment. Dumps are canonical and deterministic: gates are
-emitted in ascending gate id and internal nets renumbered in emission order,
-so dumping a parsed dump reproduces it byte for byte.
+emitted in evaluation order, which is ascending gate id, numbered from 0,
+and internal nets renumbered in emission order, so dumping a parsed dump
+reproduces it byte for byte.
 
 The parser keeps one table from token to net. A token seen before costs one
 lookup, and so does a gate's new output spelled as a dump spells it; every
 other token is read by its regex, so ``n07`` and ``n7`` name one net, as do
 ``a[01]`` and ``a[1]``.
 
-Text in dump order is not validated twice. The parser's own pass shows
-it: every gate output is a fresh token spelled as a dump spells it, gate
-ids strictly ascend, each ``const`` token is new, every bus name is valid
-and no output bus is named as an input, and the parser made no net
-without its driver, so every gate input and output bit names a net
-driven above it. The netlist is then built trusted, nets ``0 .. N - 1``
-and its gate columns in id order, as ``NetlistBuilder.finalize`` builds
-one; the parser appends each gate to the columns and makes no ``Gate``.
-Any other text goes to ``Netlist(...)``, which validates it and raises
-the same messages as ever.
+The parser numbers nets in order of first appearance, appends each gate
+to the gate columns a ``Netlist`` keeps and makes no ``Gate``. Text in
+dump order is not validated twice. The parser's own pass shows it: every
+gate output is a fresh token spelled as a dump spells it, gate ids
+strictly ascend, each ``const`` token is new, every bus name is valid and
+no output bus is named as an input, and the parser made no net without
+its driver, so every gate input and output bit names a net driven above
+it. Its columns are then taken as they are, as ``NetlistBuilder.finalize``
+hands over its own. Any other text goes, with its gate ids, to the
+validator ``Netlist(...)`` runs, and gets its messages. Either way the
+gates are stored, and dumped, in evaluation order as gates ``0 .. G - 1``.
 """
 
 from __future__ import annotations
@@ -40,8 +42,6 @@ from .netlist import (
     GateKind,
     Netlist,
     NetlistError,
-    _gap_ids,
-    _gate,
     as_gate_kind,
 )
 
@@ -54,9 +54,7 @@ class NetlistFormatError(NetlistError):
 
 def dump_netlist(netlist: Netlist) -> str:
     """Serialize to the canonical structural text format."""
-    # Net id -> its token; a list when the ids are 0 .. N - 1.
-    count = netlist._net_count
-    text_id: dict[int, str] | list[str] = {} if count is None else [""] * count
+    text_id = [""] * netlist._net_count  # net id -> its token
     for bus, nets in netlist.inputs.items():
         for k, n in enumerate(nets):
             text_id[n] = f"{bus}[{k}]"
@@ -68,7 +66,7 @@ def dump_netlist(netlist: Netlist) -> str:
             const_lines.append(f"const{value} n{counter}")
             counter += 1
     kinds, in0, in1, outs = netlist._kinds, netlist._in0, netlist._in1, netlist._outs
-    for counter, out in enumerate(outs, counter):  # ascending gate id
+    for counter, out in enumerate(outs, counter):  # evaluation order
         text_id[out] = f"n{counter}"
 
     kind_name = {kind: kind.value for kind in GateKind}
@@ -92,10 +90,11 @@ def dump_netlist(netlist: Netlist) -> str:
 
 def parse_netlist(text: str) -> Netlist:
     """Parse the structural format back into a Netlist: trusted when the
-    text is dump-ordered, else validated by ``Netlist(...)``."""
+    text is dump-ordered, else validated by ``Netlist._validate``."""
     inputs: dict[str, tuple[int, ...]] = {}
     outputs: dict[str, tuple[int, ...]] = {}
-    # The gate columns ``Netlist._trusted`` takes, and the gate ids.
+    # The gate columns ``Netlist._trusted`` takes, and the gate ids, which
+    # only validation reads.
     ids: list[int] = []
     kinds: list[GateKind] = []
     in0: list[int] = []
@@ -268,7 +267,6 @@ def parse_netlist(text: str) -> Netlist:
     # As many nets as drivers: no net was made without its driver.
     drivers = sum(map(len, inputs.values())) + len(consts) + len(ids)
     if ordered and next_id == drivers:
-        return Netlist._trusted(
-            name, inputs, outputs, kinds, in0, in1, outs, consts, next_id, _gap_ids(ids)
-        )
-    return Netlist(name, inputs, outputs, map(_gate, ids, kinds, in0, in1, outs), consts)
+        return Netlist._trusted(name, inputs, outputs, kinds, in0, in1, outs, consts, next_id)
+    parts = Netlist._validate(name, inputs, outputs, ids, kinds, in0, in1, outs, consts)
+    return Netlist._trusted(*parts)

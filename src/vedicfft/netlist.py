@@ -5,24 +5,25 @@ The model is a DAG of single-output boolean gates connected by nets, each
 net an integer id with exactly one driver: an input bit, a constant or a
 gate. Buses are named, ordered lists of nets, LSB first. Bus values travel
 as raw unsigned ints (bit k of the int is net k of the bus);
-:func:`to_signed` reads one as two's complement. A netlist stores its gates
-as parallel columns (kind, first input, second input, output net), as a
-compiled ``_Program`` does; ``Netlist.gates`` is a view of ``Gate`` tuples
-built on first read. A unit is built in one :class:`NetlistBuilder`:
-composite blocks append their gates straight to its columns, so every
-gate is stored once. The builder checks each net, gate
-and bus as it is added (a ripple-carry chain's operand nets once per
-chain), so its ``finalize`` checks only the netlist name and does not
-validate again: the gate ids are the evaluation order and the nets are
-every id it handed out, ``0 .. N - 1``.
-:func:`vedicfft.netio.parse_netlist` trusts dump-ordered text the same
-way, having checked it as it read it; such a netlist records its net count
-``N``, and depth and dump index a list by net id. ``Netlist(...)``, and so
-``parse_netlist`` on any other text, validates the structure and fixes the
-evaluation order: Kahn's topological sort, smallest ready gate id first.
-Its net ids may be any ints. Where every gate reads only nets driven
-before it in id order, that order is ascending id and validation is one
-linear pass; only text with forward references or cycles runs the sort. A
+:func:`to_signed` reads one as two's complement. Every netlist has one
+shape: its nets are ``0 .. N - 1``, so a net's id is its slot in a
+compiled ``_Program`` and its index in any list kept per net, and its
+gates are parallel columns (kind, first input, second input, output net)
+in evaluation order, gate r having id r; ``Netlist.gates`` is a view of
+``Gate`` tuples built on first read. A unit is built in one
+:class:`NetlistBuilder`: composite blocks append their gates straight to
+its columns, so every gate is stored once. The builder checks each net,
+gate and bus as it is added (a ripple-carry chain's operand nets once per
+chain), so its ``finalize`` checks only the netlist name and hands its
+columns over as they are. :func:`vedicfft.netio.parse_netlist` trusts
+dump-ordered text the same way, having checked it as it read it.
+``Netlist(...)``, and ``parse_netlist`` on any other text, run the one
+validator, :meth:`Netlist._validate`, over the gate columns: it fixes the
+evaluation order, Kahn's topological sort with the smallest ready gate id
+first, renumbers the nets by ascending id and the gates in evaluation
+order. Where every gate reads only nets driven before it in id order,
+that order is ascending id and validation is one linear pass; only text
+with forward references or cycles runs the sort. A
 finalized ``Netlist`` is immutable and safe to share across threads:
 threads that race on the first read of a lazy view (``gates``, ``nets``)
 may each build it, equal values, and the last assignment wins;
@@ -78,7 +79,7 @@ import re
 from collections import Counter
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from itertools import chain, compress, islice, repeat
-from operator import itemgetter
+from operator import itemgetter, lt
 from typing import NamedTuple
 
 
@@ -186,17 +187,6 @@ class Gate(NamedTuple):
     output: int
 
 
-def _gate(gid: int, kind: GateKind, a: int, b: int, out: int) -> Gate:
-    """One row of a netlist's gate columns as a ``Gate``."""
-    return Gate(gid, kind, (a,) if kind is _NOT else (a, b), out)
-
-
-def _gap_ids(ids: list[int]) -> list[int] | None:
-    """Strictly ascending gate ids as a netlist keeps them: ``None`` where
-    they are exactly ``0 .. G - 1``, the ids a row index implies."""
-    return None if not ids or ids[0] == 0 and ids[-1] == len(ids) - 1 else ids
-
-
 class GateCounts(NamedTuple):
     by_kind: dict[str, int]
     total: int
@@ -217,13 +207,12 @@ class _Program(NamedTuple):
     name: str  # the netlist name and the program key, for kernel file names
 
 
-def _driver_name(driver: tuple[str, int] | int | Gate) -> str:
-    """Describe a driver as ``Netlist._validate`` records it."""
-    if isinstance(driver, Gate):
-        return f"gate {driver.id}"
+def _driver_name(driver: tuple[str, int] | str | int) -> str:
+    """Describe a driver as ``Netlist._validate`` records it: an input's
+    (bus, bit), ``"const0"`` or ``"const1"``, or a gate id."""
     if isinstance(driver, tuple):
         return f"input {driver[0]}[{driver[1]}]"
-    return f"const{driver}"
+    return driver if isinstance(driver, str) else f"gate {driver}"
 
 
 # Table k of ``bytes.translate``: each byte to the ASCII binary digit of
@@ -383,15 +372,12 @@ class Netlist:
 
     Construct through :class:`NetlistBuilder` or :func:`vedicfft.netio.parse_netlist`.
 
-    The gates are stored as four parallel columns in ascending gate id
-    order: ``_kinds`` (the ``GateKind``), ``_in0`` and ``_in1`` (the input
+    Every netlist has one shape. Its nets are ``0 .. _net_count - 1``. Its
+    gates are four parallel columns in evaluation order, row r being gate
+    ``r``: ``_kinds`` (the ``GateKind``), ``_in0`` and ``_in1`` (the input
     nets; a NOT's ``_in1`` repeats its ``_in0``, as in ``_Program``) and
-    ``_outs`` (the output net). Row r is gate ``r`` unless ``_ids`` lists
-    the ids, as it does only for ids other than ``0 .. G - 1``.
-    ``_rows`` is the evaluation order as row indices where it is not row
-    order, as only Kahn's sort leaves it. :attr:`gates` and ``_order``
-    are views of ``Gate`` tuples built from the columns on first read;
-    no analysis, dump or compile reads them.
+    ``_outs`` (the output net). :attr:`gates` and :attr:`nets` are views
+    built on first read; no analysis, dump or compile reads them.
     """
 
     def __init__(
@@ -402,46 +388,72 @@ class Netlist:
         gates: Iterable[Gate],
         consts: Mapping[int, int],
     ):
-        self.name = name
-        self.inputs: dict[str, tuple[int, ...]] = {b: tuple(n) for b, n in inputs.items()}
-        self.outputs: dict[str, tuple[int, ...]] = {b: tuple(n) for b, n in outputs.items()}
-        # ``_validate`` reads the gates here and fills the columns; the
-        # tuples are then dropped for the view built from the columns.
-        self.gates = tuple(gates)
-        self.consts: dict[int, int] = dict(consts)  # constant bit value -> net id
-        self.nets = self._validate()
-        del self.gates
-        self._net_count: int | None = None  # the ids may be any ints
-        # One program per sorted tuple of (bus, value) scalars; () is the
-        # program with no input tied. Under the same key: its generated
-        # one-lane kernel and its generated lanes kernel, once it has them.
-        self._programs: dict[tuple[tuple[str, int], ...], _Program] = {}
-        self._kernels: dict[tuple[tuple[str, int], ...], Callable[..., tuple]] = {}
-        self._lane_kernels: dict[tuple[tuple[str, int], ...], Callable[..., tuple]] = {}
+        """Validate a netlist given as ``Gate`` tuples, in any order, and
+        store it in the one shape (see :meth:`_validate`): net ids and gate
+        ids may be any distinct ints. The gates are read into columns once,
+        in ascending id order; the first one that cannot be a row ends the
+        columns, and the validator raises its message where checking that
+        gate would."""
+        inputs = {b: tuple(n) for b, n in inputs.items()}
+        outputs = {b: tuple(n) for b, n in outputs.items()}
+        gates = tuple(gates)
+        try:
+            gates = sorted(gates, key=itemgetter(0))
+        except (TypeError, IndexError):  # the loop meets the unsortable gate
+            pass
+        ids, kinds, in0, in1, outs = [], [], [], [], []
+        flaw = None
+        last_id = None
+        for gate in gates:  # sorted by id, so duplicates are neighbours
+            try:
+                gid, kind, reads, output = gate
+            except (TypeError, ValueError):
+                flaw = f"gate {gate!r} is not (id, kind, inputs, output)"
+                break
+            if type(gate) is not Gate:
+                flaw = f"gate {gate!r} is not a Gate"
+            elif type(gid) is not int:
+                flaw = f"gate id {gid!r} is not an int"
+            elif gid == last_id:
+                flaw = f"duplicate gate id {gid}"
+            elif type(kind) is not GateKind:
+                flaw = f"gate {gid} kind {kind!r} is not a GateKind"
+            else:
+                try:
+                    if len(reads) != (1 if kind is _NOT else 2):
+                        arity = f"({kind.value}) takes {kind.arity} inputs"
+                        flaw = f"gate {gid} {arity}, got {len(reads)}"
+                    else:
+                        a, b = reads[0], reads[-1]
+                        if type(a) is not int or type(b) is not int:
+                            hash(a), hash(b)  # the validator names a hashable non-int
+                except TypeError:  # no len(), no indexing or an unhashable net
+                    flaw = f"gate {gid} inputs {reads!r} are not net ids"
+            if flaw is not None:
+                break
+            last_id = gid
+            ids.append(gid)
+            kinds.append(kind)
+            in0.append(a)
+            in1.append(b)
+            outs.append(output)
+        columns = (ids, kinds, in0, in1, outs)
+        self._store(*Netlist._validate(name, inputs, outputs, *columns, dict(consts), flaw))
 
     @classmethod
-    def _trusted(
-        cls,
-        name: str,
-        inputs: dict[str, tuple[int, ...]],
-        outputs: dict[str, tuple[int, ...]],
-        kinds: list[GateKind],
-        in0: list[int],
-        in1: list[int],
-        outs: list[int],
-        consts: dict[int, int],
-        net_count: int,
-        ids: list[int] | None,
-    ) -> Netlist:
-        """A netlist whose structure its caller guarantees, without
-        :meth:`_validate`: the gate columns (see the class docstring) in
-        ascending id order, which is also evaluation order, and the driven
-        nets exactly ``0 .. net_count - 1``, each with one driver; ``ids``
-        is ``None`` when the gate ids are ``0 .. G - 1``. The columns are
-        taken, not copied. :meth:`NetlistBuilder.finalize` calls it, and so
-        does :func:`vedicfft.netio.parse_netlist` for text its own pass has
-        shown to be dump-ordered."""
+    def _trusted(cls, *parts) -> Netlist:
+        """A netlist from ``parts`` already in the one shape, ``(name,
+        inputs, outputs, kinds, in0, in1, outs, consts, net_count)`` (see
+        the class docstring), each net with one driver, without
+        :meth:`_validate`; the columns are taken, not copied.
+        :meth:`NetlistBuilder.finalize` calls it, and so does
+        :func:`vedicfft.netio.parse_netlist`, on what :meth:`_validate`
+        returns or on text its own pass has shown to be dump-ordered."""
         self = object.__new__(cls)
+        self._store(*parts)
+        return self
+
+    def _store(self, name, inputs, outputs, kinds, in0, in1, outs, consts, net_count) -> None:
         self.name = name
         self.inputs = inputs
         self.outputs = outputs
@@ -449,192 +461,184 @@ class Netlist:
         self._in0 = in0
         self._in1 = in1
         self._outs = outs
-        self._ids = ids
-        self._rows = None
-        self.consts = consts
+        self.consts = consts  # constant bit value -> net id
         self._net_count = net_count
-        self._programs = {}
-        self._kernels = {}
-        self._lane_kernels = {}
-        return self
+        # One program per sorted tuple of (bus, value) scalars; () is the
+        # program with no input tied. Under the same key: its generated
+        # one-lane kernel and its generated lanes kernel, once it has them.
+        self._programs: dict[tuple[tuple[str, int], ...], _Program] = {}
+        self._kernels: dict[tuple[tuple[str, int], ...], Callable[..., tuple]] = {}
+        self._lane_kernels: dict[tuple[tuple[str, int], ...], Callable[..., tuple]] = {}
 
     @functools.cached_property
     def gates(self) -> tuple[Gate, ...]:
-        """The gates as ``Gate`` tuples in ascending id order, built from
-        the columns on first read."""
-        ids = range(len(self._kinds)) if self._ids is None else self._ids
-        return tuple(map(_gate, ids, self._kinds, self._in0, self._in1, self._outs))
-
-    @functools.cached_property
-    def _order(self) -> tuple[Gate, ...]:
-        """The gates as ``Gate`` tuples in evaluation order, built on first
-        read: :attr:`gates` itself unless Kahn's sort ordered them."""
-        gates = self.gates
-        return gates if self._rows is None else tuple(map(gates.__getitem__, self._rows))
-
-    def _eval_columns(self) -> tuple[list[GateKind], list[int], list[int], list[int]]:
-        """The kind, input and output columns in evaluation order."""
-        columns = (self._kinds, self._in0, self._in1, self._outs)
-        rows = self._rows
-        if rows is None:
-            return columns
-        return tuple(list(map(column.__getitem__, rows)) for column in columns)
+        """The gates as ``Gate`` tuples in evaluation order, which is id
+        order, built from the columns on first read."""
+        rows = zip(range(len(self._kinds)), self._kinds, self._in0, self._in1, self._outs)
+        return tuple(Gate(r, k, (a,) if k is _NOT else (a, b), out) for r, k, a, b, out in rows)
 
     @functools.cached_property
     def nets(self) -> frozenset[int]:
-        """The driven nets. ``Netlist(...)`` sets them as it validates; a
-        trusted netlist's are ``range(_net_count)``, built on first read."""
+        """The driven nets, ``0 .. _net_count - 1``, built on first read."""
         return frozenset(range(self._net_count))
 
     # -- validation ---------------------------------------------------------
 
-    def _validate(self) -> frozenset[int]:
-        """Check the structure of ``self.gates``, fill the gate columns and
-        their evaluation order, and return the driven nets.
+    @staticmethod
+    def _validate(
+        name: str,
+        inputs: dict[str, tuple[int, ...]],
+        outputs: dict[str, tuple[int, ...]],
+        ids: list[int],
+        kinds: list[GateKind],
+        in0: list[int],
+        in1: list[int],
+        outs: list[int],
+        consts: dict[int, int],
+        flaw: str | None = None,
+    ) -> tuple:
+        """Check a netlist given as gate columns and return its parts in the
+        one shape, as :meth:`_trusted` takes them: ``(name, inputs,
+        outputs, kinds, in0, in1, outs, consts, net_count)``.
+
+        Row r of the columns is gate ``ids[r]``, in any order; the ids are
+        ints, the kinds ``GateKind`` s and a NOT's ``in1`` repeats its
+        ``in0``, as the callers guarantee. Every net the validator
+        claims or reads, and every constant value, must be an int. Where
+        ``Netlist(...)`` met a gate it could not read, ``flaw`` is its
+        message, raised once the gates before it are checked in the order
+        given: ascending id where the ids compare, else as ``Netlist(...)``
+        met them.
 
         The order is Kahn's, ready gates taken smallest id first. When every
         gate reads only input bits, constants and outputs of lower-id gates,
         as in every built netlist and the dump of one, that order is
         ascending id: one pass over the gates finds this, and the sort runs
-        only for text with forward references or cycles.
+        only where gates read forward or form cycles. The nets are then
+        renumbered by ascending id, the slots ``_compile`` gives them, so a
+        netlist whose ids are already ``0 .. N - 1`` keeps them.
         """
-        _check_name(self.name, "netlist")
+        _check_name(name, "netlist")
         # Net -> its driver, as a value ``_driver_name`` formats only when a
-        # second driver turns up: (bus, bit), a constant value or a gate.
-        drivers: dict[int, tuple[str, int] | int | Gate] = {}
+        # second driver turns up.
+        drivers: dict[int, tuple[str, int] | str | int] = {}
 
-        def claim(net: int, source: tuple[str, int] | int | Gate):
-            try:
-                if net in drivers:
-                    raise NetlistError(
-                        f"net {net} has two drivers: {_driver_name(drivers[net])} "
-                        f"and {_driver_name(source)}"
-                    )
-            except TypeError:  # unhashable
-                raise NetlistError(f"net id {net!r} is not an int") from None
+        def claim(net: int, source: tuple[str, int] | str | int):
+            if type(net) is not int:
+                raise NetlistError(f"net id {net!r} is not an int")
+            if net in drivers:
+                raise NetlistError(
+                    f"net {net} has two drivers: {_driver_name(drivers[net])} "
+                    f"and {_driver_name(source)}"
+                )
             drivers[net] = source
 
-        for bus in list(self.inputs) + list(self.outputs):
+        for bus in list(inputs) + list(outputs):
             _check_name(bus, "bus")
-        for bus in self.outputs:
-            if bus in self.inputs:
+        for bus in outputs:
+            if bus in inputs:
                 raise NetlistError(f"duplicate bus name {bus}")
-        for bus, nets in self.inputs.items():
+        for bus, nets in inputs.items():
             if not nets:
                 raise NetlistError(f"input bus {bus} has zero width")
             for k, n in enumerate(nets):
                 claim(n, (bus, k))
-        for value, n in self.consts.items():
-            if value not in (0, 1):
+        for value, n in consts.items():
+            if type(value) is not int or value not in (0, 1):
                 raise NetlistError(f"constant value must be 0 or 1, got {value}")
-            claim(n, value)
+            claim(n, f"const{value}")
 
-        gates = self.gates
-        try:
-            gates = sorted(gates, key=itemgetter(0))
-        except TypeError:  # ids that do not compare: the loop meets a non-int
-            pass
-        not_ = GateKind.NOT  # arity 1, every other kind 2; cheaper than .arity
+        if flaw is None and not all(map(lt, ids, islice(ids, 1, None))):
+            # Rows in ascending id, stably sorted, so duplicates are neighbours.
+            rows = sorted(range(len(ids)), key=ids.__getitem__)
+            ids, kinds, in0, in1, outs = (
+                list(map(column.__getitem__, rows)) for column in (ids, kinds, in0, in1, outs)
+            )
         id_ordered = True  # every gate reads only nets driven before it
         last_id = None
-        ids, kinds, in0, in1, outs = [], [], [], [], []
-        for gate in gates:  # sorted by id, so duplicates are neighbours
-            try:
-                gid, kind, inputs, output = gate
-            except (TypeError, ValueError):
-                raise NetlistError(f"gate {gate!r} is not (id, kind, inputs, output)") from None
-            if type(gate) is not Gate:
-                raise NetlistError(f"gate {gate!r} is not a Gate")
-            if type(gid) is not int:
-                raise NetlistError(f"gate id {gid!r} is not an int")
+        for gid, a, b, out in zip(ids, in0, in1, outs):
             if gid == last_id:
                 raise NetlistError(f"duplicate gate id {gid}")
             last_id = gid
-            if type(kind) is not GateKind:
-                raise NetlistError(f"gate {gid} kind {kind!r} is not a GateKind")
-            try:
-                if len(inputs) != (1 if kind is not_ else 2):
-                    raise NetlistError(
-                        f"gate {gid} ({kind.value}) takes {kind.arity} inputs, got {len(inputs)}"
-                    )
-                for n in inputs:
-                    if n not in drivers:
-                        id_ordered = False
-                in0.append(inputs[0])
-                in1.append(inputs[-1])
-            except TypeError:  # no len(), an unhashable net, or no indexing
-                raise NetlistError(f"gate {gid} inputs {inputs!r} are not net ids") from None
-            claim(output, gate)
-            ids.append(gid)
-            kinds.append(kind)
-            outs.append(output)
-        # One pass over the driven nets; every gate input and output bit
-        # must be one of them.
-        if not set(map(type, drivers)) <= {int}:
-            bad = next(n for n in drivers if type(n) is not int)
-            raise NetlistError(f"net id {bad!r} is not an int")
+            if type(a) is not int:
+                raise NetlistError(f"net id {a!r} is not an int")
+            if type(b) is not int:
+                raise NetlistError(f"net id {b!r} is not an int")
+            if a not in drivers or b not in drivers:
+                id_ordered = False
+            if type(out) is not int or out in drivers:
+                claim(out, gid)  # raises
+            drivers[out] = gid
+        if flaw is not None:
+            raise NetlistError(flaw)
 
         if not id_ordered:  # else every read was found driven above
-            for gate in gates:
-                for n in gate.inputs:
+            for gid, a, b in zip(ids, in0, in1):
+                for n in (a, b):
                     if n not in drivers:
-                        raise NetlistError(f"gate {gate.id} reads undriven net {n}")
-        for bus, nets in self.outputs.items():
+                        raise NetlistError(f"gate {gid} reads undriven net {n}")
+        for bus, nets in outputs.items():
             if not nets:
                 raise NetlistError(f"output bus {bus} has zero width")
-            try:
-                for k, n in enumerate(nets):
-                    if n not in drivers:
-                        raise NetlistError(f"floating output bit {bus}[{k}] (net {n})")
-            except TypeError:  # unhashable
-                raise NetlistError(f"net id {n!r} is not an int") from None
-        self._ids = _gap_ids(ids)
-        self._kinds, self._in0, self._in1, self._outs = kinds, in0, in1, outs
-        self._rows = None
-        if id_ordered:
-            return frozenset(drivers)
+            for k, n in enumerate(nets):
+                if type(n) is not int:
+                    raise NetlistError(f"net id {n!r} is not an int")
+                if n not in drivers:
+                    raise NetlistError(f"floating output bit {bus}[{k}] (net {n})")
 
-        # Kahn's algorithm over the rows, which are in ascending gate id, so
-        # taking the smallest ready row breaks ties by id and evaluation
-        # order is reproducible.
-        producer = {out: r for r, out in enumerate(outs)}
-        pending = []  # row -> inputs driven by gates not yet ordered
-        consumers: dict[int, list[int]] = {}  # net -> rows reading it
-        for r, gate in enumerate(gates):
-            waits = 0
-            for n in gate.inputs:
-                if n in producer:
-                    waits += 1
-                    consumers.setdefault(n, []).append(r)
-            pending.append(waits)
-        ready = [r for r, waits in enumerate(pending) if not waits]  # sorted: a heap
-        order: list[int] = []
-        while ready:
-            r = heapq.heappop(ready)
-            order.append(r)
-            for consumer in consumers.get(outs[r], ()):
-                pending[consumer] -= 1
-                if not pending[consumer]:
-                    heapq.heappush(ready, consumer)
-        if len(order) != len(gates):
-            stuck = [ids[r] for r, waits in enumerate(pending) if waits]
-            raise NetlistError(f"combinational cycle through gates {stuck}")
-        self._rows = order
-        return frozenset(drivers)
+        if not id_ordered:
+            # Kahn's algorithm over the rows, which are in ascending gate id,
+            # so taking the smallest ready row breaks ties by id and
+            # evaluation order is reproducible. A NOT reads its one input as
+            # in0 and as in1, and so waits for it twice.
+            producer = {out: r for r, out in enumerate(outs)}
+            pending = []  # row -> reads driven by gates not yet ordered
+            consumers: dict[int, list[int]] = {}  # net -> rows reading it
+            for r, reads in enumerate(zip(in0, in1)):
+                waits = 0
+                for n in reads:
+                    if n in producer:
+                        waits += 1
+                        consumers.setdefault(n, []).append(r)
+                pending.append(waits)
+            ready = [r for r, waits in enumerate(pending) if not waits]  # sorted: a heap
+            order: list[int] = []
+            while ready:
+                r = heapq.heappop(ready)
+                order.append(r)
+                for consumer in consumers.get(outs[r], ()):
+                    pending[consumer] -= 1
+                    if not pending[consumer]:
+                        heapq.heappush(ready, consumer)
+            if len(order) != len(ids):
+                stuck = [ids[r] for r, waits in enumerate(pending) if waits]
+                raise NetlistError(f"combinational cycle through gates {stuck}")
+            kinds, in0, in1, outs = (
+                list(map(column.__getitem__, order)) for column in (kinds, in0, in1, outs)
+            )
+
+        count = len(drivers)
+        if drivers and (min(drivers) != 0 or max(drivers) != count - 1):
+            slot = dict(zip(sorted(drivers), range(count))).__getitem__
+            inputs = {bus: tuple(map(slot, nets)) for bus, nets in inputs.items()}
+            outputs = {bus: tuple(map(slot, nets)) for bus, nets in outputs.items()}
+            consts = {value: slot(n) for value, n in consts.items()}
+            in0, in1, outs = (list(map(slot, column)) for column in (in0, in1, outs))
+        return name, inputs, outputs, kinds, in0, in1, outs, consts, count
 
     # -- evaluation ---------------------------------------------------------
 
     def _compile(self, tied: Mapping[str, int]) -> _Program:
         """Compile to the slot program of the gate kernel, folded.
 
-        Slots are the nets in ascending id order, then one slot held at 0
-        and one at the all-lanes mask. The bits of every bus in ``tied``
-        start out as those constant slots (bit k of ``tied[bus]``), like the
-        netlist's own constants, and the bus has no input slots. One pass
-        over the gate columns in evaluation order maps every net to a representative slot. A gate
-        whose inputs are constant or are one slot twice is read off its
-        truth table: it becomes a constant, a copy of its free input, or a
-        NOT of it. Only gates that depend on two distinct slots, and those
+        Slot n is net n, then one slot is held at 0 and one at the
+        all-lanes mask. The bits of every bus in ``tied`` start out as those
+        constant slots (bit k of ``tied[bus]``), like the netlist's own
+        constants, and the bus has no input slots. One pass over the gate
+        columns in evaluation order maps every net to a representative
+        slot. A gate whose inputs are constant or are one slot twice is read
+        off its truth table: it becomes a constant, a copy of its free
+        input, or a NOT of it. Only gates that depend on two distinct slots, and those
         NOTs, are emitted, and readers and output buses read the
         representatives. The same pass keys each gate it would emit by its
         opcode and sorted input slots, every kind being symmetric: a gate
@@ -644,27 +648,21 @@ class Netlist:
         reaches no output. The netlist itself keeps every gate for ``dump``
         and the cost model.
         """
-        kinds, in0, in1, outs = self._eval_columns()
-        count = self._net_count
-        if count is None:  # the ids may be any ints: read the columns as slots
-            slot = {nid: i for i, nid in enumerate(sorted(self.nets))}
-            in0, in1, outs = ([slot[n] for n in column] for column in (in0, in1, outs))
-        else:
-            slot = range(count)  # each net id is its slot
-        zero = len(slot)
+        zero = self._net_count  # each net id is its slot
         const = (zero, zero + 1)  # the slot of constant 0, of constant 1
         rep = [*range(zero), *const]
         for value, nid in self.consts.items():
-            rep[slot[nid]] = const[value]
+            rep[nid] = const[value]
         for bus, value in tied.items():
             for k, nid in enumerate(self.inputs[bus]):
-                rep[slot[nid]] = const[(value >> k) & 1]
+                rep[nid] = const[(value >> k) & 1]
         ops: list[int] = []
         p_in0: list[int] = []
         p_in1: list[int] = []
         p_outs: list[int] = []
         emitted: dict[tuple[int, int, int], int] = {}  # (op, sorted inputs) -> slot
-        for op, a, b, out in zip(map(_OPCODE.__getitem__, kinds), in0, in1, outs):
+        columns = (map(_OPCODE.__getitem__, self._kinds), self._in0, self._in1, self._outs)
+        for op, a, b, out in zip(*columns):
             a, b = rep[a], rep[b]
             if a >= zero or b >= zero or a == b:
                 t = _TRUTH[op]
@@ -699,7 +697,7 @@ class Netlist:
             p_in1.append(b)
             p_outs.append(out)
         out_slots = {
-            bus: [rep[slot[n]] for n in nets] for bus, nets in self.outputs.items()
+            bus: [rep[n] for n in nets] for bus, nets in self.outputs.items()
         }
         live = bytearray(zero + 2)
         for slots in out_slots.values():
@@ -712,7 +710,7 @@ class Netlist:
                 live[p_in0[i]] = live[p_in1[i]] = 1
         kept = bytes(map(live.__getitem__, p_outs))
         in_slots = {
-            bus: [slot[n] for n in nets] for bus, nets in self.inputs.items() if bus not in tied
+            bus: list(nets) for bus, nets in self.inputs.items() if bus not in tied
         }
         return _Program(
             ops=list(compress(ops, kept)),
@@ -919,11 +917,8 @@ class Netlist:
 
     def critical_path_depth(self) -> int:
         """Gate count along the longest input-to-output path (unit delays)."""
-        # Indexed by net id: a list when the ids are 0 .. _net_count - 1.
-        count = self._net_count
-        depth = dict.fromkeys(self.nets, 0) if count is None else [0] * count
-        _, in0, in1, outs = self._eval_columns()
-        for x, y, out in zip(in0, in1, outs):  # a NOT's y is its x
+        depth = [0] * self._net_count  # indexed by net id
+        for x, y, out in zip(self._in0, self._in1, self._outs):  # a NOT's y is its x
             a = depth[x]
             b = depth[y]
             depth[out] = a + 1 if a > b else b + 1
@@ -963,9 +958,7 @@ class NetlistBuilder:
     nets, no second drivers and no cycles, and its gate ids are a
     topological order. :meth:`finalize` therefore trusts these checks: it
     checks the netlist name and hands the columns over as they are, without
-    ``Netlist._validate``. (The text format allows forward references;
-    ``Netlist(...)`` validates what ``parse_netlist`` reads unless it is
-    dump-ordered, and sorts such a netlist's gates with Kahn's algorithm.)
+    ``Netlist._validate``.
 
     Composite units do not nest netlists: each block is an emitter that
     adds its gates to the builder it is handed and returns its output nets,
@@ -1128,5 +1121,4 @@ class NetlistBuilder:
             self._outs,
             self._consts,
             self._next_net,
-            None,
         )

@@ -401,15 +401,17 @@ def test_token_spellings_name_the_canonical_nets(old, new):
 )
 def test_text_not_dump_ordered_is_validated_once(monkeypatch, text, message):
     # Only dump-ordered text skips ``Netlist._validate``; any other text is
-    # validated once, as ``Netlist(...)`` would, with the same outcome.
+    # validated once, as ``Netlist(...)`` would, with the same outcome. An
+    # accepted text is stored in evaluation order, gate ids 0 .. G - 1,
+    # every gate reading only nets driven before it.
     calls = []
     validate = Netlist._validate
 
-    def counting_validate(self):
-        calls.append(self.name)
-        return validate(self)
+    def counting_validate(name, *parts):
+        calls.append(name)
+        return validate(name, *parts)
 
-    monkeypatch.setattr(Netlist, "_validate", counting_validate)
+    monkeypatch.setattr(Netlist, "_validate", staticmethod(counting_validate))
     if message is not None:
         with pytest.raises(NetlistError) as caught:
             parse_netlist(text)
@@ -417,11 +419,18 @@ def test_text_not_dump_ordered_is_validated_once(monkeypatch, text, message):
         return
     got = parse_netlist(text)
     assert calls == ["t"]
+    assert [g.id for g in got.gates] == list(range(len(got.gates)))
+    driven = {n for bits in got.inputs.values() for n in bits} | set(got.consts.values())
+    for gate in got.gates:
+        assert driven.issuperset(gate.inputs), gate
+        driven.add(gate.output)
+    assert driven == got.nets == set(range(got._net_count))
     ref = Netlist(got.name, got.inputs, got.outputs, got.gates, got.consts)
-    for attr in ("name", "inputs", "outputs", "consts", "gates", "nets", "_order"):
+    for attr in ("name", "inputs", "outputs", "consts", "gates", "nets"):
         assert getattr(got, attr) == getattr(ref, attr), attr
     assert got.critical_path_depth() == ref.critical_path_depth()
     assert dump_netlist(got) == dump_netlist(ref)
+    assert parse_netlist(dump_netlist(got)).gates == got.gates
 
 
 # SHA-256 of repr((inputs, outputs, consts, gates)) of each parsed dump: the
@@ -479,13 +488,13 @@ def test_catalog_unit_builds_pinned_gates(unit):
     net = fft.build_unit(unit)
     built = repr((net.inputs, net.outputs, net.consts, net.gates))
     assert hashlib.sha256(built.encode()).hexdigest() == _BUILT_DIGESTS[unit]
-    assert net._order is net.gates
+    assert [g.id for g in net.gates] == list(range(len(net.gates)))
+    assert net.nets == set(range(net._net_count))
 
 
-@pytest.mark.parametrize("unit", fft.unit_names())
-def test_hot_paths_make_no_gate_tuples(monkeypatch, unit):
-    # Built and dump-parsed netlists keep their gates as columns only: no
-    # ``Gate`` is made unless ``gates`` or ``_order`` is read.
+@pytest.fixture
+def gates_made(monkeypatch):
+    """The arguments of every ``Gate`` made while the test runs."""
     made = []
     new = Gate.__new__
 
@@ -494,6 +503,14 @@ def test_hot_paths_make_no_gate_tuples(monkeypatch, unit):
         return new(cls, *args, **kwargs)
 
     monkeypatch.setattr(Gate, "__new__", counting_new)
+    return made
+
+
+@pytest.mark.parametrize("unit", fft.unit_names())
+def test_hot_paths_make_no_gate_tuples(gates_made, unit):
+    # Built and dump-parsed netlists keep their gates as columns only: no
+    # ``Gate`` is made unless ``gates`` is read.
+    made = gates_made
     built = fft.build_unit(unit)
     text = dump_netlist(built)
     parsed = parse_netlist(text)
@@ -503,14 +520,46 @@ def test_hot_paths_make_no_gate_tuples(monkeypatch, unit):
         assert net.gate_counts().total == cost_report(net).gates_total > 0
         columns = {bus: [0, (1 << len(bits)) - 1] for bus, bits in net.inputs.items()}
         assert net.evaluate_batch(columns).keys() == net.outputs.keys()
-        assert "gates" not in net.__dict__ and "_order" not in net.__dict__
+        assert "gates" not in net.__dict__
     assert made == []
     assert len(built.gates) == built.gate_counts().total == len(made)
 
 
+@pytest.mark.parametrize("unit", fft.unit_names())
+def test_reversed_catalog_dump_validates_to_the_unit(monkeypatch, gates_made, unit):
+    # The dump with its gate lines reversed, ids kept, reads nets before
+    # their gates drive them: it is not dump-ordered, so the parse runs the
+    # validator, which must give back the unit's own order and nets.
+    built = fft.build_unit(unit)
+    text = dump_netlist(built)
+    lines = text.splitlines(keepends=True)
+    gate_rows = [k for k, line in enumerate(lines) if line.startswith("gate ")]
+    first, last = gate_rows[0], gate_rows[-1] + 1
+    reversed_text = "".join(lines[:first] + lines[first:last][::-1] + lines[last:])
+    validated = []
+    validate = Netlist._validate
+
+    def counting_validate(name, *parts):
+        validated.append(name)
+        return validate(name, *parts)
+
+    monkeypatch.setattr(Netlist, "_validate", staticmethod(counting_validate))
+    parsed = parse_netlist(reversed_text)
+    assert validated == [unit]
+    assert dump_netlist(parsed) == text
+    assert parsed.critical_path_depth() == built.critical_path_depth()
+    rng = random.Random(20262)
+    columns = {
+        bus: [rng.randrange(1 << len(bits)) for _ in range(256)]
+        for bus, bits in built.inputs.items()
+    }
+    assert parsed.evaluate_batch(columns) == built.evaluate_batch(columns)
+    assert gates_made == []
+
+
 # Text that reads gates of higher id (forward references) and whose ids have
-# gaps: Kahn's sort orders it. Expected values were produced by per-gate
-# storage, before the gates were columns.
+# gaps: Kahn's sort orders it. The program was pinned when the netlist kept
+# the text's gate ids and ordered them apart; it must not change.
 _FORWARD_TEXT = (
     "netlist t v1\ninput a 2\nconst1 n9\n"
     "gate 0 NOT n1 -> n0\ngate 1 AND a[0] n3 -> n1\ngate 2 XOR n0 n9 -> n2\n"
@@ -518,24 +567,26 @@ _FORWARD_TEXT = (
 )
 
 
-def test_forward_references_keep_gates_order_depth_dump_and_program():
+def test_forward_references_store_evaluation_order_and_keep_depth_and_program():
     net = parse_netlist(_FORWARD_TEXT)
     not_, and_, xor, or_ = GateKind.NOT, GateKind.AND, GateKind.XOR, GateKind.OR
+    # Text gates 5, 1, 0, 2 and 7, in Kahn's order, as gates 0 .. 4; the
+    # nets are numbered as the text first names them.
     assert net.gates == (
-        Gate(0, not_, (3,), 4),
+        Gate(0, not_, (1,), 5),
         Gate(1, and_, (0, 5), 3),
-        Gate(2, xor, (4, 2), 6),
-        Gate(5, not_, (1,), 5),
-        Gate(7, or_, (6, 5), 7),
+        Gate(2, not_, (3,), 4),
+        Gate(3, xor, (4, 2), 6),
+        Gate(4, or_, (6, 5), 7),
     )
-    assert [g.id for g in net._order] == [5, 1, 0, 2, 7]
-    assert all(type(g) is Gate for g in net._order)
     assert net.critical_path_depth() == 5
-    assert dump_netlist(net) == (
+    text = dump_netlist(net)
+    assert text == (
         "netlist t v1\ninput a 2\nconst1 n0\n"
-        "gate 0 NOT n2 -> n1\ngate 1 AND a[0] n4 -> n2\ngate 2 XOR n1 n0 -> n3\n"
-        "gate 3 NOT a[1] -> n4\ngate 4 OR n3 n4 -> n5\noutput o n1 n3 n5\noutput p n2\n"
+        "gate 0 NOT a[1] -> n1\ngate 1 AND a[0] n1 -> n2\ngate 2 NOT n2 -> n3\n"
+        "gate 3 XOR n3 n0 -> n4\ngate 4 OR n4 n1 -> n5\noutput o n3 n4 n5\noutput p n2\n"
     )
+    assert dump_netlist(parse_netlist(text)) == text
     assert repr(net._compile({})) == (
         "_Program(ops=[3, 0, 3, 3, 1], in0=[1, 0, 3, 4, 6], in1=[1, 5, 3, 4, 5], "
         "outs=[5, 3, 4, 6, 7], size=10, in_slots={'a': [0, 1]}, "
@@ -543,20 +594,19 @@ def test_forward_references_keep_gates_order_depth_dump_and_program():
     )
 
 
-def test_dump_ordered_text_keeps_gate_ids_with_gaps(monkeypatch):
-    # Ascending ids with gaps are still dump order: the parse is trusted and
-    # keeps the ids, and the dump numbers the gates 0 .. G - 1.
+def test_dump_ordered_text_with_gate_id_gaps_is_trusted_and_renumbered(monkeypatch):
+    # Ascending ids with gaps are still dump order: the parse is trusted,
+    # and the gates are numbered 0 .. G - 1, as the dump numbers them.
     monkeypatch.setattr(Netlist, "_validate", None)
     net = parse_netlist(
         "netlist t v1\ninput a 1\ngate 3 NOT a[0] -> n0\n"
         "gate 8 AND a[0] n0 -> n1\ngate 9 NOT n1 -> n2\noutput o n2\n"
     )
-    assert [(g.id, g.kind, g.inputs, g.output) for g in net.gates] == [
-        (3, GateKind.NOT, (0,), 1),
-        (8, GateKind.AND, (0, 1), 2),
-        (9, GateKind.NOT, (2,), 3),
-    ]
-    assert net._order == net.gates
+    assert net.gates == (
+        Gate(0, GateKind.NOT, (0,), 1),
+        Gate(1, GateKind.AND, (0, 1), 2),
+        Gate(2, GateKind.NOT, (2,), 3),
+    )
     assert dump_netlist(net).splitlines()[2:5] == [
         "gate 0 NOT a[0] -> n0",
         "gate 1 AND a[0] n0 -> n1",

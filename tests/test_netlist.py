@@ -313,14 +313,20 @@ class TestAnalysis:
         assert net.evaluate_batch({"x": [2]})["o"] == [2]
 
     def test_topological_order_respects_dependencies(self):
-        net = build_ripple_adder(8)
-        seen = set()
-        produced = {g.output for g in net.gates}
-        for gate in net._order:
-            for n in gate.inputs:
-                if n in produced:
-                    assert n in seen, "gate evaluated before its input"
-            seen.add(gate.output)
+        # The gates are stored in evaluation order, ids 0 .. G - 1, also
+        # where their ids were given in reverse, so Kahn's sort ordered them.
+        built = build_ripple_adder(8)
+        last = len(built.gates) - 1
+        given = [g._replace(id=last - g.id) for g in built.gates]
+        for net in (built, Netlist(built.name, built.inputs, built.outputs, given, built.consts)):
+            assert [g.id for g in net.gates] == list(range(len(net.gates)))
+            seen = set()
+            produced = {g.output for g in net.gates}
+            for gate in net.gates:
+                for n in gate.inputs:
+                    if n in produced:
+                        assert n in seen, "gate evaluated before its input"
+                seen.add(gate.output)
 
     def test_single_driver_invariant(self):
         net = build_ripple_adder(4)
@@ -413,6 +419,31 @@ class TestValidation:
                 id="net-id-float-gate-output",
             ),
             pytest.param(
+                dict(gates=[(0, "NOT", (True,), 1)], inputs={"a": [0]}, outputs={"o": [1]}),
+                "net id True is not an int",
+                id="net-id-bool-gate-read",
+            ),
+            pytest.param(
+                dict(gates=[(0, "AND", (0, 1.0), 2)]),
+                "net id 1.0 is not an int",
+                id="net-id-float-gate-read",
+            ),
+            pytest.param(
+                dict(
+                    gates=[(0, "NOT", (0,), 1)],
+                    inputs={"a": [True]},
+                    outputs={"o": [1]},
+                    consts={0: 0},
+                ),
+                "net id True is not an int",
+                id="net-id-bool-input-beside-gate-output",
+            ),
+            pytest.param(
+                dict(gates=[AND], outputs={"o": [2, True]}),
+                "net id True is not an int",
+                id="net-id-bool-output-bit",
+            ),
+            pytest.param(
                 dict(gates=[("g", "AND", (0, 1), 2)]),
                 "gate id 'g' is not an int",
                 id="gate-id-str",
@@ -441,6 +472,16 @@ class TestValidation:
                 dict(gates=[AND], consts={2: 3}),
                 "constant value must be 0 or 1, got 2",
                 id="const-value",
+            ),
+            pytest.param(
+                dict(gates=[AND], consts={True: 3}),
+                "constant value must be 0 or 1, got True",
+                id="const-value-bool",
+            ),
+            pytest.param(
+                dict(gates=[AND], consts={1.0: 3}),
+                "constant value must be 0 or 1, got 1.0",
+                id="const-value-float",
             ),
             pytest.param(
                 dict(gates=[AND], inputs={"a": [0], "b": [0]}),
@@ -794,7 +835,9 @@ def _min_id_topological(gates):
 
 def _random_dag(rng):
     """A random netlist whose gate ids are shuffled against its dependency
-    order, so gates may read the outputs of higher-id gates."""
+    order, so gates may read the outputs of higher-id gates, and the parts
+    it was built from: (inputs, outputs, gates, consts), on sparse net
+    ids."""
     nets = rng.sample(range(1000), 40)
     inputs = {"a": nets[:2], "b": nets[2:3]}
     available = list(nets[:3])
@@ -812,21 +855,25 @@ def _random_dag(rng):
         available.append(out)
     outputs = {"o": rng.sample(available, rng.randrange(1, 4))}
     rng.shuffle(gates)
-    return Netlist("dag", inputs, outputs, gates, consts), gates
+    return Netlist("dag", inputs, outputs, gates, consts), (inputs, outputs, gates, consts)
 
 
 class TestEvaluationOrder:
-    """``_order`` is the smallest-id-first topological order of the gates."""
+    """``gates`` is the smallest-id-first topological order of the gates
+    given, renumbered ``0 .. G - 1``, over nets renumbered by ascending id."""
 
     @pytest.mark.parametrize("name", unit_names())
     def test_catalog_units_evaluate_in_id_order(self, name):
         net = build_unit(name)
-        assert net._order == net.gates
-        parsed = parse_netlist(dump_netlist(net))
-        assert parsed._order == parsed.gates
+        assert [g.id for g in net.gates] == list(range(len(net.gates)))
+        given = reversed(net.gates)
+        assert Netlist(net.name, net.inputs, net.outputs, given, net.consts).gates == net.gates
+        text = dump_netlist(net)
+        assert dump_netlist(parse_netlist(text)) == text
 
     def test_forward_references_order(self):
-        # Gates 0 and 2 read the outputs of gates 1 and 3.
+        # Gates 0 and 2 read the outputs of gates 1 and 3: they are stored
+        # as gates 1, 0, 3, 2 read them, as gates 0 .. 3.
         net = parse_netlist(
             "netlist t v1\n"
             "input a 1\n"
@@ -836,15 +883,35 @@ class TestEvaluationOrder:
             "gate 3 NOT a[0] -> n3\n"
             "output o n0 n2\n"
         )
-        assert [g.id for g in net._order] == [1, 0, 3, 2]
+        not_ = GateKind.NOT
+        # Nets in order of first appearance: a[0], n1, n0, n3, n2.
+        assert net.gates == (
+            Gate(0, not_, (0,), 1),
+            Gate(1, not_, (1,), 2),
+            Gate(2, not_, (0,), 3),
+            Gate(3, not_, (3,), 4),
+        )
+        assert net.outputs == {"o": (2, 4)}
 
     def test_random_dags_match_reference(self):
         rng = random.Random(20100)
         forward = 0
         for _ in range(200):
-            net, gates = _random_dag(rng)
+            net, (inputs, outputs, gates, consts) = _random_dag(rng)
             want = _min_id_topological(gates)
-            assert [g.id for g in net._order] == want
+            # The dense net map: the driven nets by ascending id.
+            driven = [n for nets in inputs.values() for n in nets]
+            driven += [*consts.values(), *(g.output for g in gates)]
+            slot = {n: k for k, n in enumerate(sorted(driven))}
+            by_id = {g.id: g for g in gates}
+            renumbered = tuple(
+                Gate(k, g.kind, tuple(slot[n] for n in g.inputs), slot[g.output])
+                for k, g in enumerate(map(by_id.__getitem__, want))
+            )
+            assert net.gates == renumbered
+            assert net.inputs == {bus: tuple(map(slot.get, ns)) for bus, ns in inputs.items()}
+            assert net.outputs == {bus: tuple(map(slot.get, ns)) for bus, ns in outputs.items()}
+            assert net.consts == {value: slot[n] for value, n in consts.items()}
             forward += want != sorted(want)
         assert forward > 100  # most cases need the sort
 
@@ -885,7 +952,7 @@ def _trusted_cases():
         yield _random_program(rng)
 
 
-_PARTS = ("name", "inputs", "outputs", "consts", "gates", "nets", "_order")
+_PARTS = ("name", "inputs", "outputs", "consts", "gates", "nets", "_net_count")
 
 
 class TestTrustedFinalize:
@@ -927,7 +994,9 @@ class TestTrustedFinalize:
 
 @pytest.mark.parametrize("unit", unit_names())
 def test_sparse_net_ids_cost_and_dump_as_the_unit(unit):
-    # ``Netlist(...)`` takes any int ids; depth and dump then index a dict.
+    # ``Netlist(...)`` takes any distinct int ids and renumbers them by
+    # ascending id: spread apart and shuffled, the unit's own gates and nets
+    # come back, and so do its costs, dump and program.
     net = build_unit(unit)
 
     def sparse(n):
@@ -937,15 +1006,18 @@ def test_sparse_net_ids_cost_and_dump_as_the_unit(unit):
         return {bus: [sparse(n) for n in nets] for bus, nets in buses.items()}
 
     gates = [
-        Gate(g.id, g.kind, tuple(map(sparse, g.inputs)), sparse(g.output)) for g in net.gates
+        Gate(sparse(g.id), g.kind, tuple(map(sparse, g.inputs)), sparse(g.output))
+        for g in net.gates
     ]
+    random.Random(20103).shuffle(gates)
     consts = {value: sparse(n) for value, n in net.consts.items()}
     wide = Netlist(net.name, spread(net.inputs), spread(net.outputs), gates, consts)
-    assert wide._net_count is None
-    assert wide.nets == {sparse(n) for n in net.nets}
+    for attr in ("inputs", "outputs", "consts", "gates", "nets", "_net_count"):
+        assert getattr(wide, attr) == getattr(net, attr), attr
     assert wide.critical_path_depth() == net.critical_path_depth()
     assert wide.gate_counts() == net.gate_counts()
     assert dump_netlist(wide) == dump_netlist(net)
+    assert repr(wide._compile({})) == repr(net._compile({}))
 
 
 def test_gate_kind_arity():
